@@ -4,6 +4,13 @@ Codeword layout (bit index = polynomial degree): message at positions
 0..k-1, parity at k..k+deg(g)-1, and for extended codes one overall-parity
 bit at position n-1. A single flipped bit at unextended position j shows up
 as S1 = alpha^j.
+
+Syndromes are also kept packed into one int per word: S1 in bits 0..m-1,
+S3 in bits m..2m-1 and the overall parity in bit 2m. A word's packed
+syndrome is the XOR of `flip_syndrome[j]` over its set bits j, so a flip
+updates it with one XOR, and it is 0 exactly for codewords. Decoding reads
+the error pattern of weight <= t for (S1, S3) from a table built once per
+code, then settles the overall-parity bit.
 """
 
 from dataclasses import dataclass, field
@@ -24,11 +31,18 @@ class BchCode:
     extended: bool
     generator: int
     # decode/encode tables, derived once in build_code
-    alpha1: np.ndarray = field(repr=False, default=None)
-    alpha3: np.ndarray = field(repr=False, default=None)
-    cube: np.ndarray = field(repr=False, default=None)
-    qroot: np.ndarray = field(repr=False, default=None)
     parity_matrix: np.ndarray = field(repr=False, default=None)
+    # packed syndrome of a word with only bit j set, per position j
+    flip_syndrome: np.ndarray = field(repr=False, default=None)
+    # (n, 2m+1) binary parity-check matrix: row j holds the bits of
+    # flip_syndrome[j]. Stored as float32 so that words @ check_matrix runs
+    # in BLAS; its integer counts (at most n <= 256) are exact.
+    check_matrix: np.ndarray = field(repr=False, default=None)
+    # BDD on the unextended bits for every (S1, S3), at index S1 | S3 << m:
+    # the error count (-1 when no pattern lies within radius t) and the
+    # error positions in ascending order (-1 where unused)
+    error_count: np.ndarray = field(repr=False, default=None)
+    error_positions: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_unext(self) -> int:
@@ -92,34 +106,40 @@ def build_code(m: int, t: int, extended: bool) -> BchCode:
     n = n_unext + (1 if extended else 0)
     d0 = 2 * t + 1 + (1 if extended else 0)
 
-    order = f.order
     size = 1 << m
-    exp = f.exp_table
-    log = f.log_table
-    alpha1 = exp[:n_unext].copy()
-    alpha3 = exp[(3 * np.arange(n_unext)) % order].copy()
-    # elementwise cube over the field
-    cube = np.zeros(size, dtype=np.int64)
-    nz = np.arange(1, size)
-    cube[nz] = exp[(3 * log[nz]) % order]
-    # smallest root z of z^2 + z = c per c, -1 when no root exists
-    qroot = np.full(size, -1, dtype=np.int64)
-    for z in range(size - 1, -1, -1):
-        c = gf_mul(f, z, z) ^ z
-        qroot[c] = z
     # parity_matrix[i] = bits of x^(i+deg g) mod g, so that the parity of a
     # message m(x) placed at positions 0..k-1 is m @ parity_matrix (mod 2)
     d = poly_degree(gen)
-    pm = np.zeros((k, d), dtype=np.uint8)
-    for i in range(k):
-        r = poly_rem(1 << (i + d), gen)
-        for j in range(d):
-            pm[i, j] = (r >> j) & 1
-    for arr in (alpha1, alpha3, cube, qroot, pm):
+    rems = [poly_rem(1 << d, gen)]
+    for _ in range(k - 1):
+        r = rems[-1] << 1  # x^(i+1+d) mod g from x^(i+d) mod g
+        rems.append(r ^ gen if r >> d else r)
+    pm = ((np.array(rems)[:, None] >> np.arange(d)) & 1).astype(np.uint8)
+    # a single error at unextended position j has S1 = alpha^j, S3 = alpha^3j
+    j = np.arange(n_unext)
+    flip_syn = np.zeros(n, dtype=np.int64)
+    flip_syn[:n_unext] = f.exp_table[j] | (f.exp_table[(3 * j) % f.order] << m)
+    if extended:
+        flip_syn |= 1 << (2 * m)
+    check = ((flip_syn[:, None] >> np.arange(2 * m + 1)) & 1).astype(np.float32)
+    # syndrome decoding table: every error pattern of weight <= t on the
+    # unextended bits has an (S1, S3) of its own, as the code corrects t
+    # errors; every other (S1, S3) is a decoding failure
+    key = flip_syn[:n_unext] & (size * size - 1)
+    first, second = np.triu_indices(n_unext, 1)
+    count = np.full(size * size, -1, dtype=np.int8)
+    positions = np.full((size * size, 2), -1, dtype=np.int16)
+    count[0] = 0
+    count[key] = 1
+    positions[key, 0] = np.arange(n_unext)
+    pair_key = key[first] ^ key[second]
+    count[pair_key] = 2
+    positions[pair_key] = np.stack([first, second], axis=1)
+    for arr in (pm, flip_syn, check, count, positions):
         arr.setflags(write=False)
     return BchCode(field=f, n=n, k=k, t=t, d0=d0, extended=extended,
-                   generator=gen, alpha1=alpha1, alpha3=alpha3, cube=cube,
-                   qroot=qroot, parity_matrix=pm)
+                   generator=gen, parity_matrix=pm, flip_syndrome=flip_syn,
+                   check_matrix=check, error_count=count, error_positions=positions)
 
 
 def encode_many(code: BchCode, messages: np.ndarray) -> np.ndarray:
@@ -142,44 +162,32 @@ def encode(code: BchCode, message) -> np.ndarray:
     return encode_many(code, msg[None, :])[0]
 
 
+def block_syndromes(code: BchCode, words) -> np.ndarray:
+    """Packed syndromes of every row of a (R, n) bit matrix, from one GF(2)
+    matmul against the parity-check matrix."""
+    counts = np.asarray(words, dtype=np.float32) @ code.check_matrix
+    bits = counts.astype(np.int64) & 1
+    return bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
+
+
+def unpack_syndromes(code: BchCode, syn):
+    """(S1, S3, parity) of packed syndromes, for an int or an int array."""
+    m = code.field.m
+    mask = (1 << m) - 1
+    return syn & mask, (syn >> m) & mask, syn >> (2 * m)
+
+
 def syndromes(code: BchCode, word) -> tuple[int, int, int]:
     w = np.asarray(word, dtype=np.uint8)
     if w.shape != (code.n,):
         raise ValueError(f"word must have length n={code.n}")
-    u = w[: code.n_unext].astype(bool)
-    s1 = int(np.bitwise_xor.reduce(code.alpha1[u])) if u.any() else 0
-    s3 = int(np.bitwise_xor.reduce(code.alpha3[u])) if u.any() else 0
-    parity = int(w.sum() & 1) if code.extended else 0
-    return s1, s3, parity
+    syn = int(block_syndromes(code, w[None, :])[0])
+    return unpack_syndromes(code, syn)
 
 
 def is_codeword(code: BchCode, word) -> bool:
     s1, s3, parity = syndromes(code, word)
     return s1 == 0 and s3 == 0 and parity == 0
-
-
-def _unext_pattern(code: BchCode, s1: int, s3: int):
-    """Error positions on the unextended bits implied by (S1, S3), or None."""
-    if s1 == 0 and s3 == 0:
-        return ()
-    log = code.field.log_table
-    exp = code.field.exp_table
-    order = code.field.order
-    if s1 != 0 and s3 == int(code.cube[s1]):
-        return (int(log[s1]),)
-    if s1 == 0:
-        return None
-    # locator x^2 + S1 x + (S3/S1 + S1^2); substitute x = S1 z
-    ls1 = int(log[s1])
-    inv_s1_cubed = int(exp[(-3 * ls1) % order])
-    c = (int(exp[(int(log[s3]) + int(log[inv_s1_cubed])) % order]) if s3 else 0) ^ 1
-    z = int(code.qroot[c])
-    if z < 2:  # no root, or roots {0,1} which map to a zero locator root
-        return None
-    x1 = int(exp[(int(log[z]) + ls1) % order])
-    x2 = x1 ^ s1
-    p1, p2 = int(log[x1]), int(log[x2])
-    return (p1, p2) if p1 < p2 else (p2, p1)
 
 
 def decode_syndromes(code: BchCode, s1: int, s3: int, parity: int):
@@ -188,9 +196,11 @@ def decode_syndromes(code: BchCode, s1: int, s3: int, parity: int):
     Extended codes must stay within radius t: the overall-parity bit can
     absorb one extra flip only while the total weight stays <= t.
     """
-    pat = _unext_pattern(code, s1, s3)
-    if pat is None:
+    key = s1 | (s3 << code.field.m)
+    nerr = int(code.error_count[key])
+    if nerr < 0:
         return None
+    pat = tuple(code.error_positions[key, :nerr].tolist())
     if not code.extended:
         return pat
     if parity == (len(pat) & 1):
@@ -232,64 +242,34 @@ class BlockProposals:
             pat += (n - 1,)
         return pat
 
+    def flips(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(row, position) pairs of every flip that the successful rows'
+        patterns make, as two flat arrays; no pair repeats."""
+        one = np.flatnonzero(self.nerr >= 1)
+        two = np.flatnonzero(self.nerr == 2)
+        ext = np.flatnonzero(self.extflip)
+        rows = np.concatenate([one, two, ext])
+        pos = np.concatenate([self.p0[one], self.p1[two], np.full(ext.size, n - 1)])
+        return rows, pos
+
 
 def bdd_propose_block(code: BchCode, words: np.ndarray) -> BlockProposals:
     """Decode every row of a (R, n) bit matrix in one vectorized pass."""
-    w = np.asarray(words, dtype=np.uint8)
-    R = w.shape[0]
-    nu = code.n_unext
-    order = code.field.order
-    exp = code.field.exp_table
-    log = code.field.log_table
+    return decode_block(code, block_syndromes(code, words))
 
-    bits = w[:, :nu].astype(bool)
-    s1 = np.bitwise_xor.reduce(np.where(bits, code.alpha1[None, :], 0), axis=1)
-    s3 = np.bitwise_xor.reduce(np.where(bits, code.alpha3[None, :], 0), axis=1)
-    parity = (w.sum(axis=1, dtype=np.int64) & 1) if code.extended else np.zeros(R, dtype=np.int64)
 
-    nerr = np.full(R, -1, dtype=np.int64)
-    p0 = np.full(R, -1, dtype=np.int64)
-    p1 = np.full(R, -1, dtype=np.int64)
-
-    clean = (s1 == 0) & (s3 == 0)
-    nerr[clean] = 0
-
-    s1nz = s1 != 0
-    single = s1nz & ~clean & (s3 == code.cube[s1])
-    nerr[single] = 1
-    p0[single] = log[s1[single]]
-
-    dbl = s1nz & ~clean & ~single
-    if dbl.any():
-        ls1 = log[s1[dbl]]
-        c = np.zeros(dbl.sum(), dtype=np.int64)
-        s3d = s3[dbl]
-        nz3 = s3d != 0
-        c[nz3] = exp[(log[s3d[nz3]] - 3 * ls1[nz3]) % order]
-        c ^= 1
-        z = code.qroot[c]
-        ok = z >= 2
-        x1 = np.zeros_like(z)
-        x1[ok] = exp[(log[z[ok]] + ls1[ok]) % order]
-        x2 = x1 ^ s1[dbl]
-        q0 = np.full(dbl.sum(), -1, dtype=np.int64)
-        q1 = np.full(dbl.sum(), -1, dtype=np.int64)
-        q0[ok] = log[x1[ok]]
-        q1[ok] = log[x2[ok]]
-        lo = np.minimum(q0, q1)
-        hi = np.maximum(q0, q1)
-        sub = np.full(dbl.sum(), -1, dtype=np.int64)
-        sub[ok] = 2
-        idx = np.flatnonzero(dbl)
-        nerr[idx] = sub
-        p0[idx] = lo
-        p1[idx] = hi
-
-    extflip = np.zeros(R, dtype=bool)
+def decode_block(code: BchCode, syn: np.ndarray) -> BlockProposals:
+    """Bounded-distance decode a batch of packed syndromes, one per row."""
+    m = code.field.m
+    key = syn & ((1 << (2 * m)) - 1)  # S1 | S3 << m
+    nerr = code.error_count[key].astype(np.int64)
+    pos = code.error_positions[key]
+    extflip = np.zeros(syn.shape[0], dtype=bool)
     if code.extended:
+        parity = syn >> (2 * m)
         valid = nerr >= 0
         mismatch = valid & (parity != (nerr & 1))
         absorb = mismatch & (nerr < code.t)
         extflip[absorb] = True
         nerr[mismatch & ~absorb] = -1
-    return BlockProposals(nerr=nerr, p0=p0, p1=p1, extflip=extflip)
+    return BlockProposals(nerr=nerr, p0=pos[:, 0], p1=pos[:, 1], extflip=extflip)

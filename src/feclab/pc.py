@@ -6,14 +6,23 @@ highly reliable (HRBs), and per component word the d0-t-1 smallest-|llr|
 non-HRB positions are the flip candidates (HUBs). During the first
 md_iters iterations every BDD success is screened for miscorrection and
 failures/miscorrections trigger deliberate bit flips followed by a retry.
+
+Decoding runs on syndromes. `BlockSyndromes` keeps the packed syndrome of
+every row and column, and every flip updates the syndrome of its word and
+of the crossing word, so the maintained syndromes always equal the
+syndromes of the bits. A pass decodes only the words with a nonzero
+syndrome (a clean word is a no-op), yet `bdd_calls` counts w per pass, as
+if every word were decoded, plus one per flip retry.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .bch import BchCode, BddOutcome, bdd_propose_block, decode_syndromes, syndromes
-from .bch import encode_many, is_codeword
+from .bch import (BchCode, BddOutcome, block_syndromes, decode_block, decode_syndromes,
+                  encode_many, unpack_syndromes)
+from .errors import ConfigError
 from .modem import ReliabilityGrid
 
 
@@ -39,11 +48,14 @@ class SabmParams:
 
     def __post_init__(self):
         if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+            raise ConfigError(f"delta must be non-negative, got {self.delta}")
+        if self.total_iters < 1:
+            raise ConfigError(f"total_iters must be >= 1, got {self.total_iters}")
         if not 0 <= self.md_iters <= self.total_iters:
-            raise ValueError("need 0 <= md_iters <= total_iters")
+            raise ConfigError(f"need 0 <= md_iters <= total_iters, got md_iters="
+                              f"{self.md_iters} and total_iters={self.total_iters}")
         if self.failure_flip_attempts < 0:
-            raise ValueError("failure_flip_attempts must be non-negative")
+            raise ConfigError("failure_flip_attempts must be non-negative")
 
 
 @dataclass
@@ -56,17 +68,19 @@ class DecodeStats:
 
 @dataclass(frozen=True)
 class MarkState:
-    """Flip mask frozen at channel time: HRB flags plus, per row and per
-    column, the non-HRB positions sorted by ascending |llr| (ties broken by
-    lowest index). The HUB list of a word is the first d0-t-1 entries."""
+    """Flip mask frozen at channel time: HRB flags plus, per word, its
+    positions sorted by ascending |llr| (ties broken by lowest index), of
+    which the first non_hrb are its non-HRB positions. Axis 0 words are
+    rows and axis 1 words columns. The HUB list of a word is the first
+    hub_len = d0-t-1 entries of its non-HRB order."""
 
     hrb: np.ndarray
-    row_order: list = field(repr=False, default=None)
-    col_order: list = field(repr=False, default=None)
+    order: np.ndarray = field(repr=False, default=None)    # (axes, w, n)
+    non_hrb: np.ndarray = field(repr=False, default=None)  # (axes, w)
     hub_len: int = 0
 
     def order_for(self, axis: int, index: int) -> np.ndarray:
-        return (self.row_order if axis == 0 else self.col_order)[index]
+        return self.order[axis, index, : self.non_hrb[axis, index]]
 
 
 def pc_encode(code: PcCode, data) -> np.ndarray:
@@ -85,20 +99,51 @@ def mark_bits(llrs: ReliabilityGrid, params: SabmParams, code: PcCode) -> MarkSt
     if a.shape != (w, w):
         raise ValueError(f"LLR grid must be ({w}, {w})")
     hrb = a > params.delta
-    hub_len = code.component.d0 - code.component.t - 1
-    row_order = []
-    col_order = []
-    for i in range(w):
-        order = np.argsort(a[i], kind="stable")
-        row_order.append(order[~hrb[i][order]])
-    at = a.T
-    hrbt = hrb.T
-    for j in range(w):
-        order = np.argsort(at[j], kind="stable")
-        col_order.append(order[~hrbt[j][order]])
+    # HRBs have |llr| > delta, so a stable sort puts every non-HRB before
+    # them: each word's non-HRB order is a prefix of its sorted positions
+    order = np.argsort(np.stack([a, a.T]), axis=-1, kind="stable")
+    non_hrb = np.stack([(~hrb).sum(axis=1), (~hrb).sum(axis=0)])
     hrb.setflags(write=False)
-    return MarkState(hrb=hrb, row_order=row_order, col_order=col_order,
-                     hub_len=hub_len)
+    return MarkState(hrb=hrb, order=order, non_hrb=non_hrb,
+                     hub_len=code.component.d0 - code.component.t - 1)
+
+
+class BlockSyndromes:
+    """Packed syndromes of every row (syn[0]) and column (syn[1]) of a
+    w x w block. Flips made through `flip` and `flip_word` update the bits,
+    the flipped word's syndrome and each crossing word's syndrome, so `syn`
+    always equals the syndromes of `bits`."""
+
+    def __init__(self, code: BchCode, bits: np.ndarray):
+        self.code = code
+        self.bits = bits
+        w = bits.shape[0]
+        self.syn = block_syndromes(code, np.concatenate([bits, bits.T])).reshape(2, w)
+
+    def flip(self, axis: int, words: np.ndarray, positions: np.ndarray):
+        """Flip bit positions[k] of word words[k] along axis, for every k;
+        no (word, position) pair may repeat."""
+        h = self.code.flip_syndrome
+        view = self.bits if axis == 0 else self.bits.T
+        view[words, positions] ^= 1
+        np.bitwise_xor.at(self.syn[axis], words, h[positions])
+        np.bitwise_xor.at(self.syn[1 - axis], positions, h[words])
+
+    def flip_word(self, axis: int, index: int, pattern):
+        """`flip` for the positions of one word, without the array set-up."""
+        h = self.code.flip_syndrome
+        view = self.bits if axis == 0 else self.bits.T
+        own, cross = self.syn[axis], self.syn[1 - axis]
+        for p in pattern:
+            view[index, p] ^= 1
+            own[index] ^= h[p]
+            cross[p] ^= h[index]
+
+
+def _suspicious(pattern, hrb_row: np.ndarray, cross: np.ndarray) -> bool:
+    """True iff the pattern touches an HRB of its word or a bit whose
+    crossing word currently has a zero syndrome."""
+    return any(hrb_row[p] for p in pattern) or any(cross[p] == 0 for p in pattern)
 
 
 def detect_miscorrection(outcome: BddOutcome, axis: int, index: int,
@@ -106,54 +151,40 @@ def detect_miscorrection(outcome: BddOutcome, axis: int, index: int,
                          code: PcCode) -> bool:
     """True iff a successful correction touches an HRB or a currently
     zero-syndrome orthogonal word (column for a row decode and vice versa)."""
-    return _pattern_suspicious(outcome.error_pattern, axis, index, marks,
-                               block, code.component)
+    cross = block_syndromes(code.component, block.T if axis == 0 else block)
+    hrb = marks.hrb if axis == 0 else marks.hrb.T
+    return _suspicious(outcome.error_pattern, hrb[index], cross)
 
 
-def _pattern_suspicious(pattern, axis, index, marks, block, comp) -> bool:
-    for p in pattern:
-        hrb = marks.hrb[index, p] if axis == 0 else marks.hrb[p, index]
-        if hrb:
-            return True
-    for p in pattern:
-        orth = block[:, p] if axis == 0 else block[p, :]
-        if is_codeword(comp, orth):
-            return True
-    return False
-
-
-def _word_bdd(comp, word) -> tuple[int, ...] | None:
-    s1, s3, parity = syndromes(comp, word)
-    return decode_syndromes(comp, s1, s3, parity)
-
-
-def bit_flip_recover(code: PcCode, word: np.ndarray, outcome: BddOutcome,
+def bit_flip_recover(code: BchCode, syndrome, outcome: BddOutcome,
                      reason: str, order: np.ndarray, flip_attempts: int,
                      stats: DecodeStats, suspicious) -> tuple[int, ...]:
     """Flip unreliable bits and retry BDD; returns the accepted total flip
-    pattern relative to `word`, or () when every retry fails (revert).
+    pattern relative to the word whose syndrome is `syndrome` = (S1, S3,
+    parity), or () when every retry fails (revert). A retry decodes that
+    syndrome XOR the flipped positions' contributions; no bits are read.
 
-    reason="failure": flip single HUBs sequentially (up to flip_attempts).
+    reason="failure": flip order[0], order[1], ... one at a time, at most
+    flip_attempts retries (callers cap flip_attempts at the HUB count).
     reason="miscorrection": flip the d0 - w_H(e) - 1 least reliable non-HRB
     positions at once, operating on the pre-BDD word. Every new success must
     survive the final miscorrection check `suspicious(pattern)`.
     """
-    comp = code.component
     if reason == "miscorrection":
-        nflip = comp.d0 - outcome.weight - 1
+        nflip = code.d0 - outcome.weight - 1
         flips = [int(p) for p in order[:nflip]]
         attempts = [flips] if flips else []
     elif reason == "failure":
-        hubs = order[: marks_hub_len(code)]
-        attempts = [[int(h)] for h in hubs[:flip_attempts]]
+        attempts = [[int(h)] for h in order[:flip_attempts]]
     else:
         raise ValueError(f"unknown recovery reason {reason!r}")
 
+    s1, s3, parity = syndrome
     for flips in attempts:
         stats.flips_attempted += 1
-        trial = word.copy()
-        trial[flips] ^= 1
-        pat = _word_bdd(comp, trial)
+        change = int(np.bitwise_xor.reduce(code.flip_syndrome[flips]))
+        d1, d3, dp = unpack_syndromes(code, change)
+        pat = decode_syndromes(code, s1 ^ d1, s3 ^ d3, parity ^ dp)
         stats.bdd_calls += 1
         if pat is None:
             continue
@@ -167,84 +198,80 @@ def bit_flip_recover(code: PcCode, word: np.ndarray, outcome: BddOutcome,
     return ()
 
 
-def marks_hub_len(code: PcCode) -> int:
-    return code.component.d0 - code.component.t - 1
-
-
-class _SabmContext:
-    """Per-block SABM state shared by the row/column passes."""
-
-    def __init__(self, code: PcCode, marks: MarkState, params: SabmParams,
-                 stats: DecodeStats):
-        self.code = code
-        self.marks = marks
-        self.params = params
-        self.stats = stats
-
-    def resolve(self, block, axis, index, proposal) -> tuple[int, ...]:
-        """Decide the final flip pattern for one component word."""
-        marks, stats, code = self.marks, self.stats, self.code
-        comp = code.component
-        word = (block[index, :] if axis == 0 else block[:, index]).copy()
-
-        def suspicious(pattern):
-            return _pattern_suspicious(pattern, axis, index, marks, block, comp)
-
-        order = marks.order_for(axis, index)
-        if proposal is not None:
-            if len(proposal) == 0:
-                return ()
-            if not suspicious(proposal):
-                return proposal
-            stats.miscorrections_detected += 1
-            outcome = BddOutcome(success=True, error_pattern=proposal)
-            return bit_flip_recover(code, word, outcome, "miscorrection",
-                                    order, self.params.failure_flip_attempts,
-                                    stats, suspicious)
-        outcome = BddOutcome(success=False)
-        return bit_flip_recover(code, word, outcome, "failure", order,
-                                self.params.failure_flip_attempts, stats,
-                                suspicious)
-
-
-def _apply(block, axis, index, pattern) -> bool:
-    if not pattern:
-        return False
-    pos = list(pattern)
-    if axis == 0:
-        block[index, pos] ^= 1
+def sabm_resolve(code: BchCode, syndrome, proposal, order: np.ndarray,
+                 suspicious, flip_attempts: int,
+                 stats: DecodeStats) -> tuple[int, ...]:
+    """SABM's final flip pattern for one word, given its (S1, S3, parity),
+    its BDD proposal (None on failure), its flip order and the word's
+    miscorrection check. Used by the product and the staircase decoder."""
+    if proposal is not None:
+        if len(proposal) == 0:
+            return ()
+        if not suspicious(proposal):
+            return proposal
+        stats.miscorrections_detected += 1
+        outcome, reason = BddOutcome(success=True, error_pattern=proposal), "miscorrection"
     else:
-        block[pos, index] ^= 1
-    return True
+        outcome, reason = BddOutcome(success=False), "failure"
+    return bit_flip_recover(code, syndrome, outcome, reason, order,
+                            flip_attempts, stats, suspicious)
 
 
-def _decode_core(code: PcCode, block, iters: int, sabm: _SabmContext | None,
-                 md_iters: int, early_exit: bool) -> tuple[np.ndarray, DecodeStats]:
+def _sabm_pass(state: BlockSyndromes, axis: int, idx: np.ndarray, props,
+               marks: MarkState, params: SabmParams,
+               stats: DecodeStats) -> tuple[bool, bool]:
+    """Resolve and apply the words idx in order: a veto reads crossing
+    syndromes that earlier words of the pass changed. Returns (changed,
+    suppressed), where suppressed means a failure or proposal was dropped."""
+    comp = state.code
+    hrb = marks.hrb if axis == 0 else marks.hrb.T
+    own, cross = state.syn[axis], state.syn[1 - axis]
+    flip_attempts = min(marks.hub_len, params.failure_flip_attempts)
+    changed = suppressed = False
+    for k, i in enumerate(idx.tolist()):
+        resolved = sabm_resolve(comp, unpack_syndromes(comp, int(own[i])),
+                                props.full_pattern(k, comp.n), marks.order_for(axis, i),
+                                partial(_suspicious, hrb_row=hrb[i], cross=cross),
+                                flip_attempts, stats)
+        if resolved:
+            state.flip_word(axis, i, resolved)
+            changed = True
+        else:  # a nonzero syndrome never decodes to an empty proposal
+            suppressed = True
+    return changed, suppressed
+
+
+def _decode_core(code: PcCode, block, iters: int, marks: MarkState | None,
+                 params: SabmParams | None, early_exit: bool
+                 ) -> tuple[np.ndarray, DecodeStats]:
     blk = np.array(block, dtype=np.uint8, copy=True)
     w = code.w
     if blk.shape != (w, w):
         raise ValueError(f"block must be ({w}, {w})")
-    stats = sabm.stats if sabm is not None else DecodeStats()
+    stats = DecodeStats()
     comp = code.component
+    state = BlockSyndromes(comp, blk)
+    md_iters = params.md_iters if marks is not None else 0
     it = 0
     while it < iters:
         changed = False
         suppressed = False
-        sabm_active = sabm is not None and it < md_iters
+        sabm_active = it < md_iters
         for axis in (0, 1):
-            words = blk if axis == 0 else np.ascontiguousarray(blk.T)
-            props = bdd_propose_block(comp, words)
             stats.bdd_calls += w
-            for i in range(w):
-                pat = props.full_pattern(i, comp.n)
-                if sabm_active:
-                    resolved = sabm.resolve(blk, axis, i, pat)
-                    if not resolved and (pat is None or len(pat) > 0):
-                        suppressed = True
-                    pat = resolved
-                elif pat is None:
-                    pat = ()
-                if _apply(blk, axis, i, pat):
+            idx = np.flatnonzero(state.syn[axis])
+            if idx.size == 0:
+                continue
+            props = decode_block(comp, state.syn[axis, idx])
+            if sabm_active:
+                c, s = _sabm_pass(state, axis, idx, props, marks, params, stats)
+                changed |= c
+                suppressed |= s
+            else:
+                # words of one pass share no bits, so every pattern applies at once
+                rows, pos = props.flips(comp.n)
+                if rows.size:
+                    state.flip(axis, idx[rows], pos)
                     changed = True
         it += 1
         if early_exit and not changed:
@@ -260,7 +287,7 @@ def ibdd_decode(code: PcCode, block, iters: int,
                 early_exit: bool = True) -> tuple[np.ndarray, DecodeStats]:
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    return _decode_core(code, block, iters, sabm=None, md_iters=0,
+    return _decode_core(code, block, iters, marks=None, params=None,
                         early_exit=early_exit)
 
 
@@ -268,6 +295,5 @@ def sabm_decode(code: PcCode, block, llrs: ReliabilityGrid,
                 params: SabmParams,
                 early_exit: bool = True) -> tuple[np.ndarray, DecodeStats]:
     marks = mark_bits(llrs, params, code)
-    ctx = _SabmContext(code, marks, params, DecodeStats())
-    return _decode_core(code, block, params.total_iters, sabm=ctx,
-                        md_iters=params.md_iters, early_exit=early_exit)
+    return _decode_core(code, block, params.total_iters, marks=marks,
+                        params=params, early_exit=early_exit)

@@ -5,14 +5,24 @@ Block geometry: every row of [transpose(B_{i-1}) | B_i] is a component
 codeword with n = 2w. Within B_i, columns 0..k-w-1 carry fresh information
 and the remaining columns the parity (overall-parity bit in the last
 column). B_0 is the all-zero reference block known to both ends.
+
+Decoding runs on syndromes. `WindowSyndromes` keeps the packed syndrome of
+every word of every pair in the window; a flip updates its word and the
+crossing word, which lies in the neighbouring pair p-1 (older-half bits)
+or p+1 (newer-half bits), so the maintained syndromes always equal the
+syndromes of the bits. A pass decodes only the words with a nonzero
+syndrome (a clean word is a no-op), yet `bdd_calls` counts w per pair
+pass, as if every word were decoded, plus one per flip retry.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .bch import BchCode, BddOutcome, bdd_propose_block, encode_many, is_codeword
-from .pc import DecodeStats, SabmParams, bit_flip_recover
+from .bch import BchCode, block_syndromes, decode_block, encode_many, unpack_syndromes
+from .errors import ConfigError
+from .pc import DecodeStats, MarkState, SabmParams, sabm_resolve
 
 
 @dataclass(frozen=True)
@@ -21,9 +31,10 @@ class SccCode:
 
     def __post_init__(self):
         if self.component.n % 2:
-            raise ValueError("staircase component needs even n = 2w")
+            raise ConfigError("staircase component needs even n = 2w")
         if self.component.k <= self.w:
-            raise ValueError("component k must exceed w to carry information")
+            raise ConfigError(f"staircase component k={self.component.k} must exceed "
+                              f"w={self.w} to carry information")
 
     @property
     def w(self) -> int:
@@ -78,69 +89,83 @@ def _pair_words(blocks: list[np.ndarray], p: int) -> np.ndarray:
     return np.concatenate([blocks[p].T, blocks[p + 1]], axis=1)
 
 
-class _SccSabm:
-    """SABM state for the newest window block: HRB mask and per-word flip
-    order cover only positions w..2w-1; older-block bits are unmarked."""
+class WindowSyndromes:
+    """Packed syndromes syn[p, i] of word i of pair p, the row i of
+    [transpose(B_p) | B_{p+1}], for every pair of a window. Bit j < w of
+    that word is B_p[j, i] and also bit w+i of word j of pair p-1; bit
+    j >= w is B_{p+1}[i, j-w] and also bit i of word j-w of pair p+1.
+    Flips made through `flip` and `flip_word` update the bits and every
+    in-window syndrome they change, so `syn` always equals the syndromes
+    of the blocks."""
 
-    def __init__(self, code: SccCode, llr: np.ndarray, params: SabmParams,
-                 stats: DecodeStats):
+    def __init__(self, code: BchCode, blocks: list[np.ndarray]):
         self.code = code
-        self.params = params
-        self.stats = stats
-        a = np.abs(llr)
-        self.hrb = a > params.delta
-        w = code.w
-        self.order = []
-        for r in range(w):
-            srt = np.argsort(a[r], kind="stable")
-            self.order.append(w + srt[~self.hrb[r][srt]])
+        self.blocks = blocks
+        self.w = w = code.n // 2
+        pairs = [_pair_words(blocks, p) for p in range(len(blocks) - 1)]
+        words = np.concatenate(pairs) if pairs else np.zeros((0, code.n), np.uint8)
+        self.syn = block_syndromes(code, words).reshape(len(pairs), w)
 
-    def suspicious(self, pattern, word_index, blocks) -> bool:
-        w = self.code.w
-        comp = self.code.component
-        last = len(blocks) - 1
-        for p in pattern:
-            if p >= w and self.hrb[word_index, p - w]:
-                return True
-        for p in pattern:
-            # orthogonal word of an older-half bit lives in the previous
-            # pair; newest-half bits have no successor word in the window
-            if p < w and last >= 2:
-                orth = np.concatenate([blocks[last - 2][:, p],
-                                       blocks[last - 1][p, :]])
-                if is_codeword(comp, orth):
-                    return True
-        return False
+    def flip(self, p: int, words: np.ndarray, positions: np.ndarray):
+        """Flip bit positions[k] of word words[k] of pair p, for every k;
+        no (word, position) pair may repeat."""
+        w, h, syn = self.w, self.code.flip_syndrome, self.syn
+        older = positions < w
+        wo, po = words[older], positions[older]
+        wn, pn = words[~older], positions[~older] - w
+        self.blocks[p][po, wo] ^= 1
+        self.blocks[p + 1][wn, pn] ^= 1
+        np.bitwise_xor.at(syn[p], words, h[positions])
+        if p > 0:
+            np.bitwise_xor.at(syn[p - 1], po, h[w + wo])
+        if p + 1 < len(syn):
+            np.bitwise_xor.at(syn[p + 1], pn, h[wn])
 
-    def resolve(self, blocks, word_index, word, proposal) -> tuple[int, ...]:
-        stats = self.stats
-
-        def suspicious(pattern):
-            return self.suspicious(pattern, word_index, blocks)
-
-        order = self.order[word_index]
-        shim = _CodeShim(self.code.component)
-        if proposal is not None:
-            if len(proposal) == 0:
-                return ()
-            if not suspicious(proposal):
-                return proposal
-            stats.miscorrections_detected += 1
-            outcome = BddOutcome(success=True, error_pattern=proposal)
-            return bit_flip_recover(shim, word, outcome, "miscorrection",
-                                    order, self.params.failure_flip_attempts,
-                                    stats, suspicious)
-        return bit_flip_recover(shim, word, BddOutcome(success=False),
-                                "failure", order,
-                                self.params.failure_flip_attempts, stats,
-                                suspicious)
+    def flip_word(self, p: int, index: int, pattern):
+        """`flip` for the positions of one word, without the array set-up."""
+        w, h, syn = self.w, self.code.flip_syndrome, self.syn
+        for q in pattern:
+            syn[p, index] ^= h[q]
+            if q < w:
+                self.blocks[p][q, index] ^= 1
+                if p > 0:
+                    syn[p - 1, q] ^= h[w + index]
+            else:
+                self.blocks[p + 1][index, q - w] ^= 1
+                if p + 1 < len(syn):
+                    syn[p + 1, q - w] ^= h[index]
 
 
-@dataclass(frozen=True)
-class _CodeShim:
-    """Adapter so bit_flip_recover's component accessor works here."""
+def _mark_newest(code: SccCode, llr: np.ndarray, delta: float) -> MarkState:
+    """HRB mask and per-word flip order of the newest block; the order holds
+    word positions w..2w-1, as older-block bits are unmarked."""
+    a = np.abs(llr)
+    hrb = a > delta
+    order = code.w + np.argsort(a, axis=1, kind="stable")
+    return MarkState(hrb=hrb, order=order[None], non_hrb=(~hrb).sum(axis=1)[None],
+                     hub_len=code.component.d0 - code.component.t - 1)
 
-    component: BchCode
+
+def _sabm_pass(state: WindowSyndromes, p: int, idx: np.ndarray, props,
+               marks: MarkState, params: SabmParams, stats: DecodeStats):
+    """Resolve and apply the words idx of the newest pair p in order: a
+    veto reads syndromes of pair p-1 that earlier words changed."""
+    comp, w, hrb = state.code, state.w, marks.hrb
+    flip_attempts = min(marks.hub_len, params.failure_flip_attempts)
+    # an older-half bit's crossing word is in pair p-1; a newest-half bit
+    # has no crossing word in the window
+    older = state.syn[p - 1] if p > 0 else None
+
+    def suspicious(pattern, i):
+        return (any(q >= w and hrb[i, q - w] for q in pattern)
+                or (older is not None and any(q < w and older[q] == 0 for q in pattern)))
+
+    for k, i in enumerate(idx.tolist()):
+        resolved = sabm_resolve(comp, unpack_syndromes(comp, int(state.syn[p, i])),
+                                props.full_pattern(k, comp.n), marks.order_for(0, i),
+                                partial(suspicious, i=i), flip_attempts, stats)
+        if resolved:
+            state.flip_word(p, i, resolved)
 
 
 def scc_window_decode(code: SccCode, blocks: list[np.ndarray], ell: int,
@@ -157,37 +182,32 @@ def scc_window_decode(code: SccCode, blocks: list[np.ndarray], ell: int,
         raise ValueError("window must hold at least one block")
     if stats is None:
         stats = DecodeStats()
-    sabm = None
+    marks = None
     if mode == "sabm":
         if params is None:
             params = SabmParams()
         if llr_newest is None:
             raise ValueError("sabm mode requires LLRs for the newest block")
-        sabm = _SccSabm(code, llr_newest, params, stats)
+        marks = _mark_newest(code, llr_newest, params.delta)
     elif mode != "standard":
         raise ValueError(f"unknown mode {mode!r}")
 
+    state = WindowSyndromes(comp, blocks)
     calls_before = stats.bdd_calls
     for it in range(ell):
         for p in range(L - 1):
-            words = _pair_words(blocks, p)
-            props = bdd_propose_block(comp, words)
             stats.bdd_calls += w
-            use_sabm = (sabm is not None and p == L - 2
-                        and (params is None or it < params.md_iters))
-            for i in range(w):
-                pat = props.full_pattern(i, comp.n)
-                if use_sabm:
-                    pat = sabm.resolve(blocks, i, words[i].copy(), pat)
-                elif pat is None:
-                    pat = ()
-                if pat:
-                    pos = np.fromiter(pat, dtype=np.int64)
-                    older = pos[pos < w]
-                    newer = pos[pos >= w]
-                    blocks[p][older, i] ^= 1
-                    blocks[p + 1][i, newer - w] ^= 1
-                    words[i, pos] ^= 1
+            idx = np.flatnonzero(state.syn[p])
+            if idx.size == 0:
+                continue
+            props = decode_block(comp, state.syn[p, idx])
+            if marks is not None and p == L - 2 and it < params.md_iters:
+                _sabm_pass(state, p, idx, props, marks, params, stats)
+            else:
+                # words of one pass share no bits, so every pattern applies at once
+                rows, pos = props.flips(comp.n)
+                if rows.size:
+                    state.flip(p, idx[rows], pos)
     return blocks[0], stats.bdd_calls - calls_before
 
 

@@ -77,6 +77,28 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("workers and batch_size must be >= 1")
     if cfg.scheme == "scc" and cfg.scc.window < 2:
         raise ConfigError("scc window must be >= 2")
+    if cfg.scheme == "scc" and min(cfg.scc.iters, cfg.scc.chain_blocks) < 1:
+        raise ConfigError(f"scc iters and chain_blocks must be >= 1, got "
+                          f"{cfg.scc.iters} and {cfg.scc.chain_blocks}")
+    m = _component_m(cfg)
+    if not 4 <= m <= 8:
+        raise ConfigError(f"component code needs 4 <= m <= 8, got m={m}")
+    # a block is w x w bits with w = 2^m (PC) or 2^(m-1) (SCC), sent in
+    # whole symbols of log2(M) bits each
+    w = 1 << (m if cfg.scheme == "pc" else m - 1)
+    bits_per_symbol = cfg.mod.bit_length() - 1
+    if (w * w) % bits_per_symbol:
+        raise ConfigError(f"{cfg.mod}-PAM needs the {w * w} bits of a block to be a "
+                          f"multiple of log2(M)={bits_per_symbol}; padding is not "
+                          "implemented")
+
+
+def _component_m(cfg: SimConfig) -> int:
+    """Extension degree of the component code: the override, or the
+    default eBCH(128,113) for PC and eBCH(256,239) for SCC."""
+    if cfg.component_m is not None:
+        return cfg.component_m
+    return 7 if cfg.scheme == "pc" else 8
 
 
 @dataclass
@@ -119,12 +141,8 @@ class _Runtime:
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        if cfg.scheme == "pc":
-            m = cfg.component_m if cfg.component_m is not None else 7
-            self.code = PcCode(build_code(m, 2, extended=True))
-        else:
-            m = cfg.component_m if cfg.component_m is not None else 8
-            self.code = SccCode(build_code(m, 2, extended=True))
+        component = build_code(_component_m(cfg), 2, extended=True)
+        self.code = (PcCode if cfg.scheme == "pc" else SccCode)(component)
 
     def channel(self, snr_db: float) -> ChannelConfig:
         return ChannelConfig(self.cfg.mod, snr_db, self.cfg.llr_mode)

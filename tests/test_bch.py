@@ -143,6 +143,16 @@ def test_success_always_lands_on_codeword(gf16_code, rng):
             assert is_codeword(code, fixed)
 
 
+@pytest.mark.parametrize("m", range(4, 9))
+def test_error_table_has_every_correctable_pattern(m):
+    # no two patterns of weight <= t share an (S1, S3), so the table holds
+    # each of them: none was overwritten by another
+    code = build_code(m, 2, extended=True)
+    nu = code.n_unext
+    counts = [int((code.error_count == w).sum()) for w in (0, 1, 2)]
+    assert counts == [1, nu, nu * (nu - 1) // 2]
+
+
 def test_vectorized_propose_matches_scalar(ecc32_code, rng):
     code = ecc32_code
     words = rng.integers(0, 2, (300, code.n), dtype=np.uint8)

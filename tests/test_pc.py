@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from feclab.bch import BddOutcome, encode, is_codeword
+from feclab.bch import BddOutcome, encode, is_codeword, syndromes
 from feclab.modem import ChannelConfig, ReliabilityGrid, awgn_transmit, demap_llr, modulate
 from feclab.pc import (
     DecodeStats,
@@ -13,7 +13,6 @@ from feclab.pc import (
     detect_miscorrection,
     ibdd_decode,
     mark_bits,
-    marks_hub_len,
     pc_encode,
     sabm_decode,
 )
@@ -122,7 +121,8 @@ def test_ibdd_input_not_mutated(pc32, rng):
 
 def test_hub_list_length_is_three(pc32):
     # d0 = 6, t = 2 for every double-error component used here
-    assert marks_hub_len(pc32) == 3
+    llr = np.ones((pc32.w, pc32.w))
+    assert mark_bits(ReliabilityGrid(llr), SabmParams(), pc32).hub_len == 3
 
 
 def test_mark_bits_hrb_and_order(pc32, rng):
@@ -189,7 +189,7 @@ def test_detect_miscorrection_hrb_rule(pc32, rng):
     hit = BddOutcome(success=True, error_pattern=(5,))
     assert detect_miscorrection(hit, 0, 2, marks, noisy, pc32)
     # same flip reached through the column view
-    assert detect_miscorrection(BddOutcome(True, (2,)), 1, 5, marks, noisy.T.copy(), pc32) or True
+    assert detect_miscorrection(BddOutcome(True, (2,)), 1, 5, marks, noisy, pc32)
     miss = BddOutcome(success=True, error_pattern=(7,))
     assert not detect_miscorrection(miss, 0, 2, marks, noisy, pc32)
 
@@ -209,14 +209,14 @@ def test_detect_miscorrection_orthogonal_rule(pc32, rng):
 # ---------------------------------------------------------- bit flipping
 
 def test_bit_flip_recover_failure_three_errors(ecc32_code):
-    pc = PcCode(ecc32_code)
     word = encode(ecc32_code, np.zeros(ecc32_code.k, dtype=np.uint8))
     errs = (3, 10, 17)
     noisy = word.copy()
     noisy[list(errs)] ^= 1
     order = np.array([10, 3, 17, 1, 2])  # true errors are the least reliable
     stats = DecodeStats()
-    pat = bit_flip_recover(pc, noisy, BddOutcome(success=False), "failure",
+    pat = bit_flip_recover(ecc32_code, syndromes(ecc32_code, noisy),
+                           BddOutcome(success=False), "failure",
                            order, 1, stats, lambda p: False)
     assert pat == errs
     out = noisy.copy()
@@ -227,7 +227,6 @@ def test_bit_flip_recover_failure_three_errors(ecc32_code):
 
 
 def test_bit_flip_recover_failure_sequential_attempts(ecc32_code):
-    pc = PcCode(ecc32_code)
     word = encode(ecc32_code, np.zeros(ecc32_code.k, dtype=np.uint8))
     errs = (3, 10, 17)
     noisy = word.copy()
@@ -238,13 +237,15 @@ def test_bit_flip_recover_failure_sequential_attempts(ecc32_code):
     order = np.array([5, 10, 17, 3])
     veto = lambda p: not set(p).issubset(errs)
     stats = DecodeStats()
-    pat = bit_flip_recover(pc, noisy, BddOutcome(success=False), "failure",
+    pat = bit_flip_recover(ecc32_code, syndromes(ecc32_code, noisy),
+                           BddOutcome(success=False), "failure",
                            order, 2, stats, veto)
     assert pat == errs
     assert stats.flips_attempted == 2
     # with only one attempt allowed the word is reverted
     stats2 = DecodeStats()
-    pat2 = bit_flip_recover(pc, noisy, BddOutcome(success=False), "failure",
+    pat2 = bit_flip_recover(ecc32_code, syndromes(ecc32_code, noisy),
+                            BddOutcome(success=False), "failure",
                             order, 1, stats2, veto)
     assert pat2 == ()
     assert stats2.flips_accepted == 0
@@ -252,7 +253,6 @@ def test_bit_flip_recover_failure_sequential_attempts(ecc32_code):
 
 def test_bit_flip_recover_miscorrection_flip_count(ecc32_code):
     # after a weight-1 miscorrection the retry flips d0 - 1 - 1 = 4 bits
-    pc = PcCode(ecc32_code)
     word = encode(ecc32_code, np.zeros(ecc32_code.k, dtype=np.uint8))
     noisy = word.copy()
     errs = (2, 6, 11, 19)
@@ -260,29 +260,29 @@ def test_bit_flip_recover_miscorrection_flip_count(ecc32_code):
     order = np.array([2, 6, 11, 19, 1])
     stats = DecodeStats()
     outcome = BddOutcome(success=True, error_pattern=(4,))
-    pat = bit_flip_recover(pc, noisy, outcome, "miscorrection",
+    pat = bit_flip_recover(ecc32_code, syndromes(ecc32_code, noisy),
+                           outcome, "miscorrection",
                            order, 1, stats, lambda p: False)
     assert pat == errs
     assert stats.flips_attempted == 1
 
 
 def test_bit_flip_recover_rejects_suspicious_retry(ecc32_code):
-    pc = PcCode(ecc32_code)
     word = encode(ecc32_code, np.zeros(ecc32_code.k, dtype=np.uint8))
     noisy = word.copy()
     noisy[[3, 10, 17]] ^= 1
     order = np.array([10, 3, 17])
     stats = DecodeStats()
-    pat = bit_flip_recover(pc, noisy, BddOutcome(success=False), "failure",
+    pat = bit_flip_recover(ecc32_code, syndromes(ecc32_code, noisy),
+                           BddOutcome(success=False), "failure",
                            order, 1, stats, lambda p: True)
     assert pat == ()
     assert stats.flips_accepted == 0
 
 
 def test_bit_flip_recover_unknown_reason(ecc32_code):
-    pc = PcCode(ecc32_code)
     with pytest.raises(ValueError):
-        bit_flip_recover(pc, np.zeros(32, dtype=np.uint8),
+        bit_flip_recover(ecc32_code, (0, 0, 0),
                          BddOutcome(success=False), "nope",
                          np.array([0]), 1, DecodeStats(), lambda p: False)
 

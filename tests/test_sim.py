@@ -241,3 +241,21 @@ def test_cli_mask(tmp_path):
 def test_cli_rejects_bad_snr(capsys):
     assert main(["pc", "--snr", "abc"]) == 2
     assert "bad SNR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pc", "--snr", "6", "--delta", "-1"],
+    ["pc", "--snr", "6", "--md-iters", "20"],
+    ["pc", "--snr", "6", "--iters", "0"],
+    ["pc", "--snr", "6", "--iters", "0", "--md-iters", "0"],
+    ["pc", "--snr", "6", "--mod", "8"],
+    ["scc", "--snr", "7", "--mod", "8"],
+    ["mask", "--snr", "6", "--mod", "8", "--blocks", "1"],
+    ["scc", "--snr", "7", "--scc-iters", "0"],
+    ["scc", "--snr", "7", "--chain-blocks", "0"],
+    ["scc", "--snr", "7", "--component-m", "4"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_rejects_bad_values(argv, capsys):
+    assert main(argv + ["--max-blocks", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
