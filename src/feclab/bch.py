@@ -9,8 +9,9 @@ Syndromes are also kept packed into one int per word: S1 in bits 0..m-1,
 S3 in bits m..2m-1 and the overall parity in bit 2m. A word's packed
 syndrome is the XOR of `flip_syndrome[j]` over its set bits j, so a flip
 updates it with one XOR, and it is 0 exactly for codewords. Decoding reads
-the error pattern of weight <= t for (S1, S3) from a table built once per
-code, then settles the overall-parity bit.
+the error pattern of weight <= t for the whole packed syndrome from a table
+built once per code over all n positions, the overall-parity bit included:
+as d0 > 2t, no two such patterns share a syndrome.
 """
 
 from dataclasses import dataclass, field
@@ -38,19 +39,11 @@ class BchCode:
     # flip_syndrome[j]. Stored as float32 so that words @ check_matrix runs
     # in BLAS; its integer counts (at most n <= 256) are exact.
     check_matrix: np.ndarray = field(repr=False, default=None)
-    # BDD on the unextended bits for every (S1, S3), at index S1 | S3 << m:
+    # BDD for every packed syndrome, at index S1 | S3 << m | parity << 2m:
     # the error count (-1 when no pattern lies within radius t) and the
     # error positions in ascending order (-1 where unused)
     error_count: np.ndarray = field(repr=False, default=None)
     error_positions: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def n_unext(self) -> int:
-        return self.n - (1 if self.extended else 0)
-
-    @property
-    def num_parity(self) -> int:
-        return self.n_unext - self.k
 
 
 @dataclass(frozen=True)
@@ -106,7 +99,6 @@ def build_code(m: int, t: int, extended: bool) -> BchCode:
     n = n_unext + (1 if extended else 0)
     d0 = 2 * t + 1 + (1 if extended else 0)
 
-    size = 1 << m
     # parity_matrix[i] = bits of x^(i+deg g) mod g, so that the parity of a
     # message m(x) placed at positions 0..k-1 is m @ parity_matrix (mod 2)
     d = poly_degree(gen)
@@ -122,19 +114,17 @@ def build_code(m: int, t: int, extended: bool) -> BchCode:
     if extended:
         flip_syn |= 1 << (2 * m)
     check = ((flip_syn[:, None] >> np.arange(2 * m + 1)) & 1).astype(np.float32)
-    # syndrome decoding table: every error pattern of weight <= t on the
-    # unextended bits has an (S1, S3) of its own, as the code corrects t
-    # errors; every other (S1, S3) is a decoding failure
-    key = flip_syn[:n_unext] & (size * size - 1)
-    first, second = np.triu_indices(n_unext, 1)
-    count = np.full(size * size, -1, dtype=np.int8)
-    positions = np.full((size * size, 2), -1, dtype=np.int16)
+    # syndrome decoding table: every error pattern of weight <= t has a
+    # packed syndrome of its own; every other syndrome is a decoding failure
+    first, second = np.triu_indices(n, 1)
+    count = np.full(1 << (2 * m + extended), -1, dtype=np.int8)
+    positions = np.full((count.size, 2), -1, dtype=np.int16)
     count[0] = 0
-    count[key] = 1
-    positions[key, 0] = np.arange(n_unext)
-    pair_key = key[first] ^ key[second]
-    count[pair_key] = 2
-    positions[pair_key] = np.stack([first, second], axis=1)
+    count[flip_syn] = 1
+    positions[flip_syn, 0] = np.arange(n)
+    pair_syn = flip_syn[first] ^ flip_syn[second]
+    count[pair_syn] = 2
+    positions[pair_syn] = np.stack([first, second], axis=1)
     for arr in (pm, flip_syn, check, count, positions):
         arr.setflags(write=False)
     return BchCode(field=f, n=n, k=k, t=t, d0=d0, extended=extended,
@@ -170,19 +160,19 @@ def block_syndromes(code: BchCode, words) -> np.ndarray:
     return bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
 
 
-def unpack_syndromes(code: BchCode, syn):
-    """(S1, S3, parity) of packed syndromes, for an int or an int array."""
-    m = code.field.m
-    mask = (1 << m) - 1
-    return syn & mask, (syn >> m) & mask, syn >> (2 * m)
-
-
-def syndromes(code: BchCode, word) -> tuple[int, int, int]:
+def _word_syndrome(code: BchCode, word) -> int:
     w = np.asarray(word, dtype=np.uint8)
     if w.shape != (code.n,):
         raise ValueError(f"word must have length n={code.n}")
-    syn = int(block_syndromes(code, w[None, :])[0])
-    return unpack_syndromes(code, syn)
+    return int(block_syndromes(code, w[None, :])[0])
+
+
+def syndromes(code: BchCode, word) -> tuple[int, int, int]:
+    """(S1, S3, overall parity) of one word."""
+    syn = _word_syndrome(code, word)
+    m = code.field.m
+    mask = (1 << m) - 1
+    return syn & mask, (syn >> m) & mask, syn >> (2 * m)
 
 
 def is_codeword(code: BchCode, word) -> bool:
@@ -190,29 +180,17 @@ def is_codeword(code: BchCode, word) -> bool:
     return s1 == 0 and s3 == 0 and parity == 0
 
 
-def decode_syndromes(code: BchCode, s1: int, s3: int, parity: int):
-    """Bounded-distance decode from syndromes; returns a pattern tuple or None.
-
-    Extended codes must stay within radius t: the overall-parity bit can
-    absorb one extra flip only while the total weight stays <= t.
-    """
-    key = s1 | (s3 << code.field.m)
-    nerr = int(code.error_count[key])
+def decode_syndromes(code: BchCode, syn: int):
+    """Bounded-distance decode from a packed syndrome; returns the error
+    pattern as a tuple of ascending positions, or None on failure."""
+    nerr = int(code.error_count[syn])
     if nerr < 0:
         return None
-    pat = tuple(code.error_positions[key, :nerr].tolist())
-    if not code.extended:
-        return pat
-    if parity == (len(pat) & 1):
-        return pat
-    if len(pat) < code.t:
-        return pat + (code.n - 1,)
-    return None
+    return tuple(code.error_positions[syn, :nerr].tolist())
 
 
 def bdd_decode(code: BchCode, word) -> BddOutcome:
-    s1, s3, parity = syndromes(code, word)
-    pat = decode_syndromes(code, s1, s3, parity)
+    pat = decode_syndromes(code, _word_syndrome(code, word))
     if pat is None:
         return BddOutcome(success=False)
     return BddOutcome(success=True, error_pattern=pat)
@@ -221,36 +199,22 @@ def bdd_decode(code: BchCode, word) -> BddOutcome:
 class BlockProposals:
     """Vectorized BDD over a batch of words (one decode per row)."""
 
-    __slots__ = ("nerr", "p0", "p1", "extflip")
+    __slots__ = ("nerr", "pos")
 
-    def __init__(self, nerr, p0, p1, extflip):
-        self.nerr = nerr        # -1 failure, else unextended error count 0..2
-        self.p0 = p0
-        self.p1 = p1
-        self.extflip = extflip  # overall-parity bit must also flip
+    def __init__(self, nerr, pos):
+        self.nerr = nerr  # -1 failure, else error count 0..2
+        self.pos = pos    # (R, 2) error positions, ascending, -1 where unused
 
-    def full_pattern(self, i: int, n: int) -> tuple[int, ...] | None:
-        """Complete flip pattern for row i, or None on decoding failure."""
-        if self.nerr[i] < 0:
-            return None
-        pat = ()
-        if self.nerr[i] >= 1:
-            pat += (int(self.p0[i]),)
-        if self.nerr[i] == 2:
-            pat += (int(self.p1[i]),)
-        if self.extflip[i]:
-            pat += (n - 1,)
-        return pat
+    def full_pattern(self, i: int) -> tuple[int, ...] | None:
+        """Flip pattern for row i, or None on decoding failure."""
+        nerr = int(self.nerr[i])
+        return None if nerr < 0 else tuple(self.pos[i, :nerr].tolist())
 
-    def flips(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def flips(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, position) pairs of every flip that the successful rows'
         patterns make, as two flat arrays; no pair repeats."""
-        one = np.flatnonzero(self.nerr >= 1)
-        two = np.flatnonzero(self.nerr == 2)
-        ext = np.flatnonzero(self.extflip)
-        rows = np.concatenate([one, two, ext])
-        pos = np.concatenate([self.p0[one], self.p1[two], np.full(ext.size, n - 1)])
-        return rows, pos
+        rows, k = np.nonzero(np.arange(2) < self.nerr[:, None])
+        return rows, self.pos[rows, k]
 
 
 def bdd_propose_block(code: BchCode, words: np.ndarray) -> BlockProposals:
@@ -260,16 +224,4 @@ def bdd_propose_block(code: BchCode, words: np.ndarray) -> BlockProposals:
 
 def decode_block(code: BchCode, syn: np.ndarray) -> BlockProposals:
     """Bounded-distance decode a batch of packed syndromes, one per row."""
-    m = code.field.m
-    key = syn & ((1 << (2 * m)) - 1)  # S1 | S3 << m
-    nerr = code.error_count[key].astype(np.int64)
-    pos = code.error_positions[key]
-    extflip = np.zeros(syn.shape[0], dtype=bool)
-    if code.extended:
-        parity = syn >> (2 * m)
-        valid = nerr >= 0
-        mismatch = valid & (parity != (nerr & 1))
-        absorb = mismatch & (nerr < code.t)
-        extflip[absorb] = True
-        nerr[mismatch & ~absorb] = -1
-    return BlockProposals(nerr=nerr, p0=pos[:, 0], p1=pos[:, 1], extflip=extflip)
+    return BlockProposals(nerr=code.error_count[syn], pos=code.error_positions[syn])

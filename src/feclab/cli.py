@@ -14,7 +14,7 @@ import yaml
 from .errors import ConfigError
 from .pc import SabmParams
 from .sim import (SccRunParams, SimConfig, StopRule, mask_stats, render_mask,
-                  run_sweep)
+                  run_sweep, validate_config)
 
 _DEFAULTS = {
     "mod": 2, "decoder": "ibdd", "llr": "exact", "delta": 5.0, "iters": 10,
@@ -125,6 +125,7 @@ def config_from_args(args: argparse.Namespace) -> SimConfig:
 
 def _run_mask(args: argparse.Namespace) -> int:
     cfg = config_from_args(args)
+    validate_config(cfg)
     out = open(cfg.out_path, "w", newline="") if cfg.out_path else sys.stdout
     writer = csv.writer(out)
     writer.writerow(["snr_db", "block_index", "non_hrb_count", "ratio"])

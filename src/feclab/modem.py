@@ -119,19 +119,12 @@ class ReliabilityGrid:
 @dataclass(frozen=True)
 class Interleaver:
     permutation: np.ndarray
-    seed: int | None = None
 
 
 def make_interleaver(size: int, seed: int | None = None, rng=None) -> Interleaver:
     if rng is None:
         rng = np.random.default_rng(seed)
     perm = rng.permutation(size)
-    perm.setflags(write=False)
-    return Interleaver(permutation=perm, seed=seed)
-
-
-def identity_interleaver(size: int) -> Interleaver:
-    perm = np.arange(size)
     perm.setflags(write=False)
     return Interleaver(permutation=perm)
 

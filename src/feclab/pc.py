@@ -7,21 +7,24 @@ non-HRB positions are the flip candidates (HUBs). During the first
 md_iters iterations every BDD success is screened for miscorrection and
 failures/miscorrections trigger deliberate bit flips followed by a retry.
 
-Decoding runs on syndromes. `BlockSyndromes` keeps the packed syndrome of
-every row and column, and every flip updates the syndrome of its word and
-of the crossing word, so the maintained syndromes always equal the
-syndromes of the bits. A pass decodes only the words with a nonzero
-syndrome (a clean word is a no-op), yet `bdd_calls` counts w per pass, as
-if every word were decoded, plus one per flip retry.
+Decoding runs on syndromes, in one core that the staircase decoder shares.
+`SyndromeState` keeps the packed syndrome of every word of a set of word
+groups in which every bit lies in two words (here group 0 holds the rows
+of a block and group 1 its columns). Every flip updates the syndrome of
+its word and of the crossing word, so the maintained syndromes always
+equal the syndromes of the bits. `decode_pass` decodes the words of one
+group that have a nonzero syndrome (a clean word is a no-op), yet
+`bdd_calls` counts w per pass, as if every word were decoded, plus one per
+flip retry.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .bch import (BchCode, BddOutcome, block_syndromes, decode_block, decode_syndromes,
-                  encode_many, unpack_syndromes)
+from .bch import BchCode, BddOutcome, block_syndromes, decode_block, decode_syndromes, encode_many
 from .errors import ConfigError
 from .modem import ReliabilityGrid
 
@@ -68,19 +71,44 @@ class DecodeStats:
 
 @dataclass(frozen=True)
 class MarkState:
-    """Flip mask frozen at channel time: HRB flags plus, per word, its
-    positions sorted by ascending |llr| (ties broken by lowest index), of
-    which the first non_hrb are its non-HRB positions. Axis 0 words are
-    rows and axis 1 words columns. The HUB list of a word is the first
-    hub_len = d0-t-1 entries of its non-HRB order."""
+    """Flip mask frozen at channel time, for the words along each axis (for
+    a product block, rows are axis 0 and columns axis 1). word_hrb[axis, i]
+    flags the HRB positions of word i, and order[axis, i] lists its marked
+    positions by ascending |llr| (ties broken by lowest index), of which the
+    first non_hrb[axis, i] are its non-HRB positions. The HUB list of a word
+    is the first hub_len = d0-t-1 entries of its non-HRB order; a failed
+    word gets flip_attempts retries, at most one per HUB."""
 
-    hrb: np.ndarray
-    order: np.ndarray = field(repr=False, default=None)    # (axes, w, n)
-    non_hrb: np.ndarray = field(repr=False, default=None)  # (axes, w)
-    hub_len: int = 0
+    word_hrb: np.ndarray = field(repr=False)  # (axes, w, n)
+    order: np.ndarray = field(repr=False)     # (axes, w, marked positions)
+    non_hrb: np.ndarray = field(repr=False)   # (axes, w)
+    hub_len: int
+    flip_attempts: int
+
+    @property
+    def hrb(self) -> np.ndarray:
+        """HRB flags of the axis-0 words: a product block's HRB grid."""
+        return self.word_hrb[0]
 
     def order_for(self, axis: int, index: int) -> np.ndarray:
         return self.order[axis, index, : self.non_hrb[axis, index]]
+
+
+def make_marks(a: np.ndarray, params: SabmParams, code: BchCode,
+               offset: int = 0) -> MarkState:
+    """Marks for words whose positions offset.. carry the |llr| values
+    a[axis, i]; positions below offset are unmarked (never HRB, never
+    flipped)."""
+    hrb = a > params.delta
+    # HRBs have |llr| > delta, so a stable sort puts every non-HRB before
+    # them: each word's non-HRB order is a prefix of its sorted positions
+    order = offset + np.argsort(a, axis=-1, kind="stable")
+    word_hrb = np.concatenate([np.zeros(hrb.shape[:-1] + (offset,), bool), hrb], axis=-1)
+    word_hrb.setflags(write=False)
+    hub_len = code.d0 - code.t - 1
+    return MarkState(word_hrb=word_hrb, order=order, non_hrb=(~hrb).sum(axis=-1),
+                     hub_len=hub_len,
+                     flip_attempts=min(hub_len, params.failure_flip_attempts))
 
 
 def pc_encode(code: PcCode, data) -> np.ndarray:
@@ -98,52 +126,85 @@ def mark_bits(llrs: ReliabilityGrid, params: SabmParams, code: PcCode) -> MarkSt
     w = code.w
     if a.shape != (w, w):
         raise ValueError(f"LLR grid must be ({w}, {w})")
-    hrb = a > params.delta
-    # HRBs have |llr| > delta, so a stable sort puts every non-HRB before
-    # them: each word's non-HRB order is a prefix of its sorted positions
-    order = np.argsort(np.stack([a, a.T]), axis=-1, kind="stable")
-    non_hrb = np.stack([(~hrb).sum(axis=1), (~hrb).sum(axis=0)])
-    hrb.setflags(write=False)
-    return MarkState(hrb=hrb, order=order, non_hrb=non_hrb,
-                     hub_len=code.component.d0 - code.component.t - 1)
+    return make_marks(np.stack([a, a.T]), params, code.component)
 
 
-class BlockSyndromes:
-    """Packed syndromes of every row (syn[0]) and column (syn[1]) of a
-    w x w block. Flips made through `flip` and `flip_word` update the bits,
-    the flipped word's syndrome and each crossing word's syndrome, so `syn`
-    always equals the syndromes of `bits`."""
+class Layout:
+    """Where the words of G groups of w words each lie in a bit array.
 
-    def __init__(self, code: BchCode, bits: np.ndarray):
-        self.code = code
-        self.bits = bits
-        w = bits.shape[0]
-        self.syn = block_syndromes(code, np.concatenate([bits, bits.T])).reshape(2, w)
+    Position j of word i of group g is flat bit base[g, j] + i * stride[g, j].
+    The crossing word through that bit sits in syndrome slot cross[g, j] and
+    holds the bit at position shift[g, j] + i. A bit whose crossing word is
+    not kept maps to the sink slot G * w with shift n, which points its
+    crossing updates at zeros. `words(bits)` returns the (G, w, n) words of
+    a bit array.
+    """
 
-    def flip(self, axis: int, words: np.ndarray, positions: np.ndarray):
-        """Flip bit positions[k] of word words[k] along axis, for every k;
-        no (word, position) pair may repeat."""
-        h = self.code.flip_syndrome
-        view = self.bits if axis == 0 else self.bits.T
-        view[words, positions] ^= 1
-        np.bitwise_xor.at(self.syn[axis], words, h[positions])
-        np.bitwise_xor.at(self.syn[1 - axis], positions, h[words])
+    def __init__(self, words: Callable, base, stride, cross, shift):
+        self.words = words
+        self.base, self.stride, self.cross, self.shift = arrays = [
+            np.asarray(a, dtype=np.int64) for a in (base, stride, cross, shift)]
+        for a in arrays:
+            a.setflags(write=False)
+        # per group, the same vectors as tuples for scalar updates
+        self.rows = tuple(tuple(tuple(a[g].tolist()) for a in arrays)
+                          for g in range(len(base)))
 
-    def flip_word(self, axis: int, index: int, pattern):
+
+@lru_cache(maxsize=None)
+def block_layout(w: int) -> Layout:
+    """Rows (group 0) and columns (group 1) of a w x w block: position j of
+    row i is bit (i, j), which is position i of column j."""
+    j = np.arange(w)
+    return Layout(lambda bits: np.stack([bits, bits.T]), base=[j, j * w],
+                  stride=[np.full(w, w), np.ones(w)], cross=[w + j, j],
+                  shift=np.zeros((2, w)))
+
+
+class SyndromeState:
+    """Packed syndromes of every word of a layout over a bit array, which
+    is decoded in place: syn[g * w + i] is the syndrome of word i of group
+    g, and the last slot is the sink, which no flip changes and which never
+    reads as a codeword. Flips made through `flip` and `flip_word` update
+    the bits, the flipped word's syndrome and each crossing word's syndrome,
+    so `syn` always equals the syndromes of the bits."""
+
+    def __init__(self, code: BchCode, bits: np.ndarray, layout: Layout):
+        if not (isinstance(bits, np.ndarray) and bits.flags.c_contiguous):
+            raise ValueError("bits must be a C-contiguous array, as they are decoded in place")
+        self.code, self.bits, self.layout = code, bits, layout
+        self.flat = bits.reshape(-1)
+        words = layout.words(bits)
+        self.w = words.shape[1]
+        self.syn = np.ones(words.shape[0] * self.w + 1, dtype=np.int64)
+        self.syn[:-1] = block_syndromes(code, words.reshape(-1, code.n))
+        # position syndromes plus a zero tail that sink shifts point into
+        self.h = np.concatenate([code.flip_syndrome, np.zeros(code.n, np.int64)])
+
+    def flip(self, group: int, words: np.ndarray, positions: np.ndarray):
+        """Flip bit positions[k] of word words[k] of group, for every k; no
+        (word, position) pair may repeat."""
+        lay, h = self.layout, self.h
+        self.flat[lay.base[group, positions] + words * lay.stride[group, positions]] ^= 1
+        np.bitwise_xor.at(self.syn, group * self.w + words, h[positions])
+        np.bitwise_xor.at(self.syn, lay.cross[group, positions],
+                          h[lay.shift[group, positions] + words])
+
+    def flip_word(self, group: int, index: int, pattern):
         """`flip` for the positions of one word, without the array set-up."""
-        h = self.code.flip_syndrome
-        view = self.bits if axis == 0 else self.bits.T
-        own, cross = self.syn[axis], self.syn[1 - axis]
+        base, stride, cross, shift = self.layout.rows[group]
+        flat, syn, h = self.flat, self.syn, self.h
+        own = group * self.w + index
         for p in pattern:
-            view[index, p] ^= 1
-            own[index] ^= h[p]
-            cross[p] ^= h[index]
+            flat[base[p] + index * stride[p]] ^= 1
+            syn[own] ^= h[p]
+            syn[cross[p]] ^= h[shift[p] + index]
 
 
-def _suspicious(pattern, hrb_row: np.ndarray, cross: np.ndarray) -> bool:
+def _suspicious(pattern, hrb_row: np.ndarray, syn: np.ndarray, cross) -> bool:
     """True iff the pattern touches an HRB of its word or a bit whose
-    crossing word currently has a zero syndrome."""
-    return any(hrb_row[p] for p in pattern) or any(cross[p] == 0 for p in pattern)
+    crossing word (slot cross[p] of syn) currently has a zero syndrome."""
+    return any(hrb_row[p] for p in pattern) or any(syn[cross[p]] == 0 for p in pattern)
 
 
 def detect_miscorrection(outcome: BddOutcome, axis: int, index: int,
@@ -151,18 +212,18 @@ def detect_miscorrection(outcome: BddOutcome, axis: int, index: int,
                          code: PcCode) -> bool:
     """True iff a successful correction touches an HRB or a currently
     zero-syndrome orthogonal word (column for a row decode and vice versa)."""
-    cross = block_syndromes(code.component, block.T if axis == 0 else block)
-    hrb = marks.hrb if axis == 0 else marks.hrb.T
-    return _suspicious(outcome.error_pattern, hrb[index], cross)
+    state = SyndromeState(code.component, np.ascontiguousarray(block), block_layout(code.w))
+    return _suspicious(outcome.error_pattern, marks.word_hrb[axis, index], state.syn,
+                       state.layout.rows[axis][2])
 
 
-def bit_flip_recover(code: BchCode, syndrome, outcome: BddOutcome,
+def bit_flip_recover(code: BchCode, syndrome: int, outcome: BddOutcome,
                      reason: str, order: np.ndarray, flip_attempts: int,
                      stats: DecodeStats, suspicious) -> tuple[int, ...]:
     """Flip unreliable bits and retry BDD; returns the accepted total flip
-    pattern relative to the word whose syndrome is `syndrome` = (S1, S3,
-    parity), or () when every retry fails (revert). A retry decodes that
-    syndrome XOR the flipped positions' contributions; no bits are read.
+    pattern relative to the word whose packed syndrome is `syndrome`, or ()
+    when every retry fails (revert). A retry decodes that syndrome XOR the
+    flipped positions' syndromes; no bits are read.
 
     reason="failure": flip order[0], order[1], ... one at a time, at most
     flip_attempts retries (callers cap flip_attempts at the HUB count).
@@ -179,12 +240,10 @@ def bit_flip_recover(code: BchCode, syndrome, outcome: BddOutcome,
     else:
         raise ValueError(f"unknown recovery reason {reason!r}")
 
-    s1, s3, parity = syndrome
     for flips in attempts:
         stats.flips_attempted += 1
         change = int(np.bitwise_xor.reduce(code.flip_syndrome[flips]))
-        d1, d3, dp = unpack_syndromes(code, change)
-        pat = decode_syndromes(code, s1 ^ d1, s3 ^ d3, parity ^ dp)
+        pat = decode_syndromes(code, syndrome ^ change)
         stats.bdd_calls += 1
         if pat is None:
             continue
@@ -198,12 +257,12 @@ def bit_flip_recover(code: BchCode, syndrome, outcome: BddOutcome,
     return ()
 
 
-def sabm_resolve(code: BchCode, syndrome, proposal, order: np.ndarray,
+def sabm_resolve(code: BchCode, syndrome: int, proposal, order: np.ndarray,
                  suspicious, flip_attempts: int,
                  stats: DecodeStats) -> tuple[int, ...]:
-    """SABM's final flip pattern for one word, given its (S1, S3, parity),
+    """SABM's final flip pattern for one word, given its packed syndrome,
     its BDD proposal (None on failure), its flip order and the word's
-    miscorrection check. Used by the product and the staircase decoder."""
+    miscorrection check."""
     if proposal is not None:
         if len(proposal) == 0:
             return ()
@@ -217,24 +276,36 @@ def sabm_resolve(code: BchCode, syndrome, proposal, order: np.ndarray,
                             flip_attempts, stats, suspicious)
 
 
-def _sabm_pass(state: BlockSyndromes, axis: int, idx: np.ndarray, props,
-               marks: MarkState, params: SabmParams,
-               stats: DecodeStats) -> tuple[bool, bool]:
-    """Resolve and apply the words idx in order: a veto reads crossing
-    syndromes that earlier words of the pass changed. Returns (changed,
+def decode_pass(state: SyndromeState, group: int, stats: DecodeStats,
+                marks: MarkState | None = None, axis: int = 0) -> tuple[bool, bool]:
+    """Decode the words of one group that have a nonzero syndrome and apply
+    their flips. Without marks every pattern applies at once, as the words
+    of a group share no bits. With marks (SABM; word i of the group is word
+    i of marks' axis) the words are resolved and applied in order, as a veto
+    reads crossing syndromes that earlier words changed. Returns (changed,
     suppressed), where suppressed means a failure or proposal was dropped."""
+    w = state.w
+    stats.bdd_calls += w
+    own = state.syn[group * w:(group + 1) * w]
+    idx = np.flatnonzero(own)
+    if idx.size == 0:
+        return False, False
     comp = state.code
-    hrb = marks.hrb if axis == 0 else marks.hrb.T
-    own, cross = state.syn[axis], state.syn[1 - axis]
-    flip_attempts = min(marks.hub_len, params.failure_flip_attempts)
+    props = decode_block(comp, own[idx])
+    if marks is None:
+        rows, pos = props.flips()
+        if rows.size:
+            state.flip(group, idx[rows], pos)
+        return rows.size > 0, False
+    hrb, cross = marks.word_hrb[axis], state.layout.rows[group][2]
     changed = suppressed = False
     for k, i in enumerate(idx.tolist()):
-        resolved = sabm_resolve(comp, unpack_syndromes(comp, int(own[i])),
-                                props.full_pattern(k, comp.n), marks.order_for(axis, i),
-                                partial(_suspicious, hrb_row=hrb[i], cross=cross),
-                                flip_attempts, stats)
+        resolved = sabm_resolve(comp, int(own[i]), props.full_pattern(k),
+                                marks.order_for(axis, i),
+                                partial(_suspicious, hrb_row=hrb[i], syn=state.syn, cross=cross),
+                                marks.flip_attempts, stats)
         if resolved:
-            state.flip_word(axis, i, resolved)
+            state.flip_word(group, i, resolved)
             changed = True
         else:  # a nonzero syndrome never decodes to an empty proposal
             suppressed = True
@@ -242,37 +313,21 @@ def _sabm_pass(state: BlockSyndromes, axis: int, idx: np.ndarray, props,
 
 
 def _decode_core(code: PcCode, block, iters: int, marks: MarkState | None,
-                 params: SabmParams | None, early_exit: bool
-                 ) -> tuple[np.ndarray, DecodeStats]:
-    blk = np.array(block, dtype=np.uint8, copy=True)
+                 md_iters: int, early_exit: bool) -> tuple[np.ndarray, DecodeStats]:
+    blk = np.array(block, dtype=np.uint8, order="C")
     w = code.w
     if blk.shape != (w, w):
         raise ValueError(f"block must be ({w}, {w})")
     stats = DecodeStats()
-    comp = code.component
-    state = BlockSyndromes(comp, blk)
-    md_iters = params.md_iters if marks is not None else 0
+    state = SyndromeState(code.component, blk, block_layout(w))
     it = 0
     while it < iters:
-        changed = False
-        suppressed = False
         sabm_active = it < md_iters
+        changed = suppressed = False
         for axis in (0, 1):
-            stats.bdd_calls += w
-            idx = np.flatnonzero(state.syn[axis])
-            if idx.size == 0:
-                continue
-            props = decode_block(comp, state.syn[axis, idx])
-            if sabm_active:
-                c, s = _sabm_pass(state, axis, idx, props, marks, params, stats)
-                changed |= c
-                suppressed |= s
-            else:
-                # words of one pass share no bits, so every pattern applies at once
-                rows, pos = props.flips(comp.n)
-                if rows.size:
-                    state.flip(axis, idx[rows], pos)
-                    changed = True
+            c, s = decode_pass(state, axis, stats, marks if sabm_active else None, axis)
+            changed |= c
+            suppressed |= s
         it += 1
         if early_exit and not changed:
             if not sabm_active or not suppressed:
@@ -287,7 +342,7 @@ def ibdd_decode(code: PcCode, block, iters: int,
                 early_exit: bool = True) -> tuple[np.ndarray, DecodeStats]:
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    return _decode_core(code, block, iters, marks=None, params=None,
+    return _decode_core(code, block, iters, marks=None, md_iters=0,
                         early_exit=early_exit)
 
 
@@ -296,4 +351,4 @@ def sabm_decode(code: PcCode, block, llrs: ReliabilityGrid,
                 early_exit: bool = True) -> tuple[np.ndarray, DecodeStats]:
     marks = mark_bits(llrs, params, code)
     return _decode_core(code, block, params.total_iters, marks=marks,
-                        params=params, early_exit=early_exit)
+                        md_iters=params.md_iters, early_exit=early_exit)

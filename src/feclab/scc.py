@@ -6,23 +6,23 @@ codeword with n = 2w. Within B_i, columns 0..k-w-1 carry fresh information
 and the remaining columns the parity (overall-parity bit in the last
 column). B_0 is the all-zero reference block known to both ends.
 
-Decoding runs on syndromes. `WindowSyndromes` keeps the packed syndrome of
-every word of every pair in the window; a flip updates its word and the
-crossing word, which lies in the neighbouring pair p-1 (older-half bits)
-or p+1 (newer-half bits), so the maintained syndromes always equal the
-syndromes of the bits. A pass decodes only the words with a nonzero
-syndrome (a clean word is a no-op), yet `bdd_calls` counts w per pair
-pass, as if every word were decoded, plus one per flip retry.
+Decoding runs on the syndrome core of `pc`: a window of L blocks is one
+(L, w, w) array whose L-1 pairs are the word groups of a `SyndromeState`.
+A bit of the oldest or the newest block whose crossing word lies outside
+the window maps to the sink slot, so the SABM veto never reads it as
+lying in a codeword. A pass decodes only the words of a pair with a
+nonzero syndrome, yet `bdd_calls` counts w per pair pass, as if every
+word were decoded, plus one per flip retry.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
-from .bch import BchCode, block_syndromes, decode_block, encode_many, unpack_syndromes
+from .bch import BchCode, encode_many
 from .errors import ConfigError
-from .pc import DecodeStats, MarkState, SabmParams, sabm_resolve
+from .pc import DecodeStats, Layout, SabmParams, SyndromeState, decode_pass, make_marks
 
 
 @dataclass(frozen=True)
@@ -47,25 +47,19 @@ class SccCode:
 
 @dataclass
 class ComplexityStats:
-    """BDD-call accounting: eta = (n_bar - n_sd) / n_sd, with n_sd the
-    standard-decoding call count w*(L-1)*ell per window."""
+    """BDD-call accounting of a chain: total_calls made, and baseline_calls,
+    the standard-decoding count w*(L-1)*ell summed over its windows."""
 
-    n_bar: float = 0.0
-    n_sd: float = 0.0
     total_calls: int = 0
     baseline_calls: int = 0
     windows: int = 0
 
-    def finalize(self):
-        if self.windows:
-            self.n_bar = self.total_calls / self.windows
-            self.n_sd = self.baseline_calls / self.windows
-
 
 def eta(stats: ComplexityStats) -> float:
-    if stats.n_sd <= 0:
-        raise ValueError("n_sd must be positive")
-    return (stats.n_bar - stats.n_sd) / stats.n_sd
+    """Relative complexity (total - baseline) / baseline."""
+    if stats.baseline_calls <= 0:
+        raise ValueError("baseline_calls must be positive")
+    return (stats.total_calls - stats.baseline_calls) / stats.baseline_calls
 
 
 def scc_encode(code: SccCode, info_blocks) -> list[np.ndarray]:
@@ -85,100 +79,38 @@ def scc_encode(code: SccCode, info_blocks) -> list[np.ndarray]:
     return out
 
 
-def _pair_words(blocks: list[np.ndarray], p: int) -> np.ndarray:
-    return np.concatenate([blocks[p].T, blocks[p + 1]], axis=1)
+@lru_cache(maxsize=None)
+def window_layout(w: int, num_blocks: int) -> Layout:
+    """The pairs 0..L-2 of an L-block window: word i of pair p is row i of
+    [transpose(B_p) | B_{p+1}]. Its position j < w is B_p[j, i], which is
+    position w+i of word j of pair p-1; its position w+j is B_{p+1}[i, j],
+    which is position i of word j of pair p+1."""
+    groups = num_blocks - 1
+    p = np.arange(groups)[:, None]
+    j = np.arange(w)[None, :]
+    sink, n = groups * w, 2 * w
+    older, newer = p > 0, p + 1 < groups
+
+    def halves(older_half, newer_half):
+        return np.concatenate([np.broadcast_to(older_half, (groups, w)),
+                               np.broadcast_to(newer_half, (groups, w))], axis=1)
+
+    return Layout(lambda bits: np.concatenate([bits[:-1].transpose(0, 2, 1), bits[1:]], axis=2),
+                  base=halves(p * w * w + j * w, (p + 1) * w * w + j),
+                  stride=halves(1, w),
+                  cross=halves(np.where(older, (p - 1) * w + j, sink),
+                               np.where(newer, (p + 1) * w + j, sink)),
+                  shift=halves(np.where(older, w, n), np.where(newer, 0, n)))
 
 
-class WindowSyndromes:
-    """Packed syndromes syn[p, i] of word i of pair p, the row i of
-    [transpose(B_p) | B_{p+1}], for every pair of a window. Bit j < w of
-    that word is B_p[j, i] and also bit w+i of word j of pair p-1; bit
-    j >= w is B_{p+1}[i, j-w] and also bit i of word j-w of pair p+1.
-    Flips made through `flip` and `flip_word` update the bits and every
-    in-window syndrome they change, so `syn` always equals the syndromes
-    of the blocks."""
-
-    def __init__(self, code: BchCode, blocks: list[np.ndarray]):
-        self.code = code
-        self.blocks = blocks
-        self.w = w = code.n // 2
-        pairs = [_pair_words(blocks, p) for p in range(len(blocks) - 1)]
-        words = np.concatenate(pairs) if pairs else np.zeros((0, code.n), np.uint8)
-        self.syn = block_syndromes(code, words).reshape(len(pairs), w)
-
-    def flip(self, p: int, words: np.ndarray, positions: np.ndarray):
-        """Flip bit positions[k] of word words[k] of pair p, for every k;
-        no (word, position) pair may repeat."""
-        w, h, syn = self.w, self.code.flip_syndrome, self.syn
-        older = positions < w
-        wo, po = words[older], positions[older]
-        wn, pn = words[~older], positions[~older] - w
-        self.blocks[p][po, wo] ^= 1
-        self.blocks[p + 1][wn, pn] ^= 1
-        np.bitwise_xor.at(syn[p], words, h[positions])
-        if p > 0:
-            np.bitwise_xor.at(syn[p - 1], po, h[w + wo])
-        if p + 1 < len(syn):
-            np.bitwise_xor.at(syn[p + 1], pn, h[wn])
-
-    def flip_word(self, p: int, index: int, pattern):
-        """`flip` for the positions of one word, without the array set-up."""
-        w, h, syn = self.w, self.code.flip_syndrome, self.syn
-        for q in pattern:
-            syn[p, index] ^= h[q]
-            if q < w:
-                self.blocks[p][q, index] ^= 1
-                if p > 0:
-                    syn[p - 1, q] ^= h[w + index]
-            else:
-                self.blocks[p + 1][index, q - w] ^= 1
-                if p + 1 < len(syn):
-                    syn[p + 1, q - w] ^= h[index]
-
-
-def _mark_newest(code: SccCode, llr: np.ndarray, delta: float) -> MarkState:
-    """HRB mask and per-word flip order of the newest block; the order holds
-    word positions w..2w-1, as older-block bits are unmarked."""
-    a = np.abs(llr)
-    hrb = a > delta
-    order = code.w + np.argsort(a, axis=1, kind="stable")
-    return MarkState(hrb=hrb, order=order[None], non_hrb=(~hrb).sum(axis=1)[None],
-                     hub_len=code.component.d0 - code.component.t - 1)
-
-
-def _sabm_pass(state: WindowSyndromes, p: int, idx: np.ndarray, props,
-               marks: MarkState, params: SabmParams, stats: DecodeStats):
-    """Resolve and apply the words idx of the newest pair p in order: a
-    veto reads syndromes of pair p-1 that earlier words changed."""
-    comp, w, hrb = state.code, state.w, marks.hrb
-    flip_attempts = min(marks.hub_len, params.failure_flip_attempts)
-    # an older-half bit's crossing word is in pair p-1; a newest-half bit
-    # has no crossing word in the window
-    older = state.syn[p - 1] if p > 0 else None
-
-    def suspicious(pattern, i):
-        return (any(q >= w and hrb[i, q - w] for q in pattern)
-                or (older is not None and any(q < w and older[q] == 0 for q in pattern)))
-
-    for k, i in enumerate(idx.tolist()):
-        resolved = sabm_resolve(comp, unpack_syndromes(comp, int(state.syn[p, i])),
-                                props.full_pattern(k, comp.n), marks.order_for(0, i),
-                                partial(suspicious, i=i), flip_attempts, stats)
-        if resolved:
-            state.flip_word(p, i, resolved)
-
-
-def scc_window_decode(code: SccCode, blocks: list[np.ndarray], ell: int,
+def scc_window_decode(code: SccCode, blocks: np.ndarray, ell: int,
                       mode: str = "standard",
                       llr_newest: np.ndarray | None = None,
                       params: SabmParams | None = None,
-                      stats: DecodeStats | None = None) -> tuple[np.ndarray, int]:
-    """Run ell iterations over one window (oldest..newest, mutated in
-    place) and return (oldest block, number of BDD calls made)."""
-    w = code.w
-    comp = code.component
-    L = len(blocks)
-    if L < 1:
+                      stats: DecodeStats | None = None) -> None:
+    """Run ell iterations over one window, a C-contiguous (L, w, w) array of
+    blocks (oldest..newest) decoded in place, counting into stats."""
+    if len(blocks) < 1:
         raise ValueError("window must hold at least one block")
     if stats is None:
         stats = DecodeStats()
@@ -188,27 +120,17 @@ def scc_window_decode(code: SccCode, blocks: list[np.ndarray], ell: int,
             params = SabmParams()
         if llr_newest is None:
             raise ValueError("sabm mode requires LLRs for the newest block")
-        marks = _mark_newest(code, llr_newest, params.delta)
+        # the newest block fills positions w..2w-1 of the newest pair's words
+        marks = make_marks(np.abs(llr_newest)[None], params, code.component, offset=code.w)
     elif mode != "standard":
         raise ValueError(f"unknown mode {mode!r}")
 
-    state = WindowSyndromes(comp, blocks)
-    calls_before = stats.bdd_calls
+    newest = len(blocks) - 2
+    state = SyndromeState(code.component, blocks, window_layout(code.w, len(blocks)))
     for it in range(ell):
-        for p in range(L - 1):
-            stats.bdd_calls += w
-            idx = np.flatnonzero(state.syn[p])
-            if idx.size == 0:
-                continue
-            props = decode_block(comp, state.syn[p, idx])
-            if marks is not None and p == L - 2 and it < params.md_iters:
-                _sabm_pass(state, p, idx, props, marks, params, stats)
-            else:
-                # words of one pass share no bits, so every pattern applies at once
-                rows, pos = props.flips(comp.n)
-                if rows.size:
-                    state.flip(p, idx[rows], pos)
-    return blocks[0], stats.bdd_calls - calls_before
+        for p in range(newest + 1):
+            sabm = marks is not None and p == newest and it < params.md_iters
+            decode_pass(state, p, stats, marks if sabm else None)
 
 
 def decode_chain(code: SccCode, received: list[np.ndarray],
@@ -222,31 +144,18 @@ def decode_chain(code: SccCode, received: list[np.ndarray],
     w = code.w
     stats = DecodeStats()
     cx = ComplexityStats()
-    buf: list[np.ndarray] = [np.zeros((w, w), dtype=np.uint8)]
-    decoded: list[np.ndarray] = []
-
-    def run_window():
-        llr = llr_grids[_newest_idx()] if (mode == "sabm" and llr_grids) else None
-        _, _ = scc_window_decode(code, buf, ell, mode=mode, llr_newest=llr,
-                                 params=params, stats=stats)
-        cx.windows += 1
-        cx.baseline_calls += w * (len(buf) - 1) * ell
-        decoded.append(buf.pop(0))
-
-    newest = -1
-
-    def _newest_idx():
-        return newest
-
+    chain = np.zeros((len(received) + 1, w, w), dtype=np.uint8)
     for i, blk in enumerate(received):
-        buf.append(np.array(blk, dtype=np.uint8, copy=True))
-        newest = i
-        if len(buf) == window:
-            run_window()
-    while len(buf) > 1:
-        run_window()
-    decoded.extend(buf)
+        chain[i + 1] = blk
+    # the window starting at chain block s ends at block s+window-1 or at
+    # the chain's end; its newest block is received[end - 2]
+    for s in range(len(received)):
+        end = min(s + window, len(chain))
+        llr = llr_grids[end - 2] if (mode == "sabm" and llr_grids) else None
+        scc_window_decode(code, chain[s:end], ell, mode=mode, llr_newest=llr,
+                          params=params, stats=stats)
+        cx.windows += 1
+        cx.baseline_calls += w * (end - s - 1) * ell
     cx.total_calls = stats.bdd_calls
-    cx.finalize()
     # drop the bootstrap zero block from the output
-    return decoded[1:], cx, stats
+    return list(chain[1:]), cx, stats

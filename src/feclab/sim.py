@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .modem import (ChannelConfig, ReliabilityGrid, awgn_transmit, demap_llr,
                     interleave, make_interleaver, modulate)
 from .pc import PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
-from .scc import SccCode, decode_chain, eta, scc_encode
+from .scc import ComplexityStats, SccCode, decode_chain, eta, scc_encode
 
 CSV_COLUMNS = ["scheme", "mod", "decoder", "llr_mode", "snr_db", "blocks",
                "ber_pre", "ber_post", "block_errors", "bdd_calls_avg", "eta",
@@ -71,6 +71,10 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError(f"unknown llr_mode {cfg.llr_mode!r}")
     if not cfg.snr_points:
         raise ConfigError("snr_points must be non-empty")
+    keys = [_snr_key(snr) for snr in cfg.snr_points]
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"SNR points {cfg.snr_points} repeat a value at 0.001 dB "
+                          "resolution, and such points share one noise stream")
     if cfg.stop.min_word_errors < 1 or cfg.stop.max_blocks < 1:
         raise ConfigError("stopping rule needs min_word_errors >= 1 and max_blocks >= 1")
     if cfg.workers < 1 or cfg.batch_size < 1:
@@ -131,9 +135,12 @@ class _TrialResult:
     per_block_post: list
 
 
+def _snr_key(snr_db: float) -> int:
+    return int(round(snr_db * 1000)) + 1_000_000
+
+
 def _trial_rng(master_seed: int, snr_db: float, trial: int):
-    snr_key = int(round(snr_db * 1000)) + 1_000_000
-    return np.random.default_rng(np.random.SeedSequence([master_seed, snr_key, trial]))
+    return np.random.default_rng(np.random.SeedSequence([master_seed, _snr_key(snr_db), trial]))
 
 
 class _Runtime:
@@ -254,7 +261,8 @@ def run_point(cfg: SimConfig, snr_db: float, _pool=None, _rt=None) -> BerStats:
     stats.ber_pre = stats.pre_fec_bit_errors / max(stats.coded_bits, 1)
     stats.ber_post = stats.post_fec_bit_errors / max(stats.info_bits, 1)
     if cfg.scheme == "scc" and baseline_total > 0:
-        stats.eta = (stats.bdd_calls_total - baseline_total) / baseline_total
+        stats.eta = eta(ComplexityStats(total_calls=stats.bdd_calls_total,
+                                        baseline_calls=baseline_total))
     if cfg.record_timing:
         stats.wall_seconds = time.perf_counter() - t0
     return stats

@@ -93,7 +93,7 @@ def test_criterion_1_exhaustive_bdd_oracle(report):
         nearest = dist.argmin(axis=1)
         props = bdd_propose_block(code, words)
         for i in range(words.shape[0]):
-            pat = props.full_pattern(i, n)
+            pat = props.full_pattern(i)
             if dmin[i] <= code.t:
                 if pat is None:
                     mismatches += 1
@@ -129,7 +129,7 @@ def test_criterion_2_component_code_bdd(report):
             noisy[i, pos] ^= 1
             true_pats.append(tuple(sorted(int(p) for p in pos)))
         props = bdd_propose_block(code, noisy)
-        bad = sum(props.full_pattern(i, n) != true_pats[i]
+        bad = sum(props.full_pattern(i) != true_pats[i]
                   for i in range(trials))
         if bad:
             failures.append(f"m={m}: {bad} wrong recoveries at weight<=2")
@@ -142,7 +142,7 @@ def test_criterion_2_component_code_bdd(report):
         props3 = bdd_propose_block(code, noisy3)
         bad3 = 0
         for i in range(trials):
-            pat = props3.full_pattern(i, n)
+            pat = props3.full_pattern(i)
             if pat is None:
                 continue
             out = noisy3[i].copy()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feclab.bch import (bdd_decode, bdd_propose_block, build_code, encode,
-                        encode_many, is_codeword, syndromes)
+from feclab.bch import (bdd_decode, bdd_propose_block, build_code, decode_syndromes,
+                        encode, encode_many, is_codeword, syndromes)
 from feclab.errors import ConfigError
 from feclab.gf2m import build_field, gf_pow, poly_degree, poly_rem
 
@@ -145,12 +145,28 @@ def test_success_always_lands_on_codeword(gf16_code, rng):
 
 @pytest.mark.parametrize("m", range(4, 9))
 def test_error_table_has_every_correctable_pattern(m):
-    # no two patterns of weight <= t share an (S1, S3), so the table holds
-    # each of them: none was overwritten by another
-    code = build_code(m, 2, extended=True)
-    nu = code.n_unext
-    counts = [int((code.error_count == w).sum()) for w in (0, 1, 2)]
-    assert counts == [1, nu, nu * (nu - 1) // 2]
+    # no two patterns of weight <= t over the n positions (the overall-parity
+    # bit included) share a packed syndrome, so the table holds each of
+    # them: none was overwritten by another
+    for extended in (False, True):
+        code = build_code(m, 2, extended)
+        n = code.n
+        counts = [int((code.error_count == w).sum()) for w in (0, 1, 2)]
+        assert counts == [1, n, n * (n - 1) // 2]
+
+
+@pytest.mark.parametrize("m", range(4, 7))
+def test_error_table_matches_two_step_parity_rule(m):
+    # oracle: BDD on the unextended bits from (S1, S3), then the overall
+    # parity: it may absorb one more flip only while the weight stays <= t
+    ext, unext = build_code(m, 2, True), build_code(m, 2, False)
+    low = (1 << (2 * m)) - 1
+    for syn in range(1 << (2 * m + 1)):
+        nerr = int(unext.error_count[syn & low])
+        pat = None if nerr < 0 else tuple(unext.error_positions[syn & low, :nerr].tolist())
+        if pat is not None and (syn >> (2 * m)) != len(pat) % 2:
+            pat = pat + (ext.n - 1,) if len(pat) < ext.t else None
+        assert decode_syndromes(ext, syn) == pat
 
 
 def test_vectorized_propose_matches_scalar(ecc32_code, rng):
@@ -159,7 +175,7 @@ def test_vectorized_propose_matches_scalar(ecc32_code, rng):
     props = bdd_propose_block(code, words)
     for i in range(words.shape[0]):
         out = bdd_decode(code, words[i])
-        pat = props.full_pattern(i, code.n)
+        pat = props.full_pattern(i)
         if out.success:
             assert pat is not None and sorted(pat) == sorted(out.error_pattern)
         else:

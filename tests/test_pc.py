@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from feclab.bch import BddOutcome, encode, is_codeword, syndromes
+from feclab.bch import BddOutcome, block_syndromes, encode, is_codeword
 from feclab.modem import ChannelConfig, ReliabilityGrid, awgn_transmit, demap_llr, modulate
 from feclab.pc import (
     DecodeStats,
@@ -31,6 +31,11 @@ def pc16(ecc16_code):
 def random_block(pc, rng):
     data = rng.integers(0, 2, size=(pc.k, pc.k), dtype=np.uint8)
     return pc_encode(pc, data)
+
+
+def packed(code, word):
+    """Packed syndrome of one word."""
+    return int(block_syndromes(code, word[None, :])[0])
 
 
 def channel_pass(block, snr_db, rng, mode="exact"):
@@ -215,7 +220,7 @@ def test_bit_flip_recover_failure_three_errors(ecc32_code):
     noisy[list(errs)] ^= 1
     order = np.array([10, 3, 17, 1, 2])  # true errors are the least reliable
     stats = DecodeStats()
-    pat = bit_flip_recover(ecc32_code, syndromes(ecc32_code, noisy),
+    pat = bit_flip_recover(ecc32_code, packed(ecc32_code, noisy),
                            BddOutcome(success=False), "failure",
                            order, 1, stats, lambda p: False)
     assert pat == errs
@@ -237,14 +242,14 @@ def test_bit_flip_recover_failure_sequential_attempts(ecc32_code):
     order = np.array([5, 10, 17, 3])
     veto = lambda p: not set(p).issubset(errs)
     stats = DecodeStats()
-    pat = bit_flip_recover(ecc32_code, syndromes(ecc32_code, noisy),
+    pat = bit_flip_recover(ecc32_code, packed(ecc32_code, noisy),
                            BddOutcome(success=False), "failure",
                            order, 2, stats, veto)
     assert pat == errs
     assert stats.flips_attempted == 2
     # with only one attempt allowed the word is reverted
     stats2 = DecodeStats()
-    pat2 = bit_flip_recover(ecc32_code, syndromes(ecc32_code, noisy),
+    pat2 = bit_flip_recover(ecc32_code, packed(ecc32_code, noisy),
                             BddOutcome(success=False), "failure",
                             order, 1, stats2, veto)
     assert pat2 == ()
@@ -260,7 +265,7 @@ def test_bit_flip_recover_miscorrection_flip_count(ecc32_code):
     order = np.array([2, 6, 11, 19, 1])
     stats = DecodeStats()
     outcome = BddOutcome(success=True, error_pattern=(4,))
-    pat = bit_flip_recover(ecc32_code, syndromes(ecc32_code, noisy),
+    pat = bit_flip_recover(ecc32_code, packed(ecc32_code, noisy),
                            outcome, "miscorrection",
                            order, 1, stats, lambda p: False)
     assert pat == errs
@@ -273,7 +278,7 @@ def test_bit_flip_recover_rejects_suspicious_retry(ecc32_code):
     noisy[[3, 10, 17]] ^= 1
     order = np.array([10, 3, 17])
     stats = DecodeStats()
-    pat = bit_flip_recover(ecc32_code, syndromes(ecc32_code, noisy),
+    pat = bit_flip_recover(ecc32_code, packed(ecc32_code, noisy),
                            BddOutcome(success=False), "failure",
                            order, 1, stats, lambda p: True)
     assert pat == ()
@@ -282,7 +287,7 @@ def test_bit_flip_recover_rejects_suspicious_retry(ecc32_code):
 
 def test_bit_flip_recover_unknown_reason(ecc32_code):
     with pytest.raises(ValueError):
-        bit_flip_recover(ecc32_code, (0, 0, 0),
+        bit_flip_recover(ecc32_code, 0,
                          BddOutcome(success=False), "nope",
                          np.array([0]), 1, DecodeStats(), lambda p: False)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from feclab.bch import build_code, is_codeword
-from feclab.pc import SabmParams
+from feclab.pc import DecodeStats, SabmParams
 from feclab.scc import (
     ComplexityStats,
     SccCode,
@@ -87,11 +87,11 @@ def test_scc_encode_rejects_bad_shape(scc32):
 
 def test_window_decode_noiseless(scc32, rng):
     _, blocks = random_chain(scc32, rng, 4)
-    buf = [np.zeros((scc32.w, scc32.w), dtype=np.uint8)] + \
-          [b.copy() for b in blocks]
-    oldest, calls = scc_window_decode(scc32, buf, ell=3)
-    assert calls == scc32.w * (len(buf) - 1) * 3
-    assert not oldest.any()
+    buf = np.stack([np.zeros((scc32.w, scc32.w), dtype=np.uint8)] + blocks)
+    stats = DecodeStats()
+    scc_window_decode(scc32, buf, ell=3, stats=stats)
+    assert stats.bdd_calls == scc32.w * (len(buf) - 1) * 3
+    assert not buf[0].any()
     for got, want in zip(buf[1:], blocks):
         assert np.array_equal(got, want)
 
@@ -102,7 +102,7 @@ def test_window_decode_fixes_scattered_errors(scc32, rng):
     noisy[1][3, 7] ^= 1
     noisy[2][9, 0] ^= 1
     noisy[2][9, 4] ^= 1
-    buf = [np.zeros((scc32.w, scc32.w), dtype=np.uint8)] + noisy
+    buf = np.stack([np.zeros((scc32.w, scc32.w), dtype=np.uint8)] + noisy)
     scc_window_decode(scc32, buf, ell=4)
     for got, want in zip(buf[1:], blocks):
         assert np.array_equal(got, want)
@@ -123,8 +123,8 @@ def test_sabm_degenerate_matches_standard(scc32, rng):
         r, c = rng.integers(0, scc32.w, size=2)
         b[r, c] ^= 1
     zero = np.zeros((scc32.w, scc32.w), dtype=np.uint8)
-    buf_std = [zero.copy()] + [b.copy() for b in noisy]
-    buf_deg = [zero.copy()] + [b.copy() for b in noisy]
+    buf_std = np.stack([zero] + noisy)
+    buf_deg = np.stack([zero] + noisy)
     scc_window_decode(scc32, buf_std, ell=3, mode="standard")
     llr = np.where(noisy[-1] == 0, 2.0, -2.0)
     scc_window_decode(scc32, buf_deg, ell=3, mode="sabm", llr_newest=llr,
@@ -140,7 +140,7 @@ def test_sabm_window_recovers_three_error_row(scc32, rng):
     noisy[-1][5, errs] ^= 1
     llr = np.where(noisy[-1] == 0, 8.0, -8.0)
     llr[5, errs] = np.where(noisy[-1][5, errs] == 0, 0.4, -0.4)
-    buf = [np.zeros((scc32.w, scc32.w), dtype=np.uint8)] + noisy
+    buf = np.stack([np.zeros((scc32.w, scc32.w), dtype=np.uint8)] + noisy)
     scc_window_decode(scc32, buf, ell=4, mode="sabm", llr_newest=llr,
                       params=SabmParams(delta=5.0, total_iters=4, md_iters=4))
     for got, want in zip(buf[1:], blocks):
@@ -194,10 +194,10 @@ def test_decode_chain_window_validation(scc32):
 # ------------------------------------------------------------- complexity
 
 def test_eta_arithmetic():
-    assert eta(ComplexityStats(n_bar=18.0, n_sd=16.0)) == pytest.approx(0.125)
-    assert eta(ComplexityStats(n_bar=16.0, n_sd=16.0)) == 0.0
+    assert eta(ComplexityStats(total_calls=18, baseline_calls=16)) == pytest.approx(0.125)
+    assert eta(ComplexityStats(total_calls=16, baseline_calls=16)) == 0.0
     with pytest.raises(ValueError):
-        eta(ComplexityStats(n_bar=1.0, n_sd=0.0))
+        eta(ComplexityStats(total_calls=1, baseline_calls=0))
 
 
 def test_standard_chain_counts_match_baseline(scc32, rng):

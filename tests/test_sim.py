@@ -254,8 +254,42 @@ def test_cli_rejects_bad_snr(capsys):
     ["scc", "--snr", "7", "--scc-iters", "0"],
     ["scc", "--snr", "7", "--chain-blocks", "0"],
     ["scc", "--snr", "7", "--component-m", "4"],
+    # 6.0004 rounds to the 6.0 key of the trial RNG: one noise stream
+    ["pc", "--snr", "6.0,6.0004", "--component-m", "5"],
+    ["mask", "--snr", "6.0,6.0004", "--component-m", "5", "--blocks", "1"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_rejects_bad_values(argv, capsys):
     assert main(argv + ["--max-blocks", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("llr", ["exact", "maxlog"])
+@pytest.mark.parametrize("decoder", ["ibdd", "sabm"])
+@pytest.mark.parametrize("mod", [2, 4, 8])
+@pytest.mark.parametrize("scheme", ["pc", "scc"])
+def test_cli_runs_every_advertised_config(scheme, mod, decoder, llr, capsys):
+    argv = [scheme, "--mod", str(mod), "--decoder", decoder, "--llr", llr,
+            "--snr", "7", "--max-blocks", "2", "--batch-size", "1", "--no-timing"]
+    if scheme == "pc":
+        argv += ["--component-m", "5"]
+    else:
+        argv += ["--component-m", "6", "--chain-blocks", "3", "--window", "3"]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    if mod == 8:  # a block's bits are never a whole number of 8-PAM symbols
+        assert rc == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return
+    assert rc == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert header == CSV_COLUMNS and len(row) == len(CSV_COLUMNS)
+    got = dict(zip(CSV_COLUMNS, row))
+    assert [got[c] for c in ("scheme", "mod", "decoder", "llr_mode", "snr_db")] == \
+        [scheme, str(mod), decoder, llr, "7"]
+    assert int(got["blocks"]) >= 2 and int(got["block_errors"]) >= 0
+    assert 0.0 <= float(got["ber_pre"]) <= 1.0 and 0.0 <= float(got["ber_post"]) <= 1.0
+    assert float(got["bdd_calls_avg"]) > 0
+    assert (got["eta"] != "") == (scheme == "scc")
+    assert got["wall_seconds"] == "0"

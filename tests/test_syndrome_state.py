@@ -1,5 +1,8 @@
 """The syndromes that the decoders maintain always equal the syndromes
-recomputed from the bits: after arbitrary flips, and after every decode."""
+recomputed from the bits: after arbitrary flips, and after every decode.
+One `SyndromeState` serves the product block layout and every staircase
+window length; the sink slot that stands in for crossing words outside a
+window never changes and never reads as a codeword."""
 
 import numpy as np
 import pytest
@@ -8,22 +11,44 @@ from hypothesis import given, settings, strategies as st
 from feclab import pc, scc
 from feclab.bch import block_syndromes, build_code
 from feclab.modem import ReliabilityGrid
-from feclab.pc import BlockSyndromes, PcCode, SabmParams, pc_encode
-from feclab.scc import SccCode, WindowSyndromes, scc_encode
+from feclab.pc import PcCode, SabmParams, SyndromeState, block_layout, pc_encode
+from feclab.scc import SccCode, scc_encode, window_layout
 
 CODE = build_code(5, 2, extended=True)  # eBCH(32,21): PC w = 32, SCC w = 16
 
 
 def pc_recomputed(state):
-    return np.stack([block_syndromes(CODE, state.bits),
-                     block_syndromes(CODE, state.bits.T)])
+    return np.concatenate([block_syndromes(CODE, state.bits),
+                           block_syndromes(CODE, state.bits.T)])
 
 
 def scc_recomputed(state):
-    blocks = state.blocks
+    blocks = state.bits
     pairs = [np.concatenate([blocks[p].T, blocks[p + 1]], axis=1)
              for p in range(len(blocks) - 1)]
-    return np.array([block_syndromes(CODE, words) for words in pairs])
+    return np.concatenate([block_syndromes(CODE, words) for words in pairs])
+
+
+def assert_matches(state, recomputed, sink):
+    assert np.array_equal(state.syn[:-1], recomputed(state))
+    assert state.syn[-1] == sink != 0
+
+
+def follow_random_flips(state, recomputed, rng):
+    """Random whole-group flips and single-word flips keep every syndrome
+    equal to the bits and leave the sink slot as it was."""
+    n, w = CODE.n, state.w
+    groups = (state.syn.size - 1) // w
+    sink = state.syn[-1]
+    assert_matches(state, recomputed, sink)
+    for _ in range(4):
+        group = int(rng.integers(groups))
+        cells = rng.choice(w * n, size=int(rng.integers(1, 60)), replace=False)
+        state.flip(group, cells // n, cells % n)
+        assert_matches(state, recomputed, sink)
+        pattern = rng.choice(n, size=int(rng.integers(1, 5)), replace=False)
+        state.flip_word(group, int(rng.integers(w)), pattern.tolist())
+        assert_matches(state, recomputed, sink)
 
 
 def noisy_llr(bits, rng):
@@ -50,40 +75,35 @@ def recording(monkeypatch, module, name):
 def test_block_syndromes_follow_random_flips(seed):
     rng = np.random.default_rng(seed)
     w = CODE.n
-    state = BlockSyndromes(CODE, rng.integers(0, 2, (w, w), dtype=np.uint8))
-    assert np.array_equal(state.syn, pc_recomputed(state))
-    for _ in range(4):
-        axis = int(rng.integers(2))
-        cells = rng.choice(w * w, size=int(rng.integers(1, 60)), replace=False)
-        state.flip(axis, cells // w, cells % w)
-        assert np.array_equal(state.syn, pc_recomputed(state))
-        pattern = rng.choice(w, size=int(rng.integers(1, 5)), replace=False)
-        state.flip_word(axis, int(rng.integers(w)), pattern.tolist())
-        assert np.array_equal(state.syn, pc_recomputed(state))
+    bits = rng.integers(0, 2, (w, w), dtype=np.uint8)
+    follow_random_flips(SyndromeState(CODE, bits, block_layout(w)), pc_recomputed, rng)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
 @settings(max_examples=40, deadline=None)
 def test_window_syndromes_follow_random_flips(seed, num_blocks):
+    # the oldest pair's older half and the newest pair's newer half have
+    # their crossing words outside the window: their flips reach the sink
     rng = np.random.default_rng(seed)
     w = CODE.n // 2
-    blocks = [rng.integers(0, 2, (w, w), dtype=np.uint8) for _ in range(num_blocks)]
-    state = WindowSyndromes(CODE, blocks)
-    assert np.array_equal(state.syn, scc_recomputed(state))
-    for _ in range(4):
-        p = int(rng.integers(num_blocks - 1))
-        cells = rng.choice(w * 2 * w, size=int(rng.integers(1, 60)), replace=False)
-        state.flip(p, cells // (2 * w), cells % (2 * w))
-        assert np.array_equal(state.syn, scc_recomputed(state))
-        pattern = rng.choice(2 * w, size=int(rng.integers(1, 5)), replace=False)
-        state.flip_word(p, int(rng.integers(w)), pattern.tolist())
-        assert np.array_equal(state.syn, scc_recomputed(state))
+    bits = rng.integers(0, 2, (num_blocks, w, w), dtype=np.uint8)
+    state = SyndromeState(CODE, bits, window_layout(w, num_blocks))
+    follow_random_flips(state, scc_recomputed, rng)
+
+
+def test_state_rejects_bits_it_cannot_update_in_place():
+    w = CODE.n
+    bits = np.zeros((w, w), dtype=np.uint8)
+    with pytest.raises(ValueError):
+        SyndromeState(CODE, bits.T, block_layout(w))
+    with pytest.raises(ValueError):
+        SyndromeState(CODE, list(bits), block_layout(w))
 
 
 @pytest.mark.parametrize("decoder", ["ibdd", "sabm"])
 @pytest.mark.parametrize("seed", range(4))
 def test_block_syndromes_match_after_decode(decoder, seed, monkeypatch):
-    made = recording(monkeypatch, pc, "BlockSyndromes")
+    made = recording(monkeypatch, pc, "SyndromeState")
     code = PcCode(CODE)
     rng = np.random.default_rng(seed)
     block = pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
@@ -95,22 +115,21 @@ def test_block_syndromes_match_after_decode(decoder, seed, monkeypatch):
                                 SabmParams(delta=5.0))
     (state,) = made
     assert state.bits is out
-    assert np.array_equal(state.syn, pc_recomputed(state))
+    assert_matches(state, pc_recomputed, state.syn[-1])
 
 
 @pytest.mark.parametrize("mode", ["standard", "sabm"])
 @pytest.mark.parametrize("seed", range(3))
 def test_window_syndromes_match_after_each_window(mode, seed, monkeypatch):
-    made = recording(monkeypatch, scc, "WindowSyndromes")
+    made = recording(monkeypatch, scc, "SyndromeState")
     window_decode = scc.scc_window_decode
     windows = []
 
     def checked(*args, **kwargs):
-        result = window_decode(*args, **kwargs)
+        window_decode(*args, **kwargs)
         state = made[-1]
-        assert np.array_equal(state.syn, scc_recomputed(state))
+        assert_matches(state, scc_recomputed, state.syn[-1])
         windows.append(state)
-        return result
 
     monkeypatch.setattr(scc, "scc_window_decode", checked)
     code = SccCode(CODE)
