@@ -46,22 +46,6 @@ class BchCode:
     error_positions: np.ndarray = field(repr=False, default=None)
 
 
-@dataclass(frozen=True)
-class BddOutcome:
-    """One bounded-distance decoding attempt.
-
-    success=False implies an empty error pattern; on success the pattern
-    lists the flipped positions and weight = len(error_pattern).
-    """
-
-    success: bool
-    error_pattern: tuple[int, ...] = ()
-
-    @property
-    def weight(self) -> int:
-        return len(self.error_pattern)
-
-
 def _minimal_poly(f: GaloisField, power: int) -> int:
     """Minimal polynomial over GF(2) of alpha^power, bit-packed."""
     order = f.order
@@ -145,13 +129,6 @@ def encode_many(code: BchCode, messages: np.ndarray) -> np.ndarray:
     return words
 
 
-def encode(code: BchCode, message) -> np.ndarray:
-    msg = np.asarray(message, dtype=np.uint8)
-    if msg.shape != (code.k,):
-        raise ValueError(f"message must have length k={code.k}")
-    return encode_many(code, msg[None, :])[0]
-
-
 def block_syndromes(code: BchCode, words) -> np.ndarray:
     """Packed syndromes of every row of a (R, n) bit matrix, from one GF(2)
     matmul against the parity-check matrix."""
@@ -160,40 +137,13 @@ def block_syndromes(code: BchCode, words) -> np.ndarray:
     return bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
 
 
-def _word_syndrome(code: BchCode, word) -> int:
-    w = np.asarray(word, dtype=np.uint8)
-    if w.shape != (code.n,):
-        raise ValueError(f"word must have length n={code.n}")
-    return int(block_syndromes(code, w[None, :])[0])
-
-
-def syndromes(code: BchCode, word) -> tuple[int, int, int]:
-    """(S1, S3, overall parity) of one word."""
-    syn = _word_syndrome(code, word)
-    m = code.field.m
-    mask = (1 << m) - 1
-    return syn & mask, (syn >> m) & mask, syn >> (2 * m)
-
-
-def is_codeword(code: BchCode, word) -> bool:
-    s1, s3, parity = syndromes(code, word)
-    return s1 == 0 and s3 == 0 and parity == 0
-
-
 def decode_syndromes(code: BchCode, syn: int):
-    """Bounded-distance decode from a packed syndrome; returns the error
+    """Bounded-distance decode of one packed syndrome; returns the error
     pattern as a tuple of ascending positions, or None on failure."""
     nerr = int(code.error_count[syn])
     if nerr < 0:
         return None
     return tuple(code.error_positions[syn, :nerr].tolist())
-
-
-def bdd_decode(code: BchCode, word) -> BddOutcome:
-    pat = decode_syndromes(code, _word_syndrome(code, word))
-    if pat is None:
-        return BddOutcome(success=False)
-    return BddOutcome(success=True, error_pattern=pat)
 
 
 class BlockProposals:
@@ -205,21 +155,11 @@ class BlockProposals:
         self.nerr = nerr  # -1 failure, else error count 0..2
         self.pos = pos    # (R, 2) error positions, ascending, -1 where unused
 
-    def full_pattern(self, i: int) -> tuple[int, ...] | None:
-        """Flip pattern for row i, or None on decoding failure."""
-        nerr = int(self.nerr[i])
-        return None if nerr < 0 else tuple(self.pos[i, :nerr].tolist())
-
     def flips(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, position) pairs of every flip that the successful rows'
         patterns make, as two flat arrays; no pair repeats."""
         rows, k = np.nonzero(np.arange(2) < self.nerr[:, None])
         return rows, self.pos[rows, k]
-
-
-def bdd_propose_block(code: BchCode, words: np.ndarray) -> BlockProposals:
-    """Decode every row of a (R, n) bit matrix in one vectorized pass."""
-    return decode_block(code, block_syndromes(code, words))
 
 
 def decode_block(code: BchCode, syn: np.ndarray) -> BlockProposals:

@@ -1,7 +1,8 @@
 """Command-line front end: `feclab pc|scc|mask ...`.
 
-A YAML config file (--config) mirrors SimConfig field names; explicit CLI
-flags take precedence over file values, which take precedence over the
+A YAML config file (--config) takes the keys of `_DEFAULTS`: the long CLI
+flag names with `_` for `-` (`llr`, `md_iters`, `scc_iters`, ...). Explicit
+CLI flags take precedence over file values, which take precedence over the
 built-in defaults.
 """
 
@@ -23,10 +24,15 @@ _DEFAULTS = {
     "chain_blocks": 12, "workers": 1, "batch_size": 16, "component_m": None,
     "record_timing": True, "snr": None,
 }
+# what each value is converted to: its default's type, or int/str for
+# component_m/out, whose None stays None; `snr` goes through _parse_snr
+_TYPES = {k: type(v) for k, v in _DEFAULTS.items() if v is not None} | {
+    "component_m": int, "out": str}
 
 
 def _add_shared(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="YAML config file mirroring SimConfig")
+    p.add_argument("--config", help="YAML config file whose keys are the long "
+                   "flag names with _ for - (e.g. md_iters, scc_iters)")
     p.add_argument("--mod", type=int, choices=(2, 4, 8))
     p.add_argument("--snr", help="comma-separated list of SNR points in dB")
     p.add_argument("--decoder", choices=("ibdd", "sabm"))
@@ -82,6 +88,13 @@ def _resolve(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
+    for key, conv in _TYPES.items():
+        if merged[key] is not None or _DEFAULTS[key] is not None:
+            try:
+                merged[key] = conv(merged[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"config key {key!r}: {merged[key]!r} is not "
+                                  f"a valid {conv.__name__}") from exc
     return merged
 
 
@@ -101,25 +114,23 @@ def config_from_args(args: argparse.Namespace) -> SimConfig:
     scheme = "scc" if args.command == "scc" else "pc"
     return SimConfig(
         scheme=scheme,
-        mod=int(opts["mod"]),
+        mod=opts["mod"],
         snr_points=_parse_snr(opts["snr"]),
         decoder=opts["decoder"],
         llr_mode=opts["llr"],
-        sabm=SabmParams(delta=float(opts["delta"]),
-                        total_iters=int(opts["iters"]),
-                        md_iters=int(opts["md_iters"]),
-                        failure_flip_attempts=int(opts["flip_attempts"])),
-        scc=SccRunParams(window=int(opts["window"]),
-                         iters=int(opts["scc_iters"]),
-                         chain_blocks=int(opts["chain_blocks"])),
-        stop=StopRule(min_word_errors=int(opts["min_errors"]),
-                      max_blocks=int(opts["max_blocks"])),
-        master_seed=int(opts["seed"]),
+        sabm=SabmParams(delta=opts["delta"], total_iters=opts["iters"],
+                        md_iters=opts["md_iters"],
+                        failure_flip_attempts=opts["flip_attempts"]),
+        scc=SccRunParams(window=opts["window"], iters=opts["scc_iters"],
+                         chain_blocks=opts["chain_blocks"]),
+        stop=StopRule(min_word_errors=opts["min_errors"],
+                      max_blocks=opts["max_blocks"]),
+        master_seed=opts["seed"],
         out_path=opts["out"],
-        workers=int(opts["workers"]),
-        batch_size=int(opts["batch_size"]),
-        record_timing=bool(opts["record_timing"]),
-        component_m=None if opts["component_m"] is None else int(opts["component_m"]),
+        workers=opts["workers"],
+        batch_size=opts["batch_size"],
+        record_timing=opts["record_timing"],
+        component_m=opts["component_m"],
     )
 
 

@@ -3,9 +3,10 @@ bit-marking (SABM) decoder.
 
 SABM augments iBDD with a channel-LLR mask: bits with |llr| > delta are
 highly reliable (HRBs), and per component word the d0-t-1 smallest-|llr|
-non-HRB positions are the flip candidates (HUBs). During the first
-md_iters iterations every BDD success is screened for miscorrection and
-failures/miscorrections trigger deliberate bit flips followed by a retry.
+non-HRB positions are the flip candidates (HUBs). SABM runs if and only
+if LLRs are given: in the first md_iters iterations `decode_pass` screens
+every BDD success with `_suspicious` and, on a failure or miscorrection,
+tries the flip sets that `sabm_resolve` lists.
 
 Decoding runs on syndromes, in one core that the staircase decoder shares.
 `SyndromeState` keeps the packed syndrome of every word of a set of word
@@ -24,7 +25,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .bch import BchCode, BddOutcome, block_syndromes, decode_block, decode_syndromes, encode_many
+from .bch import BchCode, block_syndromes, decode_block, decode_syndromes, encode_many
 from .errors import ConfigError
 from .modem import ReliabilityGrid
 
@@ -84,11 +85,6 @@ class MarkState:
     non_hrb: np.ndarray = field(repr=False)   # (axes, w)
     hub_len: int
     flip_attempts: int
-
-    @property
-    def hrb(self) -> np.ndarray:
-        """HRB flags of the axis-0 words: a product block's HRB grid."""
-        return self.word_hrb[0]
 
     def order_for(self, axis: int, index: int) -> np.ndarray:
         return self.order[axis, index, : self.non_hrb[axis, index]]
@@ -207,39 +203,11 @@ def _suspicious(pattern, hrb_row: np.ndarray, syn: np.ndarray, cross) -> bool:
     return any(hrb_row[p] for p in pattern) or any(syn[cross[p]] == 0 for p in pattern)
 
 
-def detect_miscorrection(outcome: BddOutcome, axis: int, index: int,
-                         marks: MarkState, block: np.ndarray,
-                         code: PcCode) -> bool:
-    """True iff a successful correction touches an HRB or a currently
-    zero-syndrome orthogonal word (column for a row decode and vice versa)."""
-    state = SyndromeState(code.component, np.ascontiguousarray(block), block_layout(code.w))
-    return _suspicious(outcome.error_pattern, marks.word_hrb[axis, index], state.syn,
-                       state.layout.rows[axis][2])
-
-
-def bit_flip_recover(code: BchCode, syndrome: int, outcome: BddOutcome,
-                     reason: str, order: np.ndarray, flip_attempts: int,
+def bit_flip_recover(code: BchCode, syndrome: int, attempts: list[list[int]],
                      stats: DecodeStats, suspicious) -> tuple[int, ...]:
-    """Flip unreliable bits and retry BDD; returns the accepted total flip
-    pattern relative to the word whose packed syndrome is `syndrome`, or ()
-    when every retry fails (revert). A retry decodes that syndrome XOR the
-    flipped positions' syndromes; no bits are read.
-
-    reason="failure": flip order[0], order[1], ... one at a time, at most
-    flip_attempts retries (callers cap flip_attempts at the HUB count).
-    reason="miscorrection": flip the d0 - w_H(e) - 1 least reliable non-HRB
-    positions at once, operating on the pre-BDD word. Every new success must
-    survive the final miscorrection check `suspicious(pattern)`.
-    """
-    if reason == "miscorrection":
-        nflip = code.d0 - outcome.weight - 1
-        flips = [int(p) for p in order[:nflip]]
-        attempts = [flips] if flips else []
-    elif reason == "failure":
-        attempts = [[int(h)] for h in order[:flip_attempts]]
-    else:
-        raise ValueError(f"unknown recovery reason {reason!r}")
-
+    """Retry BDD with each flip set of `attempts` in turn, on the word whose
+    packed syndrome is `syndrome` (no bits are read); returns the first total
+    flip pattern that `suspicious` accepts, or () to revert the word."""
     for flips in attempts:
         stats.flips_attempted += 1
         change = int(np.bitwise_xor.reduce(code.flip_syndrome[flips]))
@@ -262,18 +230,20 @@ def sabm_resolve(code: BchCode, syndrome: int, proposal, order: np.ndarray,
                  stats: DecodeStats) -> tuple[int, ...]:
     """SABM's final flip pattern for one word, given its packed syndrome,
     its BDD proposal (None on failure), its flip order and the word's
-    miscorrection check."""
-    if proposal is not None:
-        if len(proposal) == 0:
-            return ()
-        if not suspicious(proposal):
-            return proposal
-        stats.miscorrections_detected += 1
-        outcome, reason = BddOutcome(success=True, error_pattern=proposal), "miscorrection"
+    miscorrection check. A failure retries with order[0], order[1], ...
+    flipped one at a time, at most flip_attempts retries (callers cap
+    flip_attempts at the HUB count). A suspicious proposal of weight e
+    retries once with the d0 - e - 1 least reliable non-HRB positions
+    flipped at once, operating on the pre-BDD word."""
+    if proposal is None:
+        attempts = [[p] for p in order[:flip_attempts].tolist()]
+    elif not proposal or not suspicious(proposal):
+        return proposal
     else:
-        outcome, reason = BddOutcome(success=False), "failure"
-    return bit_flip_recover(code, syndrome, outcome, reason, order,
-                            flip_attempts, stats, suspicious)
+        stats.miscorrections_detected += 1
+        flips = order[:code.d0 - len(proposal) - 1].tolist()
+        attempts = [flips] if flips else []
+    return bit_flip_recover(code, syndrome, attempts, stats, suspicious)
 
 
 def decode_pass(state: SyndromeState, group: int, stats: DecodeStats,
@@ -291,16 +261,16 @@ def decode_pass(state: SyndromeState, group: int, stats: DecodeStats,
     if idx.size == 0:
         return False, False
     comp = state.code
-    props = decode_block(comp, own[idx])
     if marks is None:
-        rows, pos = props.flips()
+        rows, pos = decode_block(comp, own[idx]).flips()
         if rows.size:
             state.flip(group, idx[rows], pos)
         return rows.size > 0, False
     hrb, cross = marks.word_hrb[axis], state.layout.rows[group][2]
     changed = suppressed = False
-    for k, i in enumerate(idx.tolist()):
-        resolved = sabm_resolve(comp, int(own[i]), props.full_pattern(k),
+    for i in idx.tolist():
+        syn = int(own[i])
+        resolved = sabm_resolve(comp, syn, decode_syndromes(comp, syn),
                                 marks.order_for(axis, i),
                                 partial(_suspicious, hrb_row=hrb[i], syn=state.syn, cross=cross),
                                 marks.flip_attempts, stats)

@@ -12,7 +12,9 @@ A bit of the oldest or the newest block whose crossing word lies outside
 the window maps to the sink slot, so the SABM veto never reads it as
 lying in a codeword. A pass decodes only the words of a pair with a
 nonzero syndrome, yet `bdd_calls` counts w per pair pass, as if every
-word were decoded, plus one per flip retry.
+word were decoded, plus one per flip retry. SABM runs if and only if LLRs
+are given. `decode_chain` returns the decoded blocks and the chain's
+`DecodeStats`; `baseline_calls` gives eta's baseline from the geometry.
 """
 
 from dataclasses import dataclass
@@ -45,21 +47,19 @@ class SccCode:
         return self.component.k - self.w
 
 
-@dataclass
-class ComplexityStats:
-    """BDD-call accounting of a chain: total_calls made, and baseline_calls,
-    the standard-decoding count w*(L-1)*ell summed over its windows."""
-
-    total_calls: int = 0
-    baseline_calls: int = 0
-    windows: int = 0
-
-
-def eta(stats: ComplexityStats) -> float:
+def eta(total_calls: int, baseline_calls: int) -> float:
     """Relative complexity (total - baseline) / baseline."""
-    if stats.baseline_calls <= 0:
+    if baseline_calls <= 0:
         raise ValueError("baseline_calls must be positive")
-    return (stats.total_calls - stats.baseline_calls) / stats.baseline_calls
+    return (total_calls - baseline_calls) / baseline_calls
+
+
+def baseline_calls(code: SccCode, num_blocks: int, window: int, ell: int) -> int:
+    """BDD calls of standard decoding of a num_blocks chain: w * (L - 1) *
+    ell summed over `decode_chain`'s windows, where the window starting at
+    chain block s has L - 1 = min(window - 1, num_blocks - s) pairs."""
+    a = min(window - 1, num_blocks)
+    return code.w * ell * (a * (a + 1) // 2 + (num_blocks - a) * a)
 
 
 def scc_encode(code: SccCode, info_blocks) -> list[np.ndarray]:
@@ -104,26 +104,23 @@ def window_layout(w: int, num_blocks: int) -> Layout:
 
 
 def scc_window_decode(code: SccCode, blocks: np.ndarray, ell: int,
-                      mode: str = "standard",
                       llr_newest: np.ndarray | None = None,
                       params: SabmParams | None = None,
                       stats: DecodeStats | None = None) -> None:
     """Run ell iterations over one window, a C-contiguous (L, w, w) array of
-    blocks (oldest..newest) decoded in place, counting into stats."""
+    blocks (oldest..newest) decoded in place, counting into stats. SABM runs
+    on the newest pair in the first md_iters iterations if and only if
+    llr_newest, the LLRs of the newest block, is given."""
     if len(blocks) < 1:
         raise ValueError("window must hold at least one block")
     if stats is None:
         stats = DecodeStats()
     marks = None
-    if mode == "sabm":
+    if llr_newest is not None:
         if params is None:
             params = SabmParams()
-        if llr_newest is None:
-            raise ValueError("sabm mode requires LLRs for the newest block")
         # the newest block fills positions w..2w-1 of the newest pair's words
         marks = make_marks(np.abs(llr_newest)[None], params, code.component, offset=code.w)
-    elif mode != "standard":
-        raise ValueError(f"unknown mode {mode!r}")
 
     newest = len(blocks) - 2
     state = SyndromeState(code.component, blocks, window_layout(code.w, len(blocks)))
@@ -134,16 +131,16 @@ def scc_window_decode(code: SccCode, blocks: np.ndarray, ell: int,
 
 
 def decode_chain(code: SccCode, received: list[np.ndarray],
-                 llr_grids: list[np.ndarray] | None, mode: str,
-                 params: SabmParams | None, window: int, ell: int
-                 ) -> tuple[list[np.ndarray], ComplexityStats, DecodeStats]:
+                 llr_grids: list[np.ndarray] | None, params: SabmParams | None,
+                 window: int, ell: int) -> tuple[list[np.ndarray], DecodeStats]:
     """Sliding-window decode of a whole chain (leading zero block is
-    handled internally); returns the decoded blocks in order."""
+    handled internally), with SABM if and only if llr_grids, one LLR grid
+    per received block, is given. Returns the decoded blocks in order and
+    the one DecodeStats that every window counted into."""
     if window < 2:
         raise ValueError("window size must be >= 2")
     w = code.w
     stats = DecodeStats()
-    cx = ComplexityStats()
     chain = np.zeros((len(received) + 1, w, w), dtype=np.uint8)
     for i, blk in enumerate(received):
         chain[i + 1] = blk
@@ -151,11 +148,8 @@ def decode_chain(code: SccCode, received: list[np.ndarray],
     # the chain's end; its newest block is received[end - 2]
     for s in range(len(received)):
         end = min(s + window, len(chain))
-        llr = llr_grids[end - 2] if (mode == "sabm" and llr_grids) else None
-        scc_window_decode(code, chain[s:end], ell, mode=mode, llr_newest=llr,
+        llr = None if llr_grids is None else llr_grids[end - 2]
+        scc_window_decode(code, chain[s:end], ell, llr_newest=llr,
                           params=params, stats=stats)
-        cx.windows += 1
-        cx.baseline_calls += w * (end - s - 1) * ell
-    cx.total_calls = stats.bdd_calls
     # drop the bootstrap zero block from the output
-    return list(chain[1:]), cx, stats
+    return list(chain[1:]), stats

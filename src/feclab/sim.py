@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .modem import (ChannelConfig, ReliabilityGrid, awgn_transmit, demap_llr,
                     interleave, make_interleaver, modulate)
 from .pc import PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
-from .scc import ComplexityStats, SccCode, decode_chain, eta, scc_encode
+from .scc import SccCode, baseline_calls, decode_chain, eta, scc_encode
 
 CSV_COLUMNS = ["scheme", "mod", "decoder", "llr_mode", "snr_db", "blocks",
                "ber_pre", "ber_post", "block_errors", "bdd_calls_avg", "eta",
@@ -71,6 +71,8 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError(f"unknown llr_mode {cfg.llr_mode!r}")
     if not cfg.snr_points:
         raise ConfigError("snr_points must be non-empty")
+    if not all(math.isfinite(snr) for snr in cfg.snr_points):
+        raise ConfigError(f"SNR points must be finite, got {cfg.snr_points}")
     keys = [_snr_key(snr) for snr in cfg.snr_points]
     if len(set(keys)) < len(keys):
         raise ConfigError(f"SNR points {cfg.snr_points} repeat a value at 0.001 dB "
@@ -131,7 +133,6 @@ class _TrialResult:
     coded_bits: int
     block_errors: int
     bdd_calls: int
-    baseline_calls: int
     per_block_post: list
 
 
@@ -187,7 +188,7 @@ def _pc_trial(rt: _Runtime, snr_db: float, trial: int) -> _TrialResult:
     return _TrialResult(blocks=1, pre_err=pre, post_err=post,
                         info_bits=code.k * code.k, coded_bits=block.size,
                         block_errors=int(post > 0), bdd_calls=st.bdd_calls,
-                        baseline_calls=0, per_block_post=[post])
+                        per_block_post=[post])
 
 
 def _scc_trial(rt: _Runtime, snr_db: float, trial: int) -> _TrialResult:
@@ -205,16 +206,14 @@ def _scc_trial(rt: _Runtime, snr_db: float, trial: int) -> _TrialResult:
         pre += int((hard != blk).sum())
         rx.append(hard)
         llrs.append(llr)
-    mode = "sabm" if cfg.decoder == "sabm" else "standard"
-    decoded, cx, st = decode_chain(code, rx, llrs if mode == "sabm" else None,
-                                   mode, cfg.sabm, cfg.scc.window, cfg.scc.iters)
+    decoded, st = decode_chain(code, rx, llrs if cfg.decoder == "sabm" else None,
+                               cfg.sabm, cfg.scc.window, cfg.scc.iters)
     per_block = [int((d[:, :ic] != i).sum()) for d, i in zip(decoded, info)]
     post = int(sum(per_block))
     return _TrialResult(blocks=nblk, pre_err=pre, post_err=post,
                         info_bits=nblk * w * ic, coded_bits=nblk * w * w,
                         block_errors=sum(e > 0 for e in per_block),
-                        bdd_calls=cx.total_calls, baseline_calls=cx.baseline_calls,
-                        per_block_post=per_block)
+                        bdd_calls=st.bdd_calls, per_block_post=per_block)
 
 
 _WORKER_RT: _Runtime | None = None
@@ -238,7 +237,6 @@ def run_point(cfg: SimConfig, snr_db: float, _pool=None, _rt=None) -> BerStats:
     stats = BerStats(snr_db=snr_db)
     t0 = time.perf_counter()
     trial_fn = _pc_trial if cfg.scheme == "pc" else _scc_trial
-    baseline_total = 0
     next_trial = 0
     while (stats.block_errors < cfg.stop.min_word_errors
            and stats.blocks_run < cfg.stop.max_blocks):
@@ -257,12 +255,13 @@ def run_point(cfg: SimConfig, snr_db: float, _pool=None, _rt=None) -> BerStats:
             stats.info_bits += r.info_bits
             stats.coded_bits += r.coded_bits
             stats.per_block_post.extend(r.per_block_post)
-            baseline_total += r.baseline_calls
     stats.ber_pre = stats.pre_fec_bit_errors / max(stats.coded_bits, 1)
     stats.ber_post = stats.post_fec_bit_errors / max(stats.info_bits, 1)
-    if cfg.scheme == "scc" and baseline_total > 0:
-        stats.eta = eta(ComplexityStats(total_calls=stats.bdd_calls_total,
-                                        baseline_calls=baseline_total))
+    if cfg.scheme == "scc":
+        scc = cfg.scc
+        per_chain = baseline_calls(rt.code, scc.chain_blocks, scc.window, scc.iters)
+        stats.eta = eta(stats.bdd_calls_total,
+                        stats.blocks_run // scc.chain_blocks * per_chain)
     if cfg.record_timing:
         stats.wall_seconds = time.perf_counter() - t0
     return stats
@@ -338,6 +337,8 @@ def analytic_non_hrb_probability(snr_db: float, delta: float) -> float:
 def mask_stats(cfg: SimConfig, snr_db: float, num_blocks: int) -> MaskStats:
     if cfg.scheme != "pc":
         raise ConfigError("mask statistics are defined for the pc scheme")
+    if num_blocks < 1:
+        raise ConfigError(f"mask statistics need at least one block, got {num_blocks}")
     validate_config(replace(cfg, snr_points=(snr_db,)))
     rt = _Runtime(cfg)
     counts = []

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from feclab.bch import bdd_propose_block, build_code, encode_many, is_codeword
+from feclab.bch import block_syndromes, build_code, decode_block, encode_many
 from feclab.modem import ChannelConfig, ReliabilityGrid, awgn_transmit, demap_llr, modulate
 from feclab.pc import PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
 from feclab.scc import SccCode, decode_chain, scc_encode
@@ -91,18 +91,18 @@ def test_criterion_1_exhaustive_bdd_oracle(report):
         dist = (words[:, None, :] != codewords[None, :, :]).sum(axis=2)
         dmin = dist.min(axis=1)
         nearest = dist.argmin(axis=1)
-        props = bdd_propose_block(code, words)
+        props = decode_block(code, block_syndromes(code, words))
         for i in range(words.shape[0]):
-            pat = props.full_pattern(i)
+            nerr = props.nerr[i]  # -1: decoding failure
             if dmin[i] <= code.t:
-                if pat is None:
+                if nerr < 0:
                     mismatches += 1
                     continue
                 fixed = words[i].copy()
-                fixed[list(pat)] ^= 1
+                fixed[props.pos[i, :nerr]] ^= 1
                 if not np.array_equal(fixed, codewords[nearest[i]]):
                     mismatches += 1
-            elif pat is not None:
+            elif nerr >= 0:
                 mismatches += 1
     report(1, "exhaustive BDD oracle, (15,7)", mismatches == 0,
            f"{mismatches} mismatches over 32768 words")
@@ -128,8 +128,9 @@ def test_criterion_2_component_code_bdd(report):
             pos = rng.choice(n, size=weights[i], replace=False)
             noisy[i, pos] ^= 1
             true_pats.append(tuple(sorted(int(p) for p in pos)))
-        props = bdd_propose_block(code, noisy)
-        bad = sum(props.full_pattern(i) != true_pats[i]
+        props = decode_block(code, block_syndromes(code, noisy))
+        bad = sum(props.nerr[i] < 0
+                  or tuple(props.pos[i, :props.nerr[i]].tolist()) != true_pats[i]
                   for i in range(trials))
         if bad:
             failures.append(f"m={m}: {bad} wrong recoveries at weight<=2")
@@ -139,15 +140,15 @@ def test_criterion_2_component_code_bdd(report):
         for i in range(trials):
             pos = rng.choice(n, size=3, replace=False)
             noisy3[i, pos] ^= 1
-        props3 = bdd_propose_block(code, noisy3)
+        props3 = decode_block(code, block_syndromes(code, noisy3))
         bad3 = 0
         for i in range(trials):
-            pat = props3.full_pattern(i)
-            if pat is None:
+            nerr = props3.nerr[i]
+            if nerr < 0:
                 continue
             out = noisy3[i].copy()
-            out[list(pat)] ^= 1
-            if (len(pat) > code.t or not is_codeword(code, out)
+            out[props3.pos[i, :nerr]] ^= 1
+            if (nerr > code.t or block_syndromes(code, out[None, :])[0] != 0
                     or np.array_equal(out, sent[i])):
                 bad3 += 1
         if bad3:
@@ -267,9 +268,9 @@ def test_criterion_7_structural_invariants(report):
     for _ in range(1000):
         data = rng.integers(0, 2, (pc.k, pc.k), dtype=np.uint8)
         block = pc_encode(pc, data)
-        rows = bdd_propose_block(pc.component, block)
-        cols = bdd_propose_block(pc.component, np.ascontiguousarray(block.T))
-        if rows.nerr.any() or cols.nerr.any():
+        rows = block_syndromes(pc.component, block)
+        cols = block_syndromes(pc.component, block.T)
+        if rows.any() or cols.any():
             bad += 1
             continue
         out, _ = ibdd_decode(pc, block, 2)
@@ -283,11 +284,10 @@ def test_criterion_7_structural_invariants(report):
         prev = np.zeros((scc.w, scc.w), dtype=np.uint8)
         for b in chain:
             pair = np.concatenate([prev.T, b], axis=1)
-            if bdd_propose_block(scc.component, pair).nerr.any():
+            if block_syndromes(scc.component, pair).any():
                 bad += 1
             prev = b
-        out, _, _ = decode_chain(scc, chain, None, "standard", None,
-                                 window=4, ell=2)
+        out, _ = decode_chain(scc, chain, None, None, window=4, ell=2)
         if any(not np.array_equal(a, b) for a, b in zip(out, chain)):
             bad += 1
     report(7, "structural invariants", bad == 0,

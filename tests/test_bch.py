@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feclab.bch import (bdd_decode, bdd_propose_block, build_code, decode_syndromes,
-                        encode, encode_many, is_codeword, syndromes)
+from feclab.bch import block_syndromes, build_code, decode_block, decode_syndromes, encode_many
 from feclab.errors import ConfigError
 from feclab.gf2m import build_field, gf_pow, poly_degree, poly_rem
 
@@ -47,16 +46,18 @@ def test_unsupported_t_rejected():
 
 
 def test_encode_zero_and_length_check(ecc16_code):
-    z = encode(ecc16_code, np.zeros(7, dtype=np.uint8))
-    assert not z.any()
+    z = encode_many(ecc16_code, np.zeros((1, 7), dtype=np.uint8))
+    assert z.shape == (1, 16) and not z.any()
     with pytest.raises(ValueError):
-        encode(ecc16_code, np.zeros(8, dtype=np.uint8))
+        encode_many(ecc16_code, np.zeros((1, 8), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        encode_many(ecc16_code, np.zeros(7, dtype=np.uint8))
 
 
 def test_encode_systematic_parity(gf16_code):
     msg = np.zeros(7, dtype=np.uint8)
     msg[0] = 1
-    w = encode(gf16_code, msg)
+    (w,) = encode_many(gf16_code, msg[None, :])
     assert np.array_equal(w[:7], msg)
     d = poly_degree(gf16_code.generator)
     r = poly_rem(1 << d, gf16_code.generator)
@@ -70,77 +71,79 @@ def test_encode_linearity(data):
     code = build_code(4, 2, extended=True)
     m1 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=7, max_size=7)), dtype=np.uint8)
     m2 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=7, max_size=7)), dtype=np.uint8)
-    assert np.array_equal(encode(code, m1) ^ encode(code, m2), encode(code, m1 ^ m2))
+    c1, c2, c12 = encode_many(code, np.stack([m1, m2, m1 ^ m2]))
+    assert np.array_equal(c1 ^ c2, c12)
 
 
 def test_syndromes(ecc16_code, rng):
+    # packed syndrome: S1 in bits 0..m-1, S3 in bits m..2m-1, parity in bit 2m
     code = ecc16_code
-    msg = rng.integers(0, 2, code.k, dtype=np.uint8)
-    w = encode(code, msg)
-    assert syndromes(code, w) == (0, 0, 0)
+    m = code.field.m
+    (w,) = encode_many(code, rng.integers(0, 2, (1, code.k), dtype=np.uint8))
+    # row 0: the codeword; row 1 + j: the codeword with bit j flipped
+    words = np.concatenate([w[None, :], w ^ np.eye(code.n, dtype=np.uint8)])
+    syn = block_syndromes(code, words)
+    assert syn[0] == 0
     for j in range(code.n - 1):
-        r = w.copy()
-        r[j] ^= 1
-        s1, s3, parity = syndromes(code, r)
+        s1, parity = syn[1 + j] & ((1 << m) - 1), syn[1 + j] >> (2 * m)
         assert s1 == code.field.exp_table[j] and parity == 1
-    r = w.copy()
-    r[code.n - 1] ^= 1  # extension bit only
-    assert syndromes(code, r) == (0, 0, 1)
+    assert syn[code.n] == 1 << (2 * m)  # extension bit only: (0, 0, 1)
 
 
 def test_is_codeword(ecc16_code, rng):
     code = ecc16_code
-    w1 = encode(code, rng.integers(0, 2, code.k, dtype=np.uint8))
-    w2 = encode(code, rng.integers(0, 2, code.k, dtype=np.uint8))
-    assert is_codeword(code, w1)
+    w1, w2 = encode_many(code, rng.integers(0, 2, (2, code.k), dtype=np.uint8))
     flip = w1.copy()
     flip[4] ^= 1
-    assert not is_codeword(code, flip)
-    assert is_codeword(code, w1 ^ w2)
+    is_codeword = block_syndromes(code, np.stack([w1, flip, w1 ^ w2])) == 0
+    assert is_codeword.tolist() == [True, False, True]
 
 
 @pytest.mark.parametrize("codename", ["gf16_code", "ecc16_code", "ecc32_code",
                                       "pc_component_code", "scc_component_code"])
 def test_bdd_corrects_up_to_two_errors(codename, rng, request):
     code = request.getfixturevalue(codename)
-    for _ in range(200):
-        w = encode(code, rng.integers(0, 2, code.k, dtype=np.uint8))
-        nerr = int(rng.integers(0, 3))
-        pos = rng.choice(code.n, size=nerr, replace=False)
-        r = w.copy()
+    sent = encode_many(code, rng.integers(0, 2, (200, code.k), dtype=np.uint8))
+    received = sent.copy()
+    positions = []
+    for r in received:
+        pos = rng.choice(code.n, size=int(rng.integers(0, 3)), replace=False)
         r[pos] ^= 1
-        out = bdd_decode(code, r)
-        assert out.success
-        assert sorted(out.error_pattern) == sorted(pos.tolist())
-        assert out.weight == nerr
+        positions.append(pos)
+    props = decode_block(code, block_syndromes(code, received))
+    for i, pos in enumerate(positions):
+        assert props.nerr[i] >= 0  # success
+        assert sorted(props.pos[i, :props.nerr[i]].tolist()) == sorted(pos.tolist())
+        assert props.nerr[i] == len(pos)
 
 
 def test_bdd_weight_three_never_returns_transmitted(pc_component_code, rng):
     code = pc_component_code
-    for _ in range(500):
-        w = encode(code, rng.integers(0, 2, code.k, dtype=np.uint8))
-        pos = rng.choice(code.n, size=3, replace=False)
-        r = w.copy()
-        r[pos] ^= 1
-        out = bdd_decode(code, r)
-        if out.success:
-            assert out.weight <= 2
+    sent = encode_many(code, rng.integers(0, 2, (500, code.k), dtype=np.uint8))
+    received = sent.copy()
+    for r in received:
+        r[rng.choice(code.n, size=3, replace=False)] ^= 1
+    syn = block_syndromes(code, received)
+    for w, r, s in zip(sent, received, syn.tolist()):
+        pat = decode_syndromes(code, s)
+        if pat is not None:
+            assert len(pat) <= 2
             fixed = r.copy()
-            fixed[list(out.error_pattern)] ^= 1
-            assert is_codeword(code, fixed)
+            fixed[list(pat)] ^= 1
+            assert block_syndromes(code, fixed[None, :])[0] == 0
             assert not np.array_equal(fixed, w)
 
 
 def test_success_always_lands_on_codeword(gf16_code, rng):
     code = gf16_code
-    for _ in range(300):
-        r = rng.integers(0, 2, code.n, dtype=np.uint8)
-        out = bdd_decode(code, r)
-        if out.success:
+    received = rng.integers(0, 2, (300, code.n), dtype=np.uint8)
+    for r, s in zip(received, block_syndromes(code, received).tolist()):
+        pat = decode_syndromes(code, s)
+        if pat is not None:
             fixed = r.copy()
-            if out.error_pattern:
-                fixed[list(out.error_pattern)] ^= 1
-            assert is_codeword(code, fixed)
+            if pat:
+                fixed[list(pat)] ^= 1
+            assert block_syndromes(code, fixed[None, :])[0] == 0
 
 
 @pytest.mark.parametrize("m", range(4, 9))
@@ -170,21 +173,16 @@ def test_error_table_matches_two_step_parity_rule(m):
 
 
 def test_vectorized_propose_matches_scalar(ecc32_code, rng):
+    # the batch decode of the iBDD passes agrees with the one-syndrome
+    # decode of the SABM passes and flip retries, row by row
     code = ecc32_code
     words = rng.integers(0, 2, (300, code.n), dtype=np.uint8)
-    props = bdd_propose_block(code, words)
+    syn = block_syndromes(code, words)
+    props = decode_block(code, syn)
     for i in range(words.shape[0]):
-        out = bdd_decode(code, words[i])
-        pat = props.full_pattern(i)
-        if out.success:
-            assert pat is not None and sorted(pat) == sorted(out.error_pattern)
+        out = decode_syndromes(code, int(syn[i]))
+        if out is not None:
+            pat = props.pos[i, :props.nerr[i]].tolist()
+            assert props.nerr[i] >= 0 and sorted(pat) == sorted(out)
         else:
-            assert pat is None
-
-
-def test_encode_many_matches_encode(ecc32_code, rng):
-    code = ecc32_code
-    msgs = rng.integers(0, 2, (20, code.k), dtype=np.uint8)
-    batch = encode_many(code, msgs)
-    for i in range(20):
-        assert np.array_equal(batch[i], encode(code, msgs[i]))
+            assert props.nerr[i] < 0

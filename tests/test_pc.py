@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
-from feclab.bch import BddOutcome, block_syndromes, encode, is_codeword
+from feclab.bch import block_syndromes, encode_many
 from feclab.modem import ChannelConfig, ReliabilityGrid, awgn_transmit, demap_llr, modulate
 from feclab.pc import (
     DecodeStats,
     PcCode,
     SabmParams,
-    bit_flip_recover,
-    detect_miscorrection,
+    SyndromeState,
+    _suspicious,
+    block_layout,
     ibdd_decode,
     mark_bits,
     pc_encode,
     sabm_decode,
+    sabm_resolve,
 )
 
 
@@ -52,9 +54,9 @@ def channel_pass(block, snr_db, rng, mode="exact"):
 def test_pc_encode_rows_and_columns_are_codewords(pc32, rng):
     block = random_block(pc32, rng)
     assert block.shape == (pc32.w, pc32.w)
-    for i in range(pc32.w):
-        assert is_codeword(pc32.component, block[i, :])
-        assert is_codeword(pc32.component, block[:, i])
+    # every row and every column has a zero syndrome
+    assert not block_syndromes(pc32.component, block).any()
+    assert not block_syndromes(pc32.component, block.T).any()
 
 
 def test_pc_encode_preserves_data_region(pc32, rng):
@@ -78,7 +80,7 @@ def test_pc_encode_checks_on_checks_consistent(pc16, rng):
     # which only holds if the checks-on-checks corner commutes
     data = rng.integers(0, 2, size=(pc16.k, pc16.k), dtype=np.uint8)
     block = pc_encode(pc16, data)
-    rows_first = np.array([encode(pc16.component, data[i]) for i in range(pc16.k)])
+    rows_first = encode_many(pc16.component, data)
     assert np.array_equal(block[: pc16.k, :], rows_first)
 
 
@@ -134,15 +136,17 @@ def test_mark_bits_hrb_and_order(pc32, rng):
     w = pc32.w
     llr = rng.normal(0, 4, size=(w, w))
     marks = mark_bits(ReliabilityGrid(llr), SabmParams(delta=5.0), pc32)
-    assert np.array_equal(marks.hrb, np.abs(llr) > 5.0)
+    hrb = marks.word_hrb[0]
+    assert np.array_equal(hrb, np.abs(llr) > 5.0)
+    assert np.array_equal(marks.word_hrb[1], hrb.T)
     for i in range(w):
         order = marks.order_for(0, i)
         mags = np.abs(llr[i, order])
         assert np.all(np.diff(mags) >= 0)
-        assert not marks.hrb[i, order].any()
-        assert len(order) == (~marks.hrb[i]).sum()
+        assert not hrb[i, order].any()
+        assert len(order) == (~hrb[i]).sum()
         corder = marks.order_for(1, i)
-        assert not marks.hrb[corder, i].any()
+        assert not hrb[corder, i].any()
         assert np.all(np.diff(np.abs(llr[corder, i])) >= 0)
 
 
@@ -158,7 +162,7 @@ def test_mark_bits_all_hrb_degenerate(pc32):
     w = pc32.w
     llr = np.full((w, w), 50.0)
     marks = mark_bits(ReliabilityGrid(llr), SabmParams(delta=5.0), pc32)
-    assert marks.hrb.all()
+    assert marks.word_hrb.all()
     assert len(marks.order_for(0, 0)) == 0
 
 
@@ -187,16 +191,22 @@ def suspicious_fixture(pc, rng):
     return block, marks
 
 
+def suspicious(pc, noisy, marks, axis, index, pattern):
+    """The SABM veto of `pattern` as a correction of word `index` along
+    `axis` (0 rows, 1 columns) of the received block `noisy`."""
+    state = SyndromeState(pc.component, np.ascontiguousarray(noisy), block_layout(pc.w))
+    return _suspicious(pattern, marks.word_hrb[axis, index], state.syn,
+                       state.layout.rows[axis][2])
+
+
 def test_detect_miscorrection_hrb_rule(pc32, rng):
     block, marks = suspicious_fixture(pc32, rng)
     noisy = block.copy()
     noisy[2, 7] ^= 1  # keep row 2 non-codeword so the orthogonal rule is quiet
-    hit = BddOutcome(success=True, error_pattern=(5,))
-    assert detect_miscorrection(hit, 0, 2, marks, noisy, pc32)
+    assert suspicious(pc32, noisy, marks, 0, 2, (5,))
     # same flip reached through the column view
-    assert detect_miscorrection(BddOutcome(True, (2,)), 1, 5, marks, noisy, pc32)
-    miss = BddOutcome(success=True, error_pattern=(7,))
-    assert not detect_miscorrection(miss, 0, 2, marks, noisy, pc32)
+    assert suspicious(pc32, noisy, marks, 1, 5, (2,))
+    assert not suspicious(pc32, noisy, marks, 0, 2, (7,))
 
 
 def test_detect_miscorrection_orthogonal_rule(pc32, rng):
@@ -204,35 +214,42 @@ def test_detect_miscorrection_orthogonal_rule(pc32, rng):
     noisy = block.copy()
     noisy[4, 1] ^= 1  # row 4 broken elsewhere; columns 9 and 11 stay clean
     # flipping bits of zero-syndrome columns is a telltale miscorrection
-    assert detect_miscorrection(BddOutcome(True, (9, 11)), 0, 4, marks, noisy, pc32)
+    assert suspicious(pc32, noisy, marks, 0, 4, (9, 11))
     # once the columns themselves hold errors the same flip is acceptable
     noisy[4, 9] ^= 1
     noisy[4, 11] ^= 1
-    assert not detect_miscorrection(BddOutcome(True, (9, 11)), 0, 4, marks, noisy, pc32)
+    assert not suspicious(pc32, noisy, marks, 0, 4, (9, 11))
 
 
 # ---------------------------------------------------------- bit flipping
+# sabm_resolve lists the flip sets and bit_flip_recover tries them: one
+# least reliable bit per retry after a failure, d0 - e - 1 bits at once
+# after a suspicious proposal of weight e
+
+def zero_word(code):
+    return encode_many(code, np.zeros((1, code.k), dtype=np.uint8))[0]
+
 
 def test_bit_flip_recover_failure_three_errors(ecc32_code):
-    word = encode(ecc32_code, np.zeros(ecc32_code.k, dtype=np.uint8))
+    word = zero_word(ecc32_code)
     errs = (3, 10, 17)
     noisy = word.copy()
     noisy[list(errs)] ^= 1
     order = np.array([10, 3, 17, 1, 2])  # true errors are the least reliable
     stats = DecodeStats()
-    pat = bit_flip_recover(ecc32_code, packed(ecc32_code, noisy),
-                           BddOutcome(success=False), "failure",
-                           order, 1, stats, lambda p: False)
+    pat = sabm_resolve(ecc32_code, packed(ecc32_code, noisy), None,
+                       order, lambda p: False, 1, stats)
     assert pat == errs
     out = noisy.copy()
     out[list(pat)] ^= 1
     assert np.array_equal(out, word)
     assert stats.flips_attempted == 1
     assert stats.flips_accepted == 1
+    assert stats.miscorrections_detected == 0
 
 
 def test_bit_flip_recover_failure_sequential_attempts(ecc32_code):
-    word = encode(ecc32_code, np.zeros(ecc32_code.k, dtype=np.uint8))
+    word = zero_word(ecc32_code)
     errs = (3, 10, 17)
     noisy = word.copy()
     noisy[list(errs)] ^= 1
@@ -242,54 +259,49 @@ def test_bit_flip_recover_failure_sequential_attempts(ecc32_code):
     order = np.array([5, 10, 17, 3])
     veto = lambda p: not set(p).issubset(errs)
     stats = DecodeStats()
-    pat = bit_flip_recover(ecc32_code, packed(ecc32_code, noisy),
-                           BddOutcome(success=False), "failure",
-                           order, 2, stats, veto)
+    pat = sabm_resolve(ecc32_code, packed(ecc32_code, noisy), None,
+                       order, veto, 2, stats)
     assert pat == errs
     assert stats.flips_attempted == 2
     # with only one attempt allowed the word is reverted
     stats2 = DecodeStats()
-    pat2 = bit_flip_recover(ecc32_code, packed(ecc32_code, noisy),
-                            BddOutcome(success=False), "failure",
-                            order, 1, stats2, veto)
+    pat2 = sabm_resolve(ecc32_code, packed(ecc32_code, noisy), None,
+                        order, veto, 1, stats2)
     assert pat2 == ()
     assert stats2.flips_accepted == 0
 
 
 def test_bit_flip_recover_miscorrection_flip_count(ecc32_code):
     # after a weight-1 miscorrection the retry flips d0 - 1 - 1 = 4 bits
-    word = encode(ecc32_code, np.zeros(ecc32_code.k, dtype=np.uint8))
+    word = zero_word(ecc32_code)
     noisy = word.copy()
     errs = (2, 6, 11, 19)
     noisy[list(errs)] ^= 1
     order = np.array([2, 6, 11, 19, 1])
     stats = DecodeStats()
-    outcome = BddOutcome(success=True, error_pattern=(4,))
-    pat = bit_flip_recover(ecc32_code, packed(ecc32_code, noisy),
-                           outcome, "miscorrection",
-                           order, 1, stats, lambda p: False)
+    # the veto flags the proposal (4,) and nothing else
+    pat = sabm_resolve(ecc32_code, packed(ecc32_code, noisy), (4,),
+                       order, lambda p: p == (4,), 1, stats)
     assert pat == errs
     assert stats.flips_attempted == 1
+    assert stats.miscorrections_detected == 1
+    # a proposal that the veto passes is taken as it is, with no retry
+    stats2 = DecodeStats()
+    assert sabm_resolve(ecc32_code, packed(ecc32_code, noisy), (4,),
+                        order, lambda p: False, 1, stats2) == (4,)
+    assert stats2 == DecodeStats()
 
 
 def test_bit_flip_recover_rejects_suspicious_retry(ecc32_code):
-    word = encode(ecc32_code, np.zeros(ecc32_code.k, dtype=np.uint8))
+    word = zero_word(ecc32_code)
     noisy = word.copy()
     noisy[[3, 10, 17]] ^= 1
     order = np.array([10, 3, 17])
     stats = DecodeStats()
-    pat = bit_flip_recover(ecc32_code, packed(ecc32_code, noisy),
-                           BddOutcome(success=False), "failure",
-                           order, 1, stats, lambda p: True)
+    pat = sabm_resolve(ecc32_code, packed(ecc32_code, noisy), None,
+                       order, lambda p: True, 1, stats)
     assert pat == ()
     assert stats.flips_accepted == 0
-
-
-def test_bit_flip_recover_unknown_reason(ecc32_code):
-    with pytest.raises(ValueError):
-        bit_flip_recover(ecc32_code, 0,
-                         BddOutcome(success=False), "nope",
-                         np.array([0]), 1, DecodeStats(), lambda p: False)
 
 
 # ---------------------------------------------------------- full decoder

@@ -189,7 +189,7 @@ def test_cli_pc_sweep(tmp_path):
                "2", "--max-blocks", "8", "--seed", "3", "--no-timing",
                "--out", str(out)])
     assert rc == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == CSV_COLUMNS
     assert len(rows) == 2
     assert rows[1][0] == "pc"
@@ -202,7 +202,7 @@ def test_cli_scc_sweep(tmp_path):
                "--chain-blocks", "4", "--window", "3", "--scc-iters", "2",
                "--seed", "3", "--no-timing", "--out", str(out)])
     assert rc == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[1][0] == "scc"
     assert rows[1][CSV_COLUMNS.index("eta")] != ""
 
@@ -231,7 +231,7 @@ def test_cli_mask(tmp_path):
     rc = main(["mask", "--snr", "6.2", "--component-m", "5", "--blocks", "10",
                "--seed", "2", "--out", str(out), "--inset", str(inset)])
     assert rc == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert len(rows) == 11  # header + one row per block
     grid = inset.read_text().strip("\n").split("\n")
     assert len(grid) == 32
@@ -257,11 +257,26 @@ def test_cli_rejects_bad_snr(capsys):
     # 6.0004 rounds to the 6.0 key of the trial RNG: one noise stream
     ["pc", "--snr", "6.0,6.0004", "--component-m", "5"],
     ["mask", "--snr", "6.0,6.0004", "--component-m", "5", "--blocks", "1"],
+    # a non-finite SNR has no noise stream
+    ["pc", "--snr", "nan"],
+    ["scc", "--snr", "7,inf"],
+    ["mask", "--snr", "6", "--blocks", "0"],
+    ["mask", "--snr", "6", "--blocks", "-3"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_rejects_bad_values(argv, capsys):
     assert main(argv + ["--max-blocks", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("key, value", [("mod", "x"), ("iters", [3])],
+                         ids=["mod: x", "iters: [3]"])
+def test_cli_rejects_mistyped_config_value(key, value, tmp_path, capsys):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(yaml.safe_dump({"snr": [6.0], "component_m": 5, key: value}))
+    assert main(["pc", "--config", str(cfgfile), "--max-blocks", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and repr(key) in err[0]
 
 
 @pytest.mark.parametrize("llr", ["exact", "maxlog"])

@@ -138,5 +138,5 @@ def test_window_syndromes_match_after_each_window(mode, seed, monkeypatch):
     noisy = [b ^ (rng.random(b.shape) < 0.04).astype(np.uint8)
              for b in scc_encode(code, info)]
     llrs = [noisy_llr(b, rng) for b in noisy] if mode == "sabm" else None
-    scc.decode_chain(code, noisy, llrs, mode, SabmParams(), window=4, ell=3)
+    scc.decode_chain(code, noisy, llrs, SabmParams(), window=4, ell=3)
     assert len(windows) == len(made) == 8
