@@ -90,12 +90,21 @@ def _resolve(args: argparse.Namespace) -> dict:
             merged[key] = val
     for key, conv in _TYPES.items():
         if merged[key] is not None or _DEFAULTS[key] is not None:
-            try:
-                merged[key] = conv(merged[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"config key {key!r}: {merged[key]!r} is not "
-                                  f"a valid {conv.__name__}") from exc
+            merged[key] = _convert(key, merged[key], conv)
     return merged
+
+
+def _convert(key: str, value, conv: type):
+    """value as conv, without a lossy cast: only a bool key takes a bool,
+    and nothing else; an int key takes an int or an integral float."""
+    ok = isinstance(value, bool) == (conv is bool) and (
+        conv is not int or isinstance(value, int) or isinstance(value, float) and value.is_integer())
+    try:
+        if ok:
+            return conv(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"config key {key!r}: {value!r} is not a valid {conv.__name__}")
 
 
 def _parse_snr(value) -> tuple:

@@ -106,17 +106,6 @@ def demap_llr(y, cfg: ChannelConfig) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ReliabilityGrid:
-    """Channel LLRs for one code block plus the implied hard decisions."""
-
-    llr: np.ndarray
-
-    @property
-    def hard(self) -> np.ndarray:
-        return (self.llr < 0).astype(np.uint8)
-
-
-@dataclass(frozen=True)
 class Interleaver:
     permutation: np.ndarray
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from .bch import BchCode, block_syndromes, decode_block, decode_syndromes, encode_many
 from .errors import ConfigError
-from .modem import ReliabilityGrid
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class SabmParams:
     failure_flip_attempts: int = 1
 
     def __post_init__(self):
-        if self.delta < 0:
+        if not self.delta >= 0:  # also rejects NaN; inf makes no bit an HRB
             raise ConfigError(f"delta must be non-negative, got {self.delta}")
         if self.total_iters < 1:
             raise ConfigError(f"total_iters must be >= 1, got {self.total_iters}")
@@ -117,8 +116,8 @@ def pc_encode(code: PcCode, data) -> np.ndarray:
     return block
 
 
-def mark_bits(llrs: ReliabilityGrid, params: SabmParams, code: PcCode) -> MarkState:
-    a = np.abs(llrs.llr)
+def mark_bits(llr: np.ndarray, params: SabmParams, code: PcCode) -> MarkState:
+    a = np.abs(llr)
     w = code.w
     if a.shape != (w, w):
         raise ValueError(f"LLR grid must be ({w}, {w})")
@@ -316,9 +315,8 @@ def ibdd_decode(code: PcCode, block, iters: int,
                         early_exit=early_exit)
 
 
-def sabm_decode(code: PcCode, block, llrs: ReliabilityGrid,
-                params: SabmParams,
+def sabm_decode(code: PcCode, block, llr: np.ndarray, params: SabmParams,
                 early_exit: bool = True) -> tuple[np.ndarray, DecodeStats]:
-    marks = mark_bits(llrs, params, code)
+    marks = mark_bits(llr, params, code)
     return _decode_core(code, block, params.total_iters, marks=marks,
                         md_iters=params.md_iters, early_exit=early_exit)

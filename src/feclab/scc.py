@@ -136,7 +136,12 @@ def decode_chain(code: SccCode, received: list[np.ndarray],
     """Sliding-window decode of a whole chain (leading zero block is
     handled internally), with SABM if and only if llr_grids, one LLR grid
     per received block, is given. Returns the decoded blocks in order and
-    the one DecodeStats that every window counted into."""
+    the one DecodeStats that every window counted into.
+
+    Known deviation: SABM marks the newest block of each window, and the
+    first window starts once `window` blocks are buffered, so chain blocks
+    1..window-2 are never marked while the last block is marked again in
+    each tail window. The pinned SCC SABM outputs depend on this schedule."""
     if window < 2:
         raise ValueError("window size must be >= 2")
     w = code.w

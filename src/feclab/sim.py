@@ -12,13 +12,15 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
 from .bch import build_code
 from .errors import ConfigError
-from .modem import (ChannelConfig, ReliabilityGrid, awgn_transmit, demap_llr,
-                    interleave, make_interleaver, modulate)
+from .modem import (ChannelConfig, awgn_transmit, demap_llr, interleave,
+                    make_interleaver, modulate)
 from .pc import PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
 from .scc import SccCode, baseline_calls, decode_chain, eta, scc_encode
 
@@ -109,31 +111,29 @@ def _component_m(cfg: SimConfig) -> int:
 
 @dataclass
 class BerStats:
+    """Counts of one SNR point, streamed trial by trial. Per-block post-FEC
+    bit errors are kept as moments: count blocks_run, sum post_fec_bit_errors
+    and sum of squares post_sq_errors, so memory does not grow per block."""
+
     snr_db: float
     blocks_run: int = 0
     pre_fec_bit_errors: int = 0
     post_fec_bit_errors: int = 0
+    post_sq_errors: int = 0
     block_errors: int = 0
-    ber_pre: float = 0.0
-    ber_post: float = 0.0
     bdd_calls_total: int = 0
     eta: float | None = None
     wall_seconds: float = 0.0
     info_bits: int = 0
     coded_bits: int = 0
-    per_block_post: list = field(default_factory=list)
 
+    @property
+    def ber_pre(self) -> float:
+        return self.pre_fec_bit_errors / max(self.coded_bits, 1)
 
-@dataclass
-class _TrialResult:
-    blocks: int
-    pre_err: int
-    post_err: int
-    info_bits: int
-    coded_bits: int
-    block_errors: int
-    bdd_calls: int
-    per_block_post: list
+    @property
+    def ber_post(self) -> float:
+        return self.post_fec_bit_errors / max(self.info_bits, 1)
 
 
 def _snr_key(snr_db: float) -> int:
@@ -144,19 +144,15 @@ def _trial_rng(master_seed: int, snr_db: float, trial: int):
     return np.random.default_rng(np.random.SeedSequence([master_seed, _snr_key(snr_db), trial]))
 
 
-class _Runtime:
-    """Heavy per-config objects, built once per process."""
-
-    def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        component = build_code(_component_m(cfg), 2, extended=True)
-        self.code = (PcCode if cfg.scheme == "pc" else SccCode)(component)
-
-    def channel(self, snr_db: float) -> ChannelConfig:
-        return ChannelConfig(self.cfg.mod, snr_db, self.cfg.llr_mode)
+@lru_cache(maxsize=None)
+def _code(scheme: str, m: int) -> PcCode | SccCode:
+    """The scheme's code on the eBCH component of degree m, built once per
+    process (pool workers build it in their initializer)."""
+    component = build_code(m, 2, extended=True)
+    return (PcCode if scheme == "pc" else SccCode)(component)
 
 
-def _transmit_block(rt: _Runtime, block: np.ndarray, chan: ChannelConfig, rng):
+def _transmit_block(block: np.ndarray, chan: ChannelConfig, rng):
     """Send one w x w block; returns (hard grid, llr grid)."""
     tx = block.reshape(-1)
     il = None
@@ -171,95 +167,65 @@ def _transmit_block(rt: _Runtime, block: np.ndarray, chan: ChannelConfig, rng):
     return (llr < 0).astype(np.uint8), llr
 
 
-def _pc_trial(rt: _Runtime, snr_db: float, trial: int) -> _TrialResult:
-    cfg = rt.cfg
-    code = rt.code
+def _pc_channel(cfg: SimConfig, snr_db: float, trial: int):
+    """Draw, encode and send the PC block of one trial; returns (data,
+    block, hard grid, llr grid)."""
+    code = _code("pc", _component_m(cfg))
     rng = _trial_rng(cfg.master_seed, snr_db, trial)
-    chan = rt.channel(snr_db)
     data = rng.integers(0, 2, (code.k, code.k), dtype=np.uint8)
     block = pc_encode(code, data)
-    hard, llr = _transmit_block(rt, block, chan, rng)
-    pre = int((hard != block).sum())
-    if cfg.decoder == "ibdd":
-        decoded, st = ibdd_decode(code, hard, cfg.sabm.total_iters)
-    else:
-        decoded, st = sabm_decode(code, hard, ReliabilityGrid(llr), cfg.sabm)
-    post = int((decoded[: code.k, : code.k] != data).sum())
-    return _TrialResult(blocks=1, pre_err=pre, post_err=post,
-                        info_bits=code.k * code.k, coded_bits=block.size,
-                        block_errors=int(post > 0), bdd_calls=st.bdd_calls,
-                        per_block_post=[post])
+    chan = ChannelConfig(cfg.mod, snr_db, cfg.llr_mode)
+    return (data, block) + _transmit_block(block, chan, rng)
 
 
-def _scc_trial(rt: _Runtime, snr_db: float, trial: int) -> _TrialResult:
-    cfg = rt.cfg
-    code = rt.code
+def _trial(cfg: SimConfig, snr_db: float, trial: int):
+    """One Monte Carlo trial, a PC block or an SCC chain; returns (pre-FEC
+    bit errors, post-FEC bit errors of each block, BDD calls, info bits per
+    block)."""
+    code = _code(cfg.scheme, _component_m(cfg))
+    sabm = cfg.decoder == "sabm"
+    if cfg.scheme == "pc":
+        data, block, hard, llr = _pc_channel(cfg, snr_db, trial)
+        decoded, st = (sabm_decode(code, hard, llr, cfg.sabm) if sabm
+                       else ibdd_decode(code, hard, cfg.sabm.total_iters))
+        post = int((decoded[: code.k, : code.k] != data).sum())
+        return int((hard != block).sum()), [post], st.bdd_calls, code.k * code.k
     rng = _trial_rng(cfg.master_seed, snr_db, trial)
-    chan = rt.channel(snr_db)
-    w, ic = code.w, code.info_cols
-    nblk = cfg.scc.chain_blocks
-    info = rng.integers(0, 2, (nblk, w, ic), dtype=np.uint8)
+    chan = ChannelConfig(cfg.mod, snr_db, cfg.llr_mode)
+    ic = code.info_cols
+    info = rng.integers(0, 2, (cfg.scc.chain_blocks, code.w, ic), dtype=np.uint8)
     chain = scc_encode(code, info)
-    rx, llrs, pre = [], [], 0
-    for blk in chain:
-        hard, llr = _transmit_block(rt, blk, chan, rng)
-        pre += int((hard != blk).sum())
-        rx.append(hard)
-        llrs.append(llr)
-    decoded, st = decode_chain(code, rx, llrs if cfg.decoder == "sabm" else None,
+    hard, llrs = zip(*(_transmit_block(blk, chan, rng) for blk in chain))
+    pre = sum(int((h != blk).sum()) for h, blk in zip(hard, chain))
+    decoded, st = decode_chain(code, list(hard), list(llrs) if sabm else None,
                                cfg.sabm, cfg.scc.window, cfg.scc.iters)
-    per_block = [int((d[:, :ic] != i).sum()) for d, i in zip(decoded, info)]
-    post = int(sum(per_block))
-    return _TrialResult(blocks=nblk, pre_err=pre, post_err=post,
-                        info_bits=nblk * w * ic, coded_bits=nblk * w * w,
-                        block_errors=sum(e > 0 for e in per_block),
-                        bdd_calls=st.bdd_calls, per_block_post=per_block)
+    post = [int((d[:, :ic] != i).sum()) for d, i in zip(decoded, info)]
+    return pre, post, st.bdd_calls, code.w * ic
 
 
-_WORKER_RT: _Runtime | None = None
-
-
-def _worker_init(cfg: SimConfig):
-    global _WORKER_RT
-    _WORKER_RT = _Runtime(cfg)
-
-
-def _worker_trial(args):
-    snr_db, trial = args
-    rt = _WORKER_RT
-    fn = _pc_trial if rt.cfg.scheme == "pc" else _scc_trial
-    return fn(rt, snr_db, trial)
-
-
-def run_point(cfg: SimConfig, snr_db: float, _pool=None, _rt=None) -> BerStats:
+def run_point(cfg: SimConfig, snr_db: float, _pool=None) -> BerStats:
     validate_config(cfg)
-    rt = _rt if _rt is not None else _Runtime(cfg)
+    code = _code(cfg.scheme, _component_m(cfg))
     stats = BerStats(snr_db=snr_db)
     t0 = time.perf_counter()
-    trial_fn = _pc_trial if cfg.scheme == "pc" else _scc_trial
+    trial_map = map if _pool is None else _pool.map
     next_trial = 0
     while (stats.block_errors < cfg.stop.min_word_errors
            and stats.blocks_run < cfg.stop.max_blocks):
-        batch = list(range(next_trial, next_trial + cfg.batch_size))
+        batch = range(next_trial, next_trial + cfg.batch_size)
         next_trial += cfg.batch_size
-        if _pool is not None:
-            results = list(_pool.map(_worker_trial, [(snr_db, t) for t in batch]))
-        else:
-            results = [trial_fn(rt, snr_db, t) for t in batch]
-        for r in results:
-            stats.blocks_run += r.blocks
-            stats.pre_fec_bit_errors += r.pre_err
-            stats.post_fec_bit_errors += r.post_err
-            stats.block_errors += r.block_errors
-            stats.bdd_calls_total += r.bdd_calls
-            stats.info_bits += r.info_bits
-            stats.coded_bits += r.coded_bits
-            stats.per_block_post.extend(r.per_block_post)
-    stats.ber_pre = stats.pre_fec_bit_errors / max(stats.coded_bits, 1)
-    stats.ber_post = stats.post_fec_bit_errors / max(stats.info_bits, 1)
+        for pre, post, calls, info_bits in trial_map(_trial, repeat(cfg), repeat(snr_db), batch):
+            stats.blocks_run += len(post)
+            stats.pre_fec_bit_errors += pre
+            stats.post_fec_bit_errors += sum(post)
+            stats.post_sq_errors += sum(e * e for e in post)
+            stats.block_errors += sum(e > 0 for e in post)
+            stats.bdd_calls_total += calls
+            stats.info_bits += info_bits * len(post)
+            stats.coded_bits += code.w * code.w * len(post)
     if cfg.scheme == "scc":
         scc = cfg.scc
-        per_chain = baseline_calls(rt.code, scc.chain_blocks, scc.window, scc.iters)
+        per_chain = baseline_calls(code, scc.chain_blocks, scc.window, scc.iters)
         stats.eta = eta(stats.bdd_calls_total,
                         stats.blocks_run // scc.chain_blocks * per_chain)
     if cfg.record_timing:
@@ -298,14 +264,12 @@ def run_sweep(cfg: SimConfig, out=None) -> list[BerStats]:
     out.flush()
     results = []
     pool = None
-    rt = _Runtime(cfg)
     try:
         if cfg.workers > 1:
-            pool = ProcessPoolExecutor(max_workers=cfg.workers,
-                                       initializer=_worker_init,
-                                       initargs=(cfg,))
+            pool = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_code,
+                                       initargs=(cfg.scheme, _component_m(cfg)))
         for snr in cfg.snr_points:
-            st = run_point(cfg, snr, _pool=pool, _rt=rt)
+            st = run_point(cfg, snr, _pool=pool)
             results.append(st)
             writer.writerow(stats_row(cfg, st))
             out.flush()
@@ -340,23 +304,12 @@ def mask_stats(cfg: SimConfig, snr_db: float, num_blocks: int) -> MaskStats:
     if num_blocks < 1:
         raise ConfigError(f"mask statistics need at least one block, got {num_blocks}")
     validate_config(replace(cfg, snr_points=(snr_db,)))
-    rt = _Runtime(cfg)
-    counts = []
-    first = None
-    delta = cfg.sabm.delta
-    for trial in range(num_blocks):
-        rng = _trial_rng(cfg.master_seed, snr_db, trial)
-        chan = rt.channel(snr_db)
-        data = rng.integers(0, 2, (rt.code.k, rt.code.k), dtype=np.uint8)
-        block = pc_encode(rt.code, data)
-        _, llr = _transmit_block(rt, block, chan, rng)
-        mask = np.abs(llr) <= delta
-        counts.append(int(mask.sum()))
-        if first is None:
-            first = mask
-    w2 = rt.code.w ** 2
+    masks = (np.abs(_pc_channel(cfg, snr_db, trial)[3]) <= cfg.sabm.delta
+             for trial in range(num_blocks))
+    first = next(masks)
+    counts = [int(first.sum())] + [int(mask.sum()) for mask in masks]
     mean = float(np.mean(counts))
-    return MaskStats(mean_non_hrb_count=mean, ratio=mean / w2,
+    return MaskStats(mean_non_hrb_count=mean, ratio=mean / first.size,
                      per_block_counts=counts, first_mask=first)
 
 

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from feclab.bch import block_syndromes, build_code, decode_block, encode_many
-from feclab.modem import ChannelConfig, ReliabilityGrid, awgn_transmit, demap_llr, modulate
+from feclab.modem import ChannelConfig, awgn_transmit, demap_llr, modulate
 from feclab.pc import PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
 from feclab.scc import SccCode, decode_chain, scc_encode
+from feclab import sim
 from feclab.sim import (
     SccRunParams,
     SimConfig,
@@ -47,9 +48,24 @@ def int_to_bits(values, n):
     return ((v[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
-def ber_ci(per_block_errors, bits_per_block):
-    """95% confidence interval for the post-decoding BER from per-block
-    residual bit-error counts (normal approximation of the block mean)."""
+def ber_ci(st):
+    """95% confidence interval for the post-decoding BER of a `BerStats`,
+    from its per-block moments (normal approximation of the block mean)."""
+    n, total = st.blocks_run, st.post_fec_bit_errors
+    bits_per_block = st.info_bits / n
+    mean = total / n
+    half = 0.0
+    if n > 1:
+        # exact integers: n * sumsq - sum^2 cancels in floating point
+        var = (n * st.post_sq_errors - total * total) / (n * (n - 1))
+        half = 1.96 * math.sqrt(var / n)
+    return (max(mean - half, 0.0) / bits_per_block,
+            (mean + half) / bits_per_block)
+
+
+def ber_ci_of_list(per_block_errors, bits_per_block):
+    """Oracle for `ber_ci`: the same interval from the list of per-block
+    residual bit-error counts."""
     e = np.asarray(per_block_errors, dtype=np.float64)
     n = e.size
     mean = e.mean()
@@ -77,6 +93,24 @@ def cross_snr(points, target=1e-3):
     (s1, b1), (s2, b2) = points
     l1, l2, lt = math.log10(b1), math.log10(b2), math.log10(target)
     return s1 + (s2 - s1) * (lt - l1) / (l2 - l1)
+
+
+# SNRs low enough that some blocks of the small codes keep errors
+@pytest.mark.parametrize("scheme, snr", [("pc", 2.5), ("scc", 3.5)])
+def test_ber_ci_from_moments_matches_list_oracle(scheme, snr):
+    cfg = SimConfig(scheme=scheme, mod=2, snr_points=(snr,), decoder="sabm",
+                    component_m=5, scc=SccRunParams(window=3, iters=2, chain_blocks=4),
+                    stop=StopRule(min_word_errors=10 ** 9, max_blocks=24),
+                    master_seed=11, record_timing=False, batch_size=2)
+    st = sweep(cfg)[0]
+    errors, bits_per_block = [], None
+    for trial in range(st.blocks_run // (4 if scheme == "scc" else 1)):
+        _, post, _, bits_per_block = sim._trial(cfg, snr, trial)
+        errors += post
+    assert len(errors) == st.blocks_run and sum(errors) == st.post_fec_bit_errors
+    assert np.std(errors) > 0  # the interval has a nonzero width to compare
+    assert ber_ci(st) == pytest.approx(ber_ci_of_list(errors, bits_per_block),
+                                       rel=1e-12, abs=1e-12)
 
 
 # --------------------------------------------------------------------- 1
@@ -181,7 +215,6 @@ def test_criterion_3_mask_counts(report):
 # --------------------------------------------------------------------- 4
 
 def test_criterion_4_sabm_gain(report):
-    k2 = 113 * 113
     # operating point: iBDD post-FEC BER inside [1e-4, 1e-3]
     ib_hi = pc_point("ibdd", 6.3, min_errors=100, max_blocks=2500)
     assert 1e-4 <= ib_hi.ber_post <= 1e-3, ib_hi.ber_post
@@ -190,8 +223,8 @@ def test_criterion_4_sabm_gain(report):
     sa_same = pc_point("sabm", 6.3, min_errors=10 ** 9,
                        max_blocks=ib_hi.blocks_run)
     assert sa_same.blocks_run == ib_hi.blocks_run
-    lo_i, hi_i = ber_ci(ib_hi.per_block_post, k2)
-    lo_s, hi_s = ber_ci(sa_same.per_block_post, k2)
+    lo_i, hi_i = ber_ci(ib_hi)
+    lo_s, hi_s = ber_ci(sa_same)
     separated = sa_same.ber_post < ib_hi.ber_post and hi_s < lo_i
 
     # horizontal gain at BER 1e-3 from one bracketing pair per decoder
@@ -224,7 +257,7 @@ def test_criterion_5_reduction_identity(report):
             llr = demap_llr(y, chan).reshape(block.shape)
             hard = (llr < 0).astype(np.uint8)
             out_i, _ = ibdd_decode(code, hard, params.total_iters)
-            out_s, _ = sabm_decode(code, hard, ReliabilityGrid(llr), params)
+            out_s, _ = sabm_decode(code, hard, llr, params)
             mismatch += not np.array_equal(out_i, out_s)
     report(5, "degenerate bit-marking equals iBDD", mismatch == 0,
            f"{mismatch} mismatching blocks of 1020")
@@ -251,7 +284,7 @@ def test_criterion_6b_4pam_maxlog_parity(report):
                          mod=4, llr="exact")
         approx = pc_point("sabm", snr, min_errors=10 ** 9,
                           max_blocks=exact.blocks_run, mod=4, llr="maxlog")
-        lo, hi = ber_ci(exact.per_block_post, 113 * 113)
+        lo, hi = ber_ci(exact)
         inside = lo <= approx.ber_post <= hi
         ok = ok and inside
         details.append(f"{snr} dB: maxlog={approx.ber_post:.3e} in "

@@ -2,7 +2,8 @@
 
 The rows were recorded before the decoders moved to the syndrome domain.
 A speed-up must keep them byte-identical: the pins catch a fast path that
-changes decoding, which run-to-run determinism checks cannot.
+changes decoding, which run-to-run determinism checks cannot. The `mask`
+pin guards the draw, encode and transmit steps without any decoding.
 """
 
 import contextlib
@@ -56,12 +57,33 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_csv_rows(name):
-    args, rows = GOLDEN[name]
+MASK_ARGS = "mask --snr 5.8,6.2 --component-m 5 --blocks 8 --seed 3"
+MASK_ROWS = [
+    "5.8,0,262,0.255859", "5.8,1,246,0.240234", "5.8,2,252,0.246094",
+    "5.8,3,268,0.261719", "5.8,4,246,0.240234", "5.8,5,271,0.264648",
+    "5.8,6,267,0.260742", "5.8,7,270,0.263672",
+    "6.2,0,208,0.203125", "6.2,1,226,0.220703", "6.2,2,205,0.200195",
+    "6.2,3,202,0.197266", "6.2,4,202,0.197266", "6.2,5,221,0.21582",
+    "6.2,6,216,0.210938", "6.2,7,224,0.21875",
+]
+
+
+def _run_cli(args: str) -> list[str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(args.split() + ["--no-timing"]) == 0
-    header, *got = buf.getvalue().splitlines()
+    return buf.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_csv_rows(name):
+    args, rows = GOLDEN[name]
+    header, *got = _run_cli(args)
     assert header == ",".join(CSV_COLUMNS)
     assert got == rows
+
+
+def test_golden_mask_rows():
+    header, *got = _run_cli(MASK_ARGS)
+    assert header == "snr_db,block_index,non_hrb_count,ratio"
+    assert got == MASK_ROWS

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from feclab.bch import block_syndromes, encode_many
-from feclab.modem import ChannelConfig, ReliabilityGrid, awgn_transmit, demap_llr, modulate
+from feclab.modem import ChannelConfig, awgn_transmit, demap_llr, modulate
 from feclab.pc import (
     DecodeStats,
     PcCode,
@@ -45,8 +45,7 @@ def channel_pass(block, snr_db, rng, mode="exact"):
     cfg = ChannelConfig(2, snr_db, mode)
     y = awgn_transmit(modulate(block.reshape(-1), cfg), cfg, rng)
     llr = demap_llr(y, cfg).reshape(block.shape)
-    grid = ReliabilityGrid(llr)
-    return grid.hard.astype(np.uint8), grid
+    return (llr < 0).astype(np.uint8), llr
 
 
 # ---------------------------------------------------------------- encoding
@@ -129,13 +128,13 @@ def test_ibdd_input_not_mutated(pc32, rng):
 def test_hub_list_length_is_three(pc32):
     # d0 = 6, t = 2 for every double-error component used here
     llr = np.ones((pc32.w, pc32.w))
-    assert mark_bits(ReliabilityGrid(llr), SabmParams(), pc32).hub_len == 3
+    assert mark_bits(llr, SabmParams(), pc32).hub_len == 3
 
 
 def test_mark_bits_hrb_and_order(pc32, rng):
     w = pc32.w
     llr = rng.normal(0, 4, size=(w, w))
-    marks = mark_bits(ReliabilityGrid(llr), SabmParams(delta=5.0), pc32)
+    marks = mark_bits(llr, SabmParams(delta=5.0), pc32)
     hrb = marks.word_hrb[0]
     assert np.array_equal(hrb, np.abs(llr) > 5.0)
     assert np.array_equal(marks.word_hrb[1], hrb.T)
@@ -153,7 +152,7 @@ def test_mark_bits_hrb_and_order(pc32, rng):
 def test_mark_bits_stable_ties(pc32):
     w = pc32.w
     llr = np.full((w, w), 1.0)
-    marks = mark_bits(ReliabilityGrid(llr), SabmParams(delta=5.0), pc32)
+    marks = mark_bits(llr, SabmParams(delta=5.0), pc32)
     assert np.array_equal(marks.order_for(0, 0), np.arange(w))
     assert np.array_equal(marks.order_for(1, 3), np.arange(w))
 
@@ -161,14 +160,14 @@ def test_mark_bits_stable_ties(pc32):
 def test_mark_bits_all_hrb_degenerate(pc32):
     w = pc32.w
     llr = np.full((w, w), 50.0)
-    marks = mark_bits(ReliabilityGrid(llr), SabmParams(delta=5.0), pc32)
+    marks = mark_bits(llr, SabmParams(delta=5.0), pc32)
     assert marks.word_hrb.all()
     assert len(marks.order_for(0, 0)) == 0
 
 
 def test_mark_bits_rejects_bad_shape(pc32):
     with pytest.raises(ValueError):
-        mark_bits(ReliabilityGrid(np.zeros((4, 4))), SabmParams(), pc32)
+        mark_bits(np.zeros((4, 4)), SabmParams(), pc32)
 
 
 def test_sabm_params_validation():
@@ -187,7 +186,7 @@ def suspicious_fixture(pc, rng):
     block = random_block(pc, rng)
     llr = np.where(block == 0, 2.0, -2.0)
     llr[2, 5] *= 10  # the only HRB
-    marks = mark_bits(ReliabilityGrid(llr), SabmParams(delta=5.0), pc)
+    marks = mark_bits(llr, SabmParams(delta=5.0), pc)
     return block, marks
 
 
@@ -310,7 +309,7 @@ def test_sabm_noiseless_matches_ibdd_calls(pc32, rng):
     block = random_block(pc32, rng)
     llr = np.where(block == 0, 8.0, -8.0)
     out_i, st_i = ibdd_decode(pc32, block, iters=10)
-    out_s, st_s = sabm_decode(pc32, block, ReliabilityGrid(llr), SabmParams())
+    out_s, st_s = sabm_decode(pc32, block, llr, SabmParams())
     assert np.array_equal(out_i, block)
     assert np.array_equal(out_s, block)
     assert st_i.bdd_calls == st_s.bdd_calls == 2 * pc32.w
@@ -333,7 +332,7 @@ def test_sabm_corrects_three_error_row_with_reliability_hint(pc32, rng):
     noisy[6, errs] ^= 1
     llr = np.where(noisy == 0, 6.0, -6.0)  # every untouched bit is an HRB
     llr[6, errs] = np.where(noisy[6, errs] == 0, 0.5, -0.5)
-    out, stats = sabm_decode(pc32, noisy, ReliabilityGrid(llr), SabmParams())
+    out, stats = sabm_decode(pc32, noisy, llr, SabmParams())
     assert np.array_equal(out, block)
     assert stats.flips_accepted >= 1
 
@@ -348,7 +347,7 @@ def test_sabm_reverts_unrecoverable_word(pc32, rng):
     # mislead the marker: candidates in row 6 are all correct bits, and the
     # column passes are blocked by making the error columns HRB elsewhere
     llr[row, [1, 2, 3]] = np.where(noisy[row, [1, 2, 3]] == 0, 0.5, -0.5)
-    out, stats = sabm_decode(pc32, noisy, ReliabilityGrid(llr),
+    out, stats = sabm_decode(pc32, noisy, llr,
                              SabmParams(total_iters=5, md_iters=5))
     # the row was never silently corrupted: it either got repaired through
     # the column passes or holds exactly the original channel errors

@@ -87,7 +87,7 @@ def test_run_point_deterministic():
     assert a.ber_post == b.ber_post
     assert a.ber_pre == b.ber_pre
     assert a.blocks_run == b.blocks_run
-    assert a.per_block_post == b.per_block_post
+    assert a == b
 
 
 def test_run_point_noisy_has_pre_fec_errors():
@@ -262,6 +262,9 @@ def test_cli_rejects_bad_snr(capsys):
     ["scc", "--snr", "7,inf"],
     ["mask", "--snr", "6", "--blocks", "0"],
     ["mask", "--snr", "6", "--blocks", "-3"],
+    # NaN fails every comparison, so delta >= 0 must be asked, not delta < 0
+    ["pc", "--snr", "6", "--delta", "nan", "--decoder", "sabm"],
+    ["mask", "--snr", "6", "--delta", "nan", "--blocks", "1"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_rejects_bad_values(argv, capsys):
     assert main(argv + ["--max-blocks", "1"]) == 2
@@ -269,14 +272,28 @@ def test_cli_rejects_bad_values(argv, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("key, value", [("mod", "x"), ("iters", [3])],
-                         ids=["mod: x", "iters: [3]"])
+@pytest.mark.parametrize("key, value", [
+    ("mod", "x"), ("iters", [3]),
+    # no lossy cast: these ran as 2-PAM, 7 iterations and timing on
+    ("mod", 2.9), ("iters", 7.9), ("record_timing", "false"),
+    ("seed", True), ("delta", False),
+], ids=["mod: x", "iters: [3]", "mod: 2.9", "iters: 7.9", "record_timing: 'false'",
+        "seed: true", "delta: false"])
 def test_cli_rejects_mistyped_config_value(key, value, tmp_path, capsys):
     cfgfile = tmp_path / "run.yaml"
     cfgfile.write_text(yaml.safe_dump({"snr": [6.0], "component_m": 5, key: value}))
     assert main(["pc", "--config", str(cfgfile), "--max-blocks", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and repr(key) in err[0]
+
+
+def test_cli_accepts_integral_float_config_value(tmp_path, capsys):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(yaml.safe_dump({"snr": [6.0], "component_m": 5.0, "iters": 7.0,
+                                       "record_timing": False}))
+    assert main(["pc", "--config", str(cfgfile), "--max-blocks", "1",
+                 "--batch-size", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("pc,2,ibdd,exact,6,1,")
 
 
 @pytest.mark.parametrize("llr", ["exact", "maxlog"])

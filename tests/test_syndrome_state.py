@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from feclab import pc, scc
 from feclab.bch import block_syndromes, build_code
-from feclab.modem import ReliabilityGrid
 from feclab.pc import PcCode, SabmParams, SyndromeState, block_layout, pc_encode
 from feclab.scc import SccCode, scc_encode, window_layout
 
@@ -111,7 +110,7 @@ def test_block_syndromes_match_after_decode(decoder, seed, monkeypatch):
     if decoder == "ibdd":
         out, _ = pc.ibdd_decode(code, noisy, iters=10)
     else:
-        out, _ = pc.sabm_decode(code, noisy, ReliabilityGrid(noisy_llr(noisy, rng)),
+        out, _ = pc.sabm_decode(code, noisy, noisy_llr(noisy, rng),
                                 SabmParams(delta=5.0))
     (state,) = made
     assert state.bits is out
