@@ -1,4 +1,5 @@
-"""GF(2^m) arithmetic via log/antilog tables, plus GF(2) polynomial helpers.
+"""GF(2^m) with an exp table of the powers of alpha, plus GF(2) polynomial
+helpers.
 
 Field elements and binary polynomials are plain unsigned ints in polynomial
 basis: bit i is the coefficient of x^i. Addition is XOR.
@@ -24,17 +25,12 @@ PRIMITIVE_POLYS = {
 
 @dataclass(frozen=True)
 class GaloisField:
-    """GF(2^m) with precomputed exp/log tables.
-
-    exp_table[i] = alpha^i for i in 0..2^m-2; log_table[a] inverts it for
-    nonzero a (log_table[0] is a sentinel and must never be read).
-    Immutable after construction; all operations are pure.
-    """
+    """GF(2^m) with a precomputed exp table: exp_table[i] = alpha^i for i in
+    0..2^m-2. Immutable after construction; all operations are pure."""
 
     m: int
     primitive_poly: int
     exp_table: np.ndarray
-    log_table: np.ndarray
 
     @property
     def order(self) -> int:
@@ -48,35 +44,18 @@ def build_field(m: int) -> GaloisField:
     prim = PRIMITIVE_POLYS[m]
     order = (1 << m) - 1
     exp = np.zeros(order, dtype=np.int64)
-    log = np.full(1 << m, -1, dtype=np.int64)
     x = 1
     for i in range(order):
         exp[i] = x
-        log[x] = i
         x <<= 1
         if x >> m:
             x ^= prim
     exp.setflags(write=False)
-    log.setflags(write=False)
-    return GaloisField(m=m, primitive_poly=prim, exp_table=exp, log_table=log)
+    return GaloisField(m=m, primitive_poly=prim, exp_table=exp)
 
 
 def gf_mul(f: GaloisField, a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return int(f.exp_table[(int(f.log_table[a]) + int(f.log_table[b])) % f.order])
-
-
-def gf_inv(f: GaloisField, a: int) -> int:
-    if a == 0:
-        raise ValueError("zero has no multiplicative inverse")
-    return int(f.exp_table[(-int(f.log_table[a])) % f.order])
-
-
-def gf_pow(f: GaloisField, a: int, e: int) -> int:
-    if a == 0:
-        return 0 if e != 0 else 1
-    return int(f.exp_table[(int(f.log_table[a]) * e) % f.order])
+    return poly_rem(poly_mul(a, b), f.primitive_poly)
 
 
 # --- binary polynomials (ints, bit i = coeff of x^i) ---
@@ -97,18 +76,11 @@ def poly_mul(a: int, b: int) -> int:
     return r
 
 
-def poly_divmod(dividend: int, divisor: int) -> tuple[int, int]:
+def poly_rem(dividend: int, divisor: int) -> int:
     if divisor == 0:
         raise ValueError("polynomial division by zero")
     dd = poly_degree(divisor)
-    q = 0
     r = dividend
     while poly_degree(r) >= dd:
-        shift = poly_degree(r) - dd
-        q ^= 1 << shift
-        r ^= divisor << shift
-    return q, r
-
-
-def poly_rem(dividend: int, divisor: int) -> int:
-    return poly_divmod(dividend, divisor)[1]
+        r ^= divisor << (poly_degree(r) - dd)
+    return r

@@ -129,10 +129,10 @@ class Layout:
 
     Position j of word i of group g is flat bit base[g, j] + i * stride[g, j].
     The crossing word through that bit sits in syndrome slot cross[g, j] and
-    holds the bit at position shift[g, j] + i. A bit whose crossing word is
-    not kept maps to the sink slot G * w with shift n, which points its
-    crossing updates at zeros. `words(bits)` returns the (G, w, n) words of
-    a bit array.
+    holds the bit at position shift[g, j] + i. `words(bits)` returns the
+    words of a bit array as (groups, w, n), one syndrome group each; it may
+    hold groups beyond the G that are decoded, which only crossing updates
+    change.
     """
 
     def __init__(self, words: Callable, base, stride, cross, shift):
@@ -159,10 +159,9 @@ def block_layout(w: int) -> Layout:
 class SyndromeState:
     """Packed syndromes of every word of a layout over a bit array, which
     is decoded in place: syn[g * w + i] is the syndrome of word i of group
-    g, and the last slot is the sink, which no flip changes and which never
-    reads as a codeword. Flips made through `flip` and `flip_word` update
-    the bits, the flipped word's syndrome and each crossing word's syndrome,
-    so `syn` always equals the syndromes of the bits."""
+    g. Flips made through `flip` and `flip_word` update the bits, the
+    flipped word's syndrome and each crossing word's syndrome, so `syn`
+    always equals the syndromes of the bits."""
 
     def __init__(self, code: BchCode, bits: np.ndarray, layout: Layout):
         if not (isinstance(bits, np.ndarray) and bits.flags.c_contiguous):
@@ -171,15 +170,12 @@ class SyndromeState:
         self.flat = bits.reshape(-1)
         words = layout.words(bits)
         self.w = words.shape[1]
-        self.syn = np.ones(words.shape[0] * self.w + 1, dtype=np.int64)
-        self.syn[:-1] = block_syndromes(code, words.reshape(-1, code.n))
-        # position syndromes plus a zero tail that sink shifts point into
-        self.h = np.concatenate([code.flip_syndrome, np.zeros(code.n, np.int64)])
+        self.syn = block_syndromes(code, words.reshape(-1, code.n))
 
     def flip(self, group: int, words: np.ndarray, positions: np.ndarray):
         """Flip bit positions[k] of word words[k] of group, for every k; no
         (word, position) pair may repeat."""
-        lay, h = self.layout, self.h
+        lay, h = self.layout, self.code.flip_syndrome
         self.flat[lay.base[group, positions] + words * lay.stride[group, positions]] ^= 1
         np.bitwise_xor.at(self.syn, group * self.w + words, h[positions])
         np.bitwise_xor.at(self.syn, lay.cross[group, positions],
@@ -188,7 +184,7 @@ class SyndromeState:
     def flip_word(self, group: int, index: int, pattern):
         """`flip` for the positions of one word, without the array set-up."""
         base, stride, cross, shift = self.layout.rows[group]
-        flat, syn, h = self.flat, self.syn, self.h
+        flat, syn, h = self.flat, self.syn, self.code.flip_syndrome
         own = group * self.w + index
         for p in pattern:
             flat[base[p] + index * stride[p]] ^= 1
@@ -196,10 +192,12 @@ class SyndromeState:
             syn[cross[p]] ^= h[shift[p] + index]
 
 
-def _suspicious(pattern, hrb_row: np.ndarray, syn: np.ndarray, cross) -> bool:
+def _suspicious(pattern, hrb_row: np.ndarray, syn: np.ndarray, cross, live: range) -> bool:
     """True iff the pattern touches an HRB of its word or a bit whose
-    crossing word (slot cross[p] of syn) currently has a zero syndrome."""
-    return any(hrb_row[p] for p in pattern) or any(syn[cross[p]] == 0 for p in pattern)
+    crossing word (slot cross[p] of syn) is live and currently has a zero
+    syndrome; a crossing word outside `live` never reads as a codeword."""
+    return any(hrb_row[p] for p in pattern) or any(
+        syn[cross[p]] == 0 and cross[p] in live for p in pattern)
 
 
 def bit_flip_recover(code: BchCode, syndrome: int, attempts: list[list[int]],
@@ -246,13 +244,15 @@ def sabm_resolve(code: BchCode, syndrome: int, proposal, order: np.ndarray,
 
 
 def decode_pass(state: SyndromeState, group: int, stats: DecodeStats,
-                marks: MarkState | None = None, axis: int = 0) -> tuple[bool, bool]:
+                marks: MarkState | None = None, axis: int = 0,
+                live: range | None = None) -> tuple[bool, bool]:
     """Decode the words of one group that have a nonzero syndrome and apply
     their flips. Without marks every pattern applies at once, as the words
     of a group share no bits. With marks (SABM; word i of the group is word
     i of marks' axis) the words are resolved and applied in order, as a veto
-    reads crossing syndromes that earlier words changed. Returns (changed,
-    suppressed), where suppressed means a failure or proposal was dropped."""
+    reads crossing syndromes that earlier words changed; it reads only the
+    slots in `live` (default: all). Returns (changed, suppressed), where
+    suppressed means a failure or proposal was dropped."""
     w = state.w
     stats.bdd_calls += w
     own = state.syn[group * w:(group + 1) * w]
@@ -266,12 +266,14 @@ def decode_pass(state: SyndromeState, group: int, stats: DecodeStats,
             state.flip(group, idx[rows], pos)
         return rows.size > 0, False
     hrb, cross = marks.word_hrb[axis], state.layout.rows[group][2]
+    live = range(state.syn.size) if live is None else live
     changed = suppressed = False
     for i in idx.tolist():
         syn = int(own[i])
         resolved = sabm_resolve(comp, syn, decode_syndromes(comp, syn),
                                 marks.order_for(axis, i),
-                                partial(_suspicious, hrb_row=hrb[i], syn=state.syn, cross=cross),
+                                partial(_suspicious, hrb_row=hrb[i], syn=state.syn,
+                                        cross=cross, live=live),
                                 marks.flip_attempts, stats)
         if resolved:
             state.flip_word(group, i, resolved)

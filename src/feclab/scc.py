@@ -6,14 +6,15 @@ codeword with n = 2w. Within B_i, columns 0..k-w-1 carry fresh information
 and the remaining columns the parity (overall-parity bit in the last
 column). B_0 is the all-zero reference block known to both ends.
 
-Decoding runs on the syndrome core of `pc`: a window of L blocks is one
-(L, w, w) array whose L-1 pairs are the word groups of a `SyndromeState`.
-A bit of the oldest or the newest block whose crossing word lies outside
-the window maps to the sink slot, so the SABM veto never reads it as
-lying in a codeword. A pass decodes only the words of a pair with a
-nonzero syndrome, yet `bdd_calls` counts w per pair pass, as if every
-word were decoded, plus one per flip retry. SABM runs if and only if LLRs
-are given. `decode_chain` returns the decoded blocks and the chain's
+Decoding runs on the syndrome core of `pc`: the chain is one
+(blocks + 1, w, w) array whose pairs are the word groups of one
+`SyndromeState`, and a window is a range of pairs. The pairs missing at
+both ends of the chain share a scratch group that no window decodes, and
+the SABM veto never reads a crossing word outside the window as lying in
+a codeword. A pass decodes only the words of a pair with a nonzero
+syndrome, yet `bdd_calls` counts w per pair pass, as if every word were
+decoded, plus one per flip retry. SABM runs if and only if LLRs are
+given. `decode_chain` returns the decoded blocks and the chain's
 `DecodeStats`; `baseline_calls` gives eta's baseline from the geometry.
 """
 
@@ -80,54 +81,27 @@ def scc_encode(code: SccCode, info_blocks) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def window_layout(w: int, num_blocks: int) -> Layout:
-    """The pairs 0..L-2 of an L-block window: word i of pair p is row i of
-    [transpose(B_p) | B_{p+1}]. Its position j < w is B_p[j, i], which is
-    position w+i of word j of pair p-1; its position w+j is B_{p+1}[i, j],
-    which is position i of word j of pair p+1."""
+def chain_layout(w: int, num_blocks: int) -> Layout:
+    """The P = num_blocks - 1 pairs of a chain of blocks B_0..B_P: word i
+    of pair p is row i of [transpose(B_p) | B_{p+1}]. Its position j < w is
+    B_p[j, i], which is position w+i of word j of pair p-1; its position
+    w+j is B_{p+1}[i, j], which is position i of word j of pair p+1. The
+    missing pairs -1 and P share one scratch group, slots P*w.., whose word
+    j is row j of [transpose(B_P) | B_0]; no window decodes it."""
     groups = num_blocks - 1
     p = np.arange(groups)[:, None]
     j = np.arange(w)[None, :]
-    sink, n = groups * w, 2 * w
-    older, newer = p > 0, p + 1 < groups
 
     def halves(older_half, newer_half):
         return np.concatenate([np.broadcast_to(older_half, (groups, w)),
                                np.broadcast_to(newer_half, (groups, w))], axis=1)
 
-    return Layout(lambda bits: np.concatenate([bits[:-1].transpose(0, 2, 1), bits[1:]], axis=2),
+    return Layout(lambda bits: np.concatenate([bits.transpose(0, 2, 1),
+                                               np.roll(bits, -1, axis=0)], axis=2),
                   base=halves(p * w * w + j * w, (p + 1) * w * w + j),
                   stride=halves(1, w),
-                  cross=halves(np.where(older, (p - 1) * w + j, sink),
-                               np.where(newer, (p + 1) * w + j, sink)),
-                  shift=halves(np.where(older, w, n), np.where(newer, 0, n)))
-
-
-def scc_window_decode(code: SccCode, blocks: np.ndarray, ell: int,
-                      llr_newest: np.ndarray | None = None,
-                      params: SabmParams | None = None,
-                      stats: DecodeStats | None = None) -> None:
-    """Run ell iterations over one window, a C-contiguous (L, w, w) array of
-    blocks (oldest..newest) decoded in place, counting into stats. SABM runs
-    on the newest pair in the first md_iters iterations if and only if
-    llr_newest, the LLRs of the newest block, is given."""
-    if len(blocks) < 1:
-        raise ValueError("window must hold at least one block")
-    if stats is None:
-        stats = DecodeStats()
-    marks = None
-    if llr_newest is not None:
-        if params is None:
-            params = SabmParams()
-        # the newest block fills positions w..2w-1 of the newest pair's words
-        marks = make_marks(np.abs(llr_newest)[None], params, code.component, offset=code.w)
-
-    newest = len(blocks) - 2
-    state = SyndromeState(code.component, blocks, window_layout(code.w, len(blocks)))
-    for it in range(ell):
-        for p in range(newest + 1):
-            sabm = marks is not None and p == newest and it < params.md_iters
-            decode_pass(state, p, stats, marks if sabm else None)
+                  cross=halves((p - 1) % (groups + 1) * w + j, (p + 1) * w + j),
+                  shift=halves(w, 0))
 
 
 def decode_chain(code: SccCode, received: list[np.ndarray],
@@ -135,26 +109,40 @@ def decode_chain(code: SccCode, received: list[np.ndarray],
                  window: int, ell: int) -> tuple[list[np.ndarray], DecodeStats]:
     """Sliding-window decode of a whole chain (leading zero block is
     handled internally), with SABM if and only if llr_grids, one LLR grid
-    per received block, is given. Returns the decoded blocks in order and
-    the one DecodeStats that every window counted into.
+    per received block, is given (params None means SabmParams()). Returns
+    the decoded blocks in order and the chain's DecodeStats.
 
-    Known deviation: SABM marks the newest block of each window, and the
-    first window starts once `window` blocks are buffered, so chain blocks
-    1..window-2 are never marked while the last block is marked again in
-    each tail window. The pinned SCC SABM outputs depend on this schedule."""
+    One `SyndromeState` covers the chain. The window starting at chain
+    block s ends at block s+window-1 or at the chain's end, and its ell
+    iterations decode pairs s..newest in order; SABM marks the newest
+    block and runs on the newest pair in the first md_iters iterations.
+    Its veto reads only crossing words of the window's pairs.
+
+    Known deviation: the first window starts once `window` blocks are
+    buffered, so chain blocks 1..window-2 are never marked while the last
+    block is marked again in each tail window. The pinned SCC SABM outputs
+    depend on this schedule."""
     if window < 2:
         raise ValueError("window size must be >= 2")
+    if params is None:
+        params = SabmParams()
     w = code.w
     stats = DecodeStats()
     chain = np.zeros((len(received) + 1, w, w), dtype=np.uint8)
     for i, blk in enumerate(received):
         chain[i + 1] = blk
-    # the window starting at chain block s ends at block s+window-1 or at
-    # the chain's end; its newest block is received[end - 2]
+    state = SyndromeState(code.component, chain, chain_layout(w, len(chain)))
     for s in range(len(received)):
-        end = min(s + window, len(chain))
-        llr = None if llr_grids is None else llr_grids[end - 2]
-        scc_window_decode(code, chain[s:end], ell, llr_newest=llr,
-                          params=params, stats=stats)
+        newest = min(s + window, len(chain)) - 2
+        marks = None
+        if llr_grids is not None:
+            # the newest block fills positions w..2w-1 of the newest pair's words
+            marks = make_marks(np.abs(llr_grids[newest])[None], params, code.component,
+                               offset=w)
+        live = range(s * w, (newest + 1) * w)
+        for it in range(ell):
+            for p in range(s, newest + 1):
+                sabm = marks is not None and p == newest and it < params.md_iters
+                decode_pass(state, p, stats, marks if sabm else None, live=live)
     # drop the bootstrap zero block from the output
     return list(chain[1:]), stats

@@ -12,7 +12,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -208,7 +208,9 @@ def run_point(cfg: SimConfig, snr_db: float, _pool=None) -> BerStats:
     code = _code(cfg.scheme, _component_m(cfg))
     stats = BerStats(snr_db=snr_db)
     t0 = time.perf_counter()
-    trial_map = map if _pool is None else _pool.map
+    # one pool task per worker share of a batch; results keep their order
+    trial_map = map if _pool is None else partial(
+        _pool.map, chunksize=math.ceil(cfg.batch_size / cfg.workers))
     next_trial = 0
     while (stats.block_errors < cfg.stop.min_word_errors
            and stats.blocks_run < cfg.stop.max_blocks):

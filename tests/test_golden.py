@@ -54,6 +54,18 @@ GOLDEN = {
         ["scc,2,sabm,exact,4.5,16,0.0476685,0.0176809,15,237.562,0.319792,7,0",
          "scc,2,sabm,exact,5,16,0.0378418,0.00113076,5,201.312,0.118403,7,0",
          "scc,2,sabm,exact,5.5,16,0.0285034,0,0,188.438,0.046875,7,0"]),
+    # edge windows: at window 2 every window's older-half crossing words lie
+    # outside it; a chain shorter than the window shrinks every window
+    "scc_sabm_m6_window2": (
+        "scc --component-m 6 --window 2 --scc-iters 3 --chain-blocks 8 --snr 4.5,5.0,5.5 --decoder sabm --flip-attempts 2 --max-blocks 16 --batch-size 1 --seed 7",
+        ["scc,2,sabm,exact,4.5,16,0.0476685,0.0200452,15,133.188,0.38737,7,0",
+         "scc,2,sabm,exact,5,16,0.0378418,0.00627056,13,113.562,0.182943,7,0",
+         "scc,2,sabm,exact,5.5,16,0.0285034,0.00051398,4,105.438,0.0983073,7,0"]),
+    "scc_sabm_m6_short_chain": (
+        "scc --component-m 6 --window 6 --scc-iters 3 --chain-blocks 4 --snr 4.5,5.0,5.5 --decoder sabm --flip-attempts 2 --max-blocks 16 --batch-size 1 --seed 7",
+        ["scc,2,sabm,exact,4.5,16,0.0477905,0.014597,13,302.375,0.259896,7,0",
+         "scc,2,sabm,exact,5,16,0.0378418,0.00462582,8,262.562,0.0940104,7,0",
+         "scc,2,sabm,exact,5.5,16,0.0267334,0.000925164,4,251.25,0.046875,7,0"]),
 }
 
 

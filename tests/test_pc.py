@@ -195,7 +195,7 @@ def suspicious(pc, noisy, marks, axis, index, pattern):
     `axis` (0 rows, 1 columns) of the received block `noisy`."""
     state = SyndromeState(pc.component, np.ascontiguousarray(noisy), block_layout(pc.w))
     return _suspicious(pattern, marks.word_hrb[axis, index], state.syn,
-                       state.layout.rows[axis][2])
+                       state.layout.rows[axis][2], range(state.syn.size))
 
 
 def test_detect_miscorrection_hrb_rule(pc32, rng):
@@ -218,6 +218,22 @@ def test_detect_miscorrection_orthogonal_rule(pc32, rng):
     noisy[4, 9] ^= 1
     noisy[4, 11] ^= 1
     assert not suspicious(pc32, noisy, marks, 0, 4, (9, 11))
+
+
+def test_veto_reads_only_live_crossing_words(pc32, rng):
+    # column 9 (slot w + 9) is a codeword: a correction through it is
+    # flagged while the column is live and ignored once it is not
+    block, marks = suspicious_fixture(pc32, rng)
+    noisy = block.copy()
+    noisy[4, 1] ^= 1
+    state = SyndromeState(pc32.component, noisy, block_layout(pc32.w))
+    w, cross = pc32.w, state.layout.rows[0][2]
+    assert cross[9] == w + 9 and state.syn[w + 9] == 0
+    hrb = marks.word_hrb[0, 4]
+    assert _suspicious((9,), hrb, state.syn, cross, range(2 * w))
+    assert _suspicious((9,), hrb, state.syn, cross, range(w + 9, w + 10))
+    assert not _suspicious((9,), hrb, state.syn, cross, range(w))
+    assert not _suspicious((9,), hrb, state.syn, cross, range(w + 10, 2 * w))
 
 
 # ---------------------------------------------------------- bit flipping

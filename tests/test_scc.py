@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
+from feclab import scc
 from feclab.bch import block_syndromes, build_code
-from feclab.pc import DecodeStats, SabmParams
-from feclab.scc import (
-    SccCode,
-    baseline_calls,
-    decode_chain,
-    eta,
-    scc_encode,
-    scc_window_decode,
-)
+from feclab.pc import SabmParams, SyndromeState
+from feclab.scc import SccCode, baseline_calls, decode_chain, eta, scc_encode
 
 
 @pytest.fixture(scope="module")
@@ -83,15 +77,18 @@ def test_scc_encode_rejects_bad_shape(scc32):
 
 
 # ----------------------------------------------------------- window decode
+# A window one block longer than the chain makes the first window span the
+# whole chain, bootstrap zero block included.
 
-def test_window_decode_noiseless(scc32, rng):
+def test_window_decode_noiseless(scc32, rng, monkeypatch):
+    made = []
+    monkeypatch.setattr(scc, "SyndromeState",
+                        lambda *args: made.append(SyndromeState(*args)) or made[-1])
     _, blocks = random_chain(scc32, rng, 4)
-    buf = np.stack([np.zeros((scc32.w, scc32.w), dtype=np.uint8)] + blocks)
-    stats = DecodeStats()
-    scc_window_decode(scc32, buf, ell=3, stats=stats)
-    assert stats.bdd_calls == scc32.w * (len(buf) - 1) * 3
-    assert not buf[0].any()
-    for got, want in zip(buf[1:], blocks):
+    out, _ = decode_chain(scc32, blocks, None, None, window=len(blocks) + 1, ell=3)
+    (state,) = made
+    assert not state.bits[0].any()
+    for got, want in zip(out, blocks):
         assert np.array_equal(got, want)
 
 
@@ -101,9 +98,8 @@ def test_window_decode_fixes_scattered_errors(scc32, rng):
     noisy[1][3, 7] ^= 1
     noisy[2][9, 0] ^= 1
     noisy[2][9, 4] ^= 1
-    buf = np.stack([np.zeros((scc32.w, scc32.w), dtype=np.uint8)] + noisy)
-    scc_window_decode(scc32, buf, ell=4)
-    for got, want in zip(buf[1:], blocks):
+    out, _ = decode_chain(scc32, noisy, None, None, window=len(noisy) + 1, ell=4)
+    for got, want in zip(out, blocks):
         assert np.array_equal(got, want)
 
 
@@ -113,15 +109,14 @@ def test_sabm_degenerate_matches_standard(scc32, rng):
     for b in noisy:
         r, c = rng.integers(0, scc32.w, size=2)
         b[r, c] ^= 1
-    zero = np.zeros((scc32.w, scc32.w), dtype=np.uint8)
-    buf_std = np.stack([zero] + noisy)
-    buf_deg = np.stack([zero] + noisy)
-    scc_window_decode(scc32, buf_std, ell=3)
-    llr = np.where(noisy[-1] == 0, 2.0, -2.0)
-    scc_window_decode(scc32, buf_deg, ell=3, llr_newest=llr,
-                      params=SabmParams(md_iters=0, total_iters=3))
-    for a, b in zip(buf_std, buf_deg):
+    window = len(noisy) + 1
+    out_std, st_std = decode_chain(scc32, noisy, None, None, window=window, ell=3)
+    llrs = [np.where(b == 0, 2.0, -2.0) for b in noisy]
+    out_deg, st_deg = decode_chain(scc32, noisy, llrs, SabmParams(md_iters=0, total_iters=3),
+                                   window=window, ell=3)
+    for a, b in zip(out_std, out_deg):
         assert np.array_equal(a, b)
+    assert st_std == st_deg
 
 
 def test_sabm_window_recovers_three_error_row(scc32, rng):
@@ -129,13 +124,24 @@ def test_sabm_window_recovers_three_error_row(scc32, rng):
     noisy = [b.copy() for b in blocks]
     errs = [1, 6, 12]
     noisy[-1][5, errs] ^= 1
-    llr = np.where(noisy[-1] == 0, 8.0, -8.0)
-    llr[5, errs] = np.where(noisy[-1][5, errs] == 0, 0.4, -0.4)
-    buf = np.stack([np.zeros((scc32.w, scc32.w), dtype=np.uint8)] + noisy)
-    scc_window_decode(scc32, buf, ell=4, llr_newest=llr,
-                      params=SabmParams(delta=5.0, total_iters=4, md_iters=4))
-    for got, want in zip(buf[1:], blocks):
+    llrs = [np.where(b == 0, 8.0, -8.0) for b in noisy]
+    llrs[-1][5, errs] = np.where(noisy[-1][5, errs] == 0, 0.4, -0.4)
+    out, _ = decode_chain(scc32, noisy, llrs,
+                          SabmParams(delta=5.0, total_iters=4, md_iters=4),
+                          window=len(noisy) + 1, ell=4)
+    for got, want in zip(out, blocks):
         assert np.array_equal(got, want)
+
+
+def test_decode_chain_params_none_means_defaults(scc32, rng):
+    _, blocks = random_chain(scc32, rng, 5)
+    noisy = [b ^ (rng.random(b.shape) < 0.03).astype(np.uint8) for b in blocks]
+    llrs = [np.where(b == 0, 1.0, -1.0) * rng.uniform(0.1, 9.0, b.shape) for b in noisy]
+    got, got_stats = decode_chain(scc32, noisy, llrs, None, window=3, ell=3)
+    want, want_stats = decode_chain(scc32, noisy, llrs, SabmParams(), window=3, ell=3)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert got_stats == want_stats
 
 
 # ---------------------------------------------------------------- chains

@@ -1,8 +1,9 @@
 """The syndromes that the decoders maintain always equal the syndromes
 recomputed from the bits: after arbitrary flips, and after every decode.
-One `SyndromeState` serves the product block layout and every staircase
-window length; the sink slot that stands in for crossing words outside a
-window never changes and never reads as a codeword."""
+One `SyndromeState` serves the product block layout and a whole staircase
+chain; the chain's scratch group, where the pairs missing at both ends
+cross, holds the syndromes of the wrap-around pair [transpose(B_last) | B_0]
+and is never decoded."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from feclab import pc, scc
 from feclab.bch import block_syndromes, build_code
 from feclab.pc import PcCode, SabmParams, SyndromeState, block_layout, pc_encode
-from feclab.scc import SccCode, scc_encode, window_layout
+from feclab.scc import SccCode, chain_layout, scc_encode
 
 CODE = build_code(5, 2, extended=True)  # eBCH(32,21): PC w = 32, SCC w = 16
 
@@ -22,32 +23,31 @@ def pc_recomputed(state):
 
 
 def scc_recomputed(state):
+    """Every pair of the chain, then the scratch group's wrap-around pair."""
     blocks = state.bits
-    pairs = [np.concatenate([blocks[p].T, blocks[p + 1]], axis=1)
-             for p in range(len(blocks) - 1)]
+    pairs = [np.concatenate([blocks[p].T, blocks[(p + 1) % len(blocks)]], axis=1)
+             for p in range(len(blocks))]
     return np.concatenate([block_syndromes(CODE, words) for words in pairs])
 
 
-def assert_matches(state, recomputed, sink):
-    assert np.array_equal(state.syn[:-1], recomputed(state))
-    assert state.syn[-1] == sink != 0
+def assert_matches(state, recomputed):
+    assert np.array_equal(state.syn, recomputed(state))
 
 
 def follow_random_flips(state, recomputed, rng):
-    """Random whole-group flips and single-word flips keep every syndrome
-    equal to the bits and leave the sink slot as it was."""
+    """Random whole-group flips and single-word flips of the decoded groups
+    keep every syndrome, the scratch group's included, equal to the bits."""
     n, w = CODE.n, state.w
-    groups = (state.syn.size - 1) // w
-    sink = state.syn[-1]
-    assert_matches(state, recomputed, sink)
+    groups = len(state.layout.base)
+    assert_matches(state, recomputed)
     for _ in range(4):
         group = int(rng.integers(groups))
         cells = rng.choice(w * n, size=int(rng.integers(1, 60)), replace=False)
         state.flip(group, cells // n, cells % n)
-        assert_matches(state, recomputed, sink)
+        assert_matches(state, recomputed)
         pattern = rng.choice(n, size=int(rng.integers(1, 5)), replace=False)
         state.flip_word(group, int(rng.integers(w)), pattern.tolist())
-        assert_matches(state, recomputed, sink)
+        assert_matches(state, recomputed)
 
 
 def noisy_llr(bits, rng):
@@ -78,15 +78,17 @@ def test_block_syndromes_follow_random_flips(seed):
     follow_random_flips(SyndromeState(CODE, bits, block_layout(w)), pc_recomputed, rng)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6))
 @settings(max_examples=40, deadline=None)
 def test_window_syndromes_follow_random_flips(seed, num_blocks):
-    # the oldest pair's older half and the newest pair's newer half have
-    # their crossing words outside the window: their flips reach the sink
+    # the first pair's older half and the last pair's newer half cross into
+    # the scratch group, which the flips must keep equal to its bits too
     rng = np.random.default_rng(seed)
     w = CODE.n // 2
     bits = rng.integers(0, 2, (num_blocks, w, w), dtype=np.uint8)
-    state = SyndromeState(CODE, bits, window_layout(w, num_blocks))
+    state = SyndromeState(CODE, bits, chain_layout(w, num_blocks))
+    assert len(state.layout.base) == num_blocks - 1
+    assert state.syn.size == num_blocks * w
     follow_random_flips(state, scc_recomputed, rng)
 
 
@@ -114,28 +116,33 @@ def test_block_syndromes_match_after_decode(decoder, seed, monkeypatch):
                                 SabmParams(delta=5.0))
     (state,) = made
     assert state.bits is out
-    assert_matches(state, pc_recomputed, state.syn[-1])
+    assert_matches(state, pc_recomputed)
 
 
 @pytest.mark.parametrize("mode", ["standard", "sabm"])
 @pytest.mark.parametrize("seed", range(3))
 def test_window_syndromes_match_after_each_window(mode, seed, monkeypatch):
+    # exactly one state serves every window of a chain; it matches the bits
+    # before every pass, hence after each window, and after the chain
     made = recording(monkeypatch, scc, "SyndromeState")
-    window_decode = scc.scc_window_decode
-    windows = []
+    passes = []
 
-    def checked(*args, **kwargs):
-        window_decode(*args, **kwargs)
-        state = made[-1]
-        assert_matches(state, scc_recomputed, state.syn[-1])
-        windows.append(state)
+    def checked(state, *args, **kwargs):
+        assert_matches(state, scc_recomputed)
+        passes.append(args[0])
+        return pc.decode_pass(state, *args, **kwargs)
 
-    monkeypatch.setattr(scc, "scc_window_decode", checked)
+    monkeypatch.setattr(scc, "decode_pass", checked)
     code = SccCode(CODE)
     rng = np.random.default_rng(seed)
     info = rng.integers(0, 2, (8, code.w, code.info_cols), dtype=np.uint8)
     noisy = [b ^ (rng.random(b.shape) < 0.04).astype(np.uint8)
              for b in scc_encode(code, info)]
     llrs = [noisy_llr(b, rng) for b in noisy] if mode == "sabm" else None
-    scc.decode_chain(code, noisy, llrs, SabmParams(), window=4, ell=3)
-    assert len(windows) == len(made) == 8
+    out, _ = scc.decode_chain(code, noisy, llrs, SabmParams(), window=4, ell=3)
+    (state,) = made
+    assert_matches(state, scc_recomputed)
+    # 3 iterations over the pairs s..min(s + 2, 7) of each window s
+    assert passes == [p for s in range(8) for _ in range(3) for p in range(s, min(s + 3, 8))]
+    for got, want in zip(out, state.bits[1:]):
+        assert np.array_equal(got, want)
