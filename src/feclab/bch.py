@@ -32,6 +32,8 @@ class BchCode:
     extended: bool
     generator: int
     # decode/encode tables, derived once in build_code
+    # parity generator, float32 so that encode_many's matmul runs in BLAS;
+    # its integer counts (at most k <= 239) are exact
     parity_matrix: np.ndarray = field(repr=False, default=None)
     # packed syndrome of a word with only bit j set, per position j
     flip_syndrome: np.ndarray = field(repr=False, default=None)
@@ -90,7 +92,7 @@ def build_code(m: int, t: int, extended: bool) -> BchCode:
     for _ in range(k - 1):
         r = rems[-1] << 1  # x^(i+1+d) mod g from x^(i+d) mod g
         rems.append(r ^ gen if r >> d else r)
-    pm = ((np.array(rems)[:, None] >> np.arange(d)) & 1).astype(np.uint8)
+    pm = ((np.array(rems)[:, None] >> np.arange(d)) & 1).astype(np.float32)
     # a single error at unextended position j has S1 = alpha^j, S3 = alpha^3j
     j = np.arange(n_unext)
     flip_syn = np.zeros(n, dtype=np.int64)
@@ -121,8 +123,8 @@ def encode_many(code: BchCode, messages: np.ndarray) -> np.ndarray:
     msgs = np.asarray(messages, dtype=np.uint8)
     if msgs.ndim != 2 or msgs.shape[1] != code.k:
         raise ValueError(f"message batch must be (R, {code.k})")
-    parity = (msgs @ code.parity_matrix) & 1
-    words = np.concatenate([msgs, parity.astype(np.uint8)], axis=1)
+    parity = (msgs @ code.parity_matrix).astype(np.uint8) & 1
+    words = np.concatenate([msgs, parity], axis=1)
     if code.extended:
         ext = (words.sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
         words = np.concatenate([words, ext[:, None]], axis=1)

@@ -7,7 +7,7 @@ same scale and sign as the exact form (they coincide for 2-PAM).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -66,14 +66,13 @@ def pam_constellation(M: int):
 
 
 def modulate(bits, cfg: ChannelConfig) -> np.ndarray:
-    b = np.asarray(bits, dtype=np.int64).reshape(-1)
+    b = np.asarray(bits).reshape(-1)
     nb = cfg.bits_per_symbol
     if b.size % nb:
         raise ValueError(f"bit count {b.size} not divisible by log2(M)={nb}")
     _, _, level_of_label = pam_constellation(cfg.M)
-    groups = b.reshape(-1, nb)
-    weights = 1 << np.arange(nb - 1, -1, -1)
-    labels = groups @ weights
+    groups = b.reshape(-1, nb).astype(np.intp)
+    labels = reduce(lambda label, bit: label << 1 | bit, groups.T)  # MSB first
     return level_of_label[labels]
 
 
@@ -82,9 +81,13 @@ def awgn_transmit(symbols, cfg: ChannelConfig, rng) -> np.ndarray:
     return cfg.sqrt_rho * x + rng.standard_normal(x.shape)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
+def _logsumexp(terms: list) -> np.ndarray:
+    """log(sum(exp(t))) over equal-shape arrays, term by term in list order:
+    the max, exp, add and log of a column-wise logsumexp, bit for bit."""
+    if len(terms) == 1:
+        return terms[0] + 0.0  # max + log(exp(0)); the + 0.0 clears -0.0
+    m = reduce(np.maximum, terms)
+    return m + np.log(reduce(np.add, [np.exp(t - m) for t in terms]))
 
 
 def demap_llr(y, cfg: ChannelConfig) -> np.ndarray:
@@ -92,16 +95,16 @@ def demap_llr(y, cfg: ChannelConfig) -> np.ndarray:
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     levels, labels, _ = pam_constellation(cfg.M)
     nb = cfg.bits_per_symbol
-    d2 = (yv[:, None] - cfg.sqrt_rho * levels[None, :]) ** 2
+    # squared distance to each level, one vector per level
+    d2 = [(yv - cfg.sqrt_rho * level) ** 2 for level in levels]
+    exact = cfg.llr_mode == LLR_EXACT
+    terms = [-d / 2.0 for d in d2] if exact else d2
     out = np.empty((yv.size, nb))
     for k in range(nb):
         bit = (labels >> (nb - 1 - k)) & 1
-        if cfg.llr_mode == LLR_EXACT:
-            out[:, k] = _logsumexp(-d2[:, bit == 0] / 2.0, axis=1) - \
-                        _logsumexp(-d2[:, bit == 1] / 2.0, axis=1)
-        else:
-            out[:, k] = (np.min(d2[:, bit == 1], axis=1) -
-                         np.min(d2[:, bit == 0], axis=1)) / 2.0
+        zero, one = ([t for t, b in zip(terms, bit) if b == v] for v in (0, 1))
+        out[:, k] = (_logsumexp(zero) - _logsumexp(one) if exact else
+                     (reduce(np.minimum, one) - reduce(np.minimum, zero)) / 2.0)
     return out
 
 

@@ -21,7 +21,8 @@ flip retry.
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import xor
 
 import numpy as np
 
@@ -73,20 +74,39 @@ class DecodeStats:
 class MarkState:
     """Flip mask frozen at channel time, for the words along each axis (for
     a product block, rows are axis 0 and columns axis 1). word_hrb[axis, i]
-    flags the HRB positions of word i, and order[axis, i] lists its marked
-    positions by ascending |llr| (ties broken by lowest index), of which the
-    first non_hrb[axis, i] are its non-HRB positions. The HUB list of a word
-    is the first hub_len = d0-t-1 entries of its non-HRB order; a failed
-    word gets flip_attempts retries, at most one per HUB."""
+    flags the HRB positions of word i. order[axis, i] holds the first d0-2
+    entries of its stable order (positions by ascending |llr|, ties to the
+    lowest index), the most that SABM reads; of that order the first
+    non_hrb[axis, i] entries are the non-HRB positions. The HUB list of a
+    word is the first hub_len = d0-t-1 entries of its non-HRB order; a
+    failed word gets flip_attempts retries, at most one per HUB."""
 
     word_hrb: np.ndarray = field(repr=False)  # (axes, w, n)
-    order: np.ndarray = field(repr=False)     # (axes, w, marked positions)
+    order: np.ndarray = field(repr=False)     # (axes, w, min(d0-2, marked positions))
     non_hrb: np.ndarray = field(repr=False)   # (axes, w)
     hub_len: int
     flip_attempts: int
 
     def order_for(self, axis: int, index: int) -> np.ndarray:
         return self.order[axis, index, : self.non_hrb[axis, index]]
+
+
+def _stable_order_prefix(a: np.ndarray, keep: int) -> np.ndarray:
+    """np.argsort(a, axis=-1, kind="stable")[..., :keep] without sorting
+    whole rows: each row keeps its values below the keep-th smallest one
+    and, at that value, its lowest-index ties, and sorts only those."""
+    if keep >= a.shape[-1]:
+        return np.argsort(a, axis=-1, kind="stable")
+    cut = np.partition(a, keep - 1, axis=-1)[..., keep - 1, None]
+    sel = a <= cut
+    tied = sel.sum(axis=-1) > keep  # rows with more than one entry at the cut
+    if tied.any():
+        at, below = a[tied] == cut[tied], a[tied] < cut[tied]
+        room = keep - below.sum(axis=-1, keepdims=True)
+        sel[tied] = below | (at & (np.cumsum(at, axis=-1) <= room))
+    pos = (np.flatnonzero(sel) % a.shape[-1]).reshape(a.shape[:-1] + (keep,))
+    by_value = np.argsort(np.take_along_axis(a, pos, axis=-1), axis=-1, kind="stable")
+    return np.take_along_axis(pos, by_value, axis=-1)
 
 
 def make_marks(a: np.ndarray, params: SabmParams, code: BchCode,
@@ -97,7 +117,7 @@ def make_marks(a: np.ndarray, params: SabmParams, code: BchCode,
     hrb = a > params.delta
     # HRBs have |llr| > delta, so a stable sort puts every non-HRB before
     # them: each word's non-HRB order is a prefix of its sorted positions
-    order = offset + np.argsort(a, axis=-1, kind="stable")
+    order = offset + _stable_order_prefix(a, code.d0 - 2)
     word_hrb = np.concatenate([np.zeros(hrb.shape[:-1] + (offset,), bool), hrb], axis=-1)
     word_hrb.setflags(write=False)
     hub_len = code.d0 - code.t - 1
@@ -207,8 +227,8 @@ def bit_flip_recover(code: BchCode, syndrome: int, attempts: list[list[int]],
     flip pattern that `suspicious` accepts, or () to revert the word."""
     for flips in attempts:
         stats.flips_attempted += 1
-        change = int(np.bitwise_xor.reduce(code.flip_syndrome[flips]))
-        pat = decode_syndromes(code, syndrome ^ change)
+        change = reduce(xor, [code.flip_syndrome[p] for p in flips], syndrome)
+        pat = decode_syndromes(code, change)
         stats.bdd_calls += 1
         if pat is None:
             continue

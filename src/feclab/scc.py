@@ -116,12 +116,14 @@ def decode_chain(code: SccCode, received: list[np.ndarray],
     block s ends at block s+window-1 or at the chain's end, and its ell
     iterations decode pairs s..newest in order; SABM marks the newest
     block and runs on the newest pair in the first md_iters iterations.
-    Its veto reads only crossing words of the window's pairs.
+    Its veto reads only crossing words of the window's pairs. A block's
+    marks are made once, when it first is the newest, and reused in each
+    tail window.
 
     Known deviation: the first window starts once `window` blocks are
     buffered, so chain blocks 1..window-2 are never marked while the last
-    block is marked again in each tail window. The pinned SCC SABM outputs
-    depend on this schedule."""
+    block is the marked one of every tail window. The pinned SCC SABM
+    outputs depend on this schedule."""
     if window < 2:
         raise ValueError("window size must be >= 2")
     if params is None:
@@ -132,13 +134,14 @@ def decode_chain(code: SccCode, received: list[np.ndarray],
     for i, blk in enumerate(received):
         chain[i + 1] = blk
     state = SyndromeState(code.component, chain, chain_layout(w, len(chain)))
+    marks = marked = None
     for s in range(len(received)):
         newest = min(s + window, len(chain)) - 2
-        marks = None
-        if llr_grids is not None:
+        if llr_grids is not None and marked != newest:
             # the newest block fills positions w..2w-1 of the newest pair's words
             marks = make_marks(np.abs(llr_grids[newest])[None], params, code.component,
                                offset=w)
+            marked = newest
         live = range(s * w, (newest + 1) * w)
         for it in range(ell):
             for p in range(s, newest + 1):

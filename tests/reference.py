@@ -1,4 +1,5 @@
-"""Bit-level reference decoders for product and staircase codes.
+"""Bit-level reference decoders for product and staircase codes, and
+reference channel layers.
 
 A differential oracle for the syndrome-domain decoders of `feclab.pc` and
 `feclab.scc`: they keep no syndrome state and no layout. Every pass
@@ -7,11 +8,21 @@ recomputes the syndromes of its words from the bits with
 bits, and only a crossing word inside the window. Only the decoding
 policy is shared: `decode_syndromes` for BDD and `sabm_resolve` for the
 flip sets of a failure or a suspicious proposal.
+
+The channel references are the straightforward array forms that
+`feclab.modem` and `feclab.bch` must equal bit for bit: the demapper as a
+column-wise logsumexp over the label-masked columns of one distance
+matrix, labels from an int64 matmul, and parity from a uint8 matmul with
+a parity generator built from the code's generator polynomial.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
-from feclab.bch import block_syndromes, decode_syndromes
+from feclab.bch import BchCode, block_syndromes, decode_syndromes
+from feclab.gf2m import poly_rem
+from feclab.modem import ChannelConfig, pam_constellation
 from feclab.pc import DecodeStats, PcCode, SabmParams, sabm_resolve
 from feclab.scc import SccCode
 
@@ -134,3 +145,50 @@ def scc_decode(code: SccCode, received, llr_grids, params: SabmParams | None,
                     marks = lambda i, a=a: word_marks(a[i], params.delta, offset=w)
                 _pass(comp, words, flip, crossing, g, stats, marks, attempts)
     return list(chain[1:]), stats
+
+
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = np.max(a, axis=axis, keepdims=True)
+    return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
+
+
+def demap_llr(y, cfg: ChannelConfig) -> np.ndarray:
+    """Per-bit LLRs from the (symbols, M) matrix of squared distances."""
+    yv = np.atleast_1d(np.asarray(y, dtype=float))
+    levels, labels, _ = pam_constellation(cfg.M)
+    nb = cfg.bits_per_symbol
+    d2 = (yv[:, None] - cfg.sqrt_rho * levels[None, :]) ** 2
+    out = np.empty((yv.size, nb))
+    for k in range(nb):
+        bit = (labels >> (nb - 1 - k)) & 1
+        if cfg.llr_mode == "exact":
+            out[:, k] = logsumexp(-d2[:, bit == 0] / 2.0, axis=1) - \
+                        logsumexp(-d2[:, bit == 1] / 2.0, axis=1)
+        else:
+            out[:, k] = (np.min(d2[:, bit == 1], axis=1) -
+                         np.min(d2[:, bit == 0], axis=1)) / 2.0
+    return out
+
+
+def modulate(bits, cfg: ChannelConfig) -> np.ndarray:
+    nb = cfg.bits_per_symbol
+    groups = np.asarray(bits, dtype=np.int64).reshape(-1, nb)
+    labels = groups @ (1 << np.arange(nb - 1, -1, -1))
+    return pam_constellation(cfg.M)[2][labels]
+
+
+@lru_cache(maxsize=None)
+def _parity_rows(generator: int, k: int, d: int) -> np.ndarray:
+    """Row i: the bits of x^(i+d) mod g."""
+    return np.array([[poly_rem(1 << (i + d), generator) >> j & 1 for j in range(d)]
+                     for i in range(k)], dtype=np.uint8)
+
+
+def encode_many(code: BchCode, messages) -> np.ndarray:
+    msgs = np.asarray(messages, dtype=np.uint8)
+    parity = (msgs @ _parity_rows(code.generator, code.k, code.n - code.k - code.extended)) & 1
+    words = np.concatenate([msgs, parity], axis=1)
+    if code.extended:
+        words = np.concatenate([words, words.sum(axis=1, keepdims=True, dtype=np.int64) % 2],
+                               axis=1).astype(np.uint8)
+    return words

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from feclab.bch import block_syndromes, encode_many
 from feclab.modem import ChannelConfig, awgn_transmit, demap_llr, modulate
@@ -13,6 +15,7 @@ from feclab.pc import (
     _suspicious,
     block_layout,
     ibdd_decode,
+    make_marks,
     mark_bits,
     pc_encode,
     sabm_decode,
@@ -131,8 +134,13 @@ def test_hub_list_length_is_three(pc32):
     assert mark_bits(llr, SabmParams(), pc32).hub_len == 3
 
 
+def stable_prefix(a, d0, non_hrb):
+    """The first min(d0-2, non-HRB count) entries of a word's stable order."""
+    return np.argsort(a, kind="stable")[: min(d0 - 2, non_hrb)]
+
+
 def test_mark_bits_hrb_and_order(pc32, rng):
-    w = pc32.w
+    w, d0 = pc32.w, pc32.component.d0
     llr = rng.normal(0, 4, size=(w, w))
     marks = mark_bits(llr, SabmParams(delta=5.0), pc32)
     hrb = marks.word_hrb[0]
@@ -140,21 +148,45 @@ def test_mark_bits_hrb_and_order(pc32, rng):
     assert np.array_equal(marks.word_hrb[1], hrb.T)
     for i in range(w):
         order = marks.order_for(0, i)
-        mags = np.abs(llr[i, order])
-        assert np.all(np.diff(mags) >= 0)
+        assert np.array_equal(order, stable_prefix(np.abs(llr[i]), d0, (~hrb[i]).sum()))
         assert not hrb[i, order].any()
-        assert len(order) == (~hrb[i]).sum()
         corder = marks.order_for(1, i)
+        assert np.array_equal(corder, stable_prefix(np.abs(llr[:, i]), d0, (~hrb[:, i]).sum()))
         assert not hrb[corder, i].any()
-        assert np.all(np.diff(np.abs(llr[corder, i])) >= 0)
 
 
 def test_mark_bits_stable_ties(pc32):
-    w = pc32.w
+    w, d0 = pc32.w, pc32.component.d0
     llr = np.full((w, w), 1.0)
     marks = mark_bits(llr, SabmParams(delta=5.0), pc32)
-    assert np.array_equal(marks.order_for(0, 0), np.arange(w))
-    assert np.array_equal(marks.order_for(1, 3), np.arange(w))
+    assert np.array_equal(marks.order_for(0, 0), stable_prefix(llr[0], d0, w))
+    assert np.array_equal(marks.order_for(1, 3), np.arange(d0 - 2))
+
+
+# |llr| levels with ties: zero, the delta itself and values on either side
+MARK_LEVELS = [0.0, 0.5, 1.0, 1.0, 2.0, 5.0, 5.0000001, 7.0, 1e9]
+
+
+@st.composite
+def mark_inputs(draw):
+    axes, rows, n = draw(st.integers(1, 2)), draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    a = draw(hnp.arrays(np.float64, (axes, rows, n), elements=st.sampled_from(MARK_LEVELS)))
+    # some rows all equal: all ties, and all HRB for a level above delta
+    const = draw(hnp.arrays(np.bool_, (axes, rows)))
+    a[const] = draw(st.sampled_from(MARK_LEVELS))
+    return a
+
+
+@given(a=mark_inputs(), offset=st.integers(0, 3), delta=st.sampled_from([0.0, 1.0, 5.0]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_make_marks_keeps_stable_order_prefix(ecc32_code, a, offset, delta):
+    marks = make_marks(a, SabmParams(delta=delta), ecc32_code, offset=offset)
+    keep = min(ecc32_code.d0 - 2, a.shape[-1])
+    assert np.array_equal(marks.order, offset + np.argsort(a, axis=-1, kind="stable")[..., :keep])
+    hrb = a > delta
+    assert np.array_equal(marks.word_hrb[..., offset:], hrb)
+    assert not marks.word_hrb[..., :offset].any()
+    assert np.array_equal(marks.non_hrb, (~hrb).sum(axis=-1))
 
 
 def test_mark_bits_all_hrb_degenerate(pc32):
