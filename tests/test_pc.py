@@ -164,7 +164,7 @@ def test_mark_bits_stable_ties(pc32):
 
 
 # |llr| levels with ties: zero, the delta itself and values on either side
-MARK_LEVELS = [0.0, 0.5, 1.0, 1.0, 2.0, 5.0, 5.0000001, 7.0, 1e9]
+MARK_LEVELS = [0.0, 0.5, 1.0, 2.0, 5.0, 5.0000001, 7.0, 1e9]
 
 
 @st.composite
