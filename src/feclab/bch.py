@@ -141,11 +141,13 @@ def block_syndromes(code: BchCode, words) -> np.ndarray:
 
 def decode_syndromes(code: BchCode, syn: int):
     """Bounded-distance decode of one packed syndrome; returns the error
-    pattern as a tuple of ascending positions, or None on failure."""
-    nerr = int(code.error_count[syn])
+    pattern as a tuple of ascending positions (Python ints), or None on
+    failure."""
+    nerr = code.error_count.item(syn)
     if nerr < 0:
         return None
-    return tuple(code.error_positions[syn, :nerr].tolist())
+    pos = code.error_positions  # t = 2 columns
+    return (pos.item(syn, 0), pos.item(syn, 1))[:nerr]
 
 
 class BlockProposals:

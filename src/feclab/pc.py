@@ -4,9 +4,10 @@ bit-marking (SABM) decoder.
 SABM augments iBDD with a channel-LLR mask: bits with |llr| > delta are
 highly reliable (HRBs), and per component word the d0-t-1 smallest-|llr|
 non-HRB positions are the flip candidates (HUBs). SABM runs if and only
-if LLRs are given: in the first md_iters iterations `decode_pass` screens
-every BDD success with `_suspicious` and, on a failure or miscorrection,
-tries the flip sets that `sabm_resolve` lists.
+if LLRs are given: in the first md_iters iterations `decode_pass` vetoes
+every BDD proposal that touches an HRB or a bit whose crossing word has a
+zero syndrome and, on a failure or a vetoed proposal, retries BDD with the
+least reliable non-HRB bits flipped.
 
 Decoding runs on syndromes, in one core that the staircase decoder shares.
 `SyndromeState` keeps the packed syndrome of every word of a set of word
@@ -21,8 +22,7 @@ flip retry.
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
-from operator import xor
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,9 +86,6 @@ class MarkState:
     non_hrb: np.ndarray = field(repr=False)   # (axes, w)
     hub_len: int
     flip_attempts: int
-
-    def order_for(self, axis: int, index: int) -> np.ndarray:
-        return self.order[axis, index, : self.non_hrb[axis, index]]
 
 
 def _stable_order_prefix(a: np.ndarray, keep: int) -> np.ndarray:
@@ -179,9 +176,9 @@ def block_layout(w: int) -> Layout:
 class SyndromeState:
     """Packed syndromes of every word of a layout over a bit array, which
     is decoded in place: syn[g * w + i] is the syndrome of word i of group
-    g. Flips made through `flip` and `flip_word` update the bits, the
-    flipped word's syndrome and each crossing word's syndrome, so `syn`
-    always equals the syndromes of the bits."""
+    g. Flips made through `flip` update the bits, the flipped word's
+    syndrome and each crossing word's syndrome, so `syn` always equals the
+    syndromes of the bits."""
 
     def __init__(self, code: BchCode, bits: np.ndarray, layout: Layout):
         if not (isinstance(bits, np.ndarray) and bits.flags.c_contiguous):
@@ -201,66 +198,83 @@ class SyndromeState:
         np.bitwise_xor.at(self.syn, lay.cross[group, positions],
                           h[lay.shift[group, positions] + words])
 
-    def flip_word(self, group: int, index: int, pattern):
-        """`flip` for the positions of one word, without the array set-up."""
-        base, stride, cross, shift = self.layout.rows[group]
-        flat, syn, h = self.flat, self.syn, self.code.flip_syndrome
-        own = group * self.w + index
+
+def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkState,
+               axis: int, live: range | None, stats: DecodeStats) -> tuple[bool, bool]:
+    """SABM on the words idx of one group, in ascending order, on Python
+    ints. A word's BDD proposal is vetoed if it touches an HRB of the word
+    or a bit whose crossing word is live and has a zero syndrome. A failure
+    retries with its non-HRB flip order's order[0], order[1], ... flipped
+    one at a time, at most flip_attempts retries (capped at the HUB count);
+    a vetoed proposal of weight e retries once with order[:d0 - e - 1]
+    flipped at once. Both act on the pre-BDD word and take the first retry
+    that decodes to a pattern the veto passes; else the word is left as it
+    is. A veto reads crossing syndromes that earlier words of the pass
+    changed, so each accepted pattern updates the live crossing syndromes
+    at once; the bits and the state's syndromes are flipped once at the
+    end, which is exact as XOR commutes and no (word, position) repeats."""
+    comp, w, n = state.code, state.w, state.code.n
+    h = comp.flip_syndrome.tolist()
+    cross, shift = state.layout.rows[group][2:]
+    lo, hi = (0, state.syn.size) if live is None else (live.start, live.stop)
+    cs = state.syn[lo:hi].tolist()  # live crossing syndromes, kept current
+    span = hi - lo
+    hrb = marks.word_hrb[axis].tobytes()
+    d0, attempts = comp.d0, marks.flip_attempts
+
+    def vetoed(pattern, row):
         for p in pattern:
-            flat[base[p] + index * stride[p]] ^= 1
-            syn[own] ^= h[p]
-            syn[cross[p]] ^= h[shift[p] + index]
+            c = cross[p] - lo
+            if hrb[row + p] or (0 <= c < span and not cs[c]):
+                return True
+        return False
 
-
-def _suspicious(pattern, hrb_row: np.ndarray, syn: np.ndarray, cross, live: range) -> bool:
-    """True iff the pattern touches an HRB of its word or a bit whose
-    crossing word (slot cross[p] of syn) is live and currently has a zero
-    syndrome; a crossing word outside `live` never reads as a codeword."""
-    return any(hrb_row[p] for p in pattern) or any(
-        syn[cross[p]] == 0 and cross[p] in live for p in pattern)
-
-
-def bit_flip_recover(code: BchCode, syndrome: int, attempts: list[list[int]],
-                     stats: DecodeStats, suspicious) -> tuple[int, ...]:
-    """Retry BDD with each flip set of `attempts` in turn, on the word whose
-    packed syndrome is `syndrome` (no bits are read); returns the first total
-    flip pattern that `suspicious` accepts, or () to revert the word."""
-    for flips in attempts:
-        stats.flips_attempted += 1
-        change = reduce(xor, [code.flip_syndrome[p] for p in flips], syndrome)
-        pat = decode_syndromes(code, change)
-        stats.bdd_calls += 1
-        if pat is None:
+    words, positions = [], []
+    retries = miscorrections = accepted = 0
+    suppressed = False
+    for i, syn, order, non_hrb in zip(idx.tolist(), state.syn[group * w + idx].tolist(),
+                                      marks.order[axis, idx].tolist(),
+                                      marks.non_hrb[axis, idx].tolist()):
+        row = i * n
+        pattern = decode_syndromes(comp, syn)
+        if pattern is None or vetoed(pattern, row):
+            if pattern is None:
+                tries = [[p] for p in order[:min(attempts, non_hrb)]]
+            else:
+                miscorrections += 1
+                flips = order[:min(d0 - len(pattern) - 1, non_hrb)]
+                tries = [flips] if flips else []
+            pattern = ()
+            for flips in tries:
+                retries += 1
+                change = syn
+                for p in flips:
+                    change ^= h[p]
+                got = decode_syndromes(comp, change)
+                if got is None:
+                    continue
+                # never empty: syn != 0 is the syndrome of flips ^ got
+                total = tuple(sorted(set(flips).symmetric_difference(got)))
+                if not vetoed(total, row):
+                    pattern = total
+                    accepted += 1
+                    break
+        if not pattern:  # dropped: a nonzero syndrome never decodes to ()
+            suppressed = True
             continue
-        total = tuple(sorted(set(flips).symmetric_difference(pat)))
-        if not total or suspicious(total):
-            # empty net pattern cannot happen for a non-codeword input;
-            # treat it like a failed retry rather than a silent accept
-            continue
-        stats.flips_accepted += 1
-        return total
-    return ()
-
-
-def sabm_resolve(code: BchCode, syndrome: int, proposal, order: np.ndarray,
-                 suspicious, flip_attempts: int,
-                 stats: DecodeStats) -> tuple[int, ...]:
-    """SABM's final flip pattern for one word, given its packed syndrome,
-    its BDD proposal (None on failure), its flip order and the word's
-    miscorrection check. A failure retries with order[0], order[1], ...
-    flipped one at a time, at most flip_attempts retries (callers cap
-    flip_attempts at the HUB count). A suspicious proposal of weight e
-    retries once with the d0 - e - 1 least reliable non-HRB positions
-    flipped at once, operating on the pre-BDD word."""
-    if proposal is None:
-        attempts = [[p] for p in order[:flip_attempts].tolist()]
-    elif not proposal or not suspicious(proposal):
-        return proposal
-    else:
-        stats.miscorrections_detected += 1
-        flips = order[:code.d0 - len(proposal) - 1].tolist()
-        attempts = [flips] if flips else []
-    return bit_flip_recover(code, syndrome, attempts, stats, suspicious)
+        for p in pattern:
+            c = cross[p] - lo
+            if 0 <= c < span:
+                cs[c] ^= h[shift[p] + i]
+        words += [i] * len(pattern)
+        positions += pattern
+    if words:
+        state.flip(group, np.array(words), np.array(positions))
+    stats.bdd_calls += retries
+    stats.miscorrections_detected += miscorrections
+    stats.flips_attempted += retries
+    stats.flips_accepted += accepted
+    return bool(words), suppressed
 
 
 def decode_pass(state: SyndromeState, group: int, stats: DecodeStats,
@@ -269,38 +283,23 @@ def decode_pass(state: SyndromeState, group: int, stats: DecodeStats,
     """Decode the words of one group that have a nonzero syndrome and apply
     their flips. Without marks every pattern applies at once, as the words
     of a group share no bits. With marks (SABM; word i of the group is word
-    i of marks' axis) the words are resolved and applied in order, as a veto
-    reads crossing syndromes that earlier words changed; it reads only the
-    slots in `live` (default: all). Returns (changed, suppressed), where
-    suppressed means a failure or proposal was dropped."""
+    i of marks' axis) `_sabm_pass` resolves the words in ascending order in
+    one loop, as a veto reads crossing syndromes that earlier words
+    changed; it reads only the slots in `live` (default: all). Returns
+    (changed, suppressed), where suppressed means a failure or proposal was
+    dropped."""
     w = state.w
     stats.bdd_calls += w
     own = state.syn[group * w:(group + 1) * w]
     idx = np.flatnonzero(own)
     if idx.size == 0:
         return False, False
-    comp = state.code
-    if marks is None:
-        rows, pos = decode_block(comp, own[idx]).flips()
-        if rows.size:
-            state.flip(group, idx[rows], pos)
-        return rows.size > 0, False
-    hrb, cross = marks.word_hrb[axis], state.layout.rows[group][2]
-    live = range(state.syn.size) if live is None else live
-    changed = suppressed = False
-    for i in idx.tolist():
-        syn = int(own[i])
-        resolved = sabm_resolve(comp, syn, decode_syndromes(comp, syn),
-                                marks.order_for(axis, i),
-                                partial(_suspicious, hrb_row=hrb[i], syn=state.syn,
-                                        cross=cross, live=live),
-                                marks.flip_attempts, stats)
-        if resolved:
-            state.flip_word(group, i, resolved)
-            changed = True
-        else:  # a nonzero syndrome never decodes to an empty proposal
-            suppressed = True
-    return changed, suppressed
+    if marks is not None:
+        return _sabm_pass(state, group, idx, marks, axis, live, stats)
+    rows, pos = decode_block(state.code, own[idx]).flips()
+    if rows.size:
+        state.flip(group, idx[rows], pos)
+    return rows.size > 0, False
 
 
 def _decode_core(code: PcCode, block, iters: int, marks: MarkState | None,

@@ -5,9 +5,12 @@ A differential oracle for the syndrome-domain decoders of `feclab.pc` and
 `feclab.scc`: they keep no syndrome state and no layout. Every pass
 recomputes the syndromes of its words from the bits with
 `block_syndromes`, and the SABM veto recomputes a crossing word from the
-bits, and only a crossing word inside the window. Only the decoding
-policy is shared: `decode_syndromes` for BDD and `sabm_resolve` for the
-flip sets of a failure or a suspicious proposal.
+bits, and only a crossing word inside the window. They share only
+`decode_syndromes` (BDD by table lookup) with feclab. The SABM policy is
+this module's own, function by function: `sabm_resolve` lists the flip
+sets of a failure or a suspicious proposal, `bit_flip_recover` tries
+them, and `_suspicious` is the veto. `feclab.pc` runs the same policy as
+one loop on Python ints.
 
 The channel references are the straightforward array forms that
 `feclab.modem` and `feclab.bch` must equal bit for bit: the demapper as a
@@ -16,14 +19,15 @@ matrix, labels from an int64 matmul, and parity from a uint8 matmul with
 a parity generator built from the code's generator polynomial.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 
 import numpy as np
 
 from feclab.bch import BchCode, block_syndromes, decode_syndromes
 from feclab.gf2m import poly_rem
 from feclab.modem import ChannelConfig, pam_constellation
-from feclab.pc import DecodeStats, PcCode, SabmParams, sabm_resolve
+from feclab.pc import DecodeStats, PcCode, SabmParams
 from feclab.scc import SccCode
 
 
@@ -35,6 +39,57 @@ def word_marks(a: np.ndarray, delta: float, offset: int = 0):
     hrb[offset:] = a > delta
     order = [offset + j for j in np.argsort(a, kind="stable").tolist() if not a[j] > delta]
     return hrb, np.array(order, dtype=np.int64)
+
+
+def _suspicious(pattern, hrb_row: np.ndarray, syn: np.ndarray, cross, live: range) -> bool:
+    """True iff the pattern touches an HRB of its word or a bit whose
+    crossing word (slot cross[p] of syn) is live and currently has a zero
+    syndrome; a crossing word outside `live` never reads as a codeword."""
+    return any(hrb_row[p] for p in pattern) or any(
+        syn[cross[p]] == 0 and cross[p] in live for p in pattern)
+
+
+def bit_flip_recover(code: BchCode, syndrome: int, attempts: list[list[int]],
+                     stats: DecodeStats, suspicious) -> tuple[int, ...]:
+    """Retry BDD with each flip set of `attempts` in turn, on the word whose
+    packed syndrome is `syndrome` (no bits are read); returns the first total
+    flip pattern that `suspicious` accepts, or () to revert the word."""
+    for flips in attempts:
+        stats.flips_attempted += 1
+        change = reduce(xor, [code.flip_syndrome[p] for p in flips], syndrome)
+        pat = decode_syndromes(code, change)
+        stats.bdd_calls += 1
+        if pat is None:
+            continue
+        total = tuple(sorted(set(flips).symmetric_difference(pat)))
+        if not total or suspicious(total):
+            # empty net pattern cannot happen for a non-codeword input;
+            # treat it like a failed retry rather than a silent accept
+            continue
+        stats.flips_accepted += 1
+        return total
+    return ()
+
+
+def sabm_resolve(code: BchCode, syndrome: int, proposal, order: np.ndarray,
+                 suspicious, flip_attempts: int,
+                 stats: DecodeStats) -> tuple[int, ...]:
+    """SABM's final flip pattern for one word, given its packed syndrome,
+    its BDD proposal (None on failure), its flip order and the word's
+    miscorrection check. A failure retries with order[0], order[1], ...
+    flipped one at a time, at most flip_attempts retries (callers cap
+    flip_attempts at the HUB count). A suspicious proposal of weight e
+    retries once with the d0 - e - 1 least reliable non-HRB positions
+    flipped at once, operating on the pre-BDD word."""
+    if proposal is None:
+        attempts = [[p] for p in order[:flip_attempts].tolist()]
+    elif not proposal or not suspicious(proposal):
+        return proposal
+    else:
+        stats.miscorrections_detected += 1
+        flips = order[:code.d0 - len(proposal) - 1].tolist()
+        attempts = [flips] if flips else []
+    return bit_flip_recover(code, syndrome, attempts, stats, suspicious)
 
 
 def _pass(comp, words, flip, crossing, group, stats, marks=None, attempts=0):

@@ -171,6 +171,23 @@ def test_error_table_matches_two_step_parity_rule(m):
         assert decode_syndromes(ext, syn) == pat
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_decode_syndromes_reads_the_table_as_python_ints(m):
+    # every packed syndrome of the extended code: None for a failure, ()
+    # for 0, else the table's positions in ascending order, as Python ints
+    code = build_code(m, 2, extended=True)
+    for syn in range(code.error_count.size):
+        nerr = int(code.error_count[syn])
+        pat = decode_syndromes(code, syn)
+        if nerr < 0:
+            assert pat is None
+            continue
+        assert type(pat) is tuple and len(pat) == nerr
+        assert all(type(p) is int for p in pat)
+        assert list(pat) == code.error_positions[syn, :nerr].tolist() == sorted(pat)
+    assert decode_syndromes(code, 0) == ()
+
+
 def test_vectorized_propose_matches_scalar(ecc32_code, rng):
     # the batch decode of the iBDD passes agrees with the one-syndrome
     # decode of the SABM passes and flip retries, row by row

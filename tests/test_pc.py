@@ -5,22 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from feclab.bch import block_syndromes, encode_many
+from feclab.bch import block_syndromes, decode_syndromes, encode_many
 from feclab.modem import ChannelConfig, awgn_transmit, demap_llr, modulate
 from feclab.pc import (
     DecodeStats,
     PcCode,
     SabmParams,
     SyndromeState,
-    _suspicious,
     block_layout,
+    decode_pass,
     ibdd_decode,
     make_marks,
     mark_bits,
     pc_encode,
     sabm_decode,
-    sabm_resolve,
 )
+
+import reference
+from reference import _suspicious, sabm_resolve
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +33,11 @@ def pc32(ecc32_code):
 @pytest.fixture(scope="module")
 def pc16(ecc16_code):
     return PcCode(ecc16_code)
+
+
+def flip_order(marks, axis, index):
+    """A word's flip order: the non-HRB entries of its kept stable order."""
+    return marks.order[axis, index, :marks.non_hrb[axis, index]]
 
 
 def random_block(pc, rng):
@@ -147,10 +154,10 @@ def test_mark_bits_hrb_and_order(pc32, rng):
     assert np.array_equal(hrb, np.abs(llr) > 5.0)
     assert np.array_equal(marks.word_hrb[1], hrb.T)
     for i in range(w):
-        order = marks.order_for(0, i)
+        order = flip_order(marks, 0, i)
         assert np.array_equal(order, stable_prefix(np.abs(llr[i]), d0, (~hrb[i]).sum()))
         assert not hrb[i, order].any()
-        corder = marks.order_for(1, i)
+        corder = flip_order(marks, 1, i)
         assert np.array_equal(corder, stable_prefix(np.abs(llr[:, i]), d0, (~hrb[:, i]).sum()))
         assert not hrb[corder, i].any()
 
@@ -159,8 +166,8 @@ def test_mark_bits_stable_ties(pc32):
     w, d0 = pc32.w, pc32.component.d0
     llr = np.full((w, w), 1.0)
     marks = mark_bits(llr, SabmParams(delta=5.0), pc32)
-    assert np.array_equal(marks.order_for(0, 0), stable_prefix(llr[0], d0, w))
-    assert np.array_equal(marks.order_for(1, 3), np.arange(d0 - 2))
+    assert np.array_equal(flip_order(marks, 0, 0), stable_prefix(llr[0], d0, w))
+    assert np.array_equal(flip_order(marks, 1, 3), np.arange(d0 - 2))
 
 
 # |llr| levels with ties: zero, the delta itself and values on either side
@@ -194,7 +201,7 @@ def test_mark_bits_all_hrb_degenerate(pc32):
     llr = np.full((w, w), 50.0)
     marks = mark_bits(llr, SabmParams(delta=5.0), pc32)
     assert marks.word_hrb.all()
-    assert len(marks.order_for(0, 0)) == 0
+    assert len(flip_order(marks, 0, 0)) == 0
 
 
 def test_mark_bits_rejects_bad_shape(pc32):
@@ -401,6 +408,41 @@ def test_sabm_reverts_unrecoverable_word(pc32, rng):
     # the column passes or holds exactly the original channel errors
     diff = np.flatnonzero(out[row] ^ block[row])
     assert set(diff).issubset(set(errs))
+
+
+def test_sabm_veto_reads_corrections_made_earlier_in_the_pass(pc32):
+    # row 3 holds errors at columns 7 and 12; row 10 holds four errors that
+    # BDD miscorrects to columns 7 and 25; row 20 holds three errors, a
+    # failure that is not retried. Every error is alone in its column. Row
+    # 3's correction zeroes column 7, so row 10's proposal through it must
+    # be vetoed: its retry flips the three least reliable bits, 0, 1 and 3,
+    # and decodes the fourth error. Had row 10 been resolved against the
+    # syndromes from the start of the pass, or before row 3, its proposal
+    # would be accepted, as columns 7 and 25 would both be in error.
+    code = pc32.component
+    sent = pc_encode(pc32, np.zeros((pc32.k, pc32.k), dtype=np.uint8))
+    errors = {3: [7, 12], 10: [0, 1, 3, 19], 20: [25, 28, 30]}
+    hard = sent.copy()
+    for row, cols in errors.items():
+        hard[row, cols] ^= 1
+    assert decode_syndromes(code, packed(code, hard[10])) == (7, 25)
+    llr = np.where(hard == 0, 2.0, -2.0)
+    llr[10, [0, 1, 3]] /= 4
+    params = SabmParams(delta=5.0, failure_flip_attempts=0)
+
+    state = SyndromeState(code, hard.copy(), block_layout(pc32.w))
+    stats = DecodeStats()
+    decode_pass(state, 0, stats, mark_bits(llr, params, pc32), 0)
+    assert not state.bits[[3, 10]].any()
+    assert np.array_equal(state.bits[20], hard[20])
+    assert stats == DecodeStats(bdd_calls=pc32.w + 1, miscorrections_detected=1,
+                                flips_attempted=1, flips_accepted=1)
+
+    out, stats = sabm_decode(pc32, hard, llr, params)
+    want, want_stats = reference.pc_decode(pc32, hard, params.total_iters, llr, params)
+    assert np.array_equal(out, sent)
+    assert np.array_equal(out, want)
+    assert stats == want_stats
 
 
 def test_sabm_determinism(pc32, rng):

@@ -46,7 +46,7 @@ def follow_random_flips(state, recomputed, rng):
         state.flip(group, cells // n, cells % n)
         assert_matches(state, recomputed)
         pattern = rng.choice(n, size=int(rng.integers(1, 5)), replace=False)
-        state.flip_word(group, int(rng.integers(w)), pattern.tolist())
+        state.flip(group, np.full(pattern.size, rng.integers(w)), pattern)
         assert_matches(state, recomputed)
 
 
