@@ -2,9 +2,8 @@
 
 from .bch import BchCode, build_code
 from .errors import ConfigError
-from .gf2m import GaloisField, build_field, gf_mul, poly_rem
-from .modem import (ChannelConfig, Interleaver, awgn_transmit, demap_llr, interleave,
-                    make_interleaver, modulate)
+from .modem import (ChannelConfig, awgn_transmit, demap_llr, interleave, make_interleaver,
+                    modulate)
 from .pc import (DecodeStats, MarkState, PcCode, SabmParams, ibdd_decode, mark_bits,
                  pc_encode, sabm_decode)
 from .scc import SccCode, decode_chain, eta, scc_encode

@@ -9,9 +9,11 @@ Syndromes are also kept packed into one int per word: S1 in bits 0..m-1,
 S3 in bits m..2m-1 and the overall parity in bit 2m. A word's packed
 syndrome is the XOR of `flip_syndrome[j]` over its set bits j, so a flip
 updates it with one XOR, and it is 0 exactly for codewords. Decoding reads
-the error pattern of weight <= t for the whole packed syndrome from a table
-built once per code over all n positions, the overall-parity bit included:
-as d0 > 2t, no two such patterns share a syndrome.
+the error pattern of weight <= t for the whole packed syndrome from one
+table, `error_positions`, built once per code over all n positions, the
+overall-parity bit included: as d0 > 2t, no two such patterns share a
+syndrome. A nonzero syndrome whose row holds no position is a decoding
+failure.
 """
 
 from dataclasses import dataclass, field
@@ -42,9 +44,8 @@ class BchCode:
     # in BLAS; its integer counts (at most n <= 256) are exact.
     check_matrix: np.ndarray = field(repr=False, default=None)
     # BDD for every packed syndrome, at index S1 | S3 << m | parity << 2m:
-    # the error count (-1 when no pattern lies within radius t) and the
-    # error positions in ascending order (-1 where unused)
-    error_count: np.ndarray = field(repr=False, default=None)
+    # the error positions in ascending order, -1 where unused; a nonzero
+    # syndrome with no position lies beyond radius t (a failure)
     error_positions: np.ndarray = field(repr=False, default=None)
 
 
@@ -103,19 +104,14 @@ def build_code(m: int, t: int, extended: bool) -> BchCode:
     # syndrome decoding table: every error pattern of weight <= t has a
     # packed syndrome of its own; every other syndrome is a decoding failure
     first, second = np.triu_indices(n, 1)
-    count = np.full(1 << (2 * m + extended), -1, dtype=np.int8)
-    positions = np.full((count.size, 2), -1, dtype=np.int16)
-    count[0] = 0
-    count[flip_syn] = 1
+    positions = np.full((1 << (2 * m + extended), 2), -1, dtype=np.int16)
     positions[flip_syn, 0] = np.arange(n)
-    pair_syn = flip_syn[first] ^ flip_syn[second]
-    count[pair_syn] = 2
-    positions[pair_syn] = np.stack([first, second], axis=1)
-    for arr in (pm, flip_syn, check, count, positions):
+    positions[flip_syn[first] ^ flip_syn[second]] = np.stack([first, second], axis=1)
+    for arr in (pm, flip_syn, check, positions):
         arr.setflags(write=False)
     return BchCode(field=f, n=n, k=k, t=t, d0=d0, extended=extended,
                    generator=gen, parity_matrix=pm, flip_syndrome=flip_syn,
-                   check_matrix=check, error_count=count, error_positions=positions)
+                   check_matrix=check, error_positions=positions)
 
 
 def encode_many(code: BchCode, messages: np.ndarray) -> np.ndarray:
@@ -141,31 +137,12 @@ def block_syndromes(code: BchCode, words) -> np.ndarray:
 
 def decode_syndromes(code: BchCode, syn: int):
     """Bounded-distance decode of one packed syndrome; returns the error
-    pattern as a tuple of ascending positions (Python ints), or None on
-    failure."""
-    nerr = code.error_count.item(syn)
-    if nerr < 0:
-        return None
-    pos = code.error_positions  # t = 2 columns
-    return (pos.item(syn, 0), pos.item(syn, 1))[:nerr]
-
-
-class BlockProposals:
-    """Vectorized BDD over a batch of words (one decode per row)."""
-
-    __slots__ = ("nerr", "pos")
-
-    def __init__(self, nerr, pos):
-        self.nerr = nerr  # -1 failure, else error count 0..2
-        self.pos = pos    # (R, 2) error positions, ascending, -1 where unused
-
-    def flips(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row, position) pairs of every flip that the successful rows'
-        patterns make, as two flat arrays; no pair repeats."""
-        rows, k = np.nonzero(np.arange(2) < self.nerr[:, None])
-        return rows, self.pos[rows, k]
-
-
-def decode_block(code: BchCode, syn: np.ndarray) -> BlockProposals:
-    """Bounded-distance decode a batch of packed syndromes, one per row."""
-    return BlockProposals(nerr=code.error_count[syn], pos=code.error_positions[syn])
+    pattern as a tuple of ascending positions (Python ints): () for
+    syndrome 0, None on failure."""
+    pos = code.error_positions  # t = 2 columns, ascending, -1 where unused
+    a, b = pos.item(syn, 0), pos.item(syn, 1)
+    if b >= 0:
+        return a, b
+    if a >= 0:
+        return a,
+    return None if syn else ()

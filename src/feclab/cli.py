@@ -1,14 +1,15 @@
 """Command-line front end: `feclab pc|scc|mask ...`.
 
-A YAML config file (--config) takes the keys of `_DEFAULTS`: the long CLI
-flag names with `_` for `-` (`llr`, `md_iters`, `scc_iters`, ...). Explicit
-CLI flags take precedence over file values, which take precedence over the
-built-in defaults.
+A YAML config file (--config) takes `snr` and the keys of `_FIELDS`: the
+long CLI flag names with `_` for `-` (`llr`, `md_iters`, `scc_iters`, ...).
+Explicit CLI flags take precedence over file values, which take precedence
+over the defaults of the config dataclasses.
 """
 
 import argparse
 import csv
 import sys
+from dataclasses import fields
 
 import yaml
 
@@ -17,17 +18,20 @@ from .pc import SabmParams
 from .sim import (SccRunParams, SimConfig, StopRule, mask_stats, render_mask,
                   run_sweep, validate_config)
 
-_DEFAULTS = {
-    "mod": 2, "decoder": "ibdd", "llr": "exact", "delta": 5.0, "iters": 10,
-    "md_iters": 5, "flip_attempts": 1, "seed": 1, "min_errors": 100,
-    "max_blocks": 1_000_000, "out": None, "window": 5, "scc_iters": 4,
-    "chain_blocks": 12, "workers": 1, "batch_size": 16, "component_m": None,
-    "record_timing": True, "snr": None,
+# config key -> (dataclass, field) it sets; a key that is not given keeps
+# the field's default. `snr` (SimConfig.snr_points) goes through _parse_snr.
+_FIELDS = {
+    "mod": (SimConfig, "mod"), "decoder": (SimConfig, "decoder"),
+    "llr": (SimConfig, "llr_mode"), "delta": (SabmParams, "delta"),
+    "iters": (SabmParams, "total_iters"), "md_iters": (SabmParams, "md_iters"),
+    "flip_attempts": (SabmParams, "failure_flip_attempts"),
+    "seed": (SimConfig, "master_seed"), "min_errors": (StopRule, "min_word_errors"),
+    "max_blocks": (StopRule, "max_blocks"), "out": (SimConfig, "out_path"),
+    "window": (SccRunParams, "window"), "scc_iters": (SccRunParams, "iters"),
+    "chain_blocks": (SccRunParams, "chain_blocks"), "workers": (SimConfig, "workers"),
+    "batch_size": (SimConfig, "batch_size"), "component_m": (SimConfig, "component_m"),
+    "record_timing": (SimConfig, "record_timing"),
 }
-# what each value is converted to: its default's type, or int/str for
-# component_m/out, whose None stays None; `snr` goes through _parse_snr
-_TYPES = {k: type(v) for k, v in _DEFAULTS.items() if v is not None} | {
-    "component_m": int, "out": str}
 
 
 def _add_shared(p: argparse.ArgumentParser):
@@ -74,22 +78,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS)
+    """The config keys the file or the flags set, converted to their fields' types."""
+    merged = {}
     if args.config:
         with open(args.config) as fh:
             loaded = yaml.safe_load(fh) or {}
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a mapping")
-        unknown = set(loaded) - set(_DEFAULTS)
+        unknown = set(loaded) - set(_FIELDS) - {"snr"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
-    for key in _DEFAULTS:
+    for key in ("snr", *_FIELDS):
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    for key, conv in _TYPES.items():
-        if merged[key] is not None or _DEFAULTS[key] is not None:
+    for key, (cls, name) in _FIELDS.items():
+        default = next(f.default for f in fields(cls) if f.name == name)
+        if key in merged and (merged[key] is not None or default is not None):
+            # a None default (component_m, out) keeps None, else takes int or str
+            conv = type(default) if default is not None else int if key == "component_m" else str
             merged[key] = _convert(key, merged[key], conv)
     return merged
 
@@ -120,27 +128,15 @@ def _parse_snr(value) -> tuple:
 
 def config_from_args(args: argparse.Namespace) -> SimConfig:
     opts = _resolve(args)
-    scheme = "scc" if args.command == "scc" else "pc"
-    return SimConfig(
-        scheme=scheme,
-        mod=opts["mod"],
-        snr_points=_parse_snr(opts["snr"]),
-        decoder=opts["decoder"],
-        llr_mode=opts["llr"],
-        sabm=SabmParams(delta=opts["delta"], total_iters=opts["iters"],
-                        md_iters=opts["md_iters"],
-                        failure_flip_attempts=opts["flip_attempts"]),
-        scc=SccRunParams(window=opts["window"], iters=opts["scc_iters"],
-                         chain_blocks=opts["chain_blocks"]),
-        stop=StopRule(min_word_errors=opts["min_errors"],
-                      max_blocks=opts["max_blocks"]),
-        master_seed=opts["seed"],
-        out_path=opts["out"],
-        workers=opts["workers"],
-        batch_size=opts["batch_size"],
-        record_timing=opts["record_timing"],
-        component_m=opts["component_m"],
-    )
+    snr_points = _parse_snr(opts.pop("snr", None))
+    parts = {cls: {} for cls in (SimConfig, SabmParams, SccRunParams, StopRule)}
+    for key, value in opts.items():
+        cls, name = _FIELDS[key]
+        parts[cls][name] = value
+    return SimConfig(scheme="scc" if args.command == "scc" else "pc",
+                     snr_points=snr_points, sabm=SabmParams(**parts[SabmParams]),
+                     scc=SccRunParams(**parts[SccRunParams]), stop=StopRule(**parts[StopRule]),
+                     **parts[SimConfig])
 
 
 def _run_mask(args: argparse.Namespace) -> int:

@@ -108,28 +108,23 @@ def demap_llr(y, cfg: ChannelConfig) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Interleaver:
-    permutation: np.ndarray
-
-
-def make_interleaver(size: int, seed: int | None = None, rng=None) -> Interleaver:
+def make_interleaver(size: int, seed: int | None = None, rng=None) -> np.ndarray:
     if rng is None:
         rng = np.random.default_rng(seed)
     perm = rng.permutation(size)
     perm.setflags(write=False)
-    return Interleaver(permutation=perm)
+    return perm
 
 
-def interleave(block, il: Interleaver, inverse: bool = False) -> np.ndarray:
+def interleave(block, perm: np.ndarray, inverse: bool = False) -> np.ndarray:
     arr = np.asarray(block)
     flat = arr.reshape(-1)
-    if flat.size != il.permutation.size:
+    if flat.size != perm.size:
         raise ValueError(f"block size {flat.size} does not match permutation "
-                         f"domain {il.permutation.size}")
+                         f"domain {perm.size}")
     if inverse:
         out = np.empty_like(flat)
-        out[il.permutation] = flat
+        out[perm] = flat
     else:
-        out = flat[il.permutation]
+        out = flat[perm]
     return out.reshape(arr.shape)

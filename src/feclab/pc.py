@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bch import BchCode, block_syndromes, decode_block, decode_syndromes, encode_many
+from .bch import BchCode, block_syndromes, decode_syndromes, encode_many
 from .errors import ConfigError
 
 
@@ -78,13 +78,12 @@ class MarkState:
     entries of its stable order (positions by ascending |llr|, ties to the
     lowest index), the most that SABM reads; of that order the first
     non_hrb[axis, i] entries are the non-HRB positions. The HUB list of a
-    word is the first hub_len = d0-t-1 entries of its non-HRB order; a
-    failed word gets flip_attempts retries, at most one per HUB."""
+    word is the first d0-t-1 entries of its non-HRB order; a failed word
+    gets flip_attempts retries, at most one per HUB."""
 
     word_hrb: np.ndarray = field(repr=False)  # (axes, w, n)
     order: np.ndarray = field(repr=False)     # (axes, w, min(d0-2, marked positions))
     non_hrb: np.ndarray = field(repr=False)   # (axes, w)
-    hub_len: int
     flip_attempts: int
 
 
@@ -117,10 +116,8 @@ def make_marks(a: np.ndarray, params: SabmParams, code: BchCode,
     order = offset + _stable_order_prefix(a, code.d0 - 2)
     word_hrb = np.concatenate([np.zeros(hrb.shape[:-1] + (offset,), bool), hrb], axis=-1)
     word_hrb.setflags(write=False)
-    hub_len = code.d0 - code.t - 1
     return MarkState(word_hrb=word_hrb, order=order, non_hrb=(~hrb).sum(axis=-1),
-                     hub_len=hub_len,
-                     flip_attempts=min(hub_len, params.failure_flip_attempts))
+                     flip_attempts=min(code.d0 - code.t - 1, params.failure_flip_attempts))
 
 
 def pc_encode(code: PcCode, data) -> np.ndarray:
@@ -158,9 +155,9 @@ class Layout:
             np.asarray(a, dtype=np.int64) for a in (base, stride, cross, shift)]
         for a in arrays:
             a.setflags(write=False)
-        # per group, the same vectors as tuples for scalar updates
-        self.rows = tuple(tuple(tuple(a[g].tolist()) for a in arrays)
-                          for g in range(len(base)))
+        # per group, cross and shift as tuples for the SABM pass's scalar reads
+        self.rows = tuple((tuple(c), tuple(s)) for c, s in zip(self.cross.tolist(),
+                                                                 self.shift.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +197,7 @@ class SyndromeState:
 
 
 def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkState,
-               axis: int, live: range | None, stats: DecodeStats) -> tuple[bool, bool]:
+               axis: int, live: range | None, stats: DecodeStats) -> bool:
     """SABM on the words idx of one group, in ascending order, on Python
     ints. A word's BDD proposal is vetoed if it touches an HRB of the word
     or a bit whose crossing word is live and has a zero syndrome. A failure
@@ -215,7 +212,7 @@ def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkSta
     end, which is exact as XOR commutes and no (word, position) repeats."""
     comp, w, n = state.code, state.w, state.code.n
     h = comp.flip_syndrome.tolist()
-    cross, shift = state.layout.rows[group][2:]
+    cross, shift = state.layout.rows[group]
     lo, hi = (0, state.syn.size) if live is None else (live.start, live.stop)
     cs = state.syn[lo:hi].tolist()  # live crossing syndromes, kept current
     span = hi - lo
@@ -231,7 +228,6 @@ def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkSta
 
     words, positions = [], []
     retries = miscorrections = accepted = 0
-    suppressed = False
     for i, syn, order, non_hrb in zip(idx.tolist(), state.syn[group * w + idx].tolist(),
                                       marks.order[axis, idx].tolist(),
                                       marks.non_hrb[axis, idx].tolist()):
@@ -260,7 +256,6 @@ def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkSta
                     accepted += 1
                     break
         if not pattern:  # dropped: a nonzero syndrome never decodes to ()
-            suppressed = True
             continue
         for p in pattern:
             c = cross[p] - lo
@@ -274,32 +269,32 @@ def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkSta
     stats.miscorrections_detected += miscorrections
     stats.flips_attempted += retries
     stats.flips_accepted += accepted
-    return bool(words), suppressed
+    return bool(words)
 
 
 def decode_pass(state: SyndromeState, group: int, stats: DecodeStats,
                 marks: MarkState | None = None, axis: int = 0,
-                live: range | None = None) -> tuple[bool, bool]:
+                live: range | None = None) -> bool:
     """Decode the words of one group that have a nonzero syndrome and apply
     their flips. Without marks every pattern applies at once, as the words
     of a group share no bits. With marks (SABM; word i of the group is word
     i of marks' axis) `_sabm_pass` resolves the words in ascending order in
     one loop, as a veto reads crossing syndromes that earlier words
     changed; it reads only the slots in `live` (default: all). Returns
-    (changed, suppressed), where suppressed means a failure or proposal was
-    dropped."""
+    whether any bit was flipped."""
     w = state.w
     stats.bdd_calls += w
     own = state.syn[group * w:(group + 1) * w]
     idx = np.flatnonzero(own)
     if idx.size == 0:
-        return False, False
+        return False
     if marks is not None:
         return _sabm_pass(state, group, idx, marks, axis, live, stats)
-    rows, pos = decode_block(state.code, own[idx]).flips()
+    pos = state.code.error_positions[own[idx]]
+    rows, k = np.nonzero(pos >= 0)
     if rows.size:
-        state.flip(group, idx[rows], pos)
-    return rows.size > 0, False
+        state.flip(group, idx[rows], pos[rows, k])
+    return rows.size > 0
 
 
 def _decode_core(code: PcCode, block, iters: int, marks: MarkState | None,
@@ -313,17 +308,17 @@ def _decode_core(code: PcCode, block, iters: int, marks: MarkState | None,
     it = 0
     while it < iters:
         sabm_active = it < md_iters
-        changed = suppressed = False
+        changed = False
         for axis in (0, 1):
-            c, s = decode_pass(state, axis, stats, marks if sabm_active else None, axis)
-            changed |= c
-            suppressed |= s
+            changed |= decode_pass(state, axis, stats, marks if sabm_active else None, axis)
         it += 1
         if early_exit and not changed:
-            if not sabm_active or not suppressed:
+            # with no flip, every word left with a nonzero syndrome was
+            # dropped: a stalled marking phase cannot make progress with
+            # the same vetoes in place, so hand such a block to the plain
+            # iterations; a clean block or a stalled plain one stops
+            if not sabm_active or not state.syn.any():
                 break
-            # a stalled marking phase cannot make progress with the same
-            # vetoes in place; hand the block to the plain iterations
             it = max(it, md_iters)
     return blk, stats
 

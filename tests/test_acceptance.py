@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from feclab.bch import block_syndromes, build_code, decode_block, encode_many
+from feclab.bch import block_syndromes, build_code, decode_syndromes, encode_many
 from feclab.modem import ChannelConfig, awgn_transmit, demap_llr, modulate
 from feclab.pc import PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
 from feclab.scc import SccCode, decode_chain, scc_encode
@@ -125,18 +125,17 @@ def test_criterion_1_exhaustive_bdd_oracle(report):
         dist = (words[:, None, :] != codewords[None, :, :]).sum(axis=2)
         dmin = dist.min(axis=1)
         nearest = dist.argmin(axis=1)
-        props = decode_block(code, block_syndromes(code, words))
-        for i in range(words.shape[0]):
-            nerr = props.nerr[i]  # -1: decoding failure
+        pats = [decode_syndromes(code, s) for s in block_syndromes(code, words).tolist()]
+        for i, pat in enumerate(pats):  # None: decoding failure
             if dmin[i] <= code.t:
-                if nerr < 0:
+                if pat is None:
                     mismatches += 1
                     continue
                 fixed = words[i].copy()
-                fixed[props.pos[i, :nerr]] ^= 1
+                fixed[list(pat)] ^= 1
                 if not np.array_equal(fixed, codewords[nearest[i]]):
                     mismatches += 1
-            elif nerr >= 0:
+            elif pat is not None:
                 mismatches += 1
     report(1, "exhaustive BDD oracle, (15,7)", mismatches == 0,
            f"{mismatches} mismatches over 32768 words")
@@ -162,10 +161,8 @@ def test_criterion_2_component_code_bdd(report):
             pos = rng.choice(n, size=weights[i], replace=False)
             noisy[i, pos] ^= 1
             true_pats.append(tuple(sorted(int(p) for p in pos)))
-        props = decode_block(code, block_syndromes(code, noisy))
-        bad = sum(props.nerr[i] < 0
-                  or tuple(props.pos[i, :props.nerr[i]].tolist()) != true_pats[i]
-                  for i in range(trials))
+        pats = [decode_syndromes(code, s) for s in block_syndromes(code, noisy).tolist()]
+        bad = sum(pat is None or pat != true_pats[i] for i, pat in enumerate(pats))
         if bad:
             failures.append(f"m={m}: {bad} wrong recoveries at weight<=2")
 
@@ -174,15 +171,14 @@ def test_criterion_2_component_code_bdd(report):
         for i in range(trials):
             pos = rng.choice(n, size=3, replace=False)
             noisy3[i, pos] ^= 1
-        props3 = decode_block(code, block_syndromes(code, noisy3))
+        pats3 = [decode_syndromes(code, s) for s in block_syndromes(code, noisy3).tolist()]
         bad3 = 0
-        for i in range(trials):
-            nerr = props3.nerr[i]
-            if nerr < 0:
+        for i, pat in enumerate(pats3):
+            if pat is None:
                 continue
             out = noisy3[i].copy()
-            out[props3.pos[i, :nerr]] ^= 1
-            if (nerr > code.t or block_syndromes(code, out[None, :])[0] != 0
+            out[list(pat)] ^= 1
+            if (len(pat) > code.t or block_syndromes(code, out[None, :])[0] != 0
                     or np.array_equal(out, sent[i])):
                 bad3 += 1
         if bad3:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feclab.bch import block_syndromes, build_code, decode_block, decode_syndromes, encode_many
+from feclab.bch import block_syndromes, build_code, decode_syndromes, encode_many
 from feclab.errors import ConfigError
 from feclab.gf2m import build_field, poly_degree, poly_rem
 
@@ -109,11 +109,11 @@ def test_bdd_corrects_up_to_two_errors(codename, rng, request):
         pos = rng.choice(code.n, size=int(rng.integers(0, 3)), replace=False)
         r[pos] ^= 1
         positions.append(pos)
-    props = decode_block(code, block_syndromes(code, received))
-    for i, pos in enumerate(positions):
-        assert props.nerr[i] >= 0  # success
-        assert sorted(props.pos[i, :props.nerr[i]].tolist()) == sorted(pos.tolist())
-        assert props.nerr[i] == len(pos)
+    for pos, syn in zip(positions, block_syndromes(code, received).tolist()):
+        pat = decode_syndromes(code, syn)
+        assert pat is not None  # success
+        assert sorted(pat) == sorted(pos.tolist())
+        assert len(pat) == len(pos)
 
 
 def test_bdd_weight_three_never_returns_transmitted(pc_component_code, rng):
@@ -153,8 +153,9 @@ def test_error_table_has_every_correctable_pattern(m):
     for extended in (False, True):
         code = build_code(m, 2, extended)
         n = code.n
-        counts = [int((code.error_count == w).sum()) for w in (0, 1, 2)]
-        assert counts == [1, n, n * (n - 1) // 2]
+        valid = (code.error_positions >= 0).sum(axis=1)
+        assert [int((valid == w).sum()) for w in (1, 2)] == [n, n * (n - 1) // 2]
+        assert decode_syndromes(code, 0) == ()
 
 
 @pytest.mark.parametrize("m", range(4, 7))
@@ -164,8 +165,7 @@ def test_error_table_matches_two_step_parity_rule(m):
     ext, unext = build_code(m, 2, True), build_code(m, 2, False)
     low = (1 << (2 * m)) - 1
     for syn in range(1 << (2 * m + 1)):
-        nerr = int(unext.error_count[syn & low])
-        pat = None if nerr < 0 else tuple(unext.error_positions[syn & low, :nerr].tolist())
+        pat = decode_syndromes(unext, syn & low)
         if pat is not None and (syn >> (2 * m)) != len(pat) % 2:
             pat = pat + (ext.n - 1,) if len(pat) < ext.t else None
         assert decode_syndromes(ext, syn) == pat
@@ -176,29 +176,34 @@ def test_decode_syndromes_reads_the_table_as_python_ints(m):
     # every packed syndrome of the extended code: None for a failure, ()
     # for 0, else the table's positions in ascending order, as Python ints
     code = build_code(m, 2, extended=True)
-    for syn in range(code.error_count.size):
-        nerr = int(code.error_count[syn])
+    for syn in range(len(code.error_positions)):
+        row = code.error_positions[syn]
+        nerr = int((row >= 0).sum())
         pat = decode_syndromes(code, syn)
-        if nerr < 0:
+        if syn and nerr == 0:
             assert pat is None
             continue
         assert type(pat) is tuple and len(pat) == nerr
         assert all(type(p) is int for p in pat)
-        assert list(pat) == code.error_positions[syn, :nerr].tolist() == sorted(pat)
+        assert list(pat) == row[:nerr].tolist() == sorted(pat)
     assert decode_syndromes(code, 0) == ()
 
 
-def test_vectorized_propose_matches_scalar(ecc32_code, rng):
-    # the batch decode of the iBDD passes agrees with the one-syndrome
-    # decode of the SABM passes and flip retries, row by row
-    code = ecc32_code
-    words = rng.integers(0, 2, (300, code.n), dtype=np.uint8)
-    syn = block_syndromes(code, words)
-    props = decode_block(code, syn)
-    for i in range(words.shape[0]):
-        out = decode_syndromes(code, int(syn[i]))
-        if out is not None:
-            pat = props.pos[i, :props.nerr[i]].tolist()
-            assert props.nerr[i] >= 0 and sorted(pat) == sorted(out)
-        else:
-            assert props.nerr[i] < 0
+def test_vectorized_propose_matches_scalar():
+    # the table read of the iBDD passes (the entries >= 0 of each row of
+    # error_positions[syn]) agrees with the one-syndrome decode of the SABM
+    # passes and flip retries, for every packed syndrome of m = 4 and 5
+    for m in (4, 5):
+        code = build_code(m, 2, extended=True)
+        syn = np.arange(len(code.error_positions))
+        pos = code.error_positions[syn]
+        rows, k = np.nonzero(pos >= 0)
+        got = [[] for _ in syn]
+        for r, p in zip(rows.tolist(), pos[rows, k].tolist()):
+            got[r].append(p)
+        for s, flips in zip(syn.tolist(), got):
+            out = decode_syndromes(code, s)
+            if out is None:
+                assert flips == []
+            else:
+                assert flips == sorted(flips) == list(out)

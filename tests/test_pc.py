@@ -136,9 +136,12 @@ def test_ibdd_input_not_mutated(pc32, rng):
 # ---------------------------------------------------------------- marking
 
 def test_hub_list_length_is_three(pc32):
-    # d0 = 6, t = 2 for every double-error component used here
+    # d0 = 6, t = 2 for every double-error component used here: a failed
+    # word gets at most d0 - t - 1 = 3 retries, one per HUB
     llr = np.ones((pc32.w, pc32.w))
-    assert mark_bits(llr, SabmParams(), pc32).hub_len == 3
+    for attempts in range(6):
+        marks = mark_bits(llr, SabmParams(failure_flip_attempts=attempts), pc32)
+        assert marks.flip_attempts == min(3, attempts)
 
 
 def stable_prefix(a, d0, non_hrb):
@@ -234,7 +237,7 @@ def suspicious(pc, noisy, marks, axis, index, pattern):
     `axis` (0 rows, 1 columns) of the received block `noisy`."""
     state = SyndromeState(pc.component, np.ascontiguousarray(noisy), block_layout(pc.w))
     return _suspicious(pattern, marks.word_hrb[axis, index], state.syn,
-                       state.layout.rows[axis][2], range(state.syn.size))
+                       state.layout.cross[axis], range(state.syn.size))
 
 
 def test_detect_miscorrection_hrb_rule(pc32, rng):
@@ -266,7 +269,7 @@ def test_veto_reads_only_live_crossing_words(pc32, rng):
     noisy = block.copy()
     noisy[4, 1] ^= 1
     state = SyndromeState(pc32.component, noisy, block_layout(pc32.w))
-    w, cross = pc32.w, state.layout.rows[0][2]
+    w, cross = pc32.w, state.layout.cross[0]
     assert cross[9] == w + 9 and state.syn[w + 9] == 0
     hrb = marks.word_hrb[0, 4]
     assert _suspicious((9,), hrb, state.syn, cross, range(2 * w))
@@ -443,6 +446,35 @@ def test_sabm_veto_reads_corrections_made_earlier_in_the_pass(pc32):
     assert np.array_equal(out, sent)
     assert np.array_equal(out, want)
     assert stats == want_stats
+
+
+@pytest.mark.parametrize("stalled", [True, False], ids=["stalled", "clean"])
+def test_sabm_stall_hands_block_to_ibdd_and_clean_block_stops(pc32, stalled):
+    # row 3 holds two weak errors that the first marking iteration corrects.
+    # Stalled: row 10 also holds two errors on HRBs, each alone in its
+    # column, in a row and columns of HRBs only. Every proposal through them
+    # is vetoed and nothing is left to retry, so the second marking
+    # iteration flips nothing with nonzero syndromes left: the block goes to
+    # the plain iterations (5 and 6), where iteration 5 corrects row 10.
+    # Clean: without row 10 the block is clean after iteration 0, and
+    # iteration 1 ends the decode.
+    sent = pc_encode(pc32, np.zeros((pc32.k, pc32.k), dtype=np.uint8))
+    errors = {3: [7, 12], 10: [20, 25]} if stalled else {3: [7, 12]}
+    hard = sent.copy()
+    for row, cols in errors.items():
+        hard[row, cols] ^= 1
+    llr = np.where(hard == 0, 50.0, -50.0)
+    llr[3, [7, 12]] /= 100
+    params = SabmParams()
+    out, stats = sabm_decode(pc32, hard, llr, params)
+    want, want_stats = reference.pc_decode(pc32, hard, params.total_iters, llr, params)
+    assert np.array_equal(out, sent)
+    assert np.array_equal(out, want)
+    assert stats == want_stats
+    # stalled: iterations 0, 1, 5 and 6, with three vetoed proposals in each
+    # marking iteration; clean: iterations 0 and 1
+    assert stats == (DecodeStats(bdd_calls=8 * pc32.w, miscorrections_detected=6)
+                     if stalled else DecodeStats(bdd_calls=4 * pc32.w))
 
 
 def test_sabm_determinism(pc32, rng):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from feclab.cli import main
+from feclab.cli import build_parser, config_from_args, main
 from feclab.errors import ConfigError
 from feclab.pc import SabmParams
 from feclab.sim import (
@@ -236,6 +236,13 @@ def test_cli_mask(tmp_path):
     grid = inset.read_text().strip("\n").split("\n")
     assert len(grid) == 32
     assert set("".join(grid)) <= {".", "#"}
+
+
+@pytest.mark.parametrize("command", ["pc", "scc", "mask"])
+def test_cli_defaults_are_the_dataclass_defaults(command):
+    # every key the flags leave unset keeps its field's default
+    cfg = config_from_args(build_parser().parse_args([command, "--snr", "6"]))
+    assert cfg == SimConfig(scheme="scc" if command == "scc" else "pc", snr_points=(6.0,))
 
 
 def test_cli_rejects_bad_snr(capsys):
