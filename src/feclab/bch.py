@@ -144,5 +144,5 @@ def decode_syndromes(code: BchCode, syn: int):
     if b >= 0:
         return a, b
     if a >= 0:
-        return a,
+        return (a,)
     return None if syn else ()
