@@ -1,9 +1,11 @@
 """Extended BCH component codes with t=2 bounded-distance decoding.
 
-Codeword layout (bit index = polynomial degree): message at positions
-0..k-1, parity at k..k+deg(g)-1, and for extended codes one overall-parity
-bit at position n-1. A single flipped bit at unextended position j shows up
-as S1 = alpha^j.
+A code is defined by its parity-check columns: a single flipped bit at
+unextended position j (0 <= j < 2^m - 1) shows up as S1 = alpha^j and
+S3 = alpha^3j, where alpha is a root of the code's primitive polynomial,
+and for extended codes every bit, the overall-parity bit at position n-1
+included, flips the overall parity. The systematic encoder is solved from
+the same columns: message at positions 0..k-1, parity at k..2^m-2.
 
 Syndromes are also kept packed into one int per word: S1 in bits 0..m-1,
 S3 in bits m..2m-1 and the overall parity in bit 2m. A word's packed
@@ -21,57 +23,54 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .gf2m import GaloisField, build_field, gf_mul, poly_degree, poly_mul, poly_rem
+
+# One fixed primitive polynomial per extension degree (bit i = coefficient
+# of x^i), so that codes and test vectors are reproducible across runs.
+PRIMITIVE_POLYS = {
+    4: 0b10011,      # x^4 + x + 1
+    5: 0b100101,     # x^5 + x^2 + 1
+    6: 0b1000011,    # x^6 + x + 1
+    7: 0b10001001,   # x^7 + x^3 + 1
+    8: 0b100011101,  # x^8 + x^4 + x^3 + x^2 + 1
+}
 
 
 @dataclass(frozen=True)
 class BchCode:
-    field: GaloisField
     n: int
     k: int
     t: int
     d0: int
     extended: bool
-    generator: int
     # decode/encode tables, derived once in build_code
     # parity generator, float32 so that encode_many's matmul runs in BLAS;
     # its integer counts (at most k <= 239) are exact
-    parity_matrix: np.ndarray = field(repr=False, default=None)
+    parity_matrix: np.ndarray = field(repr=False)
     # packed syndrome of a word with only bit j set, per position j
-    flip_syndrome: np.ndarray = field(repr=False, default=None)
+    flip_syndrome: np.ndarray = field(repr=False)
     # (n, 2m+1) binary parity-check matrix: row j holds the bits of
     # flip_syndrome[j]. Stored as float32 so that words @ check_matrix runs
     # in BLAS; its integer counts (at most n <= 256) are exact.
-    check_matrix: np.ndarray = field(repr=False, default=None)
+    check_matrix: np.ndarray = field(repr=False)
     # BDD for every packed syndrome, at index S1 | S3 << m | parity << 2m:
     # the error positions in ascending order, -1 where unused; a nonzero
     # syndrome with no position lies beyond radius t (a failure)
-    error_positions: np.ndarray = field(repr=False, default=None)
+    error_positions: np.ndarray = field(repr=False)
 
 
-def _minimal_poly(f: GaloisField, power: int) -> int:
-    """Minimal polynomial over GF(2) of alpha^power, bit-packed."""
-    order = f.order
-    conj = set()
-    e = power % order
-    while e not in conj:
-        conj.add(e)
-        e = (e * 2) % order
-    # multiply out prod (x + alpha^e) with coefficients in GF(2^m)
-    coeffs = [1]
-    for e in sorted(conj):
-        root = int(f.exp_table[e])
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] ^= c
-            nxt[i] ^= gf_mul(f, c, root)
-        coeffs = nxt
-    packed = 0
-    for i, c in enumerate(coeffs):
-        if c not in (0, 1):
-            raise AssertionError("minimal polynomial has non-binary coefficient")
-        packed |= c << i
-    return packed
+def _gf2_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a square binary matrix over GF(2), by Gauss-Jordan."""
+    size = len(a)
+    aug = np.concatenate([a, np.eye(size)], axis=1).astype(np.uint8)
+    for col in range(size):
+        pivot = col + int(np.argmax(aug[col:, col]))
+        if not aug[pivot, col]:
+            raise AssertionError("parity positions of the check matrix are dependent")
+        aug[[col, pivot]] = aug[[pivot, col]]
+        rows = aug[:, col].astype(bool)
+        rows[col] = False
+        aug[rows] ^= aug[col]
+    return aug[:, size:]
 
 
 def build_code(m: int, t: int, extended: bool) -> BchCode:
@@ -79,28 +78,31 @@ def build_code(m: int, t: int, extended: bool) -> BchCode:
         raise ConfigError(f"only t=2 component codes are supported, got t={t}")
     if not 4 <= m <= 8:
         raise ConfigError(f"component code needs 4 <= m <= 8, got m={m}")
-    f = build_field(m)
-    gen = poly_mul(_minimal_poly(f, 1), _minimal_poly(f, 3))
-    n_unext = f.order
-    k = n_unext - poly_degree(gen)
+    n_unext = (1 << m) - 1
+    k = n_unext - 2 * m
     n = n_unext + (1 if extended else 0)
     d0 = 2 * t + 1 + (1 if extended else 0)
 
-    # parity_matrix[i] = bits of x^(i+deg g) mod g, so that the parity of a
-    # message m(x) placed at positions 0..k-1 is m @ parity_matrix (mod 2)
-    d = poly_degree(gen)
-    rems = [poly_rem(1 << d, gen)]
-    for _ in range(k - 1):
-        r = rems[-1] << 1  # x^(i+1+d) mod g from x^(i+d) mod g
-        rems.append(r ^ gen if r >> d else r)
-    pm = ((np.array(rems)[:, None] >> np.arange(d)) & 1).astype(np.float32)
+    # exp[i] = alpha^i, by an LFSR over the primitive polynomial
+    exp = np.zeros(n_unext, dtype=np.int64)
+    x = 1
+    for i in range(n_unext):
+        exp[i] = x
+        x <<= 1
+        if x >> m:
+            x ^= PRIMITIVE_POLYS[m]
     # a single error at unextended position j has S1 = alpha^j, S3 = alpha^3j
     j = np.arange(n_unext)
     flip_syn = np.zeros(n, dtype=np.int64)
-    flip_syn[:n_unext] = f.exp_table[j] | (f.exp_table[(3 * j) % f.order] << m)
+    flip_syn[:n_unext] = exp[j] | (exp[(3 * j) % n_unext] << m)
     if extended:
         flip_syn |= 1 << (2 * m)
     check = ((flip_syn[:, None] >> np.arange(2 * m + 1)) & 1).astype(np.float32)
+    # the parity p of a message u solves u @ h[:k] + p @ h[k:] = 0 (mod 2)
+    # over the S1/S3 columns h of the unextended positions, so that
+    # p = u @ parity_matrix (mod 2)
+    h = check[:n_unext, :2 * m].astype(np.int64)
+    pm = ((h[:k] @ _gf2_inverse(h[k:])) & 1).astype(np.float32)
     # syndrome decoding table: every error pattern of weight <= t has a
     # packed syndrome of its own; every other syndrome is a decoding failure
     first, second = np.triu_indices(n, 1)
@@ -109,9 +111,8 @@ def build_code(m: int, t: int, extended: bool) -> BchCode:
     positions[flip_syn[first] ^ flip_syn[second]] = np.stack([first, second], axis=1)
     for arr in (pm, flip_syn, check, positions):
         arr.setflags(write=False)
-    return BchCode(field=f, n=n, k=k, t=t, d0=d0, extended=extended,
-                   generator=gen, parity_matrix=pm, flip_syndrome=flip_syn,
-                   check_matrix=check, error_positions=positions)
+    return BchCode(n=n, k=k, t=t, d0=d0, extended=extended, parity_matrix=pm,
+                   flip_syndrome=flip_syn, check_matrix=check, error_positions=positions)
 
 
 def encode_many(code: BchCode, messages: np.ndarray) -> np.ndarray:

@@ -81,6 +81,8 @@ def validate_config(cfg: SimConfig) -> None:
                           "resolution, and such points share one noise stream")
     if cfg.stop.min_word_errors < 1 or cfg.stop.max_blocks < 1:
         raise ConfigError("stopping rule needs min_word_errors >= 1 and max_blocks >= 1")
+    if cfg.master_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.master_seed}")
     if cfg.workers < 1 or cfg.batch_size < 1:
         raise ConfigError("workers and batch_size must be >= 1")
     if cfg.scheme == "scc" and cfg.scc.window < 2:

@@ -16,7 +16,11 @@ The channel references are the straightforward array forms that
 `feclab.modem` and `feclab.bch` must equal bit for bit: the demapper as a
 column-wise logsumexp over the label-masked columns of one distance
 matrix, labels from an int64 matmul, and parity from a uint8 matmul with
-a parity generator built from the code's generator polynomial.
+a parity generator built from the code's generator polynomial. The
+generators, and the primitive polynomials that define alpha, are the
+textbook table of binary BCH codes (Lin & Costello, Error Control Coding,
+Appendix C), held here and not derived from `feclab`, so that the encoder
+oracle does not share the construction under test.
 """
 
 from functools import lru_cache, reduce
@@ -25,7 +29,6 @@ from operator import xor
 import numpy as np
 
 from feclab.bch import BchCode, block_syndromes, decode_syndromes
-from feclab.gf2m import poly_rem
 from feclab.modem import ChannelConfig, pam_constellation
 from feclab.pc import DecodeStats, PcCode, SabmParams
 from feclab.scc import SccCode
@@ -232,6 +235,30 @@ def modulate(bits, cfg: ChannelConfig) -> np.ndarray:
     return pam_constellation(cfg.M)[2][labels]
 
 
+# t = 2 BCH generator polynomials (octal, bit i = coefficient of x^i) and
+# the primitive polynomials of alpha they were built over, per m
+GENERATORS = {4: 0o721, 5: 0o3551, 6: 0o12471, 7: 0o41567, 8: 0o267543}
+PRIMITIVE = {4: 0o23, 5: 0o45, 6: 0o103, 7: 0o211, 8: 0o435}
+
+
+def poly_rem(dividend: int, divisor: int) -> int:
+    """Remainder of binary polynomials (ints, bit i = coefficient of x^i)."""
+    if divisor == 0:
+        raise ValueError("polynomial division by zero")
+    while dividend.bit_length() >= divisor.bit_length():
+        dividend ^= divisor << (dividend.bit_length() - divisor.bit_length())
+    return dividend
+
+
+def alpha_powers(m: int) -> list[int]:
+    """alpha^0 .. alpha^(2^m - 2) in GF(2^m), by an LFSR over PRIMITIVE[m]."""
+    powers, x = [], 1
+    for _ in range((1 << m) - 1):
+        powers.append(x)
+        x = x << 1 ^ (PRIMITIVE[m] if x >> (m - 1) else 0)
+    return powers
+
+
 @lru_cache(maxsize=None)
 def _parity_rows(generator: int, k: int, d: int) -> np.ndarray:
     """Row i: the bits of x^(i+d) mod g."""
@@ -241,7 +268,8 @@ def _parity_rows(generator: int, k: int, d: int) -> np.ndarray:
 
 def encode_many(code: BchCode, messages) -> np.ndarray:
     msgs = np.asarray(messages, dtype=np.uint8)
-    parity = (msgs @ _parity_rows(code.generator, code.k, code.n - code.k - code.extended)) & 1
+    generator = GENERATORS[(code.n - code.extended).bit_length()]
+    parity = (msgs @ _parity_rows(generator, code.k, code.n - code.k - code.extended)) & 1
     words = np.concatenate([msgs, parity], axis=1)
     if code.extended:
         words = np.concatenate([words, words.sum(axis=1, keepdims=True, dtype=np.int64) % 2],

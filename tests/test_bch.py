@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from feclab.bch import block_syndromes, build_code, decode_syndromes, encode_many
 from feclab.errors import ConfigError
-from feclab.gf2m import build_field, poly_degree, poly_rem
+
+import reference
 
 
 def test_default_component_parameters():
@@ -14,27 +15,57 @@ def test_default_component_parameters():
     assert (c.n, c.k, c.t, c.d0) == (256, 239, 2, 6)
 
 
-def test_small_code_generator(gf16_code):
-    c = gf16_code
-    assert (c.n, c.k, c.d0) == (15, 7, 5)
-    assert c.generator == 0b111010001  # x^8+x^7+x^6+x^4+1
-    # generator divides x^15 + 1 and has alpha..alpha^4 as roots
-    assert poly_rem((1 << 15) ^ 1, c.generator) == 0
-    f = c.field
-    for e in (1, 2, 3, 4):
-        acc = 0
-        for i in range(poly_degree(c.generator) + 1):
-            if (c.generator >> i) & 1:
-                acc ^= int(f.exp_table[(e * i) % f.order])  # (alpha^e)^i
-        assert acc == 0
+def test_small_code_generator():
+    # each reference generator divides x^(2^m - 1) + 1 and has alpha..alpha^4
+    # as roots, alpha from the reference's own primitive polynomial
+    assert reference.GENERATORS[4] == 0b111010001  # x^8+x^7+x^6+x^4+1
+    for m, g in reference.GENERATORS.items():
+        exp = reference.alpha_powers(m)
+        assert reference.poly_rem((1 << len(exp)) ^ 1, g) == 0
+        for e in (1, 2, 3, 4):
+            acc = 0
+            for i in range(g.bit_length()):
+                if (g >> i) & 1:
+                    acc ^= exp[(e * i) % len(exp)]  # (alpha^e)^i
+            assert acc == 0
 
 
 def test_generator_degree_matches_k():
-    for m in range(4, 9):
+    # BCH(15,7), (31,21), (63,51), (127,113), (255,239): k = n_u - deg g
+    for m, (n_unext, k) in zip(range(4, 9), [(15, 7), (31, 21), (63, 51), (127, 113),
+                                             (255, 239)]):
+        assert reference.GENERATORS[m].bit_length() - 1 == n_unext - k
         for ext in (False, True):
             c = build_code(m, 2, ext)
-            assert poly_degree(c.generator) == (c.n - (1 if ext else 0)) - c.k
+            assert (c.n - (1 if ext else 0), c.k) == (n_unext, k)
             assert c.d0 == 5 + (1 if ext else 0)
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_s1_columns_are_the_powers_of_alpha(m):
+    # S1 of a single error at unextended position j is alpha^j, and these
+    # run once through the nonzero elements of GF(2^m)
+    code = build_code(m, 2, extended=True)
+    s1 = (code.flip_syndrome[:(1 << m) - 1] & ((1 << m) - 1)).tolist()
+    assert s1 == reference.alpha_powers(m)
+    assert sorted(s1) == list(range(1, 1 << m))
+    if m == 4:
+        assert s1[1] == 0b0010  # alpha itself
+        assert s1[4] == 0b0011  # alpha^4 = alpha + 1 under x^4+x+1
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 9, 16])
+def test_build_code_rejects_bad_degree(m):
+    with pytest.raises(ConfigError):
+        build_code(m, 2, extended=True)
+
+
+def test_poly_rem_examples():
+    assert reference.poly_rem(0b1010, 0b10) == 0          # x^3 + x divisible by x
+    assert reference.poly_rem(0b10011, 0b10011) == 0      # self
+    assert reference.poly_rem(0b100000, 0b10011) == 0b110  # x^5 mod x^4+x+1 = x^2+x
+    with pytest.raises(ValueError):
+        reference.poly_rem(0b101, 0)
 
 
 def test_unsupported_t_rejected():
@@ -58,8 +89,9 @@ def test_encode_systematic_parity(gf16_code):
     msg[0] = 1
     (w,) = encode_many(gf16_code, msg[None, :])
     assert np.array_equal(w[:7], msg)
-    d = poly_degree(gf16_code.generator)
-    r = poly_rem(1 << d, gf16_code.generator)
+    g = reference.GENERATORS[4]
+    d = g.bit_length() - 1
+    r = reference.poly_rem(1 << d, g)
     expect = [(r >> i) & 1 for i in range(d)]
     assert w[7:].tolist() == expect
 
@@ -77,7 +109,8 @@ def test_encode_linearity(data):
 def test_syndromes(ecc16_code, rng):
     # packed syndrome: S1 in bits 0..m-1, S3 in bits m..2m-1, parity in bit 2m
     code = ecc16_code
-    m = code.field.m
+    m = 4
+    exp = reference.alpha_powers(m)
     (w,) = encode_many(code, rng.integers(0, 2, (1, code.k), dtype=np.uint8))
     # row 0: the codeword; row 1 + j: the codeword with bit j flipped
     words = np.concatenate([w[None, :], w ^ np.eye(code.n, dtype=np.uint8)])
@@ -85,7 +118,7 @@ def test_syndromes(ecc16_code, rng):
     assert syn[0] == 0
     for j in range(code.n - 1):
         s1, parity = syn[1 + j] & ((1 << m) - 1), syn[1 + j] >> (2 * m)
-        assert s1 == code.field.exp_table[j] and parity == 1
+        assert s1 == exp[j] and parity == 1
     assert syn[code.n] == 1 << (2 * m)  # extension bit only: (0, 0, 1)
 
 

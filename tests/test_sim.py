@@ -272,6 +272,9 @@ def test_cli_rejects_bad_snr(capsys):
     # NaN fails every comparison, so delta >= 0 must be asked, not delta < 0
     ["pc", "--snr", "6", "--delta", "nan", "--decoder", "sabm"],
     ["mask", "--snr", "6", "--delta", "nan", "--blocks", "1"],
+    # a SeedSequence takes only non-negative entries
+    ["pc", "--snr", "5", "--seed", "-1"],
+    ["mask", "--snr", "6", "--seed", "-1", "--blocks", "1"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_rejects_bad_values(argv, capsys):
     assert main(argv + ["--max-blocks", "1"]) == 2
@@ -292,6 +295,15 @@ def test_cli_rejects_mistyped_config_value(key, value, tmp_path, capsys):
     assert main(["pc", "--config", str(cfgfile), "--max-blocks", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and repr(key) in err[0]
+
+
+@pytest.mark.parametrize("command", ["pc", "scc", "mask"])
+def test_cli_rejects_negative_config_seed(command, tmp_path, capsys):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(yaml.safe_dump({"snr": [6.0], "seed": -1}))
+    assert main([command, "--config", str(cfgfile), "--max-blocks", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
 
 
 def test_cli_accepts_integral_float_config_value(tmp_path, capsys):
