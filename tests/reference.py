@@ -268,7 +268,7 @@ def _parity_rows(generator: int, k: int, d: int) -> np.ndarray:
 
 def encode_many(code: BchCode, messages) -> np.ndarray:
     msgs = np.asarray(messages, dtype=np.uint8)
-    generator = GENERATORS[(code.n - code.extended).bit_length()]
+    generator = GENERATORS[(code.n - code.extended).bit_length()]  # 2^m - 1 has m bits
     parity = (msgs @ _parity_rows(generator, code.k, code.n - code.k - code.extended)) & 1
     words = np.concatenate([msgs, parity], axis=1)
     if code.extended:
