@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Staircase-code sweep with the bit-marking decoder, reporting the
-relative BDD-call overhead eta alongside the BER at each SNR point.
+relative BDD-call overhead eta alongside the BER at each SNR point, and
+what SABM did: miscorrections detected per block, and the share of flip
+retries that were accepted.
 
 Usage:
     python scripts/scc_complexity.py [out.csv]
@@ -31,8 +33,11 @@ def main() -> int:
     )
     print(f"running staircase sweep -> {out}")
     for st in run_sweep(cfg):
+        accepted = st.flips_accepted / max(st.flips_attempted, 1)
         print(f"  {st.snr_db:5.2f} dB  ber_post={st.ber_post:.3e}  "
-              f"eta={st.eta:.4f}")
+              f"eta={st.eta:.4f}  "
+              f"detected/block={st.miscorrections_detected / st.blocks_run:.3f}  "
+              f"flips accepted={accepted:.3f}")
     return 0
 
 

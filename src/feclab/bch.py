@@ -129,11 +129,12 @@ def encode_many(code: BchCode, messages: np.ndarray) -> np.ndarray:
 
 
 def block_syndromes(code: BchCode, words) -> np.ndarray:
-    """Packed syndromes of every row of a (R, n) bit matrix, from one GF(2)
-    matmul against the parity-check matrix."""
+    """Packed syndromes of every row of a (..., n) bit array, in its shape
+    less the last axis, from one GF(2) matmul against the parity-check
+    matrix (one BLAS call per (R, n) matrix of a stack)."""
     counts = np.asarray(words, dtype=np.float32) @ code.check_matrix
     bits = counts.astype(np.int64) & 1
-    return bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
+    return bits @ (1 << np.arange(bits.shape[-1], dtype=np.int64))
 
 
 def decode_syndromes(code: BchCode, syn: int):

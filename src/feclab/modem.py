@@ -81,30 +81,57 @@ def awgn_transmit(symbols, cfg: ChannelConfig, rng) -> np.ndarray:
     return cfg.sqrt_rho * x + rng.standard_normal(x.shape)
 
 
-def _logsumexp(terms: list) -> np.ndarray:
-    """log(sum(exp(t))) over equal-shape arrays, term by term in list order:
-    the max, exp, add and log of a column-wise logsumexp, bit for bit."""
+def _logsumexp_into(terms: list, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """log(sum(exp(t))) over equal-shape arrays, term by term in list order,
+    written into out: the max, exp, add and log of a column-wise logsumexp,
+    bit for bit. scratch holds two more arrays of that shape."""
     if len(terms) == 1:
-        return terms[0] + 0.0  # max + log(exp(0)); the + 0.0 clears -0.0
-    m = reduce(np.maximum, terms)
-    return m + np.log(reduce(np.add, [np.exp(t - m) for t in terms]))
+        return np.add(terms[0], 0.0, out=out)  # max + log(exp(0)); the + 0.0 clears -0.0
+    m, e = scratch
+    np.maximum(terms[0], terms[1], out=m)
+    for t in terms[2:]:
+        np.maximum(m, t, out=m)
+    np.exp(np.subtract(terms[0], m, out=out), out=out)
+    for t in terms[1:]:
+        np.add(out, np.exp(np.subtract(t, m, out=e), out=e), out=out)
+    return np.add(m, np.log(out, out=out), out=out)
+
+
+def _min_into(terms: list, out: np.ndarray) -> np.ndarray:
+    """reduce(np.minimum, terms), written into out unless there is one term."""
+    if len(terms) == 1:
+        return terms[0]
+    np.minimum(terms[0], terms[1], out=out)
+    for t in terms[2:]:
+        np.minimum(out, t, out=out)
+    return out
 
 
 def demap_llr(y, cfg: ChannelConfig) -> np.ndarray:
-    """Per-bit LLRs, shape (num_symbols, log2(M)); positive favors bit 0."""
+    """Per-bit LLRs, shape (num_symbols, log2(M)); positive favors bit 0.
+    Every step writes into a few arrays made once per call: one per level,
+    the two sides of a bit's LLR and two scratch arrays."""
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     levels, labels, _ = pam_constellation(cfg.M)
     nb = cfg.bits_per_symbol
-    # squared distance to each level, one vector per level
-    d2 = [(yv - cfg.sqrt_rho * level) ** 2 for level in levels]
     exact = cfg.llr_mode == LLR_EXACT
-    terms = [-d / 2.0 for d in d2] if exact else d2
+    terms = [np.empty_like(yv) for _ in levels]
+    side0, side1, *scratch = (np.empty_like(yv) for _ in range(4))
+    for t, level in zip(terms, levels):
+        # squared distance to the level; -d2 / 2 for the exact LLR
+        np.square(np.subtract(yv, cfg.sqrt_rho * level, out=t), out=t)
+        if exact:
+            np.divide(np.negative(t, out=t), 2.0, out=t)
     out = np.empty((yv.size, nb))
     for k in range(nb):
         bit = (labels >> (nb - 1 - k)) & 1
         zero, one = ([t for t, b in zip(terms, bit) if b == v] for v in (0, 1))
-        out[:, k] = (_logsumexp(zero) - _logsumexp(one) if exact else
-                     (reduce(np.minimum, one) - reduce(np.minimum, zero)) / 2.0)
+        if exact:
+            np.subtract(_logsumexp_into(zero, side0, scratch),
+                        _logsumexp_into(one, side1, scratch), out=out[:, k])
+        else:
+            np.divide(np.subtract(_min_into(one, side1), _min_into(zero, side0),
+                                  out=out[:, k]), 2.0, out=out[:, k])
     return out
 
 

@@ -11,17 +11,18 @@ least reliable non-HRB bits flipped.
 
 Decoding runs on syndromes, in one core that the staircase decoder shares.
 `SyndromeState` keeps the packed syndrome of every word of a set of word
-groups in which every bit lies in two words (here group 0 holds the rows
-of a block and group 1 its columns). Every flip updates the syndrome of
-its word and of the crossing word, so the maintained syndromes always
-equal the syndromes of the bits. `decode_pass` decodes the words of one
-group that have a nonzero syndrome (a clean word is a no-op), yet
-`bdd_calls` counts w per pass, as if every word were decoded, plus one per
-flip retry.
+groups in which every bit lies in two words (here group 2b holds the rows
+of block b of a stack and group 2b + 1 its columns). Every flip updates
+the syndrome of its word and of the crossing word, so the maintained
+syndromes always equal the syndromes of the bits. `decode_pass` decodes
+the words of a set of groups that have a nonzero syndrome (a clean word
+is a no-op), yet `bdd_calls` counts w per group pass, as if every word
+were decoded, plus one per flip retry. iBDD decodes a stack of blocks in
+lockstep, so that one pass serves every active block.
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -68,6 +69,11 @@ class DecodeStats:
     miscorrections_detected: int = 0
     flips_attempted: int = 0
     flips_accepted: int = 0
+
+    def __iadd__(self, other: "DecodeStats") -> "DecodeStats":
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        return self
 
 
 @dataclass(frozen=True)
@@ -161,13 +167,21 @@ class Layout:
 
 
 @lru_cache(maxsize=None)
-def block_layout(w: int) -> Layout:
-    """Rows (group 0) and columns (group 1) of a w x w block: position j of
-    row i is bit (i, j), which is position i of column j."""
+def block_layout(w: int, blocks: int = 1) -> Layout:
+    """Rows (group 2b) and columns (group 2b + 1) of each block b of a
+    (blocks, w, w) stack: position j of row i of block b is bit (b, i, j),
+    which is position i of its column j."""
     j = np.arange(w)
-    return Layout(lambda bits: np.stack([bits, bits.T]), base=[j, j * w],
-                  stride=[np.full(w, w), np.ones(w)], cross=[w + j, j],
-                  shift=np.zeros((2, w)))
+    b = np.arange(blocks)[:, None, None]
+
+    def words(bits):
+        stack = bits.reshape(-1, w, w)  # a single block may come as (w, w)
+        return np.stack([stack, stack.transpose(0, 2, 1)], axis=1).reshape(-1, w, w)
+
+    return Layout(words, base=(b * w * w + [j, j * w]).reshape(-1, w),
+                  stride=np.tile([np.full(w, w), np.ones(w)], (blocks, 1)),
+                  cross=(b * 2 * w + [w + j, j]).reshape(-1, w),
+                  shift=np.zeros((2 * blocks, w)))
 
 
 class SyndromeState:
@@ -184,16 +198,17 @@ class SyndromeState:
         self.flat = bits.reshape(-1)
         words = layout.words(bits)
         self.w = words.shape[1]
-        self.syn = block_syndromes(code, words.reshape(-1, code.n))
+        self.syn = block_syndromes(code, words).reshape(-1)
 
-    def flip(self, group: int, words: np.ndarray, positions: np.ndarray):
-        """Flip bit positions[k] of word words[k] of group, for every k; no
-        (word, position) pair may repeat."""
+    def flip(self, groups, words: np.ndarray, positions: np.ndarray):
+        """Flip bit positions[k] of word words[k] of group groups[k] (or of
+        the one group `groups`), for every k; no (group, word, position)
+        triple may repeat."""
         lay, h = self.layout, self.code.flip_syndrome
-        self.flat[lay.base[group, positions] + words * lay.stride[group, positions]] ^= 1
-        np.bitwise_xor.at(self.syn, group * self.w + words, h[positions])
-        np.bitwise_xor.at(self.syn, lay.cross[group, positions],
-                          h[lay.shift[group, positions] + words])
+        self.flat[lay.base[groups, positions] + words * lay.stride[groups, positions]] ^= 1
+        np.bitwise_xor.at(self.syn, groups * self.w + words, h[positions])
+        np.bitwise_xor.at(self.syn, lay.cross[groups, positions],
+                          h[lay.shift[groups, positions] + words])
 
 
 def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkState,
@@ -272,62 +287,83 @@ def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkSta
     return bool(words)
 
 
-def decode_pass(state: SyndromeState, group: int, stats: DecodeStats,
+def decode_pass(state: SyndromeState, groups, stats: DecodeStats,
                 marks: MarkState | None = None, axis: int = 0,
-                live: range | None = None) -> bool:
-    """Decode the words of one group that have a nonzero syndrome and apply
-    their flips. Without marks every pattern applies at once, as the words
-    of a group share no bits. With marks (SABM; word i of the group is word
-    i of marks' axis) `_sabm_pass` resolves the words in ascending order in
-    one loop, as a veto reads crossing syndromes that earlier words
-    changed; it reads only the slots in `live` (default: all). Returns
-    whether any bit was flipped."""
+                live: range | None = None) -> np.ndarray:
+    """Decode the words with a nonzero syndrome of each of `groups` (one
+    group index or an array of them) and apply their flips. Without marks
+    every pattern applies at once, as the words of a group share no bits
+    and the groups are disjoint word sets. With marks (SABM, on one group;
+    word i of the group is word i of marks' axis) `_sabm_pass` resolves the
+    words in ascending order in one loop, as a veto reads crossing
+    syndromes that earlier words changed; it reads only the slots in
+    `live` (default: all). Returns, per group, whether any of its bits was
+    flipped."""
     w = state.w
-    stats.bdd_calls += w
-    own = state.syn[group * w:(group + 1) * w]
-    idx = np.flatnonzero(own)
-    if idx.size == 0:
-        return False
+    groups = np.asarray(groups)
+    stats.bdd_calls += w * groups.size
+    own = state.syn.reshape(-1, w)[groups].ravel()  # one group: a view of its slots
+    hit = own.nonzero()[0]
+    changed = np.zeros(groups.size, dtype=bool)
+    if hit.size == 0:
+        return changed
     if marks is not None:
-        return _sabm_pass(state, group, idx, marks, axis, live, stats)
-    pos = state.code.error_positions[own[idx]]
-    rows, k = np.nonzero(pos >= 0)
+        changed[0] = _sabm_pass(state, groups.item(), hit, marks, axis, live, stats)
+        return changed
+    pos = state.code.error_positions[own[hit]]
+    rows, k = (pos >= 0).nonzero()
     if rows.size:
-        state.flip(group, idx[rows], pos[rows, k])
-    return rows.size > 0
+        at, words = np.divmod(hit[rows], w)
+        state.flip(groups.take(at), words, pos[rows, k])
+        changed[at] = True
+    return changed
 
 
-def _decode_core(code: PcCode, block, iters: int, marks: MarkState | None,
+def _decode_core(code: PcCode, blocks, iters: int, marks: MarkState | None,
                  md_iters: int, early_exit: bool) -> tuple[np.ndarray, DecodeStats]:
-    blk = np.array(block, dtype=np.uint8, order="C")
+    """iBDD, with SABM in the first md_iters iterations if marks are given,
+    on one (w, w) block or a (B, w, w) stack of them. The blocks of a stack
+    are decoded in lockstep, each exactly as on its own: an iteration is a
+    row pass and then a column pass over the active blocks, and a block
+    leaves the active set where it would stop alone. Marks cover one
+    block."""
+    blk = np.array(blocks, dtype=np.uint8, order="C")
     w = code.w
-    if blk.shape != (w, w):
-        raise ValueError(f"block must be ({w}, {w})")
+    if blk.shape[-2:] != (w, w) or blk.ndim not in (2, 3):
+        raise ValueError(f"block must be ({w}, {w}) or a stack of them")
+    active = np.arange(blk.size // (w * w))
+    if marks is not None and active.size != 1:
+        raise ValueError("marks cover one block")
     stats = DecodeStats()
-    state = SyndromeState(code.component, blk, block_layout(w))
+    state = SyndromeState(code.component, blk, block_layout(w, active.size))
     it = 0
-    while it < iters:
+    while it < iters and active.size:
         sabm_active = it < md_iters
-        changed = False
+        changed = np.zeros(active.size, dtype=bool)
         for axis in (0, 1):
-            changed |= decode_pass(state, axis, stats, marks if sabm_active else None, axis)
+            changed |= decode_pass(state, 2 * active + axis, stats,
+                                   marks if sabm_active else None, axis)
         it += 1
-        if early_exit and not changed:
+        if early_exit and not changed.all():
             # with no flip, every word left with a nonzero syndrome was
-            # dropped: a stalled marking phase cannot make progress with
-            # the same vetoes in place, so hand such a block to the plain
-            # iterations; a clean block or a stalled plain one stops
-            if not sabm_active or not state.syn.any():
-                break
-            it = max(it, md_iters)
+            # dropped: a stalled marking phase (of the one marked block)
+            # cannot make progress with the same vetoes in place, so hand
+            # such a block to the plain iterations; a clean block or a
+            # stalled plain one stops
+            if sabm_active and state.syn.any():
+                it = max(it, md_iters)
+            else:
+                active = active[changed]
     return blk, stats
 
 
-def ibdd_decode(code: PcCode, block, iters: int,
+def ibdd_decode(code: PcCode, blocks, iters: int,
                 early_exit: bool = True) -> tuple[np.ndarray, DecodeStats]:
+    """iBDD of one (w, w) block or of a (B, w, w) stack; returns the decoded
+    bits in the input's shape and the DecodeStats summed over the stack."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    return _decode_core(code, block, iters, marks=None, md_iters=0,
+    return _decode_core(code, blocks, iters, marks=None, md_iters=0,
                         early_exit=early_exit)
 
 

@@ -12,7 +12,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -21,12 +21,17 @@ from .bch import build_code
 from .errors import ConfigError
 from .modem import (ChannelConfig, awgn_transmit, demap_llr, interleave,
                     make_interleaver, modulate)
-from .pc import PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
+from .pc import DecodeStats, PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
 from .scc import SccCode, baseline_calls, decode_chain, eta, scc_encode
 
 CSV_COLUMNS = ["scheme", "mod", "decoder", "llr_mode", "snr_db", "blocks",
                "ber_pre", "ber_post", "block_errors", "bdd_calls_avg", "eta",
                "seed", "wall_seconds"]
+
+
+# SNR points the seed key and the channel take: below -1000 dB the key of
+# _trial_rng is negative, and above ~3,080 dB rho = 10^(snr/10) overflows
+SNR_RANGE_DB = (-1000.0, 3000.0)
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,9 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError(f"unknown llr_mode {cfg.llr_mode!r}")
     if not cfg.snr_points:
         raise ConfigError("snr_points must be non-empty")
-    if not all(math.isfinite(snr) for snr in cfg.snr_points):
-        raise ConfigError(f"SNR points must be finite, got {cfg.snr_points}")
+    lo, hi = SNR_RANGE_DB
+    if not all(lo <= snr <= hi for snr in cfg.snr_points):  # also rejects NaN
+        raise ConfigError(f"SNR points must lie in [{lo:g}, {hi:g}] dB, got {cfg.snr_points}")
     keys = [_snr_key(snr) for snr in cfg.snr_points]
     if len(set(keys)) < len(keys):
         raise ConfigError(f"SNR points {cfg.snr_points} repeat a value at 0.001 dB "
@@ -124,6 +130,10 @@ class BerStats:
     post_sq_errors: int = 0
     block_errors: int = 0
     bdd_calls_total: int = 0
+    # SABM decoder counters, summed like bdd_calls_total (0 under iBDD)
+    miscorrections_detected: int = 0
+    flips_attempted: int = 0
+    flips_accepted: int = 0
     eta: float | None = None
     wall_seconds: float = 0.0
     info_bits: int = 0
@@ -180,53 +190,84 @@ def _pc_channel(cfg: SimConfig, snr_db: float, trial: int):
     return (data, block) + _transmit_block(block, chan, rng)
 
 
-def _trial(cfg: SimConfig, snr_db: float, trial: int):
-    """One Monte Carlo trial, a PC block or an SCC chain; returns (pre-FEC
-    bit errors, post-FEC bit errors of each block, BDD calls, info bits per
-    block)."""
+# most trials in one task: a PC iBDD task decodes its blocks as one stack,
+# whose memory this bounds whatever the batch size
+MAX_SHARE = 64
+
+
+def _trials(cfg: SimConfig, snr_db: float, first: int, count: int):
+    """Monte Carlo trials first..first+count-1, each a PC block or an SCC
+    chain on its own generator; returns, per trial, (pre-FEC bit errors,
+    post-FEC bit errors of each block), and the DecodeStats summed over
+    the trials. PC iBDD decodes the trials' hard grids as one stack."""
     code = _code(cfg.scheme, _component_m(cfg))
-    sabm = cfg.decoder == "sabm"
-    if cfg.scheme == "pc":
-        data, block, hard, llr = _pc_channel(cfg, snr_db, trial)
-        decoded, st = (sabm_decode(code, hard, llr, cfg.sabm) if sabm
-                       else ibdd_decode(code, hard, cfg.sabm.total_iters))
-        post = int((decoded[: code.k, : code.k] != data).sum())
-        return int((hard != block).sum()), [post], st.bdd_calls, code.k * code.k
-    rng = _trial_rng(cfg.master_seed, snr_db, trial)
-    chan = ChannelConfig(cfg.mod, snr_db, cfg.llr_mode)
-    ic = code.info_cols
-    info = rng.integers(0, 2, (cfg.scc.chain_blocks, code.w, ic), dtype=np.uint8)
-    chain = scc_encode(code, info)
-    hard, llrs = zip(*(_transmit_block(blk, chan, rng) for blk in chain))
-    pre = sum(int((h != blk).sum()) for h, blk in zip(hard, chain))
-    decoded, st = decode_chain(code, list(hard), list(llrs) if sabm else None,
-                               cfg.sabm, cfg.scc.window, cfg.scc.iters)
-    post = [int((d[:, :ic] != i).sum()) for d, i in zip(decoded, info)]
-    return pre, post, st.bdd_calls, code.w * ic
+    trials = range(first, first + count)
+    stats = DecodeStats()
+    errors = []
+    if cfg.scheme == "scc":
+        chan = ChannelConfig(cfg.mod, snr_db, cfg.llr_mode)
+        ic = code.info_cols
+        for trial in trials:
+            rng = _trial_rng(cfg.master_seed, snr_db, trial)
+            info = rng.integers(0, 2, (cfg.scc.chain_blocks, code.w, ic), dtype=np.uint8)
+            chain = scc_encode(code, info)
+            hard, llrs = zip(*(_transmit_block(blk, chan, rng) for blk in chain))
+            pre = sum(int((h != blk).sum()) for h, blk in zip(hard, chain))
+            decoded, st = decode_chain(code, list(hard),
+                                       list(llrs) if cfg.decoder == "sabm" else None,
+                                       cfg.sabm, cfg.scc.window, cfg.scc.iters)
+            errors.append((pre, [int((d[:, :ic] != i).sum()) for d, i in zip(decoded, info)]))
+            stats += st
+    elif cfg.decoder == "sabm":
+        for trial in trials:
+            data, block, hard, llr = _pc_channel(cfg, snr_db, trial)
+            decoded, st = sabm_decode(code, hard, llr, cfg.sabm)
+            errors.append((int((hard != block).sum()),
+                           [int((decoded[:code.k, :code.k] != data).sum())]))
+            stats += st
+    else:
+        data = np.empty((count, code.k, code.k), dtype=np.uint8)
+        hard = np.empty((count, code.w, code.w), dtype=np.uint8)
+        pre = []
+        for i, trial in enumerate(trials):
+            data[i], block, hard[i], _ = _pc_channel(cfg, snr_db, trial)
+            pre.append(int((hard[i] != block).sum()))
+        decoded, stats = ibdd_decode(code, hard, cfg.sabm.total_iters)
+        post = (decoded[:, :code.k, :code.k] != data).sum(axis=(1, 2)).tolist()
+        errors = [(p, [e]) for p, e in zip(pre, post)]
+    return errors, stats
 
 
 def run_point(cfg: SimConfig, snr_db: float, _pool=None) -> BerStats:
     validate_config(cfg)
     code = _code(cfg.scheme, _component_m(cfg))
+    info_bits = code.k * code.k if cfg.scheme == "pc" else code.w * code.info_cols
     stats = BerStats(snr_db=snr_db)
     t0 = time.perf_counter()
-    # one pool task per worker share of a batch; results keep their order
-    trial_map = map if _pool is None else partial(
-        _pool.map, chunksize=math.ceil(cfg.batch_size / cfg.workers))
+    # one task per worker share of a batch (split in tasks of MAX_SHARE
+    # trials at most); results keep their order
+    share = min(math.ceil(cfg.batch_size / cfg.workers), MAX_SHARE)
+    trial_map = map if _pool is None else _pool.map
     next_trial = 0
     while (stats.block_errors < cfg.stop.min_word_errors
            and stats.blocks_run < cfg.stop.max_blocks):
-        batch = range(next_trial, next_trial + cfg.batch_size)
-        next_trial += cfg.batch_size
-        for pre, post, calls, info_bits in trial_map(_trial, repeat(cfg), repeat(snr_db), batch):
-            stats.blocks_run += len(post)
-            stats.pre_fec_bit_errors += pre
-            stats.post_fec_bit_errors += sum(post)
-            stats.post_sq_errors += sum(e * e for e in post)
-            stats.block_errors += sum(e > 0 for e in post)
-            stats.bdd_calls_total += calls
-            stats.info_bits += info_bits * len(post)
-            stats.coded_bits += code.w * code.w * len(post)
+        end = next_trial + cfg.batch_size
+        firsts = range(next_trial, end, share)
+        counts = [min(share, end - lo) for lo in firsts]
+        next_trial = end
+        for errors, st in trial_map(_trials, repeat(cfg), repeat(snr_db), firsts, counts):
+            for pre, post in errors:
+                stats.blocks_run += len(post)
+                stats.pre_fec_bit_errors += pre
+                stats.post_fec_bit_errors += sum(post)
+                stats.post_sq_errors += sum(e * e for e in post)
+                stats.block_errors += sum(e > 0 for e in post)
+                stats.info_bits += info_bits * len(post)
+                stats.coded_bits += code.w * code.w * len(post)
+            stats.bdd_calls_total += st.bdd_calls
+            stats.miscorrections_detected += st.miscorrections_detected
+            stats.flips_attempted += st.flips_attempted
+            stats.flips_accepted += st.flips_accepted
     if cfg.scheme == "scc":
         scc = cfg.scc
         per_chain = baseline_calls(code, scc.chain_blocks, scc.window, scc.iters)

@@ -1,9 +1,13 @@
 """Differential oracle: the syndrome-domain decoders equal the bit-level
 reference decoders of `reference.py`, bit for bit and counter for
 counter, on random blocks and chains around the waterfall with random
-LLRs that include ties and HRB extremes."""
+LLRs that include ties and HRB extremes. iBDD on a stack of blocks equals
+one call per block."""
+
+from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from feclab.bch import build_code
@@ -72,3 +76,55 @@ def test_scc_matches_reference(m, seed, error_rate, sabm, params, blocks, window
     want, want_stats = reference.scc_decode(code, hard, llrs, params, window, ell)
     assert np.array_equal(np.array(got), np.array(want))
     assert got_stats == want_stats
+
+
+def stack_matches_single_blocks(code, hard, iters, early_exit):
+    """ibdd_decode of the (B, w, w) stack `hard` equals B single-block
+    calls, in bits and in the four DecodeStats counters summed; returns the
+    single calls' bdd_calls."""
+    got, got_stats = ibdd_decode(code, hard, iters, early_exit=early_exit)
+    singles = [ibdd_decode(code, h, iters, early_exit=early_exit) for h in hard]
+    assert got.shape == hard.shape
+    assert np.array_equal(got, np.array([bits for bits, _ in singles]))
+    want = np.sum([astuple(stats) for _, stats in singles], axis=0).tolist()
+    assert list(astuple(got_stats)) == want
+    return [stats.bdd_calls for _, stats in singles]
+
+
+def noisy_stack(code, rng, error_rates):
+    blocks = [pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
+              for _ in error_rates]
+    return np.array([channel(b, rng, rate)[0] for b, rate in zip(blocks, error_rates)])
+
+
+@given(m=st.integers(4, 6), seed=st.integers(0, 2**32 - 1),
+       error_rates=st.lists(st.floats(0.0, 0.06), min_size=1, max_size=6),
+       iters=st.integers(1, 6), early_exit=st.booleans())
+@oracle
+def test_pc_stack_matches_single_blocks(m, seed, error_rates, iters, early_exit):
+    code = PcCode(CODES[m])
+    hard = noisy_stack(code, np.random.default_rng(seed), error_rates)
+    stack_matches_single_blocks(code, hard, iters, early_exit)
+
+
+@pytest.mark.parametrize("early_exit", [True, False])
+def test_pc_stack_blocks_leave_at_different_iterations(early_exit):
+    # a clean block stops after one iteration, a light one after a few and
+    # a heavy one runs all of them; without early exit none stops
+    code = PcCode(CODES[6])
+    hard = noisy_stack(code, np.random.default_rng(5), [0.0, 0.004, 0.02, 0.06])
+    calls = stack_matches_single_blocks(code, hard, 8, early_exit)
+    if early_exit:
+        assert len(set(calls)) == len(calls)
+    else:
+        assert calls == [8 * 2 * code.w] * len(calls)
+
+
+def test_pc_stack_of_one_block():
+    code = PcCode(CODES[5])
+    hard = noisy_stack(code, np.random.default_rng(2), [0.03])
+    assert hard.shape == (1, code.w, code.w)
+    stack_matches_single_blocks(code, hard, 6, True)
+    got, got_stats = ibdd_decode(code, hard, 6)
+    want, want_stats = reference.pc_decode(code, hard[0], 6)
+    assert np.array_equal(got[0], want) and got_stats == want_stats

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import yaml
 
 from feclab.cli import build_parser, config_from_args, main
 from feclab.errors import ConfigError
-from feclab.pc import SabmParams
+from feclab import sim
+from feclab.pc import DecodeStats, SabmParams, sabm_decode
 from feclab.sim import (
     CSV_COLUMNS,
     SccRunParams,
@@ -102,6 +104,33 @@ def test_scc_point_populates_eta():
     assert st.eta >= 0.0
     pc = run_point(small_pc_cfg(), 5.0)
     assert pc.eta is None
+
+
+def test_sabm_counters_sum_per_trial_decodes():
+    cfg = small_pc_cfg(decoder="sabm", snr_points=(4.5,), workers=2,
+                       stop=StopRule(min_word_errors=10 ** 9, max_blocks=16))
+    st = run_point(cfg, 4.5)
+    code = sim._code("pc", 5)
+    total = DecodeStats()
+    for trial in range(st.blocks_run):
+        _, _, hard, llr = sim._pc_channel(cfg, 4.5, trial)
+        total += sabm_decode(code, hard, llr, cfg.sabm)[1]
+    assert total.miscorrections_detected > 0 and total.flips_accepted > 0
+    assert (st.bdd_calls_total, st.miscorrections_detected, st.flips_attempted,
+            st.flips_accepted) == astuple(total)
+
+
+@pytest.mark.parametrize("workers, batch_size, max_share",
+                         [(1, 24, 64), (2, 8, 64), (3, 8, 64), (5, 3, 64), (1, 24, 5)])
+def test_ibdd_stats_do_not_depend_on_the_shares(workers, batch_size, max_share, monkeypatch):
+    # shares of a batch are decoded as stacks of any size, uneven ones too
+    monkeypatch.setattr(sim, "MAX_SHARE", max_share)
+    # (at 3 dB some blocks of a batch keep errors and run every iteration)
+    cfg = small_pc_cfg(snr_points=(3.0,), stop=StopRule(min_word_errors=10 ** 9,
+                                                         max_blocks=24))
+    want = run_point(replace(cfg, batch_size=1), 3.0)
+    assert 0 < want.block_errors < want.blocks_run
+    assert run_point(replace(cfg, workers=workers, batch_size=batch_size), 3.0) == want
 
 
 # ------------------------------------------------------------- CSV output
@@ -280,6 +309,24 @@ def test_cli_rejects_bad_values(argv, capsys):
     assert main(argv + ["--max-blocks", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["pc", "mask"])
+@pytest.mark.parametrize("snr", ["-1001", "4000", "1e306", "-1e306"])
+def test_cli_rejects_snr_outside_range(command, snr, capsys):
+    # below -1000 dB the trial seed key is negative, above ~3,080 dB rho
+    # overflows, and from ~1.8e305 dB on so does the key's round(snr * 1000)
+    argv = [command, f"--snr={snr}", "--max-blocks", "1", "--component-m", "4"]
+    assert main(argv + (["--blocks", "1"] if command == "mask" else [])) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "[-1000, 3000] dB" in err[0]
+
+
+@pytest.mark.parametrize("snr", ["-1000", "3000"])
+def test_cli_runs_at_the_snr_range_ends(snr, capsys):
+    assert main(["pc", f"--snr={snr}", "--max-blocks", "1", "--batch-size", "1",
+                 "--component-m", "4", "--no-timing"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"pc,2,ibdd,exact,{snr},1,")
 
 
 @pytest.mark.parametrize("key, value", [

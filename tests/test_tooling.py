@@ -3,11 +3,16 @@
 
 import argparse
 import ast
+import csv
+import io
 import re
 from pathlib import Path
 
+import pytest
+
 import feclab
-from feclab import cli
+from feclab import cli, sim
+from feclab.sim import SimConfig, StopRule
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -34,6 +39,31 @@ def test_traced_names_resolve_in_feclab():
     missing = {(module, attr) for module, attr in traced
                if not hasattr(getattr(feclab, module), attr)}
     assert missing == GONE
+
+
+def test_wrapped_ibdd_decode_sees_every_batched_block(monkeypatch):
+    # the tracer rebinds sim.ibdd_decode and sums the DecodeStats that ends
+    # its result; stacked decoding must still pass every block through it
+    decoded = sim.ibdd_decode
+    seen = []
+
+    def traced(*args, **kwargs):
+        result = decoded(*args, **kwargs)
+        seen.append(result[-1].bdd_calls)
+        return result
+
+    monkeypatch.setattr(sim, "ibdd_decode", traced)
+    cfg = SimConfig(scheme="pc", mod=4, snr_points=(9.0,), component_m=5, batch_size=16,
+                    stop=StopRule(min_word_errors=10 ** 9, max_blocks=48),
+                    record_timing=False)
+    out = io.StringIO()
+    sim.run_sweep(cfg, out=out)
+    row = dict(zip(*csv.reader(io.StringIO(out.getvalue()))))
+    assert len(seen) == 3  # one stack per batch
+    # the CSV keeps 6 significant digits of the average; one block missed
+    # would take at least 2w = 64 of the ~14,000 calls
+    assert sum(seen) == pytest.approx(float(row["bdd_calls_avg"]) * int(row["blocks"]),
+                                      rel=1e-5)
 
 
 def test_readme_layout_names_every_module():
