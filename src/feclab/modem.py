@@ -97,20 +97,11 @@ def _logsumexp_into(terms: list, out: np.ndarray, scratch: np.ndarray) -> np.nda
     return np.add(m, np.log(out, out=out), out=out)
 
 
-def _min_into(terms: list, out: np.ndarray) -> np.ndarray:
-    """reduce(np.minimum, terms), written into out unless there is one term."""
-    if len(terms) == 1:
-        return terms[0]
-    np.minimum(terms[0], terms[1], out=out)
-    for t in terms[2:]:
-        np.minimum(out, t, out=out)
-    return out
-
-
 def demap_llr(y, cfg: ChannelConfig) -> np.ndarray:
     """Per-bit LLRs, shape (num_symbols, log2(M)); positive favors bit 0.
-    Every step writes into a few arrays made once per call: one per level,
-    the two sides of a bit's LLR and two scratch arrays."""
+    The level terms and the exact LLR's log-sum-exps are written into a few
+    arrays made once per call: one per level, the two sides of a bit's LLR
+    and two scratch arrays."""
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     levels, labels, _ = pam_constellation(cfg.M)
     nb = cfg.bits_per_symbol
@@ -130,8 +121,7 @@ def demap_llr(y, cfg: ChannelConfig) -> np.ndarray:
             np.subtract(_logsumexp_into(zero, side0, scratch),
                         _logsumexp_into(one, side1, scratch), out=out[:, k])
         else:
-            np.divide(np.subtract(_min_into(one, side1), _min_into(zero, side0),
-                                  out=out[:, k]), 2.0, out=out[:, k])
+            out[:, k] = (reduce(np.minimum, one) - reduce(np.minimum, zero)) / 2.0
     return out
 
 

@@ -124,13 +124,17 @@ def test_sabm_counters_sum_per_trial_decodes():
                          [(1, 24, 64), (2, 8, 64), (3, 8, 64), (5, 3, 64), (1, 24, 5)])
 def test_ibdd_stats_do_not_depend_on_the_shares(workers, batch_size, max_share, monkeypatch):
     # shares of a batch are decoded as stacks of any size, uneven ones too
-    monkeypatch.setattr(sim, "MAX_SHARE", max_share)
     # (at 3 dB some blocks of a batch keep errors and run every iteration)
     cfg = small_pc_cfg(snr_points=(3.0,), stop=StopRule(min_word_errors=10 ** 9,
                                                          max_blocks=24))
     want = run_point(replace(cfg, batch_size=1), 3.0)
     assert 0 < want.block_errors < want.blocks_run
+    decode, stacks = sim.ibdd_decode, []
+    monkeypatch.setattr(sim, "MAX_SHARE", max_share)
+    monkeypatch.setattr(sim, "ibdd_decode", lambda code, hard, *args: (
+        stacks.append(len(hard)) or decode(code, hard, *args)))
     assert run_point(replace(cfg, workers=workers, batch_size=batch_size), 3.0) == want
+    assert max(stacks) == min(-(-batch_size // workers), max_share)
 
 
 # ------------------------------------------------------------- CSV output
