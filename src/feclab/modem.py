@@ -84,7 +84,8 @@ def awgn_transmit(symbols, cfg: ChannelConfig, rng) -> np.ndarray:
 def _logsumexp_into(terms: list, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """log(sum(exp(t))) over equal-shape arrays, term by term in list order,
     written into out: the max, exp, add and log of a column-wise logsumexp,
-    bit for bit. scratch holds two more arrays of that shape."""
+    bit for bit. scratch holds two more arrays of that shape, unless there
+    is one term."""
     if len(terms) == 1:
         return np.add(terms[0], 0.0, out=out)  # max + log(exp(0)); the + 0.0 clears -0.0
     m, e = scratch
@@ -107,7 +108,8 @@ def demap_llr(y, cfg: ChannelConfig) -> np.ndarray:
     nb = cfg.bits_per_symbol
     exact = cfg.llr_mode == LLR_EXACT
     terms = [np.empty_like(yv) for _ in levels]
-    side0, side1, *scratch = (np.empty_like(yv) for _ in range(4))
+    # a log-sum-exp of one term needs no scratch, and 2-PAM has only those
+    side0, side1, *scratch = (np.empty_like(yv) for _ in range(4 if cfg.M > 2 else 2))
     for t, level in zip(terms, levels):
         # squared distance to the level; -d2 / 2 for the exact LLR
         np.square(np.subtract(yv, cfg.sqrt_rho * level, out=t), out=t)

@@ -205,10 +205,10 @@ class SyndromeState:
         the one group `groups`), for every k; no (group, word, position)
         triple may repeat."""
         lay, h = self.layout, self.code.flip_syndrome
-        self.flat[lay.base[groups, positions] + words * lay.stride[groups, positions]] ^= 1
+        at = groups * lay.base.shape[1] + positions  # (group, position) in the flat tables
+        self.flat[lay.base.take(at) + words * lay.stride.take(at)] ^= 1
         np.bitwise_xor.at(self.syn, groups * self.w + words, h[positions])
-        np.bitwise_xor.at(self.syn, lay.cross[groups, positions],
-                          h[lay.shift[groups, positions] + words])
+        np.bitwise_xor.at(self.syn, lay.cross.take(at), h[lay.shift.take(at) + words])
 
 
 def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkState,
@@ -302,7 +302,7 @@ def decode_pass(state: SyndromeState, groups, stats: DecodeStats,
     w = state.w
     groups = np.asarray(groups)
     stats.bdd_calls += w * groups.size
-    own = state.syn.reshape(-1, w)[groups].ravel()  # one group: a view of its slots
+    own = state.syn.reshape(-1, w).take(groups, axis=0).ravel()
     hit = own.nonzero()[0]
     changed = np.zeros(groups.size, dtype=bool)
     if hit.size == 0:
@@ -331,18 +331,17 @@ def _decode_core(code: PcCode, blocks, iters: int, marks: MarkState | None,
     w = code.w
     if blk.shape[-2:] != (w, w) or blk.ndim not in (2, 3):
         raise ValueError(f"block must be ({w}, {w}) or a stack of them")
-    active = np.arange(blk.size // (w * w))
-    if marks is not None and active.size != 1:
+    count = blk.size // (w * w)
+    if marks is not None and count != 1:
         raise ValueError("marks cover one block")
     stats = DecodeStats()
-    state = SyndromeState(code.component, blk, block_layout(w, active.size))
+    state = SyndromeState(code.component, blk, block_layout(w, count))
+    rows = 2 * np.arange(count)  # row group of each active block; its columns follow
     it = 0
-    while it < iters and active.size:
-        sabm_active = it < md_iters
-        changed = np.zeros(active.size, dtype=bool)
-        for axis in (0, 1):
-            changed |= decode_pass(state, 2 * active + axis, stats,
-                                   marks if sabm_active else None, axis)
+    while it < iters and rows.size:
+        iter_marks = marks if it < md_iters else None
+        changed = (decode_pass(state, rows, stats, iter_marks, 0)
+                   | decode_pass(state, rows + 1, stats, iter_marks, 1))
         it += 1
         if early_exit and not changed.all():
             # with no flip, every word left with a nonzero syndrome was
@@ -350,10 +349,10 @@ def _decode_core(code: PcCode, blocks, iters: int, marks: MarkState | None,
             # cannot make progress with the same vetoes in place, so hand
             # such a block to the plain iterations; a clean block or a
             # stalled plain one stops
-            if sabm_active and state.syn.any():
+            if iter_marks is not None and state.syn.any():
                 it = max(it, md_iters)
             else:
-                active = active[changed]
+                rows = rows[changed]
     return blk, stats
 
 
