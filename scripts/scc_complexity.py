@@ -33,10 +33,10 @@ def main() -> int:
     )
     print(f"running staircase sweep -> {out}")
     for st in run_sweep(cfg):
-        accepted = st.flips_accepted / max(st.flips_attempted, 1)
+        accepted = st.decoder.flips_accepted / max(st.decoder.flips_attempted, 1)
         print(f"  {st.snr_db:5.2f} dB  ber_post={st.ber_post:.3e}  "
               f"eta={st.eta:.4f}  "
-              f"detected/block={st.miscorrections_detected / st.blocks_run:.3f}  "
+              f"detected/block={st.decoder.miscorrections_detected / st.blocks_run:.3f}  "
               f"flips accepted={accepted:.3f}")
     return 0
 

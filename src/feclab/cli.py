@@ -81,13 +81,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     """The config keys the file or the flags set, converted to their fields' types."""
     merged = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = yaml.safe_load(fh) or {}
+        # bytes, so that yaml reads the encoding from the file as YAML defines it
+        with open(args.config, "rb") as fh:
+            try:
+                loaded = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"config file {args.config} is not valid YAML: "
+                                  + " ".join(str(exc).split())) from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a mapping")
         unknown = set(loaded) - set(_FIELDS) - {"snr"}
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
         merged.update(loaded)
     for key in ("snr", *_FIELDS):
         val = getattr(args, key, None)
@@ -110,7 +115,7 @@ def _convert(key: str, value, conv: type):
     try:
         if ok:
             return conv(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"config key {key!r}: {value!r} is not a valid {conv.__name__}")
 
@@ -118,9 +123,9 @@ def _convert(key: str, value, conv: type):
 def _parse_snr(value) -> tuple:
     if value is None:
         raise ConfigError("no SNR points given (use --snr)")
+    if isinstance(value, (list, tuple)):
+        return tuple(_convert("snr", v, float) for v in value)
     try:
-        if isinstance(value, (list, tuple)):
-            return tuple(float(v) for v in value)
         return tuple(float(tok) for tok in str(value).split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"bad SNR list {value!r}") from exc

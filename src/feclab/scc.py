@@ -14,7 +14,7 @@ the SABM veto never reads a crossing word outside the window as lying in
 a codeword. A pass decodes only the words of a pair with a nonzero
 syndrome, yet `bdd_calls` counts w per pair pass, as if every word were
 decoded, plus one per flip retry. SABM runs if and only if LLRs are
-given. `decode_chain` returns the decoded blocks and the chain's
+given. `decode_chain` returns the decoded (N, w, w) chain and its
 `DecodeStats`; `baseline_calls` gives eta's baseline from the geometry.
 """
 
@@ -63,21 +63,19 @@ def baseline_calls(code: SccCode, num_blocks: int, window: int, ell: int) -> int
     return code.w * ell * (a * (a + 1) // 2 + (num_blocks - a) * a)
 
 
-def scc_encode(code: SccCode, info_blocks) -> list[np.ndarray]:
-    """Encode a chain; info_blocks has shape (num_blocks, w, k - w)."""
+def scc_encode(code: SccCode, info_blocks) -> np.ndarray:
+    """Encode a chain; info_blocks has shape (N, w, k - w), the chain (N, w, w)."""
     info = np.asarray(info_blocks, dtype=np.uint8)
     w = code.w
     if info.ndim != 3 or info.shape[1:] != (w, code.info_cols):
         raise ValueError(f"info blocks must be (N, {w}, {code.info_cols})")
+    chain = np.empty((len(info), w, w), dtype=np.uint8)
     prev = np.zeros((w, w), dtype=np.uint8)
-    out = []
-    for i in range(info.shape[0]):
-        msgs = np.concatenate([prev.T, info[i]], axis=1)  # (w, k)
-        words = encode_many(code.component, msgs)
-        block = words[:, w:]
-        out.append(np.ascontiguousarray(block))
+    for block, block_info in zip(chain, info):
+        msgs = np.concatenate([prev.T, block_info], axis=1)  # (w, k)
+        block[:] = encode_many(code.component, msgs)[:, w:]
         prev = block
-    return out
+    return chain
 
 
 @lru_cache(maxsize=None)
@@ -104,13 +102,13 @@ def chain_layout(w: int, num_blocks: int) -> Layout:
                   shift=halves(w, 0))
 
 
-def decode_chain(code: SccCode, received: list[np.ndarray],
-                 llr_grids: list[np.ndarray] | None, params: SabmParams | None,
-                 window: int, ell: int) -> tuple[list[np.ndarray], DecodeStats]:
-    """Sliding-window decode of a whole chain (leading zero block is
-    handled internally), with SABM if and only if llr_grids, one LLR grid
-    per received block, is given (params None means SabmParams()). Returns
-    the decoded blocks in order and the chain's DecodeStats.
+def decode_chain(code: SccCode, received, llr_grids, params: SabmParams | None,
+                 window: int, ell: int) -> tuple[np.ndarray, DecodeStats]:
+    """Sliding-window decode of a whole chain of received blocks, (N, w, w)
+    (the leading zero block is handled internally), with SABM if and only
+    if llr_grids, one LLR grid per received block, is given (params None
+    means SabmParams()). Returns the (N, w, w) decoded blocks and the
+    chain's DecodeStats.
 
     One `SyndromeState` covers the chain. The window starting at chain
     block s ends at block s+window-1 or at the chain's end, and its ell
@@ -131,8 +129,7 @@ def decode_chain(code: SccCode, received: list[np.ndarray],
     w = code.w
     stats = DecodeStats()
     chain = np.zeros((len(received) + 1, w, w), dtype=np.uint8)
-    for i, blk in enumerate(received):
-        chain[i + 1] = blk
+    chain[1:] = received
     state = SyndromeState(code.component, chain, chain_layout(w, len(chain)))
     marks = marked = None
     for s in range(len(received)):
@@ -148,4 +145,4 @@ def decode_chain(code: SccCode, received: list[np.ndarray],
                 sabm = marks is not None and p == newest and it < params.md_iters
                 decode_pass(state, p, stats, marks if sabm else None, live=live)
     # drop the bootstrap zero block from the output
-    return list(chain[1:]), stats
+    return chain[1:], stats

@@ -96,12 +96,9 @@ def validate_config(cfg: SimConfig) -> None:
     if cfg.scheme == "scc" and min(cfg.scc.iters, cfg.scc.chain_blocks) < 1:
         raise ConfigError(f"scc iters and chain_blocks must be >= 1, got "
                           f"{cfg.scc.iters} and {cfg.scc.chain_blocks}")
-    m = _component_m(cfg)
-    if not 4 <= m <= 8:
-        raise ConfigError(f"component code needs 4 <= m <= 8, got m={m}")
-    # a block is w x w bits with w = 2^m (PC) or 2^(m-1) (SCC), sent in
-    # whole symbols of log2(M) bits each
-    w = 1 << (m if cfg.scheme == "pc" else m - 1)
+    # the code's own checks reject m outside 4..8 and SCC components too short
+    w = _code(cfg.scheme, _component_m(cfg)).w
+    # a block is w x w bits, sent in whole symbols of log2(M) bits each
     bits_per_symbol = cfg.mod.bit_length() - 1
     if (w * w) % bits_per_symbol:
         raise ConfigError(f"{cfg.mod}-PAM needs the {w * w} bits of a block to be a "
@@ -121,7 +118,9 @@ def _component_m(cfg: SimConfig) -> int:
 class BerStats:
     """Counts of one SNR point, streamed trial by trial. Per-block post-FEC
     bit errors are kept as moments: count blocks_run, sum post_fec_bit_errors
-    and sum of squares post_sq_errors, so memory does not grow per block."""
+    and sum of squares post_sq_errors, so memory does not grow per block.
+    `decoder` sums the decoder's counters over the blocks (the SABM ones
+    are 0 under iBDD)."""
 
     snr_db: float
     blocks_run: int = 0
@@ -129,11 +128,7 @@ class BerStats:
     post_fec_bit_errors: int = 0
     post_sq_errors: int = 0
     block_errors: int = 0
-    bdd_calls_total: int = 0
-    # SABM decoder counters, summed like bdd_calls_total (0 under iBDD)
-    miscorrections_detected: int = 0
-    flips_attempted: int = 0
-    flips_accepted: int = 0
+    decoder: DecodeStats = field(default_factory=DecodeStats)
     eta: float | None = None
     wall_seconds: float = 0.0
     info_bits: int = 0
@@ -164,30 +159,33 @@ def _code(scheme: str, m: int) -> PcCode | SccCode:
     return (PcCode if scheme == "pc" else SccCode)(component)
 
 
-def _transmit_block(block: np.ndarray, chan: ChannelConfig, rng):
-    """Send one w x w block; returns (hard grid, llr grid)."""
-    tx = block.reshape(-1)
-    il = None
-    if chan.M > 2:
-        il = make_interleaver(tx.size, rng=rng)
-        tx = interleave(tx, il)
-    y = awgn_transmit(modulate(tx, chan), chan, rng)
-    llr = demap_llr(y, chan).reshape(-1)
-    if il is not None:
-        llr = interleave(llr, il, inverse=True)
-    llr = llr.reshape(block.shape)
-    return (llr < 0).astype(np.uint8), llr
-
-
-def _pc_channel(cfg: SimConfig, snr_db: float, trial: int):
-    """Draw, encode and send the PC block of one trial; returns (data,
-    block, hard grid, llr grid)."""
-    code = _code("pc", _component_m(cfg))
+def _channel(cfg: SimConfig, snr_db: float, trial: int):
+    """Draw, encode and send the blocks of one trial, a PC block or an SCC
+    chain, on the trial's generator: the data first, then for each block
+    its interleaver permutation (M > 2) and its noise. Returns the data,
+    the blocks and their hard grids as arrays with one entry per block,
+    and the list of their LLR grids, each as the demapper made it:
+    stacking a chain's grids would cost one more copy of them per trial."""
+    code = _code(cfg.scheme, _component_m(cfg))
     rng = _trial_rng(cfg.master_seed, snr_db, trial)
-    data = rng.integers(0, 2, (code.k, code.k), dtype=np.uint8)
-    block = pc_encode(code, data)
+    if cfg.scheme == "pc":
+        data = rng.integers(0, 2, (1, code.k, code.k), dtype=np.uint8)
+        blocks = pc_encode(code, data[0])[None]
+    else:
+        data = rng.integers(0, 2, (cfg.scc.chain_blocks, code.w, code.info_cols),
+                            dtype=np.uint8)
+        blocks = scc_encode(code, data)
     chan = ChannelConfig(cfg.mod, snr_db, cfg.llr_mode)
-    return (data, block) + _transmit_block(block, chan, rng)
+    llr = []
+    for tx in blocks.reshape(len(blocks), -1):
+        if chan.M == 2:
+            grid = demap_llr(awgn_transmit(modulate(tx, chan), chan, rng), chan)
+        else:
+            il = make_interleaver(tx.size, rng=rng)
+            y = awgn_transmit(modulate(interleave(tx, il), chan), chan, rng)
+            grid = interleave(demap_llr(y, chan), il, inverse=True)
+        llr.append(grid.reshape(blocks.shape[1:]))
+    return data, blocks, np.array([grid < 0 for grid in llr], dtype=np.uint8), llr
 
 
 # most trials in one task: a PC iBDD task decodes its blocks as one stack,
@@ -197,51 +195,41 @@ MAX_SHARE = 64
 
 def _trials(cfg: SimConfig, snr_db: float, first: int, count: int):
     """Monte Carlo trials first..first+count-1, each a PC block or an SCC
-    chain on its own generator; returns, per trial, (pre-FEC bit errors,
-    post-FEC bit errors of each block), and the DecodeStats summed over
-    the trials. PC iBDD decodes the trials' hard grids as one stack."""
+    chain on its own generator. Returns their pre-FEC bit errors, an array
+    of the post-FEC bit errors of each of their blocks, and the DecodeStats
+    summed over them. SCC chains and PC SABM blocks decode trial by trial;
+    PC iBDD decodes the trials' hard grids as one stack after the loop."""
     code = _code(cfg.scheme, _component_m(cfg))
-    trials = range(first, first + count)
-    stats = DecodeStats()
-    errors = []
-    if cfg.scheme == "scc":
-        chan = ChannelConfig(cfg.mod, snr_db, cfg.llr_mode)
-        ic = code.info_cols
-        for trial in trials:
-            rng = _trial_rng(cfg.master_seed, snr_db, trial)
-            info = rng.integers(0, 2, (cfg.scc.chain_blocks, code.w, ic), dtype=np.uint8)
-            chain = scc_encode(code, info)
-            hard, llrs = zip(*(_transmit_block(blk, chan, rng) for blk in chain))
-            pre = sum(int((h != blk).sum()) for h, blk in zip(hard, chain))
-            decoded, st = decode_chain(code, list(hard),
-                                       list(llrs) if cfg.decoder == "sabm" else None,
+    stacked = cfg.scheme == "pc" and cfg.decoder == "ibdd"
+    stats, pre, post, held = DecodeStats(), 0, [], []
+
+    def errors(decoded, data):  # post-FEC bit errors of each block
+        rows, cols = data.shape[1:]
+        return (decoded[:, :rows, :cols] != data).sum(axis=(1, 2))
+
+    for trial in range(first, first + count):
+        data, blocks, hard, llr = _channel(cfg, snr_db, trial)
+        pre += int((hard != blocks).sum())
+        if stacked:
+            held.append((data, hard))
+            continue
+        if cfg.scheme == "scc":
+            decoded, st = decode_chain(code, hard, llr if cfg.decoder == "sabm" else None,
                                        cfg.sabm, cfg.scc.window, cfg.scc.iters)
-            errors.append((pre, [int((d[:, :ic] != i).sum()) for d, i in zip(decoded, info)]))
-            stats += st
-    elif cfg.decoder == "sabm":
-        for trial in trials:
-            data, block, hard, llr = _pc_channel(cfg, snr_db, trial)
-            decoded, st = sabm_decode(code, hard, llr, cfg.sabm)
-            errors.append((int((hard != block).sum()),
-                           [int((decoded[:code.k, :code.k] != data).sum())]))
-            stats += st
-    else:
-        data = np.empty((count, code.k, code.k), dtype=np.uint8)
-        hard = np.empty((count, code.w, code.w), dtype=np.uint8)
-        pre = []
-        for i, trial in enumerate(trials):
-            data[i], block, hard[i], _ = _pc_channel(cfg, snr_db, trial)
-            pre.append(int((hard[i] != block).sum()))
+        else:
+            decoded, st = sabm_decode(code, hard, llr[0], cfg.sabm)
+        post.append(errors(decoded, data))
+        stats += st
+    if stacked:
+        data, hard = map(np.concatenate, zip(*held))
         decoded, stats = ibdd_decode(code, hard, cfg.sabm.total_iters)
-        post = (decoded[:, :code.k, :code.k] != data).sum(axis=(1, 2)).tolist()
-        errors = [(p, [e]) for p, e in zip(pre, post)]
-    return errors, stats
+        post.append(errors(decoded, data))
+    return pre, np.concatenate(post), stats
 
 
 def run_point(cfg: SimConfig, snr_db: float, _pool=None) -> BerStats:
     validate_config(cfg)
     code = _code(cfg.scheme, _component_m(cfg))
-    info_bits = code.k * code.k if cfg.scheme == "pc" else code.w * code.info_cols
     stats = BerStats(snr_db=snr_db)
     t0 = time.perf_counter()
     # one task per worker share of a batch (split in tasks of MAX_SHARE
@@ -255,23 +243,20 @@ def run_point(cfg: SimConfig, snr_db: float, _pool=None) -> BerStats:
         firsts = range(next_trial, end, share)
         counts = [min(share, end - lo) for lo in firsts]
         next_trial = end
-        for errors, st in trial_map(_trials, repeat(cfg), repeat(snr_db), firsts, counts):
-            for pre, post in errors:
-                stats.blocks_run += len(post)
-                stats.pre_fec_bit_errors += pre
-                stats.post_fec_bit_errors += sum(post)
-                stats.post_sq_errors += sum(e * e for e in post)
-                stats.block_errors += sum(e > 0 for e in post)
-                stats.info_bits += info_bits * len(post)
-                stats.coded_bits += code.w * code.w * len(post)
-            stats.bdd_calls_total += st.bdd_calls
-            stats.miscorrections_detected += st.miscorrections_detected
-            stats.flips_attempted += st.flips_attempted
-            stats.flips_accepted += st.flips_accepted
+        for pre, post, st in trial_map(_trials, repeat(cfg), repeat(snr_db), firsts, counts):
+            stats.blocks_run += post.size
+            stats.pre_fec_bit_errors += pre
+            stats.post_fec_bit_errors += int(post.sum())
+            stats.post_sq_errors += int(post @ post)
+            stats.block_errors += int(np.count_nonzero(post))
+            stats.decoder += st
+    info_bits = code.k * code.k if cfg.scheme == "pc" else code.w * code.info_cols
+    stats.info_bits = info_bits * stats.blocks_run
+    stats.coded_bits = code.w * code.w * stats.blocks_run
     if cfg.scheme == "scc":
         scc = cfg.scc
         per_chain = baseline_calls(code, scc.chain_blocks, scc.window, scc.iters)
-        stats.eta = eta(stats.bdd_calls_total,
+        stats.eta = eta(stats.decoder.bdd_calls,
                         stats.blocks_run // scc.chain_blocks * per_chain)
     if cfg.record_timing:
         stats.wall_seconds = time.perf_counter() - t0
@@ -287,7 +272,7 @@ def _fmt(x) -> str:
 
 
 def stats_row(cfg: SimConfig, st: BerStats) -> list[str]:
-    calls_avg = st.bdd_calls_total / max(st.blocks_run, 1)
+    calls_avg = st.decoder.bdd_calls / max(st.blocks_run, 1)
     return [cfg.scheme, str(cfg.mod), cfg.decoder, cfg.llr_mode,
             _fmt(float(st.snr_db)), str(st.blocks_run), _fmt(st.ber_pre),
             _fmt(st.ber_post), str(st.block_errors), _fmt(calls_avg),
@@ -349,7 +334,7 @@ def mask_stats(cfg: SimConfig, snr_db: float, num_blocks: int) -> MaskStats:
     if num_blocks < 1:
         raise ConfigError(f"mask statistics need at least one block, got {num_blocks}")
     validate_config(replace(cfg, snr_points=(snr_db,)))
-    masks = (np.abs(_pc_channel(cfg, snr_db, trial)[3]) <= cfg.sabm.delta
+    masks = (np.abs(_channel(cfg, snr_db, trial)[3][0]) <= cfg.sabm.delta
              for trial in range(num_blocks))
     first = next(masks)
     counts = [int(first.sum())] + [int(mask.sum()) for mask in masks]

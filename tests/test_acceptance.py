@@ -103,8 +103,8 @@ def test_ber_ci_from_moments_matches_list_oracle(scheme, snr):
                     stop=StopRule(min_word_errors=10 ** 9, max_blocks=24),
                     master_seed=11, record_timing=False, batch_size=2)
     st = sweep(cfg)[0]
-    trials, _ = sim._trials(cfg, snr, 0, st.blocks_run // (4 if scheme == "scc" else 1))
-    errors = [e for _, post in trials for e in post]
+    _, post, _ = sim._trials(cfg, snr, 0, st.blocks_run // (4 if scheme == "scc" else 1))
+    errors = post.tolist()
     bits_per_block = st.info_bits // st.blocks_run
     assert len(errors) == st.blocks_run and sum(errors) == st.post_fec_bit_errors
     assert np.std(errors) > 0  # the interval has a nonzero width to compare

@@ -2,12 +2,14 @@
 
 import csv
 import io
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from feclab import cli
 from feclab.cli import build_parser, config_from_args, main
 from feclab.errors import ConfigError
 from feclab import sim
@@ -113,28 +115,56 @@ def test_sabm_counters_sum_per_trial_decodes():
     code = sim._code("pc", 5)
     total = DecodeStats()
     for trial in range(st.blocks_run):
-        _, _, hard, llr = sim._pc_channel(cfg, 4.5, trial)
-        total += sabm_decode(code, hard, llr, cfg.sabm)[1]
+        _, _, hard, llr = sim._channel(cfg, 4.5, trial)
+        total += sabm_decode(code, hard[0], llr[0], cfg.sabm)[1]
     assert total.miscorrections_detected > 0 and total.flips_accepted > 0
-    assert (st.bdd_calls_total, st.miscorrections_detected, st.flips_attempted,
-            st.flips_accepted) == astuple(total)
+    assert st.decoder == total
 
 
-@pytest.mark.parametrize("workers, batch_size, max_share",
-                         [(1, 24, 64), (2, 8, 64), (3, 8, 64), (5, 3, 64), (1, 24, 5)])
-def test_ibdd_stats_do_not_depend_on_the_shares(workers, batch_size, max_share, monkeypatch):
-    # shares of a batch are decoded as stacks of any size, uneven ones too
-    # (at 3 dB some blocks of a batch keep errors and run every iteration)
-    cfg = small_pc_cfg(snr_points=(3.0,), stop=StopRule(min_word_errors=10 ** 9,
-                                                         max_blocks=24))
-    want = run_point(replace(cfg, batch_size=1), 3.0)
-    assert 0 < want.block_errors < want.blocks_run
+# per trial path: its config, at an SNR where some blocks keep errors
+# (PC iBDD blocks of a stack then run every iteration while others stop)
+SHARE_PATHS = {
+    ("pc", "ibdd"): small_pc_cfg(snr_points=(3.0,)),
+    ("pc", "sabm"): small_pc_cfg(decoder="sabm", snr_points=(2.5,)),
+    ("scc", "ibdd"): small_scc_cfg(snr_points=(3.5,)),
+    ("scc", "sabm"): small_scc_cfg(decoder="sabm", snr_points=(3.5,)),
+}
+SHARES = pytest.mark.parametrize("workers, batch_size, max_share",
+                                 [(1, 24, 64), (2, 8, 64), (3, 8, 64), (5, 3, 64), (1, 24, 5)])
+
+
+def check_shares(path, workers, batch_size, max_share, monkeypatch):
+    """24 trials of a path in shares of any size, uneven ones too, give the
+    whole BerStats of batches of one trial, the decoder counters included;
+    returns the sizes of the stacks handed to ibdd_decode."""
+    cfg = SHARE_PATHS[path]
+    snr = cfg.snr_points[0]
+    blocks = 24 * (cfg.scc.chain_blocks if path[0] == "scc" else 1)
+    cfg = replace(cfg, stop=StopRule(min_word_errors=10 ** 9, max_blocks=blocks))
+    want = run_point(replace(cfg, batch_size=1), snr)
+    assert 0 < want.block_errors < want.blocks_run == blocks
+    assert (want.decoder.flips_accepted > 0) == (path[1] == "sabm")
     decode, stacks = sim.ibdd_decode, []
     monkeypatch.setattr(sim, "MAX_SHARE", max_share)
     monkeypatch.setattr(sim, "ibdd_decode", lambda code, hard, *args: (
         stacks.append(len(hard)) or decode(code, hard, *args)))
-    assert run_point(replace(cfg, workers=workers, batch_size=batch_size), 3.0) == want
+    assert run_point(replace(cfg, workers=workers, batch_size=batch_size), snr) == want
+    return stacks
+
+
+@SHARES
+def test_ibdd_stats_do_not_depend_on_the_shares(workers, batch_size, max_share, monkeypatch):
+    stacks = check_shares(("pc", "ibdd"), workers, batch_size, max_share, monkeypatch)
+    # a share of PC iBDD trials is decoded as one stack
     assert max(stacks) == min(-(-batch_size // workers), max_share)
+
+
+@pytest.mark.parametrize("path", [("pc", "sabm"), ("scc", "ibdd"), ("scc", "sabm")],
+                         ids="-".join)
+@SHARES
+def test_other_paths_stats_do_not_depend_on_the_shares(path, workers, batch_size, max_share,
+                                                       monkeypatch):
+    assert check_shares(path, workers, batch_size, max_share, monkeypatch) == []
 
 
 # ------------------------------------------------------------- CSV output
@@ -326,6 +356,71 @@ def test_cli_rejects_snr_outside_range(command, snr, capsys):
     assert len(err) == 1 and err[0].startswith("error: ") and "[-1000, 3000] dB" in err[0]
 
 
+@pytest.mark.parametrize("out", [False, True])
+def test_cli_checks_the_code_before_any_output(out, tmp_path, capsys):
+    # eBCH(16,7) has k <= w = 8: a staircase block would carry no information
+    path = tmp_path / "x.csv"
+    argv = ["scc", "--snr", "7", "--component-m", "4", "--max-blocks", "1"]
+    assert main(argv + (["--out", str(path)] if out else [])) == 2
+    assert not path.exists()
+    assert capsys.readouterr().out == ""
+
+
+# per config key other than out: values a run takes, and values of the key's
+# whole type range. The keys that set how much work a run does take small
+# values only, out-of-range ones included; workers stays <= 2, as a pool
+# starts all of its workers at once.
+WILD = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.integers(),
+                 st.sampled_from([-1, 2 ** 63, 10 ** 400]), st.floats(),
+                 st.sampled_from([5e-324, 1e308, -1e308, float("nan"), float("inf")]))
+FUZZ_KEYS = {
+    "mod": (st.sampled_from([2, 4]), WILD),
+    "decoder": (st.sampled_from(["ibdd", "sabm"]), WILD),
+    "llr": (st.sampled_from(["exact", "maxlog"]), WILD),
+    "delta": (st.floats(0, 10), WILD),
+    "md_iters": (st.integers(0, 1), WILD),
+    "flip_attempts": (st.integers(0, 2), WILD),
+    "seed": (st.integers(0, 2 ** 64), WILD),
+    "min_errors": (st.integers(1, 10 ** 9), WILD),
+    "record_timing": (st.booleans(), WILD),
+    "workers": (st.integers(1, 2), st.integers(-2, 0)),
+    "batch_size": (st.integers(1, 3), st.integers(-2, 0)),
+    "max_blocks": (st.integers(1, 3), st.integers(-2, 0)),
+    "chain_blocks": (st.integers(1, 3), st.integers(-2, 0)),
+    "scc_iters": (st.integers(1, 3), st.integers(-2, 0)),
+    "iters": (st.integers(1, 3), st.integers(-2, 0)),
+    "window": (st.integers(2, 4), st.integers(-2, 1)),
+    "component_m": (st.sampled_from([None, 5, 6]), st.sampled_from([-1, 0, 3, 9, 17])),
+}
+FUZZ_SNR = st.one_of(st.lists(st.floats(-5, 15), min_size=1, max_size=2), WILD,
+                     st.lists(st.one_of(WILD, st.lists(WILD, max_size=1)), min_size=1, max_size=2))
+
+
+@st.composite
+def fuzz_configs(draw):
+    """snr, and every key at a value a run takes but for up to two keys
+    drawn wild."""
+    wild = draw(st.sets(st.sampled_from(sorted(FUZZ_KEYS)), max_size=2))
+    return {"snr": draw(FUZZ_SNR),
+            **{key: draw(strategies[key in wild]) for key, strategies in FUZZ_KEYS.items()}}
+
+
+def test_fuzz_keys_are_the_config_keys():
+    assert set(FUZZ_KEYS) == set(cli._FIELDS) - {"out"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["pc", "scc", "mask"]), config=fuzz_configs())
+def test_cli_config_file_runs_or_exits_2(command, config, tmp_path, capsys):
+    # every run of a config file ends with exit 0, or exit 2 and one error line
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(yaml.safe_dump({**config, "out": str(tmp_path / "out.csv")}))
+    rc = main([command, "--config", str(cfgfile)] + (["--blocks", "1"] if command == "mask" else []))
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 0 or rc == 2 and len(err) == 1 and err[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("snr", ["-1000", "3000"])
 def test_cli_runs_at_the_snr_range_ends(snr, capsys):
     assert main(["pc", f"--snr={snr}", "--max-blocks", "1", "--batch-size", "1",
@@ -338,14 +433,33 @@ def test_cli_runs_at_the_snr_range_ends(snr, capsys):
     # no lossy cast: these ran as 2-PAM, 7 iterations and timing on
     ("mod", 2.9), ("iters", 7.9), ("record_timing", "false"),
     ("seed", True), ("delta", False),
+    # these raised TypeError, OverflowError, or ran at 1 dB
+    ("snr", [None]), ("snr", [[6.0]]), ("snr", [True]), ("snr", [10 ** 400]),
+    ("delta", 10 ** 400),
 ], ids=["mod: x", "iters: [3]", "mod: 2.9", "iters: 7.9", "record_timing: 'false'",
-        "seed: true", "delta: false"])
+        "seed: true", "delta: false", "snr: [null]", "snr: [[6.0]]", "snr: [true]",
+        "snr: [10**400]", "delta: 10**400"])
 def test_cli_rejects_mistyped_config_value(key, value, tmp_path, capsys):
     cfgfile = tmp_path / "run.yaml"
     cfgfile.write_text(yaml.safe_dump({"snr": [6.0], "component_m": 5, key: value}))
     assert main(["pc", "--config", str(cfgfile), "--max-blocks", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and repr(key) in err[0]
+
+
+@pytest.mark.parametrize("content", [
+    b"snr: [6.0\nmod: 2\n",          # malformed YAML
+    b"\xff\xfesnr: [6.0]\n",         # a UTF-16 byte order mark on UTF-8 text
+    b"snr: [6.0]\n\xff: 1\n",        # not UTF-8
+    b"snr: [6.0]\n1: 2\nx: 3\n",       # unknown keys of mixed types
+], ids=["malformed", "ff fe", "not utf-8", "mixed keys"])
+def test_cli_rejects_unreadable_config_file(content, tmp_path, capsys):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_bytes(content)
+    assert main(["pc", "--config", str(cfgfile), "--max-blocks", "1",
+                 "--component-m", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_cli_rejects_negative_config_seed(tmp_path, capsys):
