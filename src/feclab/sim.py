@@ -211,7 +211,7 @@ def _trials(cfg: SimConfig, snr_db: float, first: int, count: int):
         data, blocks, hard, llr = _channel(cfg, snr_db, trial)
         pre += int((hard != blocks).sum())
         if stacked:
-            held.append((data, hard))
+            held.append((data[0], hard[0]))
             continue
         if cfg.scheme == "scc":
             decoded, st = decode_chain(code, hard, llr if cfg.decoder == "sabm" else None,
@@ -221,9 +221,9 @@ def _trials(cfg: SimConfig, snr_db: float, first: int, count: int):
         post.append(errors(decoded, data))
         stats += st
     if stacked:
-        data, hard = map(np.concatenate, zip(*held))
+        data, hard = zip(*held)  # ibdd_decode makes the one copy of the stack
         decoded, stats = ibdd_decode(code, hard, cfg.sabm.total_iters)
-        post.append(errors(decoded, data))
+        post.append(errors(decoded, np.array(data)))
     return pre, np.concatenate(post), stats
 
 
