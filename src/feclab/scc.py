@@ -102,8 +102,9 @@ def chain_layout(w: int, num_blocks: int) -> Layout:
                   shift=halves(w, 0))
 
 
-def decode_chain(code: SccCode, received, llr_grids, params: SabmParams | None,
-                 window: int, ell: int) -> tuple[np.ndarray, DecodeStats]:
+def decode_chain(code: SccCode, received: np.ndarray, llr_grids: list[np.ndarray] | None,
+                 params: SabmParams | None, window: int,
+                 ell: int) -> tuple[np.ndarray, DecodeStats]:
     """Sliding-window decode of a whole chain of received blocks, (N, w, w)
     (the leading zero block is handled internally), with SABM if and only
     if llr_grids, one LLR grid per received block, is given (params None
