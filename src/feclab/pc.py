@@ -200,14 +200,23 @@ class SyndromeState:
         self.w = words.shape[1]
         self.syn = block_syndromes(code, words).reshape(-1)
 
-    def flip(self, groups, words: np.ndarray, positions: np.ndarray):
+    def flip(self, groups, words: np.ndarray, positions: np.ndarray,
+             decoded: bool = False):
         """Flip bit positions[k] of word words[k] of group groups[k] (or of
         the one group `groups`), for every k; no (group, word, position)
-        triple may repeat."""
+        triple may repeat. With `decoded`, the flips of each word are the
+        pattern its syndrome decodes to, so its syndrome is stored as 0.
+        That is exact only if no crossing slot lies in a flipped group, as
+        in the decoders' passes: a PC row group crosses only column groups,
+        and SCC pair p only pairs p - 1 and p + 1."""
         lay, h = self.layout, self.code.flip_syndrome
         at = groups * lay.base.shape[1] + positions  # (group, position) in the flat tables
         self.flat[lay.base.take(at) + words * lay.stride.take(at)] ^= 1
-        np.bitwise_xor.at(self.syn, groups * self.w + words, h[positions])
+        own = groups * self.w + words
+        if decoded:
+            self.syn[own] = 0
+        else:
+            np.bitwise_xor.at(self.syn, own, h[positions])
         np.bitwise_xor.at(self.syn, lay.cross.take(at), h[lay.shift.take(at) + words])
 
 
@@ -279,7 +288,7 @@ def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkSta
         words += [i] * len(pattern)
         positions += pattern
     if words:
-        state.flip(group, np.array(words), np.array(positions))
+        state.flip(group, np.array(words), np.array(positions), decoded=True)
     stats.bdd_calls += retries
     stats.miscorrections_detected += miscorrections
     stats.flips_attempted += retries
@@ -314,7 +323,7 @@ def decode_pass(state: SyndromeState, groups, stats: DecodeStats,
     rows, k = (pos >= 0).nonzero()
     if rows.size:
         at, words = np.divmod(hit[rows], w)
-        state.flip(groups.take(at), words, pos[rows, k])
+        state.flip(groups.take(at), words, pos[rows, k], decoded=True)
         changed[at] = True
     return changed
 

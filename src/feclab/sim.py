@@ -4,13 +4,27 @@ and CSV emission.
 Every trial derives its generator from (master_seed, snr, trial index), so
 sweeps are reproducible bit for bit at any worker count. The stopping rule
 is evaluated at fixed batch boundaries for the same reason.
+
+A process keeps one pool of worker processes. It starts at the first sweep
+with workers > 1 and serves every later sweep of the process with the same
+worker count; another count replaces it. The workers fork from the process
+as it is when the pool starts, so they run the code of that moment: a sweep
+after a rebinding of a name in feclab's modules (a monkeypatch, a tracer)
+starts a fresh pool, but a later change elsewhere does not reach them.
+Inside a multiprocessing child the pool is shut down at the end of each
+sweep, as such a child joins its children at exit before a pool could stop
+them. The CLI runs one sweep per process, so for it nothing changes.
 """
 
 import csv
 import io
 import math
+import multiprocessing
+import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import repeat
@@ -28,6 +42,10 @@ CSV_COLUMNS = ["scheme", "mod", "decoder", "llr_mode", "snr_db", "blocks",
                "ber_pre", "ber_post", "block_errors", "bdd_calls_avg", "eta",
                "seed", "wall_seconds"]
 
+
+# most worker processes a sweep starts: a fixed bound, so that a config
+# validates the same way on every host
+MAX_WORKERS = 512
 
 # SNR points the seed key and the channel take: below -1000 dB the key of
 # _trial_rng is negative, and above ~3,080 dB rho = 10^(snr/10) overflows
@@ -89,8 +107,10 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("stopping rule needs min_word_errors >= 1 and max_blocks >= 1")
     if cfg.master_seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.master_seed}")
-    if cfg.workers < 1 or cfg.batch_size < 1:
-        raise ConfigError("workers and batch_size must be >= 1")
+    if not 1 <= cfg.workers <= MAX_WORKERS:
+        raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {cfg.workers}")
+    if cfg.batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
     if cfg.scheme == "scc" and cfg.scc.window < 2:
         raise ConfigError("scc window must be >= 2")
     if cfg.scheme == "scc" and min(cfg.scc.iters, cfg.scc.chain_blocks) < 1:
@@ -154,7 +174,8 @@ def _trial_rng(master_seed: int, snr_db: float, trial: int):
 @lru_cache(maxsize=None)
 def _code(scheme: str, m: int) -> PcCode | SccCode:
     """The scheme's code on the eBCH component of degree m, built once per
-    process (pool workers build it in their initializer)."""
+    process (pool workers inherit the codes built before they fork and
+    build others on first use)."""
     component = build_code(m, 2, extended=True)
     return (PcCode if scheme == "pc" else SccCode)(component)
 
@@ -279,6 +300,41 @@ def stats_row(cfg: SimConfig, st: BerStats) -> list[str]:
             _fmt(st.eta), str(cfg.master_seed), _fmt(st.wall_seconds)]
 
 
+# the worker pool this process keeps, with the key it was started for and
+# the bindings it forked with; changed in place, so it rebinds no name here
+_KEPT = {}
+
+
+def _bindings() -> tuple:
+    """The object every name of feclab's modules is bound to now, which
+    workers forked now would run."""
+    return tuple(value for name, module in list(sys.modules.items())
+                 if name.partition(".")[0] == __package__
+                 for value in vars(module).values())
+
+
+def _worker_pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
+    """The pool of `workers` workers that this process keeps, started if
+    there is none for this count and these bindings; and whether an
+    earlier sweep started it."""
+    bindings = _bindings()
+    # ids compare as identities, as the kept bindings keep their objects alive
+    key = (os.getpid(), workers, tuple(map(id, bindings)))
+    if _KEPT.get("key") == key:
+        return _KEPT["pool"], True
+    _drop_pool()
+    _KEPT.update(key=key, bindings=bindings, pool=ProcessPoolExecutor(max_workers=workers))
+    return _KEPT["pool"], False
+
+
+def _drop_pool() -> None:
+    """Forget the kept pool, shutting it down if this process owns it: a
+    pool inherited through fork belongs to the process that started it."""
+    if _KEPT and _KEPT["key"][0] == os.getpid():
+        _KEPT["pool"].shutdown()
+    _KEPT.clear()
+
+
 def run_sweep(cfg: SimConfig, out=None) -> list[BerStats]:
     """Run every SNR point in order, flushing CSV rows as they complete."""
     validate_config(cfg)
@@ -293,19 +349,30 @@ def run_sweep(cfg: SimConfig, out=None) -> list[BerStats]:
     writer.writerow(CSV_COLUMNS)
     out.flush()
     results = []
-    pool = None
+    pool, kept = None, False
     try:
         if cfg.workers > 1:
-            pool = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_code,
-                                       initargs=(cfg.scheme, _component_m(cfg)))
+            pool, kept = _worker_pool(cfg.workers)
         for snr in cfg.snr_points:
-            st = run_point(cfg, snr, _pool=pool)
+            try:
+                st = run_point(cfg, snr, _pool=pool)
+            except BrokenProcessPool:
+                # a worker died. A pool this sweep started fails the sweep;
+                # one kept from an earlier sweep (it may have broken then)
+                # is replaced, and the point runs again on the fresh pool
+                if not kept:
+                    raise
+                _drop_pool()
+                pool, kept = _worker_pool(cfg.workers)
+                st = run_point(cfg, snr, _pool=pool)
             results.append(st)
             writer.writerow(stats_row(cfg, st))
             out.flush()
     finally:
-        if pool is not None:
-            pool.shutdown()
+        # a multiprocessing child joins its children at exit before a
+        # pool's own exit hook could stop them, so it keeps no pool
+        if pool is not None and multiprocessing.parent_process() is not None:
+            _drop_pool()
         if close_out:
             out.close()
     return results

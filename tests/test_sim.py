@@ -2,7 +2,14 @@
 
 import csv
 import io
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from multiprocessing.connection import wait
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +79,9 @@ def test_validate_rejects_bad_fields():
         validate_config(small_pc_cfg(decoder="viterbi"))
     with pytest.raises(ConfigError):
         validate_config(small_pc_cfg(workers=0))
+    with pytest.raises(ConfigError):
+        validate_config(small_pc_cfg(workers=sim.MAX_WORKERS + 1))
+    validate_config(small_pc_cfg(workers=sim.MAX_WORKERS))
 
 
 # -------------------------------------------------------------- run_point
@@ -190,6 +200,128 @@ def test_sweep_csv_worker_invariant():
     text1 = sweep_csv(small_pc_cfg())
     text3 = sweep_csv(small_pc_cfg(workers=3))
     assert text1 == text3
+
+
+# ------------------------------------------------------------ worker pool
+
+def pool_pids() -> list[int]:
+    """Pids of this process's live multiprocessing children: the workers of
+    its kept pool."""
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def gone(pid: int, timeout: float = 10.0) -> bool:
+    end = time.monotonic() + timeout
+    while time.monotonic() < end:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+def kill_all(pids):
+    for pid in pids:
+        try:
+            os.kill(pid, 9)
+        except ProcessLookupError:
+            pass
+
+
+@pytest.fixture
+def refuse_big_pools(monkeypatch):
+    """Fail, instead of forking, a pool of more than 3 workers: a value that
+    validation should reject must never start its processes."""
+    start = sim.ProcessPoolExecutor
+
+    def capped(max_workers, **kwargs):
+        assert max_workers <= 3, f"a pool of {max_workers} workers was started"
+        return start(max_workers, **kwargs)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", capped)
+
+
+def test_pool_serves_later_sweeps_of_its_worker_count():
+    want = sweep_csv(small_pc_cfg())
+    cfg = small_pc_cfg(workers=2)
+    first = sweep_csv(cfg)
+    pids = pool_pids()
+    assert len(pids) == 2
+    assert sweep_csv(replace(cfg, snr_points=(5.0, 6.0)))  # another sweep between
+    assert sweep_csv(cfg) == first == want
+    assert pool_pids() == pids
+
+
+def test_pool_follows_a_rebinding_in_feclab(monkeypatch):
+    # workers run the code the caller sees: a sweep after a monkeypatch of
+    # a feclab name starts workers that run the patched code
+    cfg = small_pc_cfg(workers=2)
+    want = sweep_csv(cfg)
+    send = sim.awgn_transmit
+    monkeypatch.setattr(sim, "awgn_transmit", lambda x, chan, rng: send(x, chan, rng) + 0.5)
+    assert sweep_csv(cfg) == sweep_csv(replace(cfg, workers=1)) != want
+
+
+def test_process_with_a_pool_exits_and_takes_its_workers():
+    # the workers of a pool kept to the end stop when their process exits
+    script = ("import multiprocessing\n"
+              "from feclab.sim import *\n"
+              f"run_sweep({small_pc_cfg(workers=2)!r})\n"
+              "print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(sim.__file__).parents[1])}
+    try:
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+    except subprocess.TimeoutExpired as exc:
+        kill_all(int(pid) for pid in (exc.stdout or b"").split())
+        raise
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    assert all(gone(pid) for pid in pids)
+
+
+def _sweep_in_child(cfg, conn):
+    conn.send(sweep_csv(cfg))
+    conn.send(pool_pids())
+
+
+def test_forked_child_of_a_pool_holder_runs_a_pooled_sweep_and_exits():
+    # a multiprocessing child joins its children at exit, so it keeps no
+    # pool; the pool it inherited belongs to this process and stays intact
+    cfg = small_pc_cfg(workers=2)
+    want = sweep_csv(cfg)
+    pids = pool_pids()
+    recv, send = multiprocessing.get_context("fork").Pipe(duplex=False)
+    child = multiprocessing.get_context("fork").Process(target=_sweep_in_child,
+                                                         args=(cfg, send))
+    child.start()
+    got = recv.recv() if recv.poll(120) else None
+    left = recv.recv() if recv.poll(5) else None  # the child's workers after its sweep
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        kill_all(left or [])
+    assert got == want
+    assert left == [] and child.exitcode == 0
+    assert pool_pids() == pids
+    assert sweep_csv(cfg) == want and pool_pids() == pids
+
+
+def test_sweep_after_a_worker_died_runs_on_a_fresh_pool():
+    want = sweep_csv(small_pc_cfg())
+    cfg = small_pc_cfg(workers=2)
+    assert sweep_csv(cfg) == want
+    victim, *_ = multiprocessing.active_children()
+    old = pool_pids()
+    victim.kill()
+    assert wait([victim.sentinel], timeout=30)
+    assert sweep_csv(cfg) == want
+    new = pool_pids()
+    assert len(new) == 2 and not set(new) & set(old)
+    assert sweep_csv(cfg) == want and pool_pids() == new
 
 
 def test_scc_sweep_eta_column_populated():
@@ -338,8 +470,11 @@ def test_cli_rejects_bad_snr(capsys):
     # a SeedSequence takes only non-negative entries
     ["pc", "--snr", "5", "--seed", "-1"],
     ["mask", "--snr", "6", "--seed", "-1", "--blocks", "1"],
+    # workers has a fixed bound, the same on every host
+    ["pc", "--snr", "5", "--workers", "100000"],
+    ["scc", "--snr", "7", "--workers", str(sim.MAX_WORKERS + 1)],
 ], ids=lambda argv: " ".join(argv))
-def test_cli_rejects_bad_values(argv, capsys):
+def test_cli_rejects_bad_values(argv, capsys, refuse_big_pools):
     assert main(argv + ["--max-blocks", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
@@ -368,8 +503,9 @@ def test_cli_checks_the_code_before_any_output(out, tmp_path, capsys):
 
 # per config key other than out: values a run takes, and values of the key's
 # whole type range. The keys that set how much work a run does take small
-# values only, out-of-range ones included; workers stays <= 2, as a pool
-# starts all of its workers at once.
+# values only, out-of-range ones included; workers stays <= 2 or goes above
+# sim.MAX_WORKERS, which validation rejects before any pool starts, as a
+# pool starts all of its workers at once.
 WILD = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.integers(),
                  st.sampled_from([-1, 2 ** 63, 10 ** 400]), st.floats(),
                  st.sampled_from([5e-324, 1e308, -1e308, float("nan"), float("inf")]))
@@ -383,7 +519,8 @@ FUZZ_KEYS = {
     "seed": (st.integers(0, 2 ** 64), WILD),
     "min_errors": (st.integers(1, 10 ** 9), WILD),
     "record_timing": (st.booleans(), WILD),
-    "workers": (st.integers(1, 2), st.integers(-2, 0)),
+    "workers": (st.integers(1, 2), st.one_of(st.integers(-2, 0), st.sampled_from(
+        [sim.MAX_WORKERS + 1, 100_000, 2 ** 63]))),
     "batch_size": (st.integers(1, 3), st.integers(-2, 0)),
     "max_blocks": (st.integers(1, 3), st.integers(-2, 0)),
     "chain_blocks": (st.integers(1, 3), st.integers(-2, 0)),
@@ -412,7 +549,7 @@ def test_fuzz_keys_are_the_config_keys():
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["pc", "scc", "mask"]), config=fuzz_configs())
-def test_cli_config_file_runs_or_exits_2(command, config, tmp_path, capsys):
+def test_cli_config_file_runs_or_exits_2(command, config, tmp_path, capsys, refuse_big_pools):
     # every run of a config file ends with exit 0, or exit 2 and one error line
     cfgfile = tmp_path / "run.yaml"
     cfgfile.write_text(yaml.safe_dump({**config, "out": str(tmp_path / "out.csv")}))
