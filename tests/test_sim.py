@@ -4,6 +4,7 @@ import csv
 import io
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -224,7 +225,7 @@ def gone(pid: int, timeout: float = 10.0) -> bool:
 def kill_all(pids):
     for pid in pids:
         try:
-            os.kill(pid, 9)
+            os.kill(pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
 
