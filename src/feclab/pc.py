@@ -204,11 +204,10 @@ class SyndromeState:
              decoded: bool = False):
         """Flip bit positions[k] of word words[k] of group groups[k] (or of
         the one group `groups`), for every k; no (group, word, position)
-        triple may repeat. With `decoded`, the flips of each word are the
-        pattern its syndrome decodes to, so its syndrome is stored as 0.
-        That is exact only if no crossing slot lies in a flipped group, as
-        in the decoders' passes: a PC row group crosses only column groups,
-        and SCC pair p only pairs p - 1 and p + 1."""
+        triple may repeat. With `decoded`, which needs each flipped word's
+        flips to be the pattern its current syndrome decodes to, as in the
+        decoders' passes, that word's syndrome is stored as 0 before the
+        crossing words' syndromes are updated."""
         lay, h = self.layout, self.code.flip_syndrome
         at = groups * lay.base.shape[1] + positions  # (group, position) in the flat tables
         self.flat[lay.base.take(at) + words * lay.stride.take(at)] ^= 1

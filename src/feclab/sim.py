@@ -11,9 +11,13 @@ worker count; another count replaces it. The workers fork from the process
 as it is when the pool starts, so they run the code of that moment: a sweep
 after a rebinding of a name in feclab's modules (a monkeypatch, a tracer)
 starts a fresh pool, but a later change elsewhere does not reach them.
-Inside a multiprocessing child the pool is shut down at the end of each
-sweep, as such a child joins its children at exit before a pool could stop
-them. The CLI runs one sweep per process, so for it nothing changes.
+A child process keeps no pool: in a multiprocessing child, and in a child
+that a plain os.fork made after feclab was imported, the pool is shut down
+at the end of each sweep. A multiprocessing child joins its children
+at exit before a pool could stop them, and a forked child may leave by
+os._exit, which stops nothing. A sweep may replace the kept pool, so
+pooled sweeps must not run in several threads at once. The CLI runs one
+sweep per process, so for it nothing changes.
 """
 
 import csv
@@ -303,6 +307,8 @@ def stats_row(cfg: SimConfig, st: BerStats) -> list[str]:
 # the worker pool this process keeps, with the key it was started for and
 # the bindings it forked with; changed in place, so it rebinds no name here
 _KEPT = {}
+# the process that imported this module: the only one that keeps its pool
+_HOME_PID = os.getpid()
 
 
 def _bindings() -> tuple:
@@ -336,7 +342,9 @@ def _drop_pool() -> None:
 
 
 def run_sweep(cfg: SimConfig, out=None) -> list[BerStats]:
-    """Run every SNR point in order, flushing CSV rows as they complete."""
+    """Run every SNR point in order, flushing CSV rows as they complete.
+    With workers > 1 the points run on the process's kept pool, which this
+    sweep may replace: do not run pooled sweeps in several threads at once."""
     validate_config(cfg)
     close_out = False
     if out is None:
@@ -369,9 +377,11 @@ def run_sweep(cfg: SimConfig, out=None) -> list[BerStats]:
             writer.writerow(stats_row(cfg, st))
             out.flush()
     finally:
-        # a multiprocessing child joins its children at exit before a
-        # pool's own exit hook could stop them, so it keeps no pool
-        if pool is not None and multiprocessing.parent_process() is not None:
+        # a child process keeps no pool: a multiprocessing child joins its
+        # children at exit before a pool's own exit hook could stop them,
+        # and a child of a plain os.fork may leave by os._exit
+        if pool is not None and (os.getpid() != _HOME_PID
+                                 or multiprocessing.parent_process() is not None):
             _drop_pool()
         if close_out:
             out.close()

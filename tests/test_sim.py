@@ -4,6 +4,7 @@ import csv
 import io
 import multiprocessing
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -307,6 +308,33 @@ def test_forked_child_of_a_pool_holder_runs_a_pooled_sweep_and_exits():
         kill_all(left or [])
     assert got == want
     assert left == [] and child.exitcode == 0
+    assert pool_pids() == pids
+    assert sweep_csv(cfg) == want and pool_pids() == pids
+
+
+def test_child_of_a_plain_fork_keeps_no_pool():
+    # a child of os.fork may leave by os._exit, which stops no pool, so
+    # its sweep shuts its own workers down; the inherited pool stays intact
+    cfg = small_pc_cfg(workers=2)
+    want = sweep_csv(cfg)
+    pids = pool_pids()
+    recv, send = os.pipe()
+    child = os.fork()
+    if child == 0:
+        try:
+            same = sweep_csv(cfg) == want
+            new = [pid for pid in pool_pids() if pid not in pids]
+            os.write(send, repr((same, new, bool(sim._KEPT))).encode())
+            kill_all(new)
+        finally:
+            os._exit(0)
+    os.close(send)
+    with os.fdopen(recv) as report:
+        got = report.read() if select.select([report], [], [], 120)[0] else None
+    end = time.monotonic() + 60
+    while os.waitpid(child, os.WNOHANG) == (0, 0) and time.monotonic() < end:
+        time.sleep(0.05)
+    assert got == repr((True, [], False))
     assert pool_pids() == pids
     assert sweep_csv(cfg) == want and pool_pids() == pids
 
