@@ -1,12 +1,10 @@
-"""feclab: hard-decision product/staircase FEC with soft-aided bit marking."""
+"""feclab: hard-decision product/staircase FEC with soft-aided bit marking.
+Names not exported here live in the submodules (feclab.pc, feclab.sim, ...)."""
 
-from .bch import BchCode, build_code
+from .bch import build_code
 from .errors import ConfigError
-from .modem import (ChannelConfig, awgn_transmit, demap_llr, interleave, make_interleaver,
-                    modulate)
-from .pc import (DecodeStats, MarkState, PcCode, SabmParams, ibdd_decode, mark_bits,
-                 pc_encode, sabm_decode)
-from .scc import SccCode, decode_chain, eta, scc_encode
-from .sim import BerStats, SimConfig, mask_stats, run_point, run_sweep
+from .modem import ChannelConfig, awgn_transmit, demap_llr, modulate
+from .pc import PcCode, SabmParams, pc_encode, sabm_decode
+from .sim import SimConfig, run_sweep
 
 __version__ = "0.1.0"

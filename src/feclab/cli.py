@@ -16,7 +16,7 @@ import yaml
 from .errors import ConfigError
 from .pc import SabmParams
 from .sim import (SccRunParams, SimConfig, StopRule, mask_stats, render_mask,
-                  run_sweep, validate_config)
+                  run_sweep, validate_mask)
 
 # config key -> (dataclass, field) it sets; a key that is not given keeps
 # the field's default. `snr` (SimConfig.snr_points) goes through _parse_snr.
@@ -56,9 +56,16 @@ def _add_shared(p: argparse.ArgumentParser):
                    default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line (its subcommands' too) as a ConfigError,
+    which `main` prints as one `error:` line, not argparse's usage text."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="feclab",
-                                     description="Product/staircase FEC Monte Carlo lab")
+    parser = _Parser(prog="feclab", description="Product/staircase FEC Monte Carlo lab")
     sub = parser.add_subparsers(dest="command", required=True)
     pc = sub.add_parser("pc", help="product-code BER sweep")
     _add_shared(pc)
@@ -146,7 +153,7 @@ def config_from_args(args: argparse.Namespace) -> SimConfig:
 
 def _run_mask(args: argparse.Namespace) -> int:
     cfg = config_from_args(args)
-    validate_config(cfg)
+    validate_mask(cfg, args.blocks)  # before the header goes out
     out = open(cfg.out_path, "w", newline="") if cfg.out_path else sys.stdout
     writer = csv.writer(out)
     writer.writerow(["snr_db", "block_index", "non_hrb_count", "ratio"])
@@ -168,15 +175,12 @@ def _run_mask(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "mask":
             return _run_mask(args)
         cfg = config_from_args(args)
-        if cfg.out_path is None:
-            run_sweep(cfg, out=sys.stdout)
-        else:
-            run_sweep(cfg)
+        run_sweep(cfg, out=sys.stdout if cfg.out_path is None else None)
         return 0
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

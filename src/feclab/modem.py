@@ -127,9 +127,7 @@ def demap_llr(y, cfg: ChannelConfig) -> np.ndarray:
     return out
 
 
-def make_interleaver(size: int, seed: int | None = None, rng=None) -> np.ndarray:
-    if rng is None:
-        rng = np.random.default_rng(seed)
+def make_interleaver(size: int, rng: np.random.Generator) -> np.ndarray:
     perm = rng.permutation(size)
     perm.setflags(write=False)
     return perm

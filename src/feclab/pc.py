@@ -187,9 +187,9 @@ def block_layout(w: int, blocks: int = 1) -> Layout:
 class SyndromeState:
     """Packed syndromes of every word of a layout over a bit array, which
     is decoded in place: syn[g * w + i] is the syndrome of word i of group
-    g. Flips made through `flip` update the bits, the flipped word's
-    syndrome and each crossing word's syndrome, so `syn` always equals the
-    syndromes of the bits."""
+    g. Flips made through `flip`, each making its word a codeword, update
+    the bits, the flipped word's syndrome and each crossing word's
+    syndrome, so `syn` always equals the syndromes of the bits."""
 
     def __init__(self, code: BchCode, bits: np.ndarray, layout: Layout):
         if not (isinstance(bits, np.ndarray) and bits.flags.c_contiguous):
@@ -200,22 +200,17 @@ class SyndromeState:
         self.w = words.shape[1]
         self.syn = block_syndromes(code, words).reshape(-1)
 
-    def flip(self, groups, words: np.ndarray, positions: np.ndarray,
-             decoded: bool = False):
+    def flip(self, groups, words: np.ndarray, positions: np.ndarray):
         """Flip bit positions[k] of word words[k] of group groups[k] (or of
         the one group `groups`), for every k; no (group, word, position)
-        triple may repeat. With `decoded`, which needs each flipped word's
-        flips to be the pattern its current syndrome decodes to, as in the
-        decoders' passes, that word's syndrome is stored as 0 before the
+        triple may repeat. Each flipped word's flips must make it a
+        codeword (a pattern its syndrome decodes to, or a flip retry's),
+        as in the decoders' passes: its syndrome is stored as 0 before the
         crossing words' syndromes are updated."""
         lay, h = self.layout, self.code.flip_syndrome
         at = groups * lay.base.shape[1] + positions  # (group, position) in the flat tables
         self.flat[lay.base.take(at) + words * lay.stride.take(at)] ^= 1
-        own = groups * self.w + words
-        if decoded:
-            self.syn[own] = 0
-        else:
-            np.bitwise_xor.at(self.syn, own, h[positions])
+        self.syn[groups * self.w + words] = 0
         np.bitwise_xor.at(self.syn, lay.cross.take(at), h[lay.shift.take(at) + words])
 
 
@@ -287,7 +282,7 @@ def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkSta
         words += [i] * len(pattern)
         positions += pattern
     if words:
-        state.flip(group, np.array(words), np.array(positions), decoded=True)
+        state.flip(group, np.array(words), np.array(positions))
     stats.bdd_calls += retries
     stats.miscorrections_detected += miscorrections
     stats.flips_attempted += retries
@@ -322,13 +317,13 @@ def decode_pass(state: SyndromeState, groups, stats: DecodeStats,
     rows, k = (pos >= 0).nonzero()
     if rows.size:
         at, words = np.divmod(hit[rows], w)
-        state.flip(groups.take(at), words, pos[rows, k], decoded=True)
+        state.flip(groups.take(at), words, pos[rows, k])
         changed[at] = True
     return changed
 
 
 def _decode_core(code: PcCode, blocks, iters: int, marks: MarkState | None,
-                 md_iters: int, early_exit: bool) -> tuple[np.ndarray, DecodeStats]:
+                 md_iters: int) -> tuple[np.ndarray, DecodeStats]:
     """iBDD, with SABM in the first md_iters iterations if marks are given,
     on one (w, w) block or a (B, w, w) stack of them. The blocks of a stack
     are decoded in lockstep, each exactly as on its own: an iteration is a
@@ -351,7 +346,7 @@ def _decode_core(code: PcCode, blocks, iters: int, marks: MarkState | None,
         changed = (decode_pass(state, rows, stats, iter_marks, 0)
                    | decode_pass(state, rows + 1, stats, iter_marks, 1))
         it += 1
-        if early_exit and not changed.all():
+        if not changed.all():
             # with no flip, every word left with a nonzero syndrome was
             # dropped: a stalled marking phase (of the one marked block)
             # cannot make progress with the same vetoes in place, so hand
@@ -364,18 +359,15 @@ def _decode_core(code: PcCode, blocks, iters: int, marks: MarkState | None,
     return blk, stats
 
 
-def ibdd_decode(code: PcCode, blocks, iters: int,
-                early_exit: bool = True) -> tuple[np.ndarray, DecodeStats]:
+def ibdd_decode(code: PcCode, blocks, iters: int) -> tuple[np.ndarray, DecodeStats]:
     """iBDD of one (w, w) block or of a (B, w, w) stack; returns the decoded
     bits in the input's shape and the DecodeStats summed over the stack."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    return _decode_core(code, blocks, iters, marks=None, md_iters=0,
-                        early_exit=early_exit)
+    return _decode_core(code, blocks, iters, marks=None, md_iters=0)
 
 
-def sabm_decode(code: PcCode, block, llr: np.ndarray, params: SabmParams,
-                early_exit: bool = True) -> tuple[np.ndarray, DecodeStats]:
-    marks = mark_bits(llr, params, code)
-    return _decode_core(code, block, params.total_iters, marks=marks,
-                        md_iters=params.md_iters, early_exit=early_exit)
+def sabm_decode(code: PcCode, block, llr: np.ndarray,
+                params: SabmParams) -> tuple[np.ndarray, DecodeStats]:
+    return _decode_core(code, block, params.total_iters, marks=mark_bits(llr, params, code),
+                        md_iters=params.md_iters)

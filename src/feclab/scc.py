@@ -103,13 +103,12 @@ def chain_layout(w: int, num_blocks: int) -> Layout:
 
 
 def decode_chain(code: SccCode, received: np.ndarray, llr_grids: list[np.ndarray] | None,
-                 params: SabmParams | None, window: int,
+                 params: SabmParams, window: int,
                  ell: int) -> tuple[np.ndarray, DecodeStats]:
     """Sliding-window decode of a whole chain of received blocks, (N, w, w)
     (the leading zero block is handled internally), with SABM if and only
-    if llr_grids, one LLR grid per received block, is given (params None
-    means SabmParams()). Returns the (N, w, w) decoded blocks and the
-    chain's DecodeStats.
+    if llr_grids, one LLR grid per received block, is given. Returns the
+    (N, w, w) decoded blocks and the chain's DecodeStats.
 
     One `SyndromeState` covers the chain. The window starting at chain
     block s ends at block s+window-1 or at the chain's end, and its ell
@@ -125,8 +124,6 @@ def decode_chain(code: SccCode, received: np.ndarray, llr_grids: list[np.ndarray
     outputs depend on this schedule."""
     if window < 2:
         raise ValueError("window size must be >= 2")
-    if params is None:
-        params = SabmParams()
     w = code.w
     stats = DecodeStats()
     chain = np.zeros((len(received) + 1, w, w), dtype=np.uint8)

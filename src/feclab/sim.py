@@ -206,7 +206,7 @@ def _channel(cfg: SimConfig, snr_db: float, trial: int):
         if chan.M == 2:
             grid = demap_llr(awgn_transmit(modulate(tx, chan), chan, rng), chan)
         else:
-            il = make_interleaver(tx.size, rng=rng)
+            il = make_interleaver(tx.size, rng)
             y = awgn_transmit(modulate(interleave(tx, il), chan), chan, rng)
             grid = interleave(demap_llr(y, chan), il, inverse=True)
         llr.append(grid.reshape(blocks.shape[1:]))
@@ -253,6 +253,8 @@ def _trials(cfg: SimConfig, snr_db: float, first: int, count: int):
 
 
 def run_point(cfg: SimConfig, snr_db: float, _pool=None) -> BerStats:
+    """Trials at one SNR point until the stopping rule holds, all in the
+    calling process whatever cfg.workers is: only `run_sweep` passes a pool."""
     validate_config(cfg)
     code = _code(cfg.scheme, _component_m(cfg))
     stats = BerStats(snr_db=snr_db)
@@ -405,12 +407,16 @@ def analytic_non_hrb_probability(snr_db: float, delta: float) -> float:
     return phi(thr - sq) - phi(-thr - sq)
 
 
-def mask_stats(cfg: SimConfig, snr_db: float, num_blocks: int) -> MaskStats:
+def validate_mask(cfg: SimConfig, num_blocks: int) -> None:
     if cfg.scheme != "pc":
         raise ConfigError("mask statistics are defined for the pc scheme")
     if num_blocks < 1:
         raise ConfigError(f"mask statistics need at least one block, got {num_blocks}")
-    validate_config(replace(cfg, snr_points=(snr_db,)))
+    validate_config(cfg)
+
+
+def mask_stats(cfg: SimConfig, snr_db: float, num_blocks: int) -> MaskStats:
+    validate_mask(replace(cfg, snr_points=(snr_db,)), num_blocks)
     masks = (np.abs(_channel(cfg, snr_db, trial)[3][0]) <= cfg.sabm.delta
              for trial in range(num_blocks))
     first = next(masks)

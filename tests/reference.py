@@ -125,8 +125,7 @@ def _pass(comp, words, flip, crossing, group, stats, marks=None, attempts=0):
     return changed, suppressed
 
 
-def pc_decode(code: PcCode, hard, iters: int, llr=None, params: SabmParams | None = None,
-              early_exit: bool = True):
+def pc_decode(code: PcCode, hard, iters: int, llr=None, params: SabmParams | None = None):
     """iBDD, or SABM when llr is given, of a product block: group 0 holds
     the rows and group 1 the columns."""
     comp, bits = code.component, np.array(hard, dtype=np.uint8)
@@ -157,7 +156,7 @@ def pc_decode(code: PcCode, hard, iters: int, llr=None, params: SabmParams | Non
             changed |= c
             suppressed |= s
         it += 1
-        if early_exit and not changed:
+        if not changed:
             if not sabm or not suppressed:
                 break
             it = max(it, md_iters)

@@ -315,7 +315,7 @@ def test_criterion_7_structural_invariants(report):
             if block_syndromes(scc.component, pair).any():
                 bad += 1
             prev = b
-        out, _ = decode_chain(scc, chain, None, None, window=4, ell=2)
+        out, _ = decode_chain(scc, chain, None, SabmParams(), window=4, ell=2)
         if any(not np.array_equal(a, b) for a, b in zip(out, chain)):
             bad += 1
     report(7, "structural invariants", bad == 0,

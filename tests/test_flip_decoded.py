@@ -1,6 +1,6 @@
-"""`SyndromeState.flip(..., decoded=True)`, the update both decoder passes
-use, stores a flipped word's syndrome as 0 instead of folding its flips in.
-Applied to the patterns the words' syndromes decode to, it keeps every
+"""`SyndromeState.flip` stores a flipped word's syndrome as 0 instead of
+folding its flips in. Applied, several groups per call as the iBDD pass
+does, to the patterns the words' syndromes decode to, it keeps every
 syndrome equal to the syndromes recomputed from the bits, on the product
 block layout and on a staircase chain, the scratch group included."""
 
@@ -25,7 +25,7 @@ def apply_decoded(state, groups):
     pos = CODE.error_positions[state.syn.reshape(-1, state.w)[groups]]  # (G, w, t)
     at, words, k = (pos >= 0).nonzero()
     if at.size:
-        state.flip(groups[at], words, pos[at, words, k], decoded=True)
+        state.flip(groups[at], words, pos[at, words, k])
     return at.size
 
 

@@ -136,12 +136,12 @@ def test_identity_interleaver_is_noop(rng):
 def test_interleave_roundtrip(seed, side):
     rng = np.random.default_rng(seed)
     block = rng.integers(0, 2, (side, side), dtype=np.uint8)
-    il = make_interleaver(side * side, seed=seed)
+    il = make_interleaver(side * side, rng)
     fwd = interleave(block, il)
     assert np.array_equal(interleave(fwd, il, inverse=True), block)
 
 
 def test_interleave_size_mismatch():
-    il = make_interleaver(16, seed=0)
+    il = make_interleaver(16, np.random.default_rng(0))
     with pytest.raises(ValueError):
         interleave(np.zeros((5, 5), dtype=np.uint8), il)

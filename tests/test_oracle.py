@@ -43,21 +43,19 @@ sabm_params = st.builds(
 
 
 @given(m=st.integers(4, 6), seed=st.integers(0, 2**32 - 1), error_rate=st.floats(0.01, 0.06),
-       sabm=st.booleans(), params=sabm_params, iters=st.integers(1, 6),
-       early_exit=st.booleans())
+       sabm=st.booleans(), params=sabm_params, iters=st.integers(1, 6))
 @oracle
-def test_pc_matches_reference(m, seed, error_rate, sabm, params, iters, early_exit):
+def test_pc_matches_reference(m, seed, error_rate, sabm, params, iters):
     code = PcCode(CODES[m])
     rng = np.random.default_rng(seed)
     block = pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
     hard, llr = channel(block, rng, error_rate)
     if sabm:
-        got, got_stats = sabm_decode(code, hard, llr, params, early_exit=early_exit)
-        want, want_stats = reference.pc_decode(code, hard, params.total_iters, llr, params,
-                                               early_exit=early_exit)
+        got, got_stats = sabm_decode(code, hard, llr, params)
+        want, want_stats = reference.pc_decode(code, hard, params.total_iters, llr, params)
     else:
-        got, got_stats = ibdd_decode(code, hard, iters, early_exit=early_exit)
-        want, want_stats = reference.pc_decode(code, hard, iters, early_exit=early_exit)
+        got, got_stats = ibdd_decode(code, hard, iters)
+        want, want_stats = reference.pc_decode(code, hard, iters)
     assert np.array_equal(got, want)
     assert got_stats == want_stats
 
@@ -78,12 +76,12 @@ def test_scc_matches_reference(m, seed, error_rate, sabm, params, blocks, window
     assert got_stats == want_stats
 
 
-def stack_matches_single_blocks(code, hard, iters, early_exit):
+def stack_matches_single_blocks(code, hard, iters):
     """ibdd_decode of the (B, w, w) stack `hard` equals B single-block
     calls, in bits and in the four DecodeStats counters summed; returns the
     single calls' bdd_calls."""
-    got, got_stats = ibdd_decode(code, hard, iters, early_exit=early_exit)
-    singles = [ibdd_decode(code, h, iters, early_exit=early_exit) for h in hard]
+    got, got_stats = ibdd_decode(code, hard, iters)
+    singles = [ibdd_decode(code, h, iters) for h in hard]
     assert got.shape == hard.shape
     assert np.array_equal(got, np.array([bits for bits, _ in singles]))
     want = np.sum([astuple(stats) for _, stats in singles], axis=0).tolist()
@@ -99,32 +97,33 @@ def noisy_stack(code, rng, error_rates):
 
 @given(m=st.integers(4, 6), seed=st.integers(0, 2**32 - 1),
        error_rates=st.lists(st.floats(0.0, 0.06), min_size=1, max_size=6),
-       iters=st.integers(1, 6), early_exit=st.booleans())
+       iters=st.integers(1, 6))
 @oracle
-def test_pc_stack_matches_single_blocks(m, seed, error_rates, iters, early_exit):
+def test_pc_stack_matches_single_blocks(m, seed, error_rates, iters):
     code = PcCode(CODES[m])
     hard = noisy_stack(code, np.random.default_rng(seed), error_rates)
-    stack_matches_single_blocks(code, hard, iters, early_exit)
+    stack_matches_single_blocks(code, hard, iters)
 
 
-@pytest.mark.parametrize("early_exit", [True, False])
-def test_pc_stack_blocks_leave_at_different_iterations(early_exit):
+@pytest.mark.parametrize("heaviest_first", [True, False])
+def test_pc_stack_blocks_leave_at_different_iterations(heaviest_first):
     # a clean block stops after one iteration, a light one after a few and
-    # a heavy one runs all of them; without early exit none stops
+    # a heavy one runs all of them; the blocks that leave the active set
+    # sit at its end or at its start
     code = PcCode(CODES[6])
-    hard = noisy_stack(code, np.random.default_rng(5), [0.0, 0.004, 0.02, 0.06])
-    calls = stack_matches_single_blocks(code, hard, 8, early_exit)
-    if early_exit:
-        assert len(set(calls)) == len(calls)
-    else:
-        assert calls == [8 * 2 * code.w] * len(calls)
+    rates = [0.0, 0.004, 0.02, 0.06]
+    hard = noisy_stack(code, np.random.default_rng(5), rates[::-1] if heaviest_first else rates)
+    calls = stack_matches_single_blocks(code, hard, 8)
+    assert sorted(calls) == (calls[::-1] if heaviest_first else calls)
+    assert len(set(calls)) == len(calls)
+    assert min(calls) == 2 * code.w and max(calls) == 8 * 2 * code.w
 
 
 def test_pc_stack_of_one_block():
     code = PcCode(CODES[5])
     hard = noisy_stack(code, np.random.default_rng(2), [0.03])
     assert hard.shape == (1, code.w, code.w)
-    stack_matches_single_blocks(code, hard, 6, True)
+    stack_matches_single_blocks(code, hard, 6)
     got, got_stats = ibdd_decode(code, hard, 6)
     want, want_stats = reference.pc_decode(code, hard[0], 6)
     assert np.array_equal(got[0], want) and got_stats == want_stats

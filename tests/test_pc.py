@@ -485,12 +485,3 @@ def test_sabm_determinism(pc32, rng):
     out2, st2 = sabm_decode(pc32, noisy, grid, params)
     assert np.array_equal(out1, out2)
     assert st1 == st2
-
-
-def test_sabm_calls_at_least_ibdd_without_early_exit(pc32, rng):
-    block = random_block(pc32, rng)
-    noisy, grid = channel_pass(block, 4.0, rng)
-    _, st_i = ibdd_decode(pc32, noisy, iters=10, early_exit=False)
-    _, st_s = sabm_decode(pc32, noisy, grid, SabmParams(), early_exit=False)
-    assert st_s.bdd_calls >= st_i.bdd_calls
-    assert st_i.bdd_calls == 10 * 2 * pc32.w

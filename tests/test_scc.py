@@ -85,7 +85,7 @@ def test_window_decode_noiseless(scc32, rng, monkeypatch):
     monkeypatch.setattr(scc, "SyndromeState",
                         lambda *args: made.append(SyndromeState(*args)) or made[-1])
     _, blocks = random_chain(scc32, rng, 4)
-    out, _ = decode_chain(scc32, blocks, None, None, window=len(blocks) + 1, ell=3)
+    out, _ = decode_chain(scc32, blocks, None, SabmParams(), window=len(blocks) + 1, ell=3)
     (state,) = made
     assert not state.bits[0].any()
     for got, want in zip(out, blocks):
@@ -98,7 +98,7 @@ def test_window_decode_fixes_scattered_errors(scc32, rng):
     noisy[1][3, 7] ^= 1
     noisy[2][9, 0] ^= 1
     noisy[2][9, 4] ^= 1
-    out, _ = decode_chain(scc32, noisy, None, None, window=len(noisy) + 1, ell=4)
+    out, _ = decode_chain(scc32, noisy, None, SabmParams(), window=len(noisy) + 1, ell=4)
     for got, want in zip(out, blocks):
         assert np.array_equal(got, want)
 
@@ -110,7 +110,7 @@ def test_sabm_degenerate_matches_standard(scc32, rng):
         r, c = rng.integers(0, scc32.w, size=2)
         b[r, c] ^= 1
     window = len(noisy) + 1
-    out_std, st_std = decode_chain(scc32, noisy, None, None, window=window, ell=3)
+    out_std, st_std = decode_chain(scc32, noisy, None, SabmParams(), window=window, ell=3)
     llrs = [np.where(b == 0, 2.0, -2.0) for b in noisy]
     out_deg, st_deg = decode_chain(scc32, noisy, llrs, SabmParams(md_iters=0, total_iters=3),
                                    window=window, ell=3)
@@ -133,17 +133,6 @@ def test_sabm_window_recovers_three_error_row(scc32, rng):
         assert np.array_equal(got, want)
 
 
-def test_decode_chain_params_none_means_defaults(scc32, rng):
-    _, blocks = random_chain(scc32, rng, 5)
-    noisy = [b ^ (rng.random(b.shape) < 0.03).astype(np.uint8) for b in blocks]
-    llrs = [np.where(b == 0, 1.0, -1.0) * rng.uniform(0.1, 9.0, b.shape) for b in noisy]
-    got, got_stats = decode_chain(scc32, noisy, llrs, None, window=3, ell=3)
-    want, want_stats = decode_chain(scc32, noisy, llrs, SabmParams(), window=3, ell=3)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
-    assert got_stats == want_stats
-
-
 # ---------------------------------------------------------------- chains
 
 def test_decode_chain_roundtrip(scc32, rng):
@@ -152,7 +141,7 @@ def test_decode_chain_roundtrip(scc32, rng):
     for b in noisy[2:]:
         r, c = rng.integers(0, scc32.w, size=2)
         b[r, c] ^= 1
-    out, stats = decode_chain(scc32, noisy, None, None, window=4, ell=3)
+    out, stats = decode_chain(scc32, noisy, None, SabmParams(), window=4, ell=3)
     assert len(out) == 10
     for got, want in zip(out, blocks):
         assert np.array_equal(got, want)
@@ -176,14 +165,14 @@ def test_decode_chain_input_not_mutated(scc32, rng):
     noisy = [b.copy() for b in blocks]
     noisy[1][0, 0] ^= 1
     snap = [b.copy() for b in noisy]
-    decode_chain(scc32, noisy, None, None, window=3, ell=2)
+    decode_chain(scc32, noisy, None, SabmParams(), window=3, ell=2)
     for a, b in zip(noisy, snap):
         assert np.array_equal(a, b)
 
 
 def test_decode_chain_window_validation(scc32):
     with pytest.raises(ValueError):
-        decode_chain(scc32, [], None, None, window=1, ell=1)
+        decode_chain(scc32, [], None, SabmParams(), window=1, ell=1)
 
 
 # ------------------------------------------------------------- complexity
@@ -200,7 +189,7 @@ def test_standard_chain_counts_match_baseline(scc32, rng):
     # per window; window 9 is longer than the 7-block chain
     _, blocks = random_chain(scc32, rng, 7)
     for window in (2, 3, 4, 9):
-        _, stats = decode_chain(scc32, blocks, None, None, window=window, ell=3)
+        _, stats = decode_chain(scc32, blocks, None, SabmParams(), window=window, ell=3)
         baseline = baseline_calls(scc32, 7, window=window, ell=3)
         # the same sum window by window: L = min(window, 8 - s) blocks at start s
         assert baseline == sum(scc32.w * (min(window, 8 - s) - 1) * 3 for s in range(7))

@@ -502,11 +502,25 @@ def test_cli_rejects_bad_snr(capsys):
     # workers has a fixed bound, the same on every host
     ["pc", "--snr", "5", "--workers", "100000"],
     ["scc", "--snr", "7", "--workers", str(sim.MAX_WORKERS + 1)],
+    # argparse's own errors: a choice, a type, an option of another command
+    ["pc", "--snr", "6", "--mod", "3"],
+    ["pc", "--snr", "6", "--iters", "abc"],
+    ["scc", "--snr", "7", "--decoder", "foo"],
+    ["pc", "--snr", "6", "--window", "3"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_rejects_bad_values(argv, capsys, refuse_big_pools):
     assert main(argv + ["--max-blocks", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["scc", "--help"]], ids=" ".join)
+def test_cli_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: feclab") and err == ""
 
 
 @pytest.mark.parametrize("command", ["pc", "mask"])
@@ -522,12 +536,14 @@ def test_cli_rejects_snr_outside_range(command, snr, capsys):
 
 @pytest.mark.parametrize("out", [False, True])
 def test_cli_checks_the_code_before_any_output(out, tmp_path, capsys):
-    # eBCH(16,7) has k <= w = 8: a staircase block would carry no information
+    # eBCH(16,7) has k <= w = 8: a staircase block would carry no
+    # information; and a mask run needs at least one block
     path = tmp_path / "x.csv"
-    argv = ["scc", "--snr", "7", "--component-m", "4", "--max-blocks", "1"]
-    assert main(argv + (["--out", str(path)] if out else [])) == 2
-    assert not path.exists()
-    assert capsys.readouterr().out == ""
+    for argv in (["scc", "--snr", "7", "--component-m", "4", "--max-blocks", "1"],
+                 ["mask", "--snr", "6", "--blocks", "0"]):
+        assert main(argv + (["--out", str(path)] if out else [])) == 2
+        assert not path.exists()
+        assert capsys.readouterr().out == ""
 
 
 # per config key other than out: values a run takes, and values of the key's

@@ -1,5 +1,6 @@
 """The syndromes that the decoders maintain always equal the syndromes
-recomputed from the bits: after arbitrary flips, and after every decode.
+recomputed from the bits: after the flips that the decoders' passes make
+on arbitrary bits, and after every decode.
 One `SyndromeState` serves the product block layout and a whole staircase
 chain; the chain's scratch group, where the pairs missing at both ends
 cross, holds the syndromes of the wrap-around pair [transpose(B_last) | B_0]
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feclab import pc, scc
-from feclab.bch import block_syndromes, build_code
+from feclab.bch import block_syndromes, build_code, decode_syndromes
 from feclab.pc import PcCode, SabmParams, SyndromeState, block_layout, pc_encode
 from feclab.scc import SccCode, chain_layout, scc_encode
 
@@ -34,20 +35,35 @@ def assert_matches(state, recomputed):
     assert np.array_equal(state.syn, recomputed(state))
 
 
+def retry_pattern(state, group, word, p):
+    """A flip retry's pattern for a word, as the marking pass forms it:
+    position p flipped together with the pattern that the changed syndrome
+    decodes to; () when that fails."""
+    got = decode_syndromes(CODE, int(state.syn[group * state.w + word] ^ CODE.flip_syndrome[p]))
+    return () if got is None else sorted({p}.symmetric_difference(got))
+
+
 def follow_random_flips(state, recomputed, rng):
-    """Random whole-group flips and single-word flips of the decoded groups
-    keep every syndrome, the scratch group's included, equal to the bits."""
-    n, w = CODE.n, state.w
+    """Flips that make their words codewords, one group per call as in a
+    marking pass, keep every syndrome, the scratch group's included, equal
+    to the bits: a retry pattern of a random word, then the patterns that
+    the syndromes of all words of a random group decode to."""
+    w = state.w
     groups = len(state.layout.base)
     assert_matches(state, recomputed)
+    flips = 0
     for _ in range(4):
         group = int(rng.integers(groups))
-        cells = rng.choice(w * n, size=int(rng.integers(1, 60)), replace=False)
-        state.flip(group, cells // n, cells % n)
+        word = int(rng.integers(w))
+        pattern = retry_pattern(state, group, word, int(rng.integers(CODE.n)))
+        state.flip(group, np.full(len(pattern), word), np.array(pattern, dtype=np.int64))
         assert_matches(state, recomputed)
-        pattern = rng.choice(n, size=int(rng.integers(1, 5)), replace=False)
-        state.flip(group, np.full(pattern.size, rng.integers(w)), pattern)
+        pos = CODE.error_positions[state.syn[group * w:(group + 1) * w]]  # (w, t)
+        words, k = (pos >= 0).nonzero()
+        state.flip(group, words, pos[words, k])
         assert_matches(state, recomputed)
+        flips += len(pattern) + words.size
+    assert flips > 0
 
 
 def noisy_llr(bits, rng):

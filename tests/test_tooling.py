@@ -1,5 +1,6 @@
 """Names that other files look up in feclab: the benchmark's span tracer
-(functions) and the README (modules and command-line options)."""
+(functions), the package's callers (its exports) and the README (modules
+and command-line options)."""
 
 import argparse
 import ast
@@ -7,6 +8,7 @@ import csv
 import io
 import re
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -39,6 +41,34 @@ def test_traced_names_resolve_in_feclab():
     missing = {(module, attr) for module, attr in traced
                if not hasattr(getattr(feclab, module), attr)}
     assert missing == GONE
+
+
+def names_read_from_feclab(source: str) -> set[str]:
+    """The names `source` imports from the top-level feclab package or
+    reads as feclab.X."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "feclab" and not node.level:
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "feclab"):
+            names.add(node.attr)
+    return names
+
+
+def test_package_exports_what_callers_import():
+    sketch = README.read_text().split("\n## Python API sketch\n")[1]
+    sources = [re.search(r"```python\n(.*?)```", sketch, re.S).group(1)]
+    sources += [p.read_text() for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")]
+    used = set().union(*map(names_read_from_feclab, sources))
+    assert {"PcCode", "SimConfig", "sim"} <= used  # the sketch and the benchmark are read
+    missing = {name for name in used if not hasattr(feclab, name)}
+    assert missing == set()
+    # a submodule (feclab.sim) or a dunder (feclab.__file__) is no export
+    exports = {name for name, value in vars(feclab).items()
+               if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert exports - used - {"ConfigError"} == set()
+    assert len(exports) == 12 and "ConfigError" in exports
 
 
 def test_wrapped_ibdd_decode_sees_every_batched_block(monkeypatch):
