@@ -180,7 +180,10 @@ def main(argv=None) -> int:
         if args.command == "mask":
             return _run_mask(args)
         cfg = config_from_args(args)
-        run_sweep(cfg, out=sys.stdout if cfg.out_path is None else None)
+        if cfg.out_path is None:
+            run_sweep(cfg, out=sys.stdout)
+        else:
+            run_sweep(cfg)
         return 0
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -369,5 +369,5 @@ def ibdd_decode(code: PcCode, blocks, iters: int) -> tuple[np.ndarray, DecodeSta
 
 def sabm_decode(code: PcCode, block, llr: np.ndarray,
                 params: SabmParams) -> tuple[np.ndarray, DecodeStats]:
-    return _decode_core(code, block, params.total_iters, marks=mark_bits(llr, params, code),
-                        md_iters=params.md_iters)
+    marks = mark_bits(llr, params, code)
+    return _decode_core(code, block, params.total_iters, marks=marks, md_iters=params.md_iters)
