@@ -1,11 +1,12 @@
-"""Extended BCH component codes with t=2 bounded-distance decoding.
+"""Extended BCH component codes eBCH(2^m, 2^m - 2m - 1) with t=2
+bounded-distance decoding, the only components feclab builds.
 
 A code is defined by its parity-check columns: a single flipped bit at
-unextended position j (0 <= j < 2^m - 1) shows up as S1 = alpha^j and
-S3 = alpha^3j, where alpha is a root of the code's primitive polynomial,
-and for extended codes every bit, the overall-parity bit at position n-1
-included, flips the overall parity. The systematic encoder is solved from
-the same columns: message at positions 0..k-1, parity at k..2^m-2.
+position j < 2^m - 1 shows up as S1 = alpha^j and S3 = alpha^3j, where
+alpha is a root of the code's primitive polynomial, and every bit, the
+overall-parity bit at position n-1 included, flips the overall parity.
+The systematic encoder is solved from the same columns: message at
+positions 0..k-1, parity at k..2^m-2, then the overall-parity bit.
 
 Syndromes are also kept packed into one int per word: S1 in bits 0..m-1,
 S3 in bits m..2m-1 and the overall parity in bit 2m. A word's packed
@@ -41,7 +42,6 @@ class BchCode:
     k: int
     t: int
     d0: int
-    extended: bool
     # decode/encode tables, derived once in build_code
     # parity generator, float32 so that encode_many's matmul runs in BLAS;
     # its integer counts (at most k <= 239) are exact
@@ -73,46 +73,47 @@ def _gf2_inverse(a: np.ndarray) -> np.ndarray:
     return aug[:, size:]
 
 
-def build_code(m: int, t: int, extended: bool) -> BchCode:
-    if t != 2:
-        raise ConfigError(f"only t=2 component codes are supported, got t={t}")
+def build_code(m: int, t: int = 2, extended: bool = True) -> BchCode:
+    """eBCH(2^m, 2^m - 2m - 1) for 4 <= m <= 8; t and extended take only
+    their defaults."""
+    if (t, extended) != (2, True):
+        raise ConfigError(f"only extended t=2 component codes are supported, got t={t}, "
+                          f"extended={extended}")
     if not 4 <= m <= 8:
         raise ConfigError(f"component code needs 4 <= m <= 8, got m={m}")
-    n_unext = (1 << m) - 1
-    k = n_unext - 2 * m
-    n = n_unext + (1 if extended else 0)
-    d0 = 2 * t + 1 + (1 if extended else 0)
+    n = 1 << m
+    k = n - 1 - 2 * m
+    d0 = 2 * t + 2
 
     # exp[i] = alpha^i, by an LFSR over the primitive polynomial
-    exp = np.zeros(n_unext, dtype=np.int64)
+    exp = np.zeros(n - 1, dtype=np.int64)
     x = 1
-    for i in range(n_unext):
+    for i in range(n - 1):
         exp[i] = x
         x <<= 1
         if x >> m:
             x ^= PRIMITIVE_POLYS[m]
-    # a single error at unextended position j has S1 = alpha^j, S3 = alpha^3j
-    j = np.arange(n_unext)
-    flip_syn = np.zeros(n, dtype=np.int64)
-    flip_syn[:n_unext] = exp[j] | (exp[(3 * j) % n_unext] << m)
-    if extended:
-        flip_syn |= 1 << (2 * m)
+    # a single error at position j < n - 1 has S1 = alpha^j, S3 = alpha^3j;
+    # every position flips the overall parity
+    j = np.arange(n - 1)
+    flip_syn = np.full(n, 1 << (2 * m), dtype=np.int64)
+    flip_syn[:n - 1] |= exp[j] | (exp[(3 * j) % (n - 1)] << m)
     check = ((flip_syn[:, None] >> np.arange(2 * m + 1)) & 1).astype(np.float32)
     # the parity p of a message u solves u @ h[:k] + p @ h[k:] = 0 (mod 2)
-    # over the S1/S3 columns h of the unextended positions, so that
+    # over the S1/S3 columns h of positions 0..n-2, so that
     # p = u @ parity_matrix (mod 2)
-    h = check[:n_unext, :2 * m].astype(np.int64)
+    h = check[:n - 1, :2 * m].astype(np.int64)
     pm = ((h[:k] @ _gf2_inverse(h[k:])) & 1).astype(np.float32)
     # syndrome decoding table: every error pattern of weight <= t has a
     # packed syndrome of its own; every other syndrome is a decoding failure
     first, second = np.triu_indices(n, 1)
-    positions = np.full((1 << (2 * m + extended), 2), -1, dtype=np.int16)
+    positions = np.full((1 << (2 * m + 1), 2), -1, dtype=np.int16)
     positions[flip_syn, 0] = np.arange(n)
     positions[flip_syn[first] ^ flip_syn[second]] = np.stack([first, second], axis=1)
     for arr in (pm, flip_syn, check, positions):
         arr.setflags(write=False)
-    return BchCode(n=n, k=k, t=t, d0=d0, extended=extended, parity_matrix=pm,
-                   flip_syndrome=flip_syn, check_matrix=check, error_positions=positions)
+    return BchCode(n=n, k=k, t=t, d0=d0, parity_matrix=pm, flip_syndrome=flip_syn,
+                   check_matrix=check, error_positions=positions)
 
 
 def encode_many(code: BchCode, messages: np.ndarray) -> np.ndarray:
@@ -122,10 +123,8 @@ def encode_many(code: BchCode, messages: np.ndarray) -> np.ndarray:
         raise ValueError(f"message batch must be (R, {code.k})")
     parity = (msgs @ code.parity_matrix).astype(np.uint8) & 1
     words = np.concatenate([msgs, parity], axis=1)
-    if code.extended:
-        ext = (words.sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
-        words = np.concatenate([words, ext[:, None]], axis=1)
-    return words
+    ext = (words.sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
+    return np.concatenate([words, ext[:, None]], axis=1)
 
 
 def block_syndromes(code: BchCode, words) -> np.ndarray:

@@ -9,6 +9,7 @@ over the defaults of the config dataclasses.
 import argparse
 import csv
 import sys
+from contextlib import ExitStack
 from dataclasses import fields
 
 import yaml
@@ -154,10 +155,14 @@ def config_from_args(args: argparse.Namespace) -> SimConfig:
 def _run_mask(args: argparse.Namespace) -> int:
     cfg = config_from_args(args)
     validate_mask(cfg, args.blocks)  # before the header goes out
-    out = open(cfg.out_path, "w", newline="") if cfg.out_path else sys.stdout
-    writer = csv.writer(out)
-    writer.writerow(["snr_db", "block_index", "non_hrb_count", "ratio"])
-    try:
+    with ExitStack() as files:
+        # --inset opens first, so that a path it cannot open stops the run
+        # before any output is written or created
+        inset = files.enter_context(open(args.inset, "w")) if args.inset else None
+        out = (files.enter_context(open(cfg.out_path, "w", newline=""))
+               if cfg.out_path else sys.stdout)
+        writer = csv.writer(out)
+        writer.writerow(["snr_db", "block_index", "non_hrb_count", "ratio"])
         for snr in cfg.snr_points:
             ms = mask_stats(cfg, snr, args.blocks)
             w2 = ms.first_mask.size
@@ -165,12 +170,8 @@ def _run_mask(args: argparse.Namespace) -> int:
                 writer.writerow([f"{snr:.6g}", i, c, f"{c / w2:.6g}"])
             print(f"snr {snr:.6g} dB: mean non-HRB count {ms.mean_non_hrb_count:.6g} "
                   f"(ratio {ms.ratio:.4f})", file=sys.stderr)
-            if args.inset and snr == cfg.snr_points[0]:
-                with open(args.inset, "w") as fh:
-                    fh.write(render_mask(ms.first_mask) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            if inset is not None and snr == cfg.snr_points[0]:
+                inset.write(render_mask(ms.first_mask) + "\n")
     return 0
 
 

@@ -88,17 +88,16 @@ class MarkState:
     gets flip_attempts retries, at most one per HUB."""
 
     word_hrb: np.ndarray = field(repr=False)  # (axes, w, n)
-    order: np.ndarray = field(repr=False)     # (axes, w, min(d0-2, marked positions))
+    order: np.ndarray = field(repr=False)     # (axes, w, d0-2)
     non_hrb: np.ndarray = field(repr=False)   # (axes, w)
     flip_attempts: int
 
 
 def _stable_order_prefix(a: np.ndarray, keep: int) -> np.ndarray:
-    """np.argsort(a, axis=-1, kind="stable")[..., :keep] without sorting
-    whole rows: each row keeps its values below the keep-th smallest one
-    and, at that value, its lowest-index ties, and sorts only those."""
-    if keep >= a.shape[-1]:
-        return np.argsort(a, axis=-1, kind="stable")
+    """np.argsort(a, axis=-1, kind="stable")[..., :keep], for rows of at
+    least keep entries, without sorting whole rows: each row keeps its
+    values below the keep-th smallest one and, at that value, its
+    lowest-index ties, and sorts only those."""
     cut = np.partition(a, keep - 1, axis=-1)[..., keep - 1, None]
     sel = a <= cut
     tied = sel.sum(axis=-1) > keep  # rows with more than one entry at the cut
@@ -167,7 +166,7 @@ class Layout:
 
 
 @lru_cache(maxsize=None)
-def block_layout(w: int, blocks: int = 1) -> Layout:
+def block_layout(w: int, blocks: int) -> Layout:
     """Rows (group 2b) and columns (group 2b + 1) of each block b of a
     (blocks, w, w) stack: position j of row i of block b is bit (b, i, j),
     which is position i of its column j."""

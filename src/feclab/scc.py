@@ -33,8 +33,6 @@ class SccCode:
     component: BchCode
 
     def __post_init__(self):
-        if self.component.n % 2:
-            raise ConfigError("staircase component needs even n = 2w")
         if self.component.k <= self.w:
             raise ConfigError(f"staircase component k={self.component.k} must exceed "
                               f"w={self.w} to carry information")

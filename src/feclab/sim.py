@@ -16,8 +16,7 @@ that a plain os.fork made after feclab was imported, the pool is shut down
 at the end of each sweep. A multiprocessing child joins its children
 at exit before a pool could stop them, and a forked child may leave by
 os._exit, which stops nothing. A sweep may replace the kept pool, so
-pooled sweeps must not run in several threads at once. The CLI runs one
-sweep per process, so for it nothing changes.
+pooled sweeps must not run in several threads at once.
 """
 
 import csv
@@ -94,15 +93,13 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     if cfg.decoder not in ("ibdd", "sabm"):
         raise ConfigError(f"unknown decoder {cfg.decoder!r}")
-    if cfg.mod not in (2, 4, 8):
-        raise ConfigError(f"unsupported modulation order {cfg.mod}")
-    if cfg.llr_mode not in ("exact", "maxlog"):
-        raise ConfigError(f"unknown llr_mode {cfg.llr_mode!r}")
     if not cfg.snr_points:
         raise ConfigError("snr_points must be non-empty")
     lo, hi = SNR_RANGE_DB
     if not all(lo <= snr <= hi for snr in cfg.snr_points):  # also rejects NaN
         raise ConfigError(f"SNR points must lie in [{lo:g}, {hi:g}] dB, got {cfg.snr_points}")
+    # the channel checks M and the LLR mode
+    chans = [ChannelConfig(cfg.mod, snr, cfg.llr_mode) for snr in cfg.snr_points]
     keys = [_snr_key(snr) for snr in cfg.snr_points]
     if len(set(keys)) < len(keys):
         raise ConfigError(f"SNR points {cfg.snr_points} repeat a value at 0.001 dB "
@@ -123,7 +120,7 @@ def validate_config(cfg: SimConfig) -> None:
     # the code's own checks reject m outside 4..8 and SCC components too short
     w = _code(cfg.scheme, _component_m(cfg)).w
     # a block is w x w bits, sent in whole symbols of log2(M) bits each
-    bits_per_symbol = cfg.mod.bit_length() - 1
+    bits_per_symbol = chans[0].bits_per_symbol
     if (w * w) % bits_per_symbol:
         raise ConfigError(f"{cfg.mod}-PAM needs the {w * w} bits of a block to be a "
                           f"multiple of log2(M)={bits_per_symbol}; padding is not "
@@ -180,8 +177,7 @@ def _code(scheme: str, m: int) -> PcCode | SccCode:
     """The scheme's code on the eBCH component of degree m, built once per
     process (pool workers inherit the codes built before they fork and
     build others on first use)."""
-    component = build_code(m, 2, extended=True)
-    return (PcCode if scheme == "pc" else SccCode)(component)
+    return (PcCode if scheme == "pc" else SccCode)(build_code(m))
 
 
 def _channel(cfg: SimConfig, snr_db: float, trial: int):

@@ -5,28 +5,23 @@ from feclab.bch import build_code
 
 
 @pytest.fixture(scope="session")
-def gf16_code():
-    return build_code(4, 2, extended=False)  # BCH(15,7)
-
-
-@pytest.fixture(scope="session")
 def ecc16_code():
-    return build_code(4, 2, extended=True)  # eBCH(16,7)
+    return build_code(4)  # eBCH(16,7)
 
 
 @pytest.fixture(scope="session")
 def ecc32_code():
-    return build_code(5, 2, extended=True)  # eBCH(32,21)
+    return build_code(5)  # eBCH(32,21)
 
 
 @pytest.fixture(scope="session")
 def pc_component_code():
-    return build_code(7, 2, extended=True)  # eBCH(128,113)
+    return build_code(7)  # eBCH(128,113)
 
 
 @pytest.fixture(scope="session")
 def scc_component_code():
-    return build_code(8, 2, extended=True)  # eBCH(256,239)
+    return build_code(8)  # eBCH(256,239)
 
 
 @pytest.fixture

@@ -265,12 +265,26 @@ def _parity_rows(generator: int, k: int, d: int) -> np.ndarray:
                      for i in range(k)], dtype=np.uint8)
 
 
+@lru_cache(maxsize=None)
+def unextended_bdd(m: int) -> dict[int, tuple[int, ...]]:
+    """BDD of the unextended t = 2 BCH code of length 2^m - 1, over this
+    module's own alpha: the packed syndrome S1 | S3 << m of every error
+    pattern of weight <= 2 (S1 = alpha^j, S3 = alpha^3j for position j),
+    mapped to its ascending positions. A syndrome not in it is a failure."""
+    exp = alpha_powers(m)
+    n = len(exp)
+    col = [exp[j] | exp[3 * j % n] << m for j in range(n)]
+    table = {0: ()}
+    table.update({col[j]: (j,) for j in range(n)})
+    table.update({col[i] ^ col[j]: (i, j) for i in range(n) for j in range(i + 1, n)})
+    return table
+
+
 def encode_many(code: BchCode, messages) -> np.ndarray:
+    """Systematic eBCH encoding: message, BCH parity, overall parity."""
     msgs = np.asarray(messages, dtype=np.uint8)
-    generator = GENERATORS[(code.n - code.extended).bit_length()]  # 2^m - 1 has m bits
-    parity = (msgs @ _parity_rows(generator, code.k, code.n - code.k - code.extended)) & 1
+    generator = GENERATORS[code.n.bit_length() - 1]  # n = 2^m
+    parity = (msgs @ _parity_rows(generator, code.k, code.n - code.k - 1)) & 1
     words = np.concatenate([msgs, parity], axis=1)
-    if code.extended:
-        words = np.concatenate([words, words.sum(axis=1, keepdims=True, dtype=np.int64) % 2],
-                               axis=1).astype(np.uint8)
-    return words
+    return np.concatenate([words, words.sum(axis=1, keepdims=True, dtype=np.int64) % 2],
+                          axis=1).astype(np.uint8)

@@ -115,7 +115,7 @@ def test_ber_ci_from_moments_matches_list_oracle(scheme, snr):
 # --------------------------------------------------------------------- 1
 
 def test_criterion_1_exhaustive_bdd_oracle(report):
-    code = build_code(4, 2, extended=False)  # (15, 7), d0 = 5
+    code = build_code(4)  # (16, 7), d0 = 6
     n, k = code.n, code.k
     codewords = encode_many(code, int_to_bits(np.arange(1 << k), k))
     mismatches = 0
@@ -136,8 +136,8 @@ def test_criterion_1_exhaustive_bdd_oracle(report):
                     mismatches += 1
             elif pat is not None:
                 mismatches += 1
-    report(1, "exhaustive BDD oracle, (15,7)", mismatches == 0,
-           f"{mismatches} mismatches over 32768 words")
+    report(1, "exhaustive BDD oracle, (16,7)", mismatches == 0,
+           f"{mismatches} mismatches over {1 << n} words")
 
 
 # --------------------------------------------------------------------- 2
@@ -147,7 +147,7 @@ def test_criterion_2_component_code_bdd(report):
     trials = 10_000
     failures = []
     for m in (7, 8):
-        code = build_code(m, 2, extended=True)
+        code = build_code(m)
         n, k = code.n, code.k
         msgs = rng.integers(0, 2, (trials, k), dtype=np.uint8)
         sent = encode_many(code, msgs)
@@ -243,7 +243,7 @@ def test_criterion_5_reduction_identity(report):
     chan = ChannelConfig(2, 4.5, "exact")
     mismatch = 0
     for m, blocks in ((5, 1000), (7, 20)):
-        code = PcCode(build_code(m, 2, extended=True))
+        code = PcCode(build_code(m))
         rng = np.random.default_rng(m * 1000)
         for _ in range(blocks):
             data = rng.integers(0, 2, (code.k, code.k), dtype=np.uint8)
@@ -291,7 +291,7 @@ def test_criterion_6b_4pam_maxlog_parity(report):
 
 def test_criterion_7_structural_invariants(report):
     rng = np.random.default_rng(31)
-    pc = PcCode(build_code(5, 2, extended=True))
+    pc = PcCode(build_code(5))
     bad = 0
     for _ in range(1000):
         data = rng.integers(0, 2, (pc.k, pc.k), dtype=np.uint8)
@@ -305,7 +305,7 @@ def test_criterion_7_structural_invariants(report):
         if not np.array_equal(out, block):
             bad += 1
 
-    scc = SccCode(build_code(5, 2, extended=True))
+    scc = SccCode(build_code(5))
     for _ in range(100):
         info = rng.integers(0, 2, (10, scc.w, scc.info_cols), dtype=np.uint8)
         chain = scc_encode(scc, info)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,9 @@ import reference
 
 
 def test_default_component_parameters():
-    c = build_code(7, 2, extended=True)
+    c = build_code(7)
     assert (c.n, c.k, c.t, c.d0) == (128, 113, 2, 6)
-    c = build_code(8, 2, extended=True)
+    c = build_code(8)
     assert (c.n, c.k, c.t, c.d0) == (256, 239, 2, 6)
 
 
@@ -35,17 +37,15 @@ def test_generator_degree_matches_k():
     for m, (n_unext, k) in zip(range(4, 9), [(15, 7), (31, 21), (63, 51), (127, 113),
                                              (255, 239)]):
         assert reference.GENERATORS[m].bit_length() - 1 == n_unext - k
-        for ext in (False, True):
-            c = build_code(m, 2, ext)
-            assert (c.n - (1 if ext else 0), c.k) == (n_unext, k)
-            assert c.d0 == 5 + (1 if ext else 0)
+        c = build_code(m)
+        assert (c.n - 1, c.k, c.d0) == (n_unext, k, 6)
 
 
 @pytest.mark.parametrize("m", range(4, 9))
 def test_s1_columns_are_the_powers_of_alpha(m):
     # S1 of a single error at unextended position j is alpha^j, and these
     # run once through the nonzero elements of GF(2^m)
-    code = build_code(m, 2, extended=True)
+    code = build_code(m)
     s1 = (code.flip_syndrome[:(1 << m) - 1] & ((1 << m) - 1)).tolist()
     assert s1 == reference.alpha_powers(m)
     assert sorted(s1) == list(range(1, 1 << m))
@@ -57,7 +57,7 @@ def test_s1_columns_are_the_powers_of_alpha(m):
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 9, 16])
 def test_build_code_rejects_bad_degree(m):
     with pytest.raises(ConfigError):
-        build_code(m, 2, extended=True)
+        build_code(m)
 
 
 def test_poly_rem_examples():
@@ -69,8 +69,16 @@ def test_poly_rem_examples():
 
 
 def test_unsupported_t_rejected():
-    with pytest.raises(ConfigError):
-        build_code(7, 3, extended=True)
+    # eBCH with t = 2 is the only code built: any other t, or an unextended
+    # code, is rejected, and the defaults spelled out give the same code
+    for m in range(4, 9):
+        with pytest.raises(ConfigError):
+            build_code(m, 3, True)
+        with pytest.raises(ConfigError):
+            build_code(m, 2, extended=False)
+        spelled, default = build_code(m, 2, extended=True), build_code(m)
+        assert all(np.array_equal(getattr(spelled, f.name), getattr(default, f.name))
+                   for f in fields(default))
     with pytest.raises(ConfigError):
         build_code(3, 2, extended=False)
 
@@ -84,22 +92,23 @@ def test_encode_zero_and_length_check(ecc16_code):
         encode_many(ecc16_code, np.zeros(7, dtype=np.uint8))
 
 
-def test_encode_systematic_parity(gf16_code):
+def test_encode_systematic_parity(ecc16_code):
     msg = np.zeros(7, dtype=np.uint8)
     msg[0] = 1
-    (w,) = encode_many(gf16_code, msg[None, :])
+    (w,) = encode_many(ecc16_code, msg[None, :])
     assert np.array_equal(w[:7], msg)
     g = reference.GENERATORS[4]
     d = g.bit_length() - 1
     r = reference.poly_rem(1 << d, g)
     expect = [(r >> i) & 1 for i in range(d)]
-    assert w[7:].tolist() == expect
+    assert w[7:15].tolist() == expect
+    assert w[15] == (1 + sum(expect)) % 2  # the overall parity
 
 
 @given(st.data())
 @settings(max_examples=30)
 def test_encode_linearity(data):
-    code = build_code(4, 2, extended=True)
+    code = build_code(4)
     m1 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=7, max_size=7)), dtype=np.uint8)
     m2 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=7, max_size=7)), dtype=np.uint8)
     c1, c2, c12 = encode_many(code, np.stack([m1, m2, m1 ^ m2]))
@@ -131,8 +140,8 @@ def test_is_codeword(ecc16_code, rng):
     assert is_codeword.tolist() == [True, False, True]
 
 
-@pytest.mark.parametrize("codename", ["gf16_code", "ecc16_code", "ecc32_code",
-                                      "pc_component_code", "scc_component_code"])
+@pytest.mark.parametrize("codename", ["ecc16_code", "ecc32_code", "pc_component_code",
+                                      "scc_component_code"])
 def test_bdd_corrects_up_to_two_errors(codename, rng, request):
     code = request.getfixturevalue(codename)
     sent = encode_many(code, rng.integers(0, 2, (200, code.k), dtype=np.uint8))
@@ -166,8 +175,8 @@ def test_bdd_weight_three_never_returns_transmitted(pc_component_code, rng):
             assert not np.array_equal(fixed, w)
 
 
-def test_success_always_lands_on_codeword(gf16_code, rng):
-    code = gf16_code
+def test_success_always_lands_on_codeword(ecc16_code, rng):
+    code = ecc16_code
     received = rng.integers(0, 2, (300, code.n), dtype=np.uint8)
     for r, s in zip(received, block_syndromes(code, received).tolist()):
         pat = decode_syndromes(code, s)
@@ -183,22 +192,22 @@ def test_error_table_has_every_correctable_pattern(m):
     # no two patterns of weight <= t over the n positions (the overall-parity
     # bit included) share a packed syndrome, so the table holds each of
     # them: none was overwritten by another
-    for extended in (False, True):
-        code = build_code(m, 2, extended)
-        n = code.n
-        valid = (code.error_positions >= 0).sum(axis=1)
-        assert [int((valid == w).sum()) for w in (1, 2)] == [n, n * (n - 1) // 2]
-        assert decode_syndromes(code, 0) == ()
+    code = build_code(m)
+    n = code.n
+    valid = (code.error_positions >= 0).sum(axis=1)
+    assert [int((valid == w).sum()) for w in (1, 2)] == [n, n * (n - 1) // 2]
+    assert decode_syndromes(code, 0) == ()
 
 
 @pytest.mark.parametrize("m", range(4, 7))
 def test_error_table_matches_two_step_parity_rule(m):
-    # oracle: BDD on the unextended bits from (S1, S3), then the overall
-    # parity: it may absorb one more flip only while the weight stays <= t
-    ext, unext = build_code(m, 2, True), build_code(m, 2, False)
+    # oracle: BDD on the unextended bits from (S1, S3), by the reference's
+    # own table, then the overall parity: it may absorb one more flip only
+    # while the weight stays <= t
+    ext, unext = build_code(m), reference.unextended_bdd(m)
     low = (1 << (2 * m)) - 1
     for syn in range(1 << (2 * m + 1)):
-        pat = decode_syndromes(unext, syn & low)
+        pat = unext.get(syn & low)
         if pat is not None and (syn >> (2 * m)) != len(pat) % 2:
             pat = pat + (ext.n - 1,) if len(pat) < ext.t else None
         assert decode_syndromes(ext, syn) == pat
@@ -208,7 +217,7 @@ def test_error_table_matches_two_step_parity_rule(m):
 def test_decode_syndromes_reads_the_table_as_python_ints(m):
     # every packed syndrome of the extended code: None for a failure, ()
     # for 0, else the table's positions in ascending order, as Python ints
-    code = build_code(m, 2, extended=True)
+    code = build_code(m)
     for syn in range(len(code.error_positions)):
         row = code.error_positions[syn]
         nerr = int((row >= 0).sum())
@@ -227,7 +236,7 @@ def test_vectorized_propose_matches_scalar():
     # error_positions[syn]) agrees with the one-syndrome decode of the SABM
     # passes and flip retries, for every packed syndrome of m = 4 and 5
     for m in (4, 5):
-        code = build_code(m, 2, extended=True)
+        code = build_code(m)
         syn = np.arange(len(code.error_positions))
         pos = code.error_positions[syn]
         rows, k = np.nonzero(pos >= 0)

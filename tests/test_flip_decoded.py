@@ -11,7 +11,7 @@ from feclab.bch import block_syndromes, build_code
 from feclab.pc import SyndromeState, block_layout
 from feclab.scc import chain_layout
 
-CODE = build_code(5, 2, extended=True)  # eBCH(32,21): PC w = 32, SCC w = 16
+CODE = build_code(5)  # eBCH(32,21): PC w = 32, SCC w = 16
 
 
 def recomputed(state):

@@ -16,7 +16,7 @@ from feclab.scc import SccCode, decode_chain, scc_encode
 
 import reference
 
-CODES = {m: build_code(m, 2, extended=True) for m in (4, 5, 6)}
+CODES = {m: build_code(m) for m in (4, 5, 6)}
 DELTAS = [0.0, 0.5, 2.5, 5.0, float("inf")]
 # |llr| levels: zero, the finite deltas themselves (ties at the threshold),
 # values just off them and far above every finite delta

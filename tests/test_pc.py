@@ -179,7 +179,8 @@ MARK_LEVELS = [0.0, 0.5, 1.0, 2.0, 5.0, 5.0000001, 7.0, 1e9]
 
 @st.composite
 def mark_inputs(draw):
-    axes, rows, n = draw(st.integers(1, 2)), draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    # rows of at least d0 - 2 = 4 entries, as every marked word has (16 or more)
+    axes, rows, n = draw(st.integers(1, 2)), draw(st.integers(1, 6)), draw(st.integers(4, 12))
     a = draw(hnp.arrays(np.float64, (axes, rows, n), elements=st.sampled_from(MARK_LEVELS)))
     # some rows all equal: all ties, and all HRB for a level above delta
     const = draw(hnp.arrays(np.bool_, (axes, rows)))
@@ -191,7 +192,7 @@ def mark_inputs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_make_marks_keeps_stable_order_prefix(ecc32_code, a, offset, delta):
     marks = make_marks(a, SabmParams(delta=delta), ecc32_code, offset=offset)
-    keep = min(ecc32_code.d0 - 2, a.shape[-1])
+    keep = ecc32_code.d0 - 2
     assert np.array_equal(marks.order, offset + np.argsort(a, axis=-1, kind="stable")[..., :keep])
     hrb = a > delta
     assert np.array_equal(marks.word_hrb[..., offset:], hrb)
@@ -235,7 +236,7 @@ def suspicious_fixture(pc, rng):
 def suspicious(pc, noisy, marks, axis, index, pattern):
     """The SABM veto of `pattern` as a correction of word `index` along
     `axis` (0 rows, 1 columns) of the received block `noisy`."""
-    state = SyndromeState(pc.component, np.ascontiguousarray(noisy), block_layout(pc.w))
+    state = SyndromeState(pc.component, np.ascontiguousarray(noisy), block_layout(pc.w, 1))
     return _suspicious(pattern, marks.word_hrb[axis, index], state.syn,
                        state.layout.cross[axis], range(state.syn.size))
 
@@ -268,7 +269,7 @@ def test_veto_reads_only_live_crossing_words(pc32, rng):
     block, marks = suspicious_fixture(pc32, rng)
     noisy = block.copy()
     noisy[4, 1] ^= 1
-    state = SyndromeState(pc32.component, noisy, block_layout(pc32.w))
+    state = SyndromeState(pc32.component, noisy, block_layout(pc32.w, 1))
     w, cross = pc32.w, state.layout.cross[0]
     assert cross[9] == w + 9 and state.syn[w + 9] == 0
     hrb = marks.word_hrb[0, 4]
@@ -433,7 +434,7 @@ def test_sabm_veto_reads_corrections_made_earlier_in_the_pass(pc32):
     llr[10, [0, 1, 3]] /= 4
     params = SabmParams(delta=5.0, failure_flip_attempts=0)
 
-    state = SyndromeState(code, hard.copy(), block_layout(pc32.w))
+    state = SyndromeState(code, hard.copy(), block_layout(pc32.w, 1))
     stats = DecodeStats()
     decode_pass(state, 0, stats, mark_bits(llr, params, pc32), 0)
     assert not state.bits[[3, 10]].any()

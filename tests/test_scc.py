@@ -30,9 +30,7 @@ def test_scc_code_geometry(scc32):
 
 def test_scc_code_validation():
     with pytest.raises(ValueError):
-        SccCode(build_code(4, 2, extended=False))  # odd n
-    with pytest.raises(ValueError):
-        SccCode(build_code(4, 2, extended=True))  # k = 7 <= w = 8
+        SccCode(build_code(4))  # k = 7 <= w = 8
 
 
 def test_scc_encode_zero_info(scc32):

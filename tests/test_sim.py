@@ -537,10 +537,13 @@ def test_cli_rejects_snr_outside_range(command, snr, capsys):
 @pytest.mark.parametrize("out", [False, True])
 def test_cli_checks_the_code_before_any_output(out, tmp_path, capsys):
     # eBCH(16,7) has k <= w = 8: a staircase block would carry no
-    # information; and a mask run needs at least one block
+    # information; a mask run needs at least one block, and an --inset
+    # path it can open
     path = tmp_path / "x.csv"
     for argv in (["scc", "--snr", "7", "--component-m", "4", "--max-blocks", "1"],
-                 ["mask", "--snr", "6", "--blocks", "0"]):
+                 ["mask", "--snr", "6", "--blocks", "0"],
+                 ["mask", "--snr", "6,6.2", "--component-m", "5", "--blocks", "2",
+                  "--inset", str(tmp_path / "nonexist" / "x.txt")]):
         assert main(argv + (["--out", str(path)] if out else [])) == 2
         assert not path.exists()
         assert capsys.readouterr().out == ""

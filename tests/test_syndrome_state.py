@@ -15,7 +15,7 @@ from feclab.bch import block_syndromes, build_code, decode_syndromes
 from feclab.pc import PcCode, SabmParams, SyndromeState, block_layout, pc_encode
 from feclab.scc import SccCode, chain_layout, scc_encode
 
-CODE = build_code(5, 2, extended=True)  # eBCH(32,21): PC w = 32, SCC w = 16
+CODE = build_code(5)  # eBCH(32,21): PC w = 32, SCC w = 16
 
 
 def pc_recomputed(state):
@@ -91,7 +91,7 @@ def test_block_syndromes_follow_random_flips(seed):
     rng = np.random.default_rng(seed)
     w = CODE.n
     bits = rng.integers(0, 2, (w, w), dtype=np.uint8)
-    follow_random_flips(SyndromeState(CODE, bits, block_layout(w)), pc_recomputed, rng)
+    follow_random_flips(SyndromeState(CODE, bits, block_layout(w, 1)), pc_recomputed, rng)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
@@ -112,9 +112,9 @@ def test_state_rejects_bits_it_cannot_update_in_place():
     w = CODE.n
     bits = np.zeros((w, w), dtype=np.uint8)
     with pytest.raises(ValueError):
-        SyndromeState(CODE, bits.T, block_layout(w))
+        SyndromeState(CODE, bits.T, block_layout(w, 1))
     with pytest.raises(ValueError):
-        SyndromeState(CODE, list(bits), block_layout(w))
+        SyndromeState(CODE, list(bits), block_layout(w, 1))
 
 
 @pytest.mark.parametrize("decoder", ["ibdd", "sabm"])

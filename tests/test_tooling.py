@@ -6,7 +6,11 @@ import argparse
 import ast
 import csv
 import io
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -56,9 +60,14 @@ def names_read_from_feclab(source: str) -> set[str]:
     return names
 
 
-def test_package_exports_what_callers_import():
+def readme_sketch() -> str:
+    """The code of README's Python API sketch."""
     sketch = README.read_text().split("\n## Python API sketch\n")[1]
-    sources = [re.search(r"```python\n(.*?)```", sketch, re.S).group(1)]
+    return re.search(r"```python\n(.*?)```", sketch, re.S).group(1)
+
+
+def test_package_exports_what_callers_import():
+    sources = [readme_sketch()]
     sources += [p.read_text() for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")]
     used = set().union(*map(names_read_from_feclab, sources))
     assert {"PcCode", "SimConfig", "sim"} <= used  # the sketch and the benchmark are read
@@ -69,6 +78,28 @@ def test_package_exports_what_callers_import():
                if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert exports - used - {"ConfigError"} == set()
     assert len(exports) == 12 and "ConfigError" in exports
+
+
+def test_readme_sketch_runs():
+    # the sketch as written, so that a signature change shows here too
+    names = {}
+    exec(compile(readme_sketch(), str(README), "exec"), names)
+    decoded, stats = names["decoded"], names["stats"]
+    assert decoded.shape == names["block"].shape and stats.bdd_calls > 0
+
+
+def test_setup_probe_runs_on_this_checkout():
+    # the benchmark times set-up with this probe in a fresh interpreter, on
+    # the sources of the checkout under test
+    src = ROOT / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, str(ROOT / "perfbench" / "probe_setup.py"), "4", "1"],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    (line,) = run.stdout.splitlines()
+    record = json.loads(line)
+    assert Path(record["feclab_file"]).resolve() == (src / "feclab" / "__init__.py").resolve()
+    assert record["setup_s"] > 0
 
 
 def test_wrapped_ibdd_decode_sees_every_batched_block(monkeypatch):
