@@ -52,7 +52,11 @@ def follow_random_flips(state, recomputed, rng):
     groups = len(state.layout.base)
     assert_matches(state, recomputed)
     flips = 0
-    for _ in range(4):
+    # at least 4 rounds, and more while none has flipped a bit: with a single
+    # group, all words of it can fail to decode and every retry can fail too
+    for round_ in range(64):
+        if round_ >= 4 and flips > 0:
+            break
         group = int(rng.integers(groups))
         word = int(rng.integers(w))
         pattern = retry_pattern(state, group, word, int(rng.integers(CODE.n)))
