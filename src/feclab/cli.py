@@ -8,6 +8,8 @@ over the defaults of the config dataclasses.
 
 import argparse
 import csv
+import errno
+import os
 import sys
 from contextlib import ExitStack
 from dataclasses import fields
@@ -152,12 +154,30 @@ def config_from_args(args: argparse.Namespace) -> SimConfig:
                      **parts[SimConfig])
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise, as far
+    as that shows without creating or truncating it."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _run_mask(args: argparse.Namespace) -> int:
     cfg = config_from_args(args)
     validate_mask(cfg, args.blocks)  # before the header goes out
+    # both paths are checked before either file is created or truncated,
+    # and --inset opens first, so that no output is written before both open
+    for path in (args.inset, cfg.out_path):
+        if path:
+            _check_writable(path)
     with ExitStack() as files:
-        # --inset opens first, so that a path it cannot open stops the run
-        # before any output is written or created
         inset = files.enter_context(open(args.inset, "w")) if args.inset else None
         out = (files.enter_context(open(cfg.out_path, "w", newline=""))
                if cfg.out_path else sys.stdout)

@@ -85,16 +85,21 @@ def _logsumexp_into(terms: list, out: np.ndarray, scratch: np.ndarray) -> np.nda
     """log(sum(exp(t))) over equal-shape arrays, term by term in list order,
     written into out: the max, exp, add and log of a column-wise logsumexp,
     bit for bit. scratch holds two more arrays of that shape, unless there
-    is one term."""
+    is one term; two terms use only the first."""
     if len(terms) == 1:
         return np.add(terms[0], 0.0, out=out)  # max + log(exp(0)); the + 0.0 clears -0.0
     m, e = scratch
     np.maximum(terms[0], terms[1], out=m)
-    for t in terms[2:]:
-        np.maximum(m, t, out=m)
-    np.exp(np.subtract(terms[0], m, out=out), out=out)
-    for t in terms[1:]:
-        np.add(out, np.exp(np.subtract(t, m, out=e), out=e), out=out)
+    if len(terms) == 2:
+        # the larger term's exp(t - m) is exp(0) = 1, and x + 1 == 1 + x
+        np.exp(np.subtract(np.minimum(terms[0], terms[1], out=out), m, out=out), out=out)
+        np.add(out, 1.0, out=out)
+    else:
+        for t in terms[2:]:
+            np.maximum(m, t, out=m)
+        np.exp(np.subtract(terms[0], m, out=out), out=out)
+        for t in terms[1:]:
+            np.add(out, np.exp(np.subtract(t, m, out=e), out=e), out=out)
     return np.add(m, np.log(out, out=out), out=out)
 
 
@@ -111,10 +116,11 @@ def demap_llr(y, cfg: ChannelConfig) -> np.ndarray:
     # a log-sum-exp of one term needs no scratch, and 2-PAM has only those
     side0, side1, *scratch = (np.empty_like(yv) for _ in range(4 if cfg.M > 2 else 2))
     for t, level in zip(terms, levels):
-        # squared distance to the level; -d2 / 2 for the exact LLR
+        # squared distance to the level; -d2 / 2 for the exact LLR, which
+        # d2 * -0.5 gives bit for bit
         np.square(np.subtract(yv, cfg.sqrt_rho * level, out=t), out=t)
         if exact:
-            np.divide(np.negative(t, out=t), 2.0, out=t)
+            np.multiply(t, -0.5, out=t)
     out = np.empty((yv.size, nb))
     for k in range(nb):
         bit = (labels >> (nb - 1 - k)) & 1

@@ -3,7 +3,11 @@ and CSV emission.
 
 Every trial derives its generator from (master_seed, snr, trial index), so
 sweeps are reproducible bit for bit at any worker count. The stopping rule
-is evaluated at fixed batch boundaries for the same reason.
+is evaluated at fixed batch boundaries for the same reason. A pooled point
+queues the next batch before it collects the current one whenever the
+current batch cannot end the point, so the workers do not wait at the
+boundary; no batch runs that the serial loop would not run, and no output
+changes.
 
 A process keeps one pool of worker processes. It starts at the first sweep
 with workers > 1 and serves every later sweep of the process with the same
@@ -26,6 +30,7 @@ import multiprocessing
 import os
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -49,6 +54,16 @@ CSV_COLUMNS = ["scheme", "mod", "decoder", "llr_mode", "snr_db", "blocks",
 # most worker processes a sweep starts: a fixed bound, so that a config
 # validates the same way on every host
 MAX_WORKERS = 512
+
+# most trials in one batch: a fixed bound, as for workers. A batch runs
+# whole, so a larger one would overshoot the default max_blocks, and its
+# task list, one entry per share, is built before any of it runs
+MAX_BATCH = 1_000_000
+
+# most bytes of one staircase chain's arrays: its data, its code blocks and
+# hard grids (a byte a bit) and its float64 LLR grids, all held while the
+# chain runs; a whole run peaks at about twice this
+MAX_CHAIN_BYTES = 1 << 28
 
 # SNR points the seed key and the channel take: below -1000 dB the key of
 # _trial_rng is negative, and above ~3,080 dB rho = 10^(snr/10) overflows
@@ -110,15 +125,22 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError(f"seed must be >= 0, got {cfg.master_seed}")
     if not 1 <= cfg.workers <= MAX_WORKERS:
         raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {cfg.workers}")
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
+    if not 1 <= cfg.batch_size <= MAX_BATCH:
+        raise ConfigError(f"batch_size must lie in [1, {MAX_BATCH}], got {cfg.batch_size}")
     if cfg.scheme == "scc" and cfg.scc.window < 2:
         raise ConfigError("scc window must be >= 2")
     if cfg.scheme == "scc" and min(cfg.scc.iters, cfg.scc.chain_blocks) < 1:
         raise ConfigError(f"scc iters and chain_blocks must be >= 1, got "
                           f"{cfg.scc.iters} and {cfg.scc.chain_blocks}")
     # the code's own checks reject m outside 4..8 and SCC components too short
-    w = _code(cfg.scheme, _component_m(cfg)).w
+    code = _code(cfg.scheme, _component_m(cfg))
+    w = code.w
+    if cfg.scheme == "scc":
+        most = MAX_CHAIN_BYTES // (w * code.info_cols + 10 * w * w)
+        if cfg.scc.chain_blocks > most:
+            raise ConfigError(f"chain_blocks must be <= {most} for {w}x{w} blocks (one "
+                              f"chain's arrays take at most {MAX_CHAIN_BYTES >> 20} MiB), "
+                              f"got {cfg.scc.chain_blocks}")
     # a block is w x w bits, sent in whole symbols of log2(M) bits each
     bits_per_symbol = chans[0].bits_per_symbol
     if (w * w) % bits_per_symbol:
@@ -255,24 +277,59 @@ def run_point(cfg: SimConfig, snr_db: float, _pool=None) -> BerStats:
     code = _code(cfg.scheme, _component_m(cfg))
     stats = BerStats(snr_db=snr_db)
     t0 = time.perf_counter()
+    stop = cfg.stop
+
+    def running() -> bool:  # the stopping rule, read at a batch boundary
+        return stats.block_errors < stop.min_word_errors and stats.blocks_run < stop.max_blocks
+
+    def add(pre, post, st):
+        stats.blocks_run += post.size
+        stats.pre_fec_bit_errors += pre
+        stats.post_fec_bit_errors += int(post.sum())
+        stats.post_sq_errors += int(post @ post)
+        stats.block_errors += int(np.count_nonzero(post))
+        stats.decoder += st
+
     # one task per worker share of a batch (split in tasks of MAX_SHARE
-    # trials at most); results keep their order
+    # trials at most): the task at offset lo of a batch runs n trials
     share = min(math.ceil(cfg.batch_size / cfg.workers), MAX_SHARE)
-    trial_map = map if _pool is None else _pool.map
-    next_trial = 0
-    while (stats.block_errors < cfg.stop.min_word_errors
-           and stats.blocks_run < cfg.stop.max_blocks):
-        end = next_trial + cfg.batch_size
-        firsts = range(next_trial, end, share)
-        counts = [min(share, end - lo) for lo in firsts]
-        next_trial = end
-        for pre, post, st in trial_map(_trials, repeat(cfg), repeat(snr_db), firsts, counts):
-            stats.blocks_run += post.size
-            stats.pre_fec_bit_errors += pre
-            stats.post_fec_bit_errors += int(post.sum())
-            stats.post_sq_errors += int(post @ post)
-            stats.block_errors += int(np.count_nonzero(post))
-            stats.decoder += st
+    offsets = range(0, cfg.batch_size, share)
+    counts = [min(share, cfg.batch_size - lo) for lo in offsets]
+    if _pool is None:
+        first = 0
+        while running():
+            firsts = range(first, first + cfg.batch_size, share)
+            for result in map(_trials, repeat(cfg), repeat(snr_db), firsts, counts):
+                add(*result)
+            first += cfg.batch_size
+    else:
+        # results are read in trial order. The next batch is queued before
+        # the one in flight is read when that batch, which adds batch_blocks
+        # blocks and at most as many block errors, cannot meet the stopping
+        # rule: then the serial loop runs the next batch too
+        batch_blocks = cfg.batch_size * (cfg.scc.chain_blocks if cfg.scheme == "scc" else 1)
+        queued, next_first = deque(), 0
+
+        def submit():
+            nonlocal next_first
+            queued.extend(_pool.submit(_trials, cfg, snr_db, next_first + lo, n)
+                          for lo, n in zip(offsets, counts))
+            next_first += cfg.batch_size
+
+        try:
+            while queued or running():
+                if not queued:
+                    submit()
+                if (stats.blocks_run + batch_blocks < stop.max_blocks
+                        and stats.block_errors + batch_blocks < stop.min_word_errors):
+                    submit()
+                for _ in counts:
+                    add(*queued[0].result())
+                    queued.popleft()
+        finally:
+            # on an error, no queued share of this point may run later
+            for future in queued:
+                future.cancel()
     info_bits = code.k * code.k if cfg.scheme == "pc" else code.w * code.info_cols
     stats.info_bits = info_bits * stats.blocks_run
     stats.coded_bits = code.w * code.w * stats.blocks_run

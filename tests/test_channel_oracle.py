@@ -4,6 +4,7 @@ included, at the constellation levels, around zero and at tiny and huge
 magnitudes."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -43,6 +44,34 @@ def test_one_term_logsumexp_clears_negative_zero():
     t = np.array([-0.0, 0.0, -1.5, -5e-324, -1e300])
     got = _logsumexp_into([t], np.empty_like(t), np.empty((2,) + t.shape))
     assert same_floats(got, reference.logsumexp(t[:, None], axis=1))
+
+
+def test_two_term_logsumexp_matches_reference():
+    # a two-term log-sum-exp adds 1 = exp(0) for the larger term: tied
+    # terms, a smaller exp that underflows to 0, signed zeros, infinities
+    pairs = np.array([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-1.5, -1.5),
+                      (-1e300, -1e300), (-1.5, -3.0), (-3.0, -1.5), (0.0, -800.0),
+                      (-800.0, -0.0), (-2.0, -747.0), (-5e-324, 0.0), (-1e300, -2.0),
+                      (-np.inf, -1.0), (-np.inf, -np.inf), (np.nan, -1.0)])
+    a, b = pairs.T.copy()
+    with np.errstate(invalid="ignore"):  # -inf - -inf
+        got = _logsumexp_into([a, b], np.empty_like(a), np.empty((2,) + a.shape))
+        want = reference.logsumexp(pairs, axis=1)
+    assert same_floats(got, want)
+
+
+@pytest.mark.parametrize("M", [4, 8])
+@pytest.mark.parametrize("snr_db", [0.0, 8.0, 12.6, 20.0])
+def test_exact_demap_matches_reference_at_ties_and_underflow(M, snr_db):
+    # y at each level, at the midpoint of each pair of levels (where the two
+    # terms of a 4-PAM side tie) and so far out that the smaller term's exp
+    # underflows to 0
+    cfg = ChannelConfig(M, snr_db, "exact")
+    scaled = cfg.sqrt_rho * pam_constellation(M)[0]
+    mids = ((scaled[:, None] + scaled[None, :]) / 2).reshape(-1)
+    far = np.array([1e3, 1e4, 1e8])
+    y = np.concatenate([scaled, mids, scaled[-1] + far, scaled[0] - far, [0.0, -0.0]])
+    assert same_floats(demap_llr(y, cfg), reference.demap_llr(y, cfg))
 
 
 @given(M=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1),

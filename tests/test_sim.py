@@ -8,7 +8,9 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from multiprocessing.connection import wait
 from pathlib import Path
@@ -84,6 +86,21 @@ def test_validate_rejects_bad_fields():
     with pytest.raises(ConfigError):
         validate_config(small_pc_cfg(workers=sim.MAX_WORKERS + 1))
     validate_config(small_pc_cfg(workers=sim.MAX_WORKERS))
+    with pytest.raises(ConfigError):
+        validate_config(small_pc_cfg(batch_size=sim.MAX_BATCH + 1))
+    validate_config(small_pc_cfg(batch_size=sim.MAX_BATCH))
+
+
+def test_chain_blocks_bound_follows_the_block_size():
+    # one chain's data, code blocks, hard grids and float64 LLR grids take
+    # at most MAX_CHAIN_BYTES: 128x128 blocks at m = 8, 16x16 at m = 5
+    for m, w, info_cols in ((8, 128, 111), (5, 16, 5)):
+        most = sim.MAX_CHAIN_BYTES // (w * info_cols + 10 * w * w)
+        cfg = small_scc_cfg(component_m=m, scc=SccRunParams(window=3, iters=2,
+                                                            chain_blocks=most))
+        validate_config(cfg)
+        with pytest.raises(ConfigError, match=f"<= {most} for {w}x{w} blocks"):
+            validate_config(replace(cfg, scc=replace(cfg.scc, chain_blocks=most + 1)))
 
 
 # -------------------------------------------------------------- run_point
@@ -177,6 +194,125 @@ def test_ibdd_stats_do_not_depend_on_the_shares(workers, batch_size, max_share, 
 def test_other_paths_stats_do_not_depend_on_the_shares(path, workers, batch_size, max_share,
                                                        monkeypatch):
     assert check_shares(path, workers, batch_size, max_share, monkeypatch) == []
+
+
+# ------------------------------------------------------ pipelined batches
+
+class RecordingPool:
+    """A thread pool that logs, in order, each task submitted, as
+    ("submit", first, count), and each result read, as ("read", first)."""
+
+    def __init__(self, workers: int):
+        self.pool = ThreadPoolExecutor(workers)
+        self.log, self.futures = [], []
+
+    def submit(self, fn, cfg, snr_db, first, count):
+        self.log.append(("submit", first, count))
+        self.futures.append(self.pool.submit(fn, cfg, snr_db, first, count))
+        return LoggedFuture(self.futures[-1], self.log, first)
+
+    def tasks(self, kind: str) -> list:
+        return [entry[1:] for entry in self.log if entry[0] == kind]
+
+
+class LoggedFuture:
+    def __init__(self, future, log, first):
+        self.future, self.log, self.first = future, log, first
+
+    def result(self):
+        result = self.future.result()
+        self.log.append(("read", self.first))
+        return result
+
+    def cancel(self):
+        return self.future.cancel()
+
+
+def serial_tasks(cfg, snr, monkeypatch):
+    """The BerStats of a point run without a pool, and its (first, count) tasks."""
+    tasks, trials = [], sim._trials
+    monkeypatch.setattr(sim, "_trials", lambda cfg, snr, first, count: (
+        tasks.append((first, count)) or trials(cfg, snr, first, count)))
+    stats = run_point(cfg, snr)
+    monkeypatch.setattr(sim, "_trials", trials)
+    return stats, tasks
+
+
+PIPELINES = {
+    # 18 is not a whole number of batches: the fifth batch runs, no sixth
+    "max_blocks": small_pc_cfg(snr_points=(60.0,), workers=2, batch_size=4,
+                               stop=StopRule(min_word_errors=10 ** 9, max_blocks=18)),
+    # the batches in flight may end the point once 6 blocks are in error
+    "min_errors": small_pc_cfg(snr_points=(3.0,), workers=2, batch_size=4,
+                               stop=StopRule(min_word_errors=10, max_blocks=10 ** 6)),
+    "uneven_shares": small_pc_cfg(workers=3, batch_size=8,
+                                  stop=StopRule(min_word_errors=10 ** 9, max_blocks=20)),
+    # a batch of 2 chains is 8 blocks
+    "chains": small_scc_cfg(workers=2, batch_size=2,
+                            stop=StopRule(min_word_errors=10 ** 9, max_blocks=20)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINES))
+def test_pooled_point_submits_the_serial_tasks_ahead(case, monkeypatch):
+    cfg = PIPELINES[case]
+    snr = cfg.snr_points[0]
+    want, tasks = serial_tasks(cfg, snr, monkeypatch)
+    if case == "min_errors":
+        assert 10 <= want.block_errors and want.blocks_run < 10 ** 6
+    pool = RecordingPool(2)
+    try:
+        assert run_point(cfg, snr, _pool=pool) == want
+    finally:
+        pool.pool.shutdown()
+    assert pool.tasks("submit") == tasks
+    assert pool.tasks("read") == [(first,) for first, _ in tasks]
+    # the second batch was queued before the first result was read
+    per_batch = sum(first < cfg.batch_size for first, _ in tasks)
+    assert pool.log.index(("read", 0)) == 2 * per_batch
+
+
+def test_pooled_point_cancels_its_queued_shares_on_an_error(monkeypatch):
+    # the share of trials 0-1 raises; the pool's one thread then blocks in
+    # at most one of the three shares queued behind it, and the others
+    # must never start
+    cfg = small_pc_cfg(workers=2, batch_size=4,
+                       stop=StopRule(min_word_errors=10 ** 9, max_blocks=16))
+    release, trials = threading.Event(), sim._trials
+
+    def failing(cfg, snr, first, count):
+        if first == 0:
+            raise RuntimeError("share failed")
+        release.wait(10)
+        return trials(cfg, snr, first, count)
+
+    monkeypatch.setattr(sim, "_trials", failing)
+    pool = RecordingPool(1)
+    try:
+        with pytest.raises(RuntimeError, match="share failed"):
+            run_point(cfg, 5.0, _pool=pool)
+        assert pool.tasks("submit") == [(0, 2), (2, 2), (4, 2), (6, 2)]
+        assert all(f.running() or f.done() for f in pool.futures)  # none still queued
+        assert sum(f.cancelled() for f in pool.futures[1:]) >= 2
+    finally:
+        release.set()
+        pool.pool.shutdown()
+    assert all(f.done() for f in pool.futures)
+
+
+# each sweep has a point that stops by min_word_errors after a few batches
+@pytest.mark.parametrize("argv", [
+    "pc --mod 4 --component-m 5 --snr 9,10 --decoder ibdd --min-errors 10 --max-blocks 96",
+    "scc --component-m 5 --chain-blocks 2 --window 3 --scc-iters 2 --snr 2.5,3.5 "
+    "--decoder sabm --min-errors 40 --max-blocks 192",
+], ids=["pc_ibdd_4pam", "scc_sabm"])
+def test_cli_csv_is_the_same_at_any_worker_count(argv, capsys):
+    texts = []
+    for workers in (1, 2, 3):
+        assert main(argv.split() + ["--batch-size", "16", "--no-timing", "--seed", "3",
+                                    "--workers", str(workers)]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] == texts[2]
 
 
 # ------------------------------------------------------------- CSV output
@@ -502,13 +638,21 @@ def test_cli_rejects_bad_snr(capsys):
     # workers has a fixed bound, the same on every host
     ["pc", "--snr", "5", "--workers", "100000"],
     ["scc", "--snr", "7", "--workers", str(sim.MAX_WORKERS + 1)],
+    # so do batch_size and one chain's arrays: a batch's task list was built
+    # for 10^20 trials, a chain's grids for 10^11 blocks
+    ["pc", "--snr", "6", "--batch-size", "100000000000000000000"],
+    ["pc", "--snr", "6", "--batch-size", str(sim.MAX_BATCH + 1)],
+    ["scc", "--snr", "6", "--chain-blocks", "100000000000"],
+    ["scc", "--snr", "7", "--chain-blocks", str(sim.MAX_CHAIN_BYTES // (128 * 111 + 10 * 128 ** 2) + 1)],
     # argparse's own errors: a choice, a type, an option of another command
     ["pc", "--snr", "6", "--mod", "3"],
     ["pc", "--snr", "6", "--iters", "abc"],
     ["scc", "--snr", "7", "--decoder", "foo"],
     ["pc", "--snr", "6", "--window", "3"],
 ], ids=lambda argv: " ".join(argv))
-def test_cli_rejects_bad_values(argv, capsys, refuse_big_pools):
+def test_cli_rejects_bad_values(argv, capsys, refuse_big_pools, monkeypatch):
+    # a value that validation misses fails here instead of running a point
+    monkeypatch.setattr(sim, "run_point", lambda *a, **k: pytest.fail("a point ran"))
     assert main(argv + ["--max-blocks", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
@@ -547,6 +691,21 @@ def test_cli_checks_the_code_before_any_output(out, tmp_path, capsys):
         assert main(argv + (["--out", str(path)] if out else [])) == 2
         assert not path.exists()
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_cli_mask_leaves_inset_as_it_was_when_out_fails(existing, tmp_path, capsys):
+    # both paths are checked before either is created or truncated
+    inset = tmp_path / "inset.txt"
+    if existing:
+        inset.write_bytes(b"kept\n")
+    argv = ["mask", "--snr", "6", "--component-m", "5", "--blocks", "1",
+            "--inset", str(inset)]
+    for out in (tmp_path / "nonexist" / "x.csv", tmp_path):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+        assert inset.read_bytes() == b"kept\n" if existing else not inset.exists()
 
 
 # per config key other than out: values a run takes, and values of the key's
