@@ -8,7 +8,6 @@ over the defaults of the config dataclasses.
 
 import argparse
 import csv
-import errno
 import os
 import sys
 from contextlib import ExitStack
@@ -155,18 +154,11 @@ def config_from_args(args: argparse.Namespace) -> SimConfig:
 
 
 def _check_writable(path: str) -> None:
-    """Raise the OSError that opening path for writing would raise, as far
-    as that shows without creating or truncating it."""
+    """Raise OSError if path cannot be opened for writing, as far as that
+    shows without creating or truncating it."""
     parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(parent):
-        code = errno.ENOENT
-    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
-        code = errno.EACCES
-    else:
-        return
-    raise OSError(code, os.strerror(code), path)
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise OSError(f"cannot open {path} for writing")
 
 
 def _run_mask(args: argparse.Namespace) -> int:

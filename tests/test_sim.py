@@ -245,8 +245,9 @@ PIPELINES = {
     # the batches in flight may end the point once 6 blocks are in error
     "min_errors": small_pc_cfg(snr_points=(3.0,), workers=2, batch_size=4,
                                stop=StopRule(min_word_errors=10, max_blocks=10 ** 6)),
+    # the third batch reaches max_blocks exactly: no fourth is queued
     "uneven_shares": small_pc_cfg(workers=3, batch_size=8,
-                                  stop=StopRule(min_word_errors=10 ** 9, max_blocks=20)),
+                                  stop=StopRule(min_word_errors=10 ** 9, max_blocks=24)),
     # a batch of 2 chains is 8 blocks
     "chains": small_scc_cfg(workers=2, batch_size=2,
                             stop=StopRule(min_word_errors=10 ** 9, max_blocks=20)),
