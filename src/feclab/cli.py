@@ -17,7 +17,7 @@ import yaml
 
 from .errors import ConfigError
 from .pc import SabmParams
-from .sim import (SccRunParams, SimConfig, StopRule, mask_stats, render_mask,
+from .sim import (SccRunParams, SimConfig, StopRule, mask_blocks, render_mask,
                   run_sweep, validate_mask)
 
 # config key -> (dataclass, field) it sets; a key that is not given keeps
@@ -176,14 +176,17 @@ def _run_mask(args: argparse.Namespace) -> int:
         writer = csv.writer(out)
         writer.writerow(["snr_db", "block_index", "non_hrb_count", "ratio"])
         for snr in cfg.snr_points:
-            ms = mask_stats(cfg, snr, args.blocks)
-            w2 = ms.first_mask.size
-            for i, c in enumerate(ms.per_block_counts):
-                writer.writerow([f"{snr:.6g}", i, c, f"{c / w2:.6g}"])
-            print(f"snr {snr:.6g} dB: mean non-HRB count {ms.mean_non_hrb_count:.6g} "
-                  f"(ratio {ms.ratio:.4f})", file=sys.stderr)
-            if inset is not None and snr == cfg.snr_points[0]:
-                inset.write(render_mask(ms.first_mask) + "\n")
+            # a row per block as it is drawn: memory does not grow with --blocks
+            total = 0
+            for i, mask in enumerate(mask_blocks(cfg, snr, args.blocks)):
+                c = int(mask.sum())
+                total += c
+                writer.writerow([f"{snr:.6g}", i, c, f"{c / mask.size:.6g}"])
+                if i == 0 and inset is not None and snr == cfg.snr_points[0]:
+                    inset.write(render_mask(mask) + "\n")
+            mean = total / args.blocks  # as mask_stats computes it
+            print(f"snr {snr:.6g} dB: mean non-HRB count {mean:.6g} "
+                  f"(ratio {mean / mask.size:.4f})", file=sys.stderr)
     return 0
 
 

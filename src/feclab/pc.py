@@ -18,7 +18,11 @@ syndromes always equal the syndromes of the bits. `decode_pass` decodes
 the words of a set of groups that have a nonzero syndrome (a clean word
 is a no-op), yet `bdd_calls` counts w per group pass, as if every word
 were decoded, plus one per flip retry. iBDD decodes a stack of blocks in
-lockstep, so that one pass serves every active block.
+lockstep, so that one pass serves every active block; a staircase window
+passes one group at a time, as a Python int, which reads a view of its
+syndromes and its rows of the layout. What a marking pass reads that does
+not change within a block is built once: the flip syndromes as a list per
+`SyndromeState`, and the HRB flags as bytes per `MarkState`.
 """
 
 from collections.abc import Callable
@@ -27,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bch import BchCode, block_syndromes, decode_syndromes, encode_many
+from .bch import BchCode, block_syndromes, encode_many
 from .errors import ConfigError
 
 
@@ -85,12 +89,14 @@ class MarkState:
     lowest index), the most that SABM reads; of that order the first
     non_hrb[axis, i] entries are the non-HRB positions. The HUB list of a
     word is the first d0-t-1 entries of its non-HRB order; a failed word
-    gets flip_attempts retries, at most one per HUB."""
+    gets flip_attempts retries, at most one per HUB. hrb[axis] holds
+    word_hrb[axis] as bytes, for the marking pass's scalar reads."""
 
     word_hrb: np.ndarray = field(repr=False)  # (axes, w, n)
     order: np.ndarray = field(repr=False)     # (axes, w, d0-2)
     non_hrb: np.ndarray = field(repr=False)   # (axes, w)
     flip_attempts: int
+    hrb: tuple = field(repr=False)            # axes bytes of w * n
 
 
 def _stable_order_prefix(a: np.ndarray, keep: int) -> np.ndarray:
@@ -100,12 +106,16 @@ def _stable_order_prefix(a: np.ndarray, keep: int) -> np.ndarray:
     lowest-index ties, and sorts only those."""
     cut = np.partition(a, keep - 1, axis=-1)[..., keep - 1, None]
     sel = a <= cut
-    tied = sel.sum(axis=-1) > keep  # rows with more than one entry at the cut
-    if tied.any():
+    flat = np.flatnonzero(sel)
+    if flat.size > sel.size // a.shape[-1] * keep:
+        # every row selects at least keep entries; those with more hold
+        # more than one entry at the cut
+        tied = sel.sum(axis=-1) > keep
         at, below = a[tied] == cut[tied], a[tied] < cut[tied]
         room = keep - below.sum(axis=-1, keepdims=True)
         sel[tied] = below | (at & (np.cumsum(at, axis=-1) <= room))
-    pos = (np.flatnonzero(sel) % a.shape[-1]).reshape(a.shape[:-1] + (keep,))
+        flat = np.flatnonzero(sel)
+    pos = (flat % a.shape[-1]).reshape(a.shape[:-1] + (keep,))
     by_value = np.argsort(np.take_along_axis(a, pos, axis=-1), axis=-1, kind="stable")
     return np.take_along_axis(pos, by_value, axis=-1)
 
@@ -121,8 +131,10 @@ def make_marks(a: np.ndarray, params: SabmParams, code: BchCode,
     order = offset + _stable_order_prefix(a, code.d0 - 2)
     word_hrb = np.concatenate([np.zeros(hrb.shape[:-1] + (offset,), bool), hrb], axis=-1)
     word_hrb.setflags(write=False)
-    return MarkState(word_hrb=word_hrb, order=order, non_hrb=(~hrb).sum(axis=-1),
-                     flip_attempts=min(code.d0 - code.t - 1, params.failure_flip_attempts))
+    return MarkState(word_hrb=word_hrb, order=order,
+                     non_hrb=a.shape[-1] - np.count_nonzero(hrb, axis=-1),
+                     flip_attempts=min(code.d0 - code.t - 1, params.failure_flip_attempts),
+                     hrb=tuple(axis.tobytes() for axis in word_hrb))
 
 
 def pc_encode(code: PcCode, data) -> np.ndarray:
@@ -160,6 +172,8 @@ class Layout:
             np.asarray(a, dtype=np.int64) for a in (base, stride, cross, shift)]
         for a in arrays:
             a.setflags(write=False)
+        # per group, its rows of the four tables, for a flip in one group
+        self.tables = tuple(zip(*arrays))
         # per group, cross and shift as tuples for the SABM pass's scalar reads
         self.rows = tuple((tuple(c), tuple(s)) for c, s in zip(self.cross.tolist(),
                                                                  self.shift.tolist()))
@@ -198,42 +212,52 @@ class SyndromeState:
         words = layout.words(bits)
         self.w = words.shape[1]
         self.syn = block_syndromes(code, words).reshape(-1)
+        self.h = code.flip_syndrome.tolist()  # for the marking pass's scalar reads
 
     def flip(self, groups, words: np.ndarray, positions: np.ndarray):
         """Flip bit positions[k] of word words[k] of group groups[k] (or of
-        the one group `groups`), for every k; no (group, word, position)
+        the one group `groups`, a Python int, through its rows of the
+        layout's tables), for every k; no (group, word, position)
         triple may repeat. Each flipped word's flips must make it a
         codeword (a pattern its syndrome decodes to, or a flip retry's),
         as in the decoders' passes: its syndrome is stored as 0 before the
         crossing words' syndromes are updated."""
         lay, h = self.layout, self.code.flip_syndrome
-        at = groups * lay.base.shape[1] + positions  # (group, position) in the flat tables
-        self.flat[lay.base.take(at) + words * lay.stride.take(at)] ^= 1
+        if isinstance(groups, int):
+            base, stride, cross, shift = lay.tables[groups]
+            at = positions
+        else:
+            base, stride, cross, shift = lay.base, lay.stride, lay.cross, lay.shift
+            at = groups * base.shape[1] + positions  # (group, position) in the flat tables
+        self.flat[base.take(at) + words * stride.take(at)] ^= 1
         self.syn[groups * self.w + words] = 0
-        np.bitwise_xor.at(self.syn, lay.cross.take(at), h[lay.shift.take(at) + words])
+        np.bitwise_xor.at(self.syn, cross.take(at), h[shift.take(at) + words])
 
 
-def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkState,
-               axis: int, live: range | None, stats: DecodeStats) -> bool:
-    """SABM on the words idx of one group, in ascending order, on Python
-    ints. A word's BDD proposal is vetoed if it touches an HRB of the word
-    or a bit whose crossing word is live and has a zero syndrome. A failure
-    retries with its non-HRB flip order's order[0], order[1], ... flipped
-    one at a time, at most flip_attempts retries (capped at the HUB count);
-    a vetoed proposal of weight e retries once with order[:d0 - e - 1]
-    flipped at once. Both act on the pre-BDD word and take the first retry
-    that decodes to a pattern the veto passes; else the word is left as it
-    is. A veto reads crossing syndromes that earlier words of the pass
-    changed, so each accepted pattern updates the live crossing syndromes
-    at once; the bits and the state's syndromes are flipped once at the
-    end, which is exact as XOR commutes and no (word, position) repeats."""
-    comp, w, n = state.code, state.w, state.code.n
-    h = comp.flip_syndrome.tolist()
+def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, syns: np.ndarray,
+               marks: MarkState, axis: int, live: range | None, stats: DecodeStats) -> bool:
+    """SABM on the words idx of one group, whose syndromes are syns, in
+    ascending order, on Python ints. A word's BDD proposal is vetoed if it
+    touches an HRB of the word or a bit whose crossing word is live and
+    has a zero syndrome. A failure retries with its non-HRB flip order's
+    order[0], order[1], ... flipped one at a time, at most flip_attempts
+    retries (capped at the HUB count); a vetoed proposal of weight e
+    retries once with order[:d0 - e - 1] flipped at once. Both act on the
+    pre-BDD word and take the first retry that decodes to a pattern the
+    veto passes; else the word is left as it is. A veto reads crossing
+    syndromes that earlier words of the pass changed, so each accepted
+    pattern updates the live crossing syndromes at once; the bits and the
+    state's syndromes are flipped once at the end, which is exact as XOR
+    commutes and no (word, position) repeats. BDD reads `error_positions`
+    as `bch.decode_syndromes` does: the proposals of all words in one
+    gather, each retry inline."""
+    comp, n, h = state.code, state.code.n, state.h
+    table = comp.error_positions
     cross, shift = state.layout.rows[group]
     lo, hi = (0, state.syn.size) if live is None else (live.start, live.stop)
     cs = state.syn[lo:hi].tolist()  # live crossing syndromes, kept current
     span = hi - lo
-    hrb = marks.word_hrb[axis].tobytes()
+    hrb = marks.hrb[axis]
     d0, attempts = comp.d0, marks.flip_attempts
 
     def vetoed(pattern, row):
@@ -245,11 +269,13 @@ def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkSta
 
     words, positions = [], []
     retries = miscorrections = accepted = 0
-    for i, syn, order, non_hrb in zip(idx.tolist(), state.syn[group * w + idx].tolist(),
-                                      marks.order[axis, idx].tolist(),
-                                      marks.non_hrb[axis, idx].tolist()):
+    for i, syn, (a, b), order, non_hrb in zip(idx.tolist(), syns.tolist(),
+                                              table.take(syns, axis=0).tolist(),
+                                              marks.order[axis, idx].tolist(),
+                                              marks.non_hrb[axis, idx].tolist()):
         row = i * n
-        pattern = decode_syndromes(comp, syn)
+        # syn != 0, so a proposal without a position is a failure
+        pattern = (a, b) if b >= 0 else (a,) if a >= 0 else None
         if pattern is None or vetoed(pattern, row):
             if pattern is None:
                 tries = [[p] for p in order[:min(attempts, non_hrb)]]
@@ -263,9 +289,15 @@ def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkSta
                 change = syn
                 for p in flips:
                     change ^= h[p]
-                got = decode_syndromes(comp, change)
-                if got is None:
+                a, b = table.item(change, 0), table.item(change, 1)
+                if b >= 0:
+                    got = (a, b)
+                elif a >= 0:
+                    got = (a,)
+                elif change:  # a failure; syndrome 0 decodes to ()
                     continue
+                else:
+                    got = ()
                 # never empty: syn != 0 is the syndrome of flips ^ got
                 total = tuple(sorted(set(flips).symmetric_difference(got)))
                 if not vetoed(total, row):
@@ -291,17 +323,31 @@ def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, marks: MarkSta
 
 def decode_pass(state: SyndromeState, groups, stats: DecodeStats,
                 marks: MarkState | None = None, axis: int = 0,
-                live: range | None = None) -> np.ndarray:
+                live: range | None = None) -> bool | np.ndarray:
     """Decode the words with a nonzero syndrome of each of `groups` (one
-    group index or an array of them) and apply their flips. Without marks
-    every pattern applies at once, as the words of a group share no bits
-    and the groups are disjoint word sets. With marks (SABM, on one group;
-    word i of the group is word i of marks' axis) `_sabm_pass` resolves the
-    words in ascending order in one loop, as a veto reads crossing
-    syndromes that earlier words changed; it reads only the slots in
-    `live` (default: all). Returns, per group, whether any of its bits was
-    flipped."""
+    group index as a Python int, or an array of them) and apply their
+    flips. Without marks every pattern applies at once, as the words of a
+    group share no bits and the groups are disjoint word sets. With marks
+    (SABM, on one group; word i of the group is word i of marks' axis)
+    `_sabm_pass` resolves the words in ascending order in one loop, as a
+    veto reads crossing syndromes that earlier words changed; it reads
+    only the slots in `live` (default: all). Returns whether any bit of
+    the group was flipped, for an int group, or per group of an array."""
     w = state.w
+    if isinstance(groups, int):
+        # one group: its syndromes are a view, and no group array is built
+        stats.bdd_calls += w
+        own = state.syn[groups * w:(groups + 1) * w]
+        hit = own.nonzero()[0]
+        if hit.size == 0:
+            return False
+        if marks is not None:
+            return _sabm_pass(state, groups, hit, own[hit], marks, axis, live, stats)
+        pos = state.code.error_positions.take(own[hit], axis=0).ravel()
+        at = (pos >= 0).nonzero()[0]  # word at // 2 (t = 2 entries a word)
+        if at.size:
+            state.flip(groups, hit[at >> 1], pos[at])
+        return bool(at.size)
     groups = np.asarray(groups)
     stats.bdd_calls += w * groups.size
     own = state.syn.reshape(-1, w).take(groups, axis=0).ravel()
@@ -310,7 +356,7 @@ def decode_pass(state: SyndromeState, groups, stats: DecodeStats,
     if hit.size == 0:
         return changed
     if marks is not None:
-        changed[0] = _sabm_pass(state, groups.item(), hit, marks, axis, live, stats)
+        changed[0] = _sabm_pass(state, groups.item(), hit, own[hit], marks, axis, live, stats)
         return changed
     pos = state.code.error_positions[own[hit]]
     rows, k = (pos >= 0).nonzero()

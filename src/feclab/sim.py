@@ -468,13 +468,22 @@ def validate_mask(cfg: SimConfig, num_blocks: int) -> None:
     validate_config(cfg)
 
 
-def mask_stats(cfg: SimConfig, snr_db: float, num_blocks: int) -> MaskStats:
+def mask_blocks(cfg: SimConfig, snr_db: float, num_blocks: int):
+    """The non-HRB mask (|llr| <= delta) of each of num_blocks PC blocks at
+    snr_db, drawn one at a time as the trials draw them. The config is
+    checked before the first block is drawn."""
     validate_mask(replace(cfg, snr_points=(snr_db,)), num_blocks)
-    masks = (np.abs(_channel(cfg, snr_db, trial)[3][0]) <= cfg.sabm.delta
-             for trial in range(num_blocks))
+    for trial in range(num_blocks):
+        yield np.abs(_channel(cfg, snr_db, trial)[3][0]) <= cfg.sabm.delta
+
+
+def mask_stats(cfg: SimConfig, snr_db: float, num_blocks: int) -> MaskStats:
+    masks = mask_blocks(cfg, snr_db, num_blocks)
     first = next(masks)
     counts = [int(first.sum())] + [int(mask.sum()) for mask in masks]
-    mean = float(np.mean(counts))
+    # the exact integer sum over n: np.mean's value, whose float sum of
+    # integers below 2^53 is exact too
+    mean = sum(counts) / num_blocks
     return MaskStats(mean_non_hrb_count=mean, ratio=mean / first.size,
                      per_block_counts=counts, first_mask=first)
 

@@ -20,6 +20,7 @@ from feclab.pc import (
     pc_encode,
     sabm_decode,
 )
+from feclab.pc import _stable_order_prefix
 
 import reference
 from reference import _suspicious, sabm_resolve
@@ -198,6 +199,26 @@ def test_make_marks_keeps_stable_order_prefix(ecc32_code, a, offset, delta):
     assert np.array_equal(marks.word_hrb[..., offset:], hrb)
     assert not marks.word_hrb[..., :offset].any()
     assert np.array_equal(marks.non_hrb, (~hrb).sum(axis=-1))
+
+
+def test_stable_order_prefix_ties_at_the_cut_in_one_row_of_many():
+    # rows of distinct values select exactly keep entries each; one row
+    # with one more entry at its cut makes the selection one entry longer
+    # than rows * keep, the least that must take the tie path; an all-tied
+    # row then adds n - keep more
+    keep, rows, n = 4, 40, 16
+    rng = np.random.default_rng(7)
+    a = np.array([rng.permutation(n) for _ in range(2 * rows)], dtype=np.float64)
+    a = a.reshape(2, rows, n)
+    row = a[1, 17]
+    row[(row == 3) | (row == 4)] = 2  # 0, 1, 2, 2, 2: three entries at the cut 2
+    want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
+    assert (a <= np.sort(a, axis=-1)[..., keep - 1, None]).sum() == 2 * rows * keep + 1
+    assert np.array_equal(_stable_order_prefix(a, keep), want)
+    a[0, 30] = 3.0
+    want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
+    assert np.array_equal(_stable_order_prefix(a, keep), want)
+    assert np.array_equal(want[0, 30], np.arange(keep))
 
 
 def test_mark_bits_all_hrb_degenerate(pc32):
@@ -445,6 +466,51 @@ def test_sabm_veto_reads_corrections_made_earlier_in_the_pass(pc32):
     out, stats = sabm_decode(pc32, hard, llr, params)
     want, want_stats = reference.pc_decode(pc32, hard, params.total_iters, llr, params)
     assert np.array_equal(out, sent)
+    assert np.array_equal(out, want)
+    assert stats == want_stats
+
+
+def weight_six_codeword(code, rng):
+    """The positions of a codeword of weight d0 = 6: four random positions
+    and the weight-2 pattern their syndrome decodes to, if it misses them."""
+    while True:
+        four = rng.choice(code.n, 4, replace=False)
+        got = decode_syndromes(code, int(np.bitwise_xor.reduce(code.flip_syndrome[four])))
+        if got is not None and len(got) == 2 and not set(got) & set(four.tolist()):
+            return sorted(four.tolist() + list(got))
+
+
+def test_vetoed_proposal_whose_retry_clears_the_syndrome(pc32, rng):
+    # row r holds errors at columns j1 and j2, its only non-HRBs, so the
+    # retry of its proposal (j1, j2) flips exactly those two: the retry
+    # reads syndrome 0, which decodes to (), and the flips alone are the
+    # pattern. Column j1 holds a weight-6 codeword through row r, so its
+    # syndrome is 0 and vetoes that pattern as it vetoed the proposal. Its
+    # other rows, each with one error on an HRB, come after row r and have
+    # no non-HRB to retry with.
+    code = pc32.component
+    support = weight_six_codeword(code, rng)
+    r, j1, j2 = support[0], 3, 10
+    hard = np.zeros((pc32.w, pc32.w), dtype=np.uint8)  # the all-zero codeword
+    hard[support, j1] = 1
+    hard[r, j2] = 1
+    llr = np.where(hard == 0, 8.0, -8.0)
+    llr[r, [j1, j2]] = [-1.0, -2.0]
+    params = SabmParams(delta=5.0)
+
+    state = SyndromeState(code, hard.copy(), block_layout(pc32.w, 1))
+    assert state.syn[pc32.w + j1] == 0
+    assert decode_syndromes(code, int(state.syn[r])) == (j1, j2)
+    h = code.flip_syndrome
+    assert state.syn[r] ^ h[j1] ^ h[j2] == 0
+    stats = DecodeStats()
+    assert decode_pass(state, 0, stats, mark_bits(llr, params, pc32), 0) is False
+    assert np.array_equal(state.bits, hard)
+    assert stats == DecodeStats(bdd_calls=pc32.w + 1, miscorrections_detected=6,
+                                flips_attempted=1, flips_accepted=0)
+
+    out, stats = sabm_decode(pc32, hard, llr, params)
+    want, want_stats = reference.pc_decode(pc32, hard, params.total_iters, llr, params)
     assert np.array_equal(out, want)
     assert stats == want_stats
 

@@ -599,6 +599,46 @@ def test_cli_mask(tmp_path):
     assert set("".join(grid)) <= {".", "#"}
 
 
+def test_cli_mask_writes_each_row_before_it_draws_the_next_block(monkeypatch, capsys):
+    # the rows stream from one block at a time: none is held until a point
+    # ends. Before it draws block t of point k, the CLI has written the
+    # header and the rows of every block before it
+    out = io.StringIO()
+    drawn = []
+    channel = sim._channel
+
+    def counted(cfg, snr_db, trial):
+        drawn.append(out.getvalue().count("\n"))
+        return channel(cfg, snr_db, trial)
+
+    monkeypatch.setattr(sim, "_channel", counted)
+    monkeypatch.setattr(sys, "stdout", out)
+    blocks = 6
+    argv = ["mask", "--snr", "5.8,6.2", "--component-m", "5", "--blocks", str(blocks),
+            "--seed", "4"]
+    assert main(argv) == 0
+    assert drawn == [1 + t for t in range(2 * blocks)]
+    # the mean each point prints is mask_stats', which is np.mean's
+    err = capsys.readouterr().err.splitlines()
+    cfg = config_from_args(build_parser().parse_args(argv))
+    for snr, line in zip(cfg.snr_points, err):
+        ms = mask_stats(cfg, snr, blocks)
+        assert ms.mean_non_hrb_count == np.mean(ms.per_block_counts)
+        assert line == (f"snr {snr:.6g} dB: mean non-HRB count {ms.mean_non_hrb_count:.6g} "
+                        f"(ratio {ms.ratio:.4f})")
+
+
+def test_mask_mean_is_the_exact_integer_mean():
+    # sum / n over exact integers equals np.mean wherever the counts of a
+    # run can reach: up to w^2 = 65,536 per block and 10^6 blocks
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 7, 1000, 99_991):
+        counts = rng.integers(0, 1 << 16, n).tolist()
+        assert sum(counts) / n == np.mean(counts)
+    counts = [65_536] * 1_000_000
+    assert sum(counts) / len(counts) == np.mean(counts) == 65_536.0
+
+
 @pytest.mark.parametrize("command", ["pc", "scc", "mask"])
 def test_cli_defaults_are_the_dataclass_defaults(command):
     # every key the flags leave unset keeps its field's default

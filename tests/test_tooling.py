@@ -17,8 +17,8 @@ from types import ModuleType
 import pytest
 
 import feclab
-from feclab import cli, sim
-from feclab.sim import SimConfig, StopRule
+from feclab import cli, pc, sim
+from feclab.sim import SccRunParams, SimConfig, StopRule
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -102,29 +102,61 @@ def test_setup_probe_runs_on_this_checkout():
     assert record["setup_s"] > 0
 
 
-def test_wrapped_ibdd_decode_sees_every_batched_block(monkeypatch):
-    # the tracer rebinds sim.ibdd_decode and sums the DecodeStats that ends
-    # its result; stacked decoding must still pass every block through it
-    decoded = sim.ibdd_decode
+def wrap(monkeypatch, module, name):
+    """Rebind module.name, as the tracer does, to a wrapper that lists the
+    result of every call."""
+    fn = getattr(module, name)
     seen = []
 
     def traced(*args, **kwargs):
-        result = decoded(*args, **kwargs)
-        seen.append(result[-1].bdd_calls)
-        return result
+        seen.append(fn(*args, **kwargs))
+        return seen[-1]
 
-    monkeypatch.setattr(sim, "ibdd_decode", traced)
-    cfg = SimConfig(scheme="pc", mod=4, snr_points=(9.0,), component_m=5, batch_size=16,
-                    stop=StopRule(min_word_errors=10 ** 9, max_blocks=48),
-                    record_timing=False)
+    monkeypatch.setattr(module, name, traced)
+    return seen
+
+
+def sweep_row(cfg):
     out = io.StringIO()
     sim.run_sweep(cfg, out=out)
-    row = dict(zip(*csv.reader(io.StringIO(out.getvalue()))))
+    return dict(zip(*csv.reader(io.StringIO(out.getvalue()))))
+
+
+def assert_calls_sum_to_the_csv(seen, row):
+    # the tracer sums the DecodeStats that ends a decoder's result. The
+    # CSV keeps 6 significant digits of the average; one trial missed would
+    # take at least w BDD calls per pass, far more than that rounding
+    assert sum(r[-1].bdd_calls for r in seen) == pytest.approx(
+        float(row["bdd_calls_avg"]) * int(row["blocks"]), rel=1e-5)
+
+
+def test_wrapped_ibdd_decode_sees_every_batched_block(monkeypatch):
+    # stacked decoding must still pass every block through sim.ibdd_decode
+    seen = wrap(monkeypatch, sim, "ibdd_decode")
+    row = sweep_row(SimConfig(scheme="pc", mod=4, snr_points=(9.0,), component_m=5,
+                              batch_size=16, stop=StopRule(min_word_errors=10 ** 9, max_blocks=48),
+                              record_timing=False))
     assert len(seen) == 3  # one stack per batch
-    # the CSV keeps 6 significant digits of the average; one block missed
-    # would take at least 2w = 64 of the ~14,000 calls
-    assert sum(seen) == pytest.approx(float(row["bdd_calls_avg"]) * int(row["blocks"]),
-                                      rel=1e-5)
+    assert_calls_sum_to_the_csv(seen, row)
+
+
+def test_wrapped_mark_bits_sees_every_sabm_block(monkeypatch):
+    # pc.sabm_decode looks pc.mark_bits up at call time, once per block
+    seen = wrap(monkeypatch, pc, "mark_bits")
+    row = sweep_row(SimConfig(scheme="pc", snr_points=(5.0,), decoder="sabm", component_m=5,
+                              batch_size=8, stop=StopRule(min_word_errors=10 ** 9, max_blocks=24),
+                              record_timing=False))
+    assert len(seen) == int(row["blocks"]) == 24
+
+
+def test_wrapped_decode_chain_sees_every_chain(monkeypatch):
+    seen = wrap(monkeypatch, sim, "decode_chain")
+    row = sweep_row(SimConfig(scheme="scc", snr_points=(5.0,), decoder="sabm", component_m=5,
+                              scc=SccRunParams(chain_blocks=3), batch_size=4,
+                              stop=StopRule(min_word_errors=10 ** 9, max_blocks=24),
+                              record_timing=False))
+    assert len(seen) == 8 and int(row["blocks"]) == 8 * 3  # one call per chain
+    assert_calls_sum_to_the_csv(seen, row)
 
 
 def test_readme_layout_names_every_module():
