@@ -17,12 +17,12 @@ the syndrome of its word and of the crossing word, so the maintained
 syndromes always equal the syndromes of the bits. `decode_pass` decodes
 the words of a set of groups that have a nonzero syndrome (a clean word
 is a no-op), yet `bdd_calls` counts w per group pass, as if every word
-were decoded, plus one per flip retry. iBDD decodes a stack of blocks in
-lockstep, so that one pass serves every active block; a staircase window
-passes one group at a time, as a Python int, which reads a view of its
-syndromes and its rows of the layout. What a marking pass reads that does
-not change within a block is built once: the flip syndromes as a list per
-`SyndromeState`, and the HRB flags as bytes per `MarkState`.
+were decoded, plus one per flip retry. A PC SABM block and a staircase
+window pass one group at a time, as a Python int, which reads a view of
+its syndromes and its rows of the layout; only a PC iBDD stack, decoded
+in lockstep, passes an array of groups. What a marking pass reads that
+does not change within a block is built once: the flip syndromes as a
+list per `SyndromeState`, and the HRB flags as bytes per `MarkState`.
 """
 
 from collections.abc import Callable
@@ -83,16 +83,15 @@ class DecodeStats:
 @dataclass(frozen=True)
 class MarkState:
     """Flip mask frozen at channel time, for the words along each axis (for
-    a product block, rows are axis 0 and columns axis 1). word_hrb[axis, i]
-    flags the HRB positions of word i. order[axis, i] holds the first d0-2
+    a product block, rows are axis 0 and columns axis 1). Byte i * n + j of
+    hrb[axis] is 1 if position j of word i is an HRB, else 0, for the
+    marking pass's scalar reads. order[axis, i] holds the first d0-2
     entries of its stable order (positions by ascending |llr|, ties to the
     lowest index), the most that SABM reads; of that order the first
     non_hrb[axis, i] entries are the non-HRB positions. The HUB list of a
     word is the first d0-t-1 entries of its non-HRB order; a failed word
-    gets flip_attempts retries, at most one per HUB. hrb[axis] holds
-    word_hrb[axis] as bytes, for the marking pass's scalar reads."""
+    gets flip_attempts retries, at most one per HUB."""
 
-    word_hrb: np.ndarray = field(repr=False)  # (axes, w, n)
     order: np.ndarray = field(repr=False)     # (axes, w, d0-2)
     non_hrb: np.ndarray = field(repr=False)   # (axes, w)
     flip_attempts: int
@@ -129,12 +128,10 @@ def make_marks(a: np.ndarray, params: SabmParams, code: BchCode,
     # HRBs have |llr| > delta, so a stable sort puts every non-HRB before
     # them: each word's non-HRB order is a prefix of its sorted positions
     order = offset + _stable_order_prefix(a, code.d0 - 2)
-    word_hrb = np.concatenate([np.zeros(hrb.shape[:-1] + (offset,), bool), hrb], axis=-1)
-    word_hrb.setflags(write=False)
-    return MarkState(word_hrb=word_hrb, order=order,
-                     non_hrb=a.shape[-1] - np.count_nonzero(hrb, axis=-1),
+    flags = np.concatenate([np.zeros(hrb.shape[:-1] + (offset,), bool), hrb], axis=-1)
+    return MarkState(order=order, non_hrb=a.shape[-1] - np.count_nonzero(hrb, axis=-1),
                      flip_attempts=min(code.d0 - code.t - 1, params.failure_flip_attempts),
-                     hrb=tuple(axis.tobytes() for axis in word_hrb))
+                     hrb=tuple(axis.tobytes() for axis in flags))
 
 
 def pc_encode(code: PcCode, data) -> np.ndarray:
@@ -324,16 +321,18 @@ def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, syns: np.ndarr
 def decode_pass(state: SyndromeState, groups, stats: DecodeStats,
                 marks: MarkState | None = None, axis: int = 0,
                 live: range | None = None) -> bool | np.ndarray:
-    """Decode the words with a nonzero syndrome of each of `groups` (one
-    group index as a Python int, or an array of them) and apply their
-    flips. Without marks every pattern applies at once, as the words of a
-    group share no bits and the groups are disjoint word sets. With marks
-    (SABM, on one group; word i of the group is word i of marks' axis)
-    `_sabm_pass` resolves the words in ascending order in one loop, as a
-    veto reads crossing syndromes that earlier words changed; it reads
-    only the slots in `live` (default: all). Returns whether any bit of
-    the group was flipped, for an int group, or per group of an array."""
+    """Decode the words with a nonzero syndrome of each of `groups` and
+    apply their flips. `groups` is one group as a Python int (the rows or
+    columns of a PC SABM block, a staircase pair) or, for an iBDD stack, an
+    array of them. Without marks every pattern applies at once, as the
+    words of a group share no bits and the groups are disjoint word sets.
+    With marks (SABM, on an int group whose word i is word i of marks'
+    axis) `_sabm_pass` resolves the words in ascending order in one loop,
+    as a veto reads crossing syndromes that earlier words changed; it reads
+    only the slots in `live` (default: all). Returns whether any bit of the
+    group was flipped, for an int group, or per group of an array."""
     w = state.w
+    table = state.code.error_positions
     if isinstance(groups, int):
         # one group: its syndromes are a view, and no group array is built
         stats.bdd_calls += w
@@ -343,76 +342,68 @@ def decode_pass(state: SyndromeState, groups, stats: DecodeStats,
             return False
         if marks is not None:
             return _sabm_pass(state, groups, hit, own[hit], marks, axis, live, stats)
-        pos = state.code.error_positions.take(own[hit], axis=0).ravel()
+        pos = table.take(own[hit], axis=0).ravel()
         at = (pos >= 0).nonzero()[0]  # word at // 2 (t = 2 entries a word)
         if at.size:
             state.flip(groups, hit[at >> 1], pos[at])
         return bool(at.size)
+    if marks is not None:
+        raise ValueError("marks take one group, as a Python int")
     groups = np.asarray(groups)
     stats.bdd_calls += w * groups.size
     own = state.syn.reshape(-1, w).take(groups, axis=0).ravel()
     hit = own.nonzero()[0]
+    pos = table.take(own[hit], axis=0).ravel()
+    at = (pos >= 0).nonzero()[0]
+    group, words = np.divmod(hit[at >> 1], w)
+    state.flip(groups.take(group), words, pos[at])
     changed = np.zeros(groups.size, dtype=bool)
-    if hit.size == 0:
-        return changed
-    if marks is not None:
-        changed[0] = _sabm_pass(state, groups.item(), hit, own[hit], marks, axis, live, stats)
-        return changed
-    pos = state.code.error_positions[own[hit]]
-    rows, k = (pos >= 0).nonzero()
-    if rows.size:
-        at, words = np.divmod(hit[rows], w)
-        state.flip(groups.take(at), words, pos[rows, k])
-        changed[at] = True
+    changed[group] = True
     return changed
 
 
-def _decode_core(code: PcCode, blocks, iters: int, marks: MarkState | None,
-                 md_iters: int) -> tuple[np.ndarray, DecodeStats]:
-    """iBDD, with SABM in the first md_iters iterations if marks are given,
-    on one (w, w) block or a (B, w, w) stack of them. The blocks of a stack
-    are decoded in lockstep, each exactly as on its own: an iteration is a
-    row pass and then a column pass over the active blocks, and a block
-    leaves the active set where it would stop alone. Marks cover one
-    block."""
+def ibdd_decode(code: PcCode, blocks, iters: int) -> tuple[np.ndarray, DecodeStats]:
+    """iBDD of one (w, w) block or of a (B, w, w) stack; returns the decoded
+    bits in the input's shape and the DecodeStats summed over the stack.
+    The blocks of a stack are decoded in lockstep, each exactly as on its
+    own: an iteration is a row pass and then a column pass over the active
+    blocks, and a block leaves at its first iteration that flips nothing."""
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     blk = np.array(blocks, dtype=np.uint8, order="C")
     w = code.w
     if blk.shape[-2:] != (w, w) or blk.ndim not in (2, 3):
         raise ValueError(f"block must be ({w}, {w}) or a stack of them")
     count = blk.size // (w * w)
-    if marks is not None and count != 1:
-        raise ValueError("marks cover one block")
-    stats = DecodeStats()
-    state = SyndromeState(code.component, blk, block_layout(w, count))
+    state, stats = SyndromeState(code.component, blk, block_layout(w, count)), DecodeStats()
     rows = 2 * np.arange(count)  # row group of each active block; its columns follow
-    it = 0
-    while it < iters and rows.size:
-        iter_marks = marks if it < md_iters else None
-        changed = (decode_pass(state, rows, stats, iter_marks, 0)
-                   | decode_pass(state, rows + 1, stats, iter_marks, 1))
-        it += 1
-        if not changed.all():
-            # with no flip, every word left with a nonzero syndrome was
-            # dropped: a stalled marking phase (of the one marked block)
-            # cannot make progress with the same vetoes in place, so hand
-            # such a block to the plain iterations; a clean block or a
-            # stalled plain one stops
-            if iter_marks is not None and state.syn.any():
-                it = max(it, md_iters)
-            else:
-                rows = rows[changed]
+    for _ in range(iters):
+        if rows.size == 0:
+            break
+        rows = rows[decode_pass(state, rows, stats) | decode_pass(state, rows + 1, stats)]
     return blk, stats
-
-
-def ibdd_decode(code: PcCode, blocks, iters: int) -> tuple[np.ndarray, DecodeStats]:
-    """iBDD of one (w, w) block or of a (B, w, w) stack; returns the decoded
-    bits in the input's shape and the DecodeStats summed over the stack."""
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    return _decode_core(code, blocks, iters, marks=None, md_iters=0)
 
 
 def sabm_decode(code: PcCode, block, llr: np.ndarray,
                 params: SabmParams) -> tuple[np.ndarray, DecodeStats]:
+    """SABM of one (w, w) block, or a stack of one: md_iters marking
+    iterations, then plain ones up to total_iters, each a row pass and then
+    a column pass. An iteration that flips nothing ends the decode, except
+    that a marking iteration that leaves a nonzero syndrome, which cannot
+    progress with the same vetoes in place, hands the block to the plain
+    ones. Returns the decoded bits in the input's shape and the DecodeStats."""
     marks = mark_bits(llr, params, code)
-    return _decode_core(code, block, params.total_iters, marks=marks, md_iters=params.md_iters)
+    blk = np.array(block, dtype=np.uint8, order="C")
+    w = code.w
+    if blk.shape[-2:] != (w, w) or blk.ndim not in (2, 3) or blk.size != w * w:
+        raise ValueError(f"block must be ({w}, {w}) or a stack of one")
+    state, stats = SyndromeState(code.component, blk, block_layout(w, 1)), DecodeStats()
+    for _ in range(params.md_iters):
+        if not (decode_pass(state, 0, stats, marks, 0) | decode_pass(state, 1, stats, marks, 1)):
+            if not state.syn.any():
+                return blk, stats
+            break
+    for _ in range(params.md_iters, params.total_iters):
+        if not (decode_pass(state, 0, stats) | decode_pass(state, 1, stats)):
+            break
+    return blk, stats

@@ -145,6 +145,12 @@ def test_hub_list_length_is_three(pc32):
         assert marks.flip_attempts == min(3, attempts)
 
 
+def hrb_flags(marks, words):
+    """marks' HRB flags as an (axes, words, n) bool array, read from the
+    bytes the marking pass reads."""
+    return np.stack([np.frombuffer(h, dtype=bool).reshape(words, -1) for h in marks.hrb])
+
+
 def stable_prefix(a, d0, non_hrb):
     """The first min(d0-2, non-HRB count) entries of a word's stable order."""
     return np.argsort(a, kind="stable")[: min(d0 - 2, non_hrb)]
@@ -154,9 +160,9 @@ def test_mark_bits_hrb_and_order(pc32, rng):
     w, d0 = pc32.w, pc32.component.d0
     llr = rng.normal(0, 4, size=(w, w))
     marks = mark_bits(llr, SabmParams(delta=5.0), pc32)
-    hrb = marks.word_hrb[0]
+    hrb = hrb_flags(marks, w)[0]
     assert np.array_equal(hrb, np.abs(llr) > 5.0)
-    assert np.array_equal(marks.word_hrb[1], hrb.T)
+    assert np.array_equal(hrb_flags(marks, w)[1], hrb.T)
     for i in range(w):
         order = flip_order(marks, 0, i)
         assert np.array_equal(order, stable_prefix(np.abs(llr[i]), d0, (~hrb[i]).sum()))
@@ -196,8 +202,9 @@ def test_make_marks_keeps_stable_order_prefix(ecc32_code, a, offset, delta):
     keep = ecc32_code.d0 - 2
     assert np.array_equal(marks.order, offset + np.argsort(a, axis=-1, kind="stable")[..., :keep])
     hrb = a > delta
-    assert np.array_equal(marks.word_hrb[..., offset:], hrb)
-    assert not marks.word_hrb[..., :offset].any()
+    word_hrb = hrb_flags(marks, a.shape[1])
+    assert np.array_equal(word_hrb[..., offset:], hrb)
+    assert not word_hrb[..., :offset].any()
     assert np.array_equal(marks.non_hrb, (~hrb).sum(axis=-1))
 
 
@@ -225,7 +232,7 @@ def test_mark_bits_all_hrb_degenerate(pc32):
     w = pc32.w
     llr = np.full((w, w), 50.0)
     marks = mark_bits(llr, SabmParams(delta=5.0), pc32)
-    assert marks.word_hrb.all()
+    assert hrb_flags(marks, w).all()
     assert len(flip_order(marks, 0, 0)) == 0
 
 
@@ -258,7 +265,7 @@ def suspicious(pc, noisy, marks, axis, index, pattern):
     """The SABM veto of `pattern` as a correction of word `index` along
     `axis` (0 rows, 1 columns) of the received block `noisy`."""
     state = SyndromeState(pc.component, np.ascontiguousarray(noisy), block_layout(pc.w, 1))
-    return _suspicious(pattern, marks.word_hrb[axis, index], state.syn,
+    return _suspicious(pattern, hrb_flags(marks, pc.w)[axis, index], state.syn,
                        state.layout.cross[axis], range(state.syn.size))
 
 
@@ -293,7 +300,7 @@ def test_veto_reads_only_live_crossing_words(pc32, rng):
     state = SyndromeState(pc32.component, noisy, block_layout(pc32.w, 1))
     w, cross = pc32.w, state.layout.cross[0]
     assert cross[9] == w + 9 and state.syn[w + 9] == 0
-    hrb = marks.word_hrb[0, 4]
+    hrb = hrb_flags(marks, pc32.w)[0, 4]
     assert _suspicious((9,), hrb, state.syn, cross, range(2 * w))
     assert _suspicious((9,), hrb, state.syn, cross, range(w + 9, w + 10))
     assert not _suspicious((9,), hrb, state.syn, cross, range(w))
@@ -542,6 +549,30 @@ def test_sabm_stall_hands_block_to_ibdd_and_clean_block_stops(pc32, stalled):
     # marking iteration; clean: iterations 0 and 1
     assert stats == (DecodeStats(bdd_calls=8 * pc32.w, miscorrections_detected=6)
                      if stalled else DecodeStats(bdd_calls=4 * pc32.w))
+
+
+def test_sabm_decodes_one_block(pc32, rng):
+    # a stack of one decodes as its block, in its shape; a larger stack is
+    # rejected, as the marks cover one block
+    block = random_block(pc32, rng)
+    noisy, grid = channel_pass(block, 4.5, rng)
+    params = SabmParams()
+    out, stats = sabm_decode(pc32, noisy, grid, params)
+    one, one_stats = sabm_decode(pc32, noisy[None], grid, params)
+    assert one.shape == (1, pc32.w, pc32.w) and np.array_equal(one[0], out)
+    assert one_stats == stats
+    with pytest.raises(ValueError, match="stack of one"):
+        sabm_decode(pc32, np.stack([noisy, noisy]), grid, params)
+
+
+def test_marking_pass_takes_one_int_group(pc32, rng):
+    # a marking pass runs on one group, as a Python int; the group-array
+    # path decodes iBDD stacks only
+    block = np.ascontiguousarray(random_block(pc32, rng))
+    state = SyndromeState(pc32.component, block, block_layout(pc32.w, 1))
+    marks = mark_bits(np.ones((pc32.w, pc32.w)), SabmParams(), pc32)
+    with pytest.raises(ValueError, match="marks take one group"):
+        decode_pass(state, np.array([0]), DecodeStats(), marks, 0)
 
 
 def test_sabm_determinism(pc32, rng):

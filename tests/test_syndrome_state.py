@@ -168,15 +168,15 @@ def test_window_syndromes_match_after_each_window(mode, seed, monkeypatch):
         assert np.array_equal(got, want)
 
 
-def pass_both_ways(make_state, group, marks=None, axis=0, live=None):
-    """decode_pass on `group` given as a Python int (the one-group path) and
-    as a one-entry array (the group-array path), each on a fresh state:
-    the bits, the syndromes, the DecodeStats and the flipped flag agree.
-    Returns the flag."""
+def pass_both_ways(make_state, group):
+    """A plain decode_pass on `group` given as a Python int (the one-group
+    path) and as a one-entry array (the group-array path), each on a fresh
+    state: the bits, the syndromes, the DecodeStats and the flipped flag
+    agree. Returns the flag."""
     got = []
     for groups in (group, np.array([group])):
         state, stats = make_state(), pc.DecodeStats()
-        changed = pc.decode_pass(state, groups, stats, marks, axis, live)
+        changed = pc.decode_pass(state, groups, stats)
         got.append((state.bits.copy(), state.syn.copy(), stats, changed))
     (bits, syn, stats, changed), (abits, asyn, astats, achanged) = got
     assert type(changed) is bool and achanged.shape == (1,)
@@ -193,21 +193,20 @@ def scc_state_maker(chain):
     return lambda: SyndromeState(CODE, chain.copy(), chain_layout(chain.shape[1], len(chain)))
 
 
-@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.08), st.booleans())
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.08))
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_one_group_pass_equals_group_array_pass_pc(seed, error_rate, marked):
+def test_one_group_pass_equals_group_array_pass_pc(seed, error_rate):
     rng = np.random.default_rng(seed)
     code = PcCode(CODE)
     block = pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
     noisy = block ^ (rng.random(block.shape) < error_rate).astype(np.uint8)
-    marks = pc.mark_bits(noisy_llr(noisy, rng), SabmParams(), code) if marked else None
-    for group in (0, 1):  # the rows, marks' axis 0; the columns, its axis 1
-        pass_both_ways(pc_state_maker(noisy), group, marks, axis=group)
+    for group in (0, 1):  # the rows, the columns
+        pass_both_ways(pc_state_maker(noisy), group)
 
 
-@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.05), st.booleans(), st.integers(3, 6))
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.05), st.integers(3, 6))
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_one_group_pass_equals_group_array_pass_scc(seed, error_rate, marked, num_blocks):
+def test_one_group_pass_equals_group_array_pass_scc(seed, error_rate, num_blocks):
     rng = np.random.default_rng(seed)
     code = SccCode(CODE)
     w = code.w
@@ -215,15 +214,7 @@ def test_one_group_pass_equals_group_array_pass_scc(seed, error_rate, marked, nu
     chain = np.zeros((num_blocks, w, w), dtype=np.uint8)
     chain[1:] = scc_encode(code, info)
     chain[1:] ^= (rng.random(chain[1:].shape) < error_rate).astype(np.uint8)
-    pair = int(rng.integers(num_blocks - 1))
-    marks = live = None
-    if marked:
-        # as decode_chain marks the newest pair: its newer half, and the
-        # window's pairs start..pair live
-        llr = noisy_llr(chain[pair + 1], rng)
-        marks = pc.make_marks(np.abs(llr)[None], SabmParams(), CODE, offset=w)
-        live = range(int(rng.integers(pair + 1)) * w, (pair + 1) * w)
-    pass_both_ways(scc_state_maker(chain), pair, marks, live=live)
+    pass_both_ways(scc_state_maker(chain), int(rng.integers(num_blocks - 1)))
 
 
 def three_errors_per_word(w):
@@ -237,19 +228,16 @@ def three_errors_per_word(w):
     return grid
 
 
-@pytest.mark.parametrize("marked", [False, True])
-def test_one_group_pass_on_clean_and_failing_groups(marked):
-    # a clean group is a no-op; in a group whose words all fail, a plain
-    # pass flips nothing and a marking pass has only its flip retries
+def test_one_group_pass_on_clean_and_failing_groups():
+    # a clean group is a no-op, and a group whose words all fail flips
+    # nothing
     rng = np.random.default_rng(3)
     code = PcCode(CODE)
-    w, params = code.w, SabmParams(failure_flip_attempts=3)
+    w = code.w
     block = pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
     for bits in (block, block ^ three_errors_per_word(w)):
-        marks = pc.mark_bits(noisy_llr(bits, rng), params, code) if marked else None
         for group in (0, 1):
-            changed = pass_both_ways(pc_state_maker(bits), group, marks, axis=group)
-            assert changed is False or (marked and bits is not block)
+            assert pass_both_ways(pc_state_maker(bits), group) is False
     # a staircase pair whose words all fail: 3 errors in each row of its
     # newer block, on the all-zero chain
     half = w // 2
@@ -257,10 +245,4 @@ def test_one_group_pass_on_clean_and_failing_groups(marked):
     chain[2] = three_errors_per_word(half)
     state = scc_state_maker(chain)()
     assert (CODE.error_positions[state.syn[half:2 * half]] < 0).all()
-    marks = live = None
-    if marked:
-        marks = pc.make_marks(np.abs(noisy_llr(chain[2], rng))[None], params, CODE,
-                              offset=half)
-        live = range(0, 2 * half)
-    changed = pass_both_ways(scc_state_maker(chain), 1, marks, live=live)
-    assert changed is False or marked
+    assert pass_both_ways(scc_state_maker(chain), 1) is False

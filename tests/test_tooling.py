@@ -5,6 +5,7 @@ and command-line options)."""
 import argparse
 import ast
 import csv
+import importlib
 import io
 import json
 import os
@@ -78,6 +79,31 @@ def test_package_exports_what_callers_import():
                if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert exports - used - {"ConfigError"} == set()
     assert len(exports) == 12 and "ConfigError" in exports
+
+
+def names_read_from_submodules(source: str) -> set[tuple[str, str]]:
+    """The (submodule, name) pairs `source` imports as `from feclab.X
+    import name` or reads as feclab.X.name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ImportFrom) and not node.level
+                and (node.module or "").startswith("feclab.")):
+            names.update((node.module, alias.name) for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+              and isinstance(node.value.value, ast.Name) and node.value.value.id == "feclab"):
+            names.add((f"feclab.{node.value.attr}", node.attr))
+    return names
+
+
+def test_scripts_and_benchmark_submodule_imports_resolve():
+    # no test runs the scripts, so a renamed or removed name shows here
+    sources = [p.read_text() for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")]
+    used = set().union(*map(names_read_from_submodules, sources))
+    assert {("feclab.sim", "mask_stats"), ("feclab.pc", "SabmParams"),
+            ("feclab.sim", "awgn_transmit")} <= used  # both forms are read
+    missing = {(module, name) for module, name in used
+               if not hasattr(importlib.import_module(module), name)}
+    assert missing == set()
 
 
 def test_readme_sketch_runs():
