@@ -22,7 +22,9 @@ window pass one group at a time, as a Python int, which reads a view of
 its syndromes and its rows of the layout; only a PC iBDD stack, decoded
 in lockstep, passes an array of groups. What a marking pass reads that
 does not change within a block is built once: the flip syndromes as a
-list per `SyndromeState`, and the HRB flags as bytes per `MarkState`.
+list per `SyndromeState`, the HRB flags as bytes and the flip candidates
+as one list per word per `MarkState`, and per `Layout` the crossing
+syndrome slot of each position, per group and live range, as a tuple.
 """
 
 from collections.abc import Callable
@@ -83,53 +85,51 @@ class DecodeStats:
 @dataclass(frozen=True)
 class MarkState:
     """Flip mask frozen at channel time, for the words along each axis (for
-    a product block, rows are axis 0 and columns axis 1). Byte i * n + j of
-    hrb[axis] is 1 if position j of word i is an HRB, else 0, for the
-    marking pass's scalar reads. order[axis, i] holds the first d0-2
-    entries of its stable order (positions by ascending |llr|, ties to the
-    lowest index), the most that SABM reads; of that order the first
-    non_hrb[axis, i] entries are the non-HRB positions. The HUB list of a
-    word is the first d0-t-1 entries of its non-HRB order; a failed word
-    gets flip_attempts retries, at most one per HUB."""
+    a product block, rows are axis 0 and columns axis 1), in the marking
+    pass's scalar reads. Byte i * n + j of hrb[axis] is 1 if position j of
+    word i is an HRB, else 0. candidates[axis][i] lists word i's first
+    min(d0-2, non-HRB count) positions by ascending |llr|, ties to the
+    lowest index: its non-HRBs, as many as SABM reads. Its first d0-t-1 are
+    the HUBs; a failed word gets flip_attempts retries, one per HUB."""
 
-    order: np.ndarray = field(repr=False)     # (axes, w, d0-2)
-    non_hrb: np.ndarray = field(repr=False)   # (axes, w)
+    candidates: tuple = field(repr=False)     # axes lists of w position lists
     flip_attempts: int
     hrb: tuple = field(repr=False)            # axes bytes of w * n
 
 
 def _stable_order_prefix(a: np.ndarray, keep: int) -> np.ndarray:
-    """np.argsort(a, axis=-1, kind="stable")[..., :keep], for rows of at
-    least keep entries, without sorting whole rows: each row keeps its
-    values below the keep-th smallest one and, at that value, its
-    lowest-index ties, and sorts only those."""
-    cut = np.partition(a, keep - 1, axis=-1)[..., keep - 1, None]
-    sel = a <= cut
-    flat = np.flatnonzero(sel)
-    if flat.size > sel.size // a.shape[-1] * keep:
-        # every row selects at least keep entries; those with more hold
-        # more than one entry at the cut
-        tied = sel.sum(axis=-1) > keep
-        at, below = a[tied] == cut[tied], a[tied] < cut[tied]
-        room = keep - below.sum(axis=-1, keepdims=True)
-        sel[tied] = below | (at & (np.cumsum(at, axis=-1) <= room))
-        flat = np.flatnonzero(sel)
-    pos = (flat % a.shape[-1]).reshape(a.shape[:-1] + (keep,))
-    by_value = np.argsort(np.take_along_axis(a, pos, axis=-1), axis=-1, kind="stable")
-    return np.take_along_axis(pos, by_value, axis=-1)
+    """np.argsort(a, axis=-1, kind="stable")[..., :keep], for non-negative
+    float64 a (inf included) whose rows hold at least keep entries, by keep
+    rounds of argmin, which picks the first of equal minima. The rounds run
+    on the int64 bit patterns of a, which sort as its values do, and mask
+    each pick with the int64 maximum, above every pattern: a C-contiguous a
+    is overwritten."""
+    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64).reshape(-1, a.shape[-1])
+    flat, starts = bits.reshape(-1), np.arange(0, bits.size, bits.shape[1])
+    out, masked = np.empty((keep, len(bits)), dtype=np.int64), np.iinfo(np.int64).max
+    for pick in out:
+        bits.argmin(axis=1, out=pick)
+        flat[starts + pick] = masked
+    return out.T.reshape(a.shape[:-1] + (keep,))
 
 
 def make_marks(a: np.ndarray, params: SabmParams, code: BchCode,
                offset: int = 0) -> MarkState:
     """Marks for words whose positions offset.. carry the |llr| values
     a[axis, i]; positions below offset are unmarked (never HRB, never
-    flipped)."""
+    flipped). a is the working copy of the order's rounds and is
+    overwritten."""
     hrb = a > params.delta
-    # HRBs have |llr| > delta, so a stable sort puts every non-HRB before
-    # them: each word's non-HRB order is a prefix of its sorted positions
-    order = offset + _stable_order_prefix(a, code.d0 - 2)
+    order = _stable_order_prefix(a, code.d0 - 2)
+    # HRBs have |llr| > delta, so a stable order puts every non-HRB first: a
+    # word's candidates end at its first HRB among its d0-2 picks, if any
+    picked = np.take_along_axis(hrb, order, axis=-1)
+    candidates = (offset + order).tolist()
+    short = picked[..., -1].nonzero()
+    for axis, i, first in zip(*short, picked[short].argmax(axis=-1)):
+        del candidates[axis][i][first:]
     flags = np.concatenate([np.zeros(hrb.shape[:-1] + (offset,), bool), hrb], axis=-1)
-    return MarkState(order=order, non_hrb=a.shape[-1] - np.count_nonzero(hrb, axis=-1),
+    return MarkState(candidates=tuple(candidates),
                      flip_attempts=min(code.d0 - code.t - 1, params.failure_flip_attempts),
                      hrb=tuple(axis.tobytes() for axis in flags))
 
@@ -171,9 +171,18 @@ class Layout:
             a.setflags(write=False)
         # per group, its rows of the four tables, for a flip in one group
         self.tables = tuple(zip(*arrays))
-        # per group, cross and shift as tuples for the SABM pass's scalar reads
-        self.rows = tuple((tuple(c), tuple(s)) for c, s in zip(self.cross.tolist(),
-                                                                 self.shift.tolist()))
+        # per group, shift as a tuple, for the SABM pass's scalar reads
+        self.shifts, self._slots = tuple(map(tuple, self.shift.tolist())), {}
+
+    def slots(self, group: int, lo: int, hi: int) -> tuple:
+        """Per position of a word of `group`, for the SABM pass's scalar
+        reads: the index of its crossing word's syndrome in syn[lo:hi], or
+        hi - lo if that word lies outside. Built once per (group, lo, hi)."""
+        key = group, lo, hi
+        if key not in self._slots:
+            c = self.cross[group] - lo
+            self._slots[key] = tuple(np.where((c >= 0) & (c < hi - lo), c, hi - lo).tolist())
+        return self._slots[key]
 
 
 @lru_cache(maxsize=None)
@@ -236,77 +245,67 @@ def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, syns: np.ndarr
     """SABM on the words idx of one group, whose syndromes are syns, in
     ascending order, on Python ints. A word's BDD proposal is vetoed if it
     touches an HRB of the word or a bit whose crossing word is live and
-    has a zero syndrome. A failure retries with its non-HRB flip order's
-    order[0], order[1], ... flipped one at a time, at most flip_attempts
-    retries (capped at the HUB count); a vetoed proposal of weight e
-    retries once with order[:d0 - e - 1] flipped at once. Both act on the
-    pre-BDD word and take the first retry that decodes to a pattern the
-    veto passes; else the word is left as it is. A veto reads crossing
-    syndromes that earlier words of the pass changed, so each accepted
-    pattern updates the live crossing syndromes at once; the bits and the
-    state's syndromes are flipped once at the end, which is exact as XOR
-    commutes and no (word, position) repeats. BDD reads `error_positions`
-    as `bch.decode_syndromes` does: the proposals of all words in one
-    gather, each retry inline."""
-    comp, n, h = state.code, state.code.n, state.h
-    table = comp.error_positions
-    cross, shift = state.layout.rows[group]
+    has a zero syndrome. A failure retries with its candidates c[0], c[1],
+    ... flipped one at a time, at most flip_attempts retries; a vetoed
+    proposal of weight e retries once with c[:d0 - e - 1] flipped at once.
+    Both act on the pre-BDD word and take the first retry that decodes to
+    a pattern the veto passes; else the word is left as it is. A veto reads
+    crossing syndromes that earlier words of the pass changed, so each
+    accepted pattern updates the crossing syndromes at once, through the
+    layout's slots, whose crossing words outside live share one slot that
+    never reads 0; the bits and the state's syndromes are flipped once at
+    the end, which is exact as XOR commutes and no (word, position)
+    repeats. BDD reads `error_positions` as `bch.decode_syndromes` does:
+    the proposals of all words in one gather, each retry inline."""
+    n, d0, table, h = state.code.n, state.code.d0, state.code.error_positions, state.h
     lo, hi = (0, state.syn.size) if live is None else (live.start, live.stop)
-    cs = state.syn[lo:hi].tolist()  # live crossing syndromes, kept current
-    span = hi - lo
-    hrb = marks.hrb[axis]
-    d0, attempts = comp.d0, marks.flip_attempts
-
-    def vetoed(pattern, row):
-        for p in pattern:
-            c = cross[p] - lo
-            if hrb[row + p] or (0 <= c < span and not cs[c]):
-                return True
-        return False
+    slot, shift = state.layout.slots(group, lo, hi), state.layout.shifts[group]
+    # live crossing syndromes, kept current, and the slot of every crossing
+    # word outside live: syndromes are below 2^17, so it never reads 0
+    cs = state.syn[lo:hi].tolist() + [1 << 62]
+    hrb, candidates, attempts = marks.hrb[axis], marks.candidates[axis], marks.flip_attempts
 
     words, positions = [], []
     retries = miscorrections = accepted = 0
-    for i, syn, (a, b), order, non_hrb in zip(idx.tolist(), syns.tolist(),
-                                              table.take(syns, axis=0).tolist(),
-                                              marks.order[axis, idx].tolist(),
-                                              marks.non_hrb[axis, idx].tolist()):
+    for i, syn, (a, b) in zip(idx.tolist(), syns.tolist(), table.take(syns, axis=0).tolist()):
         row = i * n
         # syn != 0, so a proposal without a position is a failure
-        pattern = (a, b) if b >= 0 else (a,) if a >= 0 else None
-        if pattern is None or vetoed(pattern, row):
-            if pattern is None:
-                tries = [[p] for p in order[:min(attempts, non_hrb)]]
-            else:
+        pattern = (a, b) if b >= 0 else (a,) if a >= 0 else ()
+        for p in pattern:
+            if hrb[row + p] or not cs[slot[p]]:  # vetoed: drop it, retry once
                 miscorrections += 1
-                flips = order[:min(d0 - len(pattern) - 1, non_hrb)]
-                tries = [flips] if flips else []
-            pattern = ()
-            for flips in tries:
-                retries += 1
-                change = syn
-                for p in flips:
-                    change ^= h[p]
-                a, b = table.item(change, 0), table.item(change, 1)
-                if b >= 0:
-                    got = (a, b)
-                elif a >= 0:
-                    got = (a,)
-                elif change:  # a failure; syndrome 0 decodes to ()
-                    continue
-                else:
-                    got = ()
-                # never empty: syn != 0 is the syndrome of flips ^ got
-                total = tuple(sorted(set(flips).symmetric_difference(got)))
-                if not vetoed(total, row):
-                    pattern = total
-                    accepted += 1
+                flips = candidates[i][:d0 - len(pattern) - 1]
+                pattern, tries = (), [flips] if flips else []
+                break
+        else:
+            tries = () if pattern else [[p] for p in candidates[i][:attempts]]
+        for flips in tries:
+            retries += 1
+            change = syn
+            for p in flips:
+                change ^= h[p]
+            a, b = table.item(change, 0), table.item(change, 1)
+            if b >= 0:
+                got = (a, b)
+            elif a >= 0:
+                got = (a,)
+            elif change:  # a failure; syndrome 0 decodes to ()
+                continue
+            else:
+                got = ()
+            # never empty: syn != 0 is the syndrome of flips ^ got
+            total = set(flips) ^ set(got)
+            for p in total:
+                if hrb[row + p] or not cs[slot[p]]:
                     break
+            else:
+                pattern = total
+                accepted += 1
+                break
         if not pattern:  # dropped: a nonzero syndrome never decodes to ()
             continue
         for p in pattern:
-            c = cross[p] - lo
-            if 0 <= c < span:
-                cs[c] ^= h[shift[p] + i]
+            cs[slot[p]] ^= h[shift[p] + i]
         words += [i] * len(pattern)
         positions += pattern
     if words:
@@ -386,17 +385,17 @@ def ibdd_decode(code: PcCode, blocks, iters: int) -> tuple[np.ndarray, DecodeSta
 
 def sabm_decode(code: PcCode, block, llr: np.ndarray,
                 params: SabmParams) -> tuple[np.ndarray, DecodeStats]:
-    """SABM of one (w, w) block, or a stack of one: md_iters marking
-    iterations, then plain ones up to total_iters, each a row pass and then
-    a column pass. An iteration that flips nothing ends the decode, except
-    that a marking iteration that leaves a nonzero syndrome, which cannot
-    progress with the same vetoes in place, hands the block to the plain
-    ones. Returns the decoded bits in the input's shape and the DecodeStats."""
+    """SABM of one (w, w) block: md_iters marking iterations, then plain
+    ones up to total_iters, each a row pass and then a column pass. An
+    iteration that flips nothing ends the decode, except that a marking
+    iteration that leaves a nonzero syndrome, which cannot progress with
+    the same vetoes in place, hands the block to the plain ones. Returns
+    the decoded bits and the DecodeStats."""
     marks = mark_bits(llr, params, code)
     blk = np.array(block, dtype=np.uint8, order="C")
     w = code.w
-    if blk.shape[-2:] != (w, w) or blk.ndim not in (2, 3) or blk.size != w * w:
-        raise ValueError(f"block must be ({w}, {w}) or a stack of one")
+    if blk.shape != (w, w):
+        raise ValueError(f"block must be ({w}, {w})")
     state, stats = SyndromeState(code.component, blk, block_layout(w, 1)), DecodeStats()
     for _ in range(params.md_iters):
         if not (decode_pass(state, 0, stats, marks, 0) | decode_pass(state, 1, stats, marks, 1)):

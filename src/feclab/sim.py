@@ -260,7 +260,8 @@ def _trials(cfg: SimConfig, snr_db: float, first: int, count: int):
             decoded, st = decode_chain(code, hard, llr if cfg.decoder == "sabm" else None,
                                        cfg.sabm, cfg.scc.window, cfg.scc.iters)
         else:
-            decoded, st = sabm_decode(code, hard, llr[0], cfg.sabm)
+            decoded, st = sabm_decode(code, hard[0], llr[0], cfg.sabm)
+            decoded = decoded[None]
         post.append(errors(decoded, data))
         stats += st
     if stacked:

@@ -37,8 +37,9 @@ def pc16(ecc16_code):
 
 
 def flip_order(marks, axis, index):
-    """A word's flip order: the non-HRB entries of its kept stable order."""
-    return marks.order[axis, index, :marks.non_hrb[axis, index]]
+    """A word's flip candidates, as an array: the non-HRB entries of its
+    kept stable order."""
+    return np.array(marks.candidates[axis][index], dtype=np.int64)
 
 
 def random_block(pc, rng):
@@ -180,8 +181,9 @@ def test_mark_bits_stable_ties(pc32):
     assert np.array_equal(flip_order(marks, 1, 3), np.arange(d0 - 2))
 
 
-# |llr| levels with ties: zero, the delta itself and values on either side
-MARK_LEVELS = [0.0, 0.5, 1.0, 2.0, 5.0, 5.0000001, 7.0, 1e9]
+# |llr| levels with ties: zero, the delta itself, values on either side and
+# inf, which an int64 bit pattern must order above every finite value
+MARK_LEVELS = [0.0, 0.5, 1.0, 2.0, 5.0, 5.0000001, 7.0, 1e9, np.inf]
 
 
 @st.composite
@@ -195,24 +197,54 @@ def mark_inputs(draw):
     return a
 
 
-@given(a=mark_inputs(), offset=st.integers(0, 3), delta=st.sampled_from([0.0, 1.0, 5.0]))
+@given(a=mark_inputs(), offset=st.integers(0, 3),
+       delta=st.sampled_from([0.0, 1.0, 5.0, np.inf]))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_make_marks_keeps_stable_order_prefix(ecc32_code, a, offset, delta):
-    marks = make_marks(a, SabmParams(delta=delta), ecc32_code, offset=offset)
+    # make_marks overwrites its input, so it gets a copy
+    marks = make_marks(a.copy(), SabmParams(delta=delta), ecc32_code, offset=offset)
     keep = ecc32_code.d0 - 2
-    assert np.array_equal(marks.order, offset + np.argsort(a, axis=-1, kind="stable")[..., :keep])
     hrb = a > delta
+    order = np.argsort(a, axis=-1, kind="stable")
+    assert len(marks.candidates) == a.shape[0]
+    assert [len(axis) for axis in marks.candidates] == [a.shape[1]] * a.shape[0]
+    for axis, i in np.ndindex(a.shape[:-1]):
+        count = min(keep, int((~hrb[axis, i]).sum()))
+        assert marks.candidates[axis][i] == (offset + order[axis, i, :count]).tolist()
     word_hrb = hrb_flags(marks, a.shape[1])
     assert np.array_equal(word_hrb[..., offset:], hrb)
     assert not word_hrb[..., :offset].any()
-    assert np.array_equal(marks.non_hrb, (~hrb).sum(axis=-1))
+
+
+@given(a=mark_inputs(), keep=st.integers(1, 4))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_stable_order_prefix_is_the_stable_argsort_prefix(a, keep):
+    # the whole prefix, HRBs included, on rows with ties, inf and all-equal
+    # rows; the rounds overwrite their input, so they get a copy
+    want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
+    assert np.array_equal(_stable_order_prefix(a.copy(), keep), want)
+
+
+@pytest.mark.parametrize("snr_db, axes", [(6.0, 2), (7.2, 1)], ids=["pc", "scc"])
+def test_stable_order_prefix_at_the_benchmark_shapes(pc_component_code, snr_db, axes):
+    # channel |llr| grids as the benchmark's PC SABM blocks (rows and
+    # columns) and SCC SABM blocks (one axis) mark them
+    pc = PcCode(pc_component_code)
+    rng = np.random.default_rng(int(snr_db * 10))
+    _, llr = channel_pass(random_block(pc, rng), snr_db, rng)
+    a = np.abs(np.stack([llr, llr.T])[:axes])
+    keep = pc_component_code.d0 - 2
+    want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
+    assert np.array_equal(_stable_order_prefix(a.copy(), keep), want)
+    marks = make_marks(a.copy(), SabmParams(delta=5.0), pc_component_code)
+    for axis, i in np.ndindex(a.shape[:-1]):
+        assert marks.candidates[axis][i] == [p for p in want[axis, i].tolist()
+                                             if not a[axis, i, p] > 5.0]
 
 
 def test_stable_order_prefix_ties_at_the_cut_in_one_row_of_many():
-    # rows of distinct values select exactly keep entries each; one row
-    # with one more entry at its cut makes the selection one entry longer
-    # than rows * keep, the least that must take the tie path; an all-tied
-    # row then adds n - keep more
+    # one row holds three entries at its keep-th smallest value and one
+    # row is all ties: each keeps its lowest-index ties, in index order
     keep, rows, n = 4, 40, 16
     rng = np.random.default_rng(7)
     a = np.array([rng.permutation(n) for _ in range(2 * rows)], dtype=np.float64)
@@ -221,10 +253,10 @@ def test_stable_order_prefix_ties_at_the_cut_in_one_row_of_many():
     row[(row == 3) | (row == 4)] = 2  # 0, 1, 2, 2, 2: three entries at the cut 2
     want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
     assert (a <= np.sort(a, axis=-1)[..., keep - 1, None]).sum() == 2 * rows * keep + 1
-    assert np.array_equal(_stable_order_prefix(a, keep), want)
+    assert np.array_equal(_stable_order_prefix(a.copy(), keep), want)
     a[0, 30] = 3.0
     want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
-    assert np.array_equal(_stable_order_prefix(a, keep), want)
+    assert np.array_equal(_stable_order_prefix(a.copy(), keep), want)
     assert np.array_equal(want[0, 30], np.arange(keep))
 
 
@@ -305,6 +337,47 @@ def test_veto_reads_only_live_crossing_words(pc32, rng):
     assert _suspicious((9,), hrb, state.syn, cross, range(w + 9, w + 10))
     assert not _suspicious((9,), hrb, state.syn, cross, range(w))
     assert not _suspicious((9,), hrb, state.syn, cross, range(w + 10, 2 * w))
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["alone", "after_earlier_words"])
+def test_marking_pass_veto_reads_only_live_crossing_words(pc32, earlier):
+    # row 10 holds four errors that BDD miscorrects to columns 7 and 25;
+    # column 25 holds row 20's failure (three errors, not retried), so only
+    # column 7 can veto. Alone: column 7 is a codeword. Earlier: rows 3 and
+    # 5 hold errors in columns 7 and 12 and in 7 and 14, and their
+    # corrections come first, leave column 7 a codeword when it is live and
+    # otherwise XOR into the slot that every crossing word outside live
+    # shares, once each when columns 12 and 14 are live. Row 10's proposal
+    # is vetoed while slot w + 7 is live and accepted once it is not.
+    code, w = pc32.component, pc32.w
+    errors = {10: [0, 1, 3, 19], 20: [25, 28, 30]}
+    if earlier:
+        errors.update({3: [7, 12], 5: [7, 14]})
+    hard = pc_encode(pc32, np.zeros((pc32.k, pc32.k), dtype=np.uint8))
+    for row, cols in errors.items():
+        hard[row, cols] ^= 1
+    assert decode_syndromes(code, packed(code, hard[10])) == (7, 25)
+    llr = np.where(hard == 0, 2.0, -2.0)
+    marks = mark_bits(llr, SabmParams(delta=5.0, failure_flip_attempts=0), pc32)
+    fixed = [3, 5] if earlier else []
+
+    def row_pass(live):
+        state = SyndromeState(code, hard.copy(), block_layout(w, 1))
+        stats = DecodeStats()
+        decode_pass(state, 0, stats, marks, 0, live=live)
+        assert not state.bits[fixed].any()
+        return state, stats
+
+    for live in (None, range(w + 7, w + 8), range(w, 2 * w)):
+        state, stats = row_pass(live)
+        # vetoed: its retry flips candidates 0, 1 and 2 and fails
+        assert stats == DecodeStats(bdd_calls=w + 1, miscorrections_detected=1,
+                                    flips_attempted=1)
+        assert np.array_equal(state.bits[10], hard[10])
+    for live in (range(w), range(w + 8, 2 * w), range(0)):
+        state, stats = row_pass(live)
+        assert stats == DecodeStats(bdd_calls=w)
+        assert state.bits[10, [0, 1, 3, 7, 19, 25]].all()
 
 
 # ---------------------------------------------------------- bit flipping
@@ -552,17 +625,16 @@ def test_sabm_stall_hands_block_to_ibdd_and_clean_block_stops(pc32, stalled):
 
 
 def test_sabm_decodes_one_block(pc32, rng):
-    # a stack of one decodes as its block, in its shape; a larger stack is
+    # one (w, w) block decodes in its shape; a stack, even of one block, is
     # rejected, as the marks cover one block
     block = random_block(pc32, rng)
     noisy, grid = channel_pass(block, 4.5, rng)
     params = SabmParams()
-    out, stats = sabm_decode(pc32, noisy, grid, params)
-    one, one_stats = sabm_decode(pc32, noisy[None], grid, params)
-    assert one.shape == (1, pc32.w, pc32.w) and np.array_equal(one[0], out)
-    assert one_stats == stats
-    with pytest.raises(ValueError, match="stack of one"):
-        sabm_decode(pc32, np.stack([noisy, noisy]), grid, params)
+    out, _ = sabm_decode(pc32, noisy, grid, params)
+    assert out.shape == (pc32.w, pc32.w)
+    for stack in (noisy[None], np.stack([noisy, noisy])):
+        with pytest.raises(ValueError, match=rf"block must be \({pc32.w}, {pc32.w}\)$"):
+            sabm_decode(pc32, stack, grid, params)
 
 
 def test_marking_pass_takes_one_int_group(pc32, rng):
