@@ -1,7 +1,9 @@
 """Command-line front end: `feclab pc|scc|mask ...`.
 
-A YAML config file (--config) takes `snr` and the keys of `_FIELDS`: the
-long CLI flag names with `_` for `-` (`llr`, `md_iters`, `scc_iters`, ...).
+`_FIELDS` is the one table of settings. Each of its keys is a key of the
+YAML config file (--config, which also takes `snr`) and, with `-` for `_`,
+a long flag of every command (`--md-iters`, `--scc-iters`, ...; the
+staircase keys on `scc` only, and `record_timing` as `--no-timing`).
 Explicit CLI flags take precedence over file values, which take precedence
 over the defaults of the config dataclasses.
 """
@@ -36,28 +38,6 @@ _FIELDS = {
 }
 
 
-def _add_shared(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="YAML config file whose keys are the long "
-                   "flag names with _ for - (e.g. md_iters, scc_iters)")
-    p.add_argument("--mod", type=int, choices=(2, 4, 8))
-    p.add_argument("--snr", help="comma-separated list of SNR points in dB")
-    p.add_argument("--decoder", choices=("ibdd", "sabm"))
-    p.add_argument("--llr", choices=("exact", "maxlog"))
-    p.add_argument("--delta", type=float)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--md-iters", dest="md_iters", type=int)
-    p.add_argument("--flip-attempts", dest="flip_attempts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-errors", dest="min_errors", type=int)
-    p.add_argument("--max-blocks", dest="max_blocks", type=int)
-    p.add_argument("--out")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--component-m", dest="component_m", type=int)
-    p.add_argument("--no-timing", dest="record_timing", action="store_false",
-                   default=None)
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises a bad command line (its subcommands' too) as a ConfigError,
     which `main` prints as one `error:` line, not argparse's usage text."""
@@ -66,54 +46,37 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _field_type(key: str) -> type:
+    """The type of the values a key takes: its field default's, or for the
+    keys whose field defaults to None, int (component_m) or str (out)."""
+    cls, name = _FIELDS[key]
+    default = next(f.default for f in fields(cls) if f.name == name)
+    return type(default) if default is not None else int if key == "component_m" else str
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command. Each takes --KEY for every key of _FIELDS,
+    with - for _ and typed as its field (the SccRunParams keys on scc only;
+    record_timing is --no-timing). The values they take are checked by
+    the config dataclasses and validate_config, not here."""
     parser = _Parser(prog="feclab", description="Product/staircase FEC Monte Carlo lab")
     sub = parser.add_subparsers(dest="command", required=True)
-    pc = sub.add_parser("pc", help="product-code BER sweep")
-    _add_shared(pc)
-    scc = sub.add_parser("scc", help="staircase-code BER sweep")
-    _add_shared(scc)
-    scc.add_argument("--window", type=int, help="decoding window size L")
-    scc.add_argument("--scc-iters", dest="scc_iters", type=int,
-                     help="window iterations")
-    scc.add_argument("--chain-blocks", dest="chain_blocks", type=int,
-                     help="staircase blocks per Monte Carlo chain")
-    mask = sub.add_parser("mask", help="flipping-mask statistics")
-    _add_shared(mask)
-    mask.add_argument("--blocks", type=int, default=1000,
-                      help="number of simulated blocks")
-    mask.add_argument("--inset", help="write one block's non-HRB grid here")
+    for command, text in (("pc", "product-code BER sweep"), ("scc", "staircase-code BER sweep"),
+                          ("mask", "flipping-mask statistics")):
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="YAML config file whose keys are the long "
+                       "flag names with _ for - (e.g. md_iters, scc_iters)")
+        p.add_argument("--snr", help="comma-separated list of SNR points in dB")
+        for key, (cls, _) in _FIELDS.items():
+            if key != "record_timing" and (cls is not SccRunParams or command == "scc"):
+                p.add_argument("--" + key.replace("_", "-"), type=_field_type(key))
+        p.add_argument("--no-timing", dest="record_timing", action="store_false",
+                       default=None)
+        if command == "mask":
+            p.add_argument("--blocks", type=int, default=1000,
+                           help="number of simulated blocks")
+            p.add_argument("--inset", help="write one block's non-HRB grid here")
     return parser
-
-
-def _resolve(args: argparse.Namespace) -> dict:
-    """The config keys the file or the flags set, converted to their fields' types."""
-    merged = {}
-    if args.config:
-        # bytes, so that yaml reads the encoding from the file as YAML defines it
-        with open(args.config, "rb") as fh:
-            try:
-                loaded = yaml.safe_load(fh) or {}
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"config file {args.config} is not valid YAML: "
-                                  + " ".join(str(exc).split())) from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must contain a mapping")
-        unknown = set(loaded) - set(_FIELDS) - {"snr"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
-        merged.update(loaded)
-    for key in ("snr", *_FIELDS):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    for key, (cls, name) in _FIELDS.items():
-        default = next(f.default for f in fields(cls) if f.name == name)
-        if key in merged and (merged[key] is not None or default is not None):
-            # a None default (component_m, out) keeps None, else takes int or str
-            conv = type(default) if default is not None else int if key == "component_m" else str
-            merged[key] = _convert(key, merged[key], conv)
-    return merged
 
 
 def _convert(key: str, value, conv: type):
@@ -141,11 +104,31 @@ def _parse_snr(value) -> tuple:
 
 
 def config_from_args(args: argparse.Namespace) -> SimConfig:
-    opts = _resolve(args)
+    """The SimConfig of the keys that the config file or the flags set, the
+    flags winning, each converted to its field's type."""
+    opts = {}
+    if args.config is not None:
+        # bytes, so that yaml reads the encoding from the file as YAML defines it
+        with open(args.config, "rb") as fh:
+            try:
+                opts = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"config file {args.config} is not valid YAML: "
+                                  + " ".join(str(exc).split())) from exc
+        if not isinstance(opts, dict):
+            raise ConfigError("config file must contain a mapping")
+        unknown = set(opts) - set(_FIELDS) - {"snr"}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
+    opts.update((key, getattr(args, key)) for key in ("snr", *_FIELDS)
+                if getattr(args, key, None) is not None)
     snr_points = _parse_snr(opts.pop("snr", None))
     parts = {cls: {} for cls in (SimConfig, SabmParams, SccRunParams, StopRule)}
     for key, value in opts.items():
         cls, name = _FIELDS[key]
+        # None is a value only of the keys whose field defaults to None
+        if value is not None or key not in ("component_m", "out"):
+            value = _convert(key, value, _field_type(key))
         parts[cls][name] = value
     return SimConfig(scheme="scc" if args.command == "scc" else "pc",
                      snr_points=snr_points, sabm=SabmParams(**parts[SabmParams]),
@@ -157,22 +140,22 @@ def _check_writable(path: str) -> None:
     """Raise OSError if path cannot be opened for writing, as far as that
     shows without creating or truncating it."""
     parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else parent, os.W_OK):
-        raise OSError(f"cannot open {path} for writing")
+    if not path or os.path.isdir(path) or not os.access(
+            path if os.path.exists(path) else parent, os.W_OK):
+        raise OSError(f"cannot open {path!r} for writing")
 
 
-def _run_mask(args: argparse.Namespace) -> int:
-    cfg = config_from_args(args)
+def _run_mask(args: argparse.Namespace, cfg: SimConfig) -> int:
     validate_mask(cfg, args.blocks)  # before the header goes out
     # both paths are checked before either file is created or truncated,
     # and --inset opens first, so that no output is written before both open
     for path in (args.inset, cfg.out_path):
-        if path:
+        if path is not None:
             _check_writable(path)
     with ExitStack() as files:
-        inset = files.enter_context(open(args.inset, "w")) if args.inset else None
+        inset = files.enter_context(open(args.inset, "w")) if args.inset is not None else None
         out = (files.enter_context(open(cfg.out_path, "w", newline=""))
-               if cfg.out_path else sys.stdout)
+               if cfg.out_path is not None else sys.stdout)
         writer = csv.writer(out)
         writer.writerow(["snr_db", "block_index", "non_hrb_count", "ratio"])
         for snr in cfg.snr_points:
@@ -193,13 +176,12 @@ def _run_mask(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "mask":
-            return _run_mask(args)
         cfg = config_from_args(args)
-        if cfg.out_path is None:
-            run_sweep(cfg, out=sys.stdout)
-        else:
-            run_sweep(cfg)
+        if args.command == "mask":
+            return _run_mask(args, cfg)
+        if cfg.out_path is not None:
+            _check_writable(cfg.out_path)
+        run_sweep(cfg, out=sys.stdout if cfg.out_path is None else None)
         return 0
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,13 +52,10 @@ def pam_constellation(M: int):
     """
     raw = 2 * np.arange(M) - (M - 1)
     levels = raw / np.sqrt(np.mean(raw.astype(float) ** 2))
-    idx_desc = np.arange(M - 1, -1, -1)
-    labels = np.zeros(M, dtype=np.int64)
-    for rank, i in enumerate(idx_desc):
-        labels[i] = rank ^ (rank >> 1)
+    rank = np.arange(M)[::-1]  # each level's place by descending amplitude
+    labels = rank ^ (rank >> 1)
     level_of_label = np.zeros(M)
-    for i in range(M):
-        level_of_label[labels[i]] = levels[i]
+    level_of_label[labels] = levels
     levels.setflags(write=False)
     labels.setflags(write=False)
     level_of_label.setflags(write=False)

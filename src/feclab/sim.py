@@ -3,11 +3,11 @@ and CSV emission.
 
 Every trial derives its generator from (master_seed, snr, trial index), so
 sweeps are reproducible bit for bit at any worker count. The stopping rule
-is evaluated at fixed batch boundaries for the same reason. A pooled point
-queues the next batch before it collects the current one whenever the
-current batch cannot end the point, so the workers do not wait at the
-boundary; no batch runs that the serial loop would not run, and no output
-changes.
+is evaluated at fixed batch boundaries for the same reason. A point queues
+the next batch before it collects the current one whenever the current
+batch cannot end the point, so pool workers do not wait at the boundary;
+such a batch would run anyway, so no output changes. A point without a pool
+runs the same queued loop, each share as soon as it is queued.
 
 A process keeps one pool of worker processes. It starts at the first sweep
 with workers > 1 and serves every later sweep of the process with the same
@@ -31,11 +31,10 @@ import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -113,8 +112,8 @@ def validate_config(cfg: SimConfig) -> None:
     lo, hi = SNR_RANGE_DB
     if not all(lo <= snr <= hi for snr in cfg.snr_points):  # also rejects NaN
         raise ConfigError(f"SNR points must lie in [{lo:g}, {hi:g}] dB, got {cfg.snr_points}")
-    # the channel checks M and the LLR mode
-    chans = [ChannelConfig(cfg.mod, snr, cfg.llr_mode) for snr in cfg.snr_points]
+    # the channel checks M and the LLR mode, which do not depend on the SNR
+    bits_per_symbol = ChannelConfig(cfg.mod, cfg.snr_points[0], cfg.llr_mode).bits_per_symbol
     keys = [_snr_key(snr) for snr in cfg.snr_points]
     if len(set(keys)) < len(keys):
         raise ConfigError(f"SNR points {cfg.snr_points} repeat a value at 0.001 dB "
@@ -127,22 +126,21 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {cfg.workers}")
     if not 1 <= cfg.batch_size <= MAX_BATCH:
         raise ConfigError(f"batch_size must lie in [1, {MAX_BATCH}], got {cfg.batch_size}")
-    if cfg.scheme == "scc" and cfg.scc.window < 2:
-        raise ConfigError("scc window must be >= 2")
-    if cfg.scheme == "scc" and min(cfg.scc.iters, cfg.scc.chain_blocks) < 1:
-        raise ConfigError(f"scc iters and chain_blocks must be >= 1, got "
-                          f"{cfg.scc.iters} and {cfg.scc.chain_blocks}")
     # the code's own checks reject m outside 4..8 and SCC components too short
     code = _code(cfg.scheme, _component_m(cfg))
     w = code.w
     if cfg.scheme == "scc":
+        if cfg.scc.window < 2:
+            raise ConfigError("scc window must be >= 2")
+        if min(cfg.scc.iters, cfg.scc.chain_blocks) < 1:
+            raise ConfigError(f"scc iters and chain_blocks must be >= 1, got "
+                              f"{cfg.scc.iters} and {cfg.scc.chain_blocks}")
         most = MAX_CHAIN_BYTES // (w * code.info_cols + 10 * w * w)
         if cfg.scc.chain_blocks > most:
             raise ConfigError(f"chain_blocks must be <= {most} for {w}x{w} blocks (one "
                               f"chain's arrays take at most {MAX_CHAIN_BYTES >> 20} MiB), "
                               f"got {cfg.scc.chain_blocks}")
     # a block is w x w bits, sent in whole symbols of log2(M) bits each
-    bits_per_symbol = chans[0].bits_per_symbol
     if (w * w) % bits_per_symbol:
         raise ConfigError(f"{cfg.mod}-PAM needs the {w * w} bits of a block to be a "
                           f"multiple of log2(M)={bits_per_symbol}; padding is not "
@@ -271,6 +269,13 @@ def _trials(cfg: SimConfig, snr_db: float, first: int, count: int):
     return pre, np.concatenate(post), stats
 
 
+def _run_now(fn, *args) -> Future:
+    """A pool's submit for a point without a pool: runs the share at once."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
 def run_point(cfg: SimConfig, snr_db: float, _pool=None) -> BerStats:
     """Trials at one SNR point until the stopping rule holds, all in the
     calling process whatever cfg.workers is: only `run_sweep` passes a pool."""
@@ -296,41 +301,34 @@ def run_point(cfg: SimConfig, snr_db: float, _pool=None) -> BerStats:
     share = min(math.ceil(cfg.batch_size / cfg.workers), MAX_SHARE)
     offsets = range(0, cfg.batch_size, share)
     counts = [min(share, cfg.batch_size - lo) for lo in offsets]
-    if _pool is None:
-        first = 0
-        while running():
-            firsts = range(first, first + cfg.batch_size, share)
-            for result in map(_trials, repeat(cfg), repeat(snr_db), firsts, counts):
-                add(*result)
-            first += cfg.batch_size
-    else:
-        # results are read in trial order. The next batch is queued before
-        # the one in flight is read when that batch, which adds batch_blocks
-        # blocks and at most as many block errors, cannot meet the stopping
-        # rule: then the serial loop runs the next batch too
-        batch_blocks = cfg.batch_size * (cfg.scc.chain_blocks if cfg.scheme == "scc" else 1)
-        queued, next_first = deque(), 0
+    # results are read in trial order. The next batch is queued before the
+    # one in flight is read when that batch, which adds batch_blocks blocks
+    # and at most as many block errors, cannot meet the stopping rule: then
+    # the point runs the next batch anyway
+    batch_blocks = cfg.batch_size * (cfg.scc.chain_blocks if cfg.scheme == "scc" else 1)
+    queued, next_first = deque(), 0
+    run_share = _run_now if _pool is None else _pool.submit
 
-        def submit():
-            nonlocal next_first
-            queued.extend(_pool.submit(_trials, cfg, snr_db, next_first + lo, n)
-                          for lo, n in zip(offsets, counts))
-            next_first += cfg.batch_size
+    def submit():
+        nonlocal next_first
+        queued.extend(run_share(_trials, cfg, snr_db, next_first + lo, n)
+                      for lo, n in zip(offsets, counts))
+        next_first += cfg.batch_size
 
-        try:
-            while queued or running():
-                if not queued:
-                    submit()
-                if (stats.blocks_run + batch_blocks < stop.max_blocks
-                        and stats.block_errors + batch_blocks < stop.min_word_errors):
-                    submit()
-                for _ in counts:
-                    add(*queued[0].result())
-                    queued.popleft()
-        finally:
-            # on an error, no queued share of this point may run later
-            for future in queued:
-                future.cancel()
+    try:
+        while queued or running():
+            if not queued:
+                submit()
+            if (stats.blocks_run + batch_blocks < stop.max_blocks
+                    and stats.block_errors + batch_blocks < stop.min_word_errors):
+                submit()
+            for _ in counts:
+                add(*queued[0].result())
+                queued.popleft()
+    finally:
+        # on an error, no queued share of this point may run later
+        for future in queued:
+            future.cancel()
     info_bits = code.k * code.k if cfg.scheme == "pc" else code.w * code.info_cols
     stats.info_bits = info_bits * stats.blocks_run
     stats.coded_bits = code.w * code.w * stats.blocks_run

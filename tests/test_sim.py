@@ -685,11 +685,14 @@ def test_cli_rejects_bad_snr(capsys):
     ["pc", "--snr", "6", "--batch-size", str(sim.MAX_BATCH + 1)],
     ["scc", "--snr", "6", "--chain-blocks", "100000000000"],
     ["scc", "--snr", "7", "--chain-blocks", str(sim.MAX_CHAIN_BYTES // (128 * 111 + 10 * 128 ** 2) + 1)],
-    # argparse's own errors: a choice, a type, an option of another command
+    # values of no supported kind, which ChannelConfig and validate_config
+    # refuse; then argparse's own errors: a type, an option of another command
     ["pc", "--snr", "6", "--mod", "3"],
     ["pc", "--snr", "6", "--iters", "abc"],
     ["scc", "--snr", "7", "--decoder", "foo"],
     ["pc", "--snr", "6", "--window", "3"],
+    # an empty config path names no file: it is not a run without one
+    ["pc", "--snr", "6", "--config="],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_rejects_bad_values(argv, capsys, refuse_big_pools, monkeypatch):
     # a value that validation misses fails here instead of running a point
@@ -747,6 +750,45 @@ def test_cli_mask_leaves_inset_as_it_was_when_out_fails(existing, tmp_path, caps
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
         assert inset.read_bytes() == b"kept\n" if existing else not inset.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [command, "--snr", "6", *extra, *path]
+    for command, extra in (("pc", []), ("scc", ["--component-m", "5"]),
+                           ("mask", ["--blocks", "1"]))
+    for path in (["--out="], ["--config", "run.yaml"])
+] + [["mask", "--snr", "6", "--blocks", "1", "--inset=", "--out", "x.csv"]], ids=" ".join)
+def test_cli_refuses_an_empty_output_path(argv, tmp_path, capsys, monkeypatch):
+    # every command refuses '' before any output, as it refuses a path it
+    # cannot open, from a flag or from the config file; so does mask's --inset
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump({"out": ""}))
+    assert main(argv + ["--max-blocks", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: cannot open '' for writing\n"
+    assert os.listdir(tmp_path) == ["run.yaml"]
+
+
+# a value, not the default, of every config key but record_timing
+KEY_VALUES = {
+    "mod": 4, "decoder": "sabm", "llr": "maxlog", "delta": 2.5, "iters": 7,
+    "md_iters": 2, "flip_attempts": 3, "seed": 9, "min_errors": 5, "max_blocks": 50,
+    "out": "x.csv", "window": 3, "scc_iters": 2, "chain_blocks": 4, "workers": 2,
+    "batch_size": 4, "component_m": 6,
+}
+
+
+@pytest.mark.parametrize("flags, key, value", [
+    pytest.param(["--" + key.replace("_", "-"), str(value)], key, value, id=key)
+    for key, value in KEY_VALUES.items()
+] + [pytest.param(["--no-timing"], "record_timing", False, id="no_timing")])
+def test_cli_flag_and_config_key_give_the_same_config(flags, key, value, tmp_path):
+    assert set(KEY_VALUES) == set(cli._FIELDS) - {"record_timing"}
+    command = "scc" if cli._FIELDS[key][0] is SccRunParams else "pc"
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(yaml.safe_dump({key: value}))
+    parse = lambda *argv: config_from_args(build_parser().parse_args([command, "--snr", "6", *argv]))
+    assert parse(*flags) == parse("--config", str(cfgfile)) != parse()
 
 
 # per config key other than out: values a run takes, and values of the key's
