@@ -5,8 +5,9 @@ bit-marking decoder on 2-PAM, one CSV per decoder.
 Usage:
     python scripts/pc_waterfall.py [outdir]
 
-Expect roughly half an hour on one core for the default grid; trim the
-SNR list or min_errors for a quick look.
+The default grid takes about 35 s on one core of a 2-core x86 host
+(33-39 s over two runs); trim the SNR list or min_errors for a quicker
+look.
 """
 
 import pathlib

@@ -131,7 +131,14 @@ def block_syndromes(code: BchCode, words) -> np.ndarray:
     """Packed syndromes of every row of a (..., n) bit array, in its shape
     less the last axis, from one GF(2) matmul against the parity-check
     matrix (one BLAS call per (R, n) matrix of a stack)."""
-    counts = np.asarray(words, dtype=np.float32) @ code.check_matrix
+    return packed_syndromes(np.asarray(words, dtype=np.float32) @ code.check_matrix)
+
+
+def packed_syndromes(counts: np.ndarray) -> np.ndarray:
+    """Packed syndromes from (..., 2m+1) check counts: a word's count of set
+    bits against each column of the parity-check matrix, whole numbers (a
+    sum of partial counts over parts of the word will do). Syndrome bit b
+    is the parity of count b."""
     bits = counts.astype(np.int64) & 1
     return bits @ (1 << np.arange(bits.shape[-1], dtype=np.int64))
 

@@ -186,6 +186,10 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # every row written so far is flushed; the point in flight is lost
+        print("interrupted: the output holds the points finished before it", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

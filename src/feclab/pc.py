@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bch import BchCode, block_syndromes, encode_many
+from .bch import BchCode, encode_many, packed_syndromes
 from .errors import ConfigError
 
 
@@ -157,14 +157,14 @@ class Layout:
 
     Position j of word i of group g is flat bit base[g, j] + i * stride[g, j].
     The crossing word through that bit sits in syndrome slot cross[g, j] and
-    holds the bit at position shift[g, j] + i. `words(bits)` returns the
-    words of a bit array as (groups, w, n), one syndrome group each; it may
-    hold groups beyond the G that are decoded, which only crossing updates
-    change.
+    holds the bit at position shift[g, j] + i. `syndromes(code, bits)`
+    returns the packed syndrome of every word of a bit array, flat and
+    group by group, from one float32 copy of the bits; it may cover groups
+    beyond the G that are decoded, which only crossing updates change.
     """
 
-    def __init__(self, words: Callable, base, stride, cross, shift):
-        self.words = words
+    def __init__(self, syndromes: Callable, base, stride, cross, shift):
+        self.syndromes = syndromes
         self.base, self.stride, self.cross, self.shift = arrays = [
             np.asarray(a, dtype=np.int64) for a in (base, stride, cross, shift)]
         for a in arrays:
@@ -193,11 +193,12 @@ def block_layout(w: int, blocks: int) -> Layout:
     j = np.arange(w)
     b = np.arange(blocks)[:, None, None]
 
-    def words(bits):
-        stack = bits.reshape(-1, w, w)  # a single block may come as (w, w)
-        return np.stack([stack, stack.transpose(0, 2, 1)], axis=1).reshape(-1, w, w)
+    def syndromes(code, bits):
+        # a single block may come as (w, w); rows are f @ C, columns f^T @ C
+        f, c = bits.reshape(-1, w, w).astype(np.float32), code.check_matrix
+        return packed_syndromes(np.stack([f @ c, f.transpose(0, 2, 1) @ c], axis=1)).reshape(-1)
 
-    return Layout(words, base=(b * w * w + [j, j * w]).reshape(-1, w),
+    return Layout(syndromes, base=(b * w * w + [j, j * w]).reshape(-1, w),
                   stride=np.tile([np.full(w, w), np.ones(w)], (blocks, 1)),
                   cross=(b * 2 * w + [w + j, j]).reshape(-1, w),
                   shift=np.zeros((2 * blocks, w)))
@@ -215,9 +216,8 @@ class SyndromeState:
             raise ValueError("bits must be a C-contiguous array, as they are decoded in place")
         self.code, self.bits, self.layout = code, bits, layout
         self.flat = bits.reshape(-1)
-        words = layout.words(bits)
-        self.w = words.shape[1]
-        self.syn = block_syndromes(code, words).reshape(-1)
+        self.w = bits.shape[-1]  # words per group: a block's side, in both layouts
+        self.syn = layout.syndromes(code, bits)
         self.h = code.flip_syndrome.tolist()  # for the marking pass's scalar reads
 
     def flip(self, groups, words: np.ndarray, positions: np.ndarray):

@@ -13,9 +13,13 @@ both ends of the chain share a scratch group that no window decodes, and
 the SABM veto never reads a crossing word outside the window as lying in
 a codeword. A pass decodes only the words of a pair with a nonzero
 syndrome, yet `bdd_calls` counts w per pair pass, as if every word were
-decoded, plus one per flip retry. SABM runs if and only if LLRs are
-given. `decode_chain` returns the decoded (N, w, w) chain and its
-`DecodeStats`; `baseline_calls` gives eta's baseline from the geometry.
+decoded, plus one per flip retry. SABM reads the channel only through
+marks: `newest_blocks` names the blocks that the windows mark, and
+`block_marks` makes a block's `MarkState` from its LLR grid, which the
+trial loop does as it demaps the block, so a chain never holds its
+grids. `decode_chain` runs SABM if and only if it is given the marks,
+and returns the decoded (N, w, w) chain and its `DecodeStats`;
+`baseline_calls` gives eta's baseline from the geometry.
 """
 
 from dataclasses import dataclass
@@ -23,9 +27,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bch import BchCode, encode_many
+from .bch import BchCode, encode_many, packed_syndromes
 from .errors import ConfigError
-from .pc import DecodeStats, Layout, SabmParams, SyndromeState, decode_pass, make_marks
+from .pc import (DecodeStats, Layout, MarkState, SabmParams, SyndromeState, decode_pass,
+                 make_marks)
 
 
 @dataclass(frozen=True)
@@ -92,29 +97,49 @@ def chain_layout(w: int, num_blocks: int) -> Layout:
         return np.concatenate([np.broadcast_to(older_half, (groups, w)),
                                np.broadcast_to(newer_half, (groups, w))], axis=1)
 
-    return Layout(lambda bits: np.concatenate([bits.transpose(0, 2, 1),
-                                               np.roll(bits, -1, axis=0)], axis=2),
-                  base=halves(p * w * w + j * w, (p + 1) * w * w + j),
+    def syndromes(code, bits):
+        # the left half of pair p's words is B_p's columns and the right
+        # half B_{p+1}'s rows, B_0's for the scratch group: their counts add
+        f, c = bits.astype(np.float32), code.check_matrix
+        return packed_syndromes(f.transpose(0, 2, 1) @ c[:w]
+                                + np.roll(f @ c[w:], -1, axis=0)).reshape(-1)
+
+    return Layout(syndromes, base=halves(p * w * w + j * w, (p + 1) * w * w + j),
                   stride=halves(1, w),
                   cross=halves((p - 1) % (groups + 1) * w + j, (p + 1) * w + j),
                   shift=halves(w, 0))
 
 
-def decode_chain(code: SccCode, received: np.ndarray, llr_grids: list[np.ndarray] | None,
+def newest_blocks(num_blocks: int, window: int) -> list[int]:
+    """The newest received block of each window of a num_blocks chain, by
+    the window's first block s: min(s + window - 2, num_blocks - 1). These
+    are the blocks that SABM marks; blocks 0..window-3 never are."""
+    return [min(s + window, num_blocks + 1) - 2 for s in range(num_blocks)]
+
+
+def block_marks(code: SccCode, llr: np.ndarray, params: SabmParams) -> MarkState:
+    """The marks of a received (w, w) block from its LLR grid, for the
+    windows in which it is the newest block: it fills positions w..2w-1
+    of the newest pair's words."""
+    return make_marks(np.abs(llr)[None], params, code.component, offset=code.w)
+
+
+def decode_chain(code: SccCode, received: np.ndarray, marks: list[MarkState | None] | None,
                  params: SabmParams, window: int,
                  ell: int) -> tuple[np.ndarray, DecodeStats]:
     """Sliding-window decode of a whole chain of received blocks, (N, w, w)
     (the leading zero block is handled internally), with SABM if and only
-    if llr_grids, one LLR grid per received block, is given. Returns the
-    (N, w, w) decoded blocks and the chain's DecodeStats.
+    if marks, one entry per received block, is given: the `block_marks` of
+    each block that `newest_blocks` names (the others are not read, and
+    may be None). Returns the (N, w, w) decoded blocks and the chain's
+    DecodeStats.
 
     One `SyndromeState` covers the chain. The window starting at chain
     block s ends at block s+window-1 or at the chain's end, and its ell
-    iterations decode pairs s..newest in order; SABM marks the newest
-    block and runs on the newest pair in the first md_iters iterations.
-    Its veto reads only crossing words of the window's pairs. A block's
-    marks are made once, when it first is the newest, and reused in each
-    tail window.
+    iterations decode pairs s..newest in order; SABM runs on the newest
+    pair, with the newest block's marks, in the first md_iters
+    iterations. Its veto reads only crossing words of the window's pairs.
+    The tail windows share the last block's marks.
 
     Known deviation: the first window starts once `window` blocks are
     buffered, so chain blocks 1..window-2 are never marked while the last
@@ -127,18 +152,12 @@ def decode_chain(code: SccCode, received: np.ndarray, llr_grids: list[np.ndarray
     chain = np.zeros((len(received) + 1, w, w), dtype=np.uint8)
     chain[1:] = received
     state = SyndromeState(code.component, chain, chain_layout(w, len(chain)))
-    marks = marked = None
-    for s in range(len(received)):
-        newest = min(s + window, len(chain)) - 2
-        if llr_grids is not None and marked != newest:
-            # the newest block fills positions w..2w-1 of the newest pair's words
-            marks = make_marks(np.abs(llr_grids[newest])[None], params, code.component,
-                               offset=w)
-            marked = newest
+    for s, newest in enumerate(newest_blocks(len(received), window)):
+        mark = None if marks is None else marks[newest]
         live = range(s * w, (newest + 1) * w)
         for it in range(ell):
             for p in range(s, newest + 1):
-                sabm = marks is not None and p == newest and it < params.md_iters
-                decode_pass(state, p, stats, marks if sabm else None, live=live)
+                sabm = p == newest and it < params.md_iters
+                decode_pass(state, p, stats, mark if sabm else None, live=live)
     # drop the bootstrap zero block from the output
     return chain[1:], stats

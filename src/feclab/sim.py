@@ -20,7 +20,10 @@ that a plain os.fork made after feclab was imported, the pool is shut down
 at the end of each sweep. A multiprocessing child joins its children
 at exit before a pool could stop them, and a forked child may leave by
 os._exit, which stops nothing. A sweep may replace the kept pool, so
-pooled sweeps must not run in several threads at once.
+pooled sweeps must not run in several threads at once. The workers ignore
+SIGINT, which a terminal's Ctrl-C sends to the whole process group: the
+caller handles it, and the workers finish their tasks and stop when the
+caller's process shuts the pool down at exit.
 """
 
 import csv
@@ -28,6 +31,7 @@ import io
 import math
 import multiprocessing
 import os
+import signal
 import sys
 import time
 from collections import deque
@@ -43,7 +47,8 @@ from .errors import ConfigError
 from .modem import (ChannelConfig, awgn_transmit, demap_llr, interleave,
                     make_interleaver, modulate)
 from .pc import DecodeStats, PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
-from .scc import SccCode, baseline_calls, decode_chain, eta, scc_encode
+from .scc import (SccCode, baseline_calls, block_marks, decode_chain, eta, newest_blocks,
+                  scc_encode)
 
 CSV_COLUMNS = ["scheme", "mod", "decoder", "llr_mode", "snr_db", "blocks",
                "ber_pre", "ber_post", "block_errors", "bdd_calls_avg", "eta",
@@ -59,9 +64,10 @@ MAX_WORKERS = 512
 # task list, one entry per share, is built before any of it runs
 MAX_BATCH = 1_000_000
 
-# most bytes of one staircase chain's arrays: its data, its code blocks and
-# hard grids (a byte a bit) and its float64 LLR grids, all held while the
-# chain runs; a whole run peaks at about twice this
+# most bytes of one staircase chain's arrays, counted as its data and 10
+# bytes a bit: its code blocks, hard decisions and decode copy (a byte a
+# bit each), its SABM marks and the decode's float32 copy of the bits, all
+# held while the chain runs; a whole SABM run peaks at about 1.2 times this
 MAX_CHAIN_BYTES = 1 << 28
 
 # SNR points the seed key and the channel take: below -1000 dB the key of
@@ -204,9 +210,11 @@ def _channel(cfg: SimConfig, snr_db: float, trial: int):
     """Draw, encode and send the blocks of one trial, a PC block or an SCC
     chain, on the trial's generator: the data first, then for each block
     its interleaver permutation (M > 2) and its noise. Returns the data,
-    the blocks and their hard grids as arrays with one entry per block,
-    and the list of their LLR grids, each as the demapper made it:
-    stacking a chain's grids would cost one more copy of them per trial."""
+    the blocks and their hard decisions as arrays with one entry per
+    block, and what the decoder reads of the soft values: a PC block's
+    LLR grid; for SCC SABM, per block the `block_marks` made as soon as
+    it is demapped if the windows mark it (`newest_blocks`), else None;
+    for SCC iBDD, None. A chain holds no LLR grid beyond its block's."""
     code = _code(cfg.scheme, _component_m(cfg))
     rng = _trial_rng(cfg.master_seed, snr_db, trial)
     if cfg.scheme == "pc":
@@ -217,16 +225,24 @@ def _channel(cfg: SimConfig, snr_db: float, trial: int):
                             dtype=np.uint8)
         blocks = scc_encode(code, data)
     chan = ChannelConfig(cfg.mod, snr_db, cfg.llr_mode)
-    llr = []
-    for tx in blocks.reshape(len(blocks), -1):
+    hard = np.empty(blocks.shape, dtype=np.uint8)
+    marked = soft = None
+    if cfg.scheme == "scc" and cfg.decoder == "sabm":
+        marked, soft = set(newest_blocks(len(blocks), cfg.scc.window)), [None] * len(blocks)
+    for b, (tx, bits) in enumerate(zip(blocks.reshape(len(blocks), -1), hard)):
         if chan.M == 2:
             grid = demap_llr(awgn_transmit(modulate(tx, chan), chan, rng), chan)
         else:
             il = make_interleaver(tx.size, rng)
             y = awgn_transmit(modulate(interleave(tx, il), chan), chan, rng)
             grid = interleave(demap_llr(y, chan), il, inverse=True)
-        llr.append(grid.reshape(blocks.shape[1:]))
-    return data, blocks, np.array([grid < 0 for grid in llr], dtype=np.uint8), llr
+        grid = grid.reshape(bits.shape)
+        np.less(grid, 0, out=bits)
+        if cfg.scheme == "pc":
+            soft = grid
+        elif marked is not None and b in marked:
+            soft[b] = block_marks(code, grid, cfg.sabm)
+    return data, blocks, hard, soft
 
 
 # most trials in one task: a PC iBDD task decodes its blocks as one stack,
@@ -249,16 +265,16 @@ def _trials(cfg: SimConfig, snr_db: float, first: int, count: int):
         return (decoded[:, :rows, :cols] != data).sum(axis=(1, 2))
 
     for trial in range(first, first + count):
-        data, blocks, hard, llr = _channel(cfg, snr_db, trial)
+        data, blocks, hard, soft = _channel(cfg, snr_db, trial)
         pre += int((hard != blocks).sum())
         if stacked:
             held.append((data[0], hard[0]))
             continue
         if cfg.scheme == "scc":
-            decoded, st = decode_chain(code, hard, llr if cfg.decoder == "sabm" else None,
-                                       cfg.sabm, cfg.scc.window, cfg.scc.iters)
+            decoded, st = decode_chain(code, hard, soft, cfg.sabm, cfg.scc.window,
+                                       cfg.scc.iters)
         else:
-            decoded, st = sabm_decode(code, hard[0], llr[0], cfg.sabm)
+            decoded, st = sabm_decode(code, hard[0], soft, cfg.sabm)
             decoded = decoded[None]
         post.append(errors(decoded, data))
         stats += st
@@ -373,6 +389,11 @@ def _bindings() -> tuple:
                  for value in vars(module).values())
 
 
+def _ignore_sigint() -> None:
+    """Start of a pool worker: only the caller handles a Ctrl-C."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _worker_pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
     """The pool of `workers` workers that this process keeps, started if
     there is none for this count and these bindings; and whether an
@@ -383,7 +404,8 @@ def _worker_pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
     if _KEPT.get("key") == key:
         return _KEPT["pool"], True
     _drop_pool()
-    _KEPT.update(key=key, bindings=bindings, pool=ProcessPoolExecutor(max_workers=workers))
+    _KEPT.update(key=key, bindings=bindings,
+                 pool=ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint))
     return _KEPT["pool"], False
 
 
@@ -473,7 +495,7 @@ def mask_blocks(cfg: SimConfig, snr_db: float, num_blocks: int):
     checked before the first block is drawn."""
     validate_mask(replace(cfg, snr_points=(snr_db,)), num_blocks)
     for trial in range(num_blocks):
-        yield np.abs(_channel(cfg, snr_db, trial)[3][0]) <= cfg.sabm.delta
+        yield np.abs(_channel(cfg, snr_db, trial)[3]) <= cfg.sabm.delta
 
 
 def mask_stats(cfg: SimConfig, snr_db: float, num_blocks: int) -> MaskStats:

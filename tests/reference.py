@@ -95,6 +95,18 @@ def sabm_resolve(code: BchCode, syndrome: int, proposal, order: np.ndarray,
     return bit_flip_recover(code, syndrome, attempts, stats, suspicious)
 
 
+def pc_words(bits, group):
+    """The words of a product block's group: its rows (0) or columns (1)."""
+    return bits if group == 0 else bits.T
+
+
+def scc_words(chain, group):
+    """The words of pair `group` of a chain B_0..B_P: row i of
+    [transpose(B_g) | B_{g+1}], where B_{P+1} wraps to B_0 (the scratch
+    group P of `feclab.scc.chain_layout`, which no window decodes)."""
+    return np.concatenate([chain[group].T, chain[(group + 1) % len(chain)]], axis=1)
+
+
 def _pass(comp, words, flip, crossing, group, stats, marks=None, attempts=0):
     """One pass over the words of `group`: BDD every word with a nonzero
     syndrome and flip its pattern, word by word. With marks(i) -> (hrb,
@@ -135,7 +147,7 @@ def pc_decode(code: PcCode, hard, iters: int, llr=None, params: SabmParams | Non
     stats = DecodeStats()
 
     def words(g):
-        return bits if g == 0 else bits.T
+        return pc_words(bits, g)
 
     def flip(g, i, p):
         bits[(i, p) if g == 0 else (p, i)] ^= 1
@@ -179,7 +191,7 @@ def scc_decode(code: SccCode, received, llr_grids, params: SabmParams | None,
     stats = DecodeStats()
 
     def words(g):
-        return np.concatenate([chain[g].T, chain[g + 1]], axis=1)
+        return scc_words(chain, g)
 
     def flip(g, i, p):
         if p < w:

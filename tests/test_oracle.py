@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from feclab.bch import build_code
 from feclab.pc import PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
-from feclab.scc import SccCode, decode_chain, scc_encode
+from feclab.scc import SccCode, block_marks, decode_chain, newest_blocks, scc_encode
 
 import reference
 
@@ -70,7 +70,11 @@ def test_scc_matches_reference(m, seed, error_rate, sabm, params, blocks, window
     info = rng.integers(0, 2, (blocks, code.w, code.info_cols), dtype=np.uint8)
     hard, llrs = zip(*(channel(b, rng, error_rate) for b in scc_encode(code, info)))
     llrs = list(llrs) if sabm else None
-    got, got_stats = decode_chain(code, list(hard), llrs, params, window, ell)
+    # marks as the trial loop makes them: None for the blocks no window marks
+    marked = set(newest_blocks(blocks, window))
+    marks = None if llrs is None else [block_marks(code, g, params) if b in marked else None
+                                       for b, g in enumerate(llrs)]
+    got, got_stats = decode_chain(code, list(hard), marks, params, window, ell)
     want, want_stats = reference.scc_decode(code, hard, llrs, params, window, ell)
     assert np.array_equal(np.array(got), np.array(want))
     assert got_stats == want_stats

@@ -14,6 +14,11 @@ def scc32(ecc32_code):
     return SccCode(ecc32_code)
 
 
+def marks_of(code, llrs, params):
+    """Every block's marks; decode_chain reads only those of newest blocks."""
+    return [scc.block_marks(code, llr, params) for llr in llrs]
+
+
 def random_chain(code, rng, num_blocks):
     info = rng.integers(0, 2, size=(num_blocks, code.w, code.info_cols),
                         dtype=np.uint8)
@@ -110,7 +115,8 @@ def test_sabm_degenerate_matches_standard(scc32, rng):
     window = len(noisy) + 1
     out_std, st_std = decode_chain(scc32, noisy, None, SabmParams(), window=window, ell=3)
     llrs = [np.where(b == 0, 2.0, -2.0) for b in noisy]
-    out_deg, st_deg = decode_chain(scc32, noisy, llrs, SabmParams(md_iters=0, total_iters=3),
+    params = SabmParams(md_iters=0, total_iters=3)
+    out_deg, st_deg = decode_chain(scc32, noisy, marks_of(scc32, llrs, params), params,
                                    window=window, ell=3)
     for a, b in zip(out_std, out_deg):
         assert np.array_equal(a, b)
@@ -124,8 +130,8 @@ def test_sabm_window_recovers_three_error_row(scc32, rng):
     noisy[-1][5, errs] ^= 1
     llrs = [np.where(b == 0, 8.0, -8.0) for b in noisy]
     llrs[-1][5, errs] = np.where(noisy[-1][5, errs] == 0, 0.4, -0.4)
-    out, _ = decode_chain(scc32, noisy, llrs,
-                          SabmParams(delta=5.0, total_iters=4, md_iters=4),
+    params = SabmParams(delta=5.0, total_iters=4, md_iters=4)
+    out, _ = decode_chain(scc32, noisy, marks_of(scc32, llrs, params), params,
                           window=len(noisy) + 1, ell=4)
     for got, want in zip(out, blocks):
         assert np.array_equal(got, want)
@@ -153,7 +159,8 @@ def test_decode_chain_sabm_roundtrip(scc32, rng):
     noisy[3][2, 9] ^= 1
     noisy[5][11, 1] ^= 1
     llrs = [np.where(b == 0, 8.0, -8.0) for b in noisy]
-    out, stats = decode_chain(scc32, noisy, llrs, SabmParams(), window=4, ell=3)
+    out, stats = decode_chain(scc32, noisy, marks_of(scc32, llrs, SabmParams()), SabmParams(),
+                              window=4, ell=3)
     for got, want in zip(out, blocks):
         assert np.array_equal(got, want)
 
@@ -166,6 +173,17 @@ def test_decode_chain_input_not_mutated(scc32, rng):
     decode_chain(scc32, noisy, None, SabmParams(), window=3, ell=2)
     for a, b in zip(noisy, snap):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("num_blocks, window, newest", [
+    (12, 5, [3, 4, 5, 6, 7, 8, 9, 10, 11, 11, 11, 11]),  # the benchmark's chains
+    (3, 5, [2, 2, 2]),          # a chain shorter than the window
+    (4, 4, [2, 3, 3, 3]),
+    (4, 2, [0, 1, 2, 3]),       # window 2 marks every block
+    (1, 3, [0]),
+])
+def test_newest_blocks_follow_the_window_schedule(num_blocks, window, newest):
+    assert scc.newest_blocks(num_blocks, window) == newest
 
 
 def test_decode_chain_window_validation(scc32):
@@ -202,7 +220,8 @@ def test_sabm_chain_extra_calls_only_from_flips(scc32, rng):
     noisy[4][6, errs] ^= 1
     llrs = [np.where(b == 0, 8.0, -8.0) for b in noisy]
     llrs[4][6, errs] = np.where(noisy[4][6, errs] == 0, 0.4, -0.4)
-    out, stats = decode_chain(scc32, noisy, llrs, SabmParams(), window=4, ell=3)
+    out, stats = decode_chain(scc32, noisy, marks_of(scc32, llrs, SabmParams()), SabmParams(),
+                              window=4, ell=3)
     for got, want in zip(out, blocks):
         assert np.array_equal(got, want)
     baseline = baseline_calls(scc32, 6, window=4, ell=3)

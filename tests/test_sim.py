@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from multiprocessing.connection import wait
@@ -24,7 +25,8 @@ from feclab import cli
 from feclab.cli import build_parser, config_from_args, main
 from feclab.errors import ConfigError
 from feclab import sim
-from feclab.pc import DecodeStats, SabmParams, sabm_decode
+from feclab.pc import DecodeStats, MarkState, SabmParams, sabm_decode
+from feclab.scc import newest_blocks
 from feclab.sim import (
     CSV_COLUMNS,
     SccRunParams,
@@ -137,6 +139,38 @@ def test_scc_point_populates_eta():
     assert pc.eta is None
 
 
+@pytest.mark.parametrize("window", [2, 3, 5, 8])
+def test_channel_keeps_the_marks_of_the_marked_blocks_only(window):
+    # an SCC SABM chain holds the marks of the blocks that the windows mark
+    # and no LLR grid; SCC iBDD holds nothing soft; a PC block its LLR grid
+    cfg = small_scc_cfg(decoder="sabm", scc=SccRunParams(window=window, iters=2,
+                                                         chain_blocks=6))
+    _, blocks, hard, marks = sim._channel(cfg, 4.0, 1)
+    marked = set(newest_blocks(6, window))
+    assert [isinstance(m, MarkState) for m in marks] == [b in marked for b in range(6)]
+    plain = sim._channel(replace(cfg, decoder="ibdd"), 4.0, 1)
+    assert np.array_equal(plain[2], hard) and plain[3] is None
+    assert hard.dtype == np.uint8 and hard.shape == blocks.shape
+    _, block, hard, llr = sim._channel(small_pc_cfg(), 4.0, 1)
+    assert llr.shape == block.shape[1:] and np.array_equal(hard[0], llr < 0)
+
+
+def test_scc_sabm_trial_memory_is_bounded():
+    # one default chain (12 blocks of 128 x 128, window 5, m = 8) holds its
+    # marks, not its LLR grids, and builds its syndromes from one float32
+    # copy of the bits: 2.48 MiB traced, 4.39 MiB with grids and word copies
+    cfg = SimConfig(scheme="scc", decoder="sabm", snr_points=(7.2,), component_m=8,
+                    scc=SccRunParams(window=5, chain_blocks=12))
+    sim._trials(cfg, 7.2, 0, 1)  # builds the code tables and the layout
+    tracemalloc.start()
+    try:
+        sim._trials(cfg, 7.2, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * 2**20
+
+
 def test_sabm_counters_sum_per_trial_decodes():
     cfg = small_pc_cfg(decoder="sabm", snr_points=(4.5,), workers=2,
                        stop=StopRule(min_word_errors=10 ** 9, max_blocks=16))
@@ -145,7 +179,7 @@ def test_sabm_counters_sum_per_trial_decodes():
     total = DecodeStats()
     for trial in range(st.blocks_run):
         _, _, hard, llr = sim._channel(cfg, 4.5, trial)
-        total += sabm_decode(code, hard[0], llr[0], cfg.sabm)[1]
+        total += sabm_decode(code, hard[0], llr, cfg.sabm)[1]
     assert total.miscorrections_detected > 0 and total.flips_accepted > 0
     assert st.decoder == total
 
@@ -306,7 +340,9 @@ def test_pooled_point_cancels_its_queued_shares_on_an_error(monkeypatch):
     "pc --mod 4 --component-m 5 --snr 9,10 --decoder ibdd --min-errors 10 --max-blocks 96",
     "scc --component-m 5 --chain-blocks 2 --window 3 --scc-iters 2 --snr 2.5,3.5 "
     "--decoder sabm --min-errors 40 --max-blocks 192",
-], ids=["pc_ibdd_4pam", "scc_sabm"])
+    "scc --component-m 5 --chain-blocks 2 --window 3 --scc-iters 2 --snr 2.5,3.5 "
+    "--decoder ibdd --min-errors 40 --max-blocks 192",
+], ids=["pc_ibdd_4pam", "scc_sabm", "scc_ibdd"])
 def test_cli_csv_is_the_same_at_any_worker_count(argv, capsys):
     texts = []
     for workers in (1, 2, 3):
@@ -390,6 +426,17 @@ def test_pool_serves_later_sweeps_of_its_worker_count():
     assert sweep_csv(replace(cfg, snr_points=(5.0, 6.0)))  # another sweep between
     assert sweep_csv(cfg) == first == want
     assert pool_pids() == pids
+
+
+def test_pool_workers_ignore_sigint():
+    # a Ctrl-C reaches every process of the group; an idle worker that took
+    # it as a KeyboardInterrupt would print a traceback and die
+    cfg = small_pc_cfg(workers=2)
+    want = sweep_csv(cfg)
+    pids = pool_pids()
+    os.kill(pids[0], signal.SIGINT)
+    assert not gone(pids[0], timeout=1.0)
+    assert sweep_csv(cfg) == want and pool_pids() == pids
 
 
 def test_pool_follows_a_rebinding_in_feclab(monkeypatch):
@@ -644,6 +691,51 @@ def test_cli_defaults_are_the_dataclass_defaults(command):
     # every key the flags leave unset keeps its field's default
     cfg = config_from_args(build_parser().parse_args([command, "--snr", "6"]))
     assert cfg == SimConfig(scheme="scc" if command == "scc" else "pc", snr_points=(6.0,))
+
+
+def test_cli_interrupt_prints_one_line(monkeypatch, capsys):
+    def interrupted(cfg, out=None):
+        out.write("header\n")
+        out.flush()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_sweep", interrupted)
+    assert main(["pc", "--snr", "6.0"]) == 130
+    captured = capsys.readouterr()
+    assert captured.out == "header\n"
+    assert captured.err.startswith("interrupted") and captured.err.count("\n") == 1
+
+
+def test_ctrl_c_on_a_pooled_sweep_prints_one_line_and_leaves_no_process():
+    # SIGINT to the process group, as a terminal's Ctrl-C sends it, while
+    # two workers decode the first point
+    env = {**os.environ, "PYTHONPATH": str(Path(sim.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "feclab.cli", "pc", "--snr", "6.0,6.4",
+                             "--decoder", "sabm", "--workers", "2"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        header = proc.stdout.readline() if select.select([proc.stdout], [], [], 120)[0] else ""
+        time.sleep(1.5)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert header.startswith("scheme,")
+    assert proc.returncode == 130
+    assert err.startswith("interrupted") and err.count("\n") == 1, err
+    end = time.monotonic() + 10
+    while time.monotonic() < end:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.05)
+    else:
+        os.killpg(proc.pid, signal.SIGKILL)
+        pytest.fail("a process of the interrupted sweep is still running")
 
 
 def test_cli_rejects_bad_snr(capsys):

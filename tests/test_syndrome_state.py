@@ -158,8 +158,9 @@ def test_window_syndromes_match_after_each_window(mode, seed, monkeypatch):
     info = rng.integers(0, 2, (8, code.w, code.info_cols), dtype=np.uint8)
     noisy = [b ^ (rng.random(b.shape) < 0.04).astype(np.uint8)
              for b in scc_encode(code, info)]
-    llrs = [noisy_llr(b, rng) for b in noisy] if mode == "sabm" else None
-    out, _ = scc.decode_chain(code, noisy, llrs, SabmParams(), window=4, ell=3)
+    marks = ([scc.block_marks(code, noisy_llr(b, rng), SabmParams()) for b in noisy]
+             if mode == "sabm" else None)
+    out, _ = scc.decode_chain(code, noisy, marks, SabmParams(), window=4, ell=3)
     (state,) = made
     assert_matches(state, scc_recomputed)
     # 3 iterations over the pairs s..min(s + 2, 7) of each window s
