@@ -5,9 +5,9 @@ bit-marking decoder on 2-PAM, one CSV per decoder.
 Usage:
     python scripts/pc_waterfall.py [outdir]
 
-The default grid takes about 35 s on one core of a 2-core x86 host
-(33-39 s over two runs); trim the SNR list or min_errors for a quicker
-look.
+The default grid takes about 45 s on one core of a shared 2-core x86
+host (44-46 s over two runs: 10-11 s for iBDD, 33-35 s for the
+bit-marking sweep); trim the SNR list or min_errors for a quicker look.
 """
 
 import pathlib

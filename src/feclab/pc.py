@@ -4,10 +4,10 @@ bit-marking (SABM) decoder.
 SABM augments iBDD with a channel-LLR mask: bits with |llr| > delta are
 highly reliable (HRBs), and per component word the d0-t-1 smallest-|llr|
 non-HRB positions are the flip candidates (HUBs). SABM runs if and only
-if LLRs are given: in the first md_iters iterations `decode_pass` vetoes
-every BDD proposal that touches an HRB or a bit whose crossing word has a
-zero syndrome and, on a failure or a vetoed proposal, retries BDD with the
-least reliable non-HRB bits flipped.
+if LLRs are given: in the first md_iters iterations a marking pass
+(`_sabm_pass`) vetoes every BDD proposal that touches an HRB or a bit
+whose crossing word has a zero syndrome and, on a failure or a vetoed
+proposal, retries BDD with the least reliable non-HRB bits flipped.
 
 Decoding runs on syndromes, in one core that the staircase decoder shares.
 `SyndromeState` keeps the packed syndrome of every word of a set of word
@@ -20,16 +20,24 @@ is a no-op), yet `bdd_calls` counts w per group pass, as if every word
 were decoded, plus one per flip retry. A PC SABM block and a staircase
 window pass one group at a time, as a Python int, which reads a view of
 its syndromes and its rows of the layout; only a PC iBDD stack, decoded
-in lockstep, passes an array of groups. What a marking pass reads that
-does not change within a block is built once: the flip syndromes as a
-list per `SyndromeState`, the HRB flags as bytes and the flip candidates
-as one list per word per `MarkState`, and per `Layout` the crossing
-syndrome slot of each position, per group and live range, as a tuple.
+in lockstep, passes an array of groups. A marking pass, `_sabm_pass`,
+runs on a Python list of syndromes: `sabm_decode` reads its block's once
+and keeps it through all its marking iterations, then flips their bits
+at once, while a staircase window's pass (`decode_pass` with marks)
+reads the live ones per pass and flips through the state. What a
+marking pass reads that does not change within a block is built once:
+the flip syndromes as a list per `SyndromeState`, the HRB flags as bytes
+and the flip candidates as one list per word per `MarkState`, per
+`Layout` the crossing syndrome slot of each position, per group and live
+range, as a tuple, and per component code the BDD pattern of every
+syndrome as a list (`BchCode.bdd_patterns`, made on the first marking
+pass).
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -240,59 +248,53 @@ class SyndromeState:
         np.bitwise_xor.at(self.syn, cross.take(at), h[shift.take(at) + words])
 
 
-def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, syns: np.ndarray,
-               marks: MarkState, axis: int, live: range | None, stats: DecodeStats) -> bool:
-    """SABM on the words idx of one group, whose syndromes are syns, in
-    ascending order, on Python ints. A word's BDD proposal is vetoed if it
-    touches an HRB of the word or a bit whose crossing word is live and
+def _sabm_pass(state: SyndromeState, group: int, cs: list, own: int, slot: tuple,
+               marks: MarkState, axis: int, stats: DecodeStats) -> tuple[list, list]:
+    """SABM on the words of one group that have a nonzero syndrome, in
+    ascending order, on the Python list of syndromes cs: word i's own is
+    cs[own + i], and the crossing word through its position j is
+    cs[slot[j]] (a `Layout.slots` tuple, whose crossing words outside the
+    live range share one slot that never reads 0). A word's BDD proposal
+    is vetoed if it touches an HRB of the word or a bit whose crossing word
     has a zero syndrome. A failure retries with its candidates c[0], c[1],
     ... flipped one at a time, at most flip_attempts retries; a vetoed
     proposal of weight e retries once with c[:d0 - e - 1] flipped at once.
     Both act on the pre-BDD word and take the first retry that decodes to
-    a pattern the veto passes; else the word is left as it is. A veto reads
-    crossing syndromes that earlier words of the pass changed, so each
-    accepted pattern updates the crossing syndromes at once, through the
-    layout's slots, whose crossing words outside live share one slot that
-    never reads 0; the bits and the state's syndromes are flipped once at
-    the end, which is exact as XOR commutes and no (word, position)
-    repeats. BDD reads `error_positions` as `bch.decode_syndromes` does:
-    the proposals of all words in one gather, each retry inline."""
-    n, d0, table, h = state.code.n, state.code.d0, state.code.error_positions, state.h
-    lo, hi = (0, state.syn.size) if live is None else (live.start, live.stop)
-    slot, shift = state.layout.slots(group, lo, hi), state.layout.shifts[group]
-    # live crossing syndromes, kept current, and the slot of every crossing
-    # word outside live: syndromes are below 2^17, so it never reads 0
-    cs = state.syn[lo:hi].tolist() + [1 << 62]
+    a pattern the veto passes; else the word is left as it is. A veto
+    reads crossing syndromes that earlier words of the pass changed, so
+    each accepted pattern zeroes its word's entry of cs and updates its
+    crossing entries at once. BDD is one index into the code's
+    `bdd_patterns` list per proposal or retry. Returns the words and
+    positions of the accepted patterns, one entry per bit, which the caller
+    flips in the bits, and in the state's syndromes unless it keeps cs."""
+    w, n, d0, h = state.w, state.code.n, state.code.d0, state.h
+    patterns, shift = state.code.bdd_patterns, state.layout.shifts[group]
     hrb, candidates, attempts = marks.hrb[axis], marks.candidates[axis], marks.flip_attempts
+    # no word of a group crosses another: only its own acceptance changes its entry
+    pending = cs[own:own + w]
 
     words, positions = [], []
     retries = miscorrections = accepted = 0
-    for i, syn, (a, b) in zip(idx.tolist(), syns.tolist(), table.take(syns, axis=0).tolist()):
+    for i, syn in zip(compress(range(w), pending), filter(None, pending)):
         row = i * n
-        # syn != 0, so a proposal without a position is a failure
-        pattern = (a, b) if b >= 0 else (a,) if a >= 0 else ()
+        # syn != 0, so its pattern is never (): None is a failure
+        pattern, tries = patterns[syn], ()
+        if pattern is None:  # one candidate per retry, as 1-tuples
+            pattern, tries = (), zip(candidates[i][:attempts])
         for p in pattern:
             if hrb[row + p] or not cs[slot[p]]:  # vetoed: drop it, retry once
                 miscorrections += 1
                 flips = candidates[i][:d0 - len(pattern) - 1]
                 pattern, tries = (), [flips] if flips else []
                 break
-        else:
-            tries = () if pattern else [[p] for p in candidates[i][:attempts]]
         for flips in tries:
             retries += 1
             change = syn
             for p in flips:
                 change ^= h[p]
-            a, b = table.item(change, 0), table.item(change, 1)
-            if b >= 0:
-                got = (a, b)
-            elif a >= 0:
-                got = (a,)
-            elif change:  # a failure; syndrome 0 decodes to ()
+            got = patterns[change]
+            if got is None:
                 continue
-            else:
-                got = ()
             # never empty: syn != 0 is the syndrome of flips ^ got
             total = set(flips) ^ set(got)
             for p in total:
@@ -306,15 +308,14 @@ def _sabm_pass(state: SyndromeState, group: int, idx: np.ndarray, syns: np.ndarr
             continue
         for p in pattern:
             cs[slot[p]] ^= h[shift[p] + i]
+        cs[own + i] = 0
         words += [i] * len(pattern)
         positions += pattern
-    if words:
-        state.flip(group, np.array(words), np.array(positions))
     stats.bdd_calls += retries
     stats.miscorrections_detected += miscorrections
     stats.flips_attempted += retries
     stats.flips_accepted += accepted
-    return bool(words)
+    return words, positions
 
 
 def decode_pass(state: SyndromeState, groups, stats: DecodeStats,
@@ -340,7 +341,16 @@ def decode_pass(state: SyndromeState, groups, stats: DecodeStats,
         if hit.size == 0:
             return False
         if marks is not None:
-            return _sabm_pass(state, groups, hit, own[hit], marks, axis, live, stats)
+            # the live syndromes, the slot of every crossing word outside
+            # live (syndromes are below 2^17, so it never reads 0), then
+            # the group's own, which live need not hold
+            lo, hi = (0, state.syn.size) if live is None else (live.start, live.stop)
+            cs = state.syn[lo:hi].tolist() + [1 << 62] + own.tolist()
+            words, positions = _sabm_pass(state, groups, cs, hi - lo + 1,
+                                          state.layout.slots(groups, lo, hi), marks, axis, stats)
+            if words:
+                state.flip(groups, np.array(words), np.array(positions))
+            return bool(words)
         pos = table.take(own[hit], axis=0).ravel()
         at = (pos >= 0).nonzero()[0]  # word at // 2 (t = 2 entries a word)
         if at.size:
@@ -390,18 +400,46 @@ def sabm_decode(code: PcCode, block, llr: np.ndarray,
     iteration that flips nothing ends the decode, except that a marking
     iteration that leaves a nonzero syndrome, which cannot progress with
     the same vetoes in place, hands the block to the plain ones. Returns
-    the decoded bits and the DecodeStats."""
+    the decoded bits and the DecodeStats.
+
+    The marking iterations run on one Python list of the block's 2w
+    syndromes, read once from the state and kept by `_sabm_pass`. Their
+    flips are applied to the bits once, at the end, and the list is then
+    written back to the state for the plain iterations' `decode_pass`. No
+    bit flips twice there: a flip makes its word a codeword, and the veto
+    keeps every bit of a codeword, so that word stays one and the bit's
+    crossing word can never flip it back."""
     marks = mark_bits(llr, params, code)
     blk = np.array(block, dtype=np.uint8, order="C")
     w = code.w
     if blk.shape != (w, w):
         raise ValueError(f"block must be ({w}, {w})")
     state, stats = SyndromeState(code.component, blk, block_layout(w, 1)), DecodeStats()
+    # every crossing word of a block is live: no slot past its 2w syndromes
+    cs, slots = state.syn.tolist(), [state.layout.slots(g, 0, 2 * w) for g in (0, 1)]
+    flipped = ([], []), ([], [])  # per group, the words and positions it flipped
+    stalled = False
     for _ in range(params.md_iters):
-        if not (decode_pass(state, 0, stats, marks, 0) | decode_pass(state, 1, stats, marks, 1)):
-            if not state.syn.any():
-                return blk, stats
+        changed = False
+        for g, (words, positions) in enumerate(flipped):  # rows, then columns: axis g
+            stats.bdd_calls += w
+            new_words, new_positions = _sabm_pass(state, g, cs, g * w, slots[g], marks, g, stats)
+            words += new_words
+            positions += new_positions
+            changed |= bool(new_words)
+        if not changed:
+            stalled = True
             break
+    bits = []  # the flat index of every flip, none twice (see above)
+    for (base, stride, _, _), (words, positions) in zip(state.layout.tables, flipped):
+        if words:
+            at = np.array(positions)
+            bits.append(base.take(at) + np.array(words) * stride.take(at))
+    if bits:
+        state.flat[np.concatenate(bits)] ^= 1
+        state.syn[:] = cs
+    if stalled and not state.syn.any():
+        return blk, stats
     for _ in range(params.md_iters, params.total_iters):
         if not (decode_pass(state, 0, stats) | decode_pass(state, 1, stats)):
             break

@@ -230,6 +230,18 @@ def test_decode_syndromes_reads_the_table_as_python_ints(m):
     assert decode_syndromes(code, 0) == ()
 
 
+@pytest.mark.parametrize("m", range(4, 9))
+def test_bdd_patterns_list_equals_decode_syndromes(m):
+    # the marking passes' list holds, for every packed syndrome, what
+    # decode_syndromes reads from the table: (), a tuple of Python ints, or
+    # None for a failure; it is built once and kept on the code
+    code = build_code(m)
+    assert "bdd_patterns" not in vars(code)
+    patterns = code.bdd_patterns
+    assert patterns == [decode_syndromes(code, s) for s in range(len(code.error_positions))]
+    assert code.bdd_patterns is patterns
+
+
 def test_vectorized_propose_matches_scalar():
     # the table read of the iBDD passes (the entries >= 0 of each row of
     # error_positions[syn]) agrees with the one-syndrome decode of the SABM

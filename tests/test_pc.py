@@ -655,3 +655,48 @@ def test_sabm_determinism(pc32, rng):
     out2, st2 = sabm_decode(pc32, noisy, grid, params)
     assert np.array_equal(out1, out2)
     assert st1 == st2
+
+
+def sabm_decode_pass_by_pass(code, block, llr, params):
+    """`sabm_decode` with every marking pass run by `decode_pass`, which
+    builds its syndrome list from the state and flips the bits and the
+    state's syndromes as the pass ends."""
+    marks = mark_bits(llr, params, code)
+    blk = np.array(block, dtype=np.uint8, order="C")
+    state = SyndromeState(code.component, blk, block_layout(code.w, 1))
+    stats = DecodeStats()
+    for _ in range(params.md_iters):
+        if not (decode_pass(state, 0, stats, marks, 0) | decode_pass(state, 1, stats, marks, 1)):
+            if not state.syn.any():
+                return blk, stats
+            break
+    for _ in range(params.md_iters, params.total_iters):
+        if not (decode_pass(state, 0, stats) | decode_pass(state, 1, stats)):
+            break
+    return blk, stats
+
+
+@pytest.mark.parametrize("params", [
+    SabmParams(md_iters=0),
+    SabmParams(),
+    SabmParams(md_iters=10),
+    SabmParams(delta=np.inf),
+    SabmParams(failure_flip_attempts=0),
+    SabmParams(delta=3.0, md_iters=10, failure_flip_attempts=3),
+], ids=["md0", "md5", "md_all", "delta_inf", "attempts0", "attempts3_md_all"])
+def test_marking_phase_on_one_syndrome_list_equals_pass_by_pass(pc32, params):
+    # the marking iterations keep one list of the block's syndromes and flip
+    # the bits once at the end. Random blocks around the waterfall decode to
+    # the same bits with the same DecodeStats as pass by pass, in every
+    # phase length, with no HRB (delta inf) and with 0 to 3 failure retries
+    rng = np.random.default_rng(2024)
+    total = DecodeStats()
+    for snr_db in (3.5, 4.0, 4.5, 5.0):
+        for _ in range(8):
+            noisy, grid = channel_pass(random_block(pc32, rng), snr_db, rng)
+            out, stats = sabm_decode(pc32, noisy, grid, params)
+            want, want_stats = sabm_decode_pass_by_pass(pc32, noisy, grid, params)
+            assert np.array_equal(out, want)
+            assert stats == want_stats
+            total += stats
+    assert (total.miscorrections_detected > 0 and total.flips_attempted > 0) == (params.md_iters > 0)

@@ -13,6 +13,7 @@ import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import lru_cache
 from multiprocessing.connection import wait
 from pathlib import Path
 
@@ -582,6 +583,21 @@ def test_mask_stats_delta_zero_marks_nothing():
     cfg = small_pc_cfg(component_m=5, sabm=SabmParams(delta=0.0))
     ms = mask_stats(cfg, 6.2, num_blocks=5)
     assert ms.mean_non_hrb_count == 0.0
+
+
+def test_only_sabm_builds_the_bdd_pattern_list(monkeypatch):
+    # the marking passes' list of BDD patterns is built on a code's first
+    # marking pass, so a PC iBDD sweep (4-PAM, interleaved) and the mask
+    # statistics, even under a SABM config, leave it unbuilt; fresh codes
+    # here, as other tests may have built it on the cached ones
+    monkeypatch.setattr(sim, "_code", lru_cache(maxsize=None)(sim._code.__wrapped__))
+    cfg = small_pc_cfg(mod=4, snr_points=(9.0,))
+    sweep_csv(cfg)
+    assert sum(mask.sum() for mask in sim.mask_blocks(replace(cfg, decoder="sabm"), 6.0, 3)) > 0
+    code = sim._code("pc", cfg.component_m).component
+    assert "bdd_patterns" not in vars(code)
+    sweep_csv(replace(cfg, decoder="sabm"))
+    assert "bdd_patterns" in vars(code)
 
 
 def test_render_mask():

@@ -121,9 +121,11 @@ def test_state_rejects_bits_it_cannot_update_in_place():
         SyndromeState(CODE, list(bits), block_layout(w, 1))
 
 
-@pytest.mark.parametrize("decoder", ["ibdd", "sabm"])
+@pytest.mark.parametrize("decoder", ["ibdd", "sabm", "sabm_md_all"])
 @pytest.mark.parametrize("seed", range(4))
 def test_block_syndromes_match_after_decode(decoder, seed, monkeypatch):
+    # sabm_md_all has no plain iteration, so the state checked is the one
+    # that the marking iterations wrote back from their syndrome list
     made = recording(monkeypatch, pc, "SyndromeState")
     code = PcCode(CODE)
     rng = np.random.default_rng(seed)
@@ -132,8 +134,10 @@ def test_block_syndromes_match_after_decode(decoder, seed, monkeypatch):
     if decoder == "ibdd":
         out, _ = pc.ibdd_decode(code, noisy, iters=10)
     else:
+        md_iters = 10 if decoder == "sabm_md_all" else 5
         out, _ = pc.sabm_decode(code, noisy, noisy_llr(noisy, rng),
-                                SabmParams(delta=5.0))
+                                SabmParams(delta=5.0, total_iters=10, md_iters=md_iters))
+        assert not np.array_equal(out, noisy)
     (state,) = made
     assert state.bits is out
     assert_matches(state, pc_recomputed)
