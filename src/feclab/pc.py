@@ -5,33 +5,34 @@ SABM augments iBDD with a channel-LLR mask: bits with |llr| > delta are
 highly reliable (HRBs), and per component word the d0-t-1 smallest-|llr|
 non-HRB positions are the flip candidates (HUBs). SABM runs if and only
 if LLRs are given: in the first md_iters iterations a marking pass
-(`_sabm_pass`) vetoes every BDD proposal that touches an HRB or a bit
+(`sabm_pass`) vetoes every BDD proposal that touches an HRB or a bit
 whose crossing word has a zero syndrome and, on a failure or a vetoed
 proposal, retries BDD with the least reliable non-HRB bits flipped.
 
-Decoding runs on syndromes, in one core that the staircase decoder shares.
-`SyndromeState` keeps the packed syndrome of every word of a set of word
-groups in which every bit lies in two words (here group 2b holds the rows
-of block b of a stack and group 2b + 1 its columns). Every flip updates
-the syndrome of its word and of the crossing word, so the maintained
-syndromes always equal the syndromes of the bits. `decode_pass` decodes
-the words of a set of groups that have a nonzero syndrome (a clean word
-is a no-op), yet `bdd_calls` counts w per group pass, as if every word
-were decoded, plus one per flip retry. A PC SABM block and a staircase
-window pass one group at a time, as a Python int, which reads a view of
-its syndromes and its rows of the layout; only a PC iBDD stack, decoded
-in lockstep, passes an array of groups. A marking pass, `_sabm_pass`,
-runs on a Python list of syndromes: `sabm_decode` reads its block's once
-and keeps it through all its marking iterations, then flips their bits
-at once, while a staircase window's pass (`decode_pass` with marks)
-reads the live ones per pass and flips through the state. What a
-marking pass reads that does not change within a block is built once:
-the flip syndromes as a list per `SyndromeState`, the HRB flags as bytes
-and the flip candidates as one list per word per `MarkState`, per
-`Layout` the crossing syndrome slot of each position, per group and live
-range, as a tuple, and per component code the BDD pattern of every
-syndrome as a list (`BchCode.bdd_patterns`, made on the first marking
-pass).
+Decoding runs on syndromes, in one core that the staircase decoder
+shares. `SyndromeState` keeps the packed syndrome of every word of a set
+of word groups in which every bit lies in two words (here group 2b holds
+the rows of block b of a stack and group 2b + 1 its columns). Every flip
+updates the syndrome of its word and of the crossing word, so the
+maintained syndromes always equal the syndromes of the bits. The plain
+pass, `decode_pass`, decodes the words of a set of groups that have a
+nonzero syndrome (a clean word is a no-op), yet `bdd_calls` counts w per
+group pass, as if every word were decoded, plus one per flip retry. A PC
+SABM block and a staircase window pass one group at a time, as a Python
+int, which reads a view of its syndromes and its rows of the layout; only
+a PC iBDD stack, decoded in lockstep, passes an array of groups. A
+marking pass, `sabm_pass`, decodes one group on a Python list of the
+syndromes of a slot range that holds it, made by `syndrome_list`, and
+returns the flips it accepted: `sabm_decode` reads its block's list once
+and keeps it through all its marking iterations, then flips their bits at
+once, while a staircase window reads the list of its pairs per marking
+pass and flips through the state. What a marking pass reads that does not
+change within a block is built once: the flip syndromes as a list per
+`SyndromeState`, the HRB flags as bytes and the flip candidates as one
+list per word per `MarkState`, per `Layout` the crossing syndrome slot of
+each position, per group and slot range, as a tuple, and per component
+code the BDD pattern of every syndrome as a list (`BchCode.bdd_patterns`,
+made on the first marking pass).
 """
 
 from collections.abc import Callable
@@ -248,27 +249,37 @@ class SyndromeState:
         np.bitwise_xor.at(self.syn, cross.take(at), h[shift.take(at) + words])
 
 
-def _sabm_pass(state: SyndromeState, group: int, cs: list, own: int, slot: tuple,
-               marks: MarkState, axis: int, stats: DecodeStats) -> tuple[list, list]:
+def syndrome_list(state: SyndromeState, lo: int, hi: int) -> list:
+    """The marking pass's list of syndromes: those of slots lo..hi-1 as
+    Python ints, then the one slot that every crossing word outside lo..hi
+    shares, which never reads 0 (syndromes are below 2^17)."""
+    return state.syn[lo:hi].tolist() + [1 << 62]
+
+
+def sabm_pass(state: SyndromeState, group: int, cs: list, lo: int, marks: MarkState,
+              axis: int, stats: DecodeStats) -> tuple[list, list]:
     """SABM on the words of one group that have a nonzero syndrome, in
-    ascending order, on the Python list of syndromes cs: word i's own is
-    cs[own + i], and the crossing word through its position j is
-    cs[slot[j]] (a `Layout.slots` tuple, whose crossing words outside the
-    live range share one slot that never reads 0). A word's BDD proposal
-    is vetoed if it touches an HRB of the word or a bit whose crossing word
-    has a zero syndrome. A failure retries with its candidates c[0], c[1],
-    ... flipped one at a time, at most flip_attempts retries; a vetoed
-    proposal of weight e retries once with c[:d0 - e - 1] flipped at once.
-    Both act on the pre-BDD word and take the first retry that decodes to
-    a pattern the veto passes; else the word is left as it is. A veto
-    reads crossing syndromes that earlier words of the pass changed, so
-    each accepted pattern zeroes its word's entry of cs and updates its
-    crossing entries at once. BDD is one index into the code's
-    `bdd_patterns` list per proposal or retry. Returns the words and
-    positions of the accepted patterns, one entry per bit, which the caller
-    flips in the bits, and in the state's syndromes unless it keeps cs."""
+    ascending order, on cs, a `syndrome_list` of a slot range lo..hi that
+    holds the group: word i's own syndrome is that of slot group * w + i,
+    and the crossing word through its position j is cs[slot[j]] (the
+    group's `Layout.slots` tuple). Word i of the group is word i of marks'
+    axis. A word's BDD proposal is vetoed if it touches an HRB of the word
+    or a bit whose crossing word has a zero syndrome. A failure retries
+    with its candidates c[0], c[1], ... flipped one at a time, at most
+    flip_attempts retries; a vetoed proposal of weight e retries once with
+    c[:d0 - e - 1] flipped at once. Both act on the pre-BDD word and take
+    the first retry that decodes to a pattern the veto passes; else the
+    word is left as it is. A veto reads crossing syndromes that earlier
+    words of the pass changed, so each accepted pattern zeroes its word's
+    entry of cs and updates its crossing entries at once. BDD is one index
+    into the code's `bdd_patterns` list per proposal or retry; `bdd_calls`
+    counts w, as a plain pass does, plus one per retry. Returns the words
+    and positions of the accepted patterns, one entry per bit, which the
+    caller flips in the bits, and in the state's syndromes unless it keeps
+    cs."""
     w, n, d0, h = state.w, state.code.n, state.code.d0, state.h
     patterns, shift = state.code.bdd_patterns, state.layout.shifts[group]
+    slot, own = state.layout.slots(group, lo, lo + len(cs) - 1), group * w - lo
     hrb, candidates, attempts = marks.hrb[axis], marks.candidates[axis], marks.flip_attempts
     # no word of a group crosses another: only its own acceptance changes its entry
     pending = cs[own:own + w]
@@ -311,25 +322,19 @@ def _sabm_pass(state: SyndromeState, group: int, cs: list, own: int, slot: tuple
         cs[own + i] = 0
         words += [i] * len(pattern)
         positions += pattern
-    stats.bdd_calls += retries
+    stats.bdd_calls += w + retries
     stats.miscorrections_detected += miscorrections
     stats.flips_attempted += retries
     stats.flips_accepted += accepted
     return words, positions
 
 
-def decode_pass(state: SyndromeState, groups, stats: DecodeStats,
-                marks: MarkState | None = None, axis: int = 0,
-                live: range | None = None) -> bool | np.ndarray:
+def decode_pass(state: SyndromeState, groups, stats: DecodeStats) -> bool | np.ndarray:
     """Decode the words with a nonzero syndrome of each of `groups` and
-    apply their flips. `groups` is one group as a Python int (the rows or
-    columns of a PC SABM block, a staircase pair) or, for an iBDD stack, an
-    array of them. Without marks every pattern applies at once, as the
-    words of a group share no bits and the groups are disjoint word sets.
-    With marks (SABM, on an int group whose word i is word i of marks'
-    axis) `_sabm_pass` resolves the words in ascending order in one loop,
-    as a veto reads crossing syndromes that earlier words changed; it reads
-    only the slots in `live` (default: all). Returns whether any bit of the
+    apply their flips, all at once, as the words of a group share no bits
+    and the groups are disjoint word sets. `groups` is one group as a
+    Python int (the rows or columns of a PC SABM block, a staircase pair)
+    or, for an iBDD stack, an array of them. Returns whether any bit of the
     group was flipped, for an int group, or per group of an array."""
     w = state.w
     table = state.code.error_positions
@@ -340,24 +345,11 @@ def decode_pass(state: SyndromeState, groups, stats: DecodeStats,
         hit = own.nonzero()[0]
         if hit.size == 0:
             return False
-        if marks is not None:
-            # the live syndromes, the slot of every crossing word outside
-            # live (syndromes are below 2^17, so it never reads 0), then
-            # the group's own, which live need not hold
-            lo, hi = (0, state.syn.size) if live is None else (live.start, live.stop)
-            cs = state.syn[lo:hi].tolist() + [1 << 62] + own.tolist()
-            words, positions = _sabm_pass(state, groups, cs, hi - lo + 1,
-                                          state.layout.slots(groups, lo, hi), marks, axis, stats)
-            if words:
-                state.flip(groups, np.array(words), np.array(positions))
-            return bool(words)
         pos = table.take(own[hit], axis=0).ravel()
         at = (pos >= 0).nonzero()[0]  # word at // 2 (t = 2 entries a word)
         if at.size:
             state.flip(groups, hit[at >> 1], pos[at])
         return bool(at.size)
-    if marks is not None:
-        raise ValueError("marks take one group, as a Python int")
     groups = np.asarray(groups)
     stats.bdd_calls += w * groups.size
     own = state.syn.reshape(-1, w).take(groups, axis=0).ravel()
@@ -403,7 +395,7 @@ def sabm_decode(code: PcCode, block, llr: np.ndarray,
     the decoded bits and the DecodeStats.
 
     The marking iterations run on one Python list of the block's 2w
-    syndromes, read once from the state and kept by `_sabm_pass`. Their
+    syndromes, read once from the state and kept by `sabm_pass`. Their
     flips are applied to the bits once, at the end, and the list is then
     written back to the state for the plain iterations' `decode_pass`. No
     bit flips twice there: a flip makes its word a codeword, and the veto
@@ -415,15 +407,14 @@ def sabm_decode(code: PcCode, block, llr: np.ndarray,
     if blk.shape != (w, w):
         raise ValueError(f"block must be ({w}, {w})")
     state, stats = SyndromeState(code.component, blk, block_layout(w, 1)), DecodeStats()
-    # every crossing word of a block is live: no slot past its 2w syndromes
-    cs, slots = state.syn.tolist(), [state.layout.slots(g, 0, 2 * w) for g in (0, 1)]
+    # every crossing word of a block lies in its 2w slots: the extra one is never read
+    cs = syndrome_list(state, 0, 2 * w)
     flipped = ([], []), ([], [])  # per group, the words and positions it flipped
     stalled = False
     for _ in range(params.md_iters):
         changed = False
         for g, (words, positions) in enumerate(flipped):  # rows, then columns: axis g
-            stats.bdd_calls += w
-            new_words, new_positions = _sabm_pass(state, g, cs, g * w, slots[g], marks, g, stats)
+            new_words, new_positions = sabm_pass(state, g, cs, 0, marks, g, stats)
             words += new_words
             positions += new_positions
             changed |= bool(new_words)
@@ -437,7 +428,7 @@ def sabm_decode(code: PcCode, block, llr: np.ndarray,
             bits.append(base.take(at) + np.array(words) * stride.take(at))
     if bits:
         state.flat[np.concatenate(bits)] ^= 1
-        state.syn[:] = cs
+        state.syn[:] = cs[:-1]
     if stalled and not state.syn.any():
         return blk, stats
     for _ in range(params.md_iters, params.total_iters):

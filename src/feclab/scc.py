@@ -9,16 +9,19 @@ column). B_0 is the all-zero reference block known to both ends.
 Decoding runs on the syndrome core of `pc`: the chain is one
 (blocks + 1, w, w) array whose pairs are the word groups of one
 `SyndromeState`, and a window is a range of pairs. The pairs missing at
-both ends of the chain share a scratch group that no window decodes, and
-the SABM veto never reads a crossing word outside the window as lying in
-a codeword. A pass decodes only the words of a pair with a nonzero
-syndrome, yet `bdd_calls` counts w per pair pass, as if every word were
-decoded, plus one per flip retry. SABM reads the channel only through
-marks: `newest_blocks` names the blocks that the windows mark, and
-`block_marks` makes a block's `MarkState` from its LLR grid, which the
-trial loop does as it demaps the block, so a chain never holds its
-grids. `decode_chain` runs SABM if and only if it is given the marks,
-and returns the decoded (N, w, w) chain and its `DecodeStats`;
+both ends of the chain share a scratch group that no window decodes. A
+window's plain passes are `decode_pass` on one pair; its marking passes
+are `sabm_pass` on the newest pair, over the `syndrome_list` of the
+window's pairs, so the veto never reads a crossing word outside the
+window as lying in a codeword, and `decode_chain` flips the patterns it
+accepts through the state. A pass decodes only the words of a pair with a
+nonzero syndrome, yet `bdd_calls` counts w per pair pass, as if every
+word were decoded, plus one per flip retry. SABM reads the channel only
+through marks: `newest_blocks` names the blocks that the windows mark,
+and `block_marks` makes a block's `MarkState` from its LLR grid, which
+the trial loop does as it demaps the block, so a chain never holds its
+grids. `decode_chain` runs SABM if and only if it is given the marks, and
+returns the decoded (N, w, w) chain and its `DecodeStats`;
 `baseline_calls` gives eta's baseline from the geometry.
 """
 
@@ -30,7 +33,7 @@ import numpy as np
 from .bch import BchCode, encode_many, packed_syndromes
 from .errors import ConfigError
 from .pc import (DecodeStats, Layout, MarkState, SabmParams, SyndromeState, decode_pass,
-                 make_marks)
+                 make_marks, sabm_pass, syndrome_list)
 
 
 @dataclass(frozen=True)
@@ -147,17 +150,27 @@ def decode_chain(code: SccCode, received: np.ndarray, marks: list[MarkState | No
     outputs depend on this schedule."""
     if window < 2:
         raise ValueError("window size must be >= 2")
-    w = code.w
+    w, shape = code.w, np.shape(received)
+    if len(shape) != 3 or shape[1:] != (w, w):
+        raise ValueError(f"received chain must be (N, {w}, {w}), got {shape}")
+    if marks is not None and len(marks) != len(received):
+        raise ValueError(f"marks must have one entry per received block ({len(received)}), "
+                         f"got {len(marks)}")
     stats = DecodeStats()
     chain = np.zeros((len(received) + 1, w, w), dtype=np.uint8)
     chain[1:] = received
     state = SyndromeState(code.component, chain, chain_layout(w, len(chain)))
     for s, newest in enumerate(newest_blocks(len(received), window)):
-        mark = None if marks is None else marks[newest]
-        live = range(s * w, (newest + 1) * w)
+        lo, hi = s * w, (newest + 1) * w  # the slots of the window's pairs
         for it in range(ell):
-            for p in range(s, newest + 1):
-                sabm = p == newest and it < params.md_iters
-                decode_pass(state, p, stats, mark if sabm else None, live=live)
+            for p in range(s, newest):
+                decode_pass(state, p, stats)
+            if marks is None or it >= params.md_iters:
+                decode_pass(state, newest, stats)
+                continue
+            cs = syndrome_list(state, lo, hi)
+            words, positions = sabm_pass(state, newest, cs, lo, marks[newest], 0, stats)
+            if words:
+                state.flip(newest, np.array(words), np.array(positions))
     # drop the bootstrap zero block from the output
     return chain[1:], stats

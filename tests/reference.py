@@ -5,8 +5,10 @@ A differential oracle for the syndrome-domain decoders of `feclab.pc` and
 `feclab.scc`: they keep no syndrome state and no layout. Every pass
 recomputes the syndromes of its words from the bits with
 `block_syndromes`, and the SABM veto recomputes a crossing word from the
-bits, and only a crossing word inside the window. They share only
-`decode_syndromes` (BDD by table lookup) with feclab. The SABM policy is
+bits, and only a crossing word inside the window. They share only the
+code's `error_positions` table with feclab, which `decode_syndromes` reads
+one syndrome at a time, not through the marking passes' `bdd_patterns`
+list. The SABM policy is
 this module's own, function by function: `sabm_resolve` lists the flip
 sets of a failure or a suspicious proposal, `bit_flip_recover` tries
 them, and `_suspicious` is the veto. `feclab.pc` runs the same policy as
@@ -28,10 +30,25 @@ from operator import xor
 
 import numpy as np
 
-from feclab.bch import BchCode, block_syndromes, decode_syndromes
+from feclab.bch import BchCode, packed_syndromes
 from feclab.modem import ChannelConfig, pam_constellation
 from feclab.pc import DecodeStats, PcCode, SabmParams
 from feclab.scc import SccCode
+
+
+def block_syndromes(code: BchCode, words) -> np.ndarray:
+    """Packed syndromes of every row of a (..., n) bit array, in its shape
+    less the last axis, from one GF(2) matmul against the parity-check
+    matrix."""
+    return packed_syndromes(np.asarray(words, dtype=np.float32) @ code.check_matrix)
+
+
+def decode_syndromes(code: BchCode, syn: int):
+    """BDD of one packed syndrome by its row of `error_positions`: the
+    error positions as an ascending tuple of Python ints, () for syndrome
+    0, None for a failure."""
+    pattern = tuple(p for p in code.error_positions[syn].tolist() if p >= 0)
+    return pattern if pattern or not syn else None
 
 
 def word_marks(a: np.ndarray, delta: float, offset: int = 0):

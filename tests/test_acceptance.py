@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from feclab.bch import block_syndromes, build_code, decode_syndromes, encode_many
+from feclab.bch import build_code, encode_many
 from feclab.modem import ChannelConfig, awgn_transmit, demap_llr, modulate
 from feclab.pc import PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
 from feclab.scc import SccCode, decode_chain, scc_encode
@@ -26,6 +26,8 @@ from feclab.sim import (
     mask_stats,
     run_sweep,
 )
+
+from reference import block_syndromes, decode_syndromes
 
 PC_PARAMS = SabmParams(delta=5.0, total_iters=10, md_iters=5,
                        failure_flip_attempts=1)

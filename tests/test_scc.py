@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from feclab import scc
-from feclab.bch import block_syndromes, build_code
+from feclab.bch import build_code
 from feclab.pc import SabmParams, SyndromeState
 from feclab.scc import SccCode, baseline_calls, decode_chain, eta, scc_encode
+
+from reference import block_syndromes
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +191,26 @@ def test_newest_blocks_follow_the_window_schedule(num_blocks, window, newest):
 def test_decode_chain_window_validation(scc32):
     with pytest.raises(ValueError):
         decode_chain(scc32, [], None, SabmParams(), window=1, ell=1)
+
+
+@pytest.mark.parametrize("shape", ["block", "rows"])
+def test_decode_chain_rejects_what_is_not_a_chain(scc32, shape):
+    # a (w, w) block would broadcast into a chain of w copies of it, and an
+    # (N, 1, w) array into N full blocks
+    w = scc32.w
+    received = np.zeros((w, w) if shape == "block" else (3, 1, w), dtype=np.uint8)
+    with pytest.raises(ValueError, match=rf"received chain must be \(N, {w}, {w}\)"):
+        decode_chain(scc32, received, None, SabmParams(), window=3, ell=1)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one_short", "one_over"])
+def test_decode_chain_takes_one_mark_per_block(scc32, rng, extra):
+    # one entry short would fail on a window's read, one over would be
+    # ignored: both are rejected before decoding
+    _, blocks = random_chain(scc32, rng, 4)
+    marks = marks_of(scc32, [np.ones((scc32.w, scc32.w))] * (len(blocks) + extra), SabmParams())
+    with pytest.raises(ValueError, match=r"one entry per received block \(4\), got "):
+        decode_chain(scc32, blocks, marks, SabmParams(), window=3, ell=1)
 
 
 # ------------------------------------------------------------- complexity

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feclab import pc, scc
-from feclab.bch import block_syndromes, build_code, decode_syndromes
+from feclab.bch import build_code
 from feclab.pc import PcCode, SabmParams, SyndromeState, block_layout, pc_encode
 from feclab.scc import SccCode, chain_layout, scc_encode
+
+from reference import block_syndromes, decode_syndromes
 
 CODE = build_code(5)  # eBCH(32,21): PC w = 32, SCC w = 16
 
@@ -147,16 +149,23 @@ def test_block_syndromes_match_after_decode(decoder, seed, monkeypatch):
 @pytest.mark.parametrize("seed", range(3))
 def test_window_syndromes_match_after_each_window(mode, seed, monkeypatch):
     # exactly one state serves every window of a chain; it matches the bits
-    # before every pass, hence after each window, and after the chain
+    # before every pass, plain or marking, hence after every marking pass's
+    # flips and after each window, and after the chain
     made = recording(monkeypatch, scc, "SyndromeState")
     passes = []
 
-    def checked(state, *args, **kwargs):
-        assert_matches(state, scc_recomputed)
-        passes.append(args[0])
-        return pc.decode_pass(state, *args, **kwargs)
+    def checked(name):
+        run = getattr(pc, name)
 
-    monkeypatch.setattr(scc, "decode_pass", checked)
+        def check(state, group, *args):
+            assert_matches(state, scc_recomputed)
+            passes.append((group, name))
+            return run(state, group, *args)
+
+        monkeypatch.setattr(scc, name, check)
+
+    checked("decode_pass")
+    checked("sabm_pass")
     code = SccCode(CODE)
     rng = np.random.default_rng(seed)
     info = rng.integers(0, 2, (8, code.w, code.info_cols), dtype=np.uint8)
@@ -167,8 +176,11 @@ def test_window_syndromes_match_after_each_window(mode, seed, monkeypatch):
     out, _ = scc.decode_chain(code, noisy, marks, SabmParams(), window=4, ell=3)
     (state,) = made
     assert_matches(state, scc_recomputed)
-    # 3 iterations over the pairs s..min(s + 2, 7) of each window s
-    assert passes == [p for s in range(8) for _ in range(3) for p in range(s, min(s + 3, 8))]
+    # 3 iterations over the pairs s..min(s + 2, 7) of each window s; under
+    # SABM (md_iters 5) every pass over the newest pair is a marking pass
+    newest = "sabm_pass" if mode == "sabm" else "decode_pass"
+    assert passes == [(p, newest if p == min(s + 2, 7) else "decode_pass")
+                      for s in range(8) for _ in range(3) for p in range(s, min(s + 3, 8))]
     for got, want in zip(out, state.bits[1:]):
         assert np.array_equal(got, want)
 

@@ -26,8 +26,9 @@ SPANS = ROOT / "perfbench" / "spans.py"
 README = ROOT / "README.md"
 
 # names the tracer still lists although the decoder no longer has them
-# (the BDD kernel, the codeword check and the flip retries moved into
-# `decode_pass`); the tracer reports them as untraced
+# (the BDD kernel and the codeword check moved into the passes,
+# `decode_pass` and `sabm_pass`, and the flip retries into `sabm_pass`);
+# the tracer reports them as untraced
 GONE = {(module, attr) for module in ("pc", "scc")
         for attr in ("bdd_propose_block", "is_codeword", "bit_flip_recover")}
 
@@ -104,6 +105,40 @@ def test_scripts_and_benchmark_submodule_imports_resolve():
     missing = {(module, name) for module, name in used
                if not hasattr(importlib.import_module(module), name)}
     assert missing == set()
+
+
+def names_read(source: str) -> set[str]:
+    """Every name `source` reads: loaded names, attributes and the names
+    of its from-imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a public function, class or constant of a feclab module is read by the
+    # package itself, README's API sketch, the benchmark or the scripts;
+    # what only tests read belongs in the tests (tests/reference.py)
+    modules = sorted((ROOT / "src" / "feclab").glob("*.py"))
+    sources = [readme_sketch()] + [p.read_text() for p in modules]
+    sources += [p.read_text() for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")]
+    used = set().union(*map(names_read, sources))
+    public = set()
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                public.add((path.stem, node.name))
+            elif isinstance(node, ast.Assign):
+                public.update((path.stem, t.id) for t in node.targets if isinstance(t, ast.Name))
+    public = {(module, name) for module, name in public if not name.startswith("_")}
+    assert ("pc", "decode_pass") in public and ("bch", "PRIMITIVE_POLYS") in public
+    assert {(module, name) for module, name in public if name not in used} == set()
 
 
 def test_readme_sketch_runs():
