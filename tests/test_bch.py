@@ -213,6 +213,45 @@ def test_error_table_matches_two_step_parity_rule(m):
         assert decode_syndromes(ext, syn) == pat
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_decode_syndromes_reads_the_table_as_python_ints(m):
+    # every packed syndrome of the extended code: None for a failure, ()
+    # for 0, else the table's positions in ascending order, as Python ints
+    code = build_code(m)
+    for syn in range(len(code.error_positions)):
+        row = code.error_positions[syn]
+        nerr = int((row >= 0).sum())
+        pat = decode_syndromes(code, syn)
+        if syn and nerr == 0:
+            assert pat is None
+            continue
+        assert type(pat) is tuple and len(pat) == nerr
+        assert all(type(p) is int for p in pat)
+        assert list(pat) == row[:nerr].tolist() == sorted(pat)
+    assert decode_syndromes(code, 0) == ()
+
+
+def test_vectorized_propose_matches_scalar():
+    # the table read of the iBDD passes (the entries >= 0 of each row of
+    # error_positions[syn]) agrees with the one-syndrome decode that the
+    # bdd_patterns list holds, for every packed syndrome of m = 4 and 5
+    for m in (4, 5):
+        code = build_code(m)
+        syn = np.arange(len(code.error_positions))
+        pos = code.error_positions[syn]
+        rows, k = np.nonzero(pos >= 0)
+        got = [[] for _ in syn]
+        for r, p in zip(rows.tolist(), pos[rows, k].tolist()):
+            got[r].append(p)
+        for s, flips in zip(syn.tolist(), got):
+            out = decode_syndromes(code, s)
+            if out is None:
+                assert flips == []
+            else:
+                assert flips == sorted(flips) == list(out)
+                assert code.bdd_patterns[s] == out
+
+
 @pytest.mark.parametrize("m", range(4, 9))
 def test_bdd_patterns_list_equals_decode_syndromes(m):
     # the marking passes' list holds, for every packed syndrome, what the
