@@ -136,22 +136,26 @@ def config_from_args(args: argparse.Namespace) -> SimConfig:
                      **parts[SimConfig])
 
 
-def _check_writable(path: str) -> None:
-    """Raise OSError if path cannot be opened for writing, as far as that
-    shows without creating or truncating it."""
-    parent = os.path.dirname(os.path.abspath(path))
-    if not path or os.path.isdir(path) or not os.access(
-            path if os.path.exists(path) else parent, os.W_OK):
-        raise OSError(f"cannot open {path!r} for writing")
+def _check_outputs(args: argparse.Namespace, cfg: SimConfig) -> None:
+    """Raise OSError if an output path cannot be opened for writing, as far
+    as that shows without creating or truncating it, and ConfigError if two
+    of the command's files (config, --out, --inset) are one file."""
+    outputs = [p for p in (getattr(args, "inset", None), cfg.out_path) if p is not None]
+    for path in outputs:
+        parent = os.path.dirname(os.path.abspath(path))
+        if not path or os.path.isdir(path) or not os.access(
+                path if os.path.exists(path) else parent, os.W_OK):
+            raise OSError(f"cannot open {path!r} for writing")
+    paths = [p for p in (args.config, *outputs) if p is not None]
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        raise ConfigError(f"the config and output paths {paths} must name different files")
 
 
 def _run_mask(args: argparse.Namespace, cfg: SimConfig) -> int:
     validate_mask(cfg, args.blocks)  # before the header goes out
     # both paths are checked before either file is created or truncated,
     # and --inset opens first, so that no output is written before both open
-    for path in (args.inset, cfg.out_path):
-        if path is not None:
-            _check_writable(path)
+    _check_outputs(args, cfg)
     with ExitStack() as files:
         inset = files.enter_context(open(args.inset, "w")) if args.inset is not None else None
         out = (files.enter_context(open(cfg.out_path, "w", newline=""))
@@ -167,7 +171,7 @@ def _run_mask(args: argparse.Namespace, cfg: SimConfig) -> int:
                 writer.writerow([f"{snr:.6g}", i, c, f"{c / mask.size:.6g}"])
                 if i == 0 and inset is not None and snr == cfg.snr_points[0]:
                     inset.write(render_mask(mask) + "\n")
-            mean = total / args.blocks  # as mask_stats computes it
+            mean = total / args.blocks  # np.mean's value: its float sum is exact below 2^53
             print(f"snr {snr:.6g} dB: mean non-HRB count {mean:.6g} "
                   f"(ratio {mean / mask.size:.4f})", file=sys.stderr)
     return 0
@@ -179,8 +183,7 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
         if args.command == "mask":
             return _run_mask(args, cfg)
-        if cfg.out_path is not None:
-            _check_writable(cfg.out_path)
+        _check_outputs(args, cfg)
         run_sweep(cfg, out=sys.stdout if cfg.out_path is None else None)
         return 0
     except (ConfigError, OSError) as exc:

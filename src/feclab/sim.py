@@ -466,19 +466,7 @@ def run_sweep(cfg: SimConfig, out=None) -> list[BerStats]:
 
 @dataclass
 class MaskStats:
-    mean_non_hrb_count: float
-    ratio: float
     per_block_counts: list
-    first_mask: np.ndarray
-
-
-def analytic_non_hrb_probability(snr_db: float, delta: float) -> float:
-    """Gaussian-tail probability that a 2-PAM bit has |llr| <= delta."""
-    rho = 10.0 ** (snr_db / 10.0)
-    sq = math.sqrt(rho)
-    thr = delta / (2.0 * sq)
-    phi = lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-    return phi(thr - sq) - phi(-thr - sq)
 
 
 def validate_mask(cfg: SimConfig, num_blocks: int) -> None:
@@ -499,14 +487,8 @@ def mask_blocks(cfg: SimConfig, snr_db: float, num_blocks: int):
 
 
 def mask_stats(cfg: SimConfig, snr_db: float, num_blocks: int) -> MaskStats:
-    masks = mask_blocks(cfg, snr_db, num_blocks)
-    first = next(masks)
-    counts = [int(first.sum())] + [int(mask.sum()) for mask in masks]
-    # the exact integer sum over n: np.mean's value, whose float sum of
-    # integers below 2^53 is exact too
-    mean = sum(counts) / num_blocks
-    return MaskStats(mean_non_hrb_count=mean, ratio=mean / first.size,
-                     per_block_counts=counts, first_mask=first)
+    """The non-HRB count of each of num_blocks PC blocks at snr_db."""
+    return MaskStats([int(mask.sum()) for mask in mask_blocks(cfg, snr_db, num_blocks)])
 
 
 def render_mask(mask: np.ndarray) -> str:

@@ -22,9 +22,12 @@ a parity generator built from the code's generator polynomial. The
 generators, and the primitive polynomials that define alpha, are the
 textbook table of binary BCH codes (Lin & Costello, Error Control Coding,
 Appendix C), held here and not derived from `feclab`, so that the encoder
-oracle does not share the construction under test.
+oracle does not share the construction under test. The closed-form
+share of 2-PAM bits with |llr| <= delta, which the mask counts must
+approach, is the oracle of the mask statistics.
 """
 
+import math
 from functools import lru_cache, reduce
 from operator import xor
 
@@ -262,6 +265,15 @@ def modulate(bits, cfg: ChannelConfig) -> np.ndarray:
     labels = groups @ (1 << np.arange(nb - 1, -1, -1))
     return pam_constellation(cfg.M)[2][labels]
 
+
+
+def analytic_non_hrb_probability(snr_db: float, delta: float) -> float:
+    """Gaussian-tail probability that a 2-PAM bit has |llr| <= delta."""
+    rho = 10.0 ** (snr_db / 10.0)
+    sq = math.sqrt(rho)
+    thr = delta / (2.0 * sq)
+    phi = lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    return phi(thr - sq) - phi(-thr - sq)
 
 # t = 2 BCH generator polynomials (octal, bit i = coefficient of x^i) and
 # the primitive polynomials of alpha they were built over, per m

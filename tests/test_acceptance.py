@@ -22,12 +22,11 @@ from feclab.sim import (
     SccRunParams,
     SimConfig,
     StopRule,
-    analytic_non_hrb_probability,
     mask_stats,
     run_sweep,
 )
 
-from reference import block_syndromes, decode_syndromes
+from reference import analytic_non_hrb_probability, block_syndromes, decode_syndromes
 
 PC_PARAMS = SabmParams(delta=5.0, total_iters=10, md_iters=5,
                        failure_flip_attempts=1)
@@ -200,8 +199,9 @@ def test_criterion_3_mask_counts(report):
         expect = n_bits * analytic_non_hrb_probability(snr, PC_PARAMS.delta)
         analytic[snr] = expect
         checks.append(abs(expect - center) <= tol)
-        ms = mask_stats(cfg, snr, num_blocks=1000)
-        checks.append(abs(ms.mean_non_hrb_count - expect) <= 0.01 * expect)
+        counts = mask_stats(cfg, snr, num_blocks=1000).per_block_counts
+        checks.append(len(counts) == 1000)
+        checks.append(abs(sum(counts) / 1000 - expect) <= 0.01 * expect)
     ratio = analytic[6.2] / n_bits
     checks.append(0.20 <= ratio <= 0.25)
     report(3, "mask counts at 6.2/5.8 dB", all(checks),

@@ -33,7 +33,6 @@ from feclab.sim import (
     SccRunParams,
     SimConfig,
     StopRule,
-    analytic_non_hrb_probability,
     mask_stats,
     render_mask,
     run_point,
@@ -41,6 +40,8 @@ from feclab.sim import (
     stats_row,
     validate_config,
 )
+
+from reference import analytic_non_hrb_probability
 
 
 def small_pc_cfg(**over):
@@ -570,19 +571,23 @@ def test_analytic_non_hrb_monotone_in_snr():
 
 def test_mask_stats_matches_analytic():
     cfg = small_pc_cfg(component_m=7, decoder="sabm")
-    ms = mask_stats(cfg, 6.2, num_blocks=40)
-    n = cfg.sabm and 128 * 128
+    counts = mask_stats(cfg, 6.2, num_blocks=40).per_block_counts
+    n = 128 * 128
     p = analytic_non_hrb_probability(6.2, cfg.sabm.delta)
-    assert ms.mean_non_hrb_count == pytest.approx(n * p, rel=0.05)
-    assert ms.ratio == pytest.approx(p, rel=0.05)
-    assert len(ms.per_block_counts) == 40
-    assert ms.first_mask.shape == (128, 128)
+    mean = sum(counts) / 40
+    assert mean == pytest.approx(n * p, rel=0.05)
+    assert mean / n == pytest.approx(p, rel=0.05)
+    assert len(counts) == 40
+    # each count is the sum of its block's mask, a whole w x w grid
+    masks = list(sim.mask_blocks(cfg, 6.2, 40))
+    assert masks[0].shape == (128, 128)
+    assert counts == [int(mask.sum()) for mask in masks]
 
 
 def test_mask_stats_delta_zero_marks_nothing():
     cfg = small_pc_cfg(component_m=5, sabm=SabmParams(delta=0.0))
     ms = mask_stats(cfg, 6.2, num_blocks=5)
-    assert ms.mean_non_hrb_count == 0.0
+    assert ms.per_block_counts == [0] * 5
 
 
 def test_only_sabm_builds_the_bdd_pattern_list(monkeypatch):
@@ -681,14 +686,15 @@ def test_cli_mask_writes_each_row_before_it_draws_the_next_block(monkeypatch, ca
             "--seed", "4"]
     assert main(argv) == 0
     assert drawn == [1 + t for t in range(2 * blocks)]
-    # the mean each point prints is mask_stats', which is np.mean's
+    # the mean each point prints is np.mean's over mask_stats' counts, and
+    # its ratio that mean over the w^2 = 1024 bits of a block
     err = capsys.readouterr().err.splitlines()
     cfg = config_from_args(build_parser().parse_args(argv))
+    assert len(err) == len(cfg.snr_points)
     for snr, line in zip(cfg.snr_points, err):
-        ms = mask_stats(cfg, snr, blocks)
-        assert ms.mean_non_hrb_count == np.mean(ms.per_block_counts)
-        assert line == (f"snr {snr:.6g} dB: mean non-HRB count {ms.mean_non_hrb_count:.6g} "
-                        f"(ratio {ms.ratio:.4f})")
+        mean = np.mean(mask_stats(cfg, snr, blocks).per_block_counts)
+        assert line == (f"snr {snr:.6g} dB: mean non-HRB count {mean:.6g} "
+                        f"(ratio {mean / 1024:.4f})")
 
 
 def test_mask_mean_is_the_exact_integer_mean():
@@ -875,6 +881,41 @@ def test_cli_refuses_an_empty_output_path(argv, tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == "" and err == "error: cannot open '' for writing\n"
     assert os.listdir(tmp_path) == ["run.yaml"]
+
+
+def test_cli_mask_refuses_one_file_for_out_and_inset(tmp_path, capsys, monkeypatch):
+    # both would open the file for writing, and the grid would overwrite
+    # the CSV rows; './F' and 'F' are one file
+    monkeypatch.chdir(tmp_path)
+    argv = ["mask", "--snr", "6", "--component-m", "5", "--blocks", "2"]
+    assert main(argv + ["--out", "F", "--inset", "./F"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["pc", "scc", "mask"])
+def test_cli_refuses_an_output_path_that_names_the_config(command, tmp_path, capsys):
+    # the CSV would replace the config it was read from; a symlink to the
+    # config names the config too
+    cfgfile = tmp_path / "run.yaml"
+    text = yaml.safe_dump({"snr": [6.0], "component_m": 5, "max_blocks": 1})
+    cfgfile.write_text(text)
+    (tmp_path / "link.csv").symlink_to(cfgfile)
+    extra = ["--blocks", "1"] if command == "mask" else []
+    for out in (cfgfile, tmp_path / "link.csv"):
+        assert main([command, "--config", str(cfgfile), "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert cfgfile.read_text() == text
+    # the config may name its own output, and that must not be the config
+    cfgfile.write_text(yaml.safe_dump({"snr": [6.0], "out": str(cfgfile)}))
+    assert main([command, "--config", str(cfgfile), *extra]) == 2
+    assert "out: " in cfgfile.read_text()
+    if command == "mask":
+        assert main(["mask", "--snr", "6", "--blocks", "1", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "m.csv"), "--inset", str(cfgfile)]) == 2
+        assert "out: " in cfgfile.read_text()
 
 
 # a value, not the default, of every config key but record_timing

@@ -6,12 +6,15 @@ import argparse
 import ast
 import csv
 import importlib
+import importlib.util
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import ModuleType
 
@@ -19,11 +22,13 @@ import pytest
 
 import feclab
 from feclab import cli, pc, sim
+from feclab.pc import SabmParams
 from feclab.sim import SccRunParams, SimConfig, StopRule
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 README = ROOT / "README.md"
+SCRIPTS = ROOT / "scripts"
 
 # names the tracer still lists although the decoder no longer has them
 # (the BDD kernel and the codeword check moved into the passes,
@@ -97,10 +102,12 @@ def names_read_from_submodules(source: str) -> set[tuple[str, str]]:
 
 
 def test_scripts_and_benchmark_submodule_imports_resolve():
-    # no test runs the scripts, so a renamed or removed name shows here
+    # a renamed or removed name shows here as a name, not only as a failed
+    # run: test_every_experiment_runs_at_a_tiny_size runs the script, the
+    # benchmark's tests run only parts of perfbench/
     sources = [p.read_text() for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")]
     used = set().union(*map(names_read_from_submodules, sources))
-    assert {("feclab.sim", "mask_stats"), ("feclab.pc", "SabmParams"),
+    assert {("feclab.sim", "SccRunParams"), ("feclab.pc", "SabmParams"),
             ("feclab.sim", "awgn_transmit")} <= used  # both forms are read
     missing = {(module, name) for module, name in used
                if not hasattr(importlib.import_module(module), name)}
@@ -238,3 +245,65 @@ def test_readme_documents_every_long_option():
     missing = {opt for opt in options
                if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme)}
     assert missing == set()
+
+
+def readme_figure_commands() -> list[list[str]]:
+    """The arguments of each `feclab` command in README's section on the
+    paper's figures, in the order given."""
+    section = README.read_text().split("\n## Reproducing the paper's figures\n")[1]
+    section = section.split("\n## ")[0]
+    return [shlex.split(line)[1:] for line in re.findall(r"^feclab .*$", section, re.M)]
+
+
+def test_every_experiment_runs_at_a_tiny_size(tmp_path, monkeypatch, capsys):
+    # README's commands run scripts/pc_waterfall.yaml once per decoder and
+    # the mask statistics; scripts/scc_complexity.py is the one script. Each
+    # runs here at one SNR point and one block or chain
+    assert sorted(p.name for p in SCRIPTS.iterdir()) == ["pc_waterfall.yaml", "scc_complexity.py"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scripts").symlink_to(SCRIPTS)
+    (tmp_path / "results").mkdir()
+    commands = readme_figure_commands()
+    assert [argv[0] for argv in commands] == ["pc", "pc", "mask"]
+    # each waterfall command builds the config of the former
+    # scripts/pc_waterfall.py, which ran both decoders on this grid
+    for argv, decoder in zip(commands, ("ibdd", "sabm")):
+        assert cli.config_from_args(cli.build_parser().parse_args(argv)) == SimConfig(
+            scheme="pc", mod=2, snr_points=tuple(round(5.4 + 0.2 * i, 1) for i in range(8)),
+            decoder=decoder, sabm=SabmParams(delta=5.0, total_iters=10, md_iters=5),
+            stop=StopRule(min_word_errors=100, max_blocks=3000), master_seed=1,
+            out_path=f"results/pc_2pam_{decoder}.csv", record_timing=True)
+    # later flags win: one point of one block, and one block a mask point
+    tiny = {"pc": ["--snr", "6.0", "--max-blocks", "1", "--batch-size", "1", "--no-timing"],
+            "mask": ["--blocks", "1"]}
+    for argv in commands:
+        assert cli.main(argv + tiny[argv[0]]) == 0
+    for decoder in ("ibdd", "sabm"):
+        with open(f"results/pc_2pam_{decoder}.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["decoder"], row["snr_db"], row["blocks"]) == (decoder, "6", "1")
+    mask_args = cli.build_parser().parse_args(commands[2])
+    with open(mask_args.out, newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + len(cli._parse_snr(mask_args.snr))
+    with open(mask_args.inset) as fh:
+        assert len(fh.read().splitlines()) == 128
+    # the staircase script, its sweep cut to its first point and one chain
+    spec = importlib.util.spec_from_file_location("scc_complexity", SCRIPTS / "scc_complexity.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    built = []
+
+    def tiny_config(**kwargs):
+        built.append(SimConfig(**kwargs))
+        return replace(built[0], snr_points=built[0].snr_points[:1], batch_size=1,
+                       stop=StopRule(min_word_errors=1, max_blocks=1))
+
+    monkeypatch.setattr(script, "SimConfig", tiny_config)
+    monkeypatch.setattr(sys, "argv", ["scc_complexity.py", "scc.csv"])
+    capsys.readouterr()
+    assert script.main() == 0
+    assert (built[0].scheme, built[0].decoder, built[0].scc.chain_blocks) == ("scc", "sabm", 12)
+    with open("scc.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["blocks"] == "12" and row["eta"] != ""
+    assert len(capsys.readouterr().out.splitlines()) == 2  # the header line and the point's
