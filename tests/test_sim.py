@@ -909,7 +909,8 @@ def test_cli_refuses_an_output_path_that_names_the_config(command, tmp_path, cap
         assert err.startswith("error: ") and err.count("\n") == 1
         assert cfgfile.read_text() == text
     # the config may name its own output, and that must not be the config
-    cfgfile.write_text(yaml.safe_dump({"snr": [6.0], "out": str(cfgfile)}))
+    cfgfile.write_text(yaml.safe_dump({"snr": [6.0], "component_m": 5, "max_blocks": 1,
+                                       "out": str(cfgfile)}))
     assert main([command, "--config", str(cfgfile), *extra]) == 2
     assert "out: " in cfgfile.read_text()
     if command == "mask":

@@ -284,7 +284,7 @@ def test_every_experiment_runs_at_a_tiny_size(tmp_path, monkeypatch, capsys):
         assert (row["decoder"], row["snr_db"], row["blocks"]) == (decoder, "6", "1")
     mask_args = cli.build_parser().parse_args(commands[2])
     with open(mask_args.out, newline="") as fh:
-        assert len(list(csv.reader(fh))) == 1 + len(cli._parse_snr(mask_args.snr))
+        assert len(list(csv.reader(fh))) == 1 + len(mask_args.snr.split(","))
     with open(mask_args.inset) as fh:
         assert len(fh.read().splitlines()) == 128
     # the staircase script, its sweep cut to its first point and one chain
