@@ -6,7 +6,8 @@ position j < 2^m - 1 shows up as S1 = alpha^j and S3 = alpha^3j, where
 alpha is a root of the code's primitive polynomial, and every bit, the
 overall-parity bit at position n-1 included, flips the overall parity.
 The systematic encoder is solved from the same columns: message at
-positions 0..k-1, parity at k..2^m-2, then the overall-parity bit.
+positions 0..k-1, parity at k..2^m-2, then the overall-parity bit; all
+n - k are linear in the message, one matmul against `parity_matrix`.
 
 Syndromes are also kept packed into one int per word: S1 in bits 0..m-1,
 S3 in bits m..2m-1 and the overall parity in bit 2m. A word's packed
@@ -45,8 +46,8 @@ class BchCode:
     t: int
     d0: int
     # decode/encode tables, derived once in build_code
-    # parity generator, float32 so that encode_many's matmul runs in BLAS;
-    # its integer counts (at most k <= 239) are exact
+    # (k, n - k) parity generator, overall parity last; float32 so that the
+    # encoders' matmuls run in BLAS; their counts (at most k <= 239) are exact
     parity_matrix: np.ndarray = field(repr=False)
     # packed syndrome of a word with only bit j set, per position j
     flip_syndrome: np.ndarray = field(repr=False)
@@ -118,10 +119,11 @@ def build_code(m: int, t: int = 2, extended: bool = True) -> BchCode:
     flip_syn[:n - 1] |= exp[j] | (exp[(3 * j) % (n - 1)] << m)
     check = ((flip_syn[:, None] >> np.arange(2 * m + 1)) & 1).astype(np.float32)
     # the parity p of a message u solves u @ h[:k] + p @ h[k:] = 0 (mod 2)
-    # over the S1/S3 columns h of positions 0..n-2, so that
-    # p = u @ parity_matrix (mod 2)
+    # over the S1/S3 columns h of positions 0..n-2; bit i of u adds
+    # 1 + sum(p_i) to the overall parity, parity_matrix's last column
     h = check[:n - 1, :2 * m].astype(np.int64)
-    pm = ((h[:k] @ _gf2_inverse(h[k:])) & 1).astype(np.float32)
+    p = (h[:k] @ _gf2_inverse(h[k:])) & 1
+    pm = np.concatenate([p, (1 + p.sum(axis=1, keepdims=True)) & 1], axis=1).astype(np.float32)
     # syndrome decoding table: every error pattern of weight <= t has a
     # packed syndrome of its own; every other syndrome is a decoding failure
     first, second = np.triu_indices(n, 1)
@@ -139,10 +141,7 @@ def encode_many(code: BchCode, messages: np.ndarray) -> np.ndarray:
     msgs = np.asarray(messages, dtype=np.uint8)
     if msgs.ndim != 2 or msgs.shape[1] != code.k:
         raise ValueError(f"message batch must be (R, {code.k})")
-    parity = (msgs @ code.parity_matrix).astype(np.uint8) & 1
-    words = np.concatenate([msgs, parity], axis=1)
-    ext = (words.sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
-    return np.concatenate([words, ext[:, None]], axis=1)
+    return np.concatenate([msgs, (msgs @ code.parity_matrix).astype(np.uint8) & 1], axis=1)
 
 
 def packed_syndromes(counts: np.ndarray) -> np.ndarray:

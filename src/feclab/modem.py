@@ -3,7 +3,7 @@
 Channel model: y = sqrt(rho) * x + z, z ~ N(0, 1) per real observation,
 rho = 10^(snr_db/10). LLR sign convention: positive lambda favors bit 0,
 so for 2-PAM lambda = 2 * sqrt(rho) * y. The max-log output carries the
-same scale and sign as the exact form (they coincide for 2-PAM).
+same scale and sign as the exact form; for 2-PAM the two coincide.
 """
 
 from dataclasses import dataclass
@@ -79,12 +79,9 @@ def awgn_transmit(symbols, cfg: ChannelConfig, rng) -> np.ndarray:
 
 
 def _logsumexp_into(terms: list, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """log(sum(exp(t))) over equal-shape arrays, term by term in list order,
-    written into out: the max, exp, add and log of a column-wise logsumexp,
-    bit for bit. scratch holds two more arrays of that shape, unless there
-    is one term; two terms use only the first."""
-    if len(terms) == 1:
-        return np.add(terms[0], 0.0, out=out)  # max + log(exp(0)); the + 0.0 clears -0.0
+    """log(sum(exp(t))) over two or more equal-shape arrays, term by term in
+    list order, written into out: the max, exp, add and log of a column-wise
+    logsumexp, bit for bit. scratch holds two more arrays of that shape."""
     m, e = scratch
     np.maximum(terms[0], terms[1], out=m)
     if len(terms) == 2:
@@ -102,16 +99,21 @@ def _logsumexp_into(terms: list, out: np.ndarray, scratch: np.ndarray) -> np.nda
 
 def demap_llr(y, cfg: ChannelConfig) -> np.ndarray:
     """Per-bit LLRs, shape (num_symbols, log2(M)); positive favors bit 0.
-    The level terms and the exact LLR's log-sum-exps are written into a few
-    arrays made once per call: one per level, the two sides of a bit's LLR
-    and two scratch arrays."""
+    2-PAM, either mode: ((y + s)^2 - (y - s)^2) / 2, s = sqrt(rho), the
+    exact form bit for bit as halving is exact; never -0.0. For M >= 4 the
+    level terms and the exact LLR's log-sum-exps are written into a few
+    arrays made once per call: one per level, the two sides of a bit's
+    LLR and two scratch arrays."""
     yv = np.atleast_1d(np.asarray(y, dtype=float))
+    if cfg.M == 2:  # y's distances to the levels of bit 1 (-s) and bit 0 (+s)
+        d1, d0 = np.add(yv, cfg.sqrt_rho), np.subtract(yv, cfg.sqrt_rho)
+        np.subtract(np.square(d1, out=d1), np.square(d0, out=d0), out=d1)
+        return np.multiply(d1, 0.5, out=d1)[:, None]
     levels, labels, _ = pam_constellation(cfg.M)
     nb = cfg.bits_per_symbol
     exact = cfg.llr_mode == LLR_EXACT
     terms = [np.empty_like(yv) for _ in levels]
-    # a log-sum-exp of one term needs no scratch, and 2-PAM has only those
-    side0, side1, *scratch = (np.empty_like(yv) for _ in range(4 if cfg.M > 2 else 2))
+    side0, side1, *scratch = (np.empty_like(yv) for _ in range(4))
     for t, level in zip(terms, levels):
         # squared distance to the level; -d2 / 2 for the exact LLR, which
         # d2 * -0.5 gives bit for bit

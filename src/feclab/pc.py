@@ -144,12 +144,15 @@ def make_marks(a: np.ndarray, params: SabmParams, code: BchCode,
 
 
 def pc_encode(code: PcCode, data) -> np.ndarray:
-    d = np.asarray(data, dtype=np.uint8)
+    """(k, k) data into a (w, w) block whose every row and column is a
+    codeword; float32 parity counts, at most k, cast to uint8 exactly."""
     k = code.k
-    if d.shape != (k, k):
+    if np.shape(data) != (k, k):
         raise ValueError(f"data must be ({k}, {k})")
-    rows = encode_many(code.component, d)          # (k, w): data rows encoded
-    block = encode_many(code.component, rows.T).T  # every column encoded
+    block = np.empty((code.w, code.w), dtype=np.uint8)
+    block[:k] = encode_many(code.component, data)
+    block[k:] = code.component.parity_matrix.T @ block[:k]
+    block[k:] &= 1
     return block
 
 

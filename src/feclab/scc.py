@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bch import BchCode, encode_many, packed_syndromes
+from .bch import BchCode, packed_syndromes
 from .errors import ConfigError
 from .pc import (DecodeStats, Layout, MarkState, SabmParams, SyndromeState, decode_pass,
                  make_marks, sabm_pass, syndrome_list)
@@ -75,11 +75,15 @@ def scc_encode(code: SccCode, info_blocks) -> np.ndarray:
     w = code.w
     if info.ndim != 3 or info.shape[1:] != (w, code.info_cols):
         raise ValueError(f"info blocks must be (N, {w}, {code.info_cols})")
+    # row i of a block: row i of its info, then the parity of [column i of
+    # the previous block | that row]; float32 counts, at most k, cast exactly
+    p, cols = code.component.parity_matrix, code.info_cols
     chain = np.empty((len(info), w, w), dtype=np.uint8)
+    chain[:, :, :cols] = info
     prev = np.zeros((w, w), dtype=np.uint8)
     for block, block_info in zip(chain, info):
-        msgs = np.concatenate([prev.T, block_info], axis=1)  # (w, k)
-        block[:] = encode_many(code.component, msgs)[:, w:]
+        block[:, cols:] = prev.T @ p[:w] + block_info @ p[w:]
+        block[:, cols:] &= 1
         prev = block
     return chain
 

@@ -105,6 +105,20 @@ def test_encode_systematic_parity(ecc16_code):
     assert w[15] == (1 + sum(expect)) % 2  # the overall parity
 
 
+@pytest.mark.parametrize("m", range(4, 9))
+def test_parity_matrix_holds_the_overall_parity_column(m, rng):
+    # message bit i adds itself and row i of the BCH parity to the overall
+    # parity, so its last entry is 1 + that row's sum (mod 2); every word
+    # encode_many makes is then a codeword
+    code = build_code(m)
+    pm = code.parity_matrix
+    assert pm.shape == (code.k, code.n - code.k) and pm.dtype == np.float32
+    assert np.array_equal(pm[:, -1], (1 + pm[:, :-1].sum(axis=1)) % 2)
+    msgs = np.concatenate([np.eye(code.k, dtype=np.uint8),
+                           rng.integers(0, 2, (200, code.k), dtype=np.uint8)])
+    assert not block_syndromes(code, encode_many(code, msgs)).any()
+
+
 @given(st.data())
 @settings(max_examples=30)
 def test_encode_linearity(data):
