@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from feclab import sim
 from feclab.bch import build_code, encode_many
 from feclab.modem import ChannelConfig, _logsumexp_into, demap_llr, modulate, pam_constellation
-from feclab import sim
 from feclab.pc import PcCode, pc_encode
 from feclab.scc import SccCode, scc_encode
 from feclab.sim import SimConfig
