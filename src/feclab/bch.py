@@ -17,8 +17,9 @@ the error pattern of weight <= t for the whole packed syndrome from one
 table, `error_positions`, built once per code over all n positions, the
 overall-parity bit included: as d0 > 2t, no two such patterns share a
 syndrome. A nonzero syndrome whose row holds no position is a decoding
-failure. The SABM marking passes read the same decoding as a list of
-Python tuples, `bdd_patterns`, built on a code's first marking pass.
+failure. The list passes of PC SABM and of staircase chains read the
+same decoding as a list of Python tuples, `bdd_patterns`, built on a
+code's first such pass.
 """
 
 from dataclasses import dataclass, field
@@ -61,13 +62,18 @@ class BchCode:
     error_positions: np.ndarray = field(repr=False)
 
     @cached_property
+    def flip_list(self) -> list:
+        """`flip_syndrome` as Python ints, for the list passes' scalar reads."""
+        return self.flip_syndrome.tolist()
+
+    @cached_property
     def bdd_patterns(self) -> list:
-        """`error_positions` for the marking passes' scalar reads: entry s
-        is () for s = 0, the error positions of a correctable s as an
+        """`error_positions` for the list passes' scalar reads: entry s is
+        () for s = 0, the error positions of a correctable s as an
         ascending tuple of Python ints, and None for a failure. Built on
-        first use, so that only SABM pays for it: ~3 ms and ~0.7 MiB
-        (tracemalloc) at m = 7, ~9 ms and ~2.7 MiB at m = 8."""
-        h = self.flip_syndrome.tolist()
+        first use, so that only PC SABM and staircase chains pay for it:
+        ~3 ms and ~0.7 MiB (tracemalloc) at m = 7, ~9 ms and ~2.7 MiB at 8."""
+        h = self.flip_list
         patterns = [None] * len(self.error_positions)
         patterns[0] = ()
         for a, ha in enumerate(h):

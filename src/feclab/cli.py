@@ -115,6 +115,8 @@ def config_from_args(args: argparse.Namespace) -> SimConfig:
             except yaml.YAMLError as exc:
                 raise ConfigError(f"config file {args.config} is not valid YAML: "
                                   + " ".join(str(exc).split())) from exc
+            except RecursionError as exc:  # yaml's parser recurses once per nesting level
+                raise ConfigError(f"config file {args.config} nests too deeply to read") from exc
         if not isinstance(opts, dict):
             raise ConfigError("config file must contain a mapping")
         unknown = set(opts) - set(_FIELDS) - {"snr"}

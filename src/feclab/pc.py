@@ -9,30 +9,33 @@ if LLRs are given: in the first md_iters iterations a marking pass
 whose crossing word has a zero syndrome and, on a failure or a vetoed
 proposal, retries BDD with the least reliable non-HRB bits flipped.
 
-Decoding runs on syndromes, in one core that the staircase decoder
-shares. `SyndromeState` keeps the packed syndrome of every word of a set
-of word groups in which every bit lies in two words (here group 2b holds
-the rows of block b of a stack and group 2b + 1 its columns). Every flip
-updates the syndrome of its word and of the crossing word, so the
-maintained syndromes always equal the syndromes of the bits. The plain
-pass, `decode_pass`, decodes the words of a set of groups that have a
-nonzero syndrome (a clean word is a no-op), yet `bdd_calls` counts w per
-group pass, as if every word were decoded, plus one per flip retry. A PC
-SABM block and a staircase window pass one group at a time, as a Python
-int, which reads a view of its syndromes and its rows of the layout; only
-a PC iBDD stack, decoded in lockstep, passes an array of groups. A
-marking pass, `sabm_pass`, decodes one group on a Python list of the
-syndromes of a slot range that holds it, made by `syndrome_list`, and
-returns the flips it accepted: `sabm_decode` reads its block's list once
-and keeps it through all its marking iterations, then flips their bits at
-once, while a staircase window reads the list of its pairs per marking
-pass and flips through the state. What a marking pass reads that does not
-change within a block is built once: the flip syndromes as a list per
-`SyndromeState`, the HRB flags as bytes and the flip candidates as one
-list per word per `MarkState`, per `Layout` the crossing syndrome slot of
-each position, per group and slot range, as a tuple, and per component
-code the BDD pattern of every syndrome as a list (`BchCode.bdd_patterns`,
-made on the first marking pass).
+Decoding runs on syndromes, in passes that the staircase decoder shares.
+A `Layout` says where the words of a set of word groups lie in a bit
+array in which every bit lies in two words (here group 2b holds the rows
+of block b of a stack and group 2b + 1 its columns), and builds the
+packed syndrome of every word. A pass decodes the words of a group that
+have a nonzero syndrome (a clean word is a no-op), yet `bdd_calls` counts
+w per group pass, as if every word were decoded, plus one per flip retry.
+Every flip updates the syndrome of its word and of the crossing word, so
+the syndromes always equal those of the bits. Two owners keep them:
+- a PC iBDD stack, decoded in lockstep, keeps numpy arrays: its
+  `SyndromeState` owns the bits and the syndromes, and its plain pass,
+  `decode_pass`, decodes the rows, or the columns, of every active block
+  at once;
+- a PC SABM block (`sabm_decode`) and a staircase chain
+  (`scc.decode_chain`) own two Python objects: a list of the syndrome of
+  every slot, then the `SENTINEL` slot, and a bytearray of the bits, which
+  the decoded array views. Their passes, the plain `plain_pass` and the
+  marking `sabm_pass`, decode one group each in a Python loop that reads
+  and writes only these two, with no numpy call, and toggle the bits in
+  place, as a plain pass may flip back a bit that an earlier pass flipped.
+What these passes read that does not change within a block is built once:
+per component code the flip syndromes and the BDD pattern of every
+syndrome as lists (`BchCode.flip_list`, `BchCode.bdd_patterns`, made on
+first use), the HRB flags as bytes and the flip candidates as one list
+per word per `MarkState`, and per `Layout` each group's rows of its
+tables as tuples and, per group and slot range, the slot that the veto
+reads for each position.
 """
 
 from collections.abc import Callable
@@ -175,25 +178,26 @@ class Layout:
     beyond the G that are decoded, which only crossing updates change.
     """
 
-    def __init__(self, syndromes: Callable, base, stride, cross, shift):
-        self.syndromes = syndromes
+    def __init__(self, w: int, syndromes: Callable, base, stride, cross, shift):
+        self.w, self.syndromes = w, syndromes
         self.base, self.stride, self.cross, self.shift = arrays = [
             np.asarray(a, dtype=np.int64) for a in (base, stride, cross, shift)]
         for a in arrays:
             a.setflags(write=False)
-        # per group, its rows of the four tables, for a flip in one group
-        self.tables = tuple(zip(*arrays))
-        # per group, shift as a tuple, for the SABM pass's scalar reads
-        self.shifts, self._slots = tuple(map(tuple, self.shift.tolist())), {}
+        # per group, its base, stride, cross and shift rows as tuples, for
+        # the list passes' scalar reads
+        self.tuples = tuple(zip(*(map(tuple, a.tolist()) for a in arrays)))
+        self._slots = {}
 
     def slots(self, group: int, lo: int, hi: int) -> tuple:
-        """Per position of a word of `group`, for the SABM pass's scalar
-        reads: the index of its crossing word's syndrome in syn[lo:hi], or
-        hi - lo if that word lies outside. Built once per (group, lo, hi)."""
+        """Per position of a word of `group`, the syndrome list slot that
+        the marking pass's veto reads: its crossing word's, if that lies in
+        slots lo..hi-1, else -1, the `SENTINEL`. Built once per (group, lo,
+        hi)."""
         key = group, lo, hi
         if key not in self._slots:
-            c = self.cross[group] - lo
-            self._slots[key] = tuple(np.where((c >= 0) & (c < hi - lo), c, hi - lo).tolist())
+            c = self.cross[group]
+            self._slots[key] = tuple(np.where((c >= lo) & (c < hi), c, -1).tolist())
         return self._slots[key]
 
 
@@ -210,7 +214,7 @@ def block_layout(w: int, blocks: int) -> Layout:
         f, c = bits.reshape(-1, w, w).astype(np.float32), code.check_matrix
         return packed_syndromes(np.stack([f @ c, f.transpose(0, 2, 1) @ c], axis=1)).reshape(-1)
 
-    return Layout(syndromes, base=(b * w * w + [j, j * w]).reshape(-1, w),
+    return Layout(w, syndromes, base=(b * w * w + [j, j * w]).reshape(-1, w),
                   stride=np.tile([np.full(w, w), np.ones(w)], (blocks, 1)),
                   cross=(b * 2 * w + [w + j, j]).reshape(-1, w),
                   shift=np.zeros((2 * blocks, w)))
@@ -218,76 +222,112 @@ def block_layout(w: int, blocks: int) -> Layout:
 
 class SyndromeState:
     """Packed syndromes of every word of a layout over a bit array, which
-    is decoded in place: syn[g * w + i] is the syndrome of word i of group
-    g. Flips made through `flip`, each making its word a codeword, update
-    the bits, the flipped word's syndrome and each crossing word's
-    syndrome, so `syn` always equals the syndromes of the bits."""
+    is decoded in place by a PC iBDD stack: syn[g * w + i] is the syndrome
+    of word i of group g. Flips made through `flip`, each making its word a
+    codeword, update the bits, the flipped word's syndrome and each
+    crossing word's syndrome, so `syn` always equals the syndromes of the
+    bits."""
 
     def __init__(self, code: BchCode, bits: np.ndarray, layout: Layout):
         if not (isinstance(bits, np.ndarray) and bits.flags.c_contiguous):
             raise ValueError("bits must be a C-contiguous array, as they are decoded in place")
         self.code, self.bits, self.layout = code, bits, layout
-        self.flat = bits.reshape(-1)
-        self.w = bits.shape[-1]  # words per group: a block's side, in both layouts
+        self.flat, self.w = bits.reshape(-1), layout.w
         self.syn = layout.syndromes(code, bits)
-        self.h = code.flip_syndrome.tolist()  # for the marking pass's scalar reads
 
-    def flip(self, groups, words: np.ndarray, positions: np.ndarray):
-        """Flip bit positions[k] of word words[k] of group groups[k] (or of
-        the one group `groups`, a Python int, through its rows of the
-        layout's tables), for every k; no (group, word, position)
-        triple may repeat. Each flipped word's flips must make it a
-        codeword (a pattern its syndrome decodes to, or a flip retry's),
-        as in the decoders' passes: its syndrome is stored as 0 before the
-        crossing words' syndromes are updated."""
-        lay, h = self.layout, self.code.flip_syndrome
-        if isinstance(groups, int):
-            base, stride, cross, shift = lay.tables[groups]
-            at = positions
-        else:
-            base, stride, cross, shift = lay.base, lay.stride, lay.cross, lay.shift
-            at = groups * base.shape[1] + positions  # (group, position) in the flat tables
-        self.flat[base.take(at) + words * stride.take(at)] ^= 1
+    def flip(self, groups: np.ndarray, words: np.ndarray, positions: np.ndarray):
+        """Flip bit positions[k] of word words[k] of group groups[k], for
+        every k; no (group, word, position) triple may repeat. Each flipped
+        word's flips must make it a codeword (the pattern its syndrome
+        decodes to): its syndrome is stored as 0 before the crossing words'
+        syndromes are updated."""
+        lay = self.layout
+        at = groups * lay.base.shape[1] + positions  # (group, position) in the flat tables
+        self.flat[lay.base.take(at) + words * lay.stride.take(at)] ^= 1
         self.syn[groups * self.w + words] = 0
-        np.bitwise_xor.at(self.syn, cross.take(at), h[shift.take(at) + words])
+        np.bitwise_xor.at(self.syn, lay.cross.take(at),
+                          self.code.flip_syndrome[lay.shift.take(at) + words])
 
 
-def syndrome_list(state: SyndromeState, lo: int, hi: int) -> list:
-    """The marking pass's list of syndromes: those of slots lo..hi-1 as
-    Python ints, then the one slot that every crossing word outside lo..hi
-    shares, which never reads 0 (syndromes are below 2^17)."""
-    return state.syn[lo:hi].tolist() + [1 << 62]
+def decode_pass(state: SyndromeState, groups: np.ndarray, stats: DecodeStats) -> np.ndarray:
+    """Decode the words with a nonzero syndrome of each of `groups`, an
+    array of groups (the rows, or the columns, of the active blocks of a PC
+    iBDD stack), and apply their flips, all at once, as the words of a group
+    share no bits and the groups are disjoint word sets. Returns per group
+    whether any bit of it was flipped."""
+    w = state.w
+    stats.bdd_calls += w * groups.size
+    own = state.syn.reshape(-1, w).take(groups, axis=0).ravel()
+    hit = own.nonzero()[0]
+    pos = state.code.error_positions.take(own[hit], axis=0).ravel()
+    at = (pos >= 0).nonzero()[0]  # word at // 2 (t = 2 entries a word)
+    group, words = np.divmod(hit[at >> 1], w)
+    state.flip(groups.take(group), words, pos[at])
+    changed = np.zeros(groups.size, dtype=bool)
+    changed[group] = True
+    return changed
 
 
-def sabm_pass(state: SyndromeState, group: int, cs: list, lo: int, marks: MarkState,
-              axis: int, stats: DecodeStats) -> tuple[list, list]:
+# the last slot of a list pass's syndrome list, read for any crossing word
+# outside a marking pass's window; no pass writes it, so it never reads 0
+SENTINEL = 1 << 62
+
+
+def plain_pass(code: BchCode, layout: Layout, group: int, cs: list, bits: bytearray,
+               stats: DecodeStats) -> bool:
+    """Plain BDD of the words of one group that have a nonzero syndrome, in
+    ascending order, on cs, the syndrome of every slot of the layout and
+    then the `SENTINEL`, and bits, the bytearray of the layout's bit array,
+    both updated in place: a word's pattern toggles its bits (as 1 - b,
+    which CPython runs faster than b ^ 1), XORs their flip syndromes into
+    their crossing words' slots and zeroes its own. As no word of a group
+    crosses another, that is decoding them all at once; a failure leaves
+    its word as it is. `bdd_calls` counts w. Returns whether it flipped."""
+    w, h, patterns = layout.w, code.flip_list, code.bdd_patterns
+    base, stride, cross, shift = layout.tuples[group]
+    own = group * w
+    pending = cs[own:own + w]
+    changed = False
+    for i, syn in zip(compress(range(w), pending), filter(None, pending)):
+        pattern = patterns[syn]
+        if pattern is None:
+            continue
+        for p in pattern:
+            cs[cross[p]] ^= h[shift[p] + i]
+            k = base[p] + i * stride[p]
+            bits[k] = 1 - bits[k]
+        cs[own + i] = 0
+        changed = True
+    stats.bdd_calls += w
+    return changed
+
+
+def sabm_pass(code: BchCode, layout: Layout, group: int, cs: list, bits: bytearray,
+              slot: tuple, marks: MarkState, axis: int, stats: DecodeStats) -> bool:
     """SABM on the words of one group that have a nonzero syndrome, in
-    ascending order, on cs, a `syndrome_list` of a slot range lo..hi that
-    holds the group: word i's own syndrome is that of slot group * w + i,
-    and the crossing word through its position j is cs[slot[j]] (the
-    group's `Layout.slots` tuple). Word i of the group is word i of marks'
-    axis. A word's BDD proposal is vetoed if it touches an HRB of the word
-    or a bit whose crossing word has a zero syndrome. A failure retries
-    with its candidates c[0], c[1], ... flipped one at a time, at most
-    flip_attempts retries; a vetoed proposal of weight e retries once with
-    c[:d0 - e - 1] flipped at once. Both act on the pre-BDD word and take
-    the first retry that decodes to a pattern the veto passes; else the
-    word is left as it is. A veto reads crossing syndromes that earlier
-    words of the pass changed, so each accepted pattern zeroes its word's
-    entry of cs and updates its crossing entries at once. BDD is one index
-    into the code's `bdd_patterns` list per proposal or retry; `bdd_calls`
-    counts w, as a plain pass does, plus one per retry. Returns the words
-    and positions of the accepted patterns, one entry per bit, which the
-    caller flips in the bits, and in the state's syndromes unless it keeps
-    cs."""
-    w, n, d0, h = state.w, state.code.n, state.code.d0, state.h
-    patterns, shift = state.code.bdd_patterns, state.layout.shifts[group]
-    slot, own = state.layout.slots(group, lo, lo + len(cs) - 1), group * w - lo
+    ascending order, on the syndrome list cs and the bytearray bits of a
+    `plain_pass`. The veto reads the crossing word through position j in
+    cs[slot[j]], slot being a `Layout.slots` tuple of the group. Word i of
+    the group is word i of marks' axis. A word's BDD proposal is vetoed if
+    it touches an HRB of the word or a bit whose crossing word has a zero
+    syndrome. A failure retries with its candidates c[0], c[1], ...
+    flipped one at a time, at most flip_attempts retries; a vetoed proposal
+    of weight e retries once with c[:d0 - e - 1] flipped at once. Both act
+    on the pre-BDD word and take the first retry that decodes to a pattern
+    the veto passes; else the word is left as it is. A veto reads crossing
+    syndromes that earlier words of the pass changed, so an accepted
+    pattern updates cs and bits at once, as a plain pass's does. BDD is
+    one index into the code's `bdd_patterns` per proposal or retry;
+    `bdd_calls` counts w plus one per retry. Returns whether any bit was
+    flipped."""
+    w, n, d0, h, patterns = layout.w, code.n, code.d0, code.flip_list, code.bdd_patterns
+    base, stride, cross, shift = layout.tuples[group]
+    own = group * w
     hrb, candidates, attempts = marks.hrb[axis], marks.candidates[axis], marks.flip_attempts
     # no word of a group crosses another: only its own acceptance changes its entry
     pending = cs[own:own + w]
 
-    words, positions = [], []
+    changed = False
     retries = miscorrections = accepted = 0
     for i, syn in zip(compress(range(w), pending), filter(None, pending)):
         row = i * n
@@ -321,48 +361,15 @@ def sabm_pass(state: SyndromeState, group: int, cs: list, lo: int, marks: MarkSt
         if not pattern:  # dropped: a nonzero syndrome never decodes to ()
             continue
         for p in pattern:
-            cs[slot[p]] ^= h[shift[p] + i]
+            cs[cross[p]] ^= h[shift[p] + i]
+            k = base[p] + i * stride[p]
+            bits[k] = 1 - bits[k]
         cs[own + i] = 0
-        words += [i] * len(pattern)
-        positions += pattern
+        changed = True
     stats.bdd_calls += w + retries
     stats.miscorrections_detected += miscorrections
     stats.flips_attempted += retries
     stats.flips_accepted += accepted
-    return words, positions
-
-
-def decode_pass(state: SyndromeState, groups, stats: DecodeStats) -> bool | np.ndarray:
-    """Decode the words with a nonzero syndrome of each of `groups` and
-    apply their flips, all at once, as the words of a group share no bits
-    and the groups are disjoint word sets. `groups` is one group as a
-    Python int (the rows or columns of a PC SABM block, a staircase pair)
-    or, for an iBDD stack, an array of them. Returns whether any bit of the
-    group was flipped, for an int group, or per group of an array."""
-    w = state.w
-    table = state.code.error_positions
-    if isinstance(groups, int):
-        # one group: its syndromes are a view, and no group array is built
-        stats.bdd_calls += w
-        own = state.syn[groups * w:(groups + 1) * w]
-        hit = own.nonzero()[0]
-        if hit.size == 0:
-            return False
-        pos = table.take(own[hit], axis=0).ravel()
-        at = (pos >= 0).nonzero()[0]  # word at // 2 (t = 2 entries a word)
-        if at.size:
-            state.flip(groups, hit[at >> 1], pos[at])
-        return bool(at.size)
-    groups = np.asarray(groups)
-    stats.bdd_calls += w * groups.size
-    own = state.syn.reshape(-1, w).take(groups, axis=0).ravel()
-    hit = own.nonzero()[0]
-    pos = table.take(own[hit], axis=0).ravel()
-    at = (pos >= 0).nonzero()[0]
-    group, words = np.divmod(hit[at >> 1], w)
-    state.flip(groups.take(group), words, pos[at])
-    changed = np.zeros(groups.size, dtype=bool)
-    changed[group] = True
     return changed
 
 
@@ -397,44 +404,28 @@ def sabm_decode(code: PcCode, block, llr: np.ndarray,
     the same vetoes in place, hands the block to the plain ones. Returns
     the decoded bits and the DecodeStats.
 
-    The marking iterations run on one Python list of the block's 2w
-    syndromes, read once from the state and kept by `sabm_pass`. Their
-    flips are applied to the bits once, at the end, and the list is then
-    written back to the state for the plain iterations' `decode_pass`. No
-    bit flips twice there: a flip makes its word a codeword, and the veto
-    keeps every bit of a codeword, so that word stays one and the bit's
-    crossing word can never flip it back."""
+    Every pass runs on one list of the block's 2w syndromes and the
+    `SENTINEL`, and one bytearray of its bits, which the returned block
+    views."""
     marks = mark_bits(llr, params, code)
-    blk = np.array(block, dtype=np.uint8, order="C")
-    w = code.w
-    if blk.shape != (w, w):
+    w, comp = code.w, code.component
+    if np.shape(block) != (w, w):
         raise ValueError(f"block must be ({w}, {w})")
-    state, stats = SyndromeState(code.component, blk, block_layout(w, 1)), DecodeStats()
-    # every crossing word of a block lies in its 2w slots: the extra one is never read
-    cs = syndrome_list(state, 0, 2 * w)
-    flipped = ([], []), ([], [])  # per group, the words and positions it flipped
-    stalled = False
+    bits = bytearray(w * w)
+    blk = np.frombuffer(bits, dtype=np.uint8).reshape(w, w)
+    blk[:] = block
+    layout, stats = block_layout(w, 1), DecodeStats()
+    cs = layout.syndromes(comp, blk).tolist() + [SENTINEL]
+    # rows, then columns (group and axis g), both in every iteration; every
+    # crossing word of a block lies in its 2w slots
+    slots = [layout.slots(g, 0, 2 * w) for g in (0, 1)]
     for _ in range(params.md_iters):
-        changed = False
-        for g, (words, positions) in enumerate(flipped):  # rows, then columns: axis g
-            new_words, new_positions = sabm_pass(state, g, cs, 0, marks, g, stats)
-            words += new_words
-            positions += new_positions
-            changed |= bool(new_words)
-        if not changed:
-            stalled = True
+        if not any([sabm_pass(comp, layout, g, cs, bits, slots[g], marks, g, stats)
+                    for g in (0, 1)]):
+            if not any(cs[:-1]):
+                return blk, stats
             break
-    bits = []  # the flat index of every flip, none twice (see above)
-    for (base, stride, _, _), (words, positions) in zip(state.layout.tables, flipped):
-        if words:
-            at = np.array(positions)
-            bits.append(base.take(at) + np.array(words) * stride.take(at))
-    if bits:
-        state.flat[np.concatenate(bits)] ^= 1
-        state.syn[:] = cs[:-1]
-    if stalled and not state.syn.any():
-        return blk, stats
     for _ in range(params.md_iters, params.total_iters):
-        if not (decode_pass(state, 0, stats) | decode_pass(state, 1, stats)):
+        if not any([plain_pass(comp, layout, g, cs, bits, stats) for g in (0, 1)]):
             break
     return blk, stats

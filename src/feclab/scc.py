@@ -6,16 +6,15 @@ codeword with n = 2w. Within B_i, columns 0..k-w-1 carry fresh information
 and the remaining columns the parity (overall-parity bit in the last
 column). B_0 is the all-zero reference block known to both ends.
 
-Decoding runs on the syndrome core of `pc`: the chain is one
-(blocks + 1, w, w) array whose pairs are the word groups of one
-`SyndromeState`, and a window is a range of pairs. The pairs missing at
-both ends of the chain share a scratch group that no window decodes. A
-window's plain passes are `decode_pass` on one pair; its marking passes
-are `sabm_pass` on the newest pair, over the `syndrome_list` of the
-window's pairs, so the veto never reads a crossing word outside the
-window as lying in a codeword, and `decode_chain` flips the patterns it
-accepts through the state. A pass decodes only the words of a pair with a
-nonzero syndrome, yet `bdd_calls` counts w per pair pass, as if every
+Decoding runs on the list passes of `pc`: the chain is one bytearray of
+(blocks + 1) w x w blocks, the zero block first, whose pairs are the
+word groups of one `Layout`, with one list of the syndromes of every
+slot and the sentinel, both owned by `decode_chain`; a window is a range
+of pairs. The pairs missing at both ends of the chain share a scratch
+group that no window decodes. A window's plain passes are `plain_pass` on
+one pair; its marking passes are `sabm_pass` on the newest pair, whose
+veto reads the sentinel for any crossing word outside the window's
+pairs, never a codeword. `bdd_calls` counts w per pair pass, as if every
 word were decoded, plus one per flip retry. SABM reads the channel only
 through marks: `newest_blocks` names the blocks that the windows mark,
 and `block_marks` makes a block's `MarkState` from its LLR grid, which
@@ -32,8 +31,8 @@ import numpy as np
 
 from .bch import BchCode, packed_syndromes
 from .errors import ConfigError
-from .pc import (DecodeStats, Layout, MarkState, SabmParams, SyndromeState, decode_pass,
-                 make_marks, sabm_pass, syndrome_list)
+from .pc import (SENTINEL, DecodeStats, Layout, MarkState, SabmParams, make_marks,
+                 plain_pass, sabm_pass)
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def chain_layout(w: int, num_blocks: int) -> Layout:
         return packed_syndromes(f.transpose(0, 2, 1) @ c[:w]
                                 + np.roll(f @ c[w:], -1, axis=0)).reshape(-1)
 
-    return Layout(syndromes, base=halves(p * w * w + j * w, (p + 1) * w * w + j),
+    return Layout(w, syndromes, base=halves(p * w * w + j * w, (p + 1) * w * w + j),
                   stride=halves(1, w),
                   cross=halves((p - 1) % (groups + 1) * w + j, (p + 1) * w + j),
                   shift=halves(w, 0))
@@ -141,7 +140,8 @@ def decode_chain(code: SccCode, received: np.ndarray, marks: list[MarkState | No
     may be None). Returns the (N, w, w) decoded blocks and the chain's
     DecodeStats.
 
-    One `SyndromeState` covers the chain. The window starting at chain
+    One syndrome list and one bytearray cover the chain, and the
+    returned blocks view the bytes. The window starting at chain
     block s ends at block s+window-1 or at the chain's end, and its ell
     iterations decode pairs s..newest in order; SABM runs on the newest
     pair, with the newest block's marks, in the first md_iters
@@ -160,21 +160,21 @@ def decode_chain(code: SccCode, received: np.ndarray, marks: list[MarkState | No
     if marks is not None and len(marks) != len(received):
         raise ValueError(f"marks must have one entry per received block ({len(received)}), "
                          f"got {len(marks)}")
-    stats = DecodeStats()
-    chain = np.zeros((len(received) + 1, w, w), dtype=np.uint8)
+    stats, comp = DecodeStats(), code.component
+    bits = bytearray((len(received) + 1) * w * w)
+    chain = np.frombuffer(bits, dtype=np.uint8).reshape(-1, w, w)
     chain[1:] = received
-    state = SyndromeState(code.component, chain, chain_layout(w, len(chain)))
+    layout = chain_layout(w, len(chain))
+    cs = layout.syndromes(comp, chain).tolist() + [SENTINEL]
     for s, newest in enumerate(newest_blocks(len(received), window)):
-        lo, hi = s * w, (newest + 1) * w  # the slots of the window's pairs
+        # the veto reads only the crossing words of the window's pairs
+        slot = None if marks is None else layout.slots(newest, s * w, (newest + 1) * w)
         for it in range(ell):
             for p in range(s, newest):
-                decode_pass(state, p, stats)
+                plain_pass(comp, layout, p, cs, bits, stats)
             if marks is None or it >= params.md_iters:
-                decode_pass(state, newest, stats)
-                continue
-            cs = syndrome_list(state, lo, hi)
-            words, positions = sabm_pass(state, newest, cs, lo, marks[newest], 0, stats)
-            if words:
-                state.flip(newest, np.array(words), np.array(positions))
+                plain_pass(comp, layout, newest, cs, bits, stats)
+            else:
+                sabm_pass(comp, layout, newest, cs, bits, slot, marks[newest], 0, stats)
     # drop the bootstrap zero block from the output
     return chain[1:], stats

@@ -65,9 +65,10 @@ MAX_WORKERS = 512
 MAX_BATCH = 1_000_000
 
 # most bytes of one staircase chain's arrays, counted as its data and 10
-# bytes a bit: its code blocks, hard decisions and decode copy (a byte a
-# bit each), its SABM marks and the decode's float32 copy of the bits, all
-# held while the chain runs; a whole SABM run peaks at about 1.2 times this
+# bytes a bit: its code blocks, hard decisions and decode bytearray (a
+# byte a bit each, the decode's list of one int per word well below it),
+# its SABM marks and the float32 copy of the bits that builds the
+# syndromes, all held while the chain runs; a SABM run peaks at ~1.2x this
 MAX_CHAIN_BYTES = 1 << 28
 
 # SNR points the seed key and the channel take: below -1000 dB the key of

@@ -8,19 +8,19 @@ from hypothesis.extra import numpy as hnp
 from feclab.bch import encode_many
 from feclab.modem import ChannelConfig, awgn_transmit, demap_llr, modulate
 from feclab.pc import (
+    SENTINEL,
     DecodeStats,
     PcCode,
     SabmParams,
     SyndromeState,
     block_layout,
-    decode_pass,
     ibdd_decode,
     make_marks,
     mark_bits,
     pc_encode,
+    plain_pass,
     sabm_decode,
     sabm_pass,
-    syndrome_list,
 )
 from feclab.pc import _stable_order_prefix
 
@@ -341,15 +341,34 @@ def test_veto_reads_only_live_crossing_words(pc32, rng):
     assert not _suspicious((9,), hrb, state.syn, cross, range(w + 10, 2 * w))
 
 
-def marking_pass(state, group, marks, axis, stats, hi=None):
-    """One marking pass as a staircase window runs it: `sabm_pass` on the
-    `syndrome_list` of slots 0..hi (default: all), which hold the group,
-    then its flips through the state. Returns whether it flipped a bit."""
-    cs = syndrome_list(state, 0, state.syn.size if hi is None else hi)
-    words, positions = sabm_pass(state, group, cs, 0, marks, axis, stats)
-    if words:
-        state.flip(group, np.array(words), np.array(positions))
-    return bool(words)
+def listed_syndromes(pc, block):
+    """A block's syndrome list, from the reference's syndromes: its rows,
+    its columns, then the sentinel."""
+    comp = pc.component
+    return np.concatenate([block_syndromes(comp, block),
+                           block_syndromes(comp, block.T)]).tolist() + [SENTINEL]
+
+
+def block_lists(pc, block):
+    """What the list passes decode a block on: its syndrome list and a
+    bytearray of its bits."""
+    return listed_syndromes(pc, block), bytearray(np.ascontiguousarray(block, dtype=np.uint8))
+
+
+def as_block(pc, bits):
+    return np.frombuffer(bits, dtype=np.uint8).reshape(pc.w, pc.w)
+
+
+def marking_pass(pc, cs, bits, group, marks, axis, stats, hi=None):
+    """One marking pass as a staircase window runs it: `sabm_pass` on a
+    block's syndrome list and bytearray, its veto reading slots 0..hi-1
+    (default: all), which hold the group. Checks that the list still
+    equals the bits' syndromes, and returns whether it flipped a bit."""
+    layout = block_layout(pc.w, 1)
+    slot = layout.slots(group, 0, 2 * pc.w if hi is None else hi)
+    changed = sabm_pass(pc.component, layout, group, cs, bits, slot, marks, axis, stats)
+    assert cs == listed_syndromes(pc, as_block(pc, bits))
+    return changed
 
 
 @pytest.mark.parametrize("earlier", [False, True], ids=["alone", "after_earlier_words"])
@@ -357,13 +376,12 @@ def test_marking_pass_veto_reads_only_live_crossing_words(pc32, earlier):
     # row 10 holds four errors that BDD miscorrects to columns 7 and 25;
     # column 25 holds row 20's failure (three errors, not retried), so only
     # column 7 can veto. The pass reads slots 0..hi-1: the rows, then the
-    # columns below hi - w. Alone: column 7 is a codeword. Earlier: rows 3
-    # and 5 hold errors in columns 7 and 12 and in 7 and 14, and their
-    # corrections come first, leave column 7 a codeword when it is live and
-    # otherwise XOR into the slot that every crossing word outside the
-    # range shares, once each when columns 12 and 14 are live. Row 10's
-    # proposal is vetoed while slot w + 7 is live and accepted once it is
-    # not.
+    # columns below hi - w; it reads the sentinel, never 0, for the others.
+    # Alone: column 7 is a codeword. Earlier: rows 3 and 5 hold errors in
+    # columns 7 and 12 and in 7 and 14, and their corrections come first
+    # and leave column 7 a codeword, updating its real slot, live or not.
+    # Row 10's proposal is vetoed while slot w + 7 is live and accepted
+    # once it is not.
     code, w = pc32.component, pc32.w
     errors = {10: [0, 1, 3, 19], 20: [25, 28, 30]}
     if earlier:
@@ -377,22 +395,23 @@ def test_marking_pass_veto_reads_only_live_crossing_words(pc32, earlier):
     fixed = [3, 5] if earlier else []
 
     def row_pass(hi):
-        state = SyndromeState(code, hard.copy(), block_layout(w, 1))
+        cs, bits = block_lists(pc32, hard)
         stats = DecodeStats()
-        marking_pass(state, 0, marks, 0, stats, hi=hi)
-        assert not state.bits[fixed].any()
-        return state, stats
+        marking_pass(pc32, cs, bits, 0, marks, 0, stats, hi=hi)
+        out = as_block(pc32, bits)
+        assert not out[fixed].any()
+        return out, stats
 
     for hi in (None, w + 8, w + 13):
-        state, stats = row_pass(hi)
+        out, stats = row_pass(hi)
         # vetoed: its retry flips candidates 0, 1 and 2 and fails
         assert stats == DecodeStats(bdd_calls=w + 1, miscorrections_detected=1,
                                     flips_attempted=1)
-        assert np.array_equal(state.bits[10], hard[10])
+        assert np.array_equal(out[10], hard[10])
     for hi in (w, w + 7):
-        state, stats = row_pass(hi)
+        out, stats = row_pass(hi)
         assert stats == DecodeStats(bdd_calls=w)
-        assert state.bits[10, [0, 1, 3, 7, 19, 25]].all()
+        assert out[10, [0, 1, 3, 7, 19, 25]].all()
 
 
 # ---------------------------------------------------------- bit flipping
@@ -550,11 +569,11 @@ def test_sabm_veto_reads_corrections_made_earlier_in_the_pass(pc32):
     llr[10, [0, 1, 3]] /= 4
     params = SabmParams(delta=5.0, failure_flip_attempts=0)
 
-    state = SyndromeState(code, hard.copy(), block_layout(pc32.w, 1))
+    cs, bits = block_lists(pc32, hard)
     stats = DecodeStats()
-    marking_pass(state, 0, mark_bits(llr, params, pc32), 0, stats)
-    assert not state.bits[[3, 10]].any()
-    assert np.array_equal(state.bits[20], hard[20])
+    marking_pass(pc32, cs, bits, 0, mark_bits(llr, params, pc32), 0, stats)
+    assert not as_block(pc32, bits)[[3, 10]].any()
+    assert np.array_equal(as_block(pc32, bits)[20], hard[20])
     assert stats == DecodeStats(bdd_calls=pc32.w + 1, miscorrections_detected=1,
                                 flips_attempted=1, flips_accepted=1)
 
@@ -593,14 +612,14 @@ def test_vetoed_proposal_whose_retry_clears_the_syndrome(pc32, rng):
     llr[r, [j1, j2]] = [-1.0, -2.0]
     params = SabmParams(delta=5.0)
 
-    state = SyndromeState(code, hard.copy(), block_layout(pc32.w, 1))
-    assert state.syn[pc32.w + j1] == 0
-    assert decode_syndromes(code, int(state.syn[r])) == (j1, j2)
+    cs, bits = block_lists(pc32, hard)
+    assert cs[pc32.w + j1] == 0
+    assert decode_syndromes(code, cs[r]) == (j1, j2)
     h = code.flip_syndrome
-    assert state.syn[r] ^ h[j1] ^ h[j2] == 0
+    assert cs[r] ^ h[j1] ^ h[j2] == 0
     stats = DecodeStats()
-    assert marking_pass(state, 0, mark_bits(llr, params, pc32), 0, stats) is False
-    assert np.array_equal(state.bits, hard)
+    assert marking_pass(pc32, cs, bits, 0, mark_bits(llr, params, pc32), 0, stats) is False
+    assert np.array_equal(as_block(pc32, bits), hard)
     assert stats == DecodeStats(bdd_calls=pc32.w + 1, miscorrections_detected=6,
                                 flips_attempted=1, flips_accepted=0)
 
@@ -663,22 +682,28 @@ def test_sabm_determinism(pc32, rng):
 
 
 def sabm_decode_pass_by_pass(code, block, llr, params):
-    """`sabm_decode` with every marking pass run by `marking_pass`, which
-    builds its syndrome list from the state and flips the bits and the
-    state's syndromes as the pass ends, as a staircase window does."""
+    """`sabm_decode` with the syndrome list rebuilt from the bits, by the
+    reference's syndromes, before every pass, marking or plain, where
+    `sabm_decode` keeps one list through the block."""
     marks = mark_bits(llr, params, code)
-    blk = np.array(block, dtype=np.uint8, order="C")
-    state = SyndromeState(code.component, blk, block_layout(code.w, 1))
+    layout, bits = block_layout(code.w, 1), block_lists(code, block)[1]
     stats = DecodeStats()
+
+    def run(g, marking):  # rows, then columns: group and axis g
+        cs = listed_syndromes(code, as_block(code, bits))
+        if marking:
+            return marking_pass(code, cs, bits, g, marks, g, stats)
+        return plain_pass(code.component, layout, g, cs, bits, stats)
+
     for _ in range(params.md_iters):
-        if not (marking_pass(state, 0, marks, 0, stats) | marking_pass(state, 1, marks, 1, stats)):
-            if not state.syn.any():
-                return blk, stats
+        if not (run(0, True) | run(1, True)):
+            if not any(listed_syndromes(code, as_block(code, bits))[:-1]):
+                return as_block(code, bits), stats
             break
     for _ in range(params.md_iters, params.total_iters):
-        if not (decode_pass(state, 0, stats) | decode_pass(state, 1, stats)):
+        if not (run(0, False) | run(1, False)):
             break
-    return blk, stats
+    return as_block(code, bits), stats
 
 
 @pytest.mark.parametrize("params", [
@@ -690,10 +715,11 @@ def sabm_decode_pass_by_pass(code, block, llr, params):
     SabmParams(delta=3.0, md_iters=10, failure_flip_attempts=3),
 ], ids=["md0", "md5", "md_all", "delta_inf", "attempts0", "attempts3_md_all"])
 def test_marking_phase_on_one_syndrome_list_equals_pass_by_pass(pc32, params):
-    # the marking iterations keep one list of the block's syndromes and flip
-    # the bits once at the end. Random blocks around the waterfall decode to
-    # the same bits with the same DecodeStats as pass by pass, in every
-    # phase length, with no HRB (delta inf) and with 0 to 3 failure retries
+    # the passes keep one list of the block's syndromes through the whole
+    # decode. Random blocks around the waterfall decode to the same bits
+    # with the same DecodeStats as with the list rebuilt before every pass,
+    # in every phase length, with no HRB (delta inf) and with 0 to 3
+    # failure retries
     rng = np.random.default_rng(2024)
     total = DecodeStats()
     for snr_db in (3.5, 4.0, 4.5, 5.0):
@@ -705,3 +731,31 @@ def test_marking_phase_on_one_syndrome_list_equals_pass_by_pass(pc32, params):
             assert stats == want_stats
             total += stats
     assert (total.miscorrections_detected > 0 and total.flips_attempted > 0) == (params.md_iters > 0)
+
+
+def test_plain_pass_flips_a_bit_back(pc32):
+    # row 10 holds four errors that BDD miscorrects to columns 7 and 25,
+    # each otherwise clean. Its row pass flips bits (10, 7) and (10, 25);
+    # the column pass then finds one error in each of those columns and
+    # flips both bits back, and corrects the four errors. So the bytes are
+    # toggled in place: a scheme that collected the flips of both passes
+    # and set each flipped bit once would keep the miscorrection
+    code, w = pc32.component, pc32.w
+    sent = pc_encode(pc32, np.zeros((pc32.k, pc32.k), dtype=np.uint8))
+    hard = sent.copy()
+    hard[10, [0, 1, 3, 19]] ^= 1
+    assert decode_syndromes(code, packed(code, hard[10])) == (7, 25)
+    cs, bits = block_lists(pc32, hard)
+    stats = DecodeStats()
+    assert plain_pass(code, block_layout(w, 1), 0, cs, bits, stats)
+    assert as_block(pc32, bits)[10, [0, 1, 3, 7, 19, 25]].all()
+    assert plain_pass(code, block_layout(w, 1), 1, cs, bits, stats)
+    assert np.array_equal(as_block(pc32, bits), sent)
+    assert cs == listed_syndromes(pc32, sent) and stats == DecodeStats(bdd_calls=2 * w)
+    # the whole decode, with no marking iteration, equals the reference's
+    llr = np.where(hard == 0, 2.0, -2.0)
+    params = SabmParams(total_iters=4, md_iters=0)
+    out, stats = sabm_decode(pc32, hard, llr, params)
+    want, want_stats = reference.pc_decode(pc32, hard, params.total_iters)
+    assert np.array_equal(out, sent) and np.array_equal(out, want)
+    assert stats == want_stats == DecodeStats(bdd_calls=4 * w)

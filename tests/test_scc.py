@@ -5,7 +5,7 @@ import pytest
 
 from feclab import scc
 from feclab.bch import build_code
-from feclab.pc import SabmParams, SyndromeState
+from feclab.pc import SabmParams
 from feclab.scc import SccCode, baseline_calls, decode_chain, eta, scc_encode
 
 from reference import block_syndromes
@@ -86,13 +86,19 @@ def test_scc_encode_rejects_bad_shape(scc32):
 # whole chain, bootstrap zero block included.
 
 def test_window_decode_noiseless(scc32, rng, monkeypatch):
-    made = []
-    monkeypatch.setattr(scc, "SyndromeState",
-                        lambda *args: made.append(SyndromeState(*args)) or made[-1])
+    # every pass decodes the chain's one bytearray, whose bootstrap block
+    # stays zero, and the decoded chain views it
+    seen = []
+    run = scc.plain_pass
+    monkeypatch.setattr(scc, "plain_pass",
+                        lambda code, layout, group, cs, bits, stats:
+                        seen.append(bits) or run(code, layout, group, cs, bits, stats))
     _, blocks = random_chain(scc32, rng, 4)
     out, _ = decode_chain(scc32, blocks, None, SabmParams(), window=len(blocks) + 1, ell=3)
-    (state,) = made
-    assert not state.bits[0].any()
+    (bits,) = {id(b): b for b in seen}.values()
+    w = scc32.w
+    assert len(bits) == 5 * w * w and not any(bits[:w * w])
+    assert np.shares_memory(out, np.frombuffer(bits, dtype=np.uint8))
     for got, want in zip(out, blocks):
         assert np.array_equal(got, want)
 

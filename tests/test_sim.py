@@ -998,6 +998,19 @@ def test_cli_config_file_runs_or_exits_2(command, config, tmp_path, capsys, refu
     assert rc == 0 or rc == 2 and len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("depth", [100, 1000])
+def test_cli_deeply_nested_config_exits_2(depth, tmp_path, capsys):
+    # yaml's parser recurses once per level: 1,000 levels of [[...]] exceed
+    # the interpreter's recursion limit, 100 do not and read as a list
+    cfgfile = tmp_path / "deep.yaml"
+    cfgfile.write_text("[" * depth + "]" * depth)
+    assert main(["pc", "--config", str(cfgfile)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: config file ")
+    assert ("nests too deeply" in err) == (depth == 1000)
+
+
 @pytest.mark.parametrize("snr", ["-1000", "3000"])
 def test_cli_runs_at_the_snr_range_ends(snr, capsys):
     assert main(["pc", f"--snr={snr}", "--max-blocks", "1", "--batch-size", "1",
