@@ -17,13 +17,10 @@ the error pattern of weight <= t for the whole packed syndrome from one
 table, `error_positions`, built once per code over all n positions, the
 overall-parity bit included: as d0 > 2t, no two such patterns share a
 syndrome. A nonzero syndrome whose row holds no position is a decoding
-failure. The list passes of PC SABM and of staircase chains read the
-same decoding as a list of Python tuples, `bdd_patterns`, built on a
-code's first such pass.
+failure. The compiled passes of every decoder read that table.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -60,27 +57,6 @@ class BchCode:
     # the error positions in ascending order, -1 where unused; a nonzero
     # syndrome with no position lies beyond radius t (a failure)
     error_positions: np.ndarray = field(repr=False)
-
-    @cached_property
-    def flip_list(self) -> list:
-        """`flip_syndrome` as Python ints, for the list passes' scalar reads."""
-        return self.flip_syndrome.tolist()
-
-    @cached_property
-    def bdd_patterns(self) -> list:
-        """`error_positions` for the list passes' scalar reads: entry s is
-        () for s = 0, the error positions of a correctable s as an
-        ascending tuple of Python ints, and None for a failure. Built on
-        first use, so that only PC SABM and staircase chains pay for it:
-        ~3 ms and ~0.7 MiB (tracemalloc) at m = 7, ~9 ms and ~2.7 MiB at 8."""
-        h = self.flip_list
-        patterns = [None] * len(self.error_positions)
-        patterns[0] = ()
-        for a, ha in enumerate(h):
-            patterns[ha] = (a,)
-            for b in range(a + 1, self.n):
-                patterns[ha ^ h[b]] = (a, b)
-        return patterns
 
 
 def _gf2_inverse(a: np.ndarray) -> np.ndarray:

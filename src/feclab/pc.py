@@ -17,36 +17,31 @@ packed syndrome of every word. A pass decodes the words of a group that
 have a nonzero syndrome (a clean word is a no-op), yet `bdd_calls` counts
 w per group pass, as if every word were decoded, plus one per flip retry.
 Every flip updates the syndrome of its word and of the crossing word, so
-the syndromes always equal those of the bits. Two owners keep them:
-- a PC iBDD stack, decoded in lockstep, keeps numpy arrays: its
-  `SyndromeState` owns the bits and the syndromes, and its plain pass,
-  `decode_pass`, decodes the rows, or the columns, of every active block
-  at once;
-- a PC SABM block (`sabm_decode`) and a staircase chain
-  (`scc.decode_chain`) own two Python objects: a list of the syndrome of
-  every slot, then the `SENTINEL` slot, and a bytearray of the bits, which
-  the decoded array views. Their passes, the plain `plain_pass` and the
-  marking `sabm_pass`, decode one group each in a Python loop that reads
-  and writes only these two, with no numpy call, and toggle the bits in
-  place, as a plain pass may flip back a bit that an earlier pass flipped.
-What these passes read that does not change within a block is built once:
-per component code the flip syndromes and the BDD pattern of every
-syndrome as lists (`BchCode.flip_list`, `BchCode.bdd_patterns`, made on
-first use), the HRB flags as bytes and the flip candidates as one list
-per word per `MarkState`, and per `Layout` each group's rows of its
-tables as tuples and, per group and slot range, the slot that the veto
-reads for each position.
+the syndromes always equal those of the bits.
+
+Both passes, the plain `plain_pass` and the marking `sabm_pass`, are one
+call each into the compiled kernel (`kernel`, `_passes.c`), on a
+`kernel.Passes` state that a decoder binds once: a PC iBDD stack, a PC
+SABM block (`sabm_decode`) and a staircase chain (`scc.decode_chain`)
+each own one, with one int64 array of the syndromes and one uint8 array
+of the bits, which the decoded array is. `sabm_decode` runs its schedule
+here, a pass per call. A PC iBDD block's iterations, and a staircase
+window's (`scc.window_pass`), are one kernel call each, as their ~16 and
+~14 passes per call would otherwise spend 14-19% of the decode in call
+overhead. The kernel toggles the bits in place, as a plain pass may flip
+back a bit that an earlier pass flipped. The marks of a `MarkState` are
+arrays that the kernel reads as they are.
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import compress
 
 import numpy as np
 
 from .bch import BchCode, encode_many, packed_syndromes
 from .errors import ConfigError
+from .kernel import Passes
 
 
 @dataclass(frozen=True)
@@ -97,16 +92,17 @@ class DecodeStats:
 @dataclass(frozen=True)
 class MarkState:
     """Flip mask frozen at channel time, for the words along each axis (for
-    a product block, rows are axis 0 and columns axis 1), in the marking
-    pass's scalar reads. Byte i * n + j of hrb[axis] is 1 if position j of
-    word i is an HRB, else 0. candidates[axis][i] lists word i's first
-    min(d0-2, non-HRB count) positions by ascending |llr|, ties to the
-    lowest index: its non-HRBs, as many as SABM reads. Its first d0-t-1 are
-    the HUBs; a failed word gets flip_attempts retries, one per HUB."""
+    a product block, rows are axis 0 and columns axis 1), as the arrays that
+    the marking pass reads. hrb[axis, i, j] is 1 if position j of word i is
+    an HRB, else 0 (uint8, (axes, words, n)). candidates[axis, i] holds
+    word i's first min(d0-2, non-HRB count) positions by ascending |llr|,
+    ties to the lowest index, then -1 up to d0-2 entries (int64, (axes,
+    words, d0-2)): its non-HRBs, as many as SABM reads. Its first d0-t-1
+    are the HUBs; a failed word gets flip_attempts retries, one per HUB."""
 
-    candidates: tuple = field(repr=False)     # axes lists of w position lists
+    candidates: np.ndarray
     flip_attempts: int
-    hrb: tuple = field(repr=False)            # axes bytes of w * n
+    hrb: np.ndarray
 
 
 def _stable_order_prefix(a: np.ndarray, keep: int) -> np.ndarray:
@@ -134,16 +130,14 @@ def make_marks(a: np.ndarray, params: SabmParams, code: BchCode,
     hrb = a > params.delta
     order = _stable_order_prefix(a, code.d0 - 2)
     # HRBs have |llr| > delta, so a stable order puts every non-HRB first: a
-    # word's candidates end at its first HRB among its d0-2 picks, if any
-    picked = np.take_along_axis(hrb, order, axis=-1)
-    candidates = (offset + order).tolist()
-    short = picked[..., -1].nonzero()
-    for axis, i, first in zip(*short, picked[short].argmax(axis=-1)):
-        del candidates[axis][i][first:]
-    flags = np.concatenate([np.zeros(hrb.shape[:-1] + (offset,), bool), hrb], axis=-1)
-    return MarkState(candidates=tuple(candidates),
+    # word's candidates end at its first HRB among its d0-2 picks, if any.
+    # The order is a transposed view, so np.where's result is not C-ordered
+    candidates = np.where(np.take_along_axis(hrb, order, axis=-1), -1, offset + order)
+    flags = np.zeros(hrb.shape[:-1] + (offset + hrb.shape[-1],), dtype=np.uint8)
+    flags[..., offset:] = hrb
+    return MarkState(candidates=np.ascontiguousarray(candidates),
                      flip_attempts=min(code.d0 - code.t - 1, params.failure_flip_attempts),
-                     hrb=tuple(axis.tobytes() for axis in flags))
+                     hrb=flags)
 
 
 def pc_encode(code: PcCode, data) -> np.ndarray:
@@ -175,30 +169,18 @@ class Layout:
     holds the bit at position shift[g, j] + i. `syndromes(code, bits)`
     returns the packed syndrome of every word of a bit array, flat and
     group by group, from one float32 copy of the bits; it may cover groups
-    beyond the G that are decoded, which only crossing updates change.
+    beyond the G that are decoded, which only crossing updates change. The
+    groups' words span `size` bits and read `slots` syndromes.
     """
 
     def __init__(self, w: int, syndromes: Callable, base, stride, cross, shift):
         self.w, self.syndromes = w, syndromes
         self.base, self.stride, self.cross, self.shift = arrays = [
-            np.asarray(a, dtype=np.int64) for a in (base, stride, cross, shift)]
+            np.ascontiguousarray(a, dtype=np.int64) for a in (base, stride, cross, shift)]
         for a in arrays:
             a.setflags(write=False)
-        # per group, its base, stride, cross and shift rows as tuples, for
-        # the list passes' scalar reads
-        self.tuples = tuple(zip(*(map(tuple, a.tolist()) for a in arrays)))
-        self._slots = {}
-
-    def slots(self, group: int, lo: int, hi: int) -> tuple:
-        """Per position of a word of `group`, the syndrome list slot that
-        the marking pass's veto reads: its crossing word's, if that lies in
-        slots lo..hi-1, else -1, the `SENTINEL`. Built once per (group, lo,
-        hi)."""
-        key = group, lo, hi
-        if key not in self._slots:
-            c = self.cross[group]
-            self._slots[key] = tuple(np.where((c >= lo) & (c < hi), c, -1).tolist())
-        return self._slots[key]
+        self.size = int((self.base + (w - 1) * self.stride).max(initial=-1)) + 1
+        self.slots = max(int(self.cross.max(initial=-1)) + 1, len(self.base) * w)
 
 
 @lru_cache(maxsize=None)
@@ -220,165 +202,48 @@ def block_layout(w: int, blocks: int) -> Layout:
                   shift=np.zeros((2 * blocks, w)))
 
 
-class SyndromeState:
-    """Packed syndromes of every word of a layout over a bit array, which
-    is decoded in place by a PC iBDD stack: syn[g * w + i] is the syndrome
-    of word i of group g. Flips made through `flip`, each making its word a
-    codeword, update the bits, the flipped word's syndrome and each
-    crossing word's syndrome, so `syn` always equals the syndromes of the
-    bits."""
-
-    def __init__(self, code: BchCode, bits: np.ndarray, layout: Layout):
-        if not (isinstance(bits, np.ndarray) and bits.flags.c_contiguous):
-            raise ValueError("bits must be a C-contiguous array, as they are decoded in place")
-        self.code, self.bits, self.layout = code, bits, layout
-        self.flat, self.w = bits.reshape(-1), layout.w
-        self.syn = layout.syndromes(code, bits)
-
-    def flip(self, groups: np.ndarray, words: np.ndarray, positions: np.ndarray):
-        """Flip bit positions[k] of word words[k] of group groups[k], for
-        every k; no (group, word, position) triple may repeat. Each flipped
-        word's flips must make it a codeword (the pattern its syndrome
-        decodes to): its syndrome is stored as 0 before the crossing words'
-        syndromes are updated."""
-        lay = self.layout
-        at = groups * lay.base.shape[1] + positions  # (group, position) in the flat tables
-        self.flat[lay.base.take(at) + words * lay.stride.take(at)] ^= 1
-        self.syn[groups * self.w + words] = 0
-        np.bitwise_xor.at(self.syn, lay.cross.take(at),
-                          self.code.flip_syndrome[lay.shift.take(at) + words])
-
-
-def decode_pass(state: SyndromeState, groups: np.ndarray, stats: DecodeStats) -> np.ndarray:
-    """Decode the words with a nonzero syndrome of each of `groups`, an
-    array of groups (the rows, or the columns, of the active blocks of a PC
-    iBDD stack), and apply their flips, all at once, as the words of a group
-    share no bits and the groups are disjoint word sets. Returns per group
-    whether any bit of it was flipped."""
-    w = state.w
-    stats.bdd_calls += w * groups.size
-    own = state.syn.reshape(-1, w).take(groups, axis=0).ravel()
-    hit = own.nonzero()[0]
-    pos = state.code.error_positions.take(own[hit], axis=0).ravel()
-    at = (pos >= 0).nonzero()[0]  # word at // 2 (t = 2 entries a word)
-    group, words = np.divmod(hit[at >> 1], w)
-    state.flip(groups.take(group), words, pos[at])
-    changed = np.zeros(groups.size, dtype=bool)
-    changed[group] = True
-    return changed
-
-
-# the last slot of a list pass's syndrome list, read for any crossing word
-# outside a marking pass's window; no pass writes it, so it never reads 0
-SENTINEL = 1 << 62
-
-
-def plain_pass(code: BchCode, layout: Layout, group: int, cs: list, bits: bytearray,
-               stats: DecodeStats) -> bool:
+def plain_pass(state: Passes, group: int) -> bool:
     """Plain BDD of the words of one group that have a nonzero syndrome, in
-    ascending order, on cs, the syndrome of every slot of the layout and
-    then the `SENTINEL`, and bits, the bytearray of the layout's bit array,
-    both updated in place: a word's pattern toggles its bits (as 1 - b,
-    which CPython runs faster than b ^ 1), XORs their flip syndromes into
-    their crossing words' slots and zeroes its own. As no word of a group
-    crosses another, that is decoding them all at once; a failure leaves
-    its word as it is. `bdd_calls` counts w. Returns whether it flipped."""
-    w, h, patterns = layout.w, code.flip_list, code.bdd_patterns
-    base, stride, cross, shift = layout.tuples[group]
-    own = group * w
-    pending = cs[own:own + w]
-    changed = False
-    for i, syn in zip(compress(range(w), pending), filter(None, pending)):
-        pattern = patterns[syn]
-        if pattern is None:
-            continue
-        for p in pattern:
-            cs[cross[p]] ^= h[shift[p] + i]
-            k = base[p] + i * stride[p]
-            bits[k] = 1 - bits[k]
-        cs[own + i] = 0
-        changed = True
-    stats.bdd_calls += w
-    return changed
+    ascending order, in place on the state's bits and syndromes: a word's
+    pattern toggles its bits, XORs their flip syndromes into their crossing
+    words' slots and zeroes its own. As no word of a group crosses another,
+    that is decoding them all at once; a failure leaves its word as it is.
+    `bdd_calls` counts w. Returns whether it flipped a bit."""
+    changed = state.plain_pass(state.ref, group)
+    if changed < 0:
+        raise ValueError(f"group {group} is not a group of the state's layout")
+    return changed > 0
 
 
-def sabm_pass(code: BchCode, layout: Layout, group: int, cs: list, bits: bytearray,
-              slot: tuple, marks: MarkState, axis: int, stats: DecodeStats) -> bool:
+def sabm_pass(state: Passes, group: int, axis: int, lo: int, hi: int) -> bool:
     """SABM on the words of one group that have a nonzero syndrome, in
-    ascending order, on the syndrome list cs and the bytearray bits of a
-    `plain_pass`. The veto reads the crossing word through position j in
-    cs[slot[j]], slot being a `Layout.slots` tuple of the group. Word i of
-    the group is word i of marks' axis. A word's BDD proposal is vetoed if
-    it touches an HRB of the word or a bit whose crossing word has a zero
-    syndrome. A failure retries with its candidates c[0], c[1], ...
-    flipped one at a time, at most flip_attempts retries; a vetoed proposal
-    of weight e retries once with c[:d0 - e - 1] flipped at once. Both act
-    on the pre-BDD word and take the first retry that decodes to a pattern
-    the veto passes; else the word is left as it is. A veto reads crossing
-    syndromes that earlier words of the pass changed, so an accepted
-    pattern updates cs and bits at once, as a plain pass's does. BDD is
-    one index into the code's `bdd_patterns` per proposal or retry;
-    `bdd_calls` counts w plus one per retry. Returns whether any bit was
-    flipped."""
-    w, n, d0, h, patterns = layout.w, code.n, code.d0, code.flip_list, code.bdd_patterns
-    base, stride, cross, shift = layout.tuples[group]
-    own = group * w
-    hrb, candidates, attempts = marks.hrb[axis], marks.candidates[axis], marks.flip_attempts
-    # no word of a group crosses another: only its own acceptance changes its entry
-    pending = cs[own:own + w]
-
-    changed = False
-    retries = miscorrections = accepted = 0
-    for i, syn in zip(compress(range(w), pending), filter(None, pending)):
-        row = i * n
-        # syn != 0, so its pattern is never (): None is a failure
-        pattern, tries = patterns[syn], ()
-        if pattern is None:  # one candidate per retry, as 1-tuples
-            pattern, tries = (), zip(candidates[i][:attempts])
-        for p in pattern:
-            if hrb[row + p] or not cs[slot[p]]:  # vetoed: drop it, retry once
-                miscorrections += 1
-                flips = candidates[i][:d0 - len(pattern) - 1]
-                pattern, tries = (), [flips] if flips else []
-                break
-        for flips in tries:
-            retries += 1
-            change = syn
-            for p in flips:
-                change ^= h[p]
-            got = patterns[change]
-            if got is None:
-                continue
-            # never empty: syn != 0 is the syndrome of flips ^ got
-            total = set(flips) ^ set(got)
-            for p in total:
-                if hrb[row + p] or not cs[slot[p]]:
-                    break
-            else:
-                pattern = total
-                accepted += 1
-                break
-        if not pattern:  # dropped: a nonzero syndrome never decodes to ()
-            continue
-        for p in pattern:
-            cs[cross[p]] ^= h[shift[p] + i]
-            k = base[p] + i * stride[p]
-            bits[k] = 1 - bits[k]
-        cs[own + i] = 0
-        changed = True
-    stats.bdd_calls += w + retries
-    stats.miscorrections_detected += miscorrections
-    stats.flips_attempted += retries
-    stats.flips_accepted += accepted
-    return changed
+    ascending order, in place as a `plain_pass`. Word i of the group is
+    word i of axis `axis` of the state's marks. A word's BDD proposal is
+    vetoed if it touches an HRB of the word or a bit whose crossing word
+    lies in syndrome slots lo..hi-1 and has a zero syndrome. A failure
+    retries with its candidates c[0], c[1], ... flipped one at a time, at
+    most flip_attempts retries; a vetoed proposal of weight e retries once
+    with c[:d0 - e - 1] flipped at once. Both act on the pre-BDD word and
+    take the first retry that decodes to a pattern the veto passes (the
+    flips and the decoded positions less those in both; syndrome 0
+    decodes to no position); else the word is left as it is. A veto reads
+    crossing syndromes that earlier words of the pass changed, so an
+    accepted pattern updates the syndromes and bits at once, as a plain
+    pass's does. `bdd_calls` counts w plus one per retry. Returns whether
+    any bit was flipped."""
+    changed = state.sabm_pass(state.ref, group, axis, lo, hi)
+    if changed < 0:
+        raise ValueError(f"group {group} or axis {axis} is not in the state or its marks")
+    return changed > 0
 
 
 def ibdd_decode(code: PcCode, blocks, iters: int) -> tuple[np.ndarray, DecodeStats]:
     """iBDD of one (w, w) block or of a (B, w, w) stack; returns the decoded
     bits in the input's shape and the DecodeStats summed over the stack.
-    The blocks of a stack are decoded in lockstep, each exactly as on its
-    own: an iteration is a row pass and then a column pass over the active
-    blocks, and a block leaves at its first iteration that flips nothing."""
+    The blocks of a stack share one `Passes` and are decoded one after the
+    other, each on its own, by one kernel call: an iteration is a row pass
+    and then a column pass, and a block stops at its first iteration that
+    flips nothing."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
     blk = np.array(blocks, dtype=np.uint8, order="C")
@@ -386,13 +251,10 @@ def ibdd_decode(code: PcCode, blocks, iters: int) -> tuple[np.ndarray, DecodeSta
     if blk.shape[-2:] != (w, w) or blk.ndim not in (2, 3):
         raise ValueError(f"block must be ({w}, {w}) or a stack of them")
     count = blk.size // (w * w)
-    state, stats = SyndromeState(code.component, blk, block_layout(w, count)), DecodeStats()
-    rows = 2 * np.arange(count)  # row group of each active block; its columns follow
-    for _ in range(iters):
-        if rows.size == 0:
-            break
-        rows = rows[decode_pass(state, rows, stats) | decode_pass(state, rows + 1, stats)]
-    return blk, stats
+    state = Passes(code.component, block_layout(w, count), blk)
+    for rows in range(0, 2 * count, 2):  # the row group of each block; its columns follow
+        state.ibdd_block(state.ref, rows, iters)
+    return blk, DecodeStats(*state.counts())
 
 
 def sabm_decode(code: PcCode, block, llr: np.ndarray,
@@ -404,28 +266,23 @@ def sabm_decode(code: PcCode, block, llr: np.ndarray,
     the same vetoes in place, hands the block to the plain ones. Returns
     the decoded bits and the DecodeStats.
 
-    Every pass runs on one list of the block's 2w syndromes and the
-    `SENTINEL`, and one bytearray of its bits, which the returned block
-    views."""
+    Every pass runs on one `Passes` of the block, whose bits are the
+    returned block."""
     marks = mark_bits(llr, params, code)
-    w, comp = code.w, code.component
+    w = code.w
     if np.shape(block) != (w, w):
         raise ValueError(f"block must be ({w}, {w})")
-    bits = bytearray(w * w)
-    blk = np.frombuffer(bits, dtype=np.uint8).reshape(w, w)
-    blk[:] = block
-    layout, stats = block_layout(w, 1), DecodeStats()
-    cs = layout.syndromes(comp, blk).tolist() + [SENTINEL]
+    blk = np.array(block, dtype=np.uint8, order="C")
+    state = Passes(code.component, block_layout(w, 1), blk)
+    state.mark(marks)
     # rows, then columns (group and axis g), both in every iteration; every
     # crossing word of a block lies in its 2w slots
-    slots = [layout.slots(g, 0, 2 * w) for g in (0, 1)]
     for _ in range(params.md_iters):
-        if not any([sabm_pass(comp, layout, g, cs, bits, slots[g], marks, g, stats)
-                    for g in (0, 1)]):
-            if not any(cs[:-1]):
-                return blk, stats
+        if not (sabm_pass(state, 0, 0, 0, 2 * w) | sabm_pass(state, 1, 1, 0, 2 * w)):
+            if not state.syn.any():
+                return blk, DecodeStats(*state.counts())
             break
     for _ in range(params.md_iters, params.total_iters):
-        if not any([plain_pass(comp, layout, g, cs, bits, stats) for g in (0, 1)]):
+        if not (plain_pass(state, 0) | plain_pass(state, 1)):
             break
-    return blk, stats
+    return blk, DecodeStats(*state.counts())

@@ -6,17 +6,17 @@ codeword with n = 2w. Within B_i, columns 0..k-w-1 carry fresh information
 and the remaining columns the parity (overall-parity bit in the last
 column). B_0 is the all-zero reference block known to both ends.
 
-Decoding runs on the list passes of `pc`: the chain is one bytearray of
-(blocks + 1) w x w blocks, the zero block first, whose pairs are the
-word groups of one `Layout`, with one list of the syndromes of every
-slot and the sentinel, both owned by `decode_chain`; a window is a range
-of pairs. The pairs missing at both ends of the chain share a scratch
-group that no window decodes. A window's plain passes are `plain_pass` on
-one pair; its marking passes are `sabm_pass` on the newest pair, whose
-veto reads the sentinel for any crossing word outside the window's
-pairs, never a codeword. `bdd_calls` counts w per pair pass, as if every
-word were decoded, plus one per flip retry. SABM reads the channel only
-through marks: `newest_blocks` names the blocks that the windows mark,
+Decoding runs on the kernel passes of `pc`: the chain is one uint8 array
+of (blocks + 1) w x w blocks, the zero block first, whose pairs are the
+word groups of one `Layout`, decoded on one `kernel.Passes` that
+`decode_chain` owns; a window is a range of pairs. The pairs missing at
+both ends of the chain share a scratch group that no window decodes. A
+window is one `window_pass`, a kernel call that runs its iterations:
+plain passes over its pairs, and marking passes on the newest pair,
+whose veto reads only the crossing words of the window's pairs.
+`bdd_calls` counts w per pair pass, as if every word were decoded, plus
+one per flip retry. SABM reads the channel only through marks:
+`newest_blocks` names the blocks that the windows mark,
 and `block_marks` makes a block's `MarkState` from its LLR grid, which
 the trial loop does as it demaps the block, so a chain never holds its
 grids. `decode_chain` runs SABM if and only if it is given the marks, and
@@ -31,8 +31,8 @@ import numpy as np
 
 from .bch import BchCode, packed_syndromes
 from .errors import ConfigError
-from .pc import (SENTINEL, DecodeStats, Layout, MarkState, SabmParams, make_marks,
-                 plain_pass, sabm_pass)
+from .kernel import Passes
+from .pc import DecodeStats, Layout, MarkState, SabmParams, make_marks
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,17 @@ def block_marks(code: SccCode, llr: np.ndarray, params: SabmParams) -> MarkState
     return make_marks(np.abs(llr)[None], params, code.component, offset=code.w)
 
 
+def window_pass(state: Passes, first: int, newest: int, ell: int, marking: int) -> None:
+    """The ell iterations of the window over pairs first..newest, in one
+    kernel call: each is a `plain_pass` over every pair but the newest, in
+    order, and then over the newest pair a `sabm_pass` on the state's marks
+    in the first `marking` iterations, whose veto reads only the crossing
+    words of the window's pairs, or a `plain_pass`."""
+    if state.window(state.ref, first, newest, ell, marking) < 0:
+        raise ValueError(f"pairs {first}..{newest} are not a window of the state's chain, "
+                         "or it marks with no marks bound")
+
+
 def decode_chain(code: SccCode, received: np.ndarray, marks: list[MarkState | None] | None,
                  params: SabmParams, window: int,
                  ell: int) -> tuple[np.ndarray, DecodeStats]:
@@ -140,10 +151,10 @@ def decode_chain(code: SccCode, received: np.ndarray, marks: list[MarkState | No
     may be None). Returns the (N, w, w) decoded blocks and the chain's
     DecodeStats.
 
-    One syndrome list and one bytearray cover the chain, and the
-    returned blocks view the bytes. The window starting at chain
-    block s ends at block s+window-1 or at the chain's end, and its ell
-    iterations decode pairs s..newest in order; SABM runs on the newest
+    One `Passes` covers the chain, and the returned blocks view its
+    bits. The window starting at chain block s ends at block s+window-1
+    or at the chain's end, and its ell iterations, one `window_pass`,
+    decode pairs s..newest in order; SABM runs on the newest
     pair, with the newest block's marks, in the first md_iters
     iterations. Its veto reads only crossing words of the window's pairs.
     The tail windows share the last block's marks.
@@ -160,21 +171,12 @@ def decode_chain(code: SccCode, received: np.ndarray, marks: list[MarkState | No
     if marks is not None and len(marks) != len(received):
         raise ValueError(f"marks must have one entry per received block ({len(received)}), "
                          f"got {len(marks)}")
-    stats, comp = DecodeStats(), code.component
-    bits = bytearray((len(received) + 1) * w * w)
-    chain = np.frombuffer(bits, dtype=np.uint8).reshape(-1, w, w)
+    chain = np.zeros((len(received) + 1, w, w), dtype=np.uint8)
     chain[1:] = received
-    layout = chain_layout(w, len(chain))
-    cs = layout.syndromes(comp, chain).tolist() + [SENTINEL]
+    state = Passes(code.component, chain_layout(w, len(chain)), chain)
     for s, newest in enumerate(newest_blocks(len(received), window)):
-        # the veto reads only the crossing words of the window's pairs
-        slot = None if marks is None else layout.slots(newest, s * w, (newest + 1) * w)
-        for it in range(ell):
-            for p in range(s, newest):
-                plain_pass(comp, layout, p, cs, bits, stats)
-            if marks is None or it >= params.md_iters:
-                plain_pass(comp, layout, newest, cs, bits, stats)
-            else:
-                sabm_pass(comp, layout, newest, cs, bits, slot, marks[newest], 0, stats)
+        if marks is not None:
+            state.mark(marks[newest])
+        window_pass(state, s, newest, ell, 0 if marks is None else params.md_iters)
     # drop the bootstrap zero block from the output
-    return chain[1:], stats
+    return chain[1:], DecodeStats(*state.counts())

@@ -65,8 +65,8 @@ MAX_WORKERS = 512
 MAX_BATCH = 1_000_000
 
 # most bytes of one staircase chain's arrays, counted as its data and 10
-# bytes a bit: its code blocks, hard decisions and decode bytearray (a
-# byte a bit each, the decode's list of one int per word well below it),
+# bytes a bit: its code blocks, hard decisions and decode array (a byte
+# a bit each, the decode's int64 syndrome per word well below it),
 # its SABM marks and the float32 copy of the bits that builds the
 # syndromes, all held while the chain runs; a SABM run peaks at ~1.2x this
 MAX_CHAIN_BYTES = 1 << 28

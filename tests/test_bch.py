@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from feclab.bch import build_code, encode_many
 from feclab.errors import ConfigError
+from feclab.kernel import Passes
+from feclab.pc import block_layout, plain_pass
 
 import reference
 from reference import block_syndromes, decode_syndromes
@@ -246,9 +248,9 @@ def test_decode_syndromes_reads_the_table_as_python_ints(m):
 
 
 def test_vectorized_propose_matches_scalar():
-    # the table read of the iBDD passes (the entries >= 0 of each row of
-    # error_positions[syn]) agrees with the one-syndrome decode that the
-    # bdd_patterns list holds, for every packed syndrome of m = 4 and 5
+    # the table read in array form (the entries >= 0 of each row of
+    # error_positions[syn]) agrees with the one-syndrome decode, for every
+    # packed syndrome of m = 4 and 5
     for m in (4, 5):
         code = build_code(m)
         syn = np.arange(len(code.error_positions))
@@ -263,23 +265,27 @@ def test_vectorized_propose_matches_scalar():
                 assert flips == []
             else:
                 assert flips == sorted(flips) == list(out)
-                assert code.bdd_patterns[s] == out
 
 
 @pytest.mark.parametrize("m", range(4, 9))
-def test_bdd_patterns_list_equals_decode_syndromes(m):
-    # the marking passes' list holds, for every packed syndrome, what the
-    # iBDD passes and decode_syndromes read from its row of error_positions
-    # (the entries >= 0): an ascending tuple of Python ints, () for 0, and
-    # None for a nonzero syndrome whose row holds no position (a failure);
-    # it is built on first use and kept on the code
+def test_kernel_decodes_every_syndrome_as_decode_syndromes(m):
+    # the kernel's plain pass reads its BDD from error_positions: given
+    # every packed syndrome in turn as the syndrome of a row of a block, it
+    # flips that row at the positions decode_syndromes gives, whose flip
+    # syndromes XOR to it, and zeroes its slot; a failure, or syndrome 0,
+    # flips nothing and leaves the slot as it was
     code = build_code(m)
-    assert "bdd_patterns" not in vars(code)
-    patterns = code.bdd_patterns
-    assert code.bdd_patterns is patterns
-    assert patterns == [decode_syndromes(code, s) for s in range(len(code.error_positions))]
     n = code.n
-    assert patterns[0] == () and patterns.count(None) == len(patterns) - 1 - n * (n + 1) // 2
-    for pattern in filter(None, patterns):
-        assert type(pattern) is tuple and all(type(p) is int for p in pattern)
-        assert list(pattern) == sorted(set(pattern))
+    state = Passes(code, block_layout(n, 1), np.zeros((n, n), dtype=np.uint8))
+    syndromes = np.arange(len(code.error_positions))
+    for batch in syndromes.reshape(-1, n):
+        state.syn[:n] = batch
+        before = state.bits.copy()
+        plain_pass(state, 0)
+        flipped = state.bits ^ before
+        for s, row, left in zip(batch.tolist(), flipped, state.syn[:n].tolist()):
+            pattern = decode_syndromes(code, s)
+            assert tuple(np.flatnonzero(row).tolist()) == (pattern or ())
+            assert left == (s if not pattern else 0)
+            if pattern:
+                assert np.bitwise_xor.reduce(code.flip_syndrome[list(pattern)]) == s

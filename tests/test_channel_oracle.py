@@ -46,8 +46,11 @@ def test_demap_matches_reference(M, mode, snr_db, seed, drawn):
 def channel_digest(cfg: SimConfig, snr_db: float, trial: int) -> str:
     """sha256 of one trial's data, blocks and hard decisions, with dtype and
     shape, and of what the decoder reads of its soft values: a PC block's
-    LLR grid, or per SCC block its marks' HRB bytes and candidates ("-"
-    for a block the windows never mark)."""
+    LLR grid, or per SCC block its marks' HRB flags and candidates ("-"
+    for a block the windows never mark). The marks are hashed in the form
+    they were pinned in: per axis the HRB flags as bytes, then the repr of
+    the candidates as a tuple, per axis, of one list per word, without the
+    -1 padding."""
     data, blocks, hard, soft = sim._channel(cfg, snr_db, trial)
     h = hashlib.sha256()
     arrays = [data, blocks, hard] + ([soft] if cfg.scheme == "pc" else [])
@@ -59,8 +62,10 @@ def channel_digest(cfg: SimConfig, snr_db: float, trial: int) -> str:
             h.update(b"-")
         else:
             for flags in marks.hrb:
-                h.update(flags)
-            h.update(repr(marks.candidates).encode())
+                h.update(flags.tobytes())
+            lists = tuple([[p for p in word if p >= 0] for word in axis]
+                          for axis in marks.candidates.tolist())
+            h.update(repr(lists).encode())
     return h.hexdigest()
 
 

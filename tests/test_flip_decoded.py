@@ -1,17 +1,17 @@
-"""`SyndromeState.flip` stores a flipped word's syndrome as 0 instead of
-folding its flips in. Applied, several groups per call as the iBDD pass
-does, to the patterns the words' syndromes decode to, it keeps every
-syndrome equal to the syndromes recomputed from the bits, on the product
-block layout and on a staircase chain, the scratch group included. The
-words are built from `reference.py`'s views, not from the layouts, whose
-own syndrome builds are checked against the same words."""
+"""A kernel pass stores a decoded word's syndrome as 0 instead of folding
+its flips in. Run on random groups, the plain passes keep every syndrome
+equal to the syndromes recomputed from the bits, on the product block
+layout and on a staircase chain, the scratch group included. The words
+are built from `reference.py`'s views, not from the layouts, whose own
+syndrome builds are checked against the same words."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from feclab.bch import build_code
-from feclab.pc import SyndromeState, block_layout
+from feclab.kernel import Passes
+from feclab.pc import block_layout, plain_pass
 from feclab.scc import chain_layout
 
 import reference
@@ -35,14 +35,12 @@ def recomputed(state, words, code=CODE):
 
 
 def apply_decoded(state, groups):
-    """Flip, in one call, the decoded pattern of every word of `groups`
-    whose syndrome decodes; return the number of flips."""
-    groups = np.asarray(groups)
-    pos = CODE.error_positions[state.syn.reshape(-1, state.w)[groups]]  # (G, w, t)
-    at, words, k = (pos >= 0).nonzero()
-    if at.size:
-        state.flip(groups[at], words, pos[at, words, k])
-    return at.size
+    """A plain pass over each of `groups`, in order; return the number of
+    words whose syndrome decoded."""
+    pos = CODE.error_positions[state.syn.reshape(-1, state.w)[groups]]
+    for group in groups:
+        plain_pass(state, int(group))
+    return int((pos[..., 0] >= 0).sum())
 
 
 def noisy_zero_blocks(shape, rng):
@@ -62,11 +60,12 @@ def check_passes(state, words, draw_groups, rng):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
 def test_decoded_flips_keep_block_syndromes(seed, blocks):
-    # per block its rows or its columns, as one call: groups that share no bits
+    # per block its rows or its columns: groups that share no bits, whose
+    # decoded words flip as in one pass
     rng = np.random.default_rng(seed)
     w = CODE.n
     bits = noisy_zero_blocks((blocks, w, w), rng)
-    state = SyndromeState(CODE, bits, block_layout(w, blocks))
+    state = Passes(CODE, block_layout(w, blocks), bits)
     check_passes(state, stack_words,
                  lambda r: 2 * np.arange(blocks) + r.integers(0, 2, blocks), rng)
 
@@ -74,11 +73,11 @@ def test_decoded_flips_keep_block_syndromes(seed, blocks):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
 @settings(max_examples=30, deadline=None)
 def test_decoded_flips_keep_chain_syndromes(seed, num_blocks):
-    # pairs p and p + 2 share no bits, so every other pair goes in one call
+    # pairs p and p + 2 share no bits, so every other pair goes in one round
     rng = np.random.default_rng(seed)
     w = CODE.n // 2
     bits = noisy_zero_blocks((num_blocks, w, w), rng)
-    state = SyndromeState(CODE, bits, chain_layout(w, num_blocks))
+    state = Passes(CODE, chain_layout(w, num_blocks), bits)
     pairs = num_blocks - 1
     check_passes(state, chain_words,
                  lambda r: np.arange(r.integers(0, min(2, pairs)), pairs, 2), rng)
@@ -92,14 +91,14 @@ def test_layout_syndromes_are_those_of_the_words(m):
     rng = np.random.default_rng(m)
     w = code.n
     for blocks in (1, 2, 3):
-        state = SyndromeState(code, rng.integers(0, 2, (blocks, w, w), dtype=np.uint8),
-                              block_layout(w, blocks))
+        state = Passes(code, block_layout(w, blocks),
+                       rng.integers(0, 2, (blocks, w, w), dtype=np.uint8))
         assert np.array_equal(state.syn, recomputed(state, stack_words, code))
-    one = SyndromeState(code, state.bits[0].copy(), block_layout(w, 1))
+    one = Passes(code, block_layout(w, 1), state.bits[0].copy())
     assert np.array_equal(one.syn, recomputed(state, stack_words, code)[:2 * w])
     w = code.n // 2
     for blocks in range(1, 7):
-        state = SyndromeState(code, rng.integers(0, 2, (blocks, w, w), dtype=np.uint8),
-                              chain_layout(w, blocks))
+        state = Passes(code, chain_layout(w, blocks),
+                       rng.integers(0, 2, (blocks, w, w), dtype=np.uint8))
         assert state.syn.size == blocks * w
         assert np.array_equal(state.syn, recomputed(state, chain_words, code))

@@ -1,0 +1,152 @@
+"""The compiled pass kernel: its build cache and its failures, and the
+arrays that reach it, which are checked once per state and copied when
+they are not laid out as it reads them."""
+
+import ctypes
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from feclab import cli, kernel
+from feclab.errors import ConfigError
+from feclab.pc import (MarkState, PcCode, SabmParams, block_layout, ibdd_decode, mark_bits,
+                       pc_encode, sabm_decode)
+from feclab.scc import SccCode, block_marks, decode_chain, scc_encode
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_a_missing_compiler_is_one_error_line(monkeypatch, tmp_path, capsys):
+    # no cached library in tmp_path, so the first decode must build one
+    monkeypatch.setattr(kernel, "COMPILER", "no-such-compiler-for-feclab")
+    monkeypatch.setattr(kernel, "CACHE", tmp_path)
+    argv = ["pc", "--decoder", "sabm", "--snr", "6.0", "--component-m", "5",
+            "--max-blocks", "1", "--batch-size", "1", "--no-timing"]
+    assert cli.main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot build the pass kernel: `no-such-compiler-for-feclab ")
+    assert str(kernel.SOURCE) in line
+    assert list(tmp_path.iterdir()) == []  # no temp file left
+
+
+def test_a_failing_compiler_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match=r"^cannot build the pass kernel: `false .* failed"):
+        kernel.build("false", kernel.SOURCE, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_changed_source_gets_a_new_cache_name(tmp_path):
+    source = tmp_path / "_passes.c"
+    source.write_bytes(kernel.SOURCE.read_bytes())
+    cache = tmp_path / "cache"
+    first = kernel.build(kernel.COMPILER, source, cache)
+    built = first.stat().st_mtime_ns
+    assert kernel.build(kernel.COMPILER, source, cache) == first  # not built again
+    assert first.stat().st_mtime_ns == built
+    source.write_bytes(kernel.SOURCE.read_bytes() + b"/* changed */\n")
+    second = kernel.build(kernel.COMPILER, source, cache)
+    assert second != first and second.name.startswith("_passes-")
+    assert sorted(cache.iterdir()) == sorted([first, second])
+    for path in (first, second):
+        assert ctypes.CDLL(str(path)).plain_pass
+
+
+def test_two_processes_building_at_once_leave_one_file_that_loads(tmp_path):
+    # both wait for the go file, then build into one empty cache
+    go, cache = tmp_path / "go", tmp_path / "cache"
+    code = f"""
+import time
+from pathlib import Path
+from feclab import kernel
+while not Path({str(go)!r}).exists():
+    time.sleep(0.001)
+print(kernel.build(kernel.COMPILER, kernel.SOURCE, Path({str(cache)!r})))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) for _ in range(2)]
+    time.sleep(0.5)  # both interpreters are up and waiting
+    go.touch()
+    outs = [p.communicate(timeout=120) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0], [err for _, err in outs]
+    (path,) = {out.strip() for out, _ in outs}
+    assert list(cache.iterdir()) == [Path(path)]
+    assert ctypes.CDLL(path).sabm_pass
+
+
+# ------------------------------------------------------ arrays that reach C
+
+def layouts(a):
+    """`a` as arrays of equal values in other layouts: Fortran order, a view
+    of a transposed copy and a strided view."""
+    transposed = np.ascontiguousarray(np.swapaxes(a, -1, -2))
+    strided = np.repeat(a, 2, axis=-1)[..., ::2]
+    return [np.asfortranarray(a), np.swapaxes(transposed, -1, -2), strided]
+
+
+def bit_layouts(bits):
+    """`layouts` of uint8 bits, and the bits as int64."""
+    return layouts(bits) + [bits.astype(np.int64)]
+
+
+def test_pc_decoders_decode_any_layout_as_its_contiguous_copy(pc_component_code):
+    code = PcCode(pc_component_code)
+    rng = np.random.default_rng(5)
+    params = SabmParams()
+    for snr_db in (5.5, 6.0):
+        block = pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
+        llr = (1 - 2.0 * block) * 10 ** (snr_db / 20) * 2 + 2 * rng.normal(size=block.shape)
+        hard = (llr < 0).astype(np.uint8)
+        want, want_stats = sabm_decode(code, hard, llr, params)
+        iwant, iwant_stats = ibdd_decode(code, hard, 10)
+        stack = np.stack([hard, hard ^ (rng.random(hard.shape) < 0.01)])
+        swant, swant_stats = ibdd_decode(code, stack, 10)
+        for got_hard, got_llr, got_stack in zip(bit_layouts(hard), layouts(llr) + [llr],
+                                                bit_layouts(stack)):
+            out, stats = sabm_decode(code, got_hard, got_llr, params)
+            assert np.array_equal(out, want) and stats == want_stats
+            out, stats = ibdd_decode(code, got_hard, 10)
+            assert np.array_equal(out, iwant) and stats == iwant_stats
+            out, stats = ibdd_decode(code, got_stack, 10)
+            assert np.array_equal(out, swant) and stats == swant_stats
+        assert want_stats.flips_attempted > 0
+
+
+def test_decode_chain_decodes_any_layout_as_its_contiguous_copy(ecc32_code):
+    code = SccCode(ecc32_code)
+    rng = np.random.default_rng(6)
+    info = rng.integers(0, 2, (6, code.w, code.info_cols), dtype=np.uint8)
+    sent = scc_encode(code, info)
+    llr = (1 - 2.0 * sent) * 1.5 + rng.normal(size=sent.shape)
+    hard = (llr < 0).astype(np.uint8)
+    params = SabmParams()
+    marks = [block_marks(code, grid, params) for grid in llr]
+    want = [decode_chain(code, hard, m, params, window=3, ell=3) for m in (None, marks)]
+    assert want[1][1].flips_attempted > 0
+    # marks whose arrays are in Fortran order, or another dtype, are copied
+    # once as the state binds them
+    other = [MarkState(np.asfortranarray(m.candidates).astype(np.int32), m.flip_attempts,
+                       np.asfortranarray(m.hrb).astype(bool)) for m in marks]
+    for received in bit_layouts(hard):
+        for m, (wout, wstats) in zip((None, other), want):
+            out, stats = decode_chain(code, received, m, params, window=3, ell=3)
+            assert np.array_equal(out, wout) and stats == wstats
+
+
+def test_marks_of_another_shape_are_refused(ecc32_code):
+    code = PcCode(ecc32_code)
+    w = code.w
+    hard = np.zeros((w, w), dtype=np.uint8)
+    state = kernel.Passes(code.component, block_layout(w, 1), hard)
+    marks = mark_bits(np.ones((w, w)), SabmParams(), code)
+    for bad in (MarkState(marks.candidates[..., :3], 1, marks.hrb),
+                MarkState(marks.candidates, 1, marks.hrb[..., :-1]),
+                MarkState(marks.candidates[:, :-1], 1, marks.hrb[:, :-1])):
+        with pytest.raises(ValueError, match="must have shape"):
+            state.mark(bad)

@@ -7,12 +7,11 @@ from hypothesis.extra import numpy as hnp
 
 from feclab.bch import encode_many
 from feclab.modem import ChannelConfig, awgn_transmit, demap_llr, modulate
+from feclab.kernel import Passes
 from feclab.pc import (
-    SENTINEL,
     DecodeStats,
     PcCode,
     SabmParams,
-    SyndromeState,
     block_layout,
     ibdd_decode,
     make_marks,
@@ -40,8 +39,9 @@ def pc16(ecc16_code):
 
 def flip_order(marks, axis, index):
     """A word's flip candidates, as an array: the non-HRB entries of its
-    kept stable order."""
-    return np.array(marks.candidates[axis][index], dtype=np.int64)
+    kept stable order, which end at its first -1."""
+    row = marks.candidates[axis, index]
+    return row[:np.count_nonzero(row >= 0)]
 
 
 def random_block(pc, rng):
@@ -150,8 +150,9 @@ def test_hub_list_length_is_three(pc32):
 
 def hrb_flags(marks, words):
     """marks' HRB flags as an (axes, words, n) bool array, read from the
-    bytes the marking pass reads."""
-    return np.stack([np.frombuffer(h, dtype=bool).reshape(words, -1) for h in marks.hrb])
+    uint8 array the marking pass reads."""
+    assert marks.hrb.dtype == np.uint8 and marks.hrb.shape[1] == words
+    return marks.hrb.astype(bool)
 
 
 def stable_prefix(a, d0, non_hrb):
@@ -208,11 +209,14 @@ def test_make_marks_keeps_stable_order_prefix(ecc32_code, a, offset, delta):
     keep = ecc32_code.d0 - 2
     hrb = a > delta
     order = np.argsort(a, axis=-1, kind="stable")
-    assert len(marks.candidates) == a.shape[0]
-    assert [len(axis) for axis in marks.candidates] == [a.shape[1]] * a.shape[0]
+    # the kernel reads the candidates as they lie: C-contiguous int64
+    cand = marks.candidates
+    assert cand.shape == a.shape[:-1] + (keep,) and cand.dtype == np.int64
+    assert cand.flags.c_contiguous
     for axis, i in np.ndindex(a.shape[:-1]):
         count = min(keep, int((~hrb[axis, i]).sum()))
-        assert marks.candidates[axis][i] == (offset + order[axis, i, :count]).tolist()
+        assert cand[axis, i].tolist() == ((offset + order[axis, i, :count]).tolist()
+                                          + [-1] * (keep - count))
     word_hrb = hrb_flags(marks, a.shape[1])
     assert np.array_equal(word_hrb[..., offset:], hrb)
     assert not word_hrb[..., :offset].any()
@@ -240,8 +244,8 @@ def test_stable_order_prefix_at_the_benchmark_shapes(pc_component_code, snr_db, 
     assert np.array_equal(_stable_order_prefix(a.copy(), keep), want)
     marks = make_marks(a.copy(), SabmParams(delta=5.0), pc_component_code)
     for axis, i in np.ndindex(a.shape[:-1]):
-        assert marks.candidates[axis][i] == [p for p in want[axis, i].tolist()
-                                             if not a[axis, i, p] > 5.0]
+        assert flip_order(marks, axis, i).tolist() == [p for p in want[axis, i].tolist()
+                                                       if not a[axis, i, p] > 5.0]
 
 
 def test_stable_order_prefix_ties_at_the_cut_in_one_row_of_many():
@@ -298,9 +302,10 @@ def suspicious_fixture(pc, rng):
 def suspicious(pc, noisy, marks, axis, index, pattern):
     """The SABM veto of `pattern` as a correction of word `index` along
     `axis` (0 rows, 1 columns) of the received block `noisy`."""
-    state = SyndromeState(pc.component, np.ascontiguousarray(noisy), block_layout(pc.w, 1))
-    return _suspicious(pattern, hrb_flags(marks, pc.w)[axis, index], state.syn,
-                       state.layout.cross[axis], range(state.syn.size))
+    layout = block_layout(pc.w, 1)
+    syn = layout.syndromes(pc.component, noisy)
+    return _suspicious(pattern, hrb_flags(marks, pc.w)[axis, index], syn,
+                       layout.cross[axis], range(syn.size))
 
 
 def test_detect_miscorrection_hrb_rule(pc32, rng):
@@ -331,43 +336,44 @@ def test_veto_reads_only_live_crossing_words(pc32, rng):
     block, marks = suspicious_fixture(pc32, rng)
     noisy = block.copy()
     noisy[4, 1] ^= 1
-    state = SyndromeState(pc32.component, noisy, block_layout(pc32.w, 1))
-    w, cross = pc32.w, state.layout.cross[0]
-    assert cross[9] == w + 9 and state.syn[w + 9] == 0
+    layout = block_layout(pc32.w, 1)
+    syn = layout.syndromes(pc32.component, noisy)
+    w, cross = pc32.w, layout.cross[0]
+    assert cross[9] == w + 9 and syn[w + 9] == 0
     hrb = hrb_flags(marks, pc32.w)[0, 4]
-    assert _suspicious((9,), hrb, state.syn, cross, range(2 * w))
-    assert _suspicious((9,), hrb, state.syn, cross, range(w + 9, w + 10))
-    assert not _suspicious((9,), hrb, state.syn, cross, range(w))
-    assert not _suspicious((9,), hrb, state.syn, cross, range(w + 10, 2 * w))
+    assert _suspicious((9,), hrb, syn, cross, range(2 * w))
+    assert _suspicious((9,), hrb, syn, cross, range(w + 9, w + 10))
+    assert not _suspicious((9,), hrb, syn, cross, range(w))
+    assert not _suspicious((9,), hrb, syn, cross, range(w + 10, 2 * w))
 
 
-def listed_syndromes(pc, block):
-    """A block's syndrome list, from the reference's syndromes: its rows,
-    its columns, then the sentinel."""
+def reference_syndromes(pc, block):
+    """A block's syndromes, from the reference's: its rows, then its
+    columns."""
     comp = pc.component
-    return np.concatenate([block_syndromes(comp, block),
-                           block_syndromes(comp, block.T)]).tolist() + [SENTINEL]
+    return np.concatenate([block_syndromes(comp, block), block_syndromes(comp, block.T)])
 
 
-def block_lists(pc, block):
-    """What the list passes decode a block on: its syndrome list and a
-    bytearray of its bits."""
-    return listed_syndromes(pc, block), bytearray(np.ascontiguousarray(block, dtype=np.uint8))
+def block_state(pc, block):
+    """What the kernel passes decode a block on: a `Passes` over a copy of
+    its bits, whose syndromes are the reference's."""
+    state = Passes(pc.component, block_layout(pc.w, 1), np.array(block, dtype=np.uint8))
+    assert np.array_equal(state.syn, reference_syndromes(pc, block))
+    return state
 
 
-def as_block(pc, bits):
-    return np.frombuffer(bits, dtype=np.uint8).reshape(pc.w, pc.w)
+def stats_of(state):
+    return DecodeStats(*state.counts())
 
 
-def marking_pass(pc, cs, bits, group, marks, axis, stats, hi=None):
+def marking_pass(pc, state, group, marks, axis, hi=None):
     """One marking pass as a staircase window runs it: `sabm_pass` on a
-    block's syndrome list and bytearray, its veto reading slots 0..hi-1
-    (default: all), which hold the group. Checks that the list still
-    equals the bits' syndromes, and returns whether it flipped a bit."""
-    layout = block_layout(pc.w, 1)
-    slot = layout.slots(group, 0, 2 * pc.w if hi is None else hi)
-    changed = sabm_pass(pc.component, layout, group, cs, bits, slot, marks, axis, stats)
-    assert cs == listed_syndromes(pc, as_block(pc, bits))
+    block's state, its veto reading slots 0..hi-1 (default: all), which
+    hold the group. Checks that the syndromes still equal the bits', and
+    returns whether it flipped a bit."""
+    state.mark(marks)
+    changed = sabm_pass(state, group, axis, 0, 2 * pc.w if hi is None else hi)
+    assert np.array_equal(state.syn, reference_syndromes(pc, state.bits))
     return changed
 
 
@@ -376,7 +382,7 @@ def test_marking_pass_veto_reads_only_live_crossing_words(pc32, earlier):
     # row 10 holds four errors that BDD miscorrects to columns 7 and 25;
     # column 25 holds row 20's failure (three errors, not retried), so only
     # column 7 can veto. The pass reads slots 0..hi-1: the rows, then the
-    # columns below hi - w; it reads the sentinel, never 0, for the others.
+    # columns below hi - w; it ignores the others, as if they never read 0.
     # Alone: column 7 is a codeword. Earlier: rows 3 and 5 hold errors in
     # columns 7 and 12 and in 7 and 14, and their corrections come first
     # and leave column 7 a codeword, updating its real slot, live or not.
@@ -395,12 +401,10 @@ def test_marking_pass_veto_reads_only_live_crossing_words(pc32, earlier):
     fixed = [3, 5] if earlier else []
 
     def row_pass(hi):
-        cs, bits = block_lists(pc32, hard)
-        stats = DecodeStats()
-        marking_pass(pc32, cs, bits, 0, marks, 0, stats, hi=hi)
-        out = as_block(pc32, bits)
-        assert not out[fixed].any()
-        return out, stats
+        state = block_state(pc32, hard)
+        marking_pass(pc32, state, 0, marks, 0, hi=hi)
+        assert not state.bits[fixed].any()
+        return state.bits, stats_of(state)
 
     for hi in (None, w + 8, w + 13):
         out, stats = row_pass(hi)
@@ -569,13 +573,12 @@ def test_sabm_veto_reads_corrections_made_earlier_in_the_pass(pc32):
     llr[10, [0, 1, 3]] /= 4
     params = SabmParams(delta=5.0, failure_flip_attempts=0)
 
-    cs, bits = block_lists(pc32, hard)
-    stats = DecodeStats()
-    marking_pass(pc32, cs, bits, 0, mark_bits(llr, params, pc32), 0, stats)
-    assert not as_block(pc32, bits)[[3, 10]].any()
-    assert np.array_equal(as_block(pc32, bits)[20], hard[20])
-    assert stats == DecodeStats(bdd_calls=pc32.w + 1, miscorrections_detected=1,
-                                flips_attempted=1, flips_accepted=1)
+    state = block_state(pc32, hard)
+    marking_pass(pc32, state, 0, mark_bits(llr, params, pc32), 0)
+    assert not state.bits[[3, 10]].any()
+    assert np.array_equal(state.bits[20], hard[20])
+    assert stats_of(state) == DecodeStats(bdd_calls=pc32.w + 1, miscorrections_detected=1,
+                                          flips_attempted=1, flips_accepted=1)
 
     out, stats = sabm_decode(pc32, hard, llr, params)
     want, want_stats = reference.pc_decode(pc32, hard, params.total_iters, llr, params)
@@ -612,16 +615,16 @@ def test_vetoed_proposal_whose_retry_clears_the_syndrome(pc32, rng):
     llr[r, [j1, j2]] = [-1.0, -2.0]
     params = SabmParams(delta=5.0)
 
-    cs, bits = block_lists(pc32, hard)
-    assert cs[pc32.w + j1] == 0
-    assert decode_syndromes(code, cs[r]) == (j1, j2)
+    state = block_state(pc32, hard)
+    syn = state.syn.tolist()
+    assert syn[pc32.w + j1] == 0
+    assert decode_syndromes(code, syn[r]) == (j1, j2)
     h = code.flip_syndrome
-    assert cs[r] ^ h[j1] ^ h[j2] == 0
-    stats = DecodeStats()
-    assert marking_pass(pc32, cs, bits, 0, mark_bits(llr, params, pc32), 0, stats) is False
-    assert np.array_equal(as_block(pc32, bits), hard)
-    assert stats == DecodeStats(bdd_calls=pc32.w + 1, miscorrections_detected=6,
-                                flips_attempted=1, flips_accepted=0)
+    assert syn[r] ^ h[j1] ^ h[j2] == 0
+    assert marking_pass(pc32, state, 0, mark_bits(llr, params, pc32), 0) is False
+    assert np.array_equal(state.bits, hard)
+    assert stats_of(state) == DecodeStats(bdd_calls=pc32.w + 1, miscorrections_detected=6,
+                                          flips_attempted=1, flips_accepted=0)
 
     out, stats = sabm_decode(pc32, hard, llr, params)
     want, want_stats = reference.pc_decode(pc32, hard, params.total_iters, llr, params)
@@ -682,28 +685,27 @@ def test_sabm_determinism(pc32, rng):
 
 
 def sabm_decode_pass_by_pass(code, block, llr, params):
-    """`sabm_decode` with the syndrome list rebuilt from the bits, by the
-    reference's syndromes, before every pass, marking or plain, where
-    `sabm_decode` keeps one list through the block."""
+    """`sabm_decode` with the state's syndromes rebuilt from the bits, by
+    the reference's syndromes, before every pass, marking or plain, where
+    `sabm_decode` keeps one syndrome array through the block."""
     marks = mark_bits(llr, params, code)
-    layout, bits = block_layout(code.w, 1), block_lists(code, block)[1]
-    stats = DecodeStats()
+    state = block_state(code, block)
 
     def run(g, marking):  # rows, then columns: group and axis g
-        cs = listed_syndromes(code, as_block(code, bits))
+        state.syn[:] = reference_syndromes(code, state.bits)
         if marking:
-            return marking_pass(code, cs, bits, g, marks, g, stats)
-        return plain_pass(code.component, layout, g, cs, bits, stats)
+            return marking_pass(code, state, g, marks, g)
+        return plain_pass(state, g)
 
     for _ in range(params.md_iters):
         if not (run(0, True) | run(1, True)):
-            if not any(listed_syndromes(code, as_block(code, bits))[:-1]):
-                return as_block(code, bits), stats
+            if not reference_syndromes(code, state.bits).any():
+                return state.bits, stats_of(state)
             break
     for _ in range(params.md_iters, params.total_iters):
         if not (run(0, False) | run(1, False)):
             break
-    return as_block(code, bits), stats
+    return state.bits, stats_of(state)
 
 
 @pytest.mark.parametrize("params", [
@@ -715,7 +717,7 @@ def sabm_decode_pass_by_pass(code, block, llr, params):
     SabmParams(delta=3.0, md_iters=10, failure_flip_attempts=3),
 ], ids=["md0", "md5", "md_all", "delta_inf", "attempts0", "attempts3_md_all"])
 def test_marking_phase_on_one_syndrome_list_equals_pass_by_pass(pc32, params):
-    # the passes keep one list of the block's syndromes through the whole
+    # the passes keep one array of the block's syndromes through the whole
     # decode. Random blocks around the waterfall decode to the same bits
     # with the same DecodeStats as with the list rebuilt before every pass,
     # in every phase length, with no HRB (delta inf) and with 0 to 3
@@ -745,13 +747,13 @@ def test_plain_pass_flips_a_bit_back(pc32):
     hard = sent.copy()
     hard[10, [0, 1, 3, 19]] ^= 1
     assert decode_syndromes(code, packed(code, hard[10])) == (7, 25)
-    cs, bits = block_lists(pc32, hard)
-    stats = DecodeStats()
-    assert plain_pass(code, block_layout(w, 1), 0, cs, bits, stats)
-    assert as_block(pc32, bits)[10, [0, 1, 3, 7, 19, 25]].all()
-    assert plain_pass(code, block_layout(w, 1), 1, cs, bits, stats)
-    assert np.array_equal(as_block(pc32, bits), sent)
-    assert cs == listed_syndromes(pc32, sent) and stats == DecodeStats(bdd_calls=2 * w)
+    state = block_state(pc32, hard)
+    assert plain_pass(state, 0) is True
+    assert state.bits[10, [0, 1, 3, 7, 19, 25]].all()
+    assert plain_pass(state, 1) is True
+    assert np.array_equal(state.bits, sent)
+    assert np.array_equal(state.syn, reference_syndromes(pc32, sent))
+    assert stats_of(state) == DecodeStats(bdd_calls=2 * w)
     # the whole decode, with no marking iteration, equals the reference's
     llr = np.where(hard == 0, 2.0, -2.0)
     params = SabmParams(total_iters=4, md_iters=0)

@@ -86,19 +86,18 @@ def test_scc_encode_rejects_bad_shape(scc32):
 # whole chain, bootstrap zero block included.
 
 def test_window_decode_noiseless(scc32, rng, monkeypatch):
-    # every pass decodes the chain's one bytearray, whose bootstrap block
+    # every window decodes the chain's one bit array, whose bootstrap block
     # stays zero, and the decoded chain views it
     seen = []
-    run = scc.plain_pass
-    monkeypatch.setattr(scc, "plain_pass",
-                        lambda code, layout, group, cs, bits, stats:
-                        seen.append(bits) or run(code, layout, group, cs, bits, stats))
+    run = scc.window_pass
+    monkeypatch.setattr(scc, "window_pass",
+                        lambda state, *args: seen.append(state.bits) or run(state, *args))
     _, blocks = random_chain(scc32, rng, 4)
     out, _ = decode_chain(scc32, blocks, None, SabmParams(), window=len(blocks) + 1, ell=3)
     (bits,) = {id(b): b for b in seen}.values()
     w = scc32.w
-    assert len(bits) == 5 * w * w and not any(bits[:w * w])
-    assert np.shares_memory(out, np.frombuffer(bits, dtype=np.uint8))
+    assert len(seen) == 4 and bits.shape == (5, w, w) and not bits[0].any()
+    assert np.shares_memory(out, bits)
     for got, want in zip(out, blocks):
         assert np.array_equal(got, want)
 

@@ -13,7 +13,6 @@ import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import lru_cache
 from multiprocessing.connection import wait
 from pathlib import Path
 
@@ -420,13 +419,19 @@ def refuse_big_pools(monkeypatch):
 
 
 def test_pool_serves_later_sweeps_of_its_worker_count():
+    # SABM sweeps in this process, before and between the pooled ones,
+    # decode here: loading the kernel rebinds no name of feclab, so the
+    # kept pool stays
+    sabm = sweep_csv(small_pc_cfg(decoder="sabm"))
     want = sweep_csv(small_pc_cfg())
     cfg = small_pc_cfg(workers=2)
     first = sweep_csv(cfg)
     pids = pool_pids()
     assert len(pids) == 2
     assert sweep_csv(replace(cfg, snr_points=(5.0, 6.0)))  # another sweep between
+    assert sweep_csv(small_pc_cfg(decoder="sabm")) == sabm
     assert sweep_csv(cfg) == first == want
+    assert sweep_csv(replace(cfg, decoder="sabm")) == sabm
     assert pool_pids() == pids
 
 
@@ -590,19 +595,34 @@ def test_mask_stats_delta_zero_marks_nothing():
     assert ms.per_block_counts == [0] * 5
 
 
-def test_only_sabm_builds_the_bdd_pattern_list(monkeypatch):
-    # the marking passes' list of BDD patterns is built on a code's first
-    # marking pass, so a PC iBDD sweep (4-PAM, interleaved) and the mask
-    # statistics, even under a SABM config, leave it unbuilt; fresh codes
-    # here, as other tests may have built it on the cached ones
-    monkeypatch.setattr(sim, "_code", lru_cache(maxsize=None)(sim._code.__wrapped__))
-    cfg = small_pc_cfg(mod=4, snr_points=(9.0,))
-    sweep_csv(cfg)
-    assert sum(mask.sum() for mask in sim.mask_blocks(replace(cfg, decoder="sabm"), 6.0, 3)) > 0
-    code = sim._code("pc", cfg.component_m).component
-    assert "bdd_patterns" not in vars(code)
-    sweep_csv(replace(cfg, decoder="sabm"))
-    assert "bdd_patterns" in vars(code)
+def test_only_a_decode_loads_the_kernel():
+    # in a fresh interpreter: importing feclab, checking a config and the
+    # mask statistics load no kernel, so set-up and the mask workload never
+    # pay for it; the first decode loads it, and that rebinds no name of
+    # feclab's modules, which key the kept pool
+    code = """
+import sys
+from feclab import kernel, sim
+from feclab.sim import SimConfig, StopRule
+loaded = kernel._load.cache_info
+cfg = SimConfig(scheme="pc", decoder="sabm", snr_points=(6.0,), component_m=5,
+                stop=StopRule(min_word_errors=1, max_blocks=2), batch_size=2)
+sim.validate_config(cfg)
+assert sum(mask.sum() for mask in sim.mask_blocks(cfg, 6.0, 3)) > 0
+assert loaded().currsize == 0, "loaded before a decode"
+before = [id(v) for v in sim._bindings()]
+sim.run_sweep(cfg)
+assert loaded().currsize == 1, "not loaded by a decode"
+assert [id(v) for v in sim._bindings()] == before, "a name was rebound"
+print("ok")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "ok\n"
 
 
 def test_render_mask():

@@ -1,12 +1,12 @@
-"""The syndromes that the decoders maintain always equal the syndromes
-recomputed from the bits: the syndrome list that the list passes keep
-(PC SABM blocks and staircase chains) before and after every pass, on
-arbitrary bits and in every decode, and the `SyndromeState` of a PC iBDD
-stack after its decode. One layout serves the product block and a whole
-staircase chain; the chain's scratch group, where the pairs missing at
-both ends cross, holds the syndromes of the wrap-around pair
-[transpose(B_last) | B_0] and is never decoded. The list plain pass
-equals `decode_pass` on a one-group array."""
+"""The syndromes that the kernel's passes keep always equal the syndromes
+recomputed from the bits: those of a `kernel.Passes` (PC iBDD stacks, PC
+SABM blocks and staircase chains) before and after every pass, on
+arbitrary bits and in every decode. One layout serves the product block
+and a whole staircase chain; the chain's scratch group, where the pairs
+missing at both ends cross, holds the syndromes of the wrap-around pair
+[transpose(B_last) | B_0] and is never decoded. The kernel's plain pass
+on one group equals the array form of the pass, and a staircase window
+equals its passes run one by one."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from feclab import pc, scc
 from feclab.bch import build_code
-from feclab.pc import PcCode, SabmParams, SyndromeState, block_layout, pc_encode
+from feclab.kernel import Passes
+from feclab.pc import PcCode, SabmParams, block_layout, pc_encode
 from feclab.scc import SccCode, chain_layout, scc_encode
 
 from reference import block_syndromes
@@ -23,52 +24,51 @@ CODE = build_code(5)  # eBCH(32,21): PC w = 32, SCC w = 16
 
 
 def pc_recomputed(bits):
-    """A block's rows, then its columns; bits as an array or a bytearray."""
+    """A block's rows, then its columns."""
     w = CODE.n
-    block = np.frombuffer(bits, dtype=np.uint8).reshape(w, w)
+    block = bits.reshape(w, w)
     return np.concatenate([block_syndromes(CODE, block), block_syndromes(CODE, block.T)])
 
 
 def scc_recomputed(bits):
     """Every pair of the chain, then the scratch group's wrap-around pair."""
     w = CODE.n // 2
-    blocks = np.frombuffer(bits, dtype=np.uint8).reshape(-1, w, w)
+    blocks = bits.reshape(-1, w, w)
     pairs = [np.concatenate([blocks[p].T, blocks[(p + 1) % len(blocks)]], axis=1)
              for p in range(len(blocks))]
     return np.concatenate([block_syndromes(CODE, words) for words in pairs])
 
 
-def assert_list_matches(cs, bits, recomputed):
-    assert cs[:-1] == recomputed(bits).tolist() and cs[-1] == pc.SENTINEL
+def assert_matches(state, recomputed):
+    assert np.array_equal(state.syn, recomputed(state.bits))
 
 
-def listed(layout, bits):
-    """The syndrome list and the bytearray that the list passes decode."""
-    return layout.syndromes(CODE, bits).tolist() + [pc.SENTINEL], bytearray(bits)
+def counts(state):
+    return pc.DecodeStats(*state.counts())
 
 
 def follow_random_passes(layout, bits, recomputed, marks, window, rng):
-    """List passes over random groups of arbitrary bits, plain and marking
-    by turns, keep every syndrome, the scratch group's included, equal to
-    the bits. marks(group) gives a marking pass its marks and axis, and
-    window(group) the slot range its veto reads."""
-    cs, flat = listed(layout, bits)
-    stats = pc.DecodeStats()
-    assert_list_matches(cs, flat, recomputed)
+    """Kernel passes over random groups of arbitrary bits, plain and
+    marking by turns, keep every syndrome, the scratch group's included,
+    equal to the bits. marks(group) gives a marking pass its marks and
+    axis, and window(group) the slot range its veto reads."""
+    state = Passes(CODE, layout, bits.copy())
+    assert_matches(state, recomputed)
     # at least 4 rounds, and more while no bit has changed or no retry run:
     # with a single group, all words of it can fail to decode and every
     # retry can fail too
     for round_ in range(64):
-        if round_ >= 4 and flat != bits.tobytes() and stats.flips_attempted:
+        if round_ >= 4 and not np.array_equal(state.bits, bits) and counts(state).flips_attempted:
             break
         group = int(rng.integers(len(layout.base)))
-        pc.plain_pass(CODE, layout, group, cs, flat, stats)
-        assert_list_matches(cs, flat, recomputed)
+        pc.plain_pass(state, group)
+        assert_matches(state, recomputed)
         group = int(rng.integers(len(layout.base)))
-        pc.sabm_pass(CODE, layout, group, cs, flat, layout.slots(group, *window(group)),
-                     *marks(group), stats)
-        assert_list_matches(cs, flat, recomputed)
-    assert flat != bits.tobytes() and stats.flips_attempted > 0
+        group_marks, axis = marks(group)
+        state.mark(group_marks)
+        pc.sabm_pass(state, group, axis, *window(group))
+        assert_matches(state, recomputed)
+    assert not np.array_equal(state.bits, bits) and counts(state).flips_attempted > 0
 
 
 def noisy_llr(bits, rng):
@@ -115,7 +115,7 @@ def test_window_syndromes_follow_random_flips(seed, num_blocks):
     bits = rng.integers(0, 2, (num_blocks, w, w), dtype=np.uint8)
     layout = chain_layout(w, num_blocks)
     assert len(layout.base) == num_blocks - 1
-    assert layout.syndromes(CODE, bits).size == num_blocks * w
+    assert layout.syndromes(CODE, bits).size == num_blocks * w == layout.slots
     marks = [scc.block_marks(code, noisy_llr(b, rng), SabmParams(failure_flip_attempts=3))
              for b in bits]
     lo, hi = sorted(rng.integers(0, num_blocks, 2).tolist())
@@ -124,77 +124,122 @@ def test_window_syndromes_follow_random_flips(seed, num_blocks):
 
 
 def test_state_rejects_bits_it_cannot_update_in_place():
+    # the kernel writes the bits in place, so a copy would leave the
+    # caller's array undecoded; a state of another size would run off it
     w = CODE.n
     bits = np.zeros((w, w), dtype=np.uint8)
+    layout = block_layout(w, 1)
+    for bad in (bits.T, np.asfortranarray(bits[:, :-1]), list(bits), bits.astype(np.int64),
+                bits[:-1]):
+        with pytest.raises(ValueError):
+            Passes(CODE, layout, bad)
+    readonly = bits.copy()
+    readonly.setflags(write=False)
     with pytest.raises(ValueError):
-        SyndromeState(CODE, bits.T, block_layout(w, 1))
+        Passes(CODE, layout, readonly)
+    # a group or an axis that the state does not hold is refused, not read
+    state = Passes(CODE, layout, bits)
     with pytest.raises(ValueError):
-        SyndromeState(CODE, list(bits), block_layout(w, 1))
+        pc.plain_pass(state, 2)
+    with pytest.raises(ValueError):
+        pc.sabm_pass(state, 0, 0, 0, 2 * w)  # no marks bound
+    state.mark(pc.mark_bits(np.ones((w, w)), SabmParams(), PcCode(CODE)))
+    with pytest.raises(ValueError):
+        pc.sabm_pass(state, 0, 2, 0, 2 * w)
+    assert pc.sabm_pass(state, 1, 1, 0, 2 * w) is False
 
 
-def checked_passes(monkeypatch, module, recomputed):
-    """Rebind the list passes that `module` calls to wrappers that check,
-    before every pass, that its syndrome list equals the syndromes of its
-    bytearray. Returns the (group, pass name, list, bytearray) of every
-    pass."""
+def checked_passes(monkeypatch, recomputed):
+    """Rebind the passes that `pc.sabm_decode` calls to wrappers that
+    check, before every pass, that its state's syndromes equal those of
+    its bits. Returns the (group, pass name, state) of every pass."""
     passes = []
     for name in ("plain_pass", "sabm_pass"):
-        def check(code, layout, group, cs, bits, *args, run=getattr(pc, name), name=name):
-            assert_list_matches(cs, bits, recomputed)
-            passes.append((group, name, cs, bits))
-            return run(code, layout, group, cs, bits, *args)
+        def check(state, group, *args, run=getattr(pc, name), name=name):
+            assert_matches(state, recomputed)
+            passes.append((group, name, state))
+            return run(state, group, *args)
 
-        monkeypatch.setattr(module, name, check)
+        monkeypatch.setattr(pc, name, check)
     return passes
-
-
-def one_list_and_bytearray(passes):
-    """The one syndrome list and the one bytearray that all passes read."""
-    (cs,) = {id(p[2]): p[2] for p in passes}.values()
-    (bits,) = {id(p[3]): p[3] for p in passes}.values()
-    return cs, bits
 
 
 @pytest.mark.parametrize("decoder", ["ibdd", "sabm", "sabm_md_all"])
 @pytest.mark.parametrize("seed", range(4))
 def test_block_syndromes_match_after_decode(decoder, seed, monkeypatch):
     # iBDD: the stack's one state matches its bits after the decode. SABM:
-    # one list and one bytearray serve every pass of the block, the list
-    # matches the bytes before every pass and after the decode, and the
-    # decoded block views the bytes; sabm_md_all has no plain iteration
+    # one state serves every pass of the block, its syndromes match the
+    # bits before every pass and after the decode, and the decoded block
+    # is its bits; sabm_md_all has no plain iteration
     code = PcCode(CODE)
     rng = np.random.default_rng(seed)
     block = pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
     noisy = block ^ (rng.random(block.shape) < 0.03).astype(np.uint8)
+    made = recording(monkeypatch, pc, "Passes")
     if decoder == "ibdd":
-        made = recording(monkeypatch, pc, "SyndromeState")
         out, _ = pc.ibdd_decode(code, noisy, iters=10)
         (state,) = made
         assert state.bits is out
-        assert np.array_equal(state.syn, pc_recomputed(state.bits))
+        assert_matches(state, pc_recomputed)
         return
-    passes = checked_passes(monkeypatch, pc, pc_recomputed)
+    passes = checked_passes(monkeypatch, pc_recomputed)
     md_iters = 10 if decoder == "sabm_md_all" else 5
     out, _ = pc.sabm_decode(code, noisy, noisy_llr(noisy, rng),
                             SabmParams(delta=5.0, total_iters=10, md_iters=md_iters))
     assert not np.array_equal(out, noisy)
-    cs, bits = one_list_and_bytearray(passes)
-    assert_list_matches(cs, bits, pc_recomputed)
-    assert np.shares_memory(out, np.frombuffer(bits, dtype=np.uint8))
-    assert np.array_equal(out.reshape(-1), np.frombuffer(bits, dtype=np.uint8))
-    names = {name for _, name, _, _ in passes}
+    (state,) = made
+    assert {id(p[2]) for p in passes} == {id(state)}
+    assert_matches(state, pc_recomputed)
+    assert state.bits is out
+    names = {name for _, name, _ in passes}
     assert names == ({"sabm_pass"} if md_iters == 10 else {"sabm_pass", "plain_pass"})
+
+
+def passes_of_window(state, first, newest, ell, marking):
+    """A staircase window's passes, run one by one: each iteration a plain
+    pass over pairs first..newest-1, then a marking pass over the newest
+    pair in the first `marking` iterations, else a plain one. Returns the
+    (pair, pass name) of each pass."""
+    w, order = CODE.n // 2, []
+    for it in range(ell):
+        for p in range(first, newest):
+            pc.plain_pass(state, p)
+            order.append((p, "plain_pass"))
+        if it < marking:
+            pc.sabm_pass(state, newest, 0, first * w, (newest + 1) * w)
+            order.append((newest, "sabm_pass"))
+        else:
+            pc.plain_pass(state, newest)
+            order.append((newest, "plain_pass"))
+    return order
 
 
 @pytest.mark.parametrize("mode", ["standard", "sabm"])
 @pytest.mark.parametrize("seed", range(3))
 def test_window_syndromes_match_after_each_window(mode, seed, monkeypatch):
-    # exactly one syndrome list and one bytearray serve every window of a
-    # chain; the list matches the bits before every pass, plain or marking,
-    # hence after every marking pass's flips and after each window, and
-    # after the chain
-    passes = checked_passes(monkeypatch, scc, scc_recomputed)
+    # exactly one state serves every window of a chain; its syndromes match
+    # the bits before every window, and after the chain. Each window, one
+    # kernel call, leaves the bits, the syndromes and the counters as its
+    # passes run one by one on a copy of the state do, in the order the
+    # windows and their passes are recorded here
     code = SccCode(CODE)
+    w = code.w
+    windows, passes = [], []
+    run = scc.window_pass
+
+    def check(state, first, newest, ell, marking):
+        assert_matches(state, scc_recomputed)
+        windows.append((first, newest, state))
+        copy = Passes(CODE, chain_layout(w, len(state.bits)), state.bits.copy())
+        if marks is not None:  # the newest block's, bound by decode_chain
+            copy.mark(marks[newest])
+        before = np.array(state.counts())
+        passes.extend(passes_of_window(copy, first, newest, ell, marking))
+        run(state, first, newest, ell, marking)
+        assert np.array_equal(state.bits, copy.bits) and np.array_equal(state.syn, copy.syn)
+        assert np.array_equal(np.array(state.counts()) - before, copy.counts())
+
+    monkeypatch.setattr(scc, "window_pass", check)
     rng = np.random.default_rng(seed)
     info = rng.integers(0, 2, (8, code.w, code.info_cols), dtype=np.uint8)
     noisy = [b ^ (rng.random(b.shape) < 0.04).astype(np.uint8)
@@ -202,40 +247,55 @@ def test_window_syndromes_match_after_each_window(mode, seed, monkeypatch):
     marks = ([scc.block_marks(code, noisy_llr(b, rng), SabmParams()) for b in noisy]
              if mode == "sabm" else None)
     out, _ = scc.decode_chain(code, noisy, marks, SabmParams(), window=4, ell=3)
-    cs, bits = one_list_and_bytearray(passes)
-    assert_list_matches(cs, bits, scc_recomputed)
+    (state,) = {id(s): s for _, _, s in windows}.values()
+    assert_matches(state, scc_recomputed)
+    assert [(s, newest) for s, newest, _ in windows] == [(s, min(s + 2, 7)) for s in range(8)]
     # 3 iterations over the pairs s..min(s + 2, 7) of each window s; under
     # SABM (md_iters 5) every pass over the newest pair is a marking pass
     newest = "sabm_pass" if mode == "sabm" else "plain_pass"
-    assert [p[:2] for p in passes] == [(p, newest if p == min(s + 2, 7) else "plain_pass")
-                                       for s in range(8) for _ in range(3)
-                                       for p in range(s, min(s + 3, 8))]
-    chain = np.frombuffer(bits, dtype=np.uint8).reshape(-1, code.w, code.w)
-    for got, want in zip(out, chain[1:]):
-        assert np.array_equal(got, want)
+    assert passes == [(p, newest if p == min(s + 2, 7) else "plain_pass")
+                      for s in range(8) for _ in range(3) for p in range(s, min(s + 3, 8))]
+    assert np.shares_memory(out, state.bits) and np.array_equal(out, state.bits[1:])
 
 
-def pass_both_ways(layout, bits, group):
-    """The list plain pass, `plain_pass` on the syndrome list and a
-    bytearray of `bits`, and `decode_pass` on a one-entry group array of a
-    `SyndromeState` of a copy of them: the bits, the syndromes, the
-    DecodeStats and the flipped flag agree. Returns the flag."""
-    state, stats = SyndromeState(CODE, bits.copy(), layout), pc.DecodeStats()
-    achanged = pc.decode_pass(state, np.array([group]), stats)
-    (cs, flat), lstats = listed(layout, bits), pc.DecodeStats()
-    changed = pc.plain_pass(CODE, layout, group, cs, flat, lstats)
-    assert type(changed) is bool and achanged.shape == (1,)
-    assert flat == state.bits.tobytes() and cs == state.syn.tolist() + [pc.SENTINEL]
-    assert lstats == stats and changed == achanged[0]
+def array_pass(layout, bits, group):
+    """The plain pass of one group in array form, on a copy of the bits:
+    every word of the group with a nonzero syndrome, recomputed from the
+    bits, flips the positions the table decodes it to, all at once.
+    Returns the bits and whether any bit was flipped."""
+    w = layout.w
+    own = layout.syndromes(CODE, bits)[group * w:(group + 1) * w]
+    hit = own.nonzero()[0]
+    pos = CODE.error_positions[own[hit]]
+    word, k = (pos >= 0).nonzero()
+    p = pos[word, k]
+    flat = bits.reshape(-1).copy()
+    flat[layout.base[group, p] + hit[word] * layout.stride[group, p]] ^= 1
+    return flat.reshape(bits.shape), word.size > 0
+
+
+def pass_both_ways(layout, bits, group, recomputed):
+    """The kernel's plain pass on one group of a state over `bits` and
+    `array_pass`: the bits and the flipped flag agree, the state's
+    syndromes equal the new bits', and the pass counts w. Returns the
+    flag."""
+    want, wchanged = array_pass(layout, bits, group)
+    state = Passes(CODE, layout, bits.copy())
+    changed = pc.plain_pass(state, group)
+    assert type(changed) is bool and changed == wchanged
+    assert np.array_equal(state.bits, want)
+    assert_matches(state, recomputed)
+    assert counts(state) == pc.DecodeStats(bdd_calls=layout.w)
     return changed
 
 
 def pc_pass_both_ways(bits, group):
-    return pass_both_ways(block_layout(len(bits), 1), bits, group)
+    return pass_both_ways(block_layout(len(bits), 1), bits, group, pc_recomputed)
 
 
 def scc_pass_both_ways(chain, group):
-    return pass_both_ways(chain_layout(chain.shape[1], len(chain)), chain, group)
+    return pass_both_ways(chain_layout(chain.shape[1], len(chain)), chain, group,
+                          scc_recomputed)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.08))

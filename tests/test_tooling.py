@@ -31,9 +31,8 @@ README = ROOT / "README.md"
 SCRIPTS = ROOT / "scripts"
 
 # names the tracer still lists although the decoder no longer has them
-# (the BDD kernel and the codeword check moved into the passes,
-# `decode_pass` and `sabm_pass`, and the flip retries into `sabm_pass`);
-# the tracer reports them as untraced
+# (the BDD kernel, the codeword check and the flip retries moved into the
+# compiled passes); the tracer reports them as untraced
 GONE = {(module, attr) for module in ("pc", "scc")
         for attr in ("bdd_propose_block", "is_codeword", "bit_flip_recover")}
 
@@ -144,7 +143,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             elif isinstance(node, ast.Assign):
                 public.update((path.stem, t.id) for t in node.targets if isinstance(t, ast.Name))
     public = {(module, name) for module, name in public if not name.startswith("_")}
-    assert ("pc", "decode_pass") in public and ("bch", "PRIMITIVE_POLYS") in public
+    assert ("pc", "plain_pass") in public and ("bch", "PRIMITIVE_POLYS") in public
     assert {(module, name) for module, name in public if name not in used} == set()
 
 
@@ -307,3 +306,21 @@ def test_every_experiment_runs_at_a_tiny_size(tmp_path, monkeypatch, capsys):
         (row,) = csv.DictReader(fh)
     assert row["blocks"] == "12" and row["eta"] != ""
     assert len(capsys.readouterr().out.splitlines()) == 2  # the header line and the point's
+
+
+def test_readme_mask_command_prints_the_quoted_means(tmp_path, monkeypatch, capsys):
+    # README's mask command, as written (200 blocks at each of 4 SNR
+    # points, ~1 s), prints per point the mean non-HRB count that README
+    # quotes, in ascending SNR order
+    (argv,) = [a for a in readme_figure_commands() if a[0] == "mask"]
+    section = README.read_text().split("\n## Reproducing the paper's figures\n")[1]
+    quoted = re.search(r"200-block means ([\d.]+), ([\d.]+), ([\d.]+)\s+and ([\d.]+)\.",
+                       section).groups()
+    assert quoted == ("4117.73", "3738.36", "3383.72", "3040.03")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    printed = dict(re.findall(r"^snr (\S+) dB: mean non-HRB count (\S+) ",
+                              capsys.readouterr().err, re.M))
+    assert [printed[snr] for snr in sorted(printed, key=float)] == list(quoted)
+    assert sorted(printed, key=float) == ["5.8", "6", "6.2", "6.4"]
