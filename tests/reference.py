@@ -7,12 +7,11 @@ recomputes the syndromes of its words from the bits with
 `block_syndromes`, and the SABM veto recomputes a crossing word from the
 bits, and only a crossing word inside the window. They share only the
 code's `error_positions` table with feclab, which `decode_syndromes` reads
-one syndrome at a time, not through the marking passes' `bdd_patterns`
-list. The SABM policy is
+one syndrome at a time. The SABM policy is
 this module's own, function by function: `sabm_resolve` lists the flip
 sets of a failure or a suspicious proposal, `bit_flip_recover` tries
 them, and `_suspicious` is the veto. `feclab.pc` runs the same policy as
-one loop on Python ints.
+one loop in its compiled marking pass.
 
 The channel references are the straightforward array forms that
 `feclab.modem` and `feclab.bch` must equal bit for bit: the demapper as a

@@ -719,7 +719,7 @@ def sabm_decode_pass_by_pass(code, block, llr, params):
 def test_marking_phase_on_one_syndrome_list_equals_pass_by_pass(pc32, params):
     # the passes keep one array of the block's syndromes through the whole
     # decode. Random blocks around the waterfall decode to the same bits
-    # with the same DecodeStats as with the list rebuilt before every pass,
+    # with the same DecodeStats as with the array rebuilt before every pass,
     # in every phase length, with no HRB (delta inf) and with 0 to 3
     # failure retries
     rng = np.random.default_rng(2024)
