@@ -1,33 +1,159 @@
-/* The plain and the marking pass of feclab's decoders, on the packed
- * syndromes and the bits of a layout's words (see kernel.py and pc.py).
+/* feclab's decoders on the packed syndromes and the bits of a layout's
+ * words (see kernel.py and pc.py): the syndromes of a state's bits, the
+ * marks of words of an LLR grid, and the plain and the marking pass.
  *
  * Word i of group g has its position p at bit base[p] + i * stride[p]
  * (the rows of g in the layout's tables); the crossing word through that
  * bit sits in syndrome slot cross[p] and holds the bit at its position
- * shift[p] + i. A pass decodes the words of one group with a nonzero
- * syndrome, in ascending order. A word's pattern toggles its bits, XORs
- * their flip syndromes into the crossing words' slots and zeroes its own
- * slot, so every syndrome always equals that of the bits. As no word of
- * a group crosses another, that is decoding them all at once; a failure
- * leaves its word as it is. Each pass adds w to bdd_calls. A pass given
- * a group, or an axis of the marks, that the state does not hold returns
- * -1 and changes nothing.
+ * shift[p] + i. The tables have a row group for every w syndrome slots;
+ * the passes decode the first `groups` of them. A pass decodes the words
+ * of one group with a nonzero syndrome, in ascending order. A word's
+ * pattern toggles its bits, XORs their flip syndromes into the crossing
+ * words' slots and zeroes its own slot, so every syndrome always equals
+ * that of the bits. As no word of a group crosses another, that is
+ * decoding them all at once; a failure leaves its word as it is. Each
+ * pass adds w to bdd_calls. A pass given a group, or an axis of the
+ * marks, that the state does not hold returns -1 and changes nothing.
  */
 #include <stdint.h>
+#include <string.h>
 
 typedef struct {
     int64_t *syn;              /* packed syndrome of every slot */
     uint8_t *bits;             /* the bit array the layout indexes */
     const int64_t *base, *stride, *cross, *shift;  /* (groups, n) */
     const int64_t *flip;       /* packed syndrome of each position, n entries */
+    const int64_t *flip8;      /* (n / 8, 256): entry b of chunk c XORs the flip
+                                  syndromes of positions 8c + k, k a set bit of b */
     const int16_t *epos;       /* BDD of every syndrome: 2 positions, -1 unused */
     const int64_t *cand;       /* marks: (axes, w, ncand) flip candidates, then
                                   -1 (or any value outside 0..n-1) */
     const uint8_t *hrb;        /* marks: (axes, w, n) HRB flags */
-    int64_t groups, w, n, axes, ncand, attempts, d0;
+    int64_t groups;            /* the groups a pass decodes */
+    int64_t slots;             /* syndrome slots, w per row group of the tables */
+    int64_t w, n, axes, ncand, attempts, d0;
     /* DecodeStats, summed over the passes */
     int64_t bdd_calls, miscorrections, retries, accepted;
 } state;
+
+/* Whether an integer's low byte comes first in memory, as the 8-byte loads
+ * of `syndromes` take it. */
+static int little_endian(void)
+{
+    const uint16_t one = 1;
+    uint8_t first;
+    memcpy(&first, &one, 1);
+    return first;
+}
+
+/* The low bits of the 8 bytes at a, as bits 0..7 of a byte (little endian):
+ * the product places byte k's low bit at bit 56 + k, with no carries. */
+static inline int64_t gather8(const uint8_t *a)
+{
+    uint64_t x;
+    memcpy(&x, a, sizeof x);
+    return (int64_t)(((x & 0x0101010101010101u) * 0x0102040810204080u) >> 56);
+}
+
+/* Fill every slot's syndrome from the bits: word i of row group g XORs
+ * the flip syndromes of its set bits (a byte's low bit) into slot
+ * g * w + i. n is a multiple of 8, and positions go 8 at a time, one
+ * flip8 entry per word, when they lie in 8 consecutive bytes of each word
+ * ("along"), or when each lies in consecutive bytes of consecutive words
+ * ("across"), which 8 loads then gather for 8 words at once; else one at
+ * a time. */
+int64_t syndromes(state *s)
+{
+    const int64_t w = s->w, n = s->n, little = little_endian();
+    memset(s->syn, 0, (size_t)s->slots * sizeof *s->syn);
+    for (int64_t g = 0; g < s->slots / w; g++) {
+        int64_t *syn = s->syn + g * w;
+        const int64_t *base = s->base + g * n, *stride = s->stride + g * n;
+        for (int64_t p = 0; p < n; p += 8) {
+            int64_t along = little, across = little && w % 8 == 0;
+            for (int64_t k = 0; (along || across) && k < 8; k++) {
+                along &= base[p + k] == base[p] + k && stride[p + k] == stride[p];
+                across &= stride[p + k] == 1;
+            }
+            const int64_t *t = s->flip8 + p / 8 * 256;
+            if (along) {
+                const uint8_t *at = s->bits + base[p];
+                for (int64_t i = 0; i < w; i++)
+                    syn[i] ^= t[gather8(at + i * stride[p])];
+            } else if (across) {
+                for (int64_t i = 0; i < w; i += 8) {
+                    uint64_t y = 0;
+                    for (int64_t k = 0; k < 8; k++) {
+                        uint64_t x;
+                        memcpy(&x, s->bits + base[p + k] + i, sizeof x);
+                        y |= (x & 0x0101010101010101u) << k;
+                    }
+                    for (int64_t r = 0; r < 8; r++)
+                        syn[i + r] ^= t[(y >> 8 * r) & 255];
+                }
+            } else {
+                for (int64_t q = p; q < p + 8; q++) {
+                    const int64_t f = s->flip[q], at = base[q], step = stride[q];
+                    for (int64_t i = 0; i < w; i++)
+                        syn[i] ^= f & -(int64_t)(s->bits[at + i * step] & 1);
+                }
+            }
+        }
+    }
+    return 0;
+}
+
+/* the most flip candidates a word keeps */
+#define MAX_CAND 8
+
+/* The marks of `words` words from an LLR grid: position offset + j of word
+ * i carries llr[i * word_stride + j * pos_stride], j < n. Row i of hrb
+ * (offset + n flags) flags the positions whose |llr| exceeds delta, none
+ * below offset; row i of cand (ncand entries) holds the first ncand of the
+ * others by ascending |llr|, ties to the lower position, then -1. |llr|
+ * is compared by its bit pattern with the sign bit cleared, which orders
+ * as its value. A word keeps a stable top list of the keys at or below a
+ * threshold: delta's pattern until the list is full, then just below its
+ * last key, so that the rare key that enters is the only branch taken.
+ * Returns -1, writing nothing, for ncand outside 0..MAX_CAND. */
+int64_t marks(const double *llr, uint8_t *hrb, int64_t *cand, int64_t words, int64_t n,
+              int64_t word_stride, int64_t pos_stride, int64_t offset, int64_t ncand,
+              double delta)
+{
+    int64_t above, key[MAX_CAND], pos[MAX_CAND];
+    if (ncand < 0 || ncand > MAX_CAND)
+        return -1;
+    memcpy(&above, &delta, sizeof above);
+    for (int64_t i = 0; i < words; i++) {
+        const double *a = llr + i * word_stride;
+        uint8_t *h = hrb + i * (offset + n);
+        int64_t count = 0, limit = ncand ? above : -1;
+        memset(h, 0, (size_t)offset);
+        h += offset;
+        for (int64_t j = 0; j < n; j++) {
+            int64_t v;
+            memcpy(&v, a + j * pos_stride, sizeof v);
+            v &= INT64_MAX;
+            h[j] = v > above;
+            if (v > limit)
+                continue;
+            /* a full list drops its last key */
+            int64_t k = count < ncand ? count++ : ncand - 1;
+            for (; k > 0 && key[k - 1] > v; k--) {
+                key[k] = key[k - 1];
+                pos[k] = pos[k - 1];
+            }
+            key[k] = v;
+            pos[k] = j;
+            if (count == ncand)
+                limit = key[ncand - 1] - 1;
+        }
+        int64_t *c = cand + i * ncand;
+        for (int64_t k = 0; k < ncand; k++)
+            c[k] = k < count ? offset + pos[k] : -1;
+    }
+    return 0;
+}
 
 /* Toggle the k positions pos of word i of group g and keep the syndromes. */
 static void apply(state *s, int64_t g, int64_t i, const int64_t *pos, int k)

@@ -17,7 +17,8 @@ the error pattern of weight <= t for the whole packed syndrome from one
 table, `error_positions`, built once per code over all n positions, the
 overall-parity bit included: as d0 > 2t, no two such patterns share a
 syndrome. A nonzero syndrome whose row holds no position is a decoding
-failure. The compiled passes of every decoder read that table.
+failure. The compiled kernel builds syndromes from `flip_syndrome`, and
+the passes of every decoder read `error_positions`.
 """
 
 from dataclasses import dataclass, field
@@ -47,12 +48,8 @@ class BchCode:
     # (k, n - k) parity generator, overall parity last; float32 so that the
     # encoders' matmuls run in BLAS; their counts (at most k <= 239) are exact
     parity_matrix: np.ndarray = field(repr=False)
-    # packed syndrome of a word with only bit j set, per position j
+    # packed syndrome of a word with only bit j set (row j of the check matrix)
     flip_syndrome: np.ndarray = field(repr=False)
-    # (n, 2m+1) binary parity-check matrix: row j holds the bits of
-    # flip_syndrome[j]. Stored as float32 so that words @ check_matrix runs
-    # in BLAS; its integer counts (at most n <= 256) are exact.
-    check_matrix: np.ndarray = field(repr=False)
     # BDD for every packed syndrome, at index S1 | S3 << m | parity << 2m:
     # the error positions in ascending order, -1 where unused; a nonzero
     # syndrome with no position lies beyond radius t (a failure)
@@ -99,11 +96,10 @@ def build_code(m: int, t: int = 2, extended: bool = True) -> BchCode:
     j = np.arange(n - 1)
     flip_syn = np.full(n, 1 << (2 * m), dtype=np.int64)
     flip_syn[:n - 1] |= exp[j] | (exp[(3 * j) % (n - 1)] << m)
-    check = ((flip_syn[:, None] >> np.arange(2 * m + 1)) & 1).astype(np.float32)
     # the parity p of a message u solves u @ h[:k] + p @ h[k:] = 0 (mod 2)
     # over the S1/S3 columns h of positions 0..n-2; bit i of u adds
     # 1 + sum(p_i) to the overall parity, parity_matrix's last column
-    h = check[:n - 1, :2 * m].astype(np.int64)
+    h = (flip_syn[:n - 1, None] >> np.arange(2 * m)) & 1
     p = (h[:k] @ _gf2_inverse(h[k:])) & 1
     pm = np.concatenate([p, (1 + p.sum(axis=1, keepdims=True)) & 1], axis=1).astype(np.float32)
     # syndrome decoding table: every error pattern of weight <= t has a
@@ -112,10 +108,10 @@ def build_code(m: int, t: int = 2, extended: bool = True) -> BchCode:
     positions = np.full((1 << (2 * m + 1), 2), -1, dtype=np.int16)
     positions[flip_syn, 0] = np.arange(n)
     positions[flip_syn[first] ^ flip_syn[second]] = np.stack([first, second], axis=1)
-    for arr in (pm, flip_syn, check, positions):
+    for arr in (pm, flip_syn, positions):
         arr.setflags(write=False)
     return BchCode(n=n, k=k, t=t, d0=d0, parity_matrix=pm, flip_syndrome=flip_syn,
-                   check_matrix=check, error_positions=positions)
+                   error_positions=positions)
 
 
 def encode_many(code: BchCode, messages: np.ndarray) -> np.ndarray:
@@ -124,13 +120,4 @@ def encode_many(code: BchCode, messages: np.ndarray) -> np.ndarray:
     if msgs.ndim != 2 or msgs.shape[1] != code.k:
         raise ValueError(f"message batch must be (R, {code.k})")
     return np.concatenate([msgs, (msgs @ code.parity_matrix).astype(np.uint8) & 1], axis=1)
-
-
-def packed_syndromes(counts: np.ndarray) -> np.ndarray:
-    """Packed syndromes from (..., 2m+1) check counts: a word's count of set
-    bits against each column of the parity-check matrix, whole numbers (a
-    sum of partial counts over parts of the word will do). Syndrome bit b
-    is the parity of count b."""
-    bits = counts.astype(np.int64) & 1
-    return bits @ (1 << np.arange(bits.shape[-1], dtype=np.int64))
 

@@ -1,6 +1,6 @@
-"""The compiled pass kernel: `_passes.c` holds the plain and the marking
-pass that every decoder runs (see `pc`), and this module builds, loads and
-binds it.
+"""The compiled kernel: `_passes.c` holds the plain and the marking pass
+that every decoder runs (see `pc`), and the syndromes and marks that they
+read; this module builds, loads and binds it.
 
 The kernel is compiled at a process's first decode, never at import: the
 C compiler `COMPILER` builds the source with `FLAGS` into `CACHE`, under a
@@ -14,8 +14,9 @@ by a cached function, so loading it rebinds no name of this package.
 A `Passes` binds the arrays that a block's, a stack's or a chain's passes
 read and write, once, into the C state: the bits, which it decodes in
 place, the packed syndrome of every word of a layout over them, the
-layout's rows, the code's tables, the marks of the words that a marking
-pass decodes, and the `DecodeStats` counters.
+layout's rows and the code's tables (their addresses read once per code
+and layout), the marks of the words that a marking pass decodes, and
+the `DecodeStats` counters. `mark_words` builds marks from LLR grids.
 """
 
 import ctypes
@@ -34,17 +35,21 @@ SOURCE = Path(__file__).with_name("_passes.c")
 CACHE = Path(__file__).with_name("__pycache__")
 COMPILER = "cc"
 FLAGS = ("-O2", "-shared", "-fPIC")
-# the kernel's functions and the count of int64 arguments each takes after
-# its state; each returns -1 for arguments that its state does not hold
-FUNCTIONS = {"plain_pass": 1, "sabm_pass": 4, "ibdd_block": 2, "window": 4}
+_PTR, _I64 = ctypes.c_void_p, ctypes.c_int64
+# the kernel's functions and their argument types, a state and int64s but
+# for `marks`; each returns -1 for arguments that it does not hold
+FUNCTIONS = {"plain_pass": [_PTR, _I64], "sabm_pass": [_PTR] + [_I64] * 4,
+             "ibdd_block": [_PTR] + [_I64] * 2, "window": [_PTR] + [_I64] * 4,
+             "syndromes": [_PTR], "marks": [_PTR] * 3 + [_I64] * 6 + [ctypes.c_double]}
 
 
 class State(ctypes.Structure):
     """The C state of `_passes.c`: pointers, then int64 scalars."""
     _fields_ = ([(name, ctypes.c_void_p) for name in
-                 ("syn", "bits", "base", "stride", "cross", "shift", "flip", "epos", "cand", "hrb")]
+                 ("syn", "bits", "base", "stride", "cross", "shift", "flip", "flip8", "epos",
+                  "cand", "hrb")]
                 + [(name, ctypes.c_int64) for name in
-                   ("groups", "w", "n", "axes", "ncand", "attempts", "d0",
+                   ("groups", "slots", "w", "n", "axes", "ncand", "attempts", "d0",
                     "bdd_calls", "miscorrections", "retries", "accepted")])
 
 
@@ -85,9 +90,9 @@ def _load(compiler: str, source: Path, cache: Path) -> dict:
     with their argument types declared."""
     lib = ctypes.CDLL(str(build(compiler, source, cache)))
     functions = {}
-    for name, scalars in FUNCTIONS.items():
+    for name, argtypes in FUNCTIONS.items():
         functions[name] = fn = getattr(lib, name)
-        fn.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * scalars
+        fn.argtypes = argtypes
         fn.restype = ctypes.c_int64
     return functions
 
@@ -106,15 +111,61 @@ def c_array(a, dtype, shape: tuple, name: str) -> np.ndarray:
     return a
 
 
+# per (code, layout), keyed by identity as a code cannot be hashed: the
+# two and the table arrays that a state reads, held so that no id is
+# reused, and the arrays' addresses. At most 64 pairs
+_TABLES: dict = {}
+
+
+def _tables(code, layout) -> tuple:
+    key = (id(code), id(layout))
+    if key not in _TABLES:
+        n, flip = code.n, c_array(code.flip_syndrome, np.int64, (code.n,), "flip_syndrome")
+        arrays = (layout.base, layout.stride, layout.cross, layout.shift, flip,
+                  # per 8 positions, the XOR of their flip syndromes under each byte
+                  np.bitwise_xor.reduce(flip.reshape(-1, 1, 8)
+                                        * (np.arange(256)[:, None] >> np.arange(8) & 1), axis=-1),
+                  # a row per packed syndrome, 2^(2m+1) = 2 n^2 of them
+                  c_array(code.error_positions, np.int16, (2 * n * n, 2), "error_positions"))
+        if len(_TABLES) == 64:
+            _TABLES.clear()
+        _TABLES[key] = (code, layout, arrays), [a.ctypes.data for a in arrays]
+    return _TABLES[key]
+
+
+def mark_words(grids, delta: float, offset: int, ncand: int) -> tuple:
+    """HRB flags, uint8 (axes, words, offset + n), and candidates, int64
+    (axes, words, ncand), of the words of LLR grids of (words, n), one per
+    axis, which the kernel reads through their strides (or a float64
+    copy): position offset + j of word i of axis a carries grids[a][i, j].
+    See `marks` in `_passes.c`."""
+    grids = [np.asarray(g, dtype=np.float64) for g in grids]
+    words, n = grids[0].shape
+    hrb = np.empty((len(grids), words, offset + n), dtype=np.uint8)
+    candidates = np.empty((len(grids), words, ncand), dtype=np.int64)
+    flags_at, cand_at = hrb.ctypes.data, candidates.ctypes.data
+    for axis, grid in enumerate(grids):
+        if grid.shape != (words, n):
+            raise ValueError(f"every grid must have shape {(words, n)}, got {grid.shape}")
+        if any(st % grid.itemsize for st in grid.strides):
+            grid = np.ascontiguousarray(grid)
+        if library()["marks"](grid.ctypes.data, flags_at + axis * hrb.strides[0],
+                              cand_at + axis * candidates.strides[0], words, n,
+                              *(st // grid.itemsize for st in grid.strides), offset, ncand,
+                              delta) < 0:
+            raise ValueError(f"a word keeps at most 8 candidates, not {ncand}")
+    return hrb, candidates
+
+
 class Passes:
     """The C state of the passes over `bits`, a C-contiguous uint8 array
     that they decode in place, and the words of `layout` over it, for
     component code `code`: `syn` holds the packed syndrome of every word,
-    as the layout builds it. `mark(marks)` binds a `pc.MarkState` that
-    later marking passes read, until the next `mark`. `counts()` gives
-    the DecodeStats counters summed over all passes so far. The kernel's
-    functions are its attributes, each called with `ref` and the int64
-    arguments of `FUNCTIONS`: `plain_pass(ref, group)`, `sabm_pass(ref,
+    which the kernel builds from the bits. `mark(marks)` binds a
+    `pc.MarkState` that later marking passes read, until the next `mark`.
+    `counts()` gives the DecodeStats counters summed over all passes so
+    far. The kernel's functions are its attributes, each called with `ref`
+    and the int64 arguments of `FUNCTIONS`: `plain_pass(ref, group)`, `sabm_pass(ref,
     group, axis, lo, hi)` (see `pc`), `ibdd_block(ref, rows, iters)` and
     `window(ref, first, newest, ell, marking)`."""
 
@@ -124,24 +175,20 @@ class Passes:
             raise ValueError("bits must be a writeable C-contiguous uint8 array, "
                              "as they are decoded in place")
         n = code.n
+        if layout.base.shape[1] != n or bits.size < layout.size:
+            raise ValueError(f"the layout's {layout.base.shape[1]}-bit words span {layout.size} "
+                             f"bits, not these {bits.size} bits of {n}-bit words")
         self.bits = bits
-        self.syn = np.ascontiguousarray(layout.syndromes(code, bits), dtype=np.int64)
-        if (layout.base.shape[1] != n or bits.size < layout.size
-                or self.syn.ndim != 1 or self.syn.size < layout.slots):
-            raise ValueError(f"the layout's {n}-bit words span {layout.size} bits and "
-                             f"{layout.slots} syndromes, not these {bits.size} bits "
-                             f"of {layout.base.shape[1]}-bit words")
+        self.syn = np.empty(layout.slots, dtype=np.int64)
         vars(self).update(library())  # self.plain_pass, ...: the kernel's functions
-        # the arrays the C state points into, kept alive with it
-        self._held = [self.syn, bits, layout.base, layout.stride, layout.cross, layout.shift,
-                      c_array(code.flip_syndrome, np.int64, (n,), "flip_syndrome"),
-                      # a row per packed syndrome, 2^(2m+1) = 2 n^2 of them
-                      c_array(code.error_positions, np.int16, (2 * n * n, 2), "error_positions")]
+        # the tables the C state points into, kept alive with it
+        self._tables, tables = _tables(code, layout)
         self.w, self.n, self.ncand = layout.w, n, code.d0 - 2
-        self.state = State(*(a.ctypes.data for a in self._held),
-                           groups=len(layout.base), w=layout.w, n=n, ncand=self.ncand,
-                           d0=code.d0)
+        self.state = State(self.syn.ctypes.data, bits.ctypes.data, *tables,
+                           groups=layout.groups, slots=layout.slots, w=layout.w, n=n,
+                           ncand=self.ncand, d0=code.d0)
         self.ref = ctypes.addressof(self.state)
+        self.syndromes(self.ref)
 
     def mark(self, marks) -> None:
         """Bind marks of (axes, w, d0-2) candidates and (axes, w, n) HRB

@@ -12,8 +12,8 @@ proposal, retries BDD with the least reliable non-HRB bits flipped.
 Decoding runs on syndromes, in passes that the staircase decoder shares.
 A `Layout` says where the words of a set of word groups lie in a bit
 array in which every bit lies in two words (here group 2b holds the rows
-of block b of a stack and group 2b + 1 its columns), and builds the
-packed syndrome of every word. A pass decodes the words of a group that
+of block b of a stack and group 2b + 1 its columns), from which the
+kernel builds the packed syndrome of every word. A pass decodes the words of a group that
 have a nonzero syndrome (a clean word is a no-op), yet `bdd_calls` counts
 w per group pass, as if every word were decoded, plus one per flip retry.
 Every flip updates the syndrome of its word and of the crossing word, so
@@ -29,19 +29,19 @@ here, a pass per call. A PC iBDD block's iterations, and a staircase
 window's (`scc.window_pass`), are one kernel call each, as their ~16 and
 ~14 passes per call would otherwise spend 14-19% of the decode in call
 overhead. The kernel toggles the bits in place, as a plain pass may flip
-back a bit that an earlier pass flipped. The marks of a `MarkState` are
-arrays that the kernel reads as they are.
+back a bit that an earlier pass flipped. The kernel also builds a
+`MarkState` (`make_marks`), reading each axis's words from an LLR grid
+through its strides, and its passes read the marks' arrays as they are.
 """
 
-from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from .bch import BchCode, encode_many, packed_syndromes
+from .bch import BchCode, encode_many
 from .errors import ConfigError
-from .kernel import Passes
+from .kernel import Passes, mark_words
 
 
 @dataclass(frozen=True)
@@ -105,39 +105,12 @@ class MarkState:
     hrb: np.ndarray
 
 
-def _stable_order_prefix(a: np.ndarray, keep: int) -> np.ndarray:
-    """np.argsort(a, axis=-1, kind="stable")[..., :keep], for non-negative
-    float64 a (inf included) whose rows hold at least keep entries, by keep
-    rounds of argmin, which picks the first of equal minima. The rounds run
-    on the int64 bit patterns of a, which sort as its values do, and mask
-    each pick with the int64 maximum, above every pattern: a C-contiguous a
-    is overwritten."""
-    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64).reshape(-1, a.shape[-1])
-    flat, starts = bits.reshape(-1), np.arange(0, bits.size, bits.shape[1])
-    out, masked = np.empty((keep, len(bits)), dtype=np.int64), np.iinfo(np.int64).max
-    for pick in out:
-        bits.argmin(axis=1, out=pick)
-        flat[starts + pick] = masked
-    return out.T.reshape(a.shape[:-1] + (keep,))
-
-
-def make_marks(a: np.ndarray, params: SabmParams, code: BchCode,
-               offset: int = 0) -> MarkState:
-    """Marks for words whose positions offset.. carry the |llr| values
-    a[axis, i]; positions below offset are unmarked (never HRB, never
-    flipped). a is the working copy of the order's rounds and is
-    overwritten."""
-    hrb = a > params.delta
-    order = _stable_order_prefix(a, code.d0 - 2)
-    # HRBs have |llr| > delta, so a stable order puts every non-HRB first: a
-    # word's candidates end at its first HRB among its d0-2 picks, if any.
-    # The order is a transposed view, so np.where's result is not C-ordered
-    candidates = np.where(np.take_along_axis(hrb, order, axis=-1), -1, offset + order)
-    flags = np.zeros(hrb.shape[:-1] + (offset + hrb.shape[-1],), dtype=np.uint8)
-    flags[..., offset:] = hrb
-    return MarkState(candidates=np.ascontiguousarray(candidates),
-                     flip_attempts=min(code.d0 - code.t - 1, params.failure_flip_attempts),
-                     hrb=flags)
+def make_marks(grids, params: SabmParams, code: BchCode, offset: int = 0) -> MarkState:
+    """Marks for the words along each axis, whose positions offset.. carry
+    the LLRs of one (words, n) grid per axis, as `kernel.mark_words` reads
+    them; positions below offset are unmarked (never HRB, never flipped)."""
+    hrb, candidates = mark_words(grids, params.delta, offset, code.d0 - 2)
+    return MarkState(candidates, min(code.d0 - code.t - 1, params.failure_flip_attempts), hrb)
 
 
 def pc_encode(code: PcCode, data) -> np.ndarray:
@@ -154,33 +127,36 @@ def pc_encode(code: PcCode, data) -> np.ndarray:
 
 
 def mark_bits(llr: np.ndarray, params: SabmParams, code: PcCode) -> MarkState:
-    a = np.abs(llr)
-    w = code.w
-    if a.shape != (w, w):
-        raise ValueError(f"LLR grid must be ({w}, {w})")
-    return make_marks(np.stack([a, a.T]), params, code.component)
+    """The marks of a block's rows (axis 0) and columns (axis 1)."""
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.shape != (code.w, code.w):
+        raise ValueError(f"LLR grid must be ({code.w}, {code.w})")
+    return make_marks([llr, llr.T], params, code.component)
 
 
 class Layout:
-    """Where the words of G groups of w words each lie in a bit array.
+    """Where the words of groups of w words each lie in a bit array.
 
     Position j of word i of group g is flat bit base[g, j] + i * stride[g, j].
     The crossing word through that bit sits in syndrome slot cross[g, j] and
-    holds the bit at position shift[g, j] + i. `syndromes(code, bits)`
-    returns the packed syndrome of every word of a bit array, flat and
-    group by group, from one float32 copy of the bits; it may cover groups
-    beyond the G that are decoded, which only crossing updates change. The
-    groups' words span `size` bits and read `slots` syndromes.
+    holds the bit at position shift[g, j] + i. Every word of the tables has
+    a slot, group by group, `slots` in all; the passes decode the first
+    `groups` groups (all by default), and a crossing update alone changes
+    the others. The words span `size` bits.
     """
 
-    def __init__(self, w: int, syndromes: Callable, base, stride, cross, shift):
-        self.w, self.syndromes = w, syndromes
+    def __init__(self, w: int, base, stride, cross, shift, groups: int | None = None):
+        self.w = w
         self.base, self.stride, self.cross, self.shift = arrays = [
             np.ascontiguousarray(a, dtype=np.int64) for a in (base, stride, cross, shift)]
         for a in arrays:
             a.setflags(write=False)
+        self.groups = len(self.base) if groups is None else groups
         self.size = int((self.base + (w - 1) * self.stride).max(initial=-1)) + 1
-        self.slots = max(int(self.cross.max(initial=-1)) + 1, len(self.base) * w)
+        self.slots = len(self.base) * w
+        if not (0 <= self.groups <= len(self.base)
+                and ((0 <= self.cross) & (self.cross < self.slots)).all()):
+            raise ValueError("a layout decodes and crosses only words of its tables")
 
 
 @lru_cache(maxsize=None)
@@ -190,13 +166,7 @@ def block_layout(w: int, blocks: int) -> Layout:
     which is position i of its column j."""
     j = np.arange(w)
     b = np.arange(blocks)[:, None, None]
-
-    def syndromes(code, bits):
-        # a single block may come as (w, w); rows are f @ C, columns f^T @ C
-        f, c = bits.reshape(-1, w, w).astype(np.float32), code.check_matrix
-        return packed_syndromes(np.stack([f @ c, f.transpose(0, 2, 1) @ c], axis=1)).reshape(-1)
-
-    return Layout(w, syndromes, base=(b * w * w + [j, j * w]).reshape(-1, w),
+    return Layout(w, base=(b * w * w + [j, j * w]).reshape(-1, w),
                   stride=np.tile([np.full(w, w), np.ones(w)], (blocks, 1)),
                   cross=(b * 2 * w + [w + j, j]).reshape(-1, w),
                   shift=np.zeros((2 * blocks, w)))

@@ -10,16 +10,17 @@ Decoding runs on the kernel passes of `pc`: the chain is one uint8 array
 of (blocks + 1) w x w blocks, the zero block first, whose pairs are the
 word groups of one `Layout`, decoded on one `kernel.Passes` that
 `decode_chain` owns; a window is a range of pairs. The pairs missing at
-both ends of the chain share a scratch group that no window decodes. A
+both ends of the chain share a scratch group, the last, that no window
+decodes. A
 window is one `window_pass`, a kernel call that runs its iterations:
 plain passes over its pairs, and marking passes on the newest pair,
 whose veto reads only the crossing words of the window's pairs.
 `bdd_calls` counts w per pair pass, as if every word were decoded, plus
 one per flip retry. SABM reads the channel only through marks:
 `newest_blocks` names the blocks that the windows mark,
-and `block_marks` makes a block's `MarkState` from its LLR grid, which
-the trial loop does as it demaps the block, so a chain never holds its
-grids. `decode_chain` runs SABM if and only if it is given the marks, and
+and `block_marks` has the kernel make a block's `MarkState` from its LLR
+rows, which the trial loop does as it demaps the block, so a chain never
+holds its grids. `decode_chain` runs SABM if and only if it is given the marks, and
 returns the decoded (N, w, w) chain and its `DecodeStats`;
 `baseline_calls` gives eta's baseline from the geometry.
 """
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bch import BchCode, packed_syndromes
+from .bch import BchCode
 from .errors import ConfigError
 from .kernel import Passes
 from .pc import DecodeStats, Layout, MarkState, SabmParams, make_marks
@@ -89,31 +90,23 @@ def scc_encode(code: SccCode, info_blocks) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def chain_layout(w: int, num_blocks: int) -> Layout:
-    """The P = num_blocks - 1 pairs of a chain of blocks B_0..B_P: word i
-    of pair p is row i of [transpose(B_p) | B_{p+1}]. Its position j < w is
-    B_p[j, i], which is position w+i of word j of pair p-1; its position
-    w+j is B_{p+1}[i, j], which is position i of word j of pair p+1. The
-    missing pairs -1 and P share one scratch group, slots P*w.., whose word
-    j is row j of [transpose(B_P) | B_0]; no window decodes it."""
-    groups = num_blocks - 1
-    p = np.arange(groups)[:, None]
+    """The pairs p = 0..P of a chain of blocks B_0..B_P, round the chain:
+    word i of pair p is row i of [transpose(B_p) | B_{p+1 mod P+1}]. Its
+    position j < w is B_p[j, i], position w+i of word j of pair p-1 (mod
+    P+1); its position w+j is B_{p+1}[i, j], position i of word j of pair
+    p+1. Pair P, where the missing pairs -1 and P meet, is a scratch group
+    that no window decodes."""
+    p = np.arange(num_blocks)[:, None]
     j = np.arange(w)[None, :]
+    newer = (p + 1) % num_blocks
 
     def halves(older_half, newer_half):
-        return np.concatenate([np.broadcast_to(older_half, (groups, w)),
-                               np.broadcast_to(newer_half, (groups, w))], axis=1)
+        return np.concatenate([np.broadcast_to(older_half, (num_blocks, w)),
+                               np.broadcast_to(newer_half, (num_blocks, w))], axis=1)
 
-    def syndromes(code, bits):
-        # the left half of pair p's words is B_p's columns and the right
-        # half B_{p+1}'s rows, B_0's for the scratch group: their counts add
-        f, c = bits.astype(np.float32), code.check_matrix
-        return packed_syndromes(f.transpose(0, 2, 1) @ c[:w]
-                                + np.roll(f @ c[w:], -1, axis=0)).reshape(-1)
-
-    return Layout(w, syndromes, base=halves(p * w * w + j * w, (p + 1) * w * w + j),
-                  stride=halves(1, w),
-                  cross=halves((p - 1) % (groups + 1) * w + j, (p + 1) * w + j),
-                  shift=halves(w, 0))
+    return Layout(w, base=halves(p * w * w + j * w, newer * w * w + j), stride=halves(1, w),
+                  cross=halves((p - 1) % num_blocks * w + j, newer * w + j),
+                  shift=halves(w, 0), groups=num_blocks - 1)
 
 
 def newest_blocks(num_blocks: int, window: int) -> list[int]:
@@ -125,9 +118,9 @@ def newest_blocks(num_blocks: int, window: int) -> list[int]:
 
 def block_marks(code: SccCode, llr: np.ndarray, params: SabmParams) -> MarkState:
     """The marks of a received (w, w) block from its LLR grid, for the
-    windows in which it is the newest block: it fills positions w..2w-1
-    of the newest pair's words."""
-    return make_marks(np.abs(llr)[None], params, code.component, offset=code.w)
+    windows in which it is the newest block: its row i fills positions
+    w..2w-1 of word i of the newest pair."""
+    return make_marks([llr], params, code.component, offset=code.w)
 
 
 def window_pass(state: Passes, first: int, newest: int, ell: int, marking: int) -> None:

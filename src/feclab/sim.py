@@ -66,9 +66,9 @@ MAX_BATCH = 1_000_000
 
 # most bytes of one staircase chain's arrays, counted as its data and 10
 # bytes a bit: its code blocks, hard decisions and decode array (a byte
-# a bit each, the decode's int64 syndrome per word well below it),
-# its SABM marks and the float32 copy of the bits that builds the
-# syndromes, all held while the chain runs; a SABM run peaks at ~1.2x this
+# a bit each, the decode's int64 syndrome per word well below it) and
+# its SABM marks (2 bytes a bit of a marked block), all held while the
+# chain runs, with room to spare: a SABM run peaks at ~0.8x this
 MAX_CHAIN_BYTES = 1 << 28
 
 # SNR points the seed key and the channel take: below -1000 dB the key of

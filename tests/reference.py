@@ -32,17 +32,34 @@ from operator import xor
 
 import numpy as np
 
-from feclab.bch import BchCode, packed_syndromes
+from feclab.bch import BchCode
 from feclab.modem import ChannelConfig, pam_constellation
 from feclab.pc import DecodeStats, PcCode, SabmParams
 from feclab.scc import SccCode
+
+
+def check_matrix(code: BchCode) -> np.ndarray:
+    """The (n, 2m+1) binary parity-check matrix: row j holds the bits of
+    flip_syndrome[j]. float32, so that a matmul against it runs in BLAS;
+    its integer counts (at most n <= 256) are exact."""
+    width = 2 * code.n.bit_length() - 1  # 2m + 1
+    return ((code.flip_syndrome[:, None] >> np.arange(width)) & 1).astype(np.float32)
+
+
+def packed_syndromes(counts: np.ndarray) -> np.ndarray:
+    """Packed syndromes from (..., 2m+1) check counts: a word's count of set
+    bits against each column of the parity-check matrix, whole numbers (a
+    sum of partial counts over parts of the word will do). Syndrome bit b
+    is the parity of count b."""
+    bits = counts.astype(np.int64) & 1
+    return bits @ (1 << np.arange(bits.shape[-1], dtype=np.int64))
 
 
 def block_syndromes(code: BchCode, words) -> np.ndarray:
     """Packed syndromes of every row of a (..., n) bit array, in its shape
     less the last axis, from one GF(2) matmul against the parity-check
     matrix."""
-    return packed_syndromes(np.asarray(words, dtype=np.float32) @ code.check_matrix)
+    return packed_syndromes(np.asarray(words, dtype=np.float32) @ check_matrix(code))
 
 
 def decode_syndromes(code: BchCode, syn: int):

@@ -1,6 +1,7 @@
-"""The compiled pass kernel: its build cache and its failures, and the
-arrays that reach it, which are checked once per state and copied when
-they are not laid out as it reads them."""
+"""The compiled kernel: its build cache and its failures, a build with
+every warning an error, the syndromes and the marks that it builds, and
+the arrays that reach it, which are checked once per state and copied
+when they are not laid out as it reads them."""
 
 import ctypes
 import os
@@ -13,10 +14,13 @@ import numpy as np
 import pytest
 
 from feclab import cli, kernel
+from feclab.bch import build_code
 from feclab.errors import ConfigError
-from feclab.pc import (MarkState, PcCode, SabmParams, block_layout, ibdd_decode, mark_bits,
-                       pc_encode, sabm_decode)
-from feclab.scc import SccCode, block_marks, decode_chain, scc_encode
+from feclab.pc import (Layout, MarkState, PcCode, SabmParams, block_layout, ibdd_decode,
+                       make_marks, mark_bits, pc_encode, sabm_decode)
+from feclab.scc import SccCode, block_marks, chain_layout, decode_chain, scc_encode
+
+import reference
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -78,6 +82,70 @@ print(kernel.build(kernel.COMPILER, kernel.SOURCE, Path({str(cache)!r})))
     (path,) = {out.strip() for out, _ in outs}
     assert list(cache.iterdir()) == [Path(path)]
     assert ctypes.CDLL(path).sabm_pass
+
+
+def test_the_kernel_builds_with_every_warning_an_error(tmp_path):
+    # the kernel's flags, and warnings such as a read of an uninitialised
+    # entry of a word's candidate list fail the build
+    command = [kernel.COMPILER, *kernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+               "-o", str(tmp_path / "kernel.so"), str(kernel.SOURCE)]
+    run = subprocess.run(command, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+# ------------------------------------------------ what the kernel builds
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_kernel_syndromes_equal_the_reference(m):
+    # stacks of 1, 3 and 16 product blocks, and chains of 2..13 blocks,
+    # the scratch group, the last, included, whose positions lie 8 in a
+    # row in a word or across 8 words; and rows whose positions lie in no
+    # order, which the kernel reads one at a time
+    code = build_code(m)
+    rng = np.random.default_rng(100 + m)
+    w = code.n
+    for blocks in (1, 3, 16):
+        bits = rng.integers(0, 2, (blocks, w, w), dtype=np.uint8)
+        state = kernel.Passes(code, block_layout(w, blocks), bits)
+        want = [reference.block_syndromes(code, reference.pc_words(block, g))
+                for block in bits for g in (0, 1)]
+        assert np.array_equal(state.syn, np.concatenate(want))
+    w //= 2
+    for blocks in range(2, 14):
+        bits = rng.integers(0, 2, (blocks, w, w), dtype=np.uint8)
+        state = kernel.Passes(code, chain_layout(w, blocks), bits)
+        want = [reference.block_syndromes(code, reference.scc_words(bits, g))
+                for g in range(blocks)]
+        assert state.syn.size == blocks * w
+        assert np.array_equal(state.syn, np.concatenate(want))
+    w = code.n
+    bits = rng.integers(0, 2, (w, w), dtype=np.uint8)
+    order = rng.permutation(w)
+    layout = Layout(w, base=[order], stride=[np.full(w, w)], cross=np.zeros((1, w)),
+                    shift=np.zeros((1, w)))
+    state = kernel.Passes(code, layout, bits)
+    assert np.array_equal(state.syn, reference.block_syndromes(code, bits[:, order]))
+
+
+def test_marks_read_any_grid_as_its_contiguous_copy(ecc32_code):
+    # the kernel reads a grid through its strides, negative ones included;
+    # a grid of another dtype is read as float64
+    rng = np.random.default_rng(8)
+    llr = rng.normal(0, 6, (32, 32))
+    llr[3, :9] = -2.0  # ties
+    params = SabmParams(delta=5.0)
+    flipped = llr[::-1, ::-1].copy()
+    for grid, same in ((np.asfortranarray(llr), llr), (flipped[::-1, ::-1], llr),
+                       (np.repeat(llr, 2, axis=1)[:, ::2], llr),
+                       (llr.astype(np.float32), llr.astype(np.float32).astype(np.float64))):
+        for got, want in ((make_marks([grid, grid.T], params, ecc32_code),
+                           make_marks([np.array(same), np.array(same.T)], params, ecc32_code)),
+                          (make_marks([grid], params, ecc32_code, offset=32),
+                           make_marks([np.array(same)], params, ecc32_code, offset=32))):
+            assert np.array_equal(got.candidates, want.candidates)
+            assert np.array_equal(got.hrb, want.hrb)
+    with pytest.raises(ValueError, match="every grid must have shape"):
+        make_marks([llr, llr[:, :-1]], params, ecc32_code)
 
 
 # ------------------------------------------------------ arrays that reach C

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from feclab.bch import encode_many
 from feclab.modem import ChannelConfig, awgn_transmit, demap_llr, modulate
-from feclab.kernel import Passes
+from feclab.kernel import Passes, mark_words
 from feclab.pc import (
     DecodeStats,
     PcCode,
@@ -21,7 +21,6 @@ from feclab.pc import (
     sabm_decode,
     sabm_pass,
 )
-from feclab.pc import _stable_order_prefix
 
 import reference
 from reference import _suspicious, block_syndromes, decode_syndromes, sabm_resolve
@@ -204,8 +203,11 @@ def mark_inputs(draw):
        delta=st.sampled_from([0.0, 1.0, 5.0, np.inf]))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_make_marks_keeps_stable_order_prefix(ecc32_code, a, offset, delta):
-    # make_marks overwrites its input, so it gets a copy
-    marks = make_marks(a.copy(), SabmParams(delta=delta), ecc32_code, offset=offset)
+    # one grid per axis, as signed LLRs, which make_marks only reads
+    llr = a * np.where(np.arange(a.size).reshape(a.shape) % 3, 1.0, -1.0)
+    given = llr.copy()
+    marks = make_marks(list(llr), SabmParams(delta=delta), ecc32_code, offset=offset)
+    assert np.array_equal(llr, given)
     keep = ecc32_code.d0 - 2
     hrb = a > delta
     order = np.argsort(a, axis=-1, kind="stable")
@@ -225,10 +227,12 @@ def test_make_marks_keeps_stable_order_prefix(ecc32_code, a, offset, delta):
 @given(a=mark_inputs(), keep=st.integers(1, 4))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_stable_order_prefix_is_the_stable_argsort_prefix(a, keep):
-    # the whole prefix, HRBs included, on rows with ties, inf and all-equal
-    # rows; the rounds overwrite their input, so they get a copy
+    # the whole prefix, on rows with ties, inf and all-equal rows: under an
+    # infinite delta no entry is an HRB, so every entry is a candidate, and
+    # the kernel keeps the first `keep` of each word
     want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
-    assert np.array_equal(_stable_order_prefix(a.copy(), keep), want)
+    hrb, candidates = mark_words(list(a), np.inf, 0, keep)
+    assert np.array_equal(candidates, want) and not hrb.any()
 
 
 @pytest.mark.parametrize("snr_db, axes", [(6.0, 2), (7.2, 1)], ids=["pc", "scc"])
@@ -238,20 +242,28 @@ def test_stable_order_prefix_at_the_benchmark_shapes(pc_component_code, snr_db, 
     pc = PcCode(pc_component_code)
     rng = np.random.default_rng(int(snr_db * 10))
     _, llr = channel_pass(random_block(pc, rng), snr_db, rng)
-    a = np.abs(np.stack([llr, llr.T])[:axes])
+    grids = [llr, llr.T][:axes]
+    a = np.abs(np.stack(grids))
     keep = pc_component_code.d0 - 2
     want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
-    assert np.array_equal(_stable_order_prefix(a.copy(), keep), want)
-    marks = make_marks(a.copy(), SabmParams(delta=5.0), pc_component_code)
+    whole = make_marks(grids, SabmParams(delta=np.inf), pc_component_code)
+    assert np.array_equal(whole.candidates, want)
+    marks = make_marks(grids, SabmParams(delta=5.0), pc_component_code)
+    if axes == 2:  # the rows and columns of the block, as mark_bits reads them
+        block = mark_bits(llr, SabmParams(delta=5.0), pc)
+        assert np.array_equal(block.candidates, marks.candidates)
+        assert np.array_equal(block.hrb, marks.hrb)
     for axis, i in np.ndindex(a.shape[:-1]):
         assert flip_order(marks, axis, i).tolist() == [p for p in want[axis, i].tolist()
                                                        if not a[axis, i, p] > 5.0]
 
 
-def test_stable_order_prefix_ties_at_the_cut_in_one_row_of_many():
+def test_stable_order_prefix_ties_at_the_cut_in_one_row_of_many(ecc32_code):
     # one row holds three entries at its keep-th smallest value and one
-    # row is all ties: each keeps its lowest-index ties, in index order
-    keep, rows, n = 4, 40, 16
+    # row is all ties: each keeps its lowest-index ties, in index order.
+    # Under an infinite delta every entry is a candidate
+    keep, rows, n = ecc32_code.d0 - 2, 40, 16
+    params = SabmParams(delta=np.inf)
     rng = np.random.default_rng(7)
     a = np.array([rng.permutation(n) for _ in range(2 * rows)], dtype=np.float64)
     a = a.reshape(2, rows, n)
@@ -259,10 +271,10 @@ def test_stable_order_prefix_ties_at_the_cut_in_one_row_of_many():
     row[(row == 3) | (row == 4)] = 2  # 0, 1, 2, 2, 2: three entries at the cut 2
     want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
     assert (a <= np.sort(a, axis=-1)[..., keep - 1, None]).sum() == 2 * rows * keep + 1
-    assert np.array_equal(_stable_order_prefix(a.copy(), keep), want)
+    assert np.array_equal(make_marks(list(a), params, ecc32_code).candidates, want)
     a[0, 30] = 3.0
     want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
-    assert np.array_equal(_stable_order_prefix(a.copy(), keep), want)
+    assert np.array_equal(make_marks(list(a), params, ecc32_code).candidates, want)
     assert np.array_equal(want[0, 30], np.arange(keep))
 
 
@@ -303,7 +315,7 @@ def suspicious(pc, noisy, marks, axis, index, pattern):
     """The SABM veto of `pattern` as a correction of word `index` along
     `axis` (0 rows, 1 columns) of the received block `noisy`."""
     layout = block_layout(pc.w, 1)
-    syn = layout.syndromes(pc.component, noisy)
+    syn = Passes(pc.component, layout, noisy.copy()).syn
     return _suspicious(pattern, hrb_flags(marks, pc.w)[axis, index], syn,
                        layout.cross[axis], range(syn.size))
 
@@ -337,7 +349,7 @@ def test_veto_reads_only_live_crossing_words(pc32, rng):
     noisy = block.copy()
     noisy[4, 1] ^= 1
     layout = block_layout(pc32.w, 1)
-    syn = layout.syndromes(pc32.component, noisy)
+    syn = Passes(pc32.component, layout, noisy.copy()).syn
     w, cross = pc32.w, layout.cross[0]
     assert cross[9] == w + 9 and syn[w + 9] == 0
     hrb = hrb_flags(marks, pc32.w)[0, 4]

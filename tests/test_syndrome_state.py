@@ -60,10 +60,10 @@ def follow_random_passes(layout, bits, recomputed, marks, window, rng):
     for round_ in range(64):
         if round_ >= 4 and not np.array_equal(state.bits, bits) and counts(state).flips_attempted:
             break
-        group = int(rng.integers(len(layout.base)))
+        group = int(rng.integers(layout.groups))
         pc.plain_pass(state, group)
         assert_matches(state, recomputed)
-        group = int(rng.integers(len(layout.base)))
+        group = int(rng.integers(layout.groups))
         group_marks, axis = marks(group)
         state.mark(group_marks)
         pc.sabm_pass(state, group, axis, *window(group))
@@ -114,8 +114,8 @@ def test_window_syndromes_follow_random_flips(seed, num_blocks):
     w = code.w
     bits = rng.integers(0, 2, (num_blocks, w, w), dtype=np.uint8)
     layout = chain_layout(w, num_blocks)
-    assert len(layout.base) == num_blocks - 1
-    assert layout.syndromes(CODE, bits).size == num_blocks * w == layout.slots
+    assert layout.groups == num_blocks - 1
+    assert Passes(CODE, layout, bits.copy()).syn.size == num_blocks * w == layout.slots
     marks = [scc.block_marks(code, noisy_llr(b, rng), SabmParams(failure_flip_attempts=3))
              for b in bits]
     lo, hi = sorted(rng.integers(0, num_blocks, 2).tolist())
@@ -258,13 +258,13 @@ def test_window_syndromes_match_after_each_window(mode, seed, monkeypatch):
     assert np.shares_memory(out, state.bits) and np.array_equal(out, state.bits[1:])
 
 
-def array_pass(layout, bits, group):
+def array_pass(layout, bits, group, recomputed):
     """The plain pass of one group in array form, on a copy of the bits:
     every word of the group with a nonzero syndrome, recomputed from the
     bits, flips the positions the table decodes it to, all at once.
     Returns the bits and whether any bit was flipped."""
     w = layout.w
-    own = layout.syndromes(CODE, bits)[group * w:(group + 1) * w]
+    own = recomputed(bits)[group * w:(group + 1) * w]
     hit = own.nonzero()[0]
     pos = CODE.error_positions[own[hit]]
     word, k = (pos >= 0).nonzero()
@@ -279,7 +279,7 @@ def pass_both_ways(layout, bits, group, recomputed):
     `array_pass`: the bits and the flipped flag agree, the state's
     syndromes equal the new bits', and the pass counts w. Returns the
     flag."""
-    want, wchanged = array_pass(layout, bits, group)
+    want, wchanged = array_pass(layout, bits, group, recomputed)
     state = Passes(CODE, layout, bits.copy())
     changed = pc.plain_pass(state, group)
     assert type(changed) is bool and changed == wchanged
@@ -348,6 +348,6 @@ def test_one_group_pass_on_clean_and_failing_groups():
     half = w // 2
     chain = np.zeros((4, half, half), dtype=np.uint8)
     chain[2] = three_errors_per_word(half)
-    syn = chain_layout(half, 4).syndromes(CODE, chain)
+    syn = Passes(CODE, chain_layout(half, 4), chain.copy()).syn
     assert (CODE.error_positions[syn[half:2 * half]] < 0).all()
     assert scc_pass_both_ways(chain, 1) is False
