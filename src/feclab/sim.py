@@ -68,7 +68,7 @@ MAX_BATCH = 1_000_000
 # bytes a bit: its code blocks, hard decisions and decode array (a byte
 # a bit each, the decode's int64 syndrome per word well below it) and
 # its SABM marks (2 bytes a bit of a marked block), all held while the
-# chain runs, with room to spare: a SABM run peaks at ~0.8x this
+# chain runs, with room to spare: a SABM run peaks at ~0.65x this
 MAX_CHAIN_BYTES = 1 << 28
 
 # SNR points the seed key and the channel take: below -1000 dB the key of
