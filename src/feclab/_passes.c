@@ -21,7 +21,7 @@
 typedef struct {
     int64_t *syn;              /* packed syndrome of every slot */
     uint8_t *bits;             /* the bit array the layout indexes */
-    const int64_t *base, *stride, *cross, *shift;  /* (groups, n) */
+    const int64_t *base, *stride, *cross, *shift;  /* (slots / w, n) */
     const int64_t *flip;       /* packed syndrome of each position, n entries */
     const int64_t *flip8;      /* (n / 8, 256): entry b of chunk c XORs the flip
                                   syndromes of positions 8c + k, k a set bit of b */
@@ -60,8 +60,8 @@ static inline int64_t gather8(const uint8_t *a)
  * g * w + i. n is a multiple of 8, and positions go 8 at a time, one
  * flip8 entry per word, when they lie in 8 consecutive bytes of each word
  * ("along"), or when each lies in consecutive bytes of consecutive words
- * ("across"), which 8 loads then gather for 8 words at once; else one at
- * a time. */
+ * ("across"), which 8 loads then gather for 8 words at once, both on a
+ * little-endian host; else one at a time. */
 int64_t syndromes(state *s)
 {
     const int64_t w = s->w, n = s->n, little = little_endian();
@@ -112,7 +112,8 @@ int64_t syndromes(state *s)
  * below offset; row i of cand (ncand entries) holds the first ncand of the
  * others by ascending |llr|, ties to the lower position, then -1. |llr|
  * is compared by its bit pattern with the sign bit cleared, which orders
- * as its value. A word keeps a stable top list of the keys at or below a
+ * as its value, with that of delta, which is not NaN (-0 compares as 0,
+ * as it does as a value). A word keeps a stable top list of the keys at or below a
  * threshold: delta's pattern until the list is full, then just below its
  * last key, so that the rare key that enters is the only branch taken.
  * Returns -1, writing nothing, for ncand outside 0..MAX_CAND. */
@@ -123,6 +124,8 @@ int64_t marks(const double *llr, uint8_t *hrb, int64_t *cand, int64_t words, int
     int64_t above, key[MAX_CAND], pos[MAX_CAND];
     if (ncand < 0 || ncand > MAX_CAND)
         return -1;
+    if (delta == 0)
+        delta = 0;
     memcpy(&above, &delta, sizeof above);
     for (int64_t i = 0; i < words; i++) {
         const double *a = llr + i * word_stride;

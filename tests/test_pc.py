@@ -200,7 +200,7 @@ def mark_inputs(draw):
 
 
 @given(a=mark_inputs(), offset=st.integers(0, 3),
-       delta=st.sampled_from([0.0, 1.0, 5.0, np.inf]))
+       delta=st.sampled_from([0.0, -0.0, 1.0, 5.0, np.inf]))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_make_marks_keeps_stable_order_prefix(ecc32_code, a, offset, delta):
     # one grid per axis, as signed LLRs, which make_marks only reads
