@@ -1,6 +1,8 @@
 /* feclab's decoders on the packed syndromes and the bits of a layout's
  * words (see kernel.py and pc.py): the syndromes of a state's bits, the
- * marks of words of an LLR grid, and the plain and the marking pass.
+ * marks of words of an LLR grid, the plain and the marking pass, and the
+ * two schedules that run them, a product block's iterations (`block`) and
+ * a staircase window's (`window`).
  *
  * Word i of group g has its position p at bit base[p] + i * stride[p]
  * (the rows of g in the layout's tables); the crossing word through that
@@ -305,16 +307,34 @@ int64_t sabm_pass(state *s, int64_t g, int64_t axis, int64_t lo, int64_t hi)
     return changed;
 }
 
-/* iBDD of the block whose rows are group g and whose columns are group
- * g + 1: up to iters iterations of a row pass and then a column pass,
- * ending after the first that flips nothing. */
-int64_t ibdd_block(state *s, int64_t g, int64_t iters)
+/* The iterations of the block whose rows are group g and columns group
+ * g + 1 (see pc.block_pass): `marking` of marking passes on axes 0 and 1,
+ * whose veto reads the block's slots, then plain ones up to `iters`. A
+ * phase ends at its first iteration that flips nothing, but a stalled
+ * marking iteration that leaves a nonzero syndrome in the block goes on
+ * to the plain ones. A row pass is a statement of its own, as C leaves the
+ * order of `|`'s operands open. */
+int64_t block(state *s, int64_t g, int64_t marking, int64_t iters)
 {
-    if (g < 0 || g + 1 >= s->groups)
+    const int64_t lo = g * s->w, hi = lo + 2 * s->w;
+    if (g < 0 || g + 1 >= s->groups || marking < 0 || (marking > 0 && s->axes < 2))
         return -1;
-    for (int64_t it = 0; it < iters; it++)
-        if (!(plain_pass(s, g) | plain_pass(s, g + 1)))
+    for (int64_t it = 0; it < marking; it++) {
+        const int64_t rows = sabm_pass(s, g, 0, lo, hi);
+        if (!(rows | sabm_pass(s, g + 1, 1, lo, hi))) {
+            int64_t slot = lo;
+            while (slot < hi && !s->syn[slot])
+                slot++;
+            if (slot == hi)
+                return 0;
             break;
+        }
+    }
+    for (int64_t it = marking; it < iters; it++) {
+        const int64_t rows = plain_pass(s, g);
+        if (!(rows | plain_pass(s, g + 1)))
+            break;
+    }
     return 0;
 }
 

@@ -1,6 +1,7 @@
-"""The compiled kernel: `_passes.c` holds the plain and the marking pass
-that every decoder runs (see `pc`), and the syndromes and marks that they
-read; this module builds, loads and binds it.
+"""The compiled kernel: `_passes.c` holds the plain and the marking pass,
+the schedules that run them over a product block (`pc.block_pass`) and a
+staircase window (`scc.window_pass`), and the syndromes and marks that
+they read; this module builds, loads and binds it.
 
 The kernel is compiled at a process's first decode, never at import: the
 C compiler `COMPILER` builds the source with `FLAGS` into `CACHE`, under a
@@ -35,11 +36,14 @@ SOURCE = Path(__file__).with_name("_passes.c")
 CACHE = Path(__file__).with_name("__pycache__")
 COMPILER = "cc"
 FLAGS = ("-O2", "-shared", "-fPIC")
+# the most iterations a decode runs: the kernel reads a count as an int64,
+# and ctypes wraps a larger Python int without a word
+MAX_ITERS = 2**63 - 1
 _PTR, _I64 = ctypes.c_void_p, ctypes.c_int64
 # the kernel's functions and their argument types, a state and int64s but
 # for `marks`; each returns -1 for arguments that it does not hold
 FUNCTIONS = {"plain_pass": [_PTR, _I64], "sabm_pass": [_PTR] + [_I64] * 4,
-             "ibdd_block": [_PTR] + [_I64] * 2, "window": [_PTR] + [_I64] * 4,
+             "block": [_PTR] + [_I64] * 3, "window": [_PTR] + [_I64] * 4,
              "syndromes": [_PTR], "marks": [_PTR] * 3 + [_I64] * 6 + [ctypes.c_double]}
 
 
@@ -165,9 +169,10 @@ class Passes:
     `pc.MarkState` that later marking passes read, until the next `mark`.
     `counts()` gives the DecodeStats counters summed over all passes so
     far. The kernel's functions are its attributes, each called with `ref`
-    and the int64 arguments of `FUNCTIONS`: `plain_pass(ref, group)`, `sabm_pass(ref,
-    group, axis, lo, hi)` (see `pc`), `ibdd_block(ref, rows, iters)` and
-    `window(ref, first, newest, ell, marking)`."""
+    and the int64 arguments of `FUNCTIONS`: the schedules `block(ref, rows,
+    marking, iters)` (see `pc.block_pass`) and `window(ref, first, newest,
+    ell, marking)` (`scc.window_pass`), and the passes they run,
+    `plain_pass(ref, group)` and `sabm_pass(ref, group, axis, lo, hi)`."""
 
     def __init__(self, code, layout, bits: np.ndarray):
         if not (isinstance(bits, np.ndarray) and bits.dtype == np.uint8

@@ -5,7 +5,7 @@ SABM augments iBDD with a channel-LLR mask: bits with |llr| > delta are
 highly reliable (HRBs), and per component word the d0-t-1 smallest-|llr|
 non-HRB positions are the flip candidates (HUBs). SABM runs if and only
 if LLRs are given: in the first md_iters iterations a marking pass
-(`sabm_pass`) vetoes every BDD proposal that touches an HRB or a bit
+vetoes every BDD proposal that touches an HRB or a bit
 whose crossing word has a zero syndrome and, on a failure or a vetoed
 proposal, retries BDD with the least reliable non-HRB bits flipped.
 
@@ -19,19 +19,19 @@ w per group pass, as if every word were decoded, plus one per flip retry.
 Every flip updates the syndrome of its word and of the crossing word, so
 the syndromes always equal those of the bits.
 
-Both passes, the plain `plain_pass` and the marking `sabm_pass`, are one
-call each into the compiled kernel (`kernel`, `_passes.c`), on a
+Both passes, the plain and the marking one, run in the compiled kernel
+(`kernel`, `_passes.c`, as `plain_pass` and `sabm_pass`), on a
 `kernel.Passes` state that a decoder binds once: a PC iBDD stack, a PC
 SABM block (`sabm_decode`) and a staircase chain (`scc.decode_chain`)
 each own one, with one int64 array of the syndromes and one uint8 array
-of the bits, which the decoded array is. `sabm_decode` runs its schedule
-here, a pass per call. A PC iBDD block's iterations, and a staircase
-window's (`scc.window_pass`), are one kernel call each, as their ~16 and
-~14 passes per call would otherwise spend 14-19% of the decode in call
-overhead. The kernel toggles the bits in place, as a plain pass may flip
-back a bit that an earlier pass flipped. The kernel also builds a
-`MarkState` (`make_marks`), reading each axis's words from an LLR grid
-through its strides, and its passes read the marks' arrays as they are.
+of the bits, which the decoded array is. A product block's iterations,
+iBDD's or SABM's (`block_pass`), and a staircase window's
+(`scc.window_pass`), are one kernel call each, as their ~14-16 passes
+would otherwise each pay a call's ~0.8 us of overhead. The kernel
+toggles the bits in place, as a plain pass may flip back a bit that an
+earlier pass flipped. The kernel also builds a `MarkState`
+(`make_marks`), reading each axis's words from an LLR grid through its
+strides, and its passes read the marks' arrays as they are.
 """
 
 from dataclasses import dataclass, fields
@@ -41,7 +41,7 @@ import numpy as np
 
 from .bch import BchCode, encode_many
 from .errors import ConfigError
-from .kernel import Passes, mark_words
+from .kernel import MAX_ITERS, Passes, mark_words
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ class SabmParams:
     def __post_init__(self):
         if not self.delta >= 0:  # also rejects NaN; inf makes no bit an HRB
             raise ConfigError(f"delta must be non-negative, got {self.delta}")
-        if self.total_iters < 1:
-            raise ConfigError(f"total_iters must be >= 1, got {self.total_iters}")
+        if not 1 <= self.total_iters <= MAX_ITERS:
+            raise ConfigError(f"total_iters must lie in [1, {MAX_ITERS}], got {self.total_iters}")
         if not 0 <= self.md_iters <= self.total_iters:
             raise ConfigError(f"need 0 <= md_iters <= total_iters, got md_iters="
                               f"{self.md_iters} and total_iters={self.total_iters}")
@@ -172,87 +172,57 @@ def block_layout(w: int, blocks: int) -> Layout:
                   shift=np.zeros((2 * blocks, w)))
 
 
-def plain_pass(state: Passes, group: int) -> bool:
-    """Plain BDD of the words of one group that have a nonzero syndrome, in
-    ascending order, in place on the state's bits and syndromes: a word's
-    pattern toggles its bits, XORs their flip syndromes into their crossing
-    words' slots and zeroes its own. As no word of a group crosses another,
-    that is decoding them all at once; a failure leaves its word as it is.
-    `bdd_calls` counts w. Returns whether it flipped a bit."""
-    changed = state.plain_pass(state.ref, group)
-    if changed < 0:
-        raise ValueError(f"group {group} is not a group of the state's layout")
-    return changed > 0
+def block_pass(state: Passes, rows: int, marking: int, iters: int) -> None:
+    """The iterations of the product block whose rows are group `rows` of
+    the state and whose columns are group rows + 1, in one kernel call:
+    `marking` marking iterations, then plain ones up to `iters`, each a
+    pass over the rows and then one over the columns. A marking pass reads
+    axis 0 (rows) or 1 (columns) of the state's marks, and its veto reads
+    only the block's words. Each phase ends at its first iteration that
+    flips nothing, except that a marking iteration that leaves a nonzero
+    syndrome in the block, which cannot progress with the same vetoes in
+    place, hands the block to the plain iterations."""
+    if state.block(state.ref, rows, marking, iters) < 0:
+        raise ValueError(f"groups {rows} and {rows + 1} are not a block of the state, "
+                         "or it marks with no marks bound")
 
 
-def sabm_pass(state: Passes, group: int, axis: int, lo: int, hi: int) -> bool:
-    """SABM on the words of one group that have a nonzero syndrome, in
-    ascending order, in place as a `plain_pass`. Word i of the group is
-    word i of axis `axis` of the state's marks. A word's BDD proposal is
-    vetoed if it touches an HRB of the word or a bit whose crossing word
-    lies in syndrome slots lo..hi-1 and has a zero syndrome. A failure
-    retries with its candidates c[0], c[1], ... flipped one at a time, at
-    most flip_attempts retries; a vetoed proposal of weight e retries once
-    with c[:d0 - e - 1] flipped at once. Both act on the pre-BDD word and
-    take the first retry that decodes to a pattern the veto passes (the
-    flips and the decoded positions less those in both; syndrome 0
-    decodes to no position); else the word is left as it is. A veto reads
-    crossing syndromes that earlier words of the pass changed, so an
-    accepted pattern updates the syndromes and bits at once, as a plain
-    pass's does. `bdd_calls` counts w plus one per retry. Returns whether
-    any bit was flipped."""
-    changed = state.sabm_pass(state.ref, group, axis, lo, hi)
-    if changed < 0:
-        raise ValueError(f"group {group} or axis {axis} is not in the state or its marks")
-    return changed > 0
-
-
-def ibdd_decode(code: PcCode, blocks, iters: int) -> tuple[np.ndarray, DecodeStats]:
-    """iBDD of one (w, w) block or of a (B, w, w) stack; returns the decoded
-    bits in the input's shape and the DecodeStats summed over the stack.
-    The blocks of a stack share one `Passes` and are decoded one after the
-    other, each on its own, by one kernel call: an iteration is a row pass
-    and then a column pass, and a block stops at its first iteration that
-    flips nothing."""
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+def _decode(code: PcCode, blocks, iters: int, marks: MarkState | None = None,
+            marking: int = 0) -> tuple[np.ndarray, DecodeStats]:
+    """The decoded bits of one (w, w) block or a (B, w, w) stack, in the
+    input's shape, and the DecodeStats summed over the stack. The blocks
+    share one `Passes`, with `marks` bound, and are decoded one after the
+    other, each on its own, by one `block_pass`."""
     blk = np.array(blocks, dtype=np.uint8, order="C")
     w = code.w
     if blk.shape[-2:] != (w, w) or blk.ndim not in (2, 3):
         raise ValueError(f"block must be ({w}, {w}) or a stack of them")
     count = blk.size // (w * w)
     state = Passes(code.component, block_layout(w, count), blk)
+    if marks is not None:
+        state.mark(marks)
     for rows in range(0, 2 * count, 2):  # the row group of each block; its columns follow
-        state.ibdd_block(state.ref, rows, iters)
+        block_pass(state, rows, marking, iters)
     return blk, DecodeStats(*state.counts())
+
+
+def ibdd_decode(code: PcCode, blocks, iters: int) -> tuple[np.ndarray, DecodeStats]:
+    """iBDD of one (w, w) block or of a (B, w, w) stack; returns the decoded
+    bits in the input's shape and the DecodeStats summed over the stack.
+    Each block runs up to `iters` plain iterations and stops at its first
+    iteration that flips nothing."""
+    if not 1 <= iters <= MAX_ITERS:
+        raise ValueError(f"iters must lie in [1, {MAX_ITERS}], got {iters}")
+    return _decode(code, blocks, iters)
 
 
 def sabm_decode(code: PcCode, block, llr: np.ndarray,
                 params: SabmParams) -> tuple[np.ndarray, DecodeStats]:
-    """SABM of one (w, w) block: md_iters marking iterations, then plain
-    ones up to total_iters, each a row pass and then a column pass. An
-    iteration that flips nothing ends the decode, except that a marking
-    iteration that leaves a nonzero syndrome, which cannot progress with
-    the same vetoes in place, hands the block to the plain ones. Returns
-    the decoded bits and the DecodeStats.
-
-    Every pass runs on one `Passes` of the block, whose bits are the
-    returned block."""
+    """SABM of one (w, w) block: md_iters marking iterations on the marks
+    of its LLRs, then plain ones up to total_iters, as `block_pass` runs
+    them. Returns the decoded bits and the DecodeStats."""
     marks = mark_bits(llr, params, code)
     w = code.w
     if np.shape(block) != (w, w):
         raise ValueError(f"block must be ({w}, {w})")
-    blk = np.array(block, dtype=np.uint8, order="C")
-    state = Passes(code.component, block_layout(w, 1), blk)
-    state.mark(marks)
-    # rows, then columns (group and axis g), both in every iteration; every
-    # crossing word of a block lies in its 2w slots
-    for _ in range(params.md_iters):
-        if not (sabm_pass(state, 0, 0, 0, 2 * w) | sabm_pass(state, 1, 1, 0, 2 * w)):
-            if not state.syn.any():
-                return blk, DecodeStats(*state.counts())
-            break
-    for _ in range(params.md_iters, params.total_iters):
-        if not (plain_pass(state, 0) | plain_pass(state, 1)):
-            break
-    return blk, DecodeStats(*state.counts())
+    return _decode(code, block, params.total_iters, marks, params.md_iters)

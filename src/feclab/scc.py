@@ -6,15 +6,15 @@ codeword with n = 2w. Within B_i, columns 0..k-w-1 carry fresh information
 and the remaining columns the parity (overall-parity bit in the last
 column). B_0 is the all-zero reference block known to both ends.
 
-Decoding runs on the kernel passes of `pc`: the chain is one uint8 array
-of (blocks + 1) w x w blocks, the zero block first, whose pairs are the
-word groups of one `Layout`, decoded on one `kernel.Passes` that
-`decode_chain` owns; a window is a range of pairs. The pairs missing at
-both ends of the chain share a scratch group, the last, that no window
-decodes. A
-window is one `window_pass`, a kernel call that runs its iterations:
-plain passes over its pairs, and marking passes on the newest pair,
-whose veto reads only the crossing words of the window's pairs.
+Decoding runs on the passes of the compiled kernel: the chain is one
+uint8 array of (blocks + 1) w x w blocks, the zero block first, whose
+pairs are the word groups of one `Layout`, decoded on one
+`kernel.Passes` that `decode_chain` owns; a window is a range of pairs.
+The pairs missing at both ends of the chain share a scratch group, the
+last, that no window decodes. A window is one `window_pass`, a kernel
+call that runs its iterations: plain passes over its pairs, and marking
+passes on the newest pair, whose veto reads only the crossing words of
+the window's pairs.
 `bdd_calls` counts w per pair pass, as if every word were decoded, plus
 one per flip retry. SABM reads the channel only through marks:
 `newest_blocks` names the blocks that the windows mark,
@@ -32,7 +32,7 @@ import numpy as np
 
 from .bch import BchCode
 from .errors import ConfigError
-from .kernel import Passes
+from .kernel import MAX_ITERS, Passes
 from .pc import DecodeStats, Layout, MarkState, SabmParams, make_marks
 
 
@@ -125,10 +125,10 @@ def block_marks(code: SccCode, llr: np.ndarray, params: SabmParams) -> MarkState
 
 def window_pass(state: Passes, first: int, newest: int, ell: int, marking: int) -> None:
     """The ell iterations of the window over pairs first..newest, in one
-    kernel call: each is a `plain_pass` over every pair but the newest, in
-    order, and then over the newest pair a `sabm_pass` on the state's marks
-    in the first `marking` iterations, whose veto reads only the crossing
-    words of the window's pairs, or a `plain_pass`."""
+    kernel call: each is a plain pass over every pair but the newest, in
+    order, and then over the newest pair a marking pass on the state's
+    marks in the first `marking` iterations, whose veto reads only the
+    crossing words of the window's pairs, or a plain pass."""
     if state.window(state.ref, first, newest, ell, marking) < 0:
         raise ValueError(f"pairs {first}..{newest} are not a window of the state's chain, "
                          "or it marks with no marks bound")
@@ -158,6 +158,8 @@ def decode_chain(code: SccCode, received: np.ndarray, marks: list[MarkState | No
     outputs depend on this schedule."""
     if window < 2:
         raise ValueError("window size must be >= 2")
+    if not 1 <= ell <= MAX_ITERS:
+        raise ValueError(f"ell must lie in [1, {MAX_ITERS}], got {ell}")
     w, shape = code.w, np.shape(received)
     if len(shape) != 3 or shape[1:] != (w, w):
         raise ValueError(f"received chain must be (N, {w}, {w}), got {shape}")

@@ -44,6 +44,7 @@ import numpy as np
 
 from .bch import build_code
 from .errors import ConfigError
+from .kernel import MAX_ITERS
 from .modem import (ChannelConfig, awgn_transmit, demap_llr, interleave,
                     make_interleaver, modulate)
 from .pc import DecodeStats, PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
@@ -139,9 +140,10 @@ def validate_config(cfg: SimConfig) -> None:
     if cfg.scheme == "scc":
         if cfg.scc.window < 2:
             raise ConfigError("scc window must be >= 2")
-        if min(cfg.scc.iters, cfg.scc.chain_blocks) < 1:
-            raise ConfigError(f"scc iters and chain_blocks must be >= 1, got "
-                              f"{cfg.scc.iters} and {cfg.scc.chain_blocks}")
+        if not 1 <= cfg.scc.iters <= MAX_ITERS:
+            raise ConfigError(f"scc iters must lie in [1, {MAX_ITERS}], got {cfg.scc.iters}")
+        if cfg.scc.chain_blocks < 1:
+            raise ConfigError(f"chain_blocks must be >= 1, got {cfg.scc.chain_blocks}")
         most = MAX_CHAIN_BYTES // (w * code.info_cols + 10 * w * w)
         if cfg.scc.chain_blocks > most:
             raise ConfigError(f"chain_blocks must be <= {most} for {w}x{w} blocks (one "

@@ -11,7 +11,9 @@ one syndrome at a time. The SABM policy is
 this module's own, function by function: `sabm_resolve` lists the flip
 sets of a failure or a suspicious proposal, `bit_flip_recover` tries
 them, and `_suspicious` is the veto. `feclab.pc` runs the same policy as
-one loop in its compiled marking pass.
+one loop in its compiled marking pass. `plain_pass` and `sabm_pass` are
+not references: they drive one pass of the compiled kernel at a time, for
+the tests that check its passes one by one.
 
 The channel references are the straightforward array forms that
 `feclab.modem` and `feclab.bch` must equal bit for bit: the demapper as a
@@ -250,6 +252,22 @@ def scc_decode(code: SccCode, received, llr_grids, params: SabmParams | None,
                     marks = lambda i, a=a: word_marks(a[i], params.delta, offset=w)
                 _pass(comp, words, flip, crossing, g, stats, marks, attempts)
     return list(chain[1:]), stats
+
+
+def plain_pass(state, group: int) -> bool:
+    """`plain_pass` of `_passes.c` on a `Passes`; ValueError for a group it lacks."""
+    changed = state.plain_pass(state.ref, group)
+    if changed < 0:
+        raise ValueError(f"group {group} is not a group of the state's layout")
+    return changed > 0
+
+
+def sabm_pass(state, group: int, axis: int, lo: int, hi: int) -> bool:
+    """`sabm_pass` of `_passes.c` on a `Passes`; ValueError for a group or axis it lacks."""
+    changed = state.sabm_pass(state.ref, group, axis, lo, hi)
+    if changed < 0:
+        raise ValueError(f"group {group} or axis {axis} is not in the state or its marks")
+    return changed > 0
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

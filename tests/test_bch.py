@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from feclab.bch import build_code, encode_many
 from feclab.errors import ConfigError
 from feclab.kernel import Passes
-from feclab.pc import block_layout, plain_pass
+from feclab.pc import block_layout
 
 import reference
-from reference import block_syndromes, decode_syndromes
+from reference import block_syndromes, decode_syndromes, plain_pass
 
 
 def test_default_component_parameters():

@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from feclab.bch import build_code
 from feclab.kernel import Passes
-from feclab.pc import block_layout, plain_pass
+from feclab.pc import block_layout
 from feclab.scc import chain_layout
 
 import reference
-from reference import block_syndromes
+from reference import block_syndromes, plain_pass
 
 CODE = build_code(5)  # eBCH(32,21): PC w = 32, SCC w = 16
 

@@ -5,6 +5,7 @@ when they are not laid out as it reads them."""
 
 import ctypes
 import os
+import re
 import subprocess
 import sys
 import time
@@ -91,6 +92,35 @@ def test_the_kernel_builds_with_every_warning_an_error(tmp_path):
                "-o", str(tmp_path / "kernel.so"), str(kernel.SOURCE)]
     run = subprocess.run(command, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def kernel_signatures(source: str) -> dict:
+    """The ctypes argument types of each function that C source defines
+    and does not declare static, by name, read from its definitions: a
+    pointer of any kind is a c_void_p, an int64_t a c_int64 and a double a
+    c_double. Every such function must return an int64_t."""
+    types = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    found = {}
+    for ret, name, params in re.findall(r"^(?!static)(\w[\w ]*?) *\b(\w+)\(([^)]*)\)\s*\{",
+                                        source, re.M):
+        assert ret == "int64_t", name
+        found[name] = [ctypes.c_void_p if "*" in param else types[param.split()[-2]]
+                       for param in params.split(",")]
+    return found
+
+
+def test_the_declared_signatures_match_the_source():
+    # ctypes calls a function with the argument types it is given, and a
+    # wrong count or type is undefined behaviour, not an error
+    found = kernel_signatures(kernel.SOURCE.read_text())
+    assert {"block", "window", "marks"} <= set(found)
+    assert found == kernel.FUNCTIONS
+    # what the parser reads: a definition over several lines, a pointer to
+    # const, a double, and no static helper
+    source = ("static int helper(int a)\n{\n}\n"
+              "int64_t f(const double *x, uint8_t *y,\n          int64_t k, double d)\n{\n}\n")
+    assert kernel_signatures(source) == {"f": [ctypes.c_void_p] * 2 + [ctypes.c_int64,
+                                                                       ctypes.c_double]}
 
 
 # ------------------------------------------------ what the kernel builds

@@ -17,13 +17,12 @@ from feclab.pc import (
     make_marks,
     mark_bits,
     pc_encode,
-    plain_pass,
     sabm_decode,
-    sabm_pass,
 )
 
 import reference
-from reference import _suspicious, block_syndromes, decode_syndromes, sabm_resolve
+from reference import (_suspicious, block_syndromes, decode_syndromes, plain_pass, sabm_pass,
+                       sabm_resolve)
 
 
 @pytest.fixture(scope="module")
@@ -118,8 +117,10 @@ def test_ibdd_corrects_scattered_errors(pc32, rng):
 
 
 def test_ibdd_rejects_bad_iters(pc32):
-    with pytest.raises(ValueError):
-        ibdd_decode(pc32, np.zeros((pc32.w, pc32.w), dtype=np.uint8), iters=0)
+    # the kernel takes the count as an int64, which ctypes would wrap
+    for iters in (0, 2 ** 63, 2 ** 64):
+        with pytest.raises(ValueError):
+            ibdd_decode(pc32, np.zeros((pc32.w, pc32.w), dtype=np.uint8), iters=iters)
 
 
 def test_ibdd_rejects_bad_shape(pc32):

@@ -196,6 +196,11 @@ def test_newest_blocks_follow_the_window_schedule(num_blocks, window, newest):
 def test_decode_chain_window_validation(scc32):
     with pytest.raises(ValueError):
         decode_chain(scc32, [], None, SabmParams(), window=1, ell=1)
+    # ell reaches the kernel as an int64, which ctypes would wrap
+    for ell in (0, 2 ** 63, 2 ** 64):
+        with pytest.raises(ValueError, match="ell must lie in"):
+            decode_chain(scc32, np.zeros((2, scc32.w, scc32.w), dtype=np.uint8), None,
+                         SabmParams(), window=3, ell=ell)
 
 
 @pytest.mark.parametrize("shape", ["block", "rows"])

@@ -795,6 +795,10 @@ def test_cli_rejects_bad_snr(capsys):
     ["scc", "--snr", "7", "--mod", "8"],
     ["mask", "--snr", "6", "--mod", "8", "--blocks", "1"],
     ["scc", "--snr", "7", "--scc-iters", "0"],
+    # the kernel takes iteration counts as int64, which ctypes wraps
+    *[["pc", "--snr", "5", "--decoder", decoder, "--iters", str(2 ** e)]
+      for decoder in ("ibdd", "sabm") for e in (63, 64)],
+    *[["scc", "--snr", "7", "--scc-iters", str(2 ** e)] for e in (63, 64)],
     ["scc", "--snr", "7", "--chain-blocks", "0"],
     ["scc", "--snr", "7", "--component-m", "4"],
     # 6.0004 rounds to the 6.0 key of the trial RNG: one noise stream
@@ -966,29 +970,42 @@ def test_cli_flag_and_config_key_give_the_same_config(flags, key, value, tmp_pat
 # whole type range. The keys that set how much work a run does take small
 # values only, out-of-range ones included; workers stays <= 2 or goes above
 # sim.MAX_WORKERS, which validation rejects before any pool starts, as a
-# pool starts all of its workers at once.
+# pool starts all of its workers at once. An iteration count of 2^63 or
+# more does not fit the kernel's int64
 WILD = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.integers(),
-                 st.sampled_from([-1, 2 ** 63, 10 ** 400]), st.floats(),
+                 st.sampled_from([-1, 2 ** 63, 2 ** 64, 10 ** 400]), st.floats(),
                  st.sampled_from([5e-324, 1e308, -1e308, float("nan"), float("inf")]))
+# edge values of each type that `cli._field_type` gives a key
+EDGES = {int: st.sampled_from([0, -1, 2 ** 63 - 1, 2 ** 63, 2 ** 64, -2 ** 63 - 1]),
+         float: st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e308, float("nan"), float("inf"),
+                                 float("-inf")]),
+         bool: st.booleans(), str: st.text(max_size=4)}
+TOO_MANY = st.sampled_from([2 ** 63, 2 ** 64])
+
+
+def wild(key):
+    return st.one_of(EDGES[cli._field_type(key)], WILD)
+
+
 FUZZ_KEYS = {
-    "mod": (st.sampled_from([2, 4]), WILD),
-    "decoder": (st.sampled_from(["ibdd", "sabm"]), WILD),
-    "llr": (st.sampled_from(["exact", "maxlog"]), WILD),
-    "delta": (st.floats(0, 10), WILD),
-    "md_iters": (st.integers(0, 1), WILD),
-    "flip_attempts": (st.integers(0, 2), WILD),
-    "seed": (st.integers(0, 2 ** 64), WILD),
-    "min_errors": (st.integers(1, 10 ** 9), WILD),
-    "record_timing": (st.booleans(), WILD),
+    "mod": (st.sampled_from([2, 4]), wild("mod")),
+    "decoder": (st.sampled_from(["ibdd", "sabm"]), wild("decoder")),
+    "llr": (st.sampled_from(["exact", "maxlog"]), wild("llr")),
+    "delta": (st.floats(0, 10), wild("delta")),
+    "md_iters": (st.integers(0, 1), wild("md_iters")),
+    "flip_attempts": (st.integers(0, 2), wild("flip_attempts")),
+    "seed": (st.integers(0, 2 ** 64), wild("seed")),
+    "min_errors": (st.integers(1, 10 ** 9), wild("min_errors")),
+    "record_timing": (st.booleans(), wild("record_timing")),
     "workers": (st.integers(1, 2), st.one_of(st.integers(-2, 0), st.sampled_from(
-        [sim.MAX_WORKERS + 1, 100_000, 2 ** 63]))),
-    "batch_size": (st.integers(1, 3), st.integers(-2, 0)),
-    "max_blocks": (st.integers(1, 3), st.integers(-2, 0)),
-    "chain_blocks": (st.integers(1, 3), st.integers(-2, 0)),
-    "scc_iters": (st.integers(1, 3), st.integers(-2, 0)),
-    "iters": (st.integers(1, 3), st.integers(-2, 0)),
+        [sim.MAX_WORKERS + 1, 100_000, 2 ** 63, 2 ** 64]))),
+    "batch_size": (st.integers(1, 3), st.one_of(st.integers(-2, 0), TOO_MANY)),
+    "max_blocks": (st.integers(1, 2), st.integers(-2, 0)),
+    "chain_blocks": (st.integers(1, 3), st.one_of(st.integers(-2, 0), TOO_MANY)),
+    "scc_iters": (st.integers(1, 3), st.one_of(st.integers(-2, 0), TOO_MANY)),
+    "iters": (st.integers(1, 3), st.one_of(st.integers(-2, 0), TOO_MANY)),
     "window": (st.integers(2, 4), st.integers(-2, 1)),
-    "component_m": (st.sampled_from([None, 5, 6]), st.sampled_from([-1, 0, 3, 9, 17])),
+    "component_m": (st.sampled_from([4, 5]), st.sampled_from([-1, 0, 3, 9, 17, 2 ** 64])),
 }
 FUZZ_SNR = st.one_of(st.lists(st.floats(-5, 15), min_size=1, max_size=2), WILD,
                      st.lists(st.one_of(WILD, st.lists(WILD, max_size=1)), min_size=1, max_size=2))
@@ -1007,14 +1024,42 @@ def test_fuzz_keys_are_the_config_keys():
     assert set(FUZZ_KEYS) == set(cli._FIELDS) - {"out"}
 
 
-@settings(max_examples=200, deadline=None, derandomize=True,
+def as_flag(key, value):
+    """The command-line form of a config value, [] for record_timing true,
+    or None where the value has none (null, a list of no floats, or a
+    record_timing that is no bool)."""
+    if key == "record_timing":
+        return None if type(value) is not bool else [] if value else ["--no-timing"]
+    if key == "snr" and isinstance(value, list):
+        if not all(type(v) is float for v in value):
+            return None
+        value = ",".join(map(repr, value))
+    if value is None or isinstance(value, list):
+        return None
+    text = repr(value) if type(value) is float else str(value)
+    return [f"--{key.replace('_', '-')}={text}"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(["pc", "scc", "mask"]), config=fuzz_configs())
-def test_cli_config_file_runs_or_exits_2(command, config, tmp_path, capsys, refuse_big_pools):
-    # every run of a config file ends with exit 0, or exit 2 and one error line
+@given(command=st.sampled_from(["pc", "scc", "mask"]), config=fuzz_configs(),
+       flags=st.sets(st.sampled_from(sorted(FUZZ_KEYS) + ["snr"])))
+def test_cli_config_file_runs_or_exits_2(command, config, flags, tmp_path, capsys,
+                                         refuse_big_pools):
+    # every run ends with exit 0, or exit 2 and one error line. The keys in
+    # `flags` that have a command-line form go on the command line, which
+    # parses each as `_field_type` gives it, and the rest into a config file
+    argv = [command]
+    for key in flags:
+        flag = as_flag(key, config[key])
+        if flag is not None and (key not in ("window", "scc_iters", "chain_blocks")
+                                 or command == "scc"):
+            argv += flag
+            del config[key]
     cfgfile = tmp_path / "run.yaml"
     cfgfile.write_text(yaml.safe_dump({**config, "out": str(tmp_path / "out.csv")}))
-    rc = main([command, "--config", str(cfgfile)] + (["--blocks", "1"] if command == "mask" else []))
+    argv += ["--config", str(cfgfile)] + (["--blocks", "1"] if command == "mask" else [])
+    rc = main(argv)
     err = capsys.readouterr().err.splitlines()
     assert rc == 0 or rc == 2 and len(err) == 1 and err[0].startswith("error: ")
 

@@ -1,12 +1,12 @@
 """The syndromes that the kernel's passes keep always equal the syndromes
 recomputed from the bits: those of a `kernel.Passes` (PC iBDD stacks, PC
 SABM blocks and staircase chains) before and after every pass, on
-arbitrary bits and in every decode. One layout serves the product block
+arbitrary bits, and before every kernel call of a decode. One layout serves the product block
 and a whole staircase chain; the chain's scratch group, where the pairs
 missing at both ends cross, holds the syndromes of the wrap-around pair
 [transpose(B_last) | B_0] and is never decoded. The kernel's plain pass
-on one group equals the array form of the pass, and a staircase window
-equals its passes run one by one."""
+on one group equals the array form of the pass, and a product block's
+call and a staircase window's each equal their passes run one by one."""
 
 import numpy as np
 import pytest
@@ -18,16 +18,16 @@ from feclab.kernel import Passes
 from feclab.pc import PcCode, SabmParams, block_layout, pc_encode
 from feclab.scc import SccCode, chain_layout, scc_encode
 
-from reference import block_syndromes
+from reference import block_syndromes, plain_pass, sabm_pass
 
 CODE = build_code(5)  # eBCH(32,21): PC w = 32, SCC w = 16
 
 
 def pc_recomputed(bits):
-    """A block's rows, then its columns."""
+    """Each block's rows, then its columns, block by block."""
     w = CODE.n
-    block = bits.reshape(w, w)
-    return np.concatenate([block_syndromes(CODE, block), block_syndromes(CODE, block.T)])
+    return np.concatenate([block_syndromes(CODE, words) for block in bits.reshape(-1, w, w)
+                           for words in (block, block.T)])
 
 
 def scc_recomputed(bits):
@@ -61,12 +61,12 @@ def follow_random_passes(layout, bits, recomputed, marks, window, rng):
         if round_ >= 4 and not np.array_equal(state.bits, bits) and counts(state).flips_attempted:
             break
         group = int(rng.integers(layout.groups))
-        pc.plain_pass(state, group)
+        plain_pass(state, group)
         assert_matches(state, recomputed)
         group = int(rng.integers(layout.groups))
         group_marks, axis = marks(group)
         state.mark(group_marks)
-        pc.sabm_pass(state, group, axis, *window(group))
+        sabm_pass(state, group, axis, *window(group))
         assert_matches(state, recomputed)
     assert not np.array_equal(state.bits, bits) and counts(state).flips_attempted > 0
 
@@ -137,62 +137,143 @@ def test_state_rejects_bits_it_cannot_update_in_place():
     readonly.setflags(write=False)
     with pytest.raises(ValueError):
         Passes(CODE, layout, readonly)
-    # a group or an axis that the state does not hold is refused, not read
+    # a group or an axis that the state does not hold is refused, not read,
+    # as is a block whose rows have no column group after them, and marking
+    # with no marks bound. Nothing changes: one error would be corrected
+    bits[3, 5] = 1
     state = Passes(CODE, layout, bits)
+    syn = state.syn.copy()
     with pytest.raises(ValueError):
-        pc.plain_pass(state, 2)
+        plain_pass(state, 2)
     with pytest.raises(ValueError):
-        pc.sabm_pass(state, 0, 0, 0, 2 * w)  # no marks bound
+        sabm_pass(state, 0, 0, 0, 2 * w)  # no marks bound
+    for rows, marking in ((1, 0), (-1, 0), (2, 0), (0, 1), (0, -1)):
+        with pytest.raises(ValueError):
+            pc.block_pass(state, rows, marking, 10)
+    assert bits[3, 5] and np.array_equal(state.syn, syn) and counts(state) == pc.DecodeStats()
     state.mark(pc.mark_bits(np.ones((w, w)), SabmParams(), PcCode(CODE)))
     with pytest.raises(ValueError):
-        pc.sabm_pass(state, 0, 2, 0, 2 * w)
-    assert pc.sabm_pass(state, 1, 1, 0, 2 * w) is False
+        sabm_pass(state, 0, 2, 0, 2 * w)
+    with pytest.raises(ValueError):
+        pc.block_pass(state, 1, 1, 10)
+    assert bits[3, 5] and np.array_equal(state.syn, syn) and counts(state) == pc.DecodeStats()
+    assert sabm_pass(state, 1, 1, 0, 2 * w) is True
 
 
-def checked_passes(monkeypatch, recomputed):
-    """Rebind the passes that `pc.sabm_decode` calls to wrappers that
-    check, before every pass, that its state's syndromes equal those of
-    its bits. Returns the (group, pass name, state) of every pass."""
-    passes = []
-    for name in ("plain_pass", "sabm_pass"):
-        def check(state, group, *args, run=getattr(pc, name), name=name):
-            assert_matches(state, recomputed)
-            passes.append((group, name, state))
-            return run(state, group, *args)
+def passes_of_block(state, rows, marking, iters):
+    """A product block's passes, run one by one: up to `marking` iterations
+    of a marking pass over the rows (group and axis 0 of the block) and
+    then the columns, whose veto reads the block's slots, then plain ones
+    up to `iters`. Each phase ends at its first iteration that flips
+    nothing, but a marking iteration that leaves a nonzero syndrome in the
+    block hands it to the plain ones. Returns the (group, pass name) of
+    each pass and whether a marking iteration handed the block on."""
+    w, order = CODE.n, []
+    lo, hi = rows * w, (rows + 2) * w
+    for _ in range(marking):
+        changed = False
+        for axis in (0, 1):
+            changed |= sabm_pass(state, rows + axis, axis, lo, hi)
+            order.append((rows + axis, "sabm_pass"))
+        if not changed:
+            if not state.syn[lo:hi].any():
+                return order, False
+            handoff = True
+            break
+    else:
+        handoff = False
+    for _ in range(marking, iters):
+        changed = False
+        for g in (rows, rows + 1):
+            changed |= plain_pass(state, g)
+            order.append((g, "plain_pass"))
+        if not changed:
+            break
+    return order, handoff
 
-        monkeypatch.setattr(pc, name, check)
-    return passes
+
+def checked_blocks(monkeypatch, marks):
+    """Rebind `pc.block_pass` to a wrapper that checks, before every call,
+    that its state's syndromes equal those of its bits, and that the call
+    leaves the bits, the syndromes and the counters as its passes run one
+    by one on a copy of the state, with `marks` bound, do. Returns the
+    (rows, state, passes, handoff) of every call."""
+    calls = []
+    run = pc.block_pass
+
+    def check(state, rows, marking, iters):
+        assert_matches(state, pc_recomputed)
+        copy = Passes(CODE, block_layout(CODE.n, state.bits.size // CODE.n ** 2),
+                      state.bits.copy())
+        if marks is not None:
+            copy.mark(marks)
+        before = np.array(state.counts())
+        order, handoff = passes_of_block(copy, rows, marking, iters)
+        calls.append((rows, state, order, handoff))
+        run(state, rows, marking, iters)
+        assert np.array_equal(state.bits, copy.bits) and np.array_equal(state.syn, copy.syn)
+        assert np.array_equal(np.array(state.counts()) - before, copy.counts())
+
+    monkeypatch.setattr(pc, "block_pass", check)
+    return calls
 
 
-@pytest.mark.parametrize("decoder", ["ibdd", "sabm", "sabm_md_all"])
+@pytest.mark.parametrize("decoder", ["ibdd", "sabm_md0", "sabm", "sabm_md_all"])
 @pytest.mark.parametrize("seed", range(4))
 def test_block_syndromes_match_after_decode(decoder, seed, monkeypatch):
-    # iBDD: the stack's one state matches its bits after the decode. SABM:
-    # one state serves every pass of the block, its syndromes match the
-    # bits before every pass and after the decode, and the decoded block
-    # is its bits; sabm_md_all has no plain iteration
+    # one state serves every block of an iBDD stack, or a SABM block (md
+    # 0, 5 or 10 of 10 iterations); its syndromes match the bits before
+    # every block's one kernel call and after the decode, and each call
+    # leaves the state as its passes run one by one do. The decoded
+    # blocks are its bits
     code = PcCode(CODE)
     rng = np.random.default_rng(seed)
-    block = pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
-    noisy = block ^ (rng.random(block.shape) < 0.03).astype(np.uint8)
+    sent = np.array([pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
+                     for _ in range(3)])
+    noisy = sent ^ (rng.random(sent.shape) < 0.05).astype(np.uint8)
     made = recording(monkeypatch, pc, "Passes")
     if decoder == "ibdd":
+        calls = checked_blocks(monkeypatch, None)
         out, _ = pc.ibdd_decode(code, noisy, iters=10)
-        (state,) = made
-        assert state.bits is out
-        assert_matches(state, pc_recomputed)
-        return
-    passes = checked_passes(monkeypatch, pc_recomputed)
-    md_iters = 10 if decoder == "sabm_md_all" else 5
-    out, _ = pc.sabm_decode(code, noisy, noisy_llr(noisy, rng),
-                            SabmParams(delta=5.0, total_iters=10, md_iters=md_iters))
+    else:
+        noisy = noisy[0]
+        md_iters = {"sabm_md0": 0, "sabm": 5, "sabm_md_all": 10}[decoder]
+        params = SabmParams(delta=5.0, total_iters=10, md_iters=md_iters)
+        llr = noisy_llr(noisy, rng)
+        calls = checked_blocks(monkeypatch, pc.mark_bits(llr, params, code))
+        out, _ = pc.sabm_decode(code, noisy, llr, params)
     assert not np.array_equal(out, noisy)
     (state,) = made
-    assert {id(p[2]) for p in passes} == {id(state)}
-    assert_matches(state, pc_recomputed)
     assert state.bits is out
-    names = {name for _, name, _ in passes}
-    assert names == ({"sabm_pass"} if md_iters == 10 else {"sabm_pass", "plain_pass"})
+    assert_matches(state, pc_recomputed)
+    blocks = len(sent) if decoder == "ibdd" else 1
+    assert [(rows, s) for rows, s, _, _ in calls] == [(2 * b, state) for b in range(blocks)]
+    names = {name for _, _, order, _ in calls for _, name in order}
+    assert names == {"ibdd": {"plain_pass"}, "sabm_md0": {"plain_pass"},
+                     "sabm_md_all": {"sabm_pass"}}.get(decoder, {"sabm_pass", "plain_pass"})
+
+
+def test_a_stalled_marking_iteration_hands_the_block_to_plain_ones(monkeypatch):
+    # every bit is an HRB, so no marking pass flips a bit or retries: row 3
+    # holds two errors, whose proposal the veto refuses, as it refuses the
+    # one-bit proposal of each of their columns. The marking iteration
+    # stalls with nonzero syndromes and hands the block to the plain ones,
+    # whose first row pass corrects it; the second flips nothing
+    code = PcCode(CODE)
+    sent = pc_encode(code, np.random.default_rng(7).integers(0, 2, (code.k, code.k),
+                                                             dtype=np.uint8))
+    noisy = sent.copy()
+    noisy[3, [5, 9]] ^= 1
+    params = SabmParams(total_iters=10, md_iters=5)
+    llr = np.where(noisy == 0, 9.0, -9.0)
+    calls = checked_blocks(monkeypatch, pc.mark_bits(llr, params, code))
+    out, stats = pc.sabm_decode(code, noisy, llr, params)
+    assert np.array_equal(out, sent)
+    ((rows, _, order, handoff),) = calls
+    assert rows == 0 and handoff
+    assert order == [(0, "sabm_pass"), (1, "sabm_pass")] + [(0, "plain_pass"),
+                                                            (1, "plain_pass")] * 2
+    assert stats == pc.DecodeStats(bdd_calls=6 * CODE.n, miscorrections_detected=3)
 
 
 def passes_of_window(state, first, newest, ell, marking):
@@ -203,13 +284,13 @@ def passes_of_window(state, first, newest, ell, marking):
     w, order = CODE.n // 2, []
     for it in range(ell):
         for p in range(first, newest):
-            pc.plain_pass(state, p)
+            plain_pass(state, p)
             order.append((p, "plain_pass"))
         if it < marking:
-            pc.sabm_pass(state, newest, 0, first * w, (newest + 1) * w)
+            sabm_pass(state, newest, 0, first * w, (newest + 1) * w)
             order.append((newest, "sabm_pass"))
         else:
-            pc.plain_pass(state, newest)
+            plain_pass(state, newest)
             order.append((newest, "plain_pass"))
     return order
 
@@ -281,7 +362,7 @@ def pass_both_ways(layout, bits, group, recomputed):
     flag."""
     want, wchanged = array_pass(layout, bits, group, recomputed)
     state = Passes(CODE, layout, bits.copy())
-    changed = pc.plain_pass(state, group)
+    changed = plain_pass(state, group)
     assert type(changed) is bool and changed == wchanged
     assert np.array_equal(state.bits, want)
     assert_matches(state, recomputed)

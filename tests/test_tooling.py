@@ -143,7 +143,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             elif isinstance(node, ast.Assign):
                 public.update((path.stem, t.id) for t in node.targets if isinstance(t, ast.Name))
     public = {(module, name) for module, name in public if not name.startswith("_")}
-    assert ("pc", "plain_pass") in public and ("bch", "PRIMITIVE_POLYS") in public
+    assert ("pc", "block_pass") in public and ("bch", "PRIMITIVE_POLYS") in public
     assert {(module, name) for module, name in public if name not in used} == set()
 
 
@@ -255,15 +255,17 @@ def readme_figure_commands() -> list[list[str]]:
 
 
 def test_every_experiment_runs_at_a_tiny_size(tmp_path, monkeypatch, capsys):
-    # README's commands run scripts/pc_waterfall.yaml once per decoder and
-    # the mask statistics; scripts/scc_complexity.py is the one script. Each
-    # runs here at one SNR point and one block or chain
-    assert sorted(p.name for p in SCRIPTS.iterdir()) == ["pc_waterfall.yaml", "scc_complexity.py"]
+    # README's commands run scripts/pc_waterfall.yaml once per decoder,
+    # scripts/pc_4pam_llr.yaml once per LLR mode and the mask statistics;
+    # scripts/scc_complexity.py is the one script. Each runs here at one SNR
+    # point and one block or chain
+    assert sorted(p.name for p in SCRIPTS.iterdir()) == [
+        "pc_4pam_llr.yaml", "pc_waterfall.yaml", "scc_complexity.py"]
     monkeypatch.chdir(tmp_path)
     (tmp_path / "scripts").symlink_to(SCRIPTS)
     (tmp_path / "results").mkdir()
     commands = readme_figure_commands()
-    assert [argv[0] for argv in commands] == ["pc", "pc", "mask"]
+    assert [argv[0] for argv in commands] == ["pc", "pc", "pc", "pc", "mask"]
     # each waterfall command builds the config of the former
     # scripts/pc_waterfall.py, which ran both decoders on this grid
     for argv, decoder in zip(commands, ("ibdd", "sabm")):
@@ -272,6 +274,14 @@ def test_every_experiment_runs_at_a_tiny_size(tmp_path, monkeypatch, capsys):
             decoder=decoder, sabm=SabmParams(delta=5.0, total_iters=10, md_iters=5),
             stop=StopRule(min_word_errors=100, max_blocks=3000), master_seed=1,
             out_path=f"results/pc_2pam_{decoder}.csv", record_timing=True)
+    # the LLR commands differ only in the demapper, around the SNRs at which
+    # the acceptance tests compare the two
+    for argv, llr in zip(commands[2:4], ("exact", "maxlog")):
+        assert cli.config_from_args(cli.build_parser().parse_args(argv)) == SimConfig(
+            scheme="pc", mod=4, snr_points=(11.8, 12.0, 12.2, 12.4), decoder="sabm",
+            llr_mode=llr, sabm=SabmParams(delta=5.0, total_iters=10, md_iters=5),
+            stop=StopRule(min_word_errors=100, max_blocks=3000), master_seed=1,
+            out_path=f"results/pc_4pam_{llr}.csv", record_timing=True)
     # later flags win: one point of one block, and one block a mask point
     tiny = {"pc": ["--snr", "6.0", "--max-blocks", "1", "--batch-size", "1", "--no-timing"],
             "mask": ["--blocks", "1"]}
@@ -281,7 +291,11 @@ def test_every_experiment_runs_at_a_tiny_size(tmp_path, monkeypatch, capsys):
         with open(f"results/pc_2pam_{decoder}.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
         assert (row["decoder"], row["snr_db"], row["blocks"]) == (decoder, "6", "1")
-    mask_args = cli.build_parser().parse_args(commands[2])
+    for llr in ("exact", "maxlog"):
+        with open(f"results/pc_4pam_{llr}.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["mod"], row["llr_mode"], row["blocks"]) == ("4", llr, "1")
+    mask_args = cli.build_parser().parse_args(commands[4])
     with open(mask_args.out, newline="") as fh:
         assert len(list(csv.reader(fh))) == 1 + len(mask_args.snr.split(","))
     with open(mask_args.inset) as fh:
