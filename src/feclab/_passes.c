@@ -195,15 +195,19 @@ int64_t plain_pass(state *s, int64_t g)
     return changed;
 }
 
-/* The SABM veto of flipping positions pos[0..k-1] of a word with HRB flags
- * hrb and crossing slots cross: one of them is an HRB or its crossing word
- * lies in slots lo..hi-1 and has a zero syndrome. */
+/* The SABM veto of toggling positions a[0..na-1] of a word with HRB flags
+ * hrb and crossing slots cross, less those also in b[0..nb-1]: one of them
+ * is an HRB or its crossing word lies in slots lo..hi-1 and has a zero
+ * syndrome. */
 static int vetoed(const state *s, const uint8_t *hrb, const int64_t *cross,
-                  const int64_t *pos, int k, int64_t lo, int64_t hi)
+                  const int64_t *a, int na, const int64_t *b, int nb, int64_t lo, int64_t hi)
 {
-    for (int j = 0; j < k; j++) {
-        const int64_t c = cross[pos[j]];
-        if (hrb[pos[j]] || (c >= lo && c < hi && !s->syn[c]))
+    for (int j = 0; j < na; j++) {
+        const int64_t c = cross[a[j]];
+        int both = 0;
+        for (int q = 0; q < nb; q++)
+            both |= b[q] == a[j];
+        if (!both && (hrb[a[j]] || (c >= lo && c < hi && !s->syn[c])))
             return 1;
     }
     return 0;
@@ -215,7 +219,8 @@ static int vetoed(const state *s, const uint8_t *hrb, const int64_t *cross,
  * flipped at once, a failure retries with its candidates flipped one at
  * a time, at most `attempts` retries. A retry reads the pre-BDD word and
  * is taken if it decodes (syndrome 0 decodes to no position) and the veto
- * passes the flips and the decoded positions, less those in both.
+ * passes the flips and the decoded positions, less those in both: it
+ * toggles both sets, so that a position in both cancels.
  * Returns whether it flipped a bit. */
 int64_t sabm_pass(state *s, int64_t g, int64_t axis, int64_t lo, int64_t hi)
 {
@@ -230,12 +235,14 @@ int64_t sabm_pass(state *s, int64_t g, int64_t axis, int64_t lo, int64_t hi)
             continue;
         const int64_t word = axis * w + i;
         const uint8_t *hrb = s->hrb + word * n;
-        const int64_t *cand = s->cand + word * s->ncand;
+        const int64_t *cand = s->cand + word * s->ncand, *flips = cand;
         int ncand = 0;
         while (ncand < s->ncand && cand[ncand] >= 0 && cand[ncand] < n)
             ncand++;
-        int64_t pattern[6];
-        int k = 0, tries, size;  /* tries of `size` flips: cand[t * size ..] */
+        /* BDD's positions, of the word or of an accepted retry, which
+         * also toggles its nflips flips */
+        int64_t pattern[2];
+        int k = 0, nflips = 0, tries, size;  /* tries of `size` flips: cand[t * size ..] */
         const int16_t *e = s->epos + 2 * syn;
         if (e[0] < 0) {
             tries = ncand < s->attempts ? ncand : (int)s->attempts;
@@ -245,7 +252,7 @@ int64_t sabm_pass(state *s, int64_t g, int64_t axis, int64_t lo, int64_t hi)
             pattern[1] = e[1];
             k = e[1] < 0 ? 1 : 2;
             tries = 0;
-            if (vetoed(s, hrb, cross, pattern, k, lo, hi)) {
+            if (vetoed(s, hrb, cross, pattern, k, NULL, 0, lo, hi)) {
                 miscorrections++;
                 size = (int)s->d0 - k - 1;
                 if (size > ncand)
@@ -255,48 +262,31 @@ int64_t sabm_pass(state *s, int64_t g, int64_t axis, int64_t lo, int64_t hi)
             }
         }
         for (int t = 0; t < tries; t++) {
-            const int64_t *flips = cand + t * size;
+            flips = cand + t * size;
             retries++;
             int64_t change = syn;
             for (int j = 0; j < size; j++)
                 change ^= s->flip[flips[j]];
-            int64_t got[2];
             int ngot = 0;
             if (change) {
                 const int16_t *r = s->epos + 2 * change;
                 if (r[0] < 0)
                     continue;
-                got[0] = r[0];
-                got[1] = r[1];
+                pattern[0] = r[0];
+                pattern[1] = r[1];
                 ngot = r[1] < 0 ? 1 : 2;
             }
-            /* the flips and the decoded positions, less those in both */
-            int64_t total[6];
-            int m = 0;
-            for (int j = 0; j < size; j++) {
-                int both = 0;
-                for (int q = 0; q < ngot; q++)
-                    both |= got[q] == flips[j];
-                if (!both)
-                    total[m++] = flips[j];
-            }
-            for (int q = 0; q < ngot; q++) {
-                int both = 0;
-                for (int j = 0; j < size; j++)
-                    both |= got[q] == flips[j];
-                if (!both)
-                    total[m++] = got[q];
-            }
-            if (vetoed(s, hrb, cross, total, m, lo, hi))
+            if (vetoed(s, hrb, cross, flips, size, pattern, ngot, lo, hi)
+                || vetoed(s, hrb, cross, pattern, ngot, flips, size, lo, hi))
                 continue;
-            for (int j = 0; j < m; j++)
-                pattern[j] = total[j];
-            k = m;
+            k = ngot;
+            nflips = size;
             accepted++;
             break;
         }
-        if (!k)  /* dropped: a nonzero syndrome never decodes to nothing */
+        if (!k && !nflips)  /* dropped: a nonzero syndrome never decodes to nothing */
             continue;
+        apply(s, g, i, flips, nflips);
         apply(s, g, i, pattern, k);
         changed = 1;
     }

@@ -38,7 +38,7 @@ PRIMITIVE_POLYS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity, as `kernel` caches per code
 class BchCode:
     n: int
     k: int

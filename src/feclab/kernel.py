@@ -15,13 +15,15 @@ by a cached function, so loading it rebinds no name of this package.
 A `Passes` binds the arrays that a block's, a stack's or a chain's passes
 read and write, once, into the C state: the bits, which it decodes in
 place, the packed syndrome of every word of a layout over them, the
-layout's rows and the code's tables (their addresses read once per code
-and layout), the marks of the words that a marking pass decodes, and
-the `DecodeStats` counters. `mark_words` builds marks from LLR grids.
+layout's rows and the code's tables (in a state built once per code and
+layout, which it copies), the marks of the words that a marking pass
+decodes, and the `DecodeStats` counters. `mark_words` builds marks from
+LLR grids, and `count` checks the counts that reach the kernel.
 """
 
 import ctypes
 import hashlib
+import operator
 import os
 import subprocess
 import tempfile
@@ -106,6 +108,18 @@ def library() -> dict:
     return _load(COMPILER, SOURCE, CACHE)
 
 
+def count(value, name: str, least: int) -> int:
+    """value, an integer of any type (numpy's too), as an int in [least,
+    MAX_ITERS]; ConfigError, naming it, for anything else."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if not least <= value <= MAX_ITERS:
+        raise ConfigError(f"{name} must lie in [{least}, {MAX_ITERS}], got {value}")
+    return value
+
+
 def c_array(a, dtype, shape: tuple, name: str) -> np.ndarray:
     """a as a C-contiguous array of dtype and shape, copied only if it is
     not one already; ValueError for another shape."""
@@ -115,26 +129,21 @@ def c_array(a, dtype, shape: tuple, name: str) -> np.ndarray:
     return a
 
 
-# per (code, layout), keyed by identity as a code cannot be hashed: the
-# two and the table arrays that a state reads, held so that no id is
-# reused, and the arrays' addresses. At most 64 pairs
-_TABLES: dict = {}
-
-
-def _tables(code, layout) -> tuple:
-    key = (id(code), id(layout))
-    if key not in _TABLES:
-        n, flip = code.n, c_array(code.flip_syndrome, np.int64, (code.n,), "flip_syndrome")
-        arrays = (layout.base, layout.stride, layout.cross, layout.shift, flip,
-                  # per 8 positions, the XOR of their flip syndromes under each byte
-                  np.bitwise_xor.reduce(flip.reshape(-1, 1, 8)
-                                        * (np.arange(256)[:, None] >> np.arange(8) & 1), axis=-1),
-                  # a row per packed syndrome, 2^(2m+1) = 2 n^2 of them
-                  c_array(code.error_positions, np.int16, (2 * n * n, 2), "error_positions"))
-        if len(_TABLES) == 64:
-            _TABLES.clear()
-        _TABLES[key] = (code, layout, arrays), [a.ctypes.data for a in arrays]
-    return _TABLES[key]
+@lru_cache(maxsize=64)
+def _bound(code, layout) -> tuple:
+    """The C state of `code` over `layout`, every table pointer and size
+    set but no syndromes or bits, and the tables it points into, for the
+    last 64 pairs; a code and a layout hash by identity."""
+    n, flip = code.n, c_array(code.flip_syndrome, np.int64, (code.n,), "flip_syndrome")
+    tables = (layout.base, layout.stride, layout.cross, layout.shift, flip,
+              # per 8 positions, the XOR of their flip syndromes under each byte
+              np.bitwise_xor.reduce(flip.reshape(-1, 1, 8)
+                                    * (np.arange(256)[:, None] >> np.arange(8) & 1), axis=-1),
+              # a row per packed syndrome, 2^(2m+1) = 2 n^2 of them
+              c_array(code.error_positions, np.int16, (2 * n * n, 2), "error_positions"))
+    state = State(None, None, *(a.ctypes.data for a in tables), groups=layout.groups,
+                  slots=layout.slots, w=layout.w, n=n, ncand=code.d0 - 2, d0=code.d0)
+    return state, tables
 
 
 def mark_words(grids, delta: float, offset: int, ncand: int) -> tuple:
@@ -164,8 +173,9 @@ def mark_words(grids, delta: float, offset: int, ncand: int) -> tuple:
 class Passes:
     """The C state of the passes over `bits`, a C-contiguous uint8 array
     that they decode in place, and the words of `layout` over it, for
-    component code `code`: `syn` holds the packed syndrome of every word,
-    which the kernel builds from the bits. `mark(marks)` binds a
+    component code `code`: a copy of the pair's cached state, whose tables
+    it holds, and `syn`, the packed syndrome of every word, which the
+    kernel builds from the bits. `mark(marks)` binds a
     `pc.MarkState` that later marking passes read, until the next `mark`.
     `counts()` gives the DecodeStats counters summed over all passes so
     far. The kernel's functions are its attributes, each called with `ref`
@@ -179,31 +189,26 @@ class Passes:
                 and bits.flags.c_contiguous and bits.flags.writeable):
             raise ValueError("bits must be a writeable C-contiguous uint8 array, "
                              "as they are decoded in place")
-        n = code.n
-        if layout.base.shape[1] != n or bits.size < layout.size:
+        if layout.base.shape[1] != code.n or bits.size < layout.size:
             raise ValueError(f"the layout's {layout.base.shape[1]}-bit words span {layout.size} "
-                             f"bits, not these {bits.size} bits of {n}-bit words")
+                             f"bits, not these {bits.size} bits of {code.n}-bit words")
         self.bits = bits
         self.syn = np.empty(layout.slots, dtype=np.int64)
         vars(self).update(library())  # self.plain_pass, ...: the kernel's functions
-        # the tables the C state points into, kept alive with it
-        self._tables, tables = _tables(code, layout)
-        self.w, self.n, self.ncand = layout.w, n, code.d0 - 2
-        self.state = State(self.syn.ctypes.data, bits.ctypes.data, *tables,
-                           groups=layout.groups, slots=layout.slots, w=layout.w, n=n,
-                           ncand=self.ncand, d0=code.d0)
+        template, self._tables = _bound(code, layout)  # held as long as the copy
+        self.state = State.from_buffer_copy(template)
+        self.state.syn, self.state.bits = self.syn.ctypes.data, bits.ctypes.data
         self.ref = ctypes.addressof(self.state)
         self.syndromes(self.ref)
 
     def mark(self, marks) -> None:
         """Bind marks of (axes, w, d0-2) candidates and (axes, w, n) HRB
         flags, copied if they are not C-contiguous int64 and uint8."""
-        axes = len(marks.candidates)
-        self._marks = (c_array(marks.candidates, np.int64, (axes, self.w, self.ncand),
-                               "candidates"),
-                       c_array(marks.hrb, np.uint8, (axes, self.w, self.n), "hrb"))
-        self.state.cand, self.state.hrb = (a.ctypes.data for a in self._marks)
-        self.state.axes, self.state.attempts = axes, marks.flip_attempts
+        s, axes = self.state, len(marks.candidates)
+        self._marks = (c_array(marks.candidates, np.int64, (axes, s.w, s.ncand), "candidates"),
+                       c_array(marks.hrb, np.uint8, (axes, s.w, s.n), "hrb"))
+        s.cand, s.hrb = (a.ctypes.data for a in self._marks)
+        s.axes, s.attempts = axes, marks.flip_attempts
 
     def counts(self) -> tuple:
         s = self.state

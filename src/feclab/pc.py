@@ -41,7 +41,7 @@ import numpy as np
 
 from .bch import BchCode, encode_many
 from .errors import ConfigError
-from .kernel import MAX_ITERS, Passes, mark_words
+from .kernel import Passes, count, mark_words
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,11 @@ class SabmParams:
     def __post_init__(self):
         if not self.delta >= 0:  # also rejects NaN; inf makes no bit an HRB
             raise ConfigError(f"delta must be non-negative, got {self.delta}")
-        if not 1 <= self.total_iters <= MAX_ITERS:
-            raise ConfigError(f"total_iters must lie in [1, {MAX_ITERS}], got {self.total_iters}")
-        if not 0 <= self.md_iters <= self.total_iters:
+        count(self.total_iters, "total_iters", 1)
+        if count(self.md_iters, "md_iters", 0) > self.total_iters:
             raise ConfigError(f"need 0 <= md_iters <= total_iters, got md_iters="
                               f"{self.md_iters} and total_iters={self.total_iters}")
-        if self.failure_flip_attempts < 0:
-            raise ConfigError("failure_flip_attempts must be non-negative")
+        count(self.failure_flip_attempts, "failure_flip_attempts", 0)
 
 
 @dataclass
@@ -211,9 +209,7 @@ def ibdd_decode(code: PcCode, blocks, iters: int) -> tuple[np.ndarray, DecodeSta
     bits in the input's shape and the DecodeStats summed over the stack.
     Each block runs up to `iters` plain iterations and stops at its first
     iteration that flips nothing."""
-    if not 1 <= iters <= MAX_ITERS:
-        raise ValueError(f"iters must lie in [1, {MAX_ITERS}], got {iters}")
-    return _decode(code, blocks, iters)
+    return _decode(code, blocks, count(iters, "iters", 1))
 
 
 def sabm_decode(code: PcCode, block, llr: np.ndarray,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bch import BchCode
 from .errors import ConfigError
-from .kernel import MAX_ITERS, Passes
+from .kernel import Passes, count
 from .pc import DecodeStats, Layout, MarkState, SabmParams, make_marks
 
 
@@ -156,10 +156,8 @@ def decode_chain(code: SccCode, received: np.ndarray, marks: list[MarkState | No
     buffered, so chain blocks 1..window-2 are never marked while the last
     block is the marked one of every tail window. The pinned SCC SABM
     outputs depend on this schedule."""
-    if window < 2:
-        raise ValueError("window size must be >= 2")
-    if not 1 <= ell <= MAX_ITERS:
-        raise ValueError(f"ell must lie in [1, {MAX_ITERS}], got {ell}")
+    count(window, "window", 2)
+    count(ell, "ell", 1)
     w, shape = code.w, np.shape(received)
     if len(shape) != 3 or shape[1:] != (w, w):
         raise ValueError(f"received chain must be (N, {w}, {w}), got {shape}")

@@ -37,7 +37,7 @@ def recomputed(state, words, code=CODE):
 def apply_decoded(state, groups):
     """A plain pass over each of `groups`, in order; return the number of
     words whose syndrome decoded."""
-    pos = CODE.error_positions[state.syn.reshape(-1, state.w)[groups]]
+    pos = CODE.error_positions[state.syn.reshape(-1, state.state.w)[groups]]
     for group in groups:
         plain_pass(state, int(group))
     return int((pos[..., 0] >= 0).sum())

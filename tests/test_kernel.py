@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,8 @@ import pytest
 from feclab import cli, kernel
 from feclab.bch import build_code
 from feclab.errors import ConfigError
-from feclab.pc import (Layout, MarkState, PcCode, SabmParams, block_layout, ibdd_decode,
-                       make_marks, mark_bits, pc_encode, sabm_decode)
+from feclab.pc import (DecodeStats, Layout, MarkState, PcCode, SabmParams, block_layout,
+                       block_pass, ibdd_decode, make_marks, mark_bits, pc_encode, sabm_decode)
 from feclab.scc import SccCode, block_marks, chain_layout, decode_chain, scc_encode
 
 import reference
@@ -87,11 +88,13 @@ print(kernel.build(kernel.COMPILER, kernel.SOURCE, Path({str(cache)!r})))
 
 def test_the_kernel_builds_with_every_warning_an_error(tmp_path):
     # the kernel's flags, and warnings such as a read of an uninitialised
-    # entry of a word's candidate list fail the build
-    command = [kernel.COMPILER, *kernel.FLAGS, "-Wall", "-Wextra", "-Werror",
-               "-o", str(tmp_path / "kernel.so"), str(kernel.SOURCE)]
-    run = subprocess.run(command, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
+    # entry of a word's candidate list fail the build; then the same as
+    # ISO C99, where an extension of the compiler's fails it too
+    for extra in ([], ["-std=c99", "-pedantic-errors"]):
+        command = [kernel.COMPILER, *kernel.FLAGS, "-Wall", "-Wextra", "-Werror", *extra,
+                   "-o", str(tmp_path / "kernel.so"), str(kernel.SOURCE)]
+        run = subprocess.run(command, capture_output=True, text=True)
+        assert run.returncode == 0, (extra, run.stderr)
 
 
 def kernel_signatures(source: str) -> dict:
@@ -121,6 +124,36 @@ def test_the_declared_signatures_match_the_source():
               "int64_t f(const double *x, uint8_t *y,\n          int64_t k, double d)\n{\n}\n")
     assert kernel_signatures(source) == {"f": [ctypes.c_void_p] * 2 + [ctypes.c_int64,
                                                                        ctypes.c_double]}
+
+
+def state_fields(source: str) -> list:
+    """The fields of the C struct `state` that source defines, in order, as
+    ctypes fields: a pointer of any kind is a c_void_p, an int64_t a
+    c_int64. A declaration may declare several fields, split by commas."""
+    (body,) = re.findall(r"typedef struct \{(.*?)\} state;", source, re.S)
+    body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
+    found = []
+    for declaration in filter(str.strip, body.split(";")):
+        kind, declarators = re.fullmatch(r"\s*(?:const )?(\w+)(.*)", declaration, re.S).groups()
+        for declarator in declarators.split(","):
+            pointer = "*" in declarator
+            assert pointer or kind == "int64_t", declaration
+            found.append((declarator.strip(" *\n"), ctypes.c_void_p if pointer else ctypes.c_int64))
+    return found
+
+
+def test_the_state_fields_match_the_source():
+    # ctypes lays the structure out by its own list, and a field out of
+    # place reads another field's address or count, with no error
+    source = kernel.SOURCE.read_text()
+    assert state_fields(source) == kernel.State._fields_
+    # what the parser reads: two int64 fields swapped in one declaration
+    # are told apart, as is a pointer among int64s
+    swapped = source.replace("int64_t w, n, axes", "int64_t n, w, axes")
+    assert swapped != source and state_fields(swapped) != kernel.State._fields_
+    assert state_fields("typedef struct {\n    int64_t a, *b; /* c, d */\n"
+                        "    const int16_t *e;\n} state;") == [
+        ("a", ctypes.c_int64), ("b", ctypes.c_void_p), ("e", ctypes.c_void_p)]
 
 
 # ------------------------------------------------ what the kernel builds
@@ -235,6 +268,35 @@ def test_decode_chain_decodes_any_layout_as_its_contiguous_copy(ecc32_code):
         for m, (wout, wstats) in zip((None, other), want):
             out, stats = decode_chain(code, received, m, params, window=3, ell=3)
             assert np.array_equal(out, wout) and stats == wstats
+
+
+def test_a_state_outlives_its_cached_pair(ecc32_code):
+    # the cache keeps 64 (code, layout) pairs; a state made before its
+    # pair is evicted still reads the tables it was made with, those of a
+    # layout that nothing else holds included, and a new state for the
+    # pair gets them built again
+    code, params = PcCode(ecc32_code), SabmParams()
+    w = code.w
+    rng = np.random.default_rng(9)
+    block = pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
+    llr = (1 - 2.0 * block) * 1.5 + rng.normal(size=block.shape)
+    hard = (llr < 0).astype(np.uint8)
+    want, want_stats = reference.pc_decode(code, hard, params.total_iters, llr, params)
+    assert want_stats.flips_attempted > 0
+    rows = block_layout(w, 1)
+    layout = Layout(w, *(a.copy() for a in (rows.base, rows.stride, rows.cross, rows.shift)))
+    first, evicted = kernel.Passes(code.component, layout, hard.copy()), weakref.ref(layout)
+    del layout
+    for blocks in range(2, 67):
+        kernel.Passes(code.component, block_layout(w, blocks),
+                      np.zeros((blocks, w, w), dtype=np.uint8))
+    assert evicted() is None
+    again = kernel.Passes(code.component, block_layout(w, 1), hard.copy())
+    for state in (first, again):
+        state.mark(mark_bits(llr, params, code))
+        block_pass(state, 0, params.md_iters, params.total_iters)
+        assert np.array_equal(state.bits, want)
+        assert DecodeStats(*state.counts()) == want_stats
 
 
 def test_marks_of_another_shape_are_refused(ecc32_code):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from feclab.bch import encode_many
+from feclab.errors import ConfigError
 from feclab.modem import ChannelConfig, awgn_transmit, demap_llr, modulate
 from feclab.kernel import Passes, mark_words
 from feclab.pc import (
@@ -117,10 +118,23 @@ def test_ibdd_corrects_scattered_errors(pc32, rng):
 
 
 def test_ibdd_rejects_bad_iters(pc32):
-    # the kernel takes the count as an int64, which ctypes would wrap
-    for iters in (0, 2 ** 63, 2 ** 64):
-        with pytest.raises(ValueError):
+    # the kernel takes the count as an int64, which ctypes would wrap, and
+    # would refuse a float with its own ArgumentError
+    for iters in (0, 2 ** 63, 2 ** 64, 2.5):
+        with pytest.raises(ConfigError):
             ibdd_decode(pc32, np.zeros((pc32.w, pc32.w), dtype=np.uint8), iters=iters)
+
+
+def test_numpy_integer_counts_decode_as_ints(pc32, rng):
+    block = random_block(pc32, rng)
+    llr = (1 - 2.0 * block) * 2 + rng.normal(size=block.shape)
+    hard = (llr < 0).astype(np.uint8)
+    for got, want in ((ibdd_decode(pc32, hard, np.int64(10)), ibdd_decode(pc32, hard, 10)),
+                      (sabm_decode(pc32, hard, llr, SabmParams(
+                          total_iters=np.int64(10), md_iters=np.int64(5),
+                          failure_flip_attempts=np.int64(1))),
+                       sabm_decode(pc32, hard, llr, SabmParams()))):
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 def test_ibdd_rejects_bad_shape(pc32):
@@ -299,6 +313,10 @@ def test_sabm_params_validation():
         SabmParams(md_iters=11, total_iters=10)
     with pytest.raises(ValueError):
         SabmParams(failure_flip_attempts=-1)
+    for field, value in (("total_iters", 10.5), ("md_iters", 2.5),
+                         ("failure_flip_attempts", 1.5)):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SabmParams(**{field: value})
 
 
 # ---------------------------------------------------- miscorrection rules

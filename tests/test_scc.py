@@ -5,6 +5,7 @@ import pytest
 
 from feclab import scc
 from feclab.bch import build_code
+from feclab.errors import ConfigError
 from feclab.pc import SabmParams
 from feclab.scc import SccCode, baseline_calls, decode_chain, eta, scc_encode
 
@@ -201,6 +202,20 @@ def test_decode_chain_window_validation(scc32):
         with pytest.raises(ValueError, match="ell must lie in"):
             decode_chain(scc32, np.zeros((2, scc32.w, scc32.w), dtype=np.uint8), None,
                          SabmParams(), window=3, ell=ell)
+
+
+def test_decode_chain_counts_are_integers(scc32, rng):
+    # a float count is a ConfigError, not ctypes' ArgumentError or a
+    # TypeError of range(); a numpy integer decodes as an int
+    _, blocks = random_chain(scc32, rng, 4)
+    noisy = blocks ^ (rng.random(blocks.shape) < 0.02)
+    for window, ell in ((3.0, 2), (3, 2.5)):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            decode_chain(scc32, noisy, None, SabmParams(), window=window, ell=ell)
+    out, stats = decode_chain(scc32, noisy, None, SabmParams(), window=np.int64(3),
+                              ell=np.int64(2))
+    want, want_stats = decode_chain(scc32, noisy, None, SabmParams(), window=3, ell=2)
+    assert np.array_equal(out, want) and stats == want_stats
 
 
 @pytest.mark.parametrize("shape", ["block", "rows"])

@@ -94,6 +94,17 @@ def test_validate_rejects_bad_fields():
     validate_config(small_pc_cfg(batch_size=sim.MAX_BATCH))
 
 
+def test_scc_counts_must_be_integers():
+    # a float window or iteration count is refused before a chain runs; a
+    # numpy integer runs as the int
+    for scc in (SccRunParams(window=3.0, iters=2, chain_blocks=4),
+                SccRunParams(window=3, iters=2.0, chain_blocks=4)):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            run_sweep(small_scc_cfg(scc=scc), out=io.StringIO())
+    numpy_counts = SccRunParams(window=np.int64(3), iters=np.int64(2), chain_blocks=4)
+    assert sweep_csv(small_scc_cfg(scc=numpy_counts)) == sweep_csv(small_scc_cfg())
+
+
 def test_chain_blocks_bound_follows_the_block_size():
     # one chain's data, code blocks, hard grids and float64 LLR grids take
     # at most MAX_CHAIN_BYTES: 128x128 blocks at m = 8, 16x16 at m = 5
@@ -795,6 +806,8 @@ def test_cli_rejects_bad_snr(capsys):
     ["scc", "--snr", "7", "--mod", "8"],
     ["mask", "--snr", "6", "--mod", "8", "--blocks", "1"],
     ["scc", "--snr", "7", "--scc-iters", "0"],
+    ["scc", "--snr", "7", "--window", str(2 ** 63)],
+    ["pc", "--snr", "5", "--decoder", "sabm", "--flip-attempts", str(2 ** 63)],
     # the kernel takes iteration counts as int64, which ctypes wraps
     *[["pc", "--snr", "5", "--decoder", decoder, "--iters", str(2 ** e)]
       for decoder in ("ibdd", "sabm") for e in (63, 64)],
