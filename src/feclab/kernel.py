@@ -12,13 +12,15 @@ that build at once leave one whole file. Without a working compiler the
 first decode raises `ConfigError` naming the command. The library is held
 by a cached function, so loading it rebinds no name of this package.
 
-A `Passes` binds the arrays that a block's, a stack's or a chain's passes
+A `Passes` binds the arrays that a block's or a chain's passes
 read and write, once, into the C state: the bits, which it decodes in
 place, the packed syndrome of every word of a layout over them, the
 layout's rows and the code's tables (in a state built once per code and
 layout, which it copies), the marks of the words that a marking pass
 decodes, and the `DecodeStats` counters. `mark_words` builds marks from
-LLR grids, and `count` checks the counts that reach the kernel.
+LLR grids, and `count` checks the counts that reach the kernel. A code
+whose table values would make the kernel index past an array is refused
+before its state is built, as `pc.Layout` refuses such a layout.
 """
 
 import ctypes
@@ -108,15 +110,16 @@ def library() -> dict:
     return _load(COMPILER, SOURCE, CACHE)
 
 
-def count(value, name: str, least: int) -> int:
+def count(value, name: str, least: int, most: float = MAX_ITERS) -> int:
     """value, an integer of any type (numpy's too), as an int in [least,
-    MAX_ITERS]; ConfigError, naming it, for anything else."""
+    most] (math.inf: no upper bound); ConfigError, naming it, for anything
+    else."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if not least <= value <= MAX_ITERS:
-        raise ConfigError(f"{name} must lie in [{least}, {MAX_ITERS}], got {value}")
+    if not least <= value <= most:
+        raise ConfigError(f"{name} must lie in [{least}, {most}], got {value}")
     return value
 
 
@@ -135,12 +138,17 @@ def _bound(code, layout) -> tuple:
     set but no syndromes or bits, and the tables it points into, for the
     last 64 pairs; a code and a layout hash by identity."""
     n, flip = code.n, c_array(code.flip_syndrome, np.int64, (code.n,), "flip_syndrome")
+    # a row per packed syndrome, 2^(2m+1) = 2 n^2 of them, so that the XOR
+    # of flip syndromes in range is a row too
+    epos = c_array(code.error_positions, np.int16, (2 * n * n, 2), "error_positions")
+    if not (((0 <= flip) & (flip < len(epos))).all() and (epos < n).all()):
+        raise ValueError(f"flip_syndrome must lie in [0, {len(epos)}) and "
+                         f"error_positions below {n}")
     tables = (layout.base, layout.stride, layout.cross, layout.shift, flip,
               # per 8 positions, the XOR of their flip syndromes under each byte
               np.bitwise_xor.reduce(flip.reshape(-1, 1, 8)
                                     * (np.arange(256)[:, None] >> np.arange(8) & 1), axis=-1),
-              # a row per packed syndrome, 2^(2m+1) = 2 n^2 of them
-              c_array(code.error_positions, np.int16, (2 * n * n, 2), "error_positions"))
+              epos)
     state = State(None, None, *(a.ctypes.data for a in tables), groups=layout.groups,
                   slots=layout.slots, w=layout.w, n=n, ncand=code.d0 - 2, d0=code.d0)
     return state, tables

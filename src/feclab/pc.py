@@ -21,13 +21,13 @@ the syndromes always equal those of the bits.
 
 Both passes, the plain and the marking one, run in the compiled kernel
 (`kernel`, `_passes.c`, as `plain_pass` and `sabm_pass`), on a
-`kernel.Passes` state that a decoder binds once: a PC iBDD stack, a PC
-SABM block (`sabm_decode`) and a staircase chain (`scc.decode_chain`)
-each own one, with one int64 array of the syndromes and one uint8 array
-of the bits, which the decoded array is. A product block's iterations,
-iBDD's or SABM's (`block_pass`), and a staircase window's
-(`scc.window_pass`), are one kernel call each, as their ~14-16 passes
-would otherwise each pay a call's ~0.8 us of overhead. The kernel
+`kernel.Passes` state that a decoder binds once: a PC block
+(`ibdd_decode`, `sabm_decode`), which is one trial, and a staircase chain
+(`scc.decode_chain`) each own one, with one int64 array of the syndromes
+and one uint8 array of the bits, which the decoded array is. A product
+block's iterations, iBDD's or SABM's (`block_pass`), and a staircase
+window's (`scc.window_pass`), are one kernel call each, as their ~14-16
+passes would otherwise each pay a call's ~0.8 us of overhead. The kernel
 toggles the bits in place, as a plain pass may flip back a bit that an
 earlier pass flipped. The kernel also builds a `MarkState`
 (`make_marks`), reading each axis's words from an LLR grid through its
@@ -135,9 +135,10 @@ def mark_bits(llr: np.ndarray, params: SabmParams, code: PcCode) -> MarkState:
 class Layout:
     """Where the words of groups of w words each lie in a bit array.
 
-    Position j of word i of group g is flat bit base[g, j] + i * stride[g, j].
-    The crossing word through that bit sits in syndrome slot cross[g, j] and
-    holds the bit at position shift[g, j] + i. Every word of the tables has
+    Position j of word i of group g is flat bit base[g, j] + i * stride[g, j],
+    never below bit 0. The crossing word through that bit sits in syndrome
+    slot cross[g, j] and holds the bit at its position shift[g, j] + i, in
+    [0, n) for words of n positions. Every word of the tables has
     a slot, group by group, `slots` in all; the passes decode the first
     `groups` groups (all by default), and a crossing update alone changes
     the others. The words span `size` bits.
@@ -149,12 +150,21 @@ class Layout:
             np.ascontiguousarray(a, dtype=np.int64) for a in (base, stride, cross, shift)]
         for a in arrays:
             a.setflags(write=False)
-        self.groups = len(self.base) if groups is None else groups
-        self.size = int((self.base + (w - 1) * self.stride).max(initial=-1)) + 1
-        self.slots = len(self.base) * w
-        if not (0 <= self.groups <= len(self.base)
-                and ((0 <= self.cross) & (self.cross < self.slots)).all()):
-            raise ValueError("a layout decodes and crosses only words of its tables")
+        rows = len(self.base)
+        self.groups = count(rows if groups is None else groups, "groups", 0, rows)
+        self.slots = rows * w
+        n = self.base.shape[-1]
+        if not (self.base.ndim == 2 and all(a.shape == self.base.shape for a in arrays)):
+            raise ValueError("a layout's tables share one (groups, n) shape")
+        if not ((0 <= self.cross) & (self.cross < self.slots)).all():
+            raise ValueError("a layout crosses only words of its tables")
+        # words 0 and w-1 bound the others, as a bit's index and its
+        # crossing position are linear in the word
+        last = self.base + (w - 1) * self.stride
+        if not ((self.base >= 0) & (last >= 0) & (self.shift >= 0) & (self.shift + w <= n)).all():
+            raise ValueError("a layout places no bit below bit 0 and every crossing "
+                             f"position in [0, {n})")
+        self.size = int(np.maximum(self.base, last).max(initial=-1)) + 1
 
 
 @lru_cache(maxsize=None)
@@ -185,31 +195,26 @@ def block_pass(state: Passes, rows: int, marking: int, iters: int) -> None:
                          "or it marks with no marks bound")
 
 
-def _decode(code: PcCode, blocks, iters: int, marks: MarkState | None = None,
+def _decode(code: PcCode, block, iters: int, marks: MarkState | None = None,
             marking: int = 0) -> tuple[np.ndarray, DecodeStats]:
-    """The decoded bits of one (w, w) block or a (B, w, w) stack, in the
-    input's shape, and the DecodeStats summed over the stack. The blocks
-    share one `Passes`, with `marks` bound, and are decoded one after the
-    other, each on its own, by one `block_pass`."""
-    blk = np.array(blocks, dtype=np.uint8, order="C")
+    """The decoded bits of one (w, w) block, a copy, and its DecodeStats:
+    one `block_pass` on one `Passes`, with `marks` bound."""
     w = code.w
-    if blk.shape[-2:] != (w, w) or blk.ndim not in (2, 3):
-        raise ValueError(f"block must be ({w}, {w}) or a stack of them")
-    count = blk.size // (w * w)
-    state = Passes(code.component, block_layout(w, count), blk)
+    if np.shape(block) != (w, w):
+        raise ValueError(f"block must be ({w}, {w})")
+    bits = np.array(block, dtype=np.uint8, order="C")
+    state = Passes(code.component, block_layout(w, 1), bits)
     if marks is not None:
         state.mark(marks)
-    for rows in range(0, 2 * count, 2):  # the row group of each block; its columns follow
-        block_pass(state, rows, marking, iters)
-    return blk, DecodeStats(*state.counts())
+    block_pass(state, 0, marking, iters)
+    return bits, DecodeStats(*state.counts())
 
 
-def ibdd_decode(code: PcCode, blocks, iters: int) -> tuple[np.ndarray, DecodeStats]:
-    """iBDD of one (w, w) block or of a (B, w, w) stack; returns the decoded
-    bits in the input's shape and the DecodeStats summed over the stack.
-    Each block runs up to `iters` plain iterations and stops at its first
-    iteration that flips nothing."""
-    return _decode(code, blocks, count(iters, "iters", 1))
+def ibdd_decode(code: PcCode, block, iters: int) -> tuple[np.ndarray, DecodeStats]:
+    """iBDD of one (w, w) block: up to `iters` plain iterations, stopping
+    at the first that flips nothing. Returns the decoded bits and the
+    DecodeStats."""
+    return _decode(code, block, count(iters, "iters", 1))
 
 
 def sabm_decode(code: PcCode, block, llr: np.ndarray,
@@ -217,8 +222,5 @@ def sabm_decode(code: PcCode, block, llr: np.ndarray,
     """SABM of one (w, w) block: md_iters marking iterations on the marks
     of its LLRs, then plain ones up to total_iters, as `block_pass` runs
     them. Returns the decoded bits and the DecodeStats."""
-    marks = mark_bits(llr, params, code)
-    w = code.w
-    if np.shape(block) != (w, w):
-        raise ValueError(f"block must be ({w}, {w})")
-    return _decode(code, block, params.total_iters, marks, params.md_iters)
+    return _decode(code, block, params.total_iters, mark_bits(llr, params, code),
+                   params.md_iters)

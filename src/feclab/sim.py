@@ -126,22 +126,18 @@ def validate_config(cfg: SimConfig) -> None:
     if len(set(keys)) < len(keys):
         raise ConfigError(f"SNR points {cfg.snr_points} repeat a value at 0.001 dB "
                           "resolution, and such points share one noise stream")
-    if cfg.stop.min_word_errors < 1 or cfg.stop.max_blocks < 1:
-        raise ConfigError("stopping rule needs min_word_errors >= 1 and max_blocks >= 1")
-    if cfg.master_seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.master_seed}")
-    if not 1 <= cfg.workers <= MAX_WORKERS:
-        raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {cfg.workers}")
-    if not 1 <= cfg.batch_size <= MAX_BATCH:
-        raise ConfigError(f"batch_size must lie in [1, {MAX_BATCH}], got {cfg.batch_size}")
+    count(cfg.stop.min_word_errors, "min_word_errors", 1, math.inf)
+    count(cfg.stop.max_blocks, "max_blocks", 1, math.inf)
+    count(cfg.master_seed, "master_seed", 0, math.inf)
+    count(cfg.workers, "workers", 1, MAX_WORKERS)
+    count(cfg.batch_size, "batch_size", 1, MAX_BATCH)
     # the code's own checks reject m outside 4..8 and SCC components too short
     code = _code(cfg.scheme, _component_m(cfg))
     w = code.w
     if cfg.scheme == "scc":
         count(cfg.scc.window, "scc window", 2)
         count(cfg.scc.iters, "scc iters", 1)
-        if cfg.scc.chain_blocks < 1:
-            raise ConfigError(f"chain_blocks must be >= 1, got {cfg.scc.chain_blocks}")
+        count(cfg.scc.chain_blocks, "chain_blocks", 1, math.inf)
         most = MAX_CHAIN_BYTES // (w * code.info_cols + 10 * w * w)
         if cfg.scc.chain_blocks > most:
             raise ConfigError(f"chain_blocks must be <= {most} for {w}x{w} blocks (one "
@@ -246,44 +242,34 @@ def _channel(cfg: SimConfig, snr_db: float, trial: int):
     return data, blocks, hard, soft
 
 
-# most trials in one task: a PC iBDD task decodes its blocks as one stack,
-# whose memory this bounds whatever the batch size
+# most trials in one task: a task runs whole once it has started, so this
+# bounds how long a pooled task runs on after its point is cancelled or
+# interrupted, whatever the batch size
 MAX_SHARE = 64
 
 
 def _trials(cfg: SimConfig, snr_db: float, first: int, count: int):
     """Monte Carlo trials first..first+count-1, each a PC block or an SCC
-    chain on its own generator. Returns their pre-FEC bit errors, an array
-    of the post-FEC bit errors of each of their blocks, and the DecodeStats
-    summed over them. SCC chains and PC SABM blocks decode trial by trial;
-    PC iBDD decodes the trials' hard grids as one stack after the loop."""
+    chain on its own generator, decoded as soon as it is drawn. Returns
+    their pre-FEC bit errors, an array of the post-FEC bit errors of each
+    of their blocks, and the DecodeStats summed over them."""
     code = _code(cfg.scheme, _component_m(cfg))
-    stacked = cfg.scheme == "pc" and cfg.decoder == "ibdd"
-    stats, pre, post, held = DecodeStats(), 0, [], []
-
-    def errors(decoded, data):  # post-FEC bit errors of each block
-        rows, cols = data.shape[1:]
-        return (decoded[:, :rows, :cols] != data).sum(axis=(1, 2))
-
+    stats, pre, post = DecodeStats(), 0, []
     for trial in range(first, first + count):
         data, blocks, hard, soft = _channel(cfg, snr_db, trial)
         pre += int((hard != blocks).sum())
-        if stacked:
-            held.append((data[0], hard[0]))
-            continue
         if cfg.scheme == "scc":
             decoded, st = decode_chain(code, hard, soft, cfg.sabm, cfg.scc.window,
                                        cfg.scc.iters)
-        else:
+        elif cfg.decoder == "sabm":
             decoded, st = sabm_decode(code, hard[0], soft, cfg.sabm)
-            decoded = decoded[None]
-        post.append(errors(decoded, data))
+        else:
+            decoded, st = ibdd_decode(code, hard[0], cfg.sabm.total_iters)
+        rows, cols = data.shape[1:]
+        post.extend(np.count_nonzero(bits[:rows, :cols] != sent)
+                    for bits, sent in zip(decoded.reshape(blocks.shape), data))
         stats += st
-    if stacked:
-        data, hard = zip(*held)  # ibdd_decode makes the one copy of the stack
-        decoded, stats = ibdd_decode(code, hard, cfg.sabm.total_iters)
-        post.append(errors(decoded, np.array(data)))
-    return pre, np.concatenate(post), stats
+    return pre, np.array(post, dtype=np.int64), stats
 
 
 def _run_now(fn, *args) -> Future:

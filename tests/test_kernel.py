@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,49 @@ def test_the_kernel_builds_with_every_warning_an_error(tmp_path):
                    "-o", str(tmp_path / "kernel.so"), str(kernel.SOURCE)]
         run = subprocess.run(command, capture_output=True, text=True)
         assert run.returncode == 0, (extra, run.stderr)
+
+
+# a run of the decoder tests below whose kernel is built with AddressSanitizer
+# and UBSan into the cache argv[1], on the pytest arguments that follow
+SANITIZED = """
+import sys
+from pathlib import Path
+import pytest
+from feclab import kernel
+kernel.FLAGS += ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+kernel.CACHE = Path(sys.argv[1])
+sys.exit(pytest.main(sys.argv[2:]))
+"""
+
+
+def test_the_decoder_tests_pass_under_the_sanitizers(tmp_path):
+    # the kernel indexes its tables with values that it reads from other
+    # tables: a read or write outside an array, or undefined behaviour,
+    # ends this run with an error. The build tests are left out, as they
+    # build the kernel without the sanitizers
+    runtimes = []
+    for name in ("libasan.so", "libubsan.so"):
+        try:
+            path = subprocess.run([kernel.COMPILER, f"-print-file-name={name}"],
+                                  capture_output=True, text=True).stdout.strip()
+        except OSError:
+            path = ""
+        if not os.path.isabs(path):  # gcc prints the bare name of a file it lacks
+            pytest.skip(f"`{kernel.COMPILER}` has no {name}")
+        runtimes.append(path)
+    tests = Path(__file__).parent
+    env = {**os.environ, "LD_PRELOAD": " ".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        # fd 2 uncaptured, so that a sanitizer's report reaches run.stderr
+        [sys.executable, "-c", SANITIZED, str(tmp_path), "-q", "-p", "no:cacheprovider",
+         "--capture=sys",
+         "-k", "not build and not cache_name and not compiler and not sanitizers",
+         *(str(tests / name) for name in ("test_kernel.py", "test_pc.py", "test_scc.py"))],
+        env=env, cwd=tests.parent, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, (run.stdout[-3000:], run.stderr[:3000])
+    assert re.search(r"\b\d+ passed", run.stdout) and "failed" not in run.stdout
+    assert [path.suffix for path in tmp_path.iterdir()] == [".so"]
 
 
 def kernel_signatures(source: str) -> dict:
@@ -236,17 +280,45 @@ def test_pc_decoders_decode_any_layout_as_its_contiguous_copy(pc_component_code)
         hard = (llr < 0).astype(np.uint8)
         want, want_stats = sabm_decode(code, hard, llr, params)
         iwant, iwant_stats = ibdd_decode(code, hard, 10)
-        stack = np.stack([hard, hard ^ (rng.random(hard.shape) < 0.01)])
-        swant, swant_stats = ibdd_decode(code, stack, 10)
-        for got_hard, got_llr, got_stack in zip(bit_layouts(hard), layouts(llr) + [llr],
-                                                bit_layouts(stack)):
+        for got_hard, got_llr in zip(bit_layouts(hard), layouts(llr) + [llr]):
             out, stats = sabm_decode(code, got_hard, got_llr, params)
             assert np.array_equal(out, want) and stats == want_stats
             out, stats = ibdd_decode(code, got_hard, 10)
             assert np.array_equal(out, iwant) and stats == iwant_stats
-            out, stats = ibdd_decode(code, got_stack, 10)
-            assert np.array_equal(out, swant) and stats == swant_stats
         assert want_stats.flips_attempted > 0
+
+
+@pytest.mark.parametrize("marking", [0, 4])
+def test_the_blocks_of_a_stack_layout_decode_on_their_own(marking):
+    # block_pass on rows 2b of one state over a stack decodes block b as a
+    # state of that block alone does, with the block's own marks bound for
+    # SABM, and leaves the blocks after it as they were. The heavy block
+    # runs every iteration, the clean one stops after one, and the light
+    # ones, which decode to the sent blocks, stop in between
+    code = PcCode(build_code(6))
+    params = SabmParams(total_iters=8, md_iters=marking)
+    rng = np.random.default_rng(5)
+    rates = [0.06, 0.0, 0.02, 0.004]
+    sent = np.array([pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
+                     for _ in rates])
+    hard = sent ^ (rng.random(sent.shape) < np.array(rates)[:, None, None]).astype(np.uint8)
+    llr = np.where(hard == 0, 1.0, -1.0) * rng.choice([0.5, 2.0, 8.0], size=hard.shape)
+    state = kernel.Passes(code.component, block_layout(code.w, len(rates)), hard.copy())
+    calls = []
+    for b in range(len(rates)):
+        soft = (llr[b], params) if marking else ()
+        want, want_stats = reference.pc_decode(code, hard[b], params.total_iters, *soft)
+        before = np.array(state.counts())
+        if marking:
+            state.mark(mark_bits(llr[b], params, code))
+        block_pass(state, 2 * b, marking, params.total_iters)
+        assert np.array_equal(state.bits[b], want) and np.array_equal(state.bits[b + 1:],
+                                                                       hard[b + 1:])
+        assert DecodeStats(*(np.array(state.counts()) - before).tolist()) == want_stats
+        calls.append(want_stats.bdd_calls)
+    assert all(np.array_equal(state.bits[b], sent[b]) for b in (1, 2, 3))
+    assert calls[1] == 2 * code.w < min(calls[2:])
+    assert max(calls[2:]) < 8 * 2 * code.w <= calls[0]
 
 
 def test_decode_chain_decodes_any_layout_as_its_contiguous_copy(ecc32_code):
@@ -310,3 +382,49 @@ def test_marks_of_another_shape_are_refused(ecc32_code):
                 MarkState(marks.candidates[:, :-1], 1, marks.hrb[:, :-1])):
         with pytest.raises(ValueError, match="must have shape"):
             state.mark(bad)
+
+
+class KernelCalled(Exception):
+    pass
+
+
+def test_a_bad_layout_or_code_is_refused_before_any_kernel_call(ecc32_code, monkeypatch):
+    # the kernel indexes the bits, the flip syndromes and the BDD table
+    # with the values of these tables unchecked, so a layout that places a
+    # bit below bit 0 or a crossing position outside its word, or a code
+    # whose flip syndromes lie outside its BDD table or whose table names a
+    # position past the word, is a ValueError before any kernel function runs
+    def called(*args):
+        raise KernelCalled
+
+    monkeypatch.setattr(kernel, "library", lambda: dict.fromkeys(kernel.FUNCTIONS, called))
+    w = ecc32_code.n
+    rows = block_layout(w, 1)
+    good = dict(base=rows.base, stride=rows.stride, cross=rows.cross, shift=rows.shift)
+    bits = np.zeros((w, w), dtype=np.uint8)
+    with pytest.raises(KernelCalled):
+        kernel.Passes(ecc32_code, Layout(w, **good), bits)
+    for name, at, value in (("base", (0, 3), -1), ("stride", (0, 0), -1),
+                            ("stride", (1, 5), -w * w), ("shift", (1, 2), -1),
+                            ("shift", (0, 0), 1), ("cross", (1, 0), 2 * w)):
+        table = good[name].copy()
+        table[at] = value
+        with pytest.raises(ValueError, match="a layout"):
+            Layout(w, **{**good, name: table})
+    with pytest.raises(ValueError, match="one \\(groups, n\\) shape"):
+        Layout(w, **{**good, "shift": good["shift"][:, :-1]})
+    for groups in (1.5, -1, 3):
+        with pytest.raises(ValueError, match="groups must"):
+            Layout(w, **good, groups=groups)
+    # read backwards, the rows span every bit that they read
+    j = np.arange(w)
+    assert Layout(w, base=[(w - 1) * w + j], stride=[np.full(w, -w)], cross=[j],
+                  shift=[np.zeros(w)]).size == w * w
+    flip, epos = ecc32_code.flip_syndrome, ecc32_code.error_positions
+    for table, at, value in ((flip, 4, len(epos)), (flip, 0, -1), (epos, (9, 1), w)):
+        bad = table.copy()
+        bad[at] = value
+        name = "flip_syndrome" if table is flip else "error_positions"
+        code = replace(ecc32_code, **{name: bad})
+        with pytest.raises(ValueError, match="flip_syndrome must lie in"):
+            kernel.Passes(code, rows, bits)

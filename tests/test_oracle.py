@@ -1,13 +1,9 @@
 """Differential oracle: the syndrome-domain decoders equal the bit-level
 reference decoders of `reference.py`, bit for bit and counter for
 counter, on random blocks and chains around the waterfall with random
-LLRs that include ties and HRB extremes. iBDD on a stack of blocks equals
-one call per block."""
-
-from dataclasses import astuple
+LLRs that include ties and HRB extremes."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from feclab.bch import build_code
@@ -78,56 +74,3 @@ def test_scc_matches_reference(m, seed, error_rate, sabm, params, blocks, window
     want, want_stats = reference.scc_decode(code, hard, llrs, params, window, ell)
     assert np.array_equal(np.array(got), np.array(want))
     assert got_stats == want_stats
-
-
-def stack_matches_single_blocks(code, hard, iters):
-    """ibdd_decode of the (B, w, w) stack `hard` equals B single-block
-    calls, in bits and in the four DecodeStats counters summed; returns the
-    single calls' bdd_calls."""
-    got, got_stats = ibdd_decode(code, hard, iters)
-    singles = [ibdd_decode(code, h, iters) for h in hard]
-    assert got.shape == hard.shape
-    assert np.array_equal(got, np.array([bits for bits, _ in singles]))
-    want = np.sum([astuple(stats) for _, stats in singles], axis=0).tolist()
-    assert list(astuple(got_stats)) == want
-    return [stats.bdd_calls for _, stats in singles]
-
-
-def noisy_stack(code, rng, error_rates):
-    blocks = [pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
-              for _ in error_rates]
-    return np.array([channel(b, rng, rate)[0] for b, rate in zip(blocks, error_rates)])
-
-
-@given(m=st.integers(4, 6), seed=st.integers(0, 2**32 - 1),
-       error_rates=st.lists(st.floats(0.0, 0.06), min_size=1, max_size=6),
-       iters=st.integers(1, 6))
-@oracle
-def test_pc_stack_matches_single_blocks(m, seed, error_rates, iters):
-    code = PcCode(CODES[m])
-    hard = noisy_stack(code, np.random.default_rng(seed), error_rates)
-    stack_matches_single_blocks(code, hard, iters)
-
-
-@pytest.mark.parametrize("heaviest_first", [True, False])
-def test_pc_stack_blocks_leave_at_different_iterations(heaviest_first):
-    # a clean block stops after one iteration, a light one after a few and
-    # a heavy one runs all of them; the blocks that leave the active set
-    # sit at its end or at its start
-    code = PcCode(CODES[6])
-    rates = [0.0, 0.004, 0.02, 0.06]
-    hard = noisy_stack(code, np.random.default_rng(5), rates[::-1] if heaviest_first else rates)
-    calls = stack_matches_single_blocks(code, hard, 8)
-    assert sorted(calls) == (calls[::-1] if heaviest_first else calls)
-    assert len(set(calls)) == len(calls)
-    assert min(calls) == 2 * code.w and max(calls) == 8 * 2 * code.w
-
-
-def test_pc_stack_of_one_block():
-    code = PcCode(CODES[5])
-    hard = noisy_stack(code, np.random.default_rng(2), [0.03])
-    assert hard.shape == (1, code.w, code.w)
-    stack_matches_single_blocks(code, hard, 6)
-    got, got_stats = ibdd_decode(code, hard, 6)
-    want, want_stats = reference.pc_decode(code, hard[0], 6)
-    assert np.array_equal(got[0], want) and got_stats == want_stats

@@ -138,8 +138,12 @@ def test_numpy_integer_counts_decode_as_ints(pc32, rng):
 
 
 def test_ibdd_rejects_bad_shape(pc32):
-    with pytest.raises(ValueError):
-        ibdd_decode(pc32, np.zeros((5, 5), dtype=np.uint8), iters=2)
+    # one (w, w) block, as sabm_decode takes: a stack, even of one block,
+    # is the same ValueError
+    block = np.zeros((pc32.w, pc32.w), dtype=np.uint8)
+    for bad in (np.zeros((5, 5), dtype=np.uint8), block[None], np.stack([block, block])):
+        with pytest.raises(ValueError, match=rf"block must be \({pc32.w}, {pc32.w}\)$"):
+            ibdd_decode(pc32, bad, iters=2)
 
 
 def test_ibdd_input_not_mutated(pc32, rng):

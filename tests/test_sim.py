@@ -105,6 +105,26 @@ def test_scc_counts_must_be_integers():
     assert sweep_csv(small_scc_cfg(scc=numpy_counts)) == sweep_csv(small_scc_cfg())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 2.5), ("workers", 2.0), ("master_seed", 1.5), ("chain_blocks", 2.5),
+    ("max_blocks", 4.5), ("min_word_errors", 1.5)])
+def test_config_counts_must_be_integers(field, value, monkeypatch):
+    # through the Python API, a float count is refused, naming its field,
+    # before a trial runs; a numpy integer runs as the int
+    monkeypatch.setattr(sim, "_trials", lambda *args: pytest.fail("a trial ran"))
+    part = {"chain_blocks": "scc", "max_blocks": "stop", "min_word_errors": "stop"}.get(field)
+
+    def config(count):
+        cfg = small_scc_cfg()
+        if part is None:
+            return replace(cfg, **{field: count})
+        return replace(cfg, **{part: replace(getattr(cfg, part), **{field: count})})
+
+    with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got {value}$"):
+        run_sweep(config(value), out=io.StringIO())
+    validate_config(config(np.int64(value)))
+
+
 def test_chain_blocks_bound_follows_the_block_size():
     # one chain's data, code blocks, hard grids and float64 LLR grids take
     # at most MAX_CHAIN_BYTES: 128x128 blocks at m = 8, 16x16 at m = 5
@@ -198,7 +218,6 @@ def test_sabm_counters_sum_per_trial_decodes():
 
 
 # per trial path: its config, at an SNR where some blocks keep errors
-# (PC iBDD blocks of a stack then run every iteration while others stop)
 SHARE_PATHS = {
     ("pc", "ibdd"): small_pc_cfg(snr_points=(3.0,)),
     ("pc", "sabm"): small_pc_cfg(decoder="sabm", snr_points=(2.5,)),
@@ -209,10 +228,12 @@ SHARES = pytest.mark.parametrize("workers, batch_size, max_share",
                                  [(1, 24, 64), (2, 8, 64), (3, 8, 64), (5, 3, 64), (1, 24, 5)])
 
 
-def check_shares(path, workers, batch_size, max_share, monkeypatch):
-    """24 trials of a path in shares of any size, uneven ones too, give the
-    whole BerStats of batches of one trial, the decoder counters included;
-    returns the sizes of the stacks handed to ibdd_decode."""
+@pytest.mark.parametrize("path", list(SHARE_PATHS), ids="-".join)
+@SHARES
+def test_other_paths_stats_do_not_depend_on_the_shares(path, workers, batch_size, max_share,
+                                                       monkeypatch):
+    # 24 trials of a path in shares of any size, uneven ones too, give the
+    # whole BerStats of batches of one trial, the decoder counters included
     cfg = SHARE_PATHS[path]
     snr = cfg.snr_points[0]
     blocks = 24 * (cfg.scc.chain_blocks if path[0] == "scc" else 1)
@@ -220,27 +241,8 @@ def check_shares(path, workers, batch_size, max_share, monkeypatch):
     want = run_point(replace(cfg, batch_size=1), snr)
     assert 0 < want.block_errors < want.blocks_run == blocks
     assert (want.decoder.flips_accepted > 0) == (path[1] == "sabm")
-    decode, stacks = sim.ibdd_decode, []
     monkeypatch.setattr(sim, "MAX_SHARE", max_share)
-    monkeypatch.setattr(sim, "ibdd_decode", lambda code, hard, *args: (
-        stacks.append(len(hard)) or decode(code, hard, *args)))
     assert run_point(replace(cfg, workers=workers, batch_size=batch_size), snr) == want
-    return stacks
-
-
-@SHARES
-def test_ibdd_stats_do_not_depend_on_the_shares(workers, batch_size, max_share, monkeypatch):
-    stacks = check_shares(("pc", "ibdd"), workers, batch_size, max_share, monkeypatch)
-    # a share of PC iBDD trials is decoded as one stack
-    assert max(stacks) == min(-(-batch_size // workers), max_share)
-
-
-@pytest.mark.parametrize("path", [("pc", "sabm"), ("scc", "ibdd"), ("scc", "sabm")],
-                         ids="-".join)
-@SHARES
-def test_other_paths_stats_do_not_depend_on_the_shares(path, workers, batch_size, max_share,
-                                                       monkeypatch):
-    assert check_shares(path, workers, batch_size, max_share, monkeypatch) == []
 
 
 # ------------------------------------------------------ pipelined batches
@@ -350,19 +352,27 @@ def test_pooled_point_cancels_its_queued_shares_on_an_error(monkeypatch):
 
 # each sweep has a point that stops by min_word_errors after a few batches
 @pytest.mark.parametrize("argv", [
-    "pc --mod 4 --component-m 5 --snr 9,10 --decoder ibdd --min-errors 10 --max-blocks 96",
+    "pc --mod 4 --component-m 5 --snr 9,10 --decoder ibdd --min-errors 10 --max-blocks 96 "
+    "--batch-size 16",
     "scc --component-m 5 --chain-blocks 2 --window 3 --scc-iters 2 --snr 2.5,3.5 "
-    "--decoder sabm --min-errors 40 --max-blocks 192",
+    "--decoder sabm --min-errors 40 --max-blocks 192 --batch-size 16",
     "scc --component-m 5 --chain-blocks 2 --window 3 --scc-iters 2 --snr 2.5,3.5 "
-    "--decoder ibdd --min-errors 40 --max-blocks 192",
-], ids=["pc_ibdd_4pam", "scc_sabm", "scc_ibdd"])
+    "--decoder ibdd --min-errors 40 --max-blocks 192 --batch-size 16",
+    *[f"pc --component-m 5 --snr {snr} --decoder {decoder} --min-errors 10 --max-blocks 96 "
+      f"--batch-size {batch}" for decoder, snr in (("ibdd", "3,4"), ("sabm", "2,3"))
+      for batch in (1, 16)],
+], ids=["pc_ibdd_4pam", "scc_sabm", "scc_ibdd", "pc_ibdd_2pam_b1", "pc_ibdd_2pam_b16",
+        "pc_sabm_2pam_b1", "pc_sabm_2pam_b16"])
 def test_cli_csv_is_the_same_at_any_worker_count(argv, capsys):
     texts = []
     for workers in (1, 2, 3):
-        assert main(argv.split() + ["--batch-size", "16", "--no-timing", "--seed", "3",
+        assert main(argv.split() + ["--no-timing", "--seed", "3",
                                     "--workers", str(workers)]) == 0
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1] == texts[2]
+    args = argv.split()
+    min_errors = int(args[args.index("--min-errors") + 1])
+    assert any(int(row.split(",")[8]) >= min_errors for row in texts[0].splitlines()[1:])
 
 
 # ------------------------------------------------------------- CSV output

@@ -1,6 +1,6 @@
 """The syndromes that the kernel's passes keep always equal the syndromes
-recomputed from the bits: those of a `kernel.Passes` (PC iBDD stacks, PC
-SABM blocks and staircase chains) before and after every pass, on
+recomputed from the bits: those of a `kernel.Passes` (PC blocks and
+stacks of them, and staircase chains) before and after every pass, on
 arbitrary bits, and before every kernel call of a decode. One layout serves the product block
 and a whole staircase chain; the chain's scratch group, where the pairs
 missing at both ends cross, holds the syndromes of the wrap-around pair
@@ -221,22 +221,19 @@ def checked_blocks(monkeypatch, marks):
 @pytest.mark.parametrize("decoder", ["ibdd", "sabm_md0", "sabm", "sabm_md_all"])
 @pytest.mark.parametrize("seed", range(4))
 def test_block_syndromes_match_after_decode(decoder, seed, monkeypatch):
-    # one state serves every block of an iBDD stack, or a SABM block (md
-    # 0, 5 or 10 of 10 iterations); its syndromes match the bits before
-    # every block's one kernel call and after the decode, and each call
-    # leaves the state as its passes run one by one do. The decoded
-    # blocks are its bits
+    # a decode binds one state to its block, under iBDD or SABM (md 0, 5
+    # or 10 of 10 iterations); its syndromes match the bits before the
+    # block's one kernel call and after the decode, and the call leaves the
+    # state as its passes run one by one do. The decoded block is its bits
     code = PcCode(CODE)
     rng = np.random.default_rng(seed)
-    sent = np.array([pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
-                     for _ in range(3)])
+    sent = pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
     noisy = sent ^ (rng.random(sent.shape) < 0.05).astype(np.uint8)
     made = recording(monkeypatch, pc, "Passes")
     if decoder == "ibdd":
         calls = checked_blocks(monkeypatch, None)
         out, _ = pc.ibdd_decode(code, noisy, iters=10)
     else:
-        noisy = noisy[0]
         md_iters = {"sabm_md0": 0, "sabm": 5, "sabm_md_all": 10}[decoder]
         params = SabmParams(delta=5.0, total_iters=10, md_iters=md_iters)
         llr = noisy_llr(noisy, rng)
@@ -246,8 +243,7 @@ def test_block_syndromes_match_after_decode(decoder, seed, monkeypatch):
     (state,) = made
     assert state.bits is out
     assert_matches(state, pc_recomputed)
-    blocks = len(sent) if decoder == "ibdd" else 1
-    assert [(rows, s) for rows, s, _, _ in calls] == [(2 * b, state) for b in range(blocks)]
+    assert [(rows, s) for rows, s, _, _ in calls] == [(0, state)]
     names = {name for _, _, order, _ in calls for _, name in order}
     assert names == {"ibdd": {"plain_pass"}, "sabm_md0": {"plain_pass"},
                      "sabm_md_all": {"sabm_pass"}}.get(decoder, {"sabm_pass", "plain_pass"})

@@ -198,12 +198,12 @@ def assert_calls_sum_to_the_csv(seen, row):
 
 
 def test_wrapped_ibdd_decode_sees_every_batched_block(monkeypatch):
-    # stacked decoding must still pass every block through sim.ibdd_decode
+    # every trial's block passes through sim.ibdd_decode, one call each
     seen = wrap(monkeypatch, sim, "ibdd_decode")
     row = sweep_row(SimConfig(scheme="pc", mod=4, snr_points=(9.0,), component_m=5,
                               batch_size=16, stop=StopRule(min_word_errors=10 ** 9, max_blocks=48),
                               record_timing=False))
-    assert len(seen) == 3  # one stack per batch
+    assert len(seen) == 48
     assert_calls_sum_to_the_csv(seen, row)
 
 
