@@ -2,7 +2,9 @@
  * words (see kernel.py and pc.py): the syndromes of a state's bits, the
  * marks of words of an LLR grid, the plain and the marking pass, and the
  * two schedules that run them, a product block's iterations (`block`) and
- * a staircase window's (`window`).
+ * a staircase window's (`window`); and what a trial does before them, but
+ * for its draws: the systematic encoding of a layout's words (`encode`)
+ * and a block's 2-PAM channel (`send_2pam`).
  *
  * Word i of group g has its position p at bit base[p] + i * stride[p]
  * (the rows of g in the layout's tables); the crossing word through that
@@ -27,19 +29,21 @@ typedef struct {
     const int64_t *flip;       /* packed syndrome of each position, n entries */
     const int64_t *flip8;      /* (n / 8, 256): entry b of chunk c XORs the flip
                                   syndromes of positions 8c + k, k a set bit of b */
+    const int64_t *par, *par8; /* encode: the parity pattern of each position below
+                                  k rounded up to 8, 0 from k on, and its tables */
     const int16_t *epos;       /* BDD of every syndrome: 2 positions, -1 unused */
     const int64_t *cand;       /* marks: (axes, w, ncand) flip candidates, then
                                   -1 (or any value outside 0..n-1) */
     const uint8_t *hrb;        /* marks: (axes, w, n) HRB flags */
     int64_t groups;            /* the groups a pass decodes */
     int64_t slots;             /* syndrome slots, w per row group of the tables */
-    int64_t w, n, axes, ncand, attempts, d0;
+    int64_t w, n, axes, ncand, attempts, d0, k;  /* k: message positions */
     /* DecodeStats, summed over the passes */
     int64_t bdd_calls, miscorrections, retries, accepted;
 } state;
 
 /* Whether an integer's low byte comes first in memory, as the 8-byte loads
- * of `syndromes` take it. */
+ * of `xor_patterns` take it. */
 static int little_endian(void)
 {
     const uint16_t one = 1;
@@ -57,50 +61,108 @@ static inline int64_t gather8(const uint8_t *a)
     return (int64_t)(((x & 0x0101010101010101u) * 0x0102040810204080u) >> 56);
 }
 
-/* Fill every slot's syndrome from the bits: word i of row group g XORs
- * the flip syndromes of its set bits (a byte's low bit) into slot
- * g * w + i. n is a multiple of 8, and positions go 8 at a time, one
- * flip8 entry per word, when they lie in 8 consecutive bytes of each word
- * ("along"), or when each lies in consecutive bytes of consecutive words
- * ("across"), which 8 loads then gather for 8 words at once, both on a
- * little-endian host; else one at a time. */
-int64_t syndromes(state *s)
+/* XOR into acc[i], for words i < words, the patterns of word i's set
+ * positions (a byte's low bit) below `positions`, a multiple of 8:
+ * position p of word i is bits[base[p] + i * stride[p]], one[p] its
+ * pattern and entry b of chunk c of table (positions / 8, 256) the XOR of
+ * the patterns of positions 8c + k, k a set bit of b. Positions go 8 at a
+ * time, one table entry per word, when they lie in 8 consecutive bytes of
+ * each word ("along"), or when each lies in consecutive bytes of
+ * consecutive words ("across"), which 8 loads then gather for 8 words at
+ * once, both on a little-endian host; else one at a time. */
+static void xor_patterns(const uint8_t *bits, const int64_t *base, const int64_t *stride,
+                         const int64_t *one, const int64_t *table, int64_t positions,
+                         int64_t words, int64_t *acc)
 {
-    const int64_t w = s->w, n = s->n, little = little_endian();
-    memset(s->syn, 0, (size_t)s->slots * sizeof *s->syn);
-    for (int64_t g = 0; g < s->slots / w; g++) {
-        int64_t *syn = s->syn + g * w;
-        const int64_t *base = s->base + g * n, *stride = s->stride + g * n;
-        for (int64_t p = 0; p < n; p += 8) {
-            int64_t along = little, across = little && w % 8 == 0;
-            for (int64_t k = 0; (along || across) && k < 8; k++) {
-                along &= base[p + k] == base[p] + k && stride[p + k] == stride[p];
-                across &= stride[p + k] == 1;
+    const int64_t little = little_endian();
+    for (int64_t p = 0; p < positions; p += 8) {
+        int64_t along = little, across = little && words % 8 == 0;
+        for (int64_t k = 0; (along || across) && k < 8; k++) {
+            along &= base[p + k] == base[p] + k && stride[p + k] == stride[p];
+            across &= stride[p + k] == 1;
+        }
+        const int64_t *t = table + p / 8 * 256;
+        if (along) {
+            const uint8_t *at = bits + base[p];
+            for (int64_t i = 0; i < words; i++)
+                acc[i] ^= t[gather8(at + i * stride[p])];
+        } else if (across) {
+            for (int64_t i = 0; i < words; i += 8) {
+                uint64_t y = 0;
+                for (int64_t k = 0; k < 8; k++) {
+                    uint64_t x;
+                    memcpy(&x, bits + base[p + k] + i, sizeof x);
+                    y |= (x & 0x0101010101010101u) << k;
+                }
+                for (int64_t r = 0; r < 8; r++)
+                    acc[i + r] ^= t[(y >> 8 * r) & 255];
             }
-            const int64_t *t = s->flip8 + p / 8 * 256;
-            if (along) {
-                const uint8_t *at = s->bits + base[p];
-                for (int64_t i = 0; i < w; i++)
-                    syn[i] ^= t[gather8(at + i * stride[p])];
-            } else if (across) {
-                for (int64_t i = 0; i < w; i += 8) {
-                    uint64_t y = 0;
-                    for (int64_t k = 0; k < 8; k++) {
-                        uint64_t x;
-                        memcpy(&x, s->bits + base[p + k] + i, sizeof x);
-                        y |= (x & 0x0101010101010101u) << k;
-                    }
-                    for (int64_t r = 0; r < 8; r++)
-                        syn[i + r] ^= t[(y >> 8 * r) & 255];
-                }
-            } else {
-                for (int64_t q = p; q < p + 8; q++) {
-                    const int64_t f = s->flip[q], at = base[q], step = stride[q];
-                    for (int64_t i = 0; i < w; i++)
-                        syn[i] ^= f & -(int64_t)(s->bits[at + i * step] & 1);
-                }
+        } else {
+            for (int64_t q = p; q < p + 8; q++) {
+                const int64_t f = one[q], at = base[q], step = stride[q];
+                for (int64_t i = 0; i < words; i++)
+                    acc[i] ^= f & -(int64_t)(bits[at + i * step] & 1);
             }
         }
+    }
+}
+
+/* Fill every slot's syndrome from the bits: word i of row group g XORs
+ * the flip syndromes of its set bits into slot g * w + i. */
+int64_t syndromes(state *s)
+{
+    const int64_t w = s->w, n = s->n;
+    memset(s->syn, 0, (size_t)s->slots * sizeof *s->syn);
+    for (int64_t g = 0; g < s->slots / w; g++)
+        xor_patterns(s->bits, s->base + g * n, s->stride + g * n, s->flip, s->flip8, n, w,
+                     s->syn + g * w);
+    return 0;
+}
+
+/* the most words of a group */
+#define MAX_WORDS 256
+
+/* Systematic encoding of the words of the first `groups` groups, group by
+ * group: positions k..n-1 of each word get bits 0..n-k-1 of the XOR of
+ * the parity patterns of its message bits, positions 0..k-1 (a byte's low
+ * bit). The pattern tables cover k rounded up to 8 positions, with
+ * pattern 0 from k on, so a chunk that a word's parity shares reads as
+ * its message bits alone. A later group may read what an earlier one
+ * wrote: a product block's columns read its rows' parity. Returns -1,
+ * writing nothing, for more groups than the tables hold, groups of more
+ * than MAX_WORDS words, or a code whose parity does not fit the word or
+ * an int64. */
+int64_t encode(state *s, int64_t groups)
+{
+    const int64_t w = s->w, n = s->n, k = s->k, top = (k + 7) / 8 * 8;
+    int64_t acc[MAX_WORDS];
+    if (w < 1 || w > MAX_WORDS || groups < 0 || groups > s->slots / w || k < 0 || top > n
+        || n - k > 64)
+        return -1;
+    for (int64_t g = 0; g < groups; g++) {
+        const int64_t *base = s->base + g * n, *stride = s->stride + g * n;
+        memset(acc, 0, (size_t)w * sizeof *acc);
+        xor_patterns(s->bits, base, stride, s->par, s->par8, top, w, acc);
+        for (int64_t q = k; q < n; q++)
+            for (int64_t i = 0; i < w; i++)
+                s->bits[base[q] + i * stride[q]] = (uint8_t)(acc[i] >> (q - k) & 1);
+    }
+    return 0;
+}
+
+/* 2-PAM over AWGN, in place: bit j is sent as x = 1 - 2 bits[j], received
+ * as y = s x + z[j], and z[j] becomes its LLR ((y + s)^2 - (y - s)^2) / 2
+ * (positive favours bit 0) and hard[j] its hard decision, llr < 0. Each
+ * operation rounds once, in the order that modem.py's numpy passes take
+ * (the kernel is built with -ffp-contract=off, so no multiply and add
+ * fuse), so the bytes are theirs, signs of zero included. */
+int64_t send_2pam(const uint8_t *bits, double *z, uint8_t *hard, int64_t size, double s)
+{
+    for (int64_t j = 0; j < size; j++) {
+        const double x = 1.0 - 2.0 * bits[j], y = s * x + z[j];
+        const double d1 = y + s, d0 = y - s, llr = (d1 * d1 - d0 * d0) * 0.5;
+        z[j] = llr;
+        hard[j] = llr < 0;
     }
     return 0;
 }

@@ -7,7 +7,9 @@ alpha is a root of the code's primitive polynomial, and every bit, the
 overall-parity bit at position n-1 included, flips the overall parity.
 The systematic encoder is solved from the same columns: message at
 positions 0..k-1, parity at k..2^m-2, then the overall-parity bit; all
-n - k are linear in the message, one matmul against `parity_matrix`.
+n - k are linear in the message, so a word's parity is the XOR of the
+parity patterns of its set message bits (`parity`), which the compiled
+kernel takes 8 message bits at a time (`kernel.encode`).
 
 Syndromes are also kept packed into one int per word: S1 in bits 0..m-1,
 S3 in bits m..2m-1 and the overall parity in bit 2m. A word's packed
@@ -45,9 +47,9 @@ class BchCode:
     t: int
     d0: int
     # decode/encode tables, derived once in build_code
-    # (k, n - k) parity generator, overall parity last; float32 so that the
-    # encoders' matmuls run in BLAS; their counts (at most k <= 239) are exact
-    parity_matrix: np.ndarray = field(repr=False)
+    # parity pattern of message bit i: bit j set if it flips position k + j
+    # (the overall parity last, bit n - k - 1)
+    parity: np.ndarray = field(repr=False)
     # packed syndrome of a word with only bit j set (row j of the check matrix)
     flip_syndrome: np.ndarray = field(repr=False)
     # BDD for every packed syndrome, at index S1 | S3 << m | parity << 2m:
@@ -98,26 +100,19 @@ def build_code(m: int, t: int = 2, extended: bool = True) -> BchCode:
     flip_syn[:n - 1] |= exp[j] | (exp[(3 * j) % (n - 1)] << m)
     # the parity p of a message u solves u @ h[:k] + p @ h[k:] = 0 (mod 2)
     # over the S1/S3 columns h of positions 0..n-2; bit i of u adds
-    # 1 + sum(p_i) to the overall parity, parity_matrix's last column
+    # 1 + sum(p_i) to the overall parity, the pattern's top bit
     h = (flip_syn[:n - 1, None] >> np.arange(2 * m)) & 1
     p = (h[:k] @ _gf2_inverse(h[k:])) & 1
-    pm = np.concatenate([p, (1 + p.sum(axis=1, keepdims=True)) & 1], axis=1).astype(np.float32)
+    pm = np.concatenate([p, (1 + p.sum(axis=1, keepdims=True)) & 1], axis=1)
+    parity = pm @ (1 << np.arange(n - k, dtype=np.int64))
     # syndrome decoding table: every error pattern of weight <= t has a
     # packed syndrome of its own; every other syndrome is a decoding failure
     first, second = np.triu_indices(n, 1)
     positions = np.full((1 << (2 * m + 1), 2), -1, dtype=np.int16)
     positions[flip_syn, 0] = np.arange(n)
     positions[flip_syn[first] ^ flip_syn[second]] = np.stack([first, second], axis=1)
-    for arr in (pm, flip_syn, positions):
+    for arr in (parity, flip_syn, positions):
         arr.setflags(write=False)
-    return BchCode(n=n, k=k, t=t, d0=d0, parity_matrix=pm, flip_syndrome=flip_syn,
+    return BchCode(n=n, k=k, t=t, d0=d0, parity=parity, flip_syndrome=flip_syn,
                    error_positions=positions)
-
-
-def encode_many(code: BchCode, messages: np.ndarray) -> np.ndarray:
-    """Systematically encode a (R, k) batch of messages into (R, n) words."""
-    msgs = np.asarray(messages, dtype=np.uint8)
-    if msgs.ndim != 2 or msgs.shape[1] != code.k:
-        raise ValueError(f"message batch must be (R, {code.k})")
-    return np.concatenate([msgs, (msgs @ code.parity_matrix).astype(np.uint8) & 1], axis=1)
 

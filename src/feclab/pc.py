@@ -39,9 +39,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bch import BchCode, encode_many
+from .bch import BchCode
 from .errors import ConfigError
-from .kernel import Passes, count, mark_words
+from .kernel import Passes, count, encode, mark_words
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,15 @@ def make_marks(grids, params: SabmParams, code: BchCode, offset: int = 0) -> Mar
 
 def pc_encode(code: PcCode, data) -> np.ndarray:
     """(k, k) data into a (w, w) block whose every row and column is a
-    codeword; float32 parity counts, at most k, cast to uint8 exactly."""
+    codeword, in one kernel call: the rows' parity, then the columns'
+    (`kernel.encode` over `block_layout`). The rows below k carry no data,
+    and the columns' parity overwrites what the rows' left there."""
     k = code.k
     if np.shape(data) != (k, k):
         raise ValueError(f"data must be ({k}, {k})")
-    block = np.empty((code.w, code.w), dtype=np.uint8)
-    block[:k] = encode_many(code.component, data)
-    block[k:] = code.component.parity_matrix.T @ block[:k]
-    block[k:] &= 1
+    block = np.zeros((code.w, code.w), dtype=np.uint8)
+    block[:k, :k] = data
+    encode(code.component, block_layout(code.w, 1), block)
     return block
 
 
@@ -190,7 +191,7 @@ def block_pass(state: Passes, rows: int, marking: int, iters: int) -> None:
     flips nothing, except that a marking iteration that leaves a nonzero
     syndrome in the block, which cannot progress with the same vetoes in
     place, hands the block to the plain iterations."""
-    if state.block(state.ref, rows, marking, iters) < 0:
+    if state.lib["block"](state.ref, rows, marking, iters) < 0:
         raise ValueError(f"groups {rows} and {rows + 1} are not a block of the state, "
                          "or it marks with no marks bound")
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bch import BchCode
 from .errors import ConfigError
-from .kernel import Passes, count
+from .kernel import Passes, count, encode
 from .pc import DecodeStats, Layout, MarkState, SabmParams, make_marks
 
 
@@ -70,22 +70,19 @@ def baseline_calls(code: SccCode, num_blocks: int, window: int, ell: int) -> int
 
 
 def scc_encode(code: SccCode, info_blocks) -> np.ndarray:
-    """Encode a chain; info_blocks has shape (N, w, k - w), the chain (N, w, w)."""
+    """Encode a chain; info_blocks has shape (N, w, k - w), the chain (N, w, w).
+    Row i of a block is row i of its info, then the parity of [column i of
+    the previous block | that row]: the words of the chain's pairs, encoded
+    in order in one kernel call (`kernel.encode` over `chain_layout`), after
+    the zero block B_0, which the returned chain, a view, leaves out."""
     info = np.asarray(info_blocks, dtype=np.uint8)
     w = code.w
     if info.ndim != 3 or info.shape[1:] != (w, code.info_cols):
         raise ValueError(f"info blocks must be (N, {w}, {code.info_cols})")
-    # row i of a block: row i of its info, then the parity of [column i of
-    # the previous block | that row]; float32 counts, at most k, cast exactly
-    p, cols = code.component.parity_matrix, code.info_cols
-    chain = np.empty((len(info), w, w), dtype=np.uint8)
-    chain[:, :, :cols] = info
-    prev = np.zeros((w, w), dtype=np.uint8)
-    for block, block_info in zip(chain, info):
-        block[:, cols:] = prev.T @ p[:w] + block_info @ p[w:]
-        block[:, cols:] &= 1
-        prev = block
-    return chain
+    chain = np.zeros((len(info) + 1, w, w), dtype=np.uint8)
+    chain[1:, :, :code.info_cols] = info
+    encode(code.component, chain_layout(w, len(chain)), chain)
+    return chain[1:]
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +126,7 @@ def window_pass(state: Passes, first: int, newest: int, ell: int, marking: int) 
     order, and then over the newest pair a marking pass on the state's
     marks in the first `marking` iterations, whose veto reads only the
     crossing words of the window's pairs, or a plain pass."""
-    if state.window(state.ref, first, newest, ell, marking) < 0:
+    if state.lib["window"](state.ref, first, newest, ell, marking) < 0:
         raise ValueError(f"pairs {first}..{newest} are not a window of the state's chain, "
                          "or it marks with no marks bound")
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .bch import build_code
 from .errors import ConfigError
-from .kernel import count
+from .kernel import count, send_2pam
 from .modem import (ChannelConfig, awgn_transmit, demap_llr, interleave,
                     make_interleaver, modulate)
 from .pc import DecodeStats, PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
@@ -211,7 +211,11 @@ def _channel(cfg: SimConfig, snr_db: float, trial: int):
     block, and what the decoder reads of the soft values: a PC block's
     LLR grid; for SCC SABM, per block the `block_marks` made as soon as
     it is demapped if the windows mark it (`newest_blocks`), else None;
-    for SCC iBDD, None. A chain holds no LLR grid beyond its block's."""
+    for SCC iBDD, None. A chain holds no LLR grid beyond its block's.
+
+    2-PAM draws each block's noise into one (w, w) array of the trial,
+    which one kernel call (`send_2pam`) turns into the block's LLR grid;
+    M > 2 goes through `modem`'s numpy layers."""
     code = _code(cfg.scheme, _component_m(cfg))
     rng = _trial_rng(cfg.master_seed, snr_db, trial)
     if cfg.scheme == "pc":
@@ -226,15 +230,15 @@ def _channel(cfg: SimConfig, snr_db: float, trial: int):
     marked = soft = None
     if cfg.scheme == "scc" and cfg.decoder == "sabm":
         marked, soft = set(newest_blocks(len(blocks), cfg.scc.window)), [None] * len(blocks)
-    for b, (tx, bits) in enumerate(zip(blocks.reshape(len(blocks), -1), hard)):
-        if chan.M == 2:
-            grid = demap_llr(awgn_transmit(modulate(tx, chan), chan, rng), chan)
+    noise = np.empty(blocks.shape[1:]) if chan.M == 2 else None
+    for b, (tx, bits) in enumerate(zip(blocks, hard)):
+        if noise is not None:
+            grid = send_2pam(tx, rng.standard_normal(out=noise), bits, chan.sqrt_rho)
         else:
             il = make_interleaver(tx.size, rng)
             y = awgn_transmit(modulate(interleave(tx, il), chan), chan, rng)
-            grid = interleave(demap_llr(y, chan), il, inverse=True)
-        grid = grid.reshape(bits.shape)
-        np.less(grid, 0, out=bits)
+            grid = interleave(demap_llr(y, chan), il, inverse=True).reshape(bits.shape)
+            np.less(grid, 0, out=bits)
         if cfg.scheme == "pc":
             soft = grid
         elif marked is not None and b in marked:

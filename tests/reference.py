@@ -13,7 +13,8 @@ sets of a failure or a suspicious proposal, `bit_flip_recover` tries
 them, and `_suspicious` is the veto. `feclab.pc` runs the same policy as
 one loop in its compiled marking pass. `plain_pass` and `sabm_pass` are
 not references: they drive one pass of the compiled kernel at a time, for
-the tests that check its passes one by one.
+the tests that check its passes one by one; nor is `encode_rows`, which
+drives the kernel's word encoder on a batch of messages.
 
 The channel references are the straightforward array forms that
 `feclab.modem` and `feclab.bch` must equal bit for bit: the demapper as a
@@ -34,9 +35,10 @@ from operator import xor
 
 import numpy as np
 
+from feclab import kernel
 from feclab.bch import BchCode
 from feclab.modem import ChannelConfig, pam_constellation
-from feclab.pc import DecodeStats, PcCode, SabmParams
+from feclab.pc import DecodeStats, Layout, PcCode, SabmParams, block_layout
 from feclab.scc import SccCode
 
 
@@ -46,6 +48,13 @@ def check_matrix(code: BchCode) -> np.ndarray:
     its integer counts (at most n <= 256) are exact."""
     width = 2 * code.n.bit_length() - 1  # 2m + 1
     return ((code.flip_syndrome[:, None] >> np.arange(width)) & 1).astype(np.float32)
+
+
+def parity_matrix(code: BchCode) -> np.ndarray:
+    """The (k, n - k) binary parity generator of the code's systematic
+    encoder: row i holds the bits of code.parity[i], the overall parity
+    last."""
+    return (code.parity[:, None] >> np.arange(code.n - code.k)) & 1
 
 
 def packed_syndromes(counts: np.ndarray) -> np.ndarray:
@@ -256,7 +265,7 @@ def scc_decode(code: SccCode, received, llr_grids, params: SabmParams | None,
 
 def plain_pass(state, group: int) -> bool:
     """`plain_pass` of `_passes.c` on a `Passes`; ValueError for a group it lacks."""
-    changed = state.plain_pass(state.ref, group)
+    changed = state.lib["plain_pass"](state.ref, group)
     if changed < 0:
         raise ValueError(f"group {group} is not a group of the state's layout")
     return changed > 0
@@ -264,10 +273,33 @@ def plain_pass(state, group: int) -> bool:
 
 def sabm_pass(state, group: int, axis: int, lo: int, hi: int) -> bool:
     """`sabm_pass` of `_passes.c` on a `Passes`; ValueError for a group or axis it lacks."""
-    changed = state.sabm_pass(state.ref, group, axis, lo, hi)
+    changed = state.lib["sabm_pass"](state.ref, group, axis, lo, hi)
     if changed < 0:
         raise ValueError(f"group {group} or axis {axis} is not in the state or its marks")
     return changed > 0
+
+
+@lru_cache(maxsize=None)
+def _rows(n: int) -> Layout:
+    """The rows of an (n, n) block alone: the first group of `block_layout`."""
+    rows = block_layout(n, 1)
+    return Layout(n, rows.base, rows.stride, rows.cross, rows.shift, groups=1)
+
+
+def encode_rows(code: BchCode, messages) -> np.ndarray:
+    """The kernel's systematic encoding (`kernel.encode`) of a (R, k) batch
+    of messages into (R, n) words: the rows of (n, n) blocks, n messages a
+    block."""
+    msgs = np.asarray(messages, dtype=np.uint8)
+    n, k = code.n, code.k
+    if msgs.ndim != 2 or msgs.shape[1] != k:
+        raise ValueError(f"message batch must be (R, {k})")
+    blocks = np.zeros((-(-len(msgs) // n), n, n), dtype=np.uint8)
+    words = blocks.reshape(-1, n)
+    words[:len(msgs), :k] = msgs
+    for block in blocks:
+        kernel.encode(code, _rows(n), block)
+    return words[:len(msgs)]
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

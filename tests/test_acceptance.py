@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from feclab.bch import build_code, encode_many
+from feclab.bch import build_code
 from feclab.modem import ChannelConfig, awgn_transmit, demap_llr, modulate
 from feclab.pc import PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
 from feclab.scc import SccCode, decode_chain, scc_encode
@@ -26,7 +26,8 @@ from feclab.sim import (
     run_sweep,
 )
 
-from reference import analytic_non_hrb_probability, block_syndromes, decode_syndromes
+from reference import (analytic_non_hrb_probability, block_syndromes, decode_syndromes,
+                       encode_rows)
 
 PC_PARAMS = SabmParams(delta=5.0, total_iters=10, md_iters=5,
                        failure_flip_attempts=1)
@@ -118,7 +119,7 @@ def test_ber_ci_from_moments_matches_list_oracle(scheme, snr):
 def test_criterion_1_exhaustive_bdd_oracle(report):
     code = build_code(4)  # (16, 7), d0 = 6
     n, k = code.n, code.k
-    codewords = encode_many(code, int_to_bits(np.arange(1 << k), k))
+    codewords = encode_rows(code, int_to_bits(np.arange(1 << k), k))
     mismatches = 0
     for lo in range(0, 1 << n, 4096):
         words = int_to_bits(np.arange(lo, lo + 4096), n)
@@ -151,7 +152,7 @@ def test_criterion_2_component_code_bdd(report):
         code = build_code(m)
         n, k = code.n, code.k
         msgs = rng.integers(0, 2, (trials, k), dtype=np.uint8)
-        sent = encode_many(code, msgs)
+        sent = encode_rows(code, msgs)
 
         # weights 0..2: the exact channel pattern must come back
         noisy = sent.copy()

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feclab.bch import build_code, encode_many
+from feclab import kernel
+from feclab.bch import build_code
 from feclab.errors import ConfigError
 from feclab.kernel import Passes
 from feclab.pc import block_layout
 
 import reference
-from reference import block_syndromes, decode_syndromes, plain_pass
+from reference import block_syndromes, decode_syndromes, encode_rows, plain_pass
 
 
 def test_default_component_parameters():
@@ -86,18 +87,23 @@ def test_unsupported_t_rejected():
 
 
 def test_encode_zero_and_length_check(ecc16_code):
-    z = encode_many(ecc16_code, np.zeros((1, 7), dtype=np.uint8))
+    z = encode_rows(ecc16_code, np.zeros((1, 7), dtype=np.uint8))
     assert z.shape == (1, 16) and not z.any()
+    # the kernel writes the bits in place through the layout: too few bits,
+    # words of another length, or bits it cannot write are refused
+    rows = block_layout(16, 1)
+    for bits in (np.zeros(16 * 16 - 1, dtype=np.uint8), np.zeros((16, 16), dtype=np.int64),
+                 np.zeros((16, 32), dtype=np.uint8)[:, ::2]):
+        with pytest.raises(ValueError):
+            kernel.encode(ecc16_code, rows, bits)
     with pytest.raises(ValueError):
-        encode_many(ecc16_code, np.zeros((1, 8), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        encode_many(ecc16_code, np.zeros(7, dtype=np.uint8))
+        kernel.encode(ecc16_code, block_layout(32, 1), np.zeros((32, 32), dtype=np.uint8))
 
 
 def test_encode_systematic_parity(ecc16_code):
     msg = np.zeros(7, dtype=np.uint8)
     msg[0] = 1
-    (w,) = encode_many(ecc16_code, msg[None, :])
+    (w,) = encode_rows(ecc16_code, msg[None, :])
     assert np.array_equal(w[:7], msg)
     g = reference.GENERATORS[4]
     d = g.bit_length() - 1
@@ -110,15 +116,15 @@ def test_encode_systematic_parity(ecc16_code):
 @pytest.mark.parametrize("m", range(4, 9))
 def test_parity_matrix_holds_the_overall_parity_column(m, rng):
     # message bit i adds itself and row i of the BCH parity to the overall
-    # parity, so its last entry is 1 + that row's sum (mod 2); every word
-    # encode_many makes is then a codeword
+    # parity, so the top bit of its parity pattern is 1 + the sum of the
+    # others (mod 2); every word the kernel encodes is then a codeword
     code = build_code(m)
-    pm = code.parity_matrix
-    assert pm.shape == (code.k, code.n - code.k) and pm.dtype == np.float32
+    assert code.parity.shape == (code.k,) and code.parity.dtype == np.int64
+    pm = reference.parity_matrix(code)
     assert np.array_equal(pm[:, -1], (1 + pm[:, :-1].sum(axis=1)) % 2)
     msgs = np.concatenate([np.eye(code.k, dtype=np.uint8),
                            rng.integers(0, 2, (200, code.k), dtype=np.uint8)])
-    assert not block_syndromes(code, encode_many(code, msgs)).any()
+    assert not block_syndromes(code, encode_rows(code, msgs)).any()
 
 
 @given(st.data())
@@ -127,7 +133,7 @@ def test_encode_linearity(data):
     code = build_code(4)
     m1 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=7, max_size=7)), dtype=np.uint8)
     m2 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=7, max_size=7)), dtype=np.uint8)
-    c1, c2, c12 = encode_many(code, np.stack([m1, m2, m1 ^ m2]))
+    c1, c2, c12 = encode_rows(code, np.stack([m1, m2, m1 ^ m2]))
     assert np.array_equal(c1 ^ c2, c12)
 
 
@@ -136,7 +142,7 @@ def test_syndromes(ecc16_code, rng):
     code = ecc16_code
     m = 4
     exp = reference.alpha_powers(m)
-    (w,) = encode_many(code, rng.integers(0, 2, (1, code.k), dtype=np.uint8))
+    (w,) = reference.encode_many(code, rng.integers(0, 2, (1, code.k), dtype=np.uint8))
     # row 0: the codeword; row 1 + j: the codeword with bit j flipped
     words = np.concatenate([w[None, :], w ^ np.eye(code.n, dtype=np.uint8)])
     syn = block_syndromes(code, words)
@@ -149,7 +155,7 @@ def test_syndromes(ecc16_code, rng):
 
 def test_is_codeword(ecc16_code, rng):
     code = ecc16_code
-    w1, w2 = encode_many(code, rng.integers(0, 2, (2, code.k), dtype=np.uint8))
+    w1, w2 = reference.encode_many(code, rng.integers(0, 2, (2, code.k), dtype=np.uint8))
     flip = w1.copy()
     flip[4] ^= 1
     is_codeword = block_syndromes(code, np.stack([w1, flip, w1 ^ w2])) == 0
@@ -160,7 +166,7 @@ def test_is_codeword(ecc16_code, rng):
                                       "scc_component_code"])
 def test_bdd_corrects_up_to_two_errors(codename, rng, request):
     code = request.getfixturevalue(codename)
-    sent = encode_many(code, rng.integers(0, 2, (200, code.k), dtype=np.uint8))
+    sent = reference.encode_many(code, rng.integers(0, 2, (200, code.k), dtype=np.uint8))
     received = sent.copy()
     positions = []
     for r in received:
@@ -176,7 +182,7 @@ def test_bdd_corrects_up_to_two_errors(codename, rng, request):
 
 def test_bdd_weight_three_never_returns_transmitted(pc_component_code, rng):
     code = pc_component_code
-    sent = encode_many(code, rng.integers(0, 2, (500, code.k), dtype=np.uint8))
+    sent = reference.encode_many(code, rng.integers(0, 2, (500, code.k), dtype=np.uint8))
     received = sent.copy()
     for r in received:
         r[rng.choice(code.n, size=3, replace=False)] ^= 1

@@ -29,7 +29,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_a_missing_compiler_is_one_error_line(monkeypatch, tmp_path, capsys):
-    # no cached library in tmp_path, so the first decode must build one
+    # no cached library in tmp_path, so the first encode must build one
     monkeypatch.setattr(kernel, "COMPILER", "no-such-compiler-for-feclab")
     monkeypatch.setattr(kernel, "CACHE", tmp_path)
     argv = ["pc", "--decoder", "sabm", "--snr", "6.0", "--component-m", "5",
@@ -98,6 +98,24 @@ def test_the_kernel_builds_with_every_warning_an_error(tmp_path):
         assert run.returncode == 0, (extra, run.stderr)
 
 
+def test_the_kernel_rounds_each_float_operation_on_its_own():
+    # the 2-PAM channel's bytes are numpy's only if no multiply and add fuse
+    # into one rounding, which C allows and GCC does where the target has
+    # an FMA: the kernel's flags leave none in an x86 build for a CPU with
+    # FMA, and without -ffp-contract=off the same build has some
+    assert "-ffp-contract=off" in kernel.FLAGS
+
+    def fused(flags):
+        run = subprocess.run([kernel.COMPILER, *flags, "-march=haswell", "-S", "-o", "-",
+                              str(kernel.SOURCE)], capture_output=True, text=True)
+        if run.returncode:
+            pytest.skip(f"`{kernel.COMPILER}` builds no x86 code with FMA: {run.stderr[:200]}")
+        return len(re.findall(r"\bvfn?m(?:add|sub)", run.stdout))
+
+    assert fused(kernel.FLAGS) == 0
+    assert fused([f for f in kernel.FLAGS if f != "-ffp-contract=off"]) > 0
+
+
 # a run of the decoder tests below whose kernel is built with AddressSanitizer
 # and UBSan into the cache argv[1], on the pytest arguments that follow
 SANITIZED = """
@@ -134,7 +152,8 @@ def test_the_decoder_tests_pass_under_the_sanitizers(tmp_path):
         [sys.executable, "-c", SANITIZED, str(tmp_path), "-q", "-p", "no:cacheprovider",
          "--capture=sys",
          "-k", "not build and not cache_name and not compiler and not sanitizers",
-         *(str(tests / name) for name in ("test_kernel.py", "test_pc.py", "test_scc.py"))],
+         *(str(tests / name) for name in ("test_kernel.py", "test_pc.py", "test_scc.py",
+                                          "test_channel_oracle.py"))],
         env=env, cwd=tests.parent, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, (run.stdout[-3000:], run.stderr[:3000])
     assert re.search(r"\b\d+ passed", run.stdout) and "failed" not in run.stdout
@@ -369,6 +388,21 @@ def test_a_state_outlives_its_cached_pair(ecc32_code):
         block_pass(state, 0, params.md_iters, params.total_iters)
         assert np.array_equal(state.bits, want)
         assert DecodeStats(*state.counts()) == want_stats
+
+
+def test_a_code_whose_parity_does_not_fit_its_words_is_not_encoded(ecc32_code):
+    # the kernel reads message positions up to k rounded up to 8 and writes
+    # n - k parity bits from an int64: a k past the word, or a parity
+    # table of another length, is a ValueError, and the bits stay as they were
+    rows = block_layout(ecc32_code.n, 1)
+    bits = np.ones((ecc32_code.n, ecc32_code.n), dtype=np.uint8)
+    for over in (dict(k=ecc32_code.n + 1, parity=np.zeros(ecc32_code.n + 1, dtype=np.int64)),
+                 dict(parity=ecc32_code.parity[:-1])):
+        with pytest.raises(ValueError, match="cannot encode|parity must have shape"):
+            kernel.encode(replace(ecc32_code, **over), rows, bits)
+        assert bits.all()
+    kernel.encode(ecc32_code, rows, bits)
+    assert not reference.block_syndromes(ecc32_code, bits).any()
 
 
 def test_marks_of_another_shape_are_refused(ecc32_code):

@@ -204,6 +204,23 @@ def test_scc_sabm_trial_memory_is_bounded():
     assert peak <= 2.0 * 2**20
 
 
+@pytest.mark.parametrize("scheme", ["pc", "scc"])
+def test_a_2pam_trial_sends_through_the_kernel_alone(scheme, monkeypatch):
+    # a 2-PAM block's modulate, noise addition, demap and hard decision are
+    # one kernel call; numpy's channel layers serve 4-PAM only
+    cfg = SimConfig(scheme=scheme, decoder="sabm", snr_points=(4.5,), component_m=5,
+                    scc=SccRunParams(chain_blocks=3))
+    want = sim._trials(cfg, 4.5, 0, 2)
+
+    def numpy_layer(*args):
+        raise AssertionError("a 2-PAM trial called a numpy channel layer")
+
+    for name in ("modulate", "awgn_transmit", "demap_llr", "interleave", "make_interleaver"):
+        monkeypatch.setattr(sim, name, numpy_layer)
+    got = sim._trials(cfg, 4.5, 0, 2)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
+
+
 def test_sabm_counters_sum_per_trial_decodes():
     cfg = small_pc_cfg(decoder="sabm", snr_points=(4.5,), workers=2,
                        stop=StopRule(min_word_errors=10 ** 9, max_blocks=16))
@@ -473,8 +490,9 @@ def test_pool_follows_a_rebinding_in_feclab(monkeypatch):
     # a feclab name starts workers that run the patched code
     cfg = small_pc_cfg(workers=2)
     want = sweep_csv(cfg)
-    send = sim.awgn_transmit
-    monkeypatch.setattr(sim, "awgn_transmit", lambda x, chan, rng: send(x, chan, rng) + 0.5)
+    send = sim.send_2pam
+    monkeypatch.setattr(sim, "send_2pam",
+                        lambda bits, noise, hard, s: send(bits, noise + 0.5, hard, s))
     assert sweep_csv(cfg) == sweep_csv(replace(cfg, workers=1)) != want
 
 
@@ -617,11 +635,11 @@ def test_mask_stats_delta_zero_marks_nothing():
     assert ms.per_block_counts == [0] * 5
 
 
-def test_only_a_decode_loads_the_kernel():
-    # in a fresh interpreter: importing feclab, checking a config and the
-    # mask statistics load no kernel, so set-up and the mask workload never
-    # pay for it; the first decode loads it, and that rebinds no name of
-    # feclab's modules, which key the kept pool
+def test_only_a_trial_loads_the_kernel():
+    # in a fresh interpreter: importing feclab and checking a config (which
+    # builds the code) load no kernel, so set-up never pays for it; the
+    # first trial's encoder loads it, here one of the mask statistics, and
+    # that rebinds no name of feclab's modules, which key the kept pool
     code = """
 import sys
 from feclab import kernel, sim
@@ -630,11 +648,12 @@ loaded = kernel._load.cache_info
 cfg = SimConfig(scheme="pc", decoder="sabm", snr_points=(6.0,), component_m=5,
                 stop=StopRule(min_word_errors=1, max_blocks=2), batch_size=2)
 sim.validate_config(cfg)
-assert sum(mask.sum() for mask in sim.mask_blocks(cfg, 6.0, 3)) > 0
-assert loaded().currsize == 0, "loaded before a decode"
+assert loaded().currsize == 0, "loaded before a trial"
 before = [id(v) for v in sim._bindings()]
+assert sum(mask.sum() for mask in sim.mask_blocks(cfg, 6.0, 3)) > 0
+assert loaded().currsize == 1, "not loaded by a trial"
 sim.run_sweep(cfg)
-assert loaded().currsize == 1, "not loaded by a decode"
+assert loaded().currsize == 1
 assert [id(v) for v in sim._bindings()] == before, "a name was rebound"
 print("ok")
 """
