@@ -3,8 +3,10 @@
  * marks of words of an LLR grid, the plain and the marking pass, and the
  * two schedules that run them, a product block's iterations (`block`) and
  * a staircase window's (`window`); and what a trial does before them, but
- * for its draws: the systematic encoding of a layout's words (`encode`)
- * and a block's 2-PAM channel (`send_2pam`).
+ * for its draws: the systematic encoding of a layout's words (`encode`),
+ * a block's 2-PAM channel (`send_2pam`) and its interleaved 4-PAM
+ * modulation (`modulate_pam`) and demapping (`pam_sides` and `pam_llr`
+ * around numpy's exp and log for the exact LLR, `pam_maxlog`).
  *
  * Word i of group g has its position p at bit base[p] + i * stride[p]
  * (the rows of g in the layout's tables); the crossing word through that
@@ -164,6 +166,124 @@ int64_t send_2pam(const uint8_t *bits, double *z, uint8_t *hard, int64_t size, d
         z[j] = llr;
         hard[j] = llr < 0;
     }
+    return 0;
+}
+
+/* Whether every one of the size entries of perm lies in [0, size). */
+static int in_range(const int64_t *perm, int64_t size)
+{
+    int64_t out = 0;
+    for (int64_t j = 0; j < size; j++)
+        out |= (uint64_t)perm[j] >= (uint64_t)size;
+    return !out;
+}
+
+/* 4-PAM through a bit interleaver: symbol i carries bits perm[2i] and
+ * perm[2i + 1] (a byte's low bit), MSB first, and x[i] gets the level of
+ * that label, level[label]. Returns -1, writing nothing, for an odd size
+ * or an index of perm outside [0, size). */
+int64_t modulate_pam(const uint8_t *bits, const int64_t *perm, const double *level, double *x,
+                     int64_t size)
+{
+    if (size % 2 || !in_range(perm, size))
+        return -1;
+    for (int64_t i = 0; i < size / 2; i++)
+        x[i] = level[(bits[perm[2 * i]] & 1) << 1 | (bits[perm[2 * i + 1]] & 1)];
+    return 0;
+}
+
+/* The larger and the smaller of a and b, each its own comparison, which
+ * the compiler turns into one max or min instruction, not a branch. */
+static inline double hi(double a, double b) { return a > b ? a : b; }
+static inline double lo(double a, double b) { return a < b ? a : b; }
+
+/* The squared distance of y to a scaled level sl, times scale, rounded as
+ * modem.demap_llr rounds it: -0.5 for the exact LLR's terms, 1.0 (exact)
+ * for the max-log one's. */
+static inline double term(double y, double sl, double scale)
+{
+    const double d = y - sl;
+    return d * d * scale;
+}
+
+/* The 8 levels of `pairs` scaled by s, as numpy scales each: the two
+ * levels of each (bit, side) p = 2k + v of a 4-PAM label, those whose
+ * label has bit k (MSB first) equal to v, in ascending order. */
+static void scale_pairs(const double *pairs, double s, double *sl)
+{
+    for (int q = 0; q < 8; q++)
+        sl[q] = s * pairs[q];
+}
+
+/* The hard decisions of the size LLRs of grid, llr < 0. */
+static void hard_decisions(const double *grid, uint8_t *hard, int64_t size)
+{
+    for (int64_t j = 0; j < size; j++)
+        hard[j] = grid[j] < 0;
+}
+
+/* The exact 4-PAM LLRs' first pass over nsym symbols y at amplitude s:
+ * for (bit, side) p of each symbol, whose terms a, b are
+ * (y - s level)^2 * -0.5 for its two levels pairs[2p] and pairs[2p + 1],
+ * m = max(a, b) in row p of ws, (8, nsym), and min(a, b) - m in row
+ * 4 + p. Every term is -0.0 or below, so the max and the min are numpy's,
+ * bit for bit, for every finite y. numpy then turns rows 4..7 into
+ * log(exp(.) + 1) (`kernel.demap_pam`), which `pam_llr` reads. */
+int64_t pam_sides(const double *y, const double *pairs, double *ws, int64_t nsym, double s)
+{
+    double sl[8];
+    scale_pairs(pairs, s, sl);
+    for (int64_t i = 0; i < nsym; i++)
+        for (int p = 0; p < 4; p++) {
+            const double a = term(y[i], sl[2 * p], -0.5), b = term(y[i], sl[2 * p + 1], -0.5);
+            const double m = hi(a, b);
+            ws[p * nsym + i] = m;
+            ws[(4 + p) * nsym + i] = lo(a, b) - m;
+        }
+    return 0;
+}
+
+/* The exact 4-PAM LLRs from `pam_sides`' ws, whose rows 4..7 now hold the
+ * log-sum-exp remainders r: bit k of symbol i, bit j = 2i + k of the
+ * symbols, has the LLR (m[2k] + r[2k]) - (m[2k + 1] + r[2k + 1]) of column
+ * i of the rows, which goes through the interleaver to grid[perm[j]]; then
+ * hard gets the grid's hard decisions. Returns -1, writing nothing, for an
+ * index of perm outside [0, 2 nsym). */
+int64_t pam_llr(const double *ws, const int64_t *perm, double *grid, uint8_t *hard,
+                int64_t nsym)
+{
+    if (!in_range(perm, 2 * nsym))
+        return -1;
+    for (int64_t i = 0; i < nsym; i++)
+        for (int k = 0; k < 2; k++) {
+            const double *at = ws + 2 * k * nsym + i;
+            grid[perm[2 * i + k]] = (at[0] + at[4 * nsym]) - (at[nsym] + at[5 * nsym]);
+        }
+    hard_decisions(grid, hard, 2 * nsym);
+    return 0;
+}
+
+/* The max-log 4-PAM LLRs of nsym symbols y at amplitude s, written as
+ * `pam_llr` writes them, with their hard decisions: bit k of a symbol has
+ * (min of its side 1 terms - min of its side 0 terms) / 2.0, the terms
+ * its squared distances to the scaled levels and the sides' levels as in
+ * `pam_sides`. Returns -1, writing nothing, for an index of perm outside
+ * [0, 2 nsym). */
+int64_t pam_maxlog(const double *y, const double *pairs, const int64_t *perm, double *grid,
+                   uint8_t *hard, int64_t nsym, double s)
+{
+    double sl[8];
+    if (!in_range(perm, 2 * nsym))
+        return -1;
+    scale_pairs(pairs, s, sl);
+    for (int64_t i = 0; i < nsym; i++)
+        for (int k = 0; k < 2; k++) {
+            const double *l = sl + 4 * k;
+            const double zero = lo(term(y[i], l[0], 1.0), term(y[i], l[1], 1.0));
+            const double one = lo(term(y[i], l[2], 1.0), term(y[i], l[3], 1.0));
+            grid[perm[2 * i + k]] = (one - zero) / 2.0;
+        }
+    hard_decisions(grid, hard, 2 * nsym);
     return 0;
 }
 

@@ -2,8 +2,10 @@
 the schedules that run them over a product block (`pc.block_pass`) and a
 staircase window (`scc.window_pass`), the syndromes and marks that they
 read, and a trial's work before them but for its draws, the encoders
-(`encode`) and the 2-PAM channel (`send_2pam`); this module builds, loads
-and binds it.
+(`encode`), the 2-PAM channel (`send_2pam`) and 4-PAM's interleaved
+modulation and demapping (`modulate_pam`, `demap_pam`) but for the exact
+LLR's exp and log, which numpy rounds unlike the C library; this module
+builds, loads and binds it.
 
 The kernel is compiled at a process's first encode, never at import: the
 C compiler `COMPILER` builds the source with `FLAGS` into `CACHE`, under a
@@ -24,9 +26,11 @@ layout, which it copies), the marks of the words that a marking pass
 decodes, and the `DecodeStats` counters. `encode` runs on a copy of the
 same cached state, whose tables include the code's parity patterns by
 byte. `mark_words` builds marks from LLR grids, and `count` checks the
-counts that reach the kernel. A code whose table values would make the
-kernel index past an array is refused before its state is built, as
-`pc.Layout` refuses such a layout.
+counts that reach the kernel. The channel calls check each array they
+pass, its dtype, size, contiguity and, if the kernel writes it,
+writeability, in `_address`, which reads its address. A code whose table
+values would make the kernel index past an array is refused before its
+state is built, as `pc.Layout` refuses such a layout.
 """
 
 import ctypes
@@ -41,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .modem import LLR_EXACT, pam_constellation
 
 SOURCE = Path(__file__).with_name("_passes.c")
 CACHE = Path(__file__).with_name("__pycache__")
@@ -49,15 +54,17 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 # the most iterations a decode runs: the kernel reads a count as an int64,
 # and ctypes wraps a larger Python int without a word
 MAX_ITERS = 2**63 - 1
-_PTR, _I64 = ctypes.c_void_p, ctypes.c_int64
+_PTR, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # the kernel's functions and their argument types, a state and int64s but
-# for `marks` and `send_2pam`; each returns -1 for arguments that it does
-# not hold
+# for `marks` and the channel's; each returns -1 for arguments that it
+# does not hold
 FUNCTIONS = {"plain_pass": [_PTR, _I64], "sabm_pass": [_PTR] + [_I64] * 4,
              "block": [_PTR] + [_I64] * 3, "window": [_PTR] + [_I64] * 4,
              "syndromes": [_PTR], "encode": [_PTR, _I64],
-             "marks": [_PTR] * 3 + [_I64] * 6 + [ctypes.c_double],
-             "send_2pam": [_PTR] * 3 + [_I64, ctypes.c_double]}
+             "marks": [_PTR] * 3 + [_I64] * 6 + [_F64],
+             "send_2pam": [_PTR] * 3 + [_I64, _F64],
+             "modulate_pam": [_PTR] * 4 + [_I64], "pam_sides": [_PTR] * 3 + [_I64, _F64],
+             "pam_llr": [_PTR] * 4 + [_I64], "pam_maxlog": [_PTR] * 5 + [_I64, _F64]}
 
 
 class State(ctypes.Structure):
@@ -196,20 +203,105 @@ def encode(code, layout, bits: np.ndarray) -> None:
                          f"in groups of {layout.w} words")
 
 
+def _address(a, dtype, size: int, name: str, writes: bool = False) -> int:
+    """The address of the data of `a`, which must be a C-contiguous array
+    of dtype with `size` entries, writeable if the kernel writes it;
+    ValueError else. A writeable array's is read through a ctypes char on
+    its buffer (~0.4 us), a read-only one's through `a.ctypes` (~1.2 us),
+    as a char refuses a read-only buffer."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.size == size
+            and a.flags.c_contiguous and (a.flags.writeable or not writes)):
+        raise ValueError(f"{name} must be C-contiguous {np.dtype(dtype)} with {size} entries"
+                         f"{', writeable' if writes else ''}, as the kernel "
+                         f"{'writes' if writes else 'reads'} it")
+    if a.flags.writeable and size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
+
+
 def send_2pam(bits: np.ndarray, noise: np.ndarray, hard: np.ndarray, s: float) -> np.ndarray:
     """Send `bits` over 2-PAM with amplitude s and AWGN `noise`, in one
     kernel call: noise becomes the LLRs in place, and `hard` the hard
     decisions. All three are C-contiguous arrays of one size, noise
     float64, the others uint8. Returns noise. See `send_2pam` in
     `_passes.c`."""
-    if not (bits.dtype == hard.dtype == np.uint8 and noise.dtype == np.float64
-            and bits.size == noise.size == hard.size
-            and all(a.flags.c_contiguous for a in (bits, noise, hard))
-            and noise.flags.writeable and hard.flags.writeable):
-        raise ValueError("bits, noise and hard must be C-contiguous arrays of one size, "
-                         "uint8, writeable float64 and writeable uint8")
-    library()["send_2pam"](bits.ctypes.data, noise.ctypes.data, hard.ctypes.data, bits.size, s)
+    size = bits.size
+    library()["send_2pam"](_address(bits, np.uint8, size, "bits"),
+                           _address(noise, np.float64, size, "noise", writes=True),
+                           _address(hard, np.uint8, size, "hard", writes=True), size, s)
     return noise
+
+
+@lru_cache(maxsize=None)
+def _pam4() -> tuple:
+    """The addresses of 4-PAM's two tables, and the tables, both from
+    `modem.pam_constellation`: the levels by label, and per (bit, side)
+    p = 2 k + v the two levels whose label has bit k, MSB first, equal to
+    v, in ascending order."""
+    levels, labels, level_of_label = pam_constellation(4)
+    pairs = np.array([levels[labels >> (1 - k) & 1 == v] for k in range(2) for v in range(2)])
+    tables = (level_of_label, pairs)
+    return tuple(a.ctypes.data for a in tables), tables
+
+
+def _pam_size(chan, size: int) -> int:
+    """size, the bits of a 4-PAM block, whole symbols of 2 bits; ValueError
+    for another constellation or an odd size."""
+    if chan.M != 4 or size % 2:
+        raise ValueError(f"the kernel sends an even number of bits on 4-PAM, not {size} "
+                         f"bits on {chan.M}-PAM")
+    return size
+
+
+def modulate_pam(bits: np.ndarray, perm: np.ndarray, chan) -> np.ndarray:
+    """The unit-energy 4-PAM symbols of `bits` (uint8, a byte's low bit)
+    sent through the interleaver `perm` (int64): symbol i carries bits
+    perm[2i] and perm[2i + 1], MSB first, at the level of that Gray label
+    (`modem.modulate` of bits[perm], bit for bit). ValueError for an
+    index of perm outside [0, bits.size). See `modulate_pam` in
+    `_passes.c`."""
+    size = _pam_size(chan, bits.size)
+    (by_label, _), _tables = _pam4()
+    x = np.empty(size // 2)
+    if library()["modulate_pam"](_address(bits, np.uint8, size, "bits"),
+                                 _address(perm, np.int64, size, "perm"), by_label,
+                                 _address(x, np.float64, x.size, "x", writes=True), size) < 0:
+        raise ValueError(f"perm must hold indices in [0, {size})")
+    return x
+
+
+def demap_pam(y: np.ndarray, perm: np.ndarray, hard: np.ndarray, chan) -> np.ndarray:
+    """The 4-PAM LLRs of the received symbols `y` (float64) at amplitude
+    chan.sqrt_rho, in chan's LLR mode, as a float64 grid of hard's shape:
+    bit j of the symbols (bit k of symbol i is j = 2i + k) goes to entry
+    perm[j] of the grid, and its hard decision, llr < 0, to that of
+    `hard` (uint8), as `modem.demap_llr` and the inverse interleaver give
+    them, bit for bit. The exact LLR is two kernel calls, `pam_sides` and
+    `pam_llr`, around numpy's exp, + 1 and log on rows 4..7 of their
+    (8, symbols) workspace, in place, as numpy's exp and log round unlike
+    the C library's; max-log is one, `pam_maxlog`. ValueError for an
+    index of perm outside [0, hard.size), which leaves grid and hard
+    unwritten. See `_passes.c`."""
+    size = _pam_size(chan, hard.size)
+    (_, pairs), _tables = _pam4()
+    nsym, s, lib = size // 2, chan.sqrt_rho, library()
+    grid = np.empty(hard.shape)
+    at_y = _address(y, np.float64, nsym, "y")
+    at_perm = _address(perm, np.int64, size, "perm")
+    at_grid = _address(grid, np.float64, size, "grid", writes=True)
+    at_hard = _address(hard, np.uint8, size, "hard", writes=True)
+    if chan.llr_mode == LLR_EXACT:
+        ws = np.empty((8, nsym))
+        at_ws = _address(ws, np.float64, ws.size, "ws", writes=True)
+        lib["pam_sides"](at_y, pairs, at_ws, nsym, s)
+        rest = ws[4:]
+        np.log(np.add(np.exp(rest, out=rest), 1.0, out=rest), out=rest)
+        done = lib["pam_llr"](at_ws, at_perm, at_grid, at_hard, nsym)
+    else:
+        done = lib["pam_maxlog"](at_y, pairs, at_perm, at_grid, at_hard, nsym, s)
+    if done < 0:
+        raise ValueError(f"perm must hold indices in [0, {size})")
+    return grid
 
 
 def mark_words(grids, delta: float, offset: int, ncand: int) -> tuple:

@@ -136,17 +136,3 @@ def make_interleaver(size: int, rng: np.random.Generator) -> np.ndarray:
     perm = rng.permutation(size)
     perm.setflags(write=False)
     return perm
-
-
-def interleave(block, perm: np.ndarray, inverse: bool = False) -> np.ndarray:
-    arr = np.asarray(block)
-    flat = arr.reshape(-1)
-    if flat.size != perm.size:
-        raise ValueError(f"block size {flat.size} does not match permutation "
-                         f"domain {perm.size}")
-    if inverse:
-        out = np.empty_like(flat)
-        out[perm] = flat
-    else:
-        out = flat[perm]
-    return out.reshape(arr.shape)

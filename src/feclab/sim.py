@@ -44,9 +44,8 @@ import numpy as np
 
 from .bch import build_code
 from .errors import ConfigError
-from .kernel import count, send_2pam
-from .modem import (ChannelConfig, awgn_transmit, demap_llr, interleave,
-                    make_interleaver, modulate)
+from .kernel import count, demap_pam, modulate_pam, send_2pam
+from .modem import ChannelConfig, awgn_transmit, make_interleaver
 from .pc import DecodeStats, PcCode, SabmParams, ibdd_decode, pc_encode, sabm_decode
 from .scc import (SccCode, baseline_calls, block_marks, decode_chain, eta, newest_blocks,
                   scc_encode)
@@ -214,8 +213,11 @@ def _channel(cfg: SimConfig, snr_db: float, trial: int):
     for SCC iBDD, None. A chain holds no LLR grid beyond its block's.
 
     2-PAM draws each block's noise into one (w, w) array of the trial,
-    which one kernel call (`send_2pam`) turns into the block's LLR grid;
-    M > 2 goes through `modem`'s numpy layers."""
+    which one kernel call (`send_2pam`) turns into the block's LLR grid.
+    4-PAM draws the permutation and sends `modulate_pam`'s symbols
+    through `awgn_transmit`, numpy's draw of the noise and s x + z; then
+    `demap_pam` writes the LLR grid and the hard decisions, its exact
+    LLR's exp and log in numpy."""
     code = _code(cfg.scheme, _component_m(cfg))
     rng = _trial_rng(cfg.master_seed, snr_db, trial)
     if cfg.scheme == "pc":
@@ -236,9 +238,8 @@ def _channel(cfg: SimConfig, snr_db: float, trial: int):
             grid = send_2pam(tx, rng.standard_normal(out=noise), bits, chan.sqrt_rho)
         else:
             il = make_interleaver(tx.size, rng)
-            y = awgn_transmit(modulate(interleave(tx, il), chan), chan, rng)
-            grid = interleave(demap_llr(y, chan), il, inverse=True).reshape(bits.shape)
-            np.less(grid, 0, out=bits)
+            y = awgn_transmit(modulate_pam(tx, il, chan), chan, rng)
+            grid = demap_pam(y, il, bits, chan)
         if cfg.scheme == "pc":
             soft = grid
         elif marked is not None and b in marked:

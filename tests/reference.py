@@ -17,9 +17,10 @@ the tests that check its passes one by one; nor is `encode_rows`, which
 drives the kernel's word encoder on a batch of messages.
 
 The channel references are the straightforward array forms that
-`feclab.modem` and `feclab.bch` must equal bit for bit: the demapper as a
-column-wise logsumexp over the label-masked columns of one distance
-matrix, labels from an int64 matmul, and parity from a uint8 matmul with
+`feclab.modem`, the kernel's channel and `feclab.bch` must equal bit for
+bit: the demapper as a column-wise logsumexp over the label-masked
+columns of one distance matrix, labels from an int64 matmul, the
+interleaver as numpy fancy indexing, and parity from a uint8 matmul with
 a parity generator built from the code's generator polynomial. The
 generators, and the primitive polynomials that define alpha, are the
 textbook table of binary BCH codes (Lin & Costello, Error Control Coding,
@@ -331,6 +332,22 @@ def modulate(bits, cfg: ChannelConfig) -> np.ndarray:
     labels = groups @ (1 << np.arange(nb - 1, -1, -1))
     return pam_constellation(cfg.M)[2][labels]
 
+
+def interleave(block, perm: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """block with its flat entries permuted: entry j of the result is entry
+    perm[j] of block, or with inverse, entry perm[j] of the result is
+    entry j of block."""
+    arr = np.asarray(block)
+    flat = arr.reshape(-1)
+    if flat.size != perm.size:
+        raise ValueError(f"block size {flat.size} does not match permutation "
+                         f"domain {perm.size}")
+    if inverse:
+        out = np.empty_like(flat)
+        out[perm] = flat
+    else:
+        out = flat[perm]
+    return out.reshape(arr.shape)
 
 
 def analytic_non_hrb_probability(snr_db: float, delta: float) -> float:

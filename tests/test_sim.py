@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from feclab import cli
 from feclab.cli import build_parser, config_from_args, main
 from feclab.errors import ConfigError
-from feclab import sim
+from feclab import modem, sim
 from feclab.pc import DecodeStats, MarkState, SabmParams, sabm_decode
 from feclab.scc import newest_blocks
 from feclab.sim import (
@@ -204,21 +204,43 @@ def test_scc_sabm_trial_memory_is_bounded():
     assert peak <= 2.0 * 2**20
 
 
+def patch_numpy_layers(monkeypatch, names, what):
+    """Rebind the named numpy channel layers, wherever sim or modem binds
+    them, to a function that fails the test."""
+    def numpy_layer(*args):
+        raise AssertionError(f"{what} called a numpy channel layer")
+
+    for module in (sim, modem):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, numpy_layer)
+
+
 @pytest.mark.parametrize("scheme", ["pc", "scc"])
 def test_a_2pam_trial_sends_through_the_kernel_alone(scheme, monkeypatch):
     # a 2-PAM block's modulate, noise addition, demap and hard decision are
-    # one kernel call; numpy's channel layers serve 4-PAM only
+    # one kernel call; of numpy's channel layers only 4-PAM calls any, its
+    # interleaver draw and its noise
     cfg = SimConfig(scheme=scheme, decoder="sabm", snr_points=(4.5,), component_m=5,
                     scc=SccRunParams(chain_blocks=3))
     want = sim._trials(cfg, 4.5, 0, 2)
-
-    def numpy_layer(*args):
-        raise AssertionError("a 2-PAM trial called a numpy channel layer")
-
-    for name in ("modulate", "awgn_transmit", "demap_llr", "interleave", "make_interleaver"):
-        monkeypatch.setattr(sim, name, numpy_layer)
+    patch_numpy_layers(monkeypatch, ("modulate", "awgn_transmit", "demap_llr", "interleave",
+                                     "make_interleaver"), "a 2-PAM trial")
     got = sim._trials(cfg, 4.5, 0, 2)
     assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
+
+
+@pytest.mark.parametrize("scheme, mode", [("pc", "exact"), ("pc", "maxlog"), ("scc", "exact")])
+def test_a_4pam_trial_modulates_and_demaps_in_the_kernel(scheme, mode, monkeypatch):
+    # a 4-PAM block's interleaver, modulate, demap and hard decisions are
+    # kernel calls; numpy draws the permutation and the noise and adds it
+    cfg = SimConfig(scheme=scheme, mod=4, llr_mode=mode, decoder="sabm", snr_points=(9.0,),
+                    component_m=5, scc=SccRunParams(chain_blocks=3))
+    want = sim._trials(cfg, 9.0, 0, 2)
+    patch_numpy_layers(monkeypatch, ("modulate", "demap_llr", "interleave"), "a 4-PAM trial")
+    got = sim._trials(cfg, 9.0, 0, 2)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
+    assert want[0] > 0
 
 
 def test_sabm_counters_sum_per_trial_decodes():

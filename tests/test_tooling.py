@@ -30,11 +30,13 @@ SPANS = ROOT / "perfbench" / "spans.py"
 README = ROOT / "README.md"
 SCRIPTS = ROOT / "scripts"
 
-# names the tracer still lists although the decoder no longer has them
-# (the BDD kernel, the codeword check and the flip retries moved into the
-# compiled passes); the tracer reports them as untraced
+# names the tracer still lists although feclab no longer has them (the BDD
+# kernel, the codeword check, the flip retries and 4-PAM's modulate,
+# interleave and demap moved into the compiled kernel); the tracer reports
+# them as untraced
 GONE = {(module, attr) for module in ("pc", "scc")
         for attr in ("bdd_propose_block", "is_codeword", "bit_flip_recover")}
+GONE |= {("sim", "modulate"), ("sim", "demap_llr"), ("sim", "interleave")}
 
 
 def traced_names():
