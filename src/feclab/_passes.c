@@ -155,9 +155,9 @@ int64_t encode(state *s, int64_t groups)
 /* 2-PAM over AWGN, in place: bit j is sent as x = 1 - 2 bits[j], received
  * as y = s x + z[j], and z[j] becomes its LLR ((y + s)^2 - (y - s)^2) / 2
  * (positive favours bit 0) and hard[j] its hard decision, llr < 0. Each
- * operation rounds once, in the order that modem.py's numpy passes take
- * (the kernel is built with -ffp-contract=off, so no multiply and add
- * fuse), so the bytes are theirs, signs of zero included. */
+ * operation rounds once (the kernel is built with -ffp-contract=off, so
+ * no multiply and add fuse), and the LLR equals modem.demap_llr's, signs
+ * of zero included, at every SNR a sweep takes. */
 int64_t send_2pam(const uint8_t *bits, double *z, uint8_t *hard, int64_t size, double s)
 {
     for (int64_t j = 0; j < size; j++) {
@@ -197,9 +197,9 @@ int64_t modulate_pam(const uint8_t *bits, const int64_t *perm, const double *lev
 static inline double hi(double a, double b) { return a > b ? a : b; }
 static inline double lo(double a, double b) { return a < b ? a : b; }
 
-/* The squared distance of y to a scaled level sl, times scale, rounded as
- * modem.demap_llr rounds it: -0.5 for the exact LLR's terms, 1.0 (exact)
- * for the max-log one's. */
+/* The squared distance of y to a scaled level sl, times scale: -0.5 for
+ * the exact LLR's terms, equal to modem.demap_llr's -d2 / 2, and 1.0
+ * (exact) for the max-log one's. */
 static inline double term(double y, double sl, double scale)
 {
     const double d = y - sl;

@@ -34,6 +34,7 @@ earlier pass flipped. The kernel also builds a `MarkState`
 strides, and its passes read the marks' arrays as they are.
 """
 
+import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -65,8 +66,9 @@ class SabmParams:
     failure_flip_attempts: int = 1
 
     def __post_init__(self):
-        if not self.delta >= 0:  # also rejects NaN; inf makes no bit an HRB
-            raise ConfigError(f"delta must be non-negative, got {self.delta}")
+        real = isinstance(self.delta, numbers.Real) and not isinstance(self.delta, bool)
+        if not (real and self.delta >= 0):  # also rejects NaN; inf makes no bit an HRB
+            raise ConfigError(f"delta must be a non-negative number, got {self.delta!r}")
         count(self.total_iters, "total_iters", 1)
         if count(self.md_iters, "md_iters", 0) > self.total_iters:
             raise ConfigError(f"need 0 <= md_iters <= total_iters, got md_iters="

@@ -30,6 +30,7 @@ import csv
 import io
 import math
 import multiprocessing
+import numbers
 import os
 import signal
 import sys
@@ -114,6 +115,11 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     if cfg.decoder not in ("ibdd", "sabm"):
         raise ConfigError(f"unknown decoder {cfg.decoder!r}")
+    if not isinstance(cfg.snr_points, (tuple, list)):
+        raise ConfigError(f"snr_points must be a tuple, got a {type(cfg.snr_points).__name__}")
+    for snr in cfg.snr_points:
+        if isinstance(snr, bool) or not isinstance(snr, numbers.Real):
+            raise ConfigError(f"snr_points must hold real numbers, got a {type(snr).__name__}")
     if not cfg.snr_points:
         raise ConfigError("snr_points must be non-empty")
     lo, hi = SNR_RANGE_DB
@@ -130,8 +136,8 @@ def validate_config(cfg: SimConfig) -> None:
     count(cfg.master_seed, "master_seed", 0, math.inf)
     count(cfg.workers, "workers", 1, MAX_WORKERS)
     count(cfg.batch_size, "batch_size", 1, MAX_BATCH)
-    # the code's own checks reject m outside 4..8 and SCC components too short
-    code = _code(cfg.scheme, _component_m(cfg))
+    # the code's own checks reject SCC components too short
+    code = _code(cfg.scheme, count(_component_m(cfg), "component_m", 4, 8))
     w = code.w
     if cfg.scheme == "scc":
         count(cfg.scc.window, "scc window", 2)

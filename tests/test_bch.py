@@ -128,7 +128,7 @@ def test_parity_matrix_holds_the_overall_parity_column(m, rng):
 
 
 @given(st.data())
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)  # its first example may compile the kernel
 def test_encode_linearity(data):
     code = build_code(4)
     m1 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=7, max_size=7)), dtype=np.uint8)

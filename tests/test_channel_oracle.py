@@ -14,8 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from feclab import kernel, sim
 from feclab.bch import build_code
-from feclab.modem import (ChannelConfig, _logsumexp_into, demap_llr, make_interleaver, modulate,
-                          pam_constellation)
+from feclab.modem import ChannelConfig, demap_llr, make_interleaver, modulate, pam_constellation
 from feclab.pc import PcCode, pc_encode
 from feclab.scc import SccCode, scc_encode
 from feclab.sim import SNR_RANGE_DB, SimConfig
@@ -114,18 +113,17 @@ def test_2pam_closed_form_matches_reference_at_zero_tiny_and_huge(mode, snr_db):
     assert same_floats(demap_llr(-0.0, cfg), reference.demap_llr(-0.0, cfg))
 
 
-def test_two_term_logsumexp_matches_reference():
-    # a two-term log-sum-exp adds 1 = exp(0) for the larger term: tied
-    # terms, a smaller exp that underflows to 0, signed zeros, infinities
-    pairs = np.array([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-1.5, -1.5),
-                      (-1e300, -1e300), (-1.5, -3.0), (-3.0, -1.5), (0.0, -800.0),
-                      (-800.0, -0.0), (-2.0, -747.0), (-5e-324, 0.0), (-1e300, -2.0),
-                      (-np.inf, -1.0), (-np.inf, -np.inf), (np.nan, -1.0)])
-    a, b = pairs.T.copy()
-    with np.errstate(invalid="ignore"):  # -inf - -inf
-        got = _logsumexp_into([a, b], np.empty_like(a), np.empty((2,) + a.shape))
-        want = reference.logsumexp(pairs, axis=1)
-    assert same_floats(got, want)
+@pytest.mark.parametrize("M", [2, 4, 8])
+@pytest.mark.parametrize("mode", ["exact", "maxlog"])
+def test_nan_and_infinite_samples_demap_to_nan(M, mode):
+    # a NaN sample gives a NaN of either sign; an infinite one puts inf -
+    # inf in every term and gives the platform's default NaN
+    cfg = ChannelConfig(M, 6.0, mode)
+    with np.errstate(invalid="ignore"):
+        got = demap_llr(np.array([np.nan, -np.nan, np.inf, -np.inf]), cfg)
+        default_nan = np.array(np.inf) - np.inf
+    assert np.isnan(got).all()
+    assert same_floats(got[2:], np.full((2, cfg.bits_per_symbol), default_nan))
 
 
 @pytest.mark.parametrize("M", [4, 8])

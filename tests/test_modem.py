@@ -42,6 +42,20 @@ def test_modulate_rejects_ragged_input():
         ChannelConfig(16, 0.0)
 
 
+@pytest.mark.parametrize("M", [2, 4, 8])
+@pytest.mark.parametrize("bits", [[2], [-1], [0.5], [np.nan]])
+def test_modulate_refuses_values_other_than_bits(M, bits):
+    # a value outside {0, 1} once picked another label's level, or wrapped
+    # to a negative index, where the kernel's modulator reads the low bit
+    cfg = ChannelConfig(M, 0.0)
+    nb = cfg.bits_per_symbol
+    for at in range(nb):
+        group = [0] * nb
+        group[at:at + 1] = bits
+        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+            modulate(group, cfg)
+
+
 def test_awgn_scaling_and_determinism():
     cfg = ChannelConfig(2, 6.0)
     x = modulate([0, 1, 1, 0], cfg)
@@ -103,6 +117,32 @@ def test_maxlog_vs_two_term_exact_at_midpoint():
     assert 0.0 < exact - approx <= np.log(2.0) + 1e-12
     assert np.isclose(exact - approx, np.log(2.0), atol=1e-2)
     assert 2 * abs(approx) > abs(oracle)
+
+
+@given(M=st.sampled_from([4, 8]), snr_db=st.floats(-3, 25), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_exact_llr_matches_a_50_digit_oracle(M, snr_db, seed):
+    # each LLR against log-sum-exps taken to 50 digits; the float terms
+    # -d2 / 2 are exact to a few ulps of (|y| + s * max level)^2, which
+    # bounds the error of their log-sum-exps and of the LLR
+    import mpmath
+    cfg = ChannelConfig(M, snr_db, "exact")
+    levels, labels, _ = pam_constellation(M)
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0, 1, 16) * rng.choice([0.1, 1.0, 4.0], 16)
+    y = cfg.sqrt_rho * levels[rng.integers(0, M, 16)] + noise
+    nb = cfg.bits_per_symbol
+    got = demap_llr(y, cfg)
+    with mpmath.workdps(50):
+        s = mpmath.mpf(cfg.sqrt_rho)
+        for yi, row in zip(y, got):
+            terms = [-(mpmath.mpf(yi) - s * mpmath.mpf(lv)) ** 2 / 2 for lv in levels]
+            tol = 4 * np.finfo(float).eps * (1 + (abs(yi) + cfg.sqrt_rho * levels[-1]) ** 2)
+            for k in range(nb):
+                bit = (labels >> (nb - 1 - k)) & 1
+                side0, side1 = (mpmath.log(mpmath.fsum(mpmath.exp(t) for t, b in zip(terms, bit)
+                                                       if b == v)) for v in (0, 1))
+                assert abs(row[k] - float(side0 - side1)) <= tol
 
 
 def test_hard_decisions_agree_between_modes():

@@ -125,6 +125,37 @@ def test_config_counts_must_be_integers(field, value, monkeypatch):
     validate_config(config(np.int64(value)))
 
 
+NOT_A_TUPLE = "snr_points must be a tuple, got a "
+NO_ORDER = "unsupported constellation order M="
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: modem.ChannelConfig(4.0, 6.0), NO_ORDER + "4.0"),
+    (lambda: modem.ChannelConfig("4", 6.0), NO_ORDER + "'4'"),
+    (lambda: modem.ChannelConfig(np.array([4]), 6.0), NO_ORDER + "array([4])"),
+    (lambda: small_pc_cfg(mod=4.0), NO_ORDER + "4.0"),
+    (lambda: small_pc_cfg(component_m=7.0), "component_m must be an integer, got 7.0"),
+    (lambda: SabmParams(delta="5"), "delta must be a non-negative number, got '5'"),
+    (lambda: SabmParams(delta=True), "delta must be a non-negative number, got True"),
+    (lambda: small_pc_cfg(snr_points=np.array([6.0, 6.2])), NOT_A_TUPLE + "ndarray"),
+    (lambda: small_pc_cfg(snr_points=np.array([0.0])), NOT_A_TUPLE + "ndarray"),
+    (lambda: small_pc_cfg(snr_points=6.0), NOT_A_TUPLE + "float"),
+    (lambda: small_pc_cfg(snr_points=("6",)), "snr_points must hold real numbers, got a str"),
+])
+def test_config_values_of_the_wrong_type_are_refused(make, message):
+    # through the Python API, each is a one-line ConfigError naming its
+    # field, not a traceback from deeper down
+    with pytest.raises(ConfigError) as info:
+        validate_config(make())
+    assert str(info.value) == message
+
+
+def test_numpy_numbers_run_as_config_values():
+    numpy_cfg = small_pc_cfg(mod=np.int64(4), component_m=np.int64(5),
+                             sabm=SabmParams(delta=np.float64(5.0)), decoder="sabm")
+    assert sweep_csv(numpy_cfg) == sweep_csv(small_pc_cfg(mod=4, decoder="sabm"))
+
+
 def test_chain_blocks_bound_follows_the_block_size():
     # one chain's data, code blocks, hard grids and float64 LLR grids take
     # at most MAX_CHAIN_BYTES: 128x128 blocks at m = 8, 16x16 at m = 5
