@@ -26,16 +26,17 @@ layout, which it copies), the marks of the words that a marking pass
 decodes, and the `DecodeStats` counters. `encode` runs on a copy of the
 same cached state, whose tables include the code's parity patterns by
 byte. `mark_words` builds marks from LLR grids, and `count` checks the
-counts that reach the kernel. The channel calls check each array they
-pass, its dtype, size, contiguity and, if the kernel writes it,
-writeability, in `_address`, which reads its address. A code whose table
-values would make the kernel index past an array is refused before its
-state is built, as `pc.Layout` refuses such a layout.
+counts that reach the kernel. Every array that a caller hands the kernel,
+the bits, the marks, the code's tables and the channel calls' arrays, is
+checked once, in `_address`, which reads its address: its dtype, shape,
+C order and, if the kernel writes it, writeability; none is copied. A
+code whose table values would make the kernel index past an array is
+refused before its state is built, as `pc.Layout` refuses such a layout.
 """
 
 import ctypes
 import hashlib
-import operator
+import numbers
 import os
 import subprocess
 import tempfile
@@ -129,23 +130,29 @@ def library() -> dict:
 def count(value, name: str, least: int, most: float = MAX_ITERS) -> int:
     """value, an integer of any type (numpy's too), as an int in [least,
     most] (math.inf: no upper bound); ConfigError, naming it, for anything
-    else."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    else, a bool included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
     if not least <= value <= most:
         raise ConfigError(f"{name} must lie in [{least}, {most}], got {value}")
     return value
 
 
-def c_array(a, dtype, shape: tuple, name: str) -> np.ndarray:
-    """a as a C-contiguous array of dtype and shape, copied only if it is
-    not one already; ValueError for another shape."""
-    a = np.ascontiguousarray(a, dtype=dtype)
-    if a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    return a
+def _address(a, dtype, shape: tuple, name: str, writes: bool = False) -> int:
+    """The address of the data of `a`, which must be a C-contiguous array
+    of dtype and shape, writeable if the kernel writes it; ValueError,
+    naming it, else. A writeable array's is read through a ctypes char on
+    its buffer (~0.4 us), a read-only one's through `a.ctypes` (~1.2 us),
+    as a char refuses a read-only buffer."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape
+            and a.flags.c_contiguous and (a.flags.writeable or not writes)):
+        raise ValueError(f"{name} must be C-contiguous {np.dtype(dtype)} of shape {shape}"
+                         f"{', writeable' if writes else ''}, as the kernel "
+                         f"{'writes' if writes else 'reads'} it")
+    if a.flags.writeable and a.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
 
 
 def _by_byte(patterns: np.ndarray) -> np.ndarray:
@@ -161,15 +168,17 @@ def _bound(code, layout) -> tuple:
     set but no syndromes or bits, and the tables it points into, for the
     last 64 pairs; a code and a layout hash by identity."""
     n, k = code.n, code.k
-    flip = c_array(code.flip_syndrome, np.int64, (n,), "flip_syndrome")
+    flip, epos, parity = code.flip_syndrome, code.error_positions, code.parity
+    _address(flip, np.int64, (n,), "flip_syndrome")
     # a row per packed syndrome, 2^(2m+1) = 2 n^2 of them, so that the XOR
     # of flip syndromes in range is a row too
-    epos = c_array(code.error_positions, np.int16, (2 * n * n, 2), "error_positions")
+    _address(epos, np.int16, (2 * n * n, 2), "error_positions")
+    _address(parity, np.int64, (k,), "parity")
     if not (((0 <= flip) & (flip < len(epos))).all() and (epos < n).all()):
         raise ValueError(f"flip_syndrome must lie in [0, {len(epos)}) and "
                          f"error_positions below {n}")
     par = np.zeros(-(-k // 8) * 8, dtype=np.int64)  # 0 past the message
-    par[:k] = c_array(code.parity, np.int64, (k,), "parity")
+    par[:k] = parity
     tables = (layout.base, layout.stride, layout.cross, layout.shift, flip, _by_byte(flip),
               par, _by_byte(par), epos)
     state = State(None, None, *(a.ctypes.data for a in tables), groups=layout.groups,
@@ -177,16 +186,19 @@ def _bound(code, layout) -> tuple:
     return state, tables
 
 
-def _check_bits(code, layout, bits) -> None:
-    """ValueError unless the kernel may write `bits` in place through
-    `layout`, whose words must have code.n positions."""
-    if not (isinstance(bits, np.ndarray) and bits.dtype == np.uint8
-            and bits.flags.c_contiguous and bits.flags.writeable):
-        raise ValueError("bits must be a writeable C-contiguous uint8 array, "
-                         "as the kernel writes them in place")
-    if layout.base.shape[1] != code.n or bits.size < layout.size:
-        raise ValueError(f"the layout's {layout.base.shape[1]}-bit words span {layout.size} "
-                         f"bits, not these {bits.size} bits of {code.n}-bit words")
+def _state(code, layout, bits) -> tuple:
+    """A copy of the cached state of `code` over `layout` bound to `bits`,
+    which the kernel writes in place, and the tables it points into;
+    ValueError unless bits, of any shape, span the layout, whose words must
+    have code.n positions."""
+    if layout.base.shape[1] != code.n or np.size(bits) < layout.size:
+        raise ValueError(f"bits must span the layout's {layout.size} bits of "
+                         f"{layout.base.shape[1]}-bit words, for {code.n}-bit words, "
+                         f"got {np.size(bits)}")
+    template, tables = _bound(code, layout)
+    state = State.from_buffer_copy(template)
+    state.bits = _address(bits, np.uint8, np.shape(bits), "bits", writes=True)
+    return state, tables
 
 
 def encode(code, layout, bits: np.ndarray) -> None:
@@ -194,41 +206,23 @@ def encode(code, layout, bits: np.ndarray) -> None:
     `layout` decodes, group by group: positions k..n-1 of each get the
     parity of its positions 0..k-1 (a byte's low bit), so a later group
     reads an earlier one's parity. See `encode` in `_passes.c`."""
-    _check_bits(code, layout, bits)
-    template, _tables = _bound(code, layout)  # held through the call
-    state = State.from_buffer_copy(template)
-    state.bits = bits.ctypes.data
+    state, _tables = _state(code, layout, bits)  # tables held through the call
     if library()["encode"](ctypes.addressof(state), layout.groups) < 0:
         raise ValueError(f"cannot encode {code.n}-bit words of {code.k} message bits "
                          f"in groups of {layout.w} words")
 
 
-def _address(a, dtype, size: int, name: str, writes: bool = False) -> int:
-    """The address of the data of `a`, which must be a C-contiguous array
-    of dtype with `size` entries, writeable if the kernel writes it;
-    ValueError else. A writeable array's is read through a ctypes char on
-    its buffer (~0.4 us), a read-only one's through `a.ctypes` (~1.2 us),
-    as a char refuses a read-only buffer."""
-    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.size == size
-            and a.flags.c_contiguous and (a.flags.writeable or not writes)):
-        raise ValueError(f"{name} must be C-contiguous {np.dtype(dtype)} with {size} entries"
-                         f"{', writeable' if writes else ''}, as the kernel "
-                         f"{'writes' if writes else 'reads'} it")
-    if a.flags.writeable and size:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    return a.ctypes.data
-
-
 def send_2pam(bits: np.ndarray, noise: np.ndarray, hard: np.ndarray, s: float) -> np.ndarray:
     """Send `bits` over 2-PAM with amplitude s and AWGN `noise`, in one
     kernel call: noise becomes the LLRs in place, and `hard` the hard
-    decisions. All three are C-contiguous arrays of one size, noise
+    decisions. All three are C-contiguous arrays of one shape, noise
     float64, the others uint8. Returns noise. See `send_2pam` in
     `_passes.c`."""
-    size = bits.size
-    library()["send_2pam"](_address(bits, np.uint8, size, "bits"),
-                           _address(noise, np.float64, size, "noise", writes=True),
-                           _address(hard, np.uint8, size, "hard", writes=True), size, s)
+    shape = np.shape(bits)
+    library()["send_2pam"](_address(bits, np.uint8, shape, "bits"),
+                           _address(noise, np.float64, shape, "noise", writes=True),
+                           _address(hard, np.uint8, shape, "hard", writes=True),
+                           bits.size, s)
     return noise
 
 
@@ -260,12 +254,12 @@ def modulate_pam(bits: np.ndarray, perm: np.ndarray, chan) -> np.ndarray:
     (`modem.modulate` of bits[perm], bit for bit). ValueError for an
     index of perm outside [0, bits.size). See `modulate_pam` in
     `_passes.c`."""
-    size = _pam_size(chan, bits.size)
+    size = _pam_size(chan, np.size(bits))
     (by_label, _), _tables = _pam4()
     x = np.empty(size // 2)
-    if library()["modulate_pam"](_address(bits, np.uint8, size, "bits"),
-                                 _address(perm, np.int64, size, "perm"), by_label,
-                                 _address(x, np.float64, x.size, "x", writes=True), size) < 0:
+    if library()["modulate_pam"](_address(bits, np.uint8, np.shape(bits), "bits"),
+                                 _address(perm, np.int64, (size,), "perm"), by_label,
+                                 x.ctypes.data, size) < 0:
         raise ValueError(f"perm must hold indices in [0, {size})")
     return x
 
@@ -282,23 +276,21 @@ def demap_pam(y: np.ndarray, perm: np.ndarray, hard: np.ndarray, chan) -> np.nda
     the C library's; max-log is one, `pam_maxlog`. ValueError for an
     index of perm outside [0, hard.size), which leaves grid and hard
     unwritten. See `_passes.c`."""
-    size = _pam_size(chan, hard.size)
+    size = _pam_size(chan, np.size(hard))
     (_, pairs), _tables = _pam4()
     nsym, s, lib = size // 2, chan.sqrt_rho, library()
+    at_y = _address(y, np.float64, (nsym,), "y")
+    at_perm = _address(perm, np.int64, (size,), "perm")
+    at_hard = _address(hard, np.uint8, np.shape(hard), "hard", writes=True)
     grid = np.empty(hard.shape)
-    at_y = _address(y, np.float64, nsym, "y")
-    at_perm = _address(perm, np.int64, size, "perm")
-    at_grid = _address(grid, np.float64, size, "grid", writes=True)
-    at_hard = _address(hard, np.uint8, size, "hard", writes=True)
     if chan.llr_mode == LLR_EXACT:
         ws = np.empty((8, nsym))
-        at_ws = _address(ws, np.float64, ws.size, "ws", writes=True)
-        lib["pam_sides"](at_y, pairs, at_ws, nsym, s)
+        lib["pam_sides"](at_y, pairs, ws.ctypes.data, nsym, s)
         rest = ws[4:]
         np.log(np.add(np.exp(rest, out=rest), 1.0, out=rest), out=rest)
-        done = lib["pam_llr"](at_ws, at_perm, at_grid, at_hard, nsym)
+        done = lib["pam_llr"](ws.ctypes.data, at_perm, grid.ctypes.data, at_hard, nsym)
     else:
-        done = lib["pam_maxlog"](at_y, pairs, at_perm, at_grid, at_hard, nsym, s)
+        done = lib["pam_maxlog"](at_y, pairs, at_perm, grid.ctypes.data, at_hard, nsym, s)
     if done < 0:
         raise ValueError(f"perm must hold indices in [0, {size})")
     return grid
@@ -343,24 +335,22 @@ class Passes:
     `plain_pass(ref, group)` and `sabm_pass(ref, group, axis, lo, hi)`."""
 
     def __init__(self, code, layout, bits: np.ndarray):
-        _check_bits(code, layout, bits)
+        self.state, self._tables = _state(code, layout, bits)  # held as long as the state
         self.bits = bits
         self.syn = np.empty(layout.slots, dtype=np.int64)
+        self.state.syn = self.syn.ctypes.data
         self.lib = library()
-        template, self._tables = _bound(code, layout)  # held as long as the copy
-        self.state = State.from_buffer_copy(template)
-        self.state.syn, self.state.bits = self.syn.ctypes.data, bits.ctypes.data
         self.ref = ctypes.addressof(self.state)
         self.lib["syndromes"](self.ref)
 
     def mark(self, marks) -> None:
         """Bind marks of (axes, w, d0-2) candidates and (axes, w, n) HRB
-        flags, copied if they are not C-contiguous int64 and uint8."""
+        flags, C-contiguous int64 and uint8 arrays, which it holds."""
         s, axes = self.state, len(marks.candidates)
-        self._marks = (c_array(marks.candidates, np.int64, (axes, s.w, s.ncand), "candidates"),
-                       c_array(marks.hrb, np.uint8, (axes, s.w, s.n), "hrb"))
-        s.cand, s.hrb = (a.ctypes.data for a in self._marks)
-        s.axes, s.attempts = axes, marks.flip_attempts
+        cand = _address(marks.candidates, np.int64, (axes, s.w, s.ncand), "candidates")
+        hrb = _address(marks.hrb, np.uint8, (axes, s.w, s.n), "hrb")
+        self._marks = marks
+        s.cand, s.hrb, s.axes, s.attempts = cand, hrb, axes, marks.flip_attempts
 
     def counts(self) -> tuple:
         s = self.state

@@ -17,6 +17,11 @@ from .errors import ConfigError
 LLR_EXACT = "exact"
 LLR_MAXLOG = "maxlog"
 
+# SNR points the seed key and the channel take: below -1000 dB the key of
+# sim's trial generator is negative, and above ~3,080 dB rho = 10^(snr/10)
+# overflows
+SNR_RANGE_DB = (-1000.0, 3000.0)
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -27,6 +32,11 @@ class ChannelConfig:
     def __post_init__(self):
         if not isinstance(self.M, numbers.Integral) or self.M not in (2, 4, 8):
             raise ConfigError(f"unsupported constellation order M={self.M!r}")
+        lo, hi = SNR_RANGE_DB
+        real = isinstance(self.snr_db, numbers.Real) and not isinstance(self.snr_db, bool)
+        if not (real and lo <= self.snr_db <= hi):  # also rejects NaN
+            raise ConfigError(f"snr_db must be a real number in [{lo:g}, {hi:g}] dB, "
+                              f"got {self.snr_db!r}")
         if self.llr_mode not in (LLR_EXACT, LLR_MAXLOG):
             raise ConfigError(f"unknown llr_mode {self.llr_mode!r}")
 

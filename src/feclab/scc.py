@@ -138,7 +138,8 @@ def decode_chain(code: SccCode, received: np.ndarray, marks: list[MarkState | No
     (the leading zero block is handled internally), with SABM if and only
     if marks, one entry per received block, is given: the `block_marks` of
     each block that `newest_blocks` names (the others are not read, and
-    may be None). Returns the (N, w, w) decoded blocks and the chain's
+    may be None; a None among these is a ValueError before any window
+    decodes). Returns the (N, w, w) decoded blocks and the chain's
     DecodeStats.
 
     One `Passes` covers the chain, and the returned blocks view its
@@ -158,13 +159,19 @@ def decode_chain(code: SccCode, received: np.ndarray, marks: list[MarkState | No
     w, shape = code.w, np.shape(received)
     if len(shape) != 3 or shape[1:] != (w, w):
         raise ValueError(f"received chain must be (N, {w}, {w}), got {shape}")
-    if marks is not None and len(marks) != len(received):
-        raise ValueError(f"marks must have one entry per received block ({len(received)}), "
-                         f"got {len(marks)}")
+    newest_of = newest_blocks(len(received), window)
+    if marks is not None:
+        if len(marks) != len(received):
+            raise ValueError(f"marks must have one entry per received block "
+                             f"({len(received)}), got {len(marks)}")
+        missing = [b for b in newest_of if marks[b] is None]
+        if missing:
+            raise ValueError(f"marks[{missing[0]}] is None, but a window marks block "
+                             f"{missing[0]}")
     chain = np.zeros((len(received) + 1, w, w), dtype=np.uint8)
     chain[1:] = received
     state = Passes(code.component, chain_layout(w, len(chain)), chain)
-    for s, newest in enumerate(newest_blocks(len(received), window)):
+    for s, newest in enumerate(newest_of):
         if marks is not None:
             state.mark(marks[newest])
         window_pass(state, s, newest, ell, 0 if marks is None else params.md_iters)

@@ -14,10 +14,11 @@ from hypothesis.extra import numpy as hnp
 
 from feclab import kernel, sim
 from feclab.bch import build_code
-from feclab.modem import ChannelConfig, demap_llr, make_interleaver, modulate, pam_constellation
+from feclab.modem import (SNR_RANGE_DB, ChannelConfig, demap_llr, make_interleaver, modulate,
+                          pam_constellation)
 from feclab.pc import PcCode, pc_encode
 from feclab.scc import SccCode, scc_encode
-from feclab.sim import SNR_RANGE_DB, SimConfig
+from feclab.sim import SimConfig
 
 import reference
 

@@ -1,7 +1,7 @@
 """The compiled kernel: its build cache and its failures, a build with
 every warning an error, the syndromes and the marks that it builds, and
-the arrays that reach it, which are checked once per state and copied
-when they are not laid out as it reads them."""
+the arrays that callers hand it, each checked once, as it binds them, and
+refused, never copied, when it is not laid out as the kernel reads it."""
 
 import ctypes
 import os
@@ -19,6 +19,7 @@ import pytest
 from feclab import cli, kernel
 from feclab.bch import build_code
 from feclab.errors import ConfigError
+from feclab.modem import ChannelConfig
 from feclab.pc import (DecodeStats, Layout, MarkState, PcCode, SabmParams, block_layout,
                        block_pass, ibdd_decode, make_marks, mark_bits, pc_encode, sabm_decode)
 from feclab.scc import SccCode, block_marks, chain_layout, decode_chain, scc_encode
@@ -351,14 +352,16 @@ def test_decode_chain_decodes_any_layout_as_its_contiguous_copy(ecc32_code):
     marks = [block_marks(code, grid, params) for grid in llr]
     want = [decode_chain(code, hard, m, params, window=3, ell=3) for m in (None, marks)]
     assert want[1][1].flips_attempted > 0
-    # marks whose arrays are in Fortran order, or another dtype, are copied
-    # once as the state binds them
-    other = [MarkState(np.asfortranarray(m.candidates).astype(np.int32), m.flip_attempts,
-                       np.asfortranarray(m.hrb).astype(bool)) for m in marks]
     for received in bit_layouts(hard):
-        for m, (wout, wstats) in zip((None, other), want):
+        for m, (wout, wstats) in zip((None, marks), want):
             out, stats = decode_chain(code, received, m, params, window=3, ell=3)
             assert np.array_equal(out, wout) and stats == wstats
+    # the kernel reads the marks as they lie: marks whose arrays are in
+    # Fortran order, or of another dtype, are refused, not copied
+    other = [MarkState(np.asfortranarray(m.candidates).astype(np.int32), m.flip_attempts,
+                       np.asfortranarray(m.hrb).astype(bool)) for m in marks]
+    with pytest.raises(ValueError, match="^candidates must be C-contiguous int64"):
+        decode_chain(code, hard, other, params, window=3, ell=3)
 
 
 def test_a_state_outlives_its_cached_pair(ecc32_code):
@@ -398,7 +401,7 @@ def test_a_code_whose_parity_does_not_fit_its_words_is_not_encoded(ecc32_code):
     bits = np.ones((ecc32_code.n, ecc32_code.n), dtype=np.uint8)
     for over in (dict(k=ecc32_code.n + 1, parity=np.zeros(ecc32_code.n + 1, dtype=np.int64)),
                  dict(parity=ecc32_code.parity[:-1])):
-        with pytest.raises(ValueError, match="cannot encode|parity must have shape"):
+        with pytest.raises(ValueError, match="cannot encode|parity must be C-contiguous"):
             kernel.encode(replace(ecc32_code, **over), rows, bits)
         assert bits.all()
     kernel.encode(ecc32_code, rows, bits)
@@ -414,8 +417,65 @@ def test_marks_of_another_shape_are_refused(ecc32_code):
     for bad in (MarkState(marks.candidates[..., :3], 1, marks.hrb),
                 MarkState(marks.candidates, 1, marks.hrb[..., :-1]),
                 MarkState(marks.candidates[:, :-1], 1, marks.hrb[:, :-1])):
-        with pytest.raises(ValueError, match="must have shape"):
+        with pytest.raises(ValueError, match=r"^(candidates|hrb) must be C-contiguous .* "
+                                             r"of shape \(2, 32, (4|32)\)"):
             state.mark(bad)
+
+
+def refusals(a, writes: bool, shaped: bool) -> list:
+    """`a` as values that the kernel cannot read as they lie: a list, an
+    array of another dtype, in another order (Fortran's, or for one axis
+    every other entry), of another shape if the call fixes its shape, and
+    read-only if the kernel writes it."""
+    read_only = a.copy()
+    read_only.setflags(write=False)
+    other_order = np.asfortranarray(a) if a.ndim > 1 else np.repeat(a, 2)[::2]
+    return ([a.tolist(), a.astype(np.float32), other_order]
+            + [np.ascontiguousarray(a[..., :-2])] * shaped + [read_only] * writes)
+
+
+def test_every_array_a_caller_hands_the_kernel_is_checked_as_it_binds(ecc32_code):
+    # each binding (name, array, call, whether the kernel writes it and
+    # whether the call fixes its shape) refuses each of `refusals` with a
+    # ValueError naming the array, before the kernel writes anything: the
+    # bits, the noise and hard keep their sentinel values. The channel's
+    # bits and 4-PAM's hard set the shapes of the arrays beside them, and
+    # the bits of encode and Passes may have any shape that spans the layout
+    code = PcCode(ecc32_code)
+    w = code.w
+    rows, chan = block_layout(w, 1), ChannelConfig(4, 12.6)
+    marks = mark_bits(np.ones((w, w)), SabmParams(), code)
+    state = kernel.Passes(ecc32_code, rows, np.zeros((w, w), dtype=np.uint8))
+    bits, hard = np.full((w, w), 7, dtype=np.uint8), np.full((w, w), 7, dtype=np.uint8)
+    noise, tx = np.full((w, w), 0.5), np.zeros((w, w), dtype=np.uint8)
+    perm, y = np.arange(w * w), np.zeros(w * w // 2)
+    bindings = [
+        ("bits", bits, lambda a: kernel.encode(ecc32_code, rows, a), True, True),
+        ("bits", bits, lambda a: kernel.Passes(ecc32_code, rows, a), True, True),
+        ("candidates", marks.candidates, lambda a: state.mark(replace(marks, candidates=a)),
+         False, True),
+        ("hrb", marks.hrb, lambda a: state.mark(replace(marks, hrb=a)), False, True),
+        *((name, getattr(ecc32_code, name),
+           lambda a, name=name: kernel.encode(replace(ecc32_code, **{name: a}), rows, bits),
+           False, True) for name in ("flip_syndrome", "error_positions", "parity")),
+        ("bits", tx, lambda a: kernel.send_2pam(a, noise, hard, 1.0), False, False),
+        ("noise", noise, lambda a: kernel.send_2pam(tx, a, hard, 1.0), True, True),
+        ("hard", hard, lambda a: kernel.send_2pam(tx, noise, a, 1.0), True, True),
+        ("bits", tx, lambda a: kernel.modulate_pam(a, perm, chan), False, False),
+        ("perm", perm, lambda a: kernel.modulate_pam(tx, a, chan), False, True),
+        ("y", y, lambda a: kernel.demap_pam(a, perm, hard, chan), False, True),
+        ("perm", perm, lambda a: kernel.demap_pam(y, a, hard, chan), False, True),
+        ("hard", hard, lambda a: kernel.demap_pam(y, perm, a, chan), True, False),
+    ]
+    for name, good, bind, writes, shaped in bindings:
+        for bad in refusals(good, writes, shaped):
+            sentinel = bad.copy()
+            with pytest.raises(ValueError, match=f"^{name} must "):
+                bind(bad)
+            assert np.array_equal(bad, sentinel)
+    assert (bits == 7).all() and (hard == 7).all() and (noise == 0.5).all()
+    for _name, good, bind, *_ in bindings:  # each takes its own array's copy
+        bind(good.copy())
 
 
 class KernelCalled(Exception):

@@ -42,6 +42,16 @@ def test_modulate_rejects_ragged_input():
         ChannelConfig(16, 0.0)
 
 
+@pytest.mark.parametrize("snr_db", ["6", True, np.nan, 3100.0])
+def test_channel_refuses_an_snr_it_cannot_send_at(snr_db):
+    # a value that is not a real number, or outside SNR_RANGE_DB, is one
+    # ConfigError naming snr_db, not a TypeError or overflow of rho later
+    with pytest.raises(ConfigError, match=r"^snr_db must be a real number in "
+                                          r"\[-1000, 3000\] dB, got "):
+        ChannelConfig(2, snr_db)
+    assert ChannelConfig(2, np.float64(6.0)).rho == ChannelConfig(2, 6.0).rho
+
+
 @pytest.mark.parametrize("M", [2, 4, 8])
 @pytest.mark.parametrize("bits", [[2], [-1], [0.5], [np.nan]])
 def test_modulate_refuses_values_other_than_bits(M, bits):

@@ -238,6 +238,24 @@ def test_decode_chain_takes_one_mark_per_block(scc32, rng, extra):
         decode_chain(scc32, blocks, marks, SabmParams(), window=3, ell=1)
 
 
+def test_decode_chain_refuses_a_missing_mark(scc32, rng, monkeypatch):
+    # window 3 over 4 blocks marks blocks 1, 2 and 3: a None at one of them
+    # is refused, naming it, before any window decodes; block 0's is never read
+    _, blocks = random_chain(scc32, rng, 4)
+    params = SabmParams()
+    marks = marks_of(scc32, [np.ones((scc32.w, scc32.w))] * len(blocks), params)
+    ran = []
+    monkeypatch.setattr(scc, "window_pass", lambda *args: ran.append(args[1:]))
+    for b in (3, 1):
+        missing = [None if i == b else m for i, m in enumerate(marks)]
+        with pytest.raises(ValueError, match=rf"^marks\[{b}\] is None, but a window marks "
+                                             rf"block {b}$"):
+            decode_chain(scc32, blocks, missing, params, window=3, ell=1)
+    assert ran == []
+    decode_chain(scc32, blocks, [None, *marks[1:]], params, window=3, ell=1)
+    assert [first for first, *_ in ran] == [0, 1, 2, 3]
+
+
 # ------------------------------------------------------------- complexity
 
 def test_eta_arithmetic():

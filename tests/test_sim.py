@@ -107,10 +107,11 @@ def test_scc_counts_must_be_integers():
 
 @pytest.mark.parametrize("field, value", [
     ("batch_size", 2.5), ("workers", 2.0), ("master_seed", 1.5), ("chain_blocks", 2.5),
-    ("max_blocks", 4.5), ("min_word_errors", 1.5)])
+    ("max_blocks", 4.5), ("min_word_errors", 1.5), ("workers", True), ("batch_size", True),
+    ("master_seed", False)])
 def test_config_counts_must_be_integers(field, value, monkeypatch):
-    # through the Python API, a float count is refused, naming its field,
-    # before a trial runs; a numpy integer runs as the int
+    # through the Python API, a float or bool count is refused, naming its
+    # field, before a trial runs; a numpy integer runs as the int
     monkeypatch.setattr(sim, "_trials", lambda *args: pytest.fail("a trial ran"))
     part = {"chain_blocks": "scc", "max_blocks": "stop", "min_word_errors": "stop"}.get(field)
 
@@ -127,6 +128,7 @@ def test_config_counts_must_be_integers(field, value, monkeypatch):
 
 NOT_A_TUPLE = "snr_points must be a tuple, got a "
 NO_ORDER = "unsupported constellation order M="
+SNR_DB = "snr_db must be a real number in [-1000, 3000] dB, got "
 
 
 @pytest.mark.parametrize("make, message", [
@@ -140,7 +142,10 @@ NO_ORDER = "unsupported constellation order M="
     (lambda: small_pc_cfg(snr_points=np.array([6.0, 6.2])), NOT_A_TUPLE + "ndarray"),
     (lambda: small_pc_cfg(snr_points=np.array([0.0])), NOT_A_TUPLE + "ndarray"),
     (lambda: small_pc_cfg(snr_points=6.0), NOT_A_TUPLE + "float"),
-    (lambda: small_pc_cfg(snr_points=("6",)), "snr_points must hold real numbers, got a str"),
+    (lambda: small_pc_cfg(snr_points=(6.0, "6")), SNR_DB + "'6'"),
+    (lambda: small_pc_cfg(snr_points=(True,)), SNR_DB + "True"),
+    (lambda: SabmParams(total_iters=True), "total_iters must be an integer, got True"),
+    (lambda: SabmParams(md_iters=False), "md_iters must be an integer, got False"),
 ])
 def test_config_values_of_the_wrong_type_are_refused(make, message):
     # through the Python API, each is a one-line ConfigError naming its
@@ -680,6 +685,16 @@ def test_mask_stats_matches_analytic():
     masks = list(sim.mask_blocks(cfg, 6.2, 40))
     assert masks[0].shape == (128, 128)
     assert counts == [int(mask.sum()) for mask in masks]
+
+
+@pytest.mark.parametrize("num_blocks", [2.5, "3", np.float64(2.0), True, 0])
+def test_mask_stats_block_count_must_be_a_positive_integer(num_blocks):
+    # each is a one-line ConfigError before any block is drawn; a numpy
+    # integer runs as the int
+    cfg = small_pc_cfg(component_m=5)
+    with pytest.raises(ConfigError, match="^num_blocks must "):
+        mask_stats(cfg, 6.0, num_blocks)
+    assert mask_stats(cfg, 6.0, np.int64(2)) == mask_stats(cfg, 6.0, 2)
 
 
 def test_mask_stats_delta_zero_marks_nothing():
