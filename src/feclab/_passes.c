@@ -290,37 +290,39 @@ int64_t pam_maxlog(const double *y, const double *pairs, const int64_t *perm, do
 /* the most flip candidates a word keeps */
 #define MAX_CAND 8
 
-/* The marks of `words` words from an LLR grid: position offset + j of word
- * i carries llr[i * word_stride + j * pos_stride], j < n. Row i of hrb
- * (offset + n flags) flags the positions whose |llr| exceeds delta, none
- * below offset; row i of cand (ncand entries) holds the first ncand of the
- * others by ascending |llr|, ties to the lower position, then -1. |llr|
- * is compared by its bit pattern with the sign bit cleared, which orders
- * as its value, with that of delta, which is not NaN (-0 compares as 0,
- * as it does as a value). A word keeps a stable top list of the keys at or below a
- * threshold: delta's pattern until the list is full, then just below its
- * last key, so that the rare key that enters is the only branch taken.
- * Returns -1, writing nothing, for ncand outside 0..MAX_CAND. */
-int64_t marks(const double *llr, uint8_t *hrb, int64_t *cand, int64_t words, int64_t n,
-              int64_t word_stride, int64_t pos_stride, int64_t offset, int64_t ncand,
-              double delta)
+/* The marks of the rows (axis 0) and, if axes is 2, the columns (axis 1)
+ * of a C-order (n, n) LLR grid, position offset + j of a word at its entry
+ * j: word i of axis a gets row a n + i of hrb (offset + n flags), flagging
+ * the positions whose |llr| exceeds delta, none below offset, and of cand
+ * (ncand entries), the first ncand of the others by ascending |llr|, ties
+ * to the lower position, then -1. |llr| is compared by its bit pattern
+ * with the sign bit cleared, which orders as its value, with that of
+ * delta, which is not NaN (-0 compares as 0). A word keeps a stable top
+ * list of the keys at or below a threshold: delta's pattern until the list
+ * is full, then just below its last key, so that the rare key that enters
+ * is the only branch taken. Returns -1, writing nothing, for ncand outside
+ * 0..MAX_CAND or axes outside 1..2, and -2 for a NaN, whose pattern
+ * exceeds inf's (0x7ff0000000000000). */
+int64_t marks(const double *llr, uint8_t *hrb, int64_t *cand, int64_t n, int64_t axes,
+              int64_t offset, int64_t ncand, double delta)
 {
-    int64_t above, key[MAX_CAND], pos[MAX_CAND];
-    if (ncand < 0 || ncand > MAX_CAND)
+    int64_t above, nans = 0, key[MAX_CAND], pos[MAX_CAND];
+    if (ncand < 0 || ncand > MAX_CAND || axes < 1 || axes > 2)
         return -1;
     if (delta == 0)
         delta = 0;
     memcpy(&above, &delta, sizeof above);
-    for (int64_t i = 0; i < words; i++) {
-        const double *a = llr + i * word_stride;
+    for (int64_t i = 0; i < axes * n; i++) {
+        const int64_t at = i < n ? i * n : i - n, step = i < n ? 1 : n;
         uint8_t *h = hrb + i * (offset + n);
         int64_t count = 0, limit = ncand ? above : -1;
         memset(h, 0, (size_t)offset);
         h += offset;
         for (int64_t j = 0; j < n; j++) {
             int64_t v;
-            memcpy(&v, a + j * pos_stride, sizeof v);
+            memcpy(&v, llr + at + j * step, sizeof v);
             v &= INT64_MAX;
+            nans |= v > 0x7ff0000000000000;
             h[j] = v > above;
             if (v > limit)
                 continue;
@@ -339,7 +341,7 @@ int64_t marks(const double *llr, uint8_t *hrb, int64_t *cand, int64_t words, int
         for (int64_t k = 0; k < ncand; k++)
             c[k] = k < count ? offset + pos[k] : -1;
     }
-    return 0;
+    return nans ? -2 : 0;
 }
 
 /* Toggle the k positions pos of word i of group g and keep the syndromes. */
@@ -479,22 +481,22 @@ int64_t sabm_pass(state *s, int64_t g, int64_t axis, int64_t lo, int64_t hi)
     return changed;
 }
 
-/* The iterations of the block whose rows are group g and columns group
- * g + 1 (see pc.block_pass): `marking` of marking passes on axes 0 and 1,
- * whose veto reads the block's slots, then plain ones up to `iters`. A
- * phase ends at its first iteration that flips nothing, but a stalled
+/* The iterations of the state's product block, its rows group 0 and its
+ * columns group 1, the state's only groups, else -1 (see pc.block_pass):
+ * `marking` marking passes on axes 0 and 1, then plain ones up to `iters`.
+ * A phase ends at its first iteration that flips nothing, but a stalled
  * marking iteration that leaves a nonzero syndrome in the block goes on
  * to the plain ones. A row pass is a statement of its own, as C leaves the
  * order of `|`'s operands open. */
-int64_t block(state *s, int64_t g, int64_t marking, int64_t iters)
+int64_t block(state *s, int64_t marking, int64_t iters)
 {
-    const int64_t lo = g * s->w, hi = lo + 2 * s->w;
-    if (g < 0 || g + 1 >= s->groups || marking < 0 || (marking > 0 && s->axes < 2))
+    const int64_t hi = 2 * s->w;
+    if (s->groups != 2 || s->slots != hi || marking < 0 || (marking > 0 && s->axes < 2))
         return -1;
     for (int64_t it = 0; it < marking; it++) {
-        const int64_t rows = sabm_pass(s, g, 0, lo, hi);
-        if (!(rows | sabm_pass(s, g + 1, 1, lo, hi))) {
-            int64_t slot = lo;
+        const int64_t rows = sabm_pass(s, 0, 0, 0, hi);
+        if (!(rows | sabm_pass(s, 1, 1, 0, hi))) {
+            int64_t slot = 0;
             while (slot < hi && !s->syn[slot])
                 slot++;
             if (slot == hi)
@@ -503,8 +505,8 @@ int64_t block(state *s, int64_t g, int64_t marking, int64_t iters)
         }
     }
     for (int64_t it = marking; it < iters; it++) {
-        const int64_t rows = plain_pass(s, g);
-        if (!(rows | plain_pass(s, g + 1)))
+        const int64_t rows = plain_pass(s, 0);
+        if (!(rows | plain_pass(s, 1)))
             break;
     }
     return 0;

@@ -25,13 +25,14 @@ layout's rows and the code's tables (in a state built once per code and
 layout, which it copies), the marks of the words that a marking pass
 decodes, and the `DecodeStats` counters. `encode` runs on a copy of the
 same cached state, whose tables include the code's parity patterns by
-byte. `mark_words` builds marks from LLR grids, and `count` checks the
-counts that reach the kernel. Every array that a caller hands the kernel,
-the bits, the marks, the code's tables and the channel calls' arrays, is
-checked once, in `_address`, which reads its address: its dtype, shape,
-C order and, if the kernel writes it, writeability; none is copied. A
-code whose table values would make the kernel index past an array is
-refused before its state is built, as `pc.Layout` refuses such a layout.
+byte. `mark_words` marks an LLR grid's words in one call, `count` checks
+the counts that reach the kernel and `binary` the coders' bits. Every
+array that a caller hands the kernel, the bits, the marks, the LLR grid,
+the code's tables and the channel calls' arrays, is checked once, in
+`_address`, which reads its address: its dtype, shape, C order and, if
+the kernel writes it, writeability; none is copied. A code whose table
+values would make the kernel index past an array is refused before its
+state is built, as `pc.Layout` refuses such a layout.
 """
 
 import ctypes
@@ -57,12 +58,12 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 MAX_ITERS = 2**63 - 1
 _PTR, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # the kernel's functions and their argument types, a state and int64s but
-# for `marks` and the channel's; each returns -1 for arguments that it
-# does not hold
+# for `marks` and the channel's; each returns a negative value for
+# arguments that it does not hold
 FUNCTIONS = {"plain_pass": [_PTR, _I64], "sabm_pass": [_PTR] + [_I64] * 4,
-             "block": [_PTR] + [_I64] * 3, "window": [_PTR] + [_I64] * 4,
+             "block": [_PTR] + [_I64] * 2, "window": [_PTR] + [_I64] * 4,
              "syndromes": [_PTR], "encode": [_PTR, _I64],
-             "marks": [_PTR] * 3 + [_I64] * 6 + [_F64],
+             "marks": [_PTR] * 3 + [_I64] * 4 + [_F64],
              "send_2pam": [_PTR] * 3 + [_I64, _F64],
              "modulate_pam": [_PTR] * 4 + [_I64], "pam_sides": [_PTR] * 3 + [_I64, _F64],
              "pam_llr": [_PTR] * 4 + [_I64], "pam_maxlog": [_PTR] * 5 + [_I64, _F64]}
@@ -153,6 +154,17 @@ def _address(a, dtype, shape: tuple, name: str, writes: bool = False) -> int:
     if a.flags.writeable and a.size:
         return ctypes.addressof(ctypes.c_char.from_buffer(a))
     return a.ctypes.data
+
+
+def binary(value, name: str) -> np.ndarray:
+    """value as an array, every entry of which must be 0 or 1 (False, True,
+    0.0 and 1.0 too), checked before the cast to the kernel's uint8 that
+    would wrap or truncate another value; ValueError, naming it, else. A
+    uint8 array's check is its maximum (~1.5 us a 128 x 128 block)."""
+    a = np.asarray(value)
+    if not (a.max(initial=0) <= 1 if a.dtype == np.uint8 else ((a == 0) | (a == 1)).all()):
+        raise ValueError(f"{name} must hold only 0 and 1")
+    return a
 
 
 def _by_byte(patterns: np.ndarray) -> np.ndarray:
@@ -296,27 +308,22 @@ def demap_pam(y: np.ndarray, perm: np.ndarray, hard: np.ndarray, chan) -> np.nda
     return grid
 
 
-def mark_words(grids, delta: float, offset: int, ncand: int) -> tuple:
-    """HRB flags, uint8 (axes, words, offset + n), and candidates, int64
-    (axes, words, ncand), of the words of LLR grids of (words, n), one per
-    axis, which the kernel reads through their strides (or a float64
-    copy): position offset + j of word i of axis a carries grids[a][i, j].
-    See `marks` in `_passes.c`."""
-    grids = [np.asarray(g, dtype=np.float64) for g in grids]
-    words, n = grids[0].shape
-    hrb = np.empty((len(grids), words, offset + n), dtype=np.uint8)
-    candidates = np.empty((len(grids), words, ncand), dtype=np.int64)
-    flags_at, cand_at = hrb.ctypes.data, candidates.ctypes.data
-    for axis, grid in enumerate(grids):
-        if grid.shape != (words, n):
-            raise ValueError(f"every grid must have shape {(words, n)}, got {grid.shape}")
-        if any(st % grid.itemsize for st in grid.strides):
-            grid = np.ascontiguousarray(grid)
-        if library()["marks"](grid.ctypes.data, flags_at + axis * hrb.strides[0],
-                              cand_at + axis * candidates.strides[0], words, n,
-                              *(st // grid.itemsize for st in grid.strides), offset, ncand,
-                              delta) < 0:
-            raise ValueError(f"a word keeps at most 8 candidates, not {ncand}")
+def mark_words(llr: np.ndarray, delta: float, offset: int, ncand: int, axes: int) -> tuple:
+    """HRB flags, uint8 (axes, n, offset + n), and candidates, int64
+    (axes, n, ncand), of the rows (axis 0) and, if axes is 2, the columns
+    (axis 1) of an (n, n) C-contiguous float64 LLR grid, in one kernel
+    call: position offset + j of a word carries its entry j. ValueError for
+    a NaN in the grid. See `marks` in `_passes.c`."""
+    n = (np.shape(llr) or (0,))[0]
+    hrb = np.empty((axes, n, offset + n), dtype=np.uint8)
+    candidates = np.empty((axes, n, ncand), dtype=np.int64)
+    done = library()["marks"](_address(llr, np.float64, (n, n), "llr"), hrb.ctypes.data,
+                              candidates.ctypes.data, n, axes, offset, ncand, delta)
+    if done == -2:
+        raise ValueError("llr must hold no NaN, which is neither an HRB nor a candidate")
+    if done < 0:
+        raise ValueError(f"marks take 1 or 2 axes and at most 8 candidates a word, "
+                         f"not {axes} and {ncand}")
     return hrb, candidates
 
 
@@ -329,7 +336,7 @@ class Passes:
     `pc.MarkState` that later marking passes read, until the next `mark`.
     `counts()` gives the DecodeStats counters summed over all passes so
     far. `lib` holds the kernel's functions by name, each called with `ref`
-    and the int64 arguments of `FUNCTIONS`: the schedules `block(ref, rows,
+    and the int64 arguments of `FUNCTIONS`: the schedules `block(ref,
     marking, iters)` (see `pc.block_pass`) and `window(ref, first, newest,
     ell, marking)` (`scc.window_pass`), and the passes they run,
     `plain_pass(ref, group)` and `sabm_pass(ref, group, axis, lo, hi)`."""

@@ -11,11 +11,11 @@ proposal, retries BDD with the least reliable non-HRB bits flipped.
 
 Decoding runs on syndromes, in passes that the staircase decoder shares.
 A `Layout` says where the words of a set of word groups lie in a bit
-array in which every bit lies in two words (here group 2b holds the rows
-of block b of a stack and group 2b + 1 its columns), from which the
-kernel builds the packed syndrome of every word. A pass decodes the words of a group that
-have a nonzero syndrome (a clean word is a no-op), yet `bdd_calls` counts
-w per group pass, as if every word were decoded, plus one per flip retry.
+array in which every bit lies in two words (here group 0 holds a block's
+rows and group 1 its columns), from which the kernel builds the packed
+syndrome of every word. A pass decodes the words of a group that have a
+nonzero syndrome (a clean word is a no-op), yet `bdd_calls` counts w per
+group pass, as if every word were decoded, plus one per flip retry.
 Every flip updates the syndrome of its word and of the crossing word, so
 the syndromes always equal those of the bits.
 
@@ -30,8 +30,8 @@ window's (`scc.window_pass`), are one kernel call each, as their ~14-16
 passes would otherwise each pay a call's ~0.8 us of overhead. The kernel
 toggles the bits in place, as a plain pass may flip back a bit that an
 earlier pass flipped. The kernel also builds a `MarkState`
-(`make_marks`), reading each axis's words from an LLR grid through its
-strides, and its passes read the marks' arrays as they are.
+(`make_marks`) in one call on an LLR grid's rows (and columns), and its
+passes read the marks' arrays as they are.
 """
 
 import numbers
@@ -42,7 +42,7 @@ import numpy as np
 
 from .bch import BchCode
 from .errors import ConfigError
-from .kernel import Passes, count, encode, mark_words
+from .kernel import Passes, binary, count, encode, mark_words
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,13 @@ class MarkState:
     hrb: np.ndarray
 
 
-def make_marks(grids, params: SabmParams, code: BchCode, offset: int = 0) -> MarkState:
-    """Marks for the words along each axis, whose positions offset.. carry
-    the LLRs of one (words, n) grid per axis, as `kernel.mark_words` reads
-    them; positions below offset are unmarked (never HRB, never flipped)."""
-    hrb, candidates = mark_words(grids, params.delta, offset, code.d0 - 2)
+def make_marks(llr, params: SabmParams, code: BchCode, axes: int,
+               offset: int = 0) -> MarkState:
+    """`kernel.mark_words` of an (n, n) LLR grid, or of its C-contiguous
+    float64 copy: positions below offset are unmarked (never HRB, never
+    flipped)."""
+    llr = np.ascontiguousarray(llr, dtype=np.float64)
+    hrb, candidates = mark_words(llr, params.delta, offset, code.d0 - 2, axes)
     return MarkState(candidates, min(code.d0 - code.t - 1, params.failure_flip_attempts), hrb)
 
 
@@ -122,17 +124,16 @@ def pc_encode(code: PcCode, data) -> np.ndarray:
     if np.shape(data) != (k, k):
         raise ValueError(f"data must be ({k}, {k})")
     block = np.zeros((code.w, code.w), dtype=np.uint8)
-    block[:k, :k] = data
-    encode(code.component, block_layout(code.w, 1), block)
+    block[:k, :k] = binary(data, "data")
+    encode(code.component, block_layout(code.w), block)
     return block
 
 
 def mark_bits(llr: np.ndarray, params: SabmParams, code: PcCode) -> MarkState:
     """The marks of a block's rows (axis 0) and columns (axis 1)."""
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape != (code.w, code.w):
+    if np.shape(llr) != (code.w, code.w):
         raise ValueError(f"LLR grid must be ({code.w}, {code.w})")
-    return make_marks([llr, llr.T], params, code.component)
+    return make_marks(llr, params, code.component, 2)
 
 
 class Layout:
@@ -171,31 +172,27 @@ class Layout:
 
 
 @lru_cache(maxsize=None)
-def block_layout(w: int, blocks: int) -> Layout:
-    """Rows (group 2b) and columns (group 2b + 1) of each block b of a
-    (blocks, w, w) stack: position j of row i of block b is bit (b, i, j),
-    which is position i of its column j."""
+def block_layout(w: int) -> Layout:
+    """The rows (group 0) and columns (group 1) of a (w, w) block: position
+    j of row i is bit (i, j), which is position i of column j."""
     j = np.arange(w)
-    b = np.arange(blocks)[:, None, None]
-    return Layout(w, base=(b * w * w + [j, j * w]).reshape(-1, w),
-                  stride=np.tile([np.full(w, w), np.ones(w)], (blocks, 1)),
-                  cross=(b * 2 * w + [w + j, j]).reshape(-1, w),
-                  shift=np.zeros((2 * blocks, w)))
+    return Layout(w, base=[j, j * w], stride=[np.full(w, w), np.ones(w)], cross=[w + j, j],
+                  shift=np.zeros((2, w)))
 
 
-def block_pass(state: Passes, rows: int, marking: int, iters: int) -> None:
-    """The iterations of the product block whose rows are group `rows` of
-    the state and whose columns are group rows + 1, in one kernel call:
-    `marking` marking iterations, then plain ones up to `iters`, each a
-    pass over the rows and then one over the columns. A marking pass reads
-    axis 0 (rows) or 1 (columns) of the state's marks, and its veto reads
-    only the block's words. Each phase ends at its first iteration that
-    flips nothing, except that a marking iteration that leaves a nonzero
-    syndrome in the block, which cannot progress with the same vetoes in
-    place, hands the block to the plain iterations."""
-    if state.lib["block"](state.ref, rows, marking, iters) < 0:
-        raise ValueError(f"groups {rows} and {rows + 1} are not a block of the state, "
-                         "or it marks with no marks bound")
+def block_pass(state: Passes, marking: int, iters: int) -> None:
+    """The iterations of the state's one product block (`block_layout`), in
+    one kernel call: `marking` marking iterations, then plain ones up to
+    `iters`, each a pass over the rows and then one over the columns. A
+    marking pass reads axis 0 (rows) or 1 (columns) of the state's marks,
+    and its veto reads only the block's words. Each phase ends at its first
+    iteration that flips nothing, except that a marking iteration that
+    leaves a nonzero syndrome in the block, which cannot progress with the
+    same vetoes in place, hands the block to the plain iterations.
+    ValueError for a state of another layout."""
+    if state.lib["block"](state.ref, marking, iters) < 0:
+        raise ValueError("the state is not one product block's, or it marks with no "
+                         "marks bound")
 
 
 def _decode(code: PcCode, block, iters: int, marks: MarkState | None = None,
@@ -205,11 +202,11 @@ def _decode(code: PcCode, block, iters: int, marks: MarkState | None = None,
     w = code.w
     if np.shape(block) != (w, w):
         raise ValueError(f"block must be ({w}, {w})")
-    bits = np.array(block, dtype=np.uint8, order="C")
-    state = Passes(code.component, block_layout(w, 1), bits)
+    bits = np.array(binary(block, "block"), dtype=np.uint8, order="C")
+    state = Passes(code.component, block_layout(w), bits)
     if marks is not None:
         state.mark(marks)
-    block_pass(state, 0, marking, iters)
+    block_pass(state, marking, iters)
     return bits, DecodeStats(*state.counts())
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bch import BchCode
 from .errors import ConfigError
-from .kernel import Passes, count, encode
+from .kernel import Passes, binary, count, encode
 from .pc import DecodeStats, Layout, MarkState, SabmParams, make_marks
 
 
@@ -75,7 +75,7 @@ def scc_encode(code: SccCode, info_blocks) -> np.ndarray:
     the previous block | that row]: the words of the chain's pairs, encoded
     in order in one kernel call (`kernel.encode` over `chain_layout`), after
     the zero block B_0, which the returned chain, a view, leaves out."""
-    info = np.asarray(info_blocks, dtype=np.uint8)
+    info = binary(info_blocks, "info_blocks")
     w = code.w
     if info.ndim != 3 or info.shape[1:] != (w, code.info_cols):
         raise ValueError(f"info blocks must be (N, {w}, {code.info_cols})")
@@ -117,7 +117,7 @@ def block_marks(code: SccCode, llr: np.ndarray, params: SabmParams) -> MarkState
     """The marks of a received (w, w) block from its LLR grid, for the
     windows in which it is the newest block: its row i fills positions
     w..2w-1 of word i of the newest pair."""
-    return make_marks([llr], params, code.component, offset=code.w)
+    return make_marks(llr, params, code.component, 1, offset=code.w)
 
 
 def window_pass(state: Passes, first: int, newest: int, ell: int, marking: int) -> None:
@@ -159,6 +159,7 @@ def decode_chain(code: SccCode, received: np.ndarray, marks: list[MarkState | No
     w, shape = code.w, np.shape(received)
     if len(shape) != 3 or shape[1:] != (w, w):
         raise ValueError(f"received chain must be (N, {w}, {w}), got {shape}")
+    received = binary(received, "received")
     newest_of = newest_blocks(len(received), window)
     if marks is not None:
         if len(marks) != len(received):

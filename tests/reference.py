@@ -283,7 +283,7 @@ def sabm_pass(state, group: int, axis: int, lo: int, hi: int) -> bool:
 @lru_cache(maxsize=None)
 def _rows(n: int) -> Layout:
     """The rows of an (n, n) block alone: the first group of `block_layout`."""
-    rows = block_layout(n, 1)
+    rows = block_layout(n)
     return Layout(n, rows.base, rows.stride, rows.cross, rows.shift, groups=1)
 
 

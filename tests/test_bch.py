@@ -91,13 +91,13 @@ def test_encode_zero_and_length_check(ecc16_code):
     assert z.shape == (1, 16) and not z.any()
     # the kernel writes the bits in place through the layout: too few bits,
     # words of another length, or bits it cannot write are refused
-    rows = block_layout(16, 1)
+    rows = block_layout(16)
     for bits in (np.zeros(16 * 16 - 1, dtype=np.uint8), np.zeros((16, 16), dtype=np.int64),
                  np.zeros((16, 32), dtype=np.uint8)[:, ::2]):
         with pytest.raises(ValueError):
             kernel.encode(ecc16_code, rows, bits)
     with pytest.raises(ValueError):
-        kernel.encode(ecc16_code, block_layout(32, 1), np.zeros((32, 32), dtype=np.uint8))
+        kernel.encode(ecc16_code, block_layout(32), np.zeros((32, 32), dtype=np.uint8))
 
 
 def test_encode_systematic_parity(ecc16_code):
@@ -282,7 +282,7 @@ def test_kernel_decodes_every_syndrome_as_decode_syndromes(m):
     # flips nothing and leaves the slot as it was
     code = build_code(m)
     n = code.n
-    state = Passes(code, block_layout(n, 1), np.zeros((n, n), dtype=np.uint8))
+    state = Passes(code, block_layout(n), np.zeros((n, n), dtype=np.uint8))
     syndromes = np.arange(len(code.error_positions))
     for batch in syndromes.reshape(-1, n):
         state.syn[:n] = batch

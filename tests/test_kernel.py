@@ -154,7 +154,8 @@ def test_the_decoder_tests_pass_under_the_sanitizers(tmp_path):
          "--capture=sys",
          "-k", "not build and not cache_name and not compiler and not sanitizers",
          *(str(tests / name) for name in ("test_kernel.py", "test_pc.py", "test_scc.py",
-                                          "test_channel_oracle.py"))],
+                                          "test_channel_oracle.py", "test_syndrome_state.py",
+                                          "test_flip_decoded.py", "test_bch.py"))],
         env=env, cwd=tests.parent, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, (run.stdout[-3000:], run.stderr[:3000])
     assert re.search(r"\b\d+ passed", run.stdout) and "failed" not in run.stdout
@@ -224,18 +225,17 @@ def test_the_state_fields_match_the_source():
 
 @pytest.mark.parametrize("m", range(4, 9))
 def test_kernel_syndromes_equal_the_reference(m):
-    # stacks of 1, 3 and 16 product blocks, and chains of 2..13 blocks,
-    # the scratch group, the last, included, whose positions lie 8 in a
-    # row in a word or across 8 words; and rows whose positions lie in no
-    # order, which the kernel reads one at a time
+    # three product blocks, and chains of 2..13 blocks, the scratch group,
+    # the last, included, whose positions lie 8 in a row in a word or
+    # across 8 words; and rows whose positions lie in no order, which the
+    # kernel reads one at a time
     code = build_code(m)
     rng = np.random.default_rng(100 + m)
     w = code.n
-    for blocks in (1, 3, 16):
-        bits = rng.integers(0, 2, (blocks, w, w), dtype=np.uint8)
-        state = kernel.Passes(code, block_layout(w, blocks), bits)
-        want = [reference.block_syndromes(code, reference.pc_words(block, g))
-                for block in bits for g in (0, 1)]
+    for _ in range(3):
+        bits = rng.integers(0, 2, (w, w), dtype=np.uint8)
+        state = kernel.Passes(code, block_layout(w), bits)
+        want = [reference.block_syndromes(code, reference.pc_words(bits, g)) for g in (0, 1)]
         assert np.array_equal(state.syn, np.concatenate(want))
     w //= 2
     for blocks in range(2, 14):
@@ -255,24 +255,28 @@ def test_kernel_syndromes_equal_the_reference(m):
 
 
 def test_marks_read_any_grid_as_its_contiguous_copy(ecc32_code):
-    # the kernel reads a grid through its strides, negative ones included;
-    # a grid of another dtype is read as float64
+    # make_marks reads a grid in another layout (strides negative ones
+    # included) as its C-contiguous copy, and a grid of another dtype as
+    # float64, for a block's rows and columns and for rows alone; the
+    # kernel's mark_words reads only a C-contiguous float64 grid, and
+    # refuses the others, as it refuses a grid that is not square
     rng = np.random.default_rng(8)
     llr = rng.normal(0, 6, (32, 32))
     llr[3, :9] = -2.0  # ties
     params = SabmParams(delta=5.0)
     flipped = llr[::-1, ::-1].copy()
     for grid, same in ((np.asfortranarray(llr), llr), (flipped[::-1, ::-1], llr),
-                       (np.repeat(llr, 2, axis=1)[:, ::2], llr),
+                       (np.repeat(llr, 2, axis=1)[:, ::2], llr), (llr.tolist(), llr),
                        (llr.astype(np.float32), llr.astype(np.float32).astype(np.float64))):
-        for got, want in ((make_marks([grid, grid.T], params, ecc32_code),
-                           make_marks([np.array(same), np.array(same.T)], params, ecc32_code)),
-                          (make_marks([grid], params, ecc32_code, offset=32),
-                           make_marks([np.array(same)], params, ecc32_code, offset=32))):
+        for axes, offset in ((2, 0), (1, 32)):
+            got = make_marks(grid, params, ecc32_code, axes, offset)
+            want = make_marks(same, params, ecc32_code, axes, offset)
             assert np.array_equal(got.candidates, want.candidates)
             assert np.array_equal(got.hrb, want.hrb)
-    with pytest.raises(ValueError, match="every grid must have shape"):
-        make_marks([llr, llr[:, :-1]], params, ecc32_code)
+        with pytest.raises(ValueError, match=r"^llr must be C-contiguous float64 of shape"):
+            kernel.mark_words(grid, 5.0, 0, 4, 2)
+    with pytest.raises(ValueError, match=r"^llr must be C-contiguous float64 of shape \(32, 32\)"):
+        make_marks(llr[:, :-1], params, ecc32_code, 2)
 
 
 # ------------------------------------------------------ arrays that reach C
@@ -308,39 +312,6 @@ def test_pc_decoders_decode_any_layout_as_its_contiguous_copy(pc_component_code)
         assert want_stats.flips_attempted > 0
 
 
-@pytest.mark.parametrize("marking", [0, 4])
-def test_the_blocks_of_a_stack_layout_decode_on_their_own(marking):
-    # block_pass on rows 2b of one state over a stack decodes block b as a
-    # state of that block alone does, with the block's own marks bound for
-    # SABM, and leaves the blocks after it as they were. The heavy block
-    # runs every iteration, the clean one stops after one, and the light
-    # ones, which decode to the sent blocks, stop in between
-    code = PcCode(build_code(6))
-    params = SabmParams(total_iters=8, md_iters=marking)
-    rng = np.random.default_rng(5)
-    rates = [0.06, 0.0, 0.02, 0.004]
-    sent = np.array([pc_encode(code, rng.integers(0, 2, (code.k, code.k), dtype=np.uint8))
-                     for _ in rates])
-    hard = sent ^ (rng.random(sent.shape) < np.array(rates)[:, None, None]).astype(np.uint8)
-    llr = np.where(hard == 0, 1.0, -1.0) * rng.choice([0.5, 2.0, 8.0], size=hard.shape)
-    state = kernel.Passes(code.component, block_layout(code.w, len(rates)), hard.copy())
-    calls = []
-    for b in range(len(rates)):
-        soft = (llr[b], params) if marking else ()
-        want, want_stats = reference.pc_decode(code, hard[b], params.total_iters, *soft)
-        before = np.array(state.counts())
-        if marking:
-            state.mark(mark_bits(llr[b], params, code))
-        block_pass(state, 2 * b, marking, params.total_iters)
-        assert np.array_equal(state.bits[b], want) and np.array_equal(state.bits[b + 1:],
-                                                                       hard[b + 1:])
-        assert DecodeStats(*(np.array(state.counts()) - before).tolist()) == want_stats
-        calls.append(want_stats.bdd_calls)
-    assert all(np.array_equal(state.bits[b], sent[b]) for b in (1, 2, 3))
-    assert calls[1] == 2 * code.w < min(calls[2:])
-    assert max(calls[2:]) < 8 * 2 * code.w <= calls[0]
-
-
 def test_decode_chain_decodes_any_layout_as_its_contiguous_copy(ecc32_code):
     code = SccCode(ecc32_code)
     rng = np.random.default_rng(6)
@@ -366,9 +337,9 @@ def test_decode_chain_decodes_any_layout_as_its_contiguous_copy(ecc32_code):
 
 def test_a_state_outlives_its_cached_pair(ecc32_code):
     # the cache keeps 64 (code, layout) pairs; a state made before its
-    # pair is evicted still reads the tables it was made with, those of a
-    # layout that nothing else holds included, and a new state for the
-    # pair gets them built again
+    # pair is evicted, by states over 65 chains, still reads the tables it
+    # was made with, those of a layout that nothing else holds included,
+    # and a new state for the pair gets them built again
     code, params = PcCode(ecc32_code), SabmParams()
     w = code.w
     rng = np.random.default_rng(9)
@@ -377,18 +348,18 @@ def test_a_state_outlives_its_cached_pair(ecc32_code):
     hard = (llr < 0).astype(np.uint8)
     want, want_stats = reference.pc_decode(code, hard, params.total_iters, llr, params)
     assert want_stats.flips_attempted > 0
-    rows = block_layout(w, 1)
+    rows = block_layout(w)
     layout = Layout(w, *(a.copy() for a in (rows.base, rows.stride, rows.cross, rows.shift)))
     first, evicted = kernel.Passes(code.component, layout, hard.copy()), weakref.ref(layout)
     del layout
     for blocks in range(2, 67):
-        kernel.Passes(code.component, block_layout(w, blocks),
-                      np.zeros((blocks, w, w), dtype=np.uint8))
+        kernel.Passes(code.component, chain_layout(w // 2, blocks),
+                      np.zeros((blocks, w // 2, w // 2), dtype=np.uint8))
     assert evicted() is None
-    again = kernel.Passes(code.component, block_layout(w, 1), hard.copy())
+    again = kernel.Passes(code.component, block_layout(w), hard.copy())
     for state in (first, again):
         state.mark(mark_bits(llr, params, code))
-        block_pass(state, 0, params.md_iters, params.total_iters)
+        block_pass(state, params.md_iters, params.total_iters)
         assert np.array_equal(state.bits, want)
         assert DecodeStats(*state.counts()) == want_stats
 
@@ -397,7 +368,7 @@ def test_a_code_whose_parity_does_not_fit_its_words_is_not_encoded(ecc32_code):
     # the kernel reads message positions up to k rounded up to 8 and writes
     # n - k parity bits from an int64: a k past the word, or a parity
     # table of another length, is a ValueError, and the bits stay as they were
-    rows = block_layout(ecc32_code.n, 1)
+    rows = block_layout(ecc32_code.n)
     bits = np.ones((ecc32_code.n, ecc32_code.n), dtype=np.uint8)
     for over in (dict(k=ecc32_code.n + 1, parity=np.zeros(ecc32_code.n + 1, dtype=np.int64)),
                  dict(parity=ecc32_code.parity[:-1])):
@@ -412,7 +383,7 @@ def test_marks_of_another_shape_are_refused(ecc32_code):
     code = PcCode(ecc32_code)
     w = code.w
     hard = np.zeros((w, w), dtype=np.uint8)
-    state = kernel.Passes(code.component, block_layout(w, 1), hard)
+    state = kernel.Passes(code.component, block_layout(w), hard)
     marks = mark_bits(np.ones((w, w)), SabmParams(), code)
     for bad in (MarkState(marks.candidates[..., :3], 1, marks.hrb),
                 MarkState(marks.candidates, 1, marks.hrb[..., :-1]),
@@ -443,18 +414,19 @@ def test_every_array_a_caller_hands_the_kernel_is_checked_as_it_binds(ecc32_code
     # the bits of encode and Passes may have any shape that spans the layout
     code = PcCode(ecc32_code)
     w = code.w
-    rows, chan = block_layout(w, 1), ChannelConfig(4, 12.6)
+    rows, chan = block_layout(w), ChannelConfig(4, 12.6)
     marks = mark_bits(np.ones((w, w)), SabmParams(), code)
     state = kernel.Passes(ecc32_code, rows, np.zeros((w, w), dtype=np.uint8))
     bits, hard = np.full((w, w), 7, dtype=np.uint8), np.full((w, w), 7, dtype=np.uint8)
     noise, tx = np.full((w, w), 0.5), np.zeros((w, w), dtype=np.uint8)
-    perm, y = np.arange(w * w), np.zeros(w * w // 2)
+    perm, y, llr = np.arange(w * w), np.zeros(w * w // 2), np.ones((w, w))
     bindings = [
         ("bits", bits, lambda a: kernel.encode(ecc32_code, rows, a), True, True),
         ("bits", bits, lambda a: kernel.Passes(ecc32_code, rows, a), True, True),
         ("candidates", marks.candidates, lambda a: state.mark(replace(marks, candidates=a)),
          False, True),
         ("hrb", marks.hrb, lambda a: state.mark(replace(marks, hrb=a)), False, True),
+        ("llr", llr, lambda a: kernel.mark_words(a, 5.0, 0, 4, 2), False, True),
         *((name, getattr(ecc32_code, name),
            lambda a, name=name: kernel.encode(replace(ecc32_code, **{name: a}), rows, bits),
            False, True) for name in ("flip_syndrome", "error_positions", "parity")),
@@ -478,6 +450,39 @@ def test_every_array_a_caller_hands_the_kernel_is_checked_as_it_binds(ecc32_code
         bind(good.copy())
 
 
+def test_the_coders_refuse_bits_other_than_0_and_1(ecc32_code):
+    # each entry point that takes bits refuses 2, 255, -1, 0.5 and NaN at
+    # one position, in every dtype that holds it, with a ValueError naming
+    # its array, before a cast to uint8 could wrap 255 or -1 or truncate
+    # 0.5 to 0; the same bits as bools, floats 0.0 and 1.0 or int64 give
+    # what they give as uint8
+    pc, scc = PcCode(ecc32_code), SccCode(ecc32_code)
+    rng = np.random.default_rng(4)
+    data = rng.integers(0, 2, (pc.k, pc.k), dtype=np.uint8)
+    block = pc_encode(pc, data) ^ (rng.random((pc.w, pc.w)) < 0.02).astype(np.uint8)
+    llr = np.where(block == 0, 4.0, -4.0)
+    info = rng.integers(0, 2, (3, scc.w, scc.info_cols), dtype=np.uint8)
+    chain = scc_encode(scc, info) ^ (rng.random((3, scc.w, scc.w)) < 0.02).astype(np.uint8)
+    params = SabmParams()
+    calls = [("data", data, lambda a: pc_encode(pc, a)),
+             ("block", block, lambda a: ibdd_decode(pc, a, 4)[0]),
+             ("block", block, lambda a: sabm_decode(pc, a, llr, params)[0]),
+             ("info_blocks", info, lambda a: scc_encode(scc, a)),
+             ("received", chain, lambda a: decode_chain(scc, a, None, params, 3, 2)[0])]
+    for name, good, call in calls:
+        want = call(good)
+        for same in (good.astype(bool), good.astype(np.float64), good.astype(np.int64)):
+            assert np.array_equal(call(same), want)
+        for value, dtypes in ((2, (np.uint8, np.int64, np.float64)), (255, (np.uint8, np.int64)),
+                              (-1, (np.int64, np.float64)), (0.5, (np.float64,)),
+                              (np.nan, (np.float64,))):
+            for dtype in dtypes:
+                bad = good.astype(dtype)
+                bad[(1,) * bad.ndim] = value
+                with pytest.raises(ValueError, match=f"^{name} must hold only 0 and 1$"):
+                    call(bad)
+
+
 class KernelCalled(Exception):
     pass
 
@@ -493,7 +498,7 @@ def test_a_bad_layout_or_code_is_refused_before_any_kernel_call(ecc32_code, monk
 
     monkeypatch.setattr(kernel, "library", lambda: dict.fromkeys(kernel.FUNCTIONS, called))
     w = ecc32_code.n
-    rows = block_layout(w, 1)
+    rows = block_layout(w)
     good = dict(base=rows.base, stride=rows.stride, cross=rows.cross, shift=rows.shift)
     bits = np.zeros((w, w), dtype=np.uint8)
     with pytest.raises(KernelCalled):

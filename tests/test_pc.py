@@ -1,5 +1,7 @@
 """Product-code construction, iBDD, and the bit-marking decoder."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from feclab.pc import (
     pc_encode,
     sabm_decode,
 )
+from feclab.scc import SccCode, block_marks
 
 import reference
 from reference import (_suspicious, block_syndromes, decode_syndromes, plain_pass, sabm_pass,
@@ -208,23 +211,27 @@ MARK_LEVELS = [0.0, 0.5, 1.0, 2.0, 5.0, 5.0000001, 7.0, 1e9, np.inf]
 
 @st.composite
 def mark_inputs(draw):
-    # rows of at least d0 - 2 = 4 entries, as every marked word has (16 or more)
-    axes, rows, n = draw(st.integers(1, 2)), draw(st.integers(1, 6)), draw(st.integers(4, 12))
-    a = draw(hnp.arrays(np.float64, (axes, rows, n), elements=st.sampled_from(MARK_LEVELS)))
-    # some rows all equal: all ties, and all HRB for a level above delta
-    const = draw(hnp.arrays(np.bool_, (axes, rows)))
-    a[const] = draw(st.sampled_from(MARK_LEVELS))
-    return a
+    """An (n, n) |llr| grid, n >= d0 - 2 = 4, as every marked word has (16
+    or more entries), and its words: its rows and, for 2 axes, its
+    columns, as an (axes, n, n) array."""
+    axes, n = draw(st.integers(1, 2)), draw(st.integers(4, 12))
+    grid = draw(hnp.arrays(np.float64, (n, n), elements=st.sampled_from(MARK_LEVELS)))
+    # some rows and columns all equal: all ties, and all HRB for a level
+    # above delta
+    grid[draw(hnp.arrays(np.bool_, n))] = draw(st.sampled_from(MARK_LEVELS))
+    grid[:, draw(hnp.arrays(np.bool_, n))] = draw(st.sampled_from(MARK_LEVELS))
+    return grid, np.stack([grid, grid.T])[:axes]
 
 
-@given(a=mark_inputs(), offset=st.integers(0, 3),
+@given(inputs=mark_inputs(), offset=st.integers(0, 3),
        delta=st.sampled_from([0.0, -0.0, 1.0, 5.0, np.inf]))
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_make_marks_keeps_stable_order_prefix(ecc32_code, a, offset, delta):
-    # one grid per axis, as signed LLRs, which make_marks only reads
-    llr = a * np.where(np.arange(a.size).reshape(a.shape) % 3, 1.0, -1.0)
+def test_make_marks_keeps_stable_order_prefix(ecc32_code, inputs, offset, delta):
+    # the grid as signed LLRs, which make_marks only reads
+    grid, a = inputs
+    llr = grid * np.where(np.arange(grid.size).reshape(grid.shape) % 3, 1.0, -1.0)
     given = llr.copy()
-    marks = make_marks(list(llr), SabmParams(delta=delta), ecc32_code, offset=offset)
+    marks = make_marks(llr, SabmParams(delta=delta), ecc32_code, len(a), offset=offset)
     assert np.array_equal(llr, given)
     keep = ecc32_code.d0 - 2
     hrb = a > delta
@@ -242,14 +249,15 @@ def test_make_marks_keeps_stable_order_prefix(ecc32_code, a, offset, delta):
     assert not word_hrb[..., :offset].any()
 
 
-@given(a=mark_inputs(), keep=st.integers(1, 4))
+@given(inputs=mark_inputs(), keep=st.integers(1, 4))
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_stable_order_prefix_is_the_stable_argsort_prefix(a, keep):
-    # the whole prefix, on rows with ties, inf and all-equal rows: under an
-    # infinite delta no entry is an HRB, so every entry is a candidate, and
-    # the kernel keeps the first `keep` of each word
+def test_stable_order_prefix_is_the_stable_argsort_prefix(inputs, keep):
+    # the whole prefix, on words with ties, inf and all-equal words: under
+    # an infinite delta no entry is an HRB, so every entry is a candidate,
+    # and the kernel keeps the first `keep` of each word
+    grid, a = inputs
     want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
-    hrb, candidates = mark_words(list(a), np.inf, 0, keep)
+    hrb, candidates = mark_words(grid, np.inf, 0, keep, len(a))
     assert np.array_equal(candidates, want) and not hrb.any()
 
 
@@ -260,13 +268,12 @@ def test_stable_order_prefix_at_the_benchmark_shapes(pc_component_code, snr_db, 
     pc = PcCode(pc_component_code)
     rng = np.random.default_rng(int(snr_db * 10))
     _, llr = channel_pass(random_block(pc, rng), snr_db, rng)
-    grids = [llr, llr.T][:axes]
-    a = np.abs(np.stack(grids))
+    a = np.abs(np.stack([llr, llr.T])[:axes])
     keep = pc_component_code.d0 - 2
     want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
-    whole = make_marks(grids, SabmParams(delta=np.inf), pc_component_code)
+    whole = make_marks(llr, SabmParams(delta=np.inf), pc_component_code, axes)
     assert np.array_equal(whole.candidates, want)
-    marks = make_marks(grids, SabmParams(delta=5.0), pc_component_code)
+    marks = make_marks(llr, SabmParams(delta=5.0), pc_component_code, axes)
     if axes == 2:  # the rows and columns of the block, as mark_bits reads them
         block = mark_bits(llr, SabmParams(delta=5.0), pc)
         assert np.array_equal(block.candidates, marks.candidates)
@@ -277,22 +284,21 @@ def test_stable_order_prefix_at_the_benchmark_shapes(pc_component_code, snr_db, 
 
 
 def test_stable_order_prefix_ties_at_the_cut_in_one_row_of_many(ecc32_code):
-    # one row holds three entries at its keep-th smallest value and one
-    # row is all ties: each keeps its lowest-index ties, in index order.
-    # Under an infinite delta every entry is a candidate
-    keep, rows, n = ecc32_code.d0 - 2, 40, 16
+    # one row of 40 holds three entries at its keep-th smallest value and
+    # one row is all ties: each keeps its lowest-index ties, in index
+    # order, as do the columns, whose entries tie often. Under an infinite
+    # delta every entry is a candidate
+    keep, n = ecc32_code.d0 - 2, 40
     params = SabmParams(delta=np.inf)
     rng = np.random.default_rng(7)
-    a = np.array([rng.permutation(n) for _ in range(2 * rows)], dtype=np.float64)
-    a = a.reshape(2, rows, n)
-    row = a[1, 17]
+    a = np.array([rng.permutation(n) for _ in range(n)], dtype=np.float64)
+    row = a[17]
     row[(row == 3) | (row == 4)] = 2  # 0, 1, 2, 2, 2: three entries at the cut 2
-    want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
-    assert (a <= np.sort(a, axis=-1)[..., keep - 1, None]).sum() == 2 * rows * keep + 1
-    assert np.array_equal(make_marks(list(a), params, ecc32_code).candidates, want)
-    a[0, 30] = 3.0
-    want = np.argsort(a, axis=-1, kind="stable")[..., :keep]
-    assert np.array_equal(make_marks(list(a), params, ecc32_code).candidates, want)
+    assert (a <= np.sort(a, axis=-1)[:, keep - 1, None]).sum() == n * keep + 1
+    for _ in range(2):
+        want = np.argsort(np.stack([a, a.T]), axis=-1, kind="stable")[..., :keep]
+        assert np.array_equal(make_marks(a, params, ecc32_code, 2).candidates, want)
+        a[30] = 3.0
     assert np.array_equal(want[0, 30], np.arange(keep))
 
 
@@ -307,6 +313,23 @@ def test_mark_bits_all_hrb_degenerate(pc32):
 def test_mark_bits_rejects_bad_shape(pc32):
     with pytest.raises(ValueError):
         mark_bits(np.zeros((4, 4)), SabmParams(), pc32)
+
+
+@pytest.mark.parametrize("delta", [5.0, np.inf])
+def test_a_nan_llr_is_refused_not_marked(pc32, delta):
+    # the |llr| bit pattern of a NaN, of either sign, lies above inf's, so
+    # it would mark an HRB even under delta = inf, which makes no bit one:
+    # the marks of a block, of a staircase block and SABM refuse it
+    w, params = pc32.w, SabmParams(delta=delta)
+    scc = SccCode(pc32.component)
+    for nan in (np.nan, np.copysign(np.nan, -1.0)):
+        llr = np.ones((w, w))
+        llr[0, 3] = nan
+        for call in (lambda: mark_bits(llr, params, pc32),
+                     lambda: block_marks(scc, llr[:scc.w, :scc.w], params),
+                     lambda: sabm_decode(pc32, np.zeros((w, w), dtype=np.uint8), llr, params)):
+            with pytest.raises(ValueError, match="^llr must hold no NaN"):
+                call()
 
 
 def test_sabm_params_validation():
@@ -336,7 +359,7 @@ def suspicious_fixture(pc, rng):
 def suspicious(pc, noisy, marks, axis, index, pattern):
     """The SABM veto of `pattern` as a correction of word `index` along
     `axis` (0 rows, 1 columns) of the received block `noisy`."""
-    layout = block_layout(pc.w, 1)
+    layout = block_layout(pc.w)
     syn = Passes(pc.component, layout, noisy.copy()).syn
     return _suspicious(pattern, hrb_flags(marks, pc.w)[axis, index], syn,
                        layout.cross[axis], range(syn.size))
@@ -370,7 +393,7 @@ def test_veto_reads_only_live_crossing_words(pc32, rng):
     block, marks = suspicious_fixture(pc32, rng)
     noisy = block.copy()
     noisy[4, 1] ^= 1
-    layout = block_layout(pc32.w, 1)
+    layout = block_layout(pc32.w)
     syn = Passes(pc32.component, layout, noisy.copy()).syn
     w, cross = pc32.w, layout.cross[0]
     assert cross[9] == w + 9 and syn[w + 9] == 0
@@ -391,7 +414,7 @@ def reference_syndromes(pc, block):
 def block_state(pc, block):
     """What the kernel passes decode a block on: a `Passes` over a copy of
     its bits, whose syndromes are the reference's."""
-    state = Passes(pc.component, block_layout(pc.w, 1), np.array(block, dtype=np.uint8))
+    state = Passes(pc.component, block_layout(pc.w), np.array(block, dtype=np.uint8))
     assert np.array_equal(state.syn, reference_syndromes(pc, block))
     return state
 
@@ -664,6 +687,75 @@ def test_vetoed_proposal_whose_retry_clears_the_syndrome(pc32, rng):
     want, want_stats = reference.pc_decode(pc32, hard, params.total_iters, llr, params)
     assert np.array_equal(out, want)
     assert stats == want_stats
+
+
+def raised_distance(pc, rng, llr_of):
+    """A block of the code of pc declared with d0 = 7, one above its
+    distance, so that a vetoed weight-2 proposal retries with 4 flips, not
+    3: the all-zero codeword with errors in a row at the first 4 positions
+    of a weight-6 codeword, whose other 2 BDD proposes. llr_of(row,
+    support) sets the row's LLRs on a grid whose other bits are HRBs, given
+    the codeword's ascending positions. Returns the code, the received
+    block and its LLRs."""
+    code = PcCode(replace(pc.component, d0=7))
+    support = weight_six_codeword(code.component, rng)
+    row = 9
+    hard = np.zeros((code.w, code.w), dtype=np.uint8)
+    hard[row, support[:4]] = 1
+    llr = np.where(hard == 0, 8.0, -8.0)
+    llr_of(llr[row], support)
+    assert decode_syndromes(code.component, packed(code.component, hard[row])) == tuple(
+        support[4:])
+    return code, hard, llr
+
+
+def assert_retry_corrects_the_row(code, hard, llr):
+    """One marking pass over the rows takes the row's retry, and no other
+    word decodes; the whole decode equals the reference's."""
+    params = SabmParams(delta=5.0)
+    state = block_state(code, hard)
+    assert marking_pass(code, state, 0, mark_bits(llr, params, code), 0) is True
+    assert not state.bits.any()
+    assert stats_of(state) == DecodeStats(bdd_calls=code.w + 1, miscorrections_detected=1,
+                                          flips_attempted=1, flips_accepted=1)
+    out, stats = sabm_decode(code, hard, llr, params)
+    want, want_stats = reference.pc_decode(code, hard, params.total_iters, llr, params)
+    assert np.array_equal(out, want) and not out.any()
+    assert stats == want_stats
+
+
+# With the code's own d0 = 6, a retry whose flips alone clear the syndrome,
+# or whose decoded positions meet its flips, nets the vetoed proposal
+# itself: the net pattern of a retry after a proposal of weight e has at
+# most d0 - 1 - e = 5 - e positions on those paths, too few to differ from
+# the proposal, which has its syndrome, by a nonzero codeword (weight 6 or
+# more), so the veto refuses it again. The two tests below reach both paths
+# with d0 declared as 7, and the reference decoder agrees with the kernel.
+
+def test_a_retry_whose_flips_alone_clear_the_syndrome_is_taken(pc32, rng):
+    # the row's 4 errors are its only non-HRBs; the retry flips all 4,
+    # leaving syndrome 0, which decodes to no position, so the flips alone
+    # are its pattern, which the veto passes: each flip's column holds that
+    # error alone
+    def llr_of(row_llr, support):
+        row_llr[support[:4]] = -1.0
+
+    assert_retry_corrects_the_row(*raised_distance(pc32, rng, llr_of))
+
+
+def test_a_position_that_a_retry_both_flips_and_decodes_cancels(pc32, rng):
+    # the row's least reliable bits are 3 of its errors and q, a correct
+    # bit whose column is a codeword; its fourth error z is less so. The
+    # retry flips those 4 and decodes its syndrome, that of q and z, to q
+    # and z: q, both flipped and decoded, cancels, so the veto reads the
+    # net pattern, the 4 errors, and passes it. Had it read q, whose
+    # column's syndrome is 0, it would have refused the retry
+    def llr_of(row_llr, support):
+        q = min(set(range(len(row_llr))) - set(support))
+        row_llr[support[:3] + [q]] = np.where(row_llr[support[:3] + [q]] < 0, -0.5, 0.5)
+        row_llr[support[3]] = -2.0
+
+    assert_retry_corrects_the_row(*raised_distance(pc32, rng, llr_of))
 
 
 @pytest.mark.parametrize("stalled", [True, False], ids=["stalled", "clean"])

@@ -1,7 +1,7 @@
 """The syndromes that the kernel's passes keep always equal the syndromes
-recomputed from the bits: those of a `kernel.Passes` (PC blocks and
-stacks of them, and staircase chains) before and after every pass, on
-arbitrary bits, and before every kernel call of a decode. One layout serves the product block
+recomputed from the bits: those of a `kernel.Passes` (a PC block or a
+staircase chain) before and after every pass, on arbitrary bits, and
+before every kernel call of a decode. One layout serves the product block
 and a whole staircase chain; the chain's scratch group, where the pairs
 missing at both ends cross, holds the syndromes of the wrap-around pair
 [transpose(B_last) | B_0] and is never decoded. The kernel's plain pass
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from feclab import pc, scc
 from feclab.bch import build_code
 from feclab.kernel import Passes
-from feclab.pc import PcCode, SabmParams, block_layout, pc_encode
+from feclab.pc import Layout, PcCode, SabmParams, block_layout, pc_encode
 from feclab.scc import SccCode, chain_layout, scc_encode
 
 from reference import block_syndromes, plain_pass, sabm_pass
@@ -24,10 +24,8 @@ CODE = build_code(5)  # eBCH(32,21): PC w = 32, SCC w = 16
 
 
 def pc_recomputed(bits):
-    """Each block's rows, then its columns, block by block."""
-    w = CODE.n
-    return np.concatenate([block_syndromes(CODE, words) for block in bits.reshape(-1, w, w)
-                           for words in (block, block.T)])
+    """The block's rows, then its columns."""
+    return np.concatenate([block_syndromes(CODE, bits), block_syndromes(CODE, bits.T)])
 
 
 def scc_recomputed(bits):
@@ -98,7 +96,7 @@ def test_block_syndromes_follow_random_flips(seed):
     w = code.w
     bits = rng.integers(0, 2, (w, w), dtype=np.uint8)
     marks = pc.mark_bits(noisy_llr(bits, rng), SabmParams(failure_flip_attempts=3), code)
-    follow_random_passes(block_layout(w, 1), bits, pc_recomputed, lambda g: (marks, g),
+    follow_random_passes(block_layout(w), bits, pc_recomputed, lambda g: (marks, g),
                          lambda g: (0, 2 * w), rng)
 
 
@@ -128,7 +126,7 @@ def test_state_rejects_bits_it_cannot_update_in_place():
     # caller's array undecoded; a state of another size would run off it
     w = CODE.n
     bits = np.zeros((w, w), dtype=np.uint8)
-    layout = block_layout(w, 1)
+    layout = block_layout(w)
     for bad in (bits.T, np.asfortranarray(bits[:, :-1]), list(bits), bits.astype(np.int64),
                 bits[:-1]):
         with pytest.raises(ValueError):
@@ -138,8 +136,11 @@ def test_state_rejects_bits_it_cannot_update_in_place():
     with pytest.raises(ValueError):
         Passes(CODE, layout, readonly)
     # a group or an axis that the state does not hold is refused, not read,
-    # as is a block whose rows have no column group after them, and marking
-    # with no marks bound. Nothing changes: one error would be corrected
+    # as is marking with no marks bound, a negative count of marking
+    # iterations, and a block's iterations on a state that is not one
+    # block's: chains of two and of three pairs, each with its scratch
+    # group, and a block's rows alone. Nothing changes: one error would be
+    # corrected
     bits[3, 5] = 1
     state = Passes(CODE, layout, bits)
     syn = state.syn.copy()
@@ -147,36 +148,42 @@ def test_state_rejects_bits_it_cannot_update_in_place():
         plain_pass(state, 2)
     with pytest.raises(ValueError):
         sabm_pass(state, 0, 0, 0, 2 * w)  # no marks bound
-    for rows, marking in ((1, 0), (-1, 0), (2, 0), (0, 1), (0, -1)):
+    for marking in (1, -1):
         with pytest.raises(ValueError):
-            pc.block_pass(state, rows, marking, 10)
+            pc.block_pass(state, marking, 10)
     assert bits[3, 5] and np.array_equal(state.syn, syn) and counts(state) == pc.DecodeStats()
-    state.mark(pc.mark_bits(np.ones((w, w)), SabmParams(), PcCode(CODE)))
+    marks = pc.mark_bits(np.ones((w, w)), SabmParams(), PcCode(CODE))
+    state.mark(marks)
     with pytest.raises(ValueError):
         sabm_pass(state, 0, 2, 0, 2 * w)
-    with pytest.raises(ValueError):
-        pc.block_pass(state, 1, 1, 10)
+    rows = Layout(w, layout.base, layout.stride, layout.cross, layout.shift, groups=1)
+    for other in (chain_layout(w // 2, 3), chain_layout(w // 2, 4), rows):
+        other_state = Passes(CODE, other, np.zeros(other.size, dtype=np.uint8))
+        other_state.mark(marks if other is rows else pc.MarkState(
+            marks.candidates[:, :w // 2].copy(), 1, marks.hrb[:, :w // 2].copy()))
+        for marking in (0, 1):
+            with pytest.raises(ValueError, match="not one product block's"):
+                pc.block_pass(other_state, marking, 10)
     assert bits[3, 5] and np.array_equal(state.syn, syn) and counts(state) == pc.DecodeStats()
     assert sabm_pass(state, 1, 1, 0, 2 * w) is True
 
 
-def passes_of_block(state, rows, marking, iters):
+def passes_of_block(state, marking, iters):
     """A product block's passes, run one by one: up to `marking` iterations
-    of a marking pass over the rows (group and axis 0 of the block) and
-    then the columns, whose veto reads the block's slots, then plain ones
+    of a marking pass over the rows (group and axis 0) and then the
+    columns, whose veto reads the block's slots, then plain ones
     up to `iters`. Each phase ends at its first iteration that flips
     nothing, but a marking iteration that leaves a nonzero syndrome in the
     block hands it to the plain ones. Returns the (group, pass name) of
     each pass and whether a marking iteration handed the block on."""
-    w, order = CODE.n, []
-    lo, hi = rows * w, (rows + 2) * w
+    order = []
     for _ in range(marking):
         changed = False
         for axis in (0, 1):
-            changed |= sabm_pass(state, rows + axis, axis, lo, hi)
-            order.append((rows + axis, "sabm_pass"))
+            changed |= sabm_pass(state, axis, axis, 0, 2 * CODE.n)
+            order.append((axis, "sabm_pass"))
         if not changed:
-            if not state.syn[lo:hi].any():
+            if not state.syn.any():
                 return order, False
             handoff = True
             break
@@ -184,7 +191,7 @@ def passes_of_block(state, rows, marking, iters):
         handoff = False
     for _ in range(marking, iters):
         changed = False
-        for g in (rows, rows + 1):
+        for g in (0, 1):
             changed |= plain_pass(state, g)
             order.append((g, "plain_pass"))
         if not changed:
@@ -197,20 +204,19 @@ def checked_blocks(monkeypatch, marks):
     that its state's syndromes equal those of its bits, and that the call
     leaves the bits, the syndromes and the counters as its passes run one
     by one on a copy of the state, with `marks` bound, do. Returns the
-    (rows, state, passes, handoff) of every call."""
+    (state, passes, handoff) of every call."""
     calls = []
     run = pc.block_pass
 
-    def check(state, rows, marking, iters):
+    def check(state, marking, iters):
         assert_matches(state, pc_recomputed)
-        copy = Passes(CODE, block_layout(CODE.n, state.bits.size // CODE.n ** 2),
-                      state.bits.copy())
+        copy = Passes(CODE, block_layout(CODE.n), state.bits.copy())
         if marks is not None:
             copy.mark(marks)
         before = np.array(state.counts())
-        order, handoff = passes_of_block(copy, rows, marking, iters)
-        calls.append((rows, state, order, handoff))
-        run(state, rows, marking, iters)
+        order, handoff = passes_of_block(copy, marking, iters)
+        calls.append((state, order, handoff))
+        run(state, marking, iters)
         assert np.array_equal(state.bits, copy.bits) and np.array_equal(state.syn, copy.syn)
         assert np.array_equal(np.array(state.counts()) - before, copy.counts())
 
@@ -243,8 +249,8 @@ def test_block_syndromes_match_after_decode(decoder, seed, monkeypatch):
     (state,) = made
     assert state.bits is out
     assert_matches(state, pc_recomputed)
-    assert [(rows, s) for rows, s, _, _ in calls] == [(0, state)]
-    names = {name for _, _, order, _ in calls for _, name in order}
+    assert [s for s, _, _ in calls] == [state]
+    names = {name for _, order, _ in calls for _, name in order}
     assert names == {"ibdd": {"plain_pass"}, "sabm_md0": {"plain_pass"},
                      "sabm_md_all": {"sabm_pass"}}.get(decoder, {"sabm_pass", "plain_pass"})
 
@@ -265,8 +271,8 @@ def test_a_stalled_marking_iteration_hands_the_block_to_plain_ones(monkeypatch):
     calls = checked_blocks(monkeypatch, pc.mark_bits(llr, params, code))
     out, stats = pc.sabm_decode(code, noisy, llr, params)
     assert np.array_equal(out, sent)
-    ((rows, _, order, handoff),) = calls
-    assert rows == 0 and handoff
+    ((_, order, handoff),) = calls
+    assert handoff
     assert order == [(0, "sabm_pass"), (1, "sabm_pass")] + [(0, "plain_pass"),
                                                             (1, "plain_pass")] * 2
     assert stats == pc.DecodeStats(bdd_calls=6 * CODE.n, miscorrections_detected=3)
@@ -367,7 +373,7 @@ def pass_both_ways(layout, bits, group, recomputed):
 
 
 def pc_pass_both_ways(bits, group):
-    return pass_both_ways(block_layout(len(bits), 1), bits, group, pc_recomputed)
+    return pass_both_ways(block_layout(len(bits)), bits, group, pc_recomputed)
 
 
 def scc_pass_both_ways(chain, group):
